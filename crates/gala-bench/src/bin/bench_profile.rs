@@ -25,7 +25,7 @@ use gala_core::backend::BackendKind;
 use gala_core::kernels::hashtable::HashConfig;
 use gala_core::kernels::KernelKind;
 use gala_core::louvain::{Louvain, LouvainConfig};
-use gala_gpu::profile::Profiler;
+use gala_core::observe::Obs;
 use gala_graph::generators::sbm::PlantedPartition;
 use gala_graph::Graph;
 use gala_telemetry::{Attribution, AttributionReport, TraceEvent, VecSink};
@@ -55,13 +55,12 @@ fn traced_run(
     Vec<(String, Vec<gala_telemetry::ProfileSpan>)>,
 ) {
     let mut sink = VecSink::default();
-    let mut prof = Profiler::disabled();
     let result = Louvain::new(LouvainConfig {
         kernel,
         backend,
         ..LouvainConfig::default()
     })
-    .run_instrumented(graph, &mut sink, &mut prof);
+    .run_with(graph, &mut Obs::traced(&mut sink));
     let profiles = sink
         .events
         .into_iter()

@@ -23,9 +23,9 @@
 
 use gala_bench::{all_datasets, eng, new_report, scale_from_env, BenchArgs, Table};
 use gala_core::louvain::{Louvain, LouvainConfig};
-use gala_core::multi_gpu::{run_phase1_traced as multi_gpu_phase1, MultiGpuConfig};
+use gala_core::multi_gpu::{run_phase1_with, MultiGpuConfig};
+use gala_core::observe::Obs;
 use gala_gpu::memory::CostModel;
-use gala_gpu::profile::Profiler;
 use gala_telemetry::{JsonlSink, Report, TraceEvent, VecSink};
 use std::fs::File;
 use std::io::BufWriter;
@@ -83,13 +83,13 @@ fn main() {
     for (d, g) in datasets.iter().take(2) {
         for devices in [2usize, 4] {
             let mut sink = VecSink::default();
-            let r = multi_gpu_phase1(
+            let r = run_phase1_with(
                 g,
                 MultiGpuConfig {
                     num_devices: devices,
                     ..MultiGpuConfig::default()
                 },
-                &mut sink,
+                &mut Obs::traced(&mut sink),
             );
             let (mut bytes, mut dense, mut sparse) = (0u64, 0u64, 0u64);
             for ev in &sink.events {
@@ -129,8 +129,7 @@ fn main() {
             }
         };
         let mut sink = JsonlSink::new(BufWriter::new(file));
-        let mut prof = Profiler::disabled();
-        Louvain::new(LouvainConfig::default()).run_instrumented(g, &mut sink, &mut prof);
+        Louvain::new(LouvainConfig::default()).run_with(g, &mut Obs::traced(&mut sink));
         sink.into_inner();
         println!("\ntrace of {} written to {path}", d.abbr());
     }

@@ -1214,7 +1214,8 @@ pub fn run(args: &AnalyzeArgs) -> Result<(), Error> {
 mod tests {
     use super::*;
     use gala_core::louvain::{Louvain, LouvainConfig};
-    use gala_core::multi_gpu::{run_full_traced, ContractMode, MultiGpuConfig};
+    use gala_core::multi_gpu::{run_full_with, ContractMode, MultiGpuConfig};
+    use gala_core::observe::Obs;
     use gala_graph::generators::fixtures;
     use gala_telemetry::JsonlSink;
 
@@ -1230,8 +1231,7 @@ mod tests {
     fn write_fixture_trace(name: &str) -> String {
         let g = fixtures::ring_of_cliques(6, 5);
         let mut sink = JsonlSink::new(Vec::new());
-        let mut prof = Profiler::disabled();
-        Louvain::new(LouvainConfig::default()).run_instrumented(&g, &mut sink, &mut prof);
+        Louvain::new(LouvainConfig::default()).run_with(&g, &mut Obs::traced(&mut sink));
         let path = format!("{}.jsonl", tmp(name));
         std::fs::write(&path, sink.into_inner()).unwrap();
         path
@@ -1242,14 +1242,14 @@ mod tests {
     fn write_mg_fixture_trace(name: &str) -> String {
         let g = fixtures::ring_of_cliques(8, 6);
         let mut sink = JsonlSink::new(Vec::new());
-        run_full_traced(
+        run_full_with(
             &g,
             MultiGpuConfig {
                 num_devices: 4,
                 contract: ContractMode::Partitioned,
                 ..MultiGpuConfig::default()
             },
-            &mut sink,
+            &mut Obs::traced(&mut sink),
         );
         let path = format!("{}.jsonl", tmp(name));
         std::fs::write(&path, sink.into_inner()).unwrap();

@@ -6,19 +6,17 @@ use crate::args::{
 };
 use gala_core::backend::BackendKind;
 use gala_core::label_prop::{label_propagation, LabelPropConfig};
-use gala_core::leiden::{leiden_instrumented, LeidenConfig};
+use gala_core::leiden::{leiden_with, LeidenConfig};
 use gala_core::louvain::LouvainConfig;
 use gala_core::metrics::summarize;
 use gala_core::modularity::modularity_with_resolution;
-use gala_core::multi_gpu::{
-    run_full_instrumented as multi_gpu_full_instrumented,
-    run_phase1_instrumented as multi_gpu_phase1_instrumented, ContractMode, MultiGpuConfig,
-};
+use gala_core::multi_gpu::{self, ContractMode, MultiGpuConfig};
+use gala_core::observe::Obs;
 use gala_core::pruning::PruningKind;
-use gala_core::sequential::{sequential_louvain_instrumented, SequentialConfig};
+use gala_core::sequential::{sequential_louvain_with, SequentialConfig};
 use gala_core::validation::{coverage, mean_conductance};
 use gala_gpu::memory::CostModel;
-use gala_gpu::profile::{Profiler, SpanRecord};
+use gala_gpu::profile::SpanRecord;
 use gala_graph::generators::ba::barabasi_albert;
 use gala_graph::generators::gnp::gnp;
 use gala_graph::generators::lfr::LfrParams;
@@ -279,8 +277,8 @@ fn detect(args: DetectArgs) -> Result<(), Error> {
             (reordered, Some(ord), Some((before, after)))
         }
     };
-    // --trace: JSONL superstep events (only the GALA drivers emit them;
-    // the other algorithms leave the file empty).
+    // --trace: the run's JSONL event stream (every algorithm but label
+    // propagation emits one; lpa leaves the file empty).
     let mut jsonl = match &args.trace {
         Some(path) => Some(JsonlSink::new(BufWriter::new(File::create(path)?))),
         None => None,
@@ -289,13 +287,6 @@ fn detect(args: DetectArgs) -> Result<(), Error> {
     let sink: &mut dyn TraceSink = match jsonl.as_mut() {
         Some(s) => s,
         None => &mut null,
-    };
-    // --report: profile the run so the report carries the span tree. The
-    // GALA drivers take the profiler; other algorithms leave it empty.
-    let mut prof = if args.report.is_some() {
-        Profiler::new()
-    } else {
-        Profiler::disabled()
     };
     let backend = match args.backend {
         Backend::Sim => BackendKind::Sim,
@@ -332,6 +323,14 @@ fn detect(args: DetectArgs) -> Result<(), Error> {
     } else {
         None
     };
+    // One observer carries the trace sink and, under --report, the
+    // run-level profiler (so the report carries the span tree; lpa leaves
+    // it empty). Built after the recorder is armed: it samples the
+    // recorder's switches.
+    let mut obs = Obs::traced(sink);
+    if args.report.is_some() {
+        obs = obs.profiled();
+    }
     let start = Instant::now();
     let (name, partition): (&str, Partition) = match args.algorithm {
         Algorithm::Gala => {
@@ -347,7 +346,7 @@ fn detect(args: DetectArgs) -> Result<(), Error> {
                 // The partitioned contraction only exists in the full
                 // hierarchy driver, so `--mg-contract partitioned` runs
                 // all rounds even at one device.
-                let r = multi_gpu_full_instrumented(
+                let r = multi_gpu::run_full_with(
                     &graph,
                     MultiGpuConfig {
                         num_devices: args.devices,
@@ -356,12 +355,11 @@ fn detect(args: DetectArgs) -> Result<(), Error> {
                         contract: ContractMode::Partitioned,
                         ..MultiGpuConfig::default()
                     },
-                    sink,
-                    &mut prof,
+                    &mut obs,
                 );
                 ("GALA (multi-device, full)", r.partition)
             } else if args.devices > 1 {
-                let r = multi_gpu_phase1_instrumented(
+                let r = multi_gpu::run_phase1_with(
                     &graph,
                     MultiGpuConfig {
                         num_devices: args.devices,
@@ -369,8 +367,7 @@ fn detect(args: DetectArgs) -> Result<(), Error> {
                         backend,
                         ..MultiGpuConfig::default()
                     },
-                    sink,
-                    &mut prof,
+                    &mut obs,
                 );
                 ("GALA (multi-device, phase 1)", r.partition)
             } else {
@@ -380,20 +377,19 @@ fn detect(args: DetectArgs) -> Result<(), Error> {
                     backend,
                     ..LouvainConfig::default()
                 })
-                .run_instrumented(&graph, sink, &mut prof);
+                .run_with(&graph, &mut obs);
                 ("GALA", r.partition)
             }
         }
         Algorithm::Leiden => {
-            let r = leiden_instrumented(
+            let r = leiden_with(
                 &graph,
                 LeidenConfig {
                     resolution: args.resolution,
                     backend,
                     ..LeidenConfig::default()
                 },
-                sink,
-                &mut prof,
+                &mut obs,
             );
             ("Leiden", r.partition)
         }
@@ -402,16 +398,12 @@ fn detect(args: DetectArgs) -> Result<(), Error> {
             ("label propagation", r.partition)
         }
         Algorithm::Sequential => {
-            let r = sequential_louvain_instrumented(
-                &graph,
-                SequentialConfig::default(),
-                sink,
-                &mut prof,
-            );
+            let r = sequential_louvain_with(&graph, SequentialConfig::default(), &mut obs);
             ("sequential Louvain", r.partition)
         }
     };
     let elapsed = start.elapsed();
+    let span_tree = obs.finish();
     if let Some(tty) = progress_tty {
         recorder::disarm_watchdog();
         recorder::clear_progress_callback();
@@ -469,7 +461,7 @@ fn detect(args: DetectArgs) -> Result<(), Error> {
                     .metric("mean_edge_span_after", after),
             );
         }
-        push_span_rows(&mut report, &prof.finish(), "span");
+        push_span_rows(&mut report, &span_tree, "span");
         report.write_to(path)?;
     }
     if !args.quiet {

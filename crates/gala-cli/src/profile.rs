@@ -366,7 +366,7 @@ mod tests {
     use super::*;
     use gala_core::backend::BackendKind;
     use gala_core::louvain::{Louvain, LouvainConfig};
-    use gala_gpu::profile::Profiler;
+    use gala_core::observe::Obs;
     use gala_graph::generators::fixtures;
     use gala_telemetry::JsonlSink;
 
@@ -381,12 +381,11 @@ mod tests {
     fn write_trace(name: &str, backend: BackendKind) -> String {
         let g = fixtures::ring_of_cliques(6, 5);
         let mut sink = JsonlSink::new(Vec::new());
-        let mut prof = Profiler::disabled();
         Louvain::new(LouvainConfig {
             backend,
             ..LouvainConfig::default()
         })
-        .run_instrumented(&g, &mut sink, &mut prof);
+        .run_with(&g, &mut Obs::traced(&mut sink));
         let path = format!("{}.jsonl", tmp(name));
         std::fs::write(&path, sink.into_inner()).unwrap();
         path

@@ -292,46 +292,23 @@ impl ExecutionBackend for NativeBackend {
 }
 
 /// Builds the schema-4 `profile` companion of a `span` event: the tree's
-/// spans flattened to per-path component charges in the backend's native
-/// unit. Sim trees charge simulated cycles from each span's `MemTally`
-/// through the default [`CostModel`] (summing exactly to `self_cycles`);
-/// native trees charge each span's measured `elapsed_ns` counter.
+/// spans flattened to per-path component charges in the unit of the
+/// substrate that ran them. Sim trees charge simulated cycles from each
+/// span's `MemTally` through the default [`CostModel`] (summing exactly to
+/// `self_cycles`); native trees charge each span's measured `elapsed_ns`
+/// counter, and so do host-only passes (`backend == None`: sequential,
+/// grappolo, leiden's local moving), attributed to the `"host"` backend.
 pub(crate) fn profile_event(
-    backend: BackendKind,
+    backend: Option<BackendKind>,
     round: u32,
     superstep: u32,
     phase: &str,
     root: &SpanRecord,
 ) -> TraceEvent {
-    match backend {
-        BackendKind::Sim => profile_event_from(root, "sim", "cycles", round, superstep, phase),
-        BackendKind::Native => profile_event_from(root, "native", "ns", round, superstep, phase),
-    }
-}
-
-/// [`profile_event`] for host-only drivers (sequential, grappolo): spans
-/// carry wall time, attributed to the `"host"` backend.
-pub(crate) fn profile_event_host(
-    round: u32,
-    superstep: u32,
-    phase: &str,
-    root: &SpanRecord,
-) -> TraceEvent {
-    profile_event_from(root, "host", "ns", round, superstep, phase)
-}
-
-fn profile_event_from(
-    root: &SpanRecord,
-    backend: &str,
-    unit: &str,
-    round: u32,
-    superstep: u32,
-    phase: &str,
-) -> TraceEvent {
-    let spans = if unit == "cycles" {
-        profile_spans(root, &CostModel::default())
-    } else {
-        profile_spans_wall(root)
+    let (backend, unit, spans) = match backend {
+        Some(BackendKind::Sim) => ("sim", "cycles", profile_spans(root, &CostModel::default())),
+        Some(BackendKind::Native) => ("native", "ns", profile_spans_wall(root)),
+        None => ("host", "ns", profile_spans_wall(root)),
     };
     TraceEvent::Profile {
         round,
@@ -439,17 +416,17 @@ mod tests {
 
     #[test]
     fn native_instrumented_run_reports_wall_clock_spans() {
-        use gala_telemetry::NullSink;
+        use crate::observe::Obs;
         let g = fixtures::ring_of_cliques(6, 5);
         let runner = Louvain::new(LouvainConfig {
             backend: BackendKind::Native,
             ..LouvainConfig::default()
         });
         let plain = Louvain::new(LouvainConfig::default()).run(&g);
-        let mut prof = Profiler::new();
-        let traced = runner.run_instrumented(&g, &mut NullSink, &mut prof);
+        let mut obs = Obs::off().profiled();
+        let traced = runner.run_with(&g, &mut obs);
         assert_eq!(traced.partition, plain.partition);
-        let tree = prof.finish();
+        let tree = obs.finish();
         let step = tree
             .child("round")
             .and_then(|r| r.child("superstep"))

@@ -8,13 +8,12 @@
 //! comparisons.
 
 use crate::kernels::cpu;
-use crate::progress::{Counts, ProgressReporter};
+use crate::louvain::{DipPatience, DIP_PATIENCE};
+use crate::observe::Obs;
 use crate::state::BspState;
 use crate::weight::{self, WeightUpdateMode};
-use gala_gpu::profile::Profiler;
 use gala_graph::coarsen::{coarsen_into, CoarsenScratch};
 use gala_graph::{Graph, Partition};
-use gala_telemetry::{NullSink, TraceEvent, TraceSink};
 use std::time::Instant;
 
 /// Result of a Grappolo baseline run.
@@ -32,56 +31,38 @@ pub struct GrappoloResult {
 /// Runs one phase-1 round (the paper's measured region) and returns the
 /// resulting state plus the number of supersteps.
 pub fn phase1(graph: &Graph, theta: f64, max_iterations: usize) -> (BspState, usize) {
-    phase1_profiled(
-        graph,
-        theta,
-        max_iterations,
-        0,
-        &mut NullSink,
-        &mut Profiler::disabled(),
-    )
+    let mut obs = Obs::off().driver("grappolo");
+    phase1_round(graph, theta, max_iterations, 0, &mut obs)
 }
 
-/// [`phase1`] with the louvain-style per-superstep span tree (decide →
-/// apply → weight_update → modularity) wired through `sink`/`prof`. All
-/// spans charge host wall time: this baseline deliberately runs without
-/// simulated-GPU accounting.
-fn phase1_profiled(
+/// [`phase1`] at hierarchy round `round` with the louvain-style
+/// per-superstep span tree (decide → apply → weight_update → modularity)
+/// going through `obs`. All spans charge host wall time: this baseline
+/// deliberately runs without simulated-GPU accounting.
+fn phase1_round(
     graph: &Graph,
     theta: f64,
     max_iterations: usize,
     round: u32,
-    sink: &mut dyn TraceSink,
-    prof: &mut Profiler,
+    obs: &mut Obs,
 ) -> (BspState, usize) {
-    let instrumented = prof.is_enabled() || sink.enabled();
     let mut state = BspState::new(graph);
-    let mut best_q = state.modularity(graph);
-    let mut best_state = state.clone();
-    let mut stagnant = 0usize;
+    // Same dip-tolerant convergence as louvain.rs so the two drivers reach
+    // identical modularity.
+    let mut dips = DipPatience::new(&state, state.modularity(graph), theta, DIP_PATIENCE);
     let mut iterations = 0;
-    // Same dip-tolerant convergence as louvain.rs (patience 8, restore the
-    // best state seen) so the two drivers reach identical modularity.
-    const PATIENCE: usize = 8;
     // No pruning: the all-active mask never changes, and the decide output
     // is recycled across supersteps like louvain.rs's Phase1Scratch.
-    let active = vec![true; graph.num_vertices()];
+    let n = graph.num_vertices();
+    let active = vec![true; n];
     let mut out = crate::kernels::DecideOutput::default();
-    // Live observation: bounded-frequency snapshots to the flight recorder
-    // (this baseline has no pruning, so every vertex is always active).
-    let mut progress = ProgressReporter::new("grappolo");
-    let mut arcs_done = 0u64;
     for iteration in 0..max_iterations {
-        let mut sub = if instrumented {
-            Profiler::new()
-        } else {
-            Profiler::disabled()
-        };
+        let mut sub = obs.sub();
         sub.scope("decide", |p| {
             let started = Instant::now();
             p.scope("cpu", |p| {
                 cpu::decide_into(graph, &state, &active, &mut out);
-                p.count("items", graph.num_vertices() as u64);
+                p.count("items", n as u64);
             });
             p.count("elapsed_ns", started.elapsed().as_nanos() as u64);
         });
@@ -97,105 +78,47 @@ fn phase1_profiled(
         });
         iterations += 1;
         let q = sub.scope("modularity", |p| {
-            p.count("items", graph.num_vertices() as u64);
+            p.count("items", n as u64);
             state.modularity(graph)
         });
-        if instrumented {
-            let tree = sub.finish();
-            if sink.enabled() {
-                sink.emit(TraceEvent::Span {
-                    round,
-                    superstep: iteration as u32,
-                    phase: "phase1".to_string(),
-                    root: tree.clone(),
-                });
-                sink.emit(crate::backend::profile_event_host(
-                    round,
-                    iteration as u32,
-                    "phase1",
-                    &tree,
-                ));
-            }
-            prof.scope("superstep", |p| p.absorb(tree));
-        }
-        arcs_done += graph.num_arcs() as u64;
-        progress.superstep(
-            round,
-            "phase1",
-            iteration as u32,
-            q,
-            Counts::from_counts(
-                graph.num_vertices(),
-                summary.num_moved(),
-                graph.num_vertices(),
-                arcs_done,
-            ),
-        );
-        // Progress measured against the best state (see louvain.rs).
-        if q > best_q {
-            best_state = state.clone();
-            if q > best_q + theta {
-                stagnant = 0;
-            } else {
-                stagnant += 1;
-            }
-            best_q = q;
-        } else {
-            stagnant += 1;
-        }
-        if summary.num_moved() == 0 || stagnant > PATIENCE {
+        obs.span(round, iteration as u32, "phase1", None, sub);
+        // Live observation only: this baseline emits no `superstep` events
+        // (and has no pruning, so every vertex is always active).
+        let moved = summary.num_moved();
+        obs.superstep(graph, round, iteration as u32, n, moved, q, || None);
+        if dips.step(&state, q, moved) {
             break;
         }
     }
-    if state.modularity(graph) < best_q {
-        state = best_state;
-    }
+    dips.finish(graph, &mut state);
     (state, iterations)
 }
 
 /// Full multi-round Grappolo run.
 pub fn grappolo(graph: &Graph, theta: f64) -> GrappoloResult {
-    grappolo_instrumented(graph, theta, &mut NullSink, &mut Profiler::disabled())
+    grappolo_with(graph, theta, &mut Obs::off())
 }
 
-/// [`grappolo`] with tracing: the same `run_start` / per-superstep
-/// `span` and `profile` / `round_end` / `run_end` event sequence as the
-/// BSP drivers, all spans charging host wall nanoseconds (`"host"`
-/// backend).
-pub fn grappolo_instrumented(
-    graph: &Graph,
-    theta: f64,
-    sink: &mut dyn TraceSink,
-    prof: &mut Profiler,
-) -> GrappoloResult {
-    if sink.enabled() {
-        sink.emit(TraceEvent::RunStart {
-            algorithm: "grappolo".to_string(),
-            n: graph.num_vertices() as u64,
-            m: graph.num_edges() as u64,
-            devices: 1,
-        });
-    }
-    let instrumented = prof.is_enabled() || sink.enabled();
+/// [`grappolo`] observed through `obs`: the same `run_start` /
+/// per-superstep `span` and `profile` / `round_end` / `run_end` event
+/// sequence as the BSP drivers, all spans charging host wall nanoseconds
+/// (`"host"` backend).
+pub fn grappolo_with(graph: &Graph, theta: f64, obs: &mut Obs) -> GrappoloResult {
+    obs.run_start("grappolo", graph, 1);
     let mut current: Option<Graph> = None;
     let mut flat: Option<Partition> = None;
     let mut first_round_iterations = 0;
-    let mut rounds = 0u32;
+    let mut rounds = 0;
     let mut cscratch = CoarsenScratch::default();
-    let mut progress = ProgressReporter::new("grappolo");
     for round in 0..20 {
         let g = current.as_ref().unwrap_or(graph);
-        prof.enter("round");
+        obs.enter_round();
         rounds += 1;
-        let (state, iters) = phase1_profiled(g, theta, 500, round as u32, sink, prof);
+        let (state, iters) = phase1_round(g, theta, 500, round, obs);
         if round == 0 {
             first_round_iterations = iters;
         }
-        let mut sub = if instrumented {
-            Profiler::new()
-        } else {
-            Profiler::disabled()
-        };
+        let mut sub = obs.sub();
         let coarse = sub.scope("contract", |p| {
             let started = Instant::now();
             let coarse = coarsen_into(g, &state.partition(), &mut cscratch);
@@ -205,53 +128,18 @@ pub fn grappolo_instrumented(
             p.count("elapsed_ns", started.elapsed().as_nanos() as u64);
             coarse
         });
-        if instrumented {
-            let tree = sub.finish();
-            if sink.enabled() {
-                sink.emit(TraceEvent::Span {
-                    round: round as u32,
-                    superstep: iters as u32,
-                    phase: "contract".to_string(),
-                    root: tree.clone(),
-                });
-                sink.emit(crate::backend::profile_event_host(
-                    round as u32,
-                    iters as u32,
-                    "contract",
-                    &tree,
-                ));
-            }
-            prof.absorb(tree);
-        }
-        prof.exit();
+        obs.span(round, iters as u32, "contract", None, sub);
+        obs.exit_round();
         let stalled = coarse.num_communities == g.num_vertices();
-        flat = Some(match flat {
+        let level = match flat {
             None => coarse.renumbered.clone(),
             Some(prev) => prev.compose(&coarse.renumbered),
+        };
+        let (communities, arcs) = (coarse.num_communities, g.num_arcs());
+        obs.round_end(round, "phase1", iters, communities, arcs, || {
+            crate::modularity::modularity(graph, &level)
         });
-        if sink.enabled() || progress.live() {
-            let q = crate::modularity::modularity(graph, flat.as_ref().expect("just set"));
-            if sink.enabled() {
-                sink.emit(TraceEvent::RoundEnd {
-                    round: round as u32,
-                    supersteps: iters as u32,
-                    modularity: q,
-                    communities: coarse.num_communities as u64,
-                });
-            }
-            progress.round(
-                sink,
-                round as u32,
-                "phase1",
-                iters as u32,
-                q,
-                Counts {
-                    active_frac: 0.0,
-                    moved_frac: 0.0,
-                    arcs: g.num_arcs() as u64,
-                },
-            );
-        }
+        flat = Some(level);
         if stalled {
             break;
         }
@@ -263,13 +151,7 @@ pub fn grappolo_instrumented(
     }
     let partition = flat.unwrap_or_else(|| Partition::singletons(graph.num_vertices()));
     let modularity = crate::modularity::modularity(graph, &partition);
-    if sink.enabled() {
-        sink.emit(TraceEvent::RunEnd {
-            modularity,
-            rounds,
-            total_cycles: 0.0,
-        });
-    }
+    obs.run_end(modularity, rounds, 0.0);
     GrappoloResult {
         partition,
         modularity,
@@ -292,12 +174,13 @@ mod tests {
 
     #[test]
     fn instrumented_run_matches_plain_and_emits_profiles() {
-        use gala_telemetry::VecSink;
+        use gala_telemetry::{TraceEvent, VecSink};
         let g = fixtures::ring_of_cliques(6, 5);
         let plain = grappolo(&g, 1e-6);
         let mut sink = VecSink::default();
-        let mut prof = Profiler::new();
-        let traced = grappolo_instrumented(&g, 1e-6, &mut sink, &mut prof);
+        let mut obs = Obs::traced(&mut sink).profiled();
+        let traced = grappolo_with(&g, 1e-6, &mut obs);
+        let tree = obs.finish();
         assert_eq!(traced.partition, plain.partition);
         assert_eq!(traced.modularity, plain.modularity);
         let mut phase1_profiles = 0;
@@ -321,7 +204,6 @@ mod tests {
             }
         }
         assert!(phase1_profiles >= traced.first_round_iterations);
-        let tree = prof.finish();
         let round = tree.child("round").expect("round span");
         assert!(round
             .child("superstep")

@@ -6,13 +6,12 @@
 //! phase approach [that] iteratively merges communities" (paper Section 1)
 //! is actually for: zooming between granularities without re-running.
 
-use crate::louvain::{Louvain, LouvainConfig};
+use crate::louvain::{Louvain, LouvainConfig, Phase1Scratch};
 use crate::modularity::modularity_with_resolution;
-use crate::progress::{Counts, ProgressReporter};
+use crate::observe::Obs;
 use gala_gpu::profile::Profiler;
 use gala_graph::coarsen::CoarsenScratch;
 use gala_graph::{Graph, Partition};
-use gala_telemetry::NullSink;
 
 /// A full Louvain hierarchy: level 0 is the finest (first-round)
 /// partition of the original graph; each subsequent level merges further.
@@ -35,13 +34,16 @@ impl Dendrogram {
         let mut modularities = Vec::new();
         let mut current: Option<Graph> = None;
         let mut flat: Option<Partition> = None;
+        let mut scratch = Phase1Scratch::default();
         let mut cscratch = CoarsenScratch::default();
         // Live observation only: the dendrogram builder has no trace sink,
-        // so each completed level goes straight to the flight recorder.
-        let mut progress = ProgressReporter::new("hierarchy");
+        // so supersteps and completed levels go straight to the flight
+        // recorder.
+        let mut obs = Obs::off().driver("hierarchy");
         for round in 0..config.max_rounds {
             let g = current.as_ref().unwrap_or(graph);
-            let (state, stats) = runner.run_phase1(g);
+            // Every level's phase 1 seeds like a standalone phase-1 run.
+            let (state, stats) = runner.run_phase1_round(g, 0, &mut obs, &mut scratch);
             let moved_any = stats.iterations.iter().any(|i| i.num_moved > 0);
             let coarse = backend.contract(
                 g,
@@ -55,19 +57,10 @@ impl Dendrogram {
                 None => coarse.renumbered.clone(),
                 Some(prev) => prev.compose(&coarse.renumbered),
             };
-            modularities.push(modularity_with_resolution(graph, &level, config.resolution));
-            progress.round(
-                &mut NullSink,
-                round as u32,
-                "level",
-                stats.iterations.len() as u32,
-                *modularities.last().expect("just pushed"),
-                Counts {
-                    active_frac: 0.0,
-                    moved_frac: 0.0,
-                    arcs: coarse.graph.num_arcs() as u64,
-                },
-            );
+            let q = modularity_with_resolution(graph, &level, config.resolution);
+            modularities.push(q);
+            let (supersteps, arcs) = (stats.iterations.len(), coarse.graph.num_arcs());
+            obs.round_progress(round as u32, "level", supersteps, q, arcs);
             levels.push(level.clone());
             flat = Some(level);
             if !moved_any || coarse.num_communities == g.num_vertices() {

@@ -15,14 +15,12 @@
 use crate::backend::BackendKind;
 use crate::kernels::KernelKind;
 use crate::modularity::modularity_with_resolution;
-use crate::progress::{Counts, ProgressReporter};
-use gala_gpu::profile::Profiler;
+use crate::observe::Obs;
 use gala_graph::coarsen::CoarsenScratch;
 use gala_graph::partition::CommunityId;
 use gala_graph::subgraph::community_subgraph;
 use gala_graph::traversal::connected_components;
 use gala_graph::{Graph, Partition, VertexId};
-use gala_telemetry::{NullSink, TraceEvent, TraceSink};
 use std::collections::HashMap;
 use std::time::Instant;
 
@@ -67,32 +65,19 @@ pub struct LeidenResult {
 
 /// Runs Leiden to convergence.
 pub fn leiden(graph: &Graph, config: LeidenConfig) -> LeidenResult {
-    leiden_instrumented(graph, config, &mut NullSink, &mut Profiler::disabled())
+    leiden_with(graph, config, &mut Obs::off())
 }
 
-/// [`leiden`] with tracing: the same `run_start` / `span` / `profile` /
-/// `round_end` / `run_end` event sequence as the BSP drivers. The
-/// sequential local-moving pass is one wall-clock-timed `superstep` tree
-/// per round (`"host"` backend, unit `"ns"`); the per-round `refine` +
+/// [`leiden`] observed through `obs`: the same `run_start` / `span` /
+/// `profile` / `round_end` / `run_end` event sequence as the BSP drivers.
+/// The sequential local-moving pass is one wall-clock-timed `superstep`
+/// tree per round (`"host"` backend, unit `"ns"`); the per-round `refine` +
 /// `contract` tree goes through the configured [`BackendKind`] like
 /// louvain's phase 2, so a sim-backed run charges real simulated cycles
 /// for the aggregation while a native run charges wall time.
-pub fn leiden_instrumented(
-    graph: &Graph,
-    config: LeidenConfig,
-    sink: &mut dyn TraceSink,
-    prof: &mut Profiler,
-) -> LeidenResult {
+pub fn leiden_with(graph: &Graph, config: LeidenConfig, obs: &mut Obs) -> LeidenResult {
     let backend = config.backend.resolve();
-    if sink.enabled() {
-        sink.emit(TraceEvent::RunStart {
-            algorithm: "leiden".to_string(),
-            n: graph.num_vertices() as u64,
-            m: graph.num_edges() as u64,
-            devices: 1,
-        });
-    }
-    let instrumented = prof.is_enabled() || sink.enabled();
+    obs.run_start("leiden", graph, 1);
     let mut current: Option<Graph> = None;
     // `labels` carries the working graph's initial communities into each
     // round (Leiden's aggregated vertices do NOT restart as singletons).
@@ -101,20 +86,13 @@ pub fn leiden_instrumented(
     let mut rounds = 0;
     let mut cscratch = CoarsenScratch::default();
     let mut sweep = SweepScratch::default();
-    // One deterministic `progress` event per round (local moving is one
-    // indivisible host pass here, like the sequential baseline).
-    let mut progress = ProgressReporter::new("leiden");
     for round in 0..config.max_rounds {
         let g = current.as_ref().unwrap_or(graph);
         let mut comm: Vec<CommunityId> = labels
             .take()
             .unwrap_or_else(|| (0..g.num_vertices() as CommunityId).collect());
-        prof.enter("round");
-        let mut sub = if instrumented {
-            Profiler::new()
-        } else {
-            Profiler::disabled()
-        };
+        obs.enter_round();
+        let mut sub = obs.sub();
         let moved = sub.scope("superstep", |p| {
             p.scope("decide", |p| {
                 let started = Instant::now();
@@ -127,41 +105,20 @@ pub fn leiden_instrumented(
                 moved
             })
         });
-        if instrumented {
-            let tree = sub.finish();
-            if sink.enabled() {
-                sink.emit(TraceEvent::Span {
-                    round: round as u32,
-                    superstep: 0,
-                    phase: "phase1".to_string(),
-                    root: tree.clone(),
-                });
-                sink.emit(crate::backend::profile_event_host(
-                    round as u32,
-                    0,
-                    "phase1",
-                    &tree,
-                ));
-            }
-            prof.absorb(tree);
-        }
+        obs.span(round as u32, 0, "phase1", None, sub);
         rounds += 1;
         let partition = Partition::from_assignment(comm.clone());
         let (dense, k) = partition.renumbered();
         if k == g.num_vertices() {
             // Nothing merged: converged. Record this level and stop.
-            prof.exit();
+            obs.exit_round();
             flat = Some(match flat {
                 None => dense,
                 Some(prev) => prev.compose(&dense),
             });
             break;
         }
-        let mut sub = if instrumented {
-            Profiler::new()
-        } else {
-            Profiler::disabled()
-        };
+        let mut sub = obs.sub();
         // Refinement: re-partition each community from singletons.
         let refined = sub.scope("refine", |p| {
             let started = Instant::now();
@@ -170,6 +127,7 @@ pub fn leiden_instrumented(
             p.count("elapsed_ns", started.elapsed().as_nanos() as u64);
             refined
         });
+        let instrumented = obs.instrumented();
         let coarse = sub.scope("contract", |p| {
             let started = Instant::now();
             let coarse = backend.contract(
@@ -186,26 +144,8 @@ pub fn leiden_instrumented(
             p.count("elapsed_ns", started.elapsed().as_nanos() as u64);
             coarse
         });
-        if instrumented {
-            let tree = sub.finish();
-            if sink.enabled() {
-                sink.emit(TraceEvent::Span {
-                    round: round as u32,
-                    superstep: 1,
-                    phase: "contract".to_string(),
-                    root: tree.clone(),
-                });
-                sink.emit(crate::backend::profile_event(
-                    config.backend,
-                    round as u32,
-                    1,
-                    "contract",
-                    &tree,
-                ));
-            }
-            prof.absorb(tree);
-        }
-        prof.exit();
+        obs.span(round as u32, 1, "contract", Some(config.backend), sub);
+        obs.exit_round();
         // The aggregated graph's vertices start in their step-1 community.
         let refined_dense = &coarse.renumbered;
         let mut next_labels = vec![0 as CommunityId; coarse.num_communities];
@@ -213,37 +153,15 @@ pub fn leiden_instrumented(
             let super_v = refined_dense.community_of(v as VertexId) as usize;
             next_labels[super_v] = dense.community_of(v as VertexId);
         }
-        flat = Some(match flat {
+        let level = match flat {
             None => refined_dense.clone(),
             Some(prev) => prev.compose(refined_dense),
+        };
+        let (communities, arcs) = (coarse.num_communities, coarse.graph.num_arcs());
+        obs.round_end(round as u32, "phase1", 1, communities, arcs, || {
+            modularity_with_resolution(graph, &level, config.resolution)
         });
-        if sink.enabled() || progress.live() {
-            let q = modularity_with_resolution(
-                graph,
-                flat.as_ref().expect("just set"),
-                config.resolution,
-            );
-            if sink.enabled() {
-                sink.emit(TraceEvent::RoundEnd {
-                    round: round as u32,
-                    supersteps: 1,
-                    modularity: q,
-                    communities: coarse.num_communities as u64,
-                });
-            }
-            progress.round(
-                sink,
-                round as u32,
-                "phase1",
-                1,
-                q,
-                Counts {
-                    active_frac: 0.0,
-                    moved_frac: 0.0,
-                    arcs: coarse.graph.num_arcs() as u64,
-                },
-            );
-        }
+        flat = Some(level);
         if !moved {
             break;
         }
@@ -261,15 +179,9 @@ pub fn leiden_instrumented(
         partition = partition.compose(&Partition::from_assignment(last));
     }
     let q = modularity_with_resolution(graph, &partition, config.resolution);
-    if sink.enabled() {
-        sink.emit(TraceEvent::RunEnd {
-            modularity: q,
-            rounds: rounds as u32,
-            // Only the aggregation runs on the simulated device; its
-            // cycles live in the emitted `contract` span trees.
-            total_cycles: 0.0,
-        });
-    }
+    // Only the aggregation runs on the simulated device; its cycles live in
+    // the emitted `contract` span trees.
+    obs.run_end(q, rounds, 0.0);
     LeidenResult {
         partition,
         modularity: q,
@@ -508,12 +420,13 @@ mod tests {
 
     #[test]
     fn instrumented_run_matches_plain_and_profiles_both_units() {
-        use gala_telemetry::VecSink;
+        use gala_telemetry::{TraceEvent, VecSink};
         let g = fixtures::ring_of_cliques(8, 5);
         let plain = leiden(&g, LeidenConfig::default());
         let mut sink = VecSink::default();
-        let mut prof = Profiler::new();
-        let traced = leiden_instrumented(&g, LeidenConfig::default(), &mut sink, &mut prof);
+        let mut obs = Obs::traced(&mut sink).profiled();
+        let traced = leiden_with(&g, LeidenConfig::default(), &mut obs);
+        let tree = obs.finish();
         assert_eq!(traced.partition, plain.partition);
         assert_eq!(traced.modularity, plain.modularity);
         // Local moving profiles as host wall time; the sim-backed
@@ -548,7 +461,6 @@ mod tests {
             }
         }
         assert!(saw_host_phase1 && saw_sim_contract);
-        let tree = prof.finish();
         let round = tree.child("round").expect("round span");
         assert!(round.child("superstep").is_some());
         assert!(round.child("refine").is_some());

@@ -23,9 +23,10 @@
 //! * [`multi_gpu`] — vertex-partitioned multi-device execution with
 //!   adaptive dense/sparse synchronisation (Sec. 4.3).
 //! * [`metrics`] — NMI and partition-quality statistics.
-//! * [`progress`] — host-side progress observation shared by the drivers:
-//!   bounded-frequency live snapshots for the flight recorder plus
-//!   deterministic per-round `progress` trace events.
+//! * [`observe`] — the one observer every driver reports through: trace
+//!   sink, run-level profiler, per-round metrics and live progress behind
+//!   a single enabled-check. Each driver has a plain entry point and an
+//!   observed `*_with` twin taking an [`observe::Obs`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -42,7 +43,7 @@ pub mod metrics;
 pub mod mg_contract;
 pub mod modularity;
 pub mod multi_gpu;
-pub mod progress;
+pub mod observe;
 pub mod pruning;
 pub mod sequential;
 pub mod state;

@@ -5,15 +5,14 @@
 use crate::backend::BackendKind;
 use crate::kernels::hashtable::TableStats;
 use crate::kernels::{self, KernelKind};
-use crate::progress::{Counts, ProgressReporter};
+use crate::observe::Obs;
 use crate::pruning::{self, PruningKind};
 use crate::state::BspState;
 use crate::weight::{self, WeightUpdateMode};
 use gala_gpu::memory::{CostModel, MemTally};
-use gala_gpu::profile::Profiler;
 use gala_graph::coarsen::CoarsenScratch;
 use gala_graph::{Graph, Partition};
-use gala_telemetry::{MetricsRegistry, NullSink, TraceEvent, TraceSink};
+use gala_telemetry::{MetricsRegistry, TraceEvent};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::time::{Duration, Instant};
@@ -70,7 +69,7 @@ impl Default for LouvainConfig {
             max_rounds: 20,
             seed: 0x6A1A,
             resolution: 1.0,
-            dip_patience: 8,
+            dip_patience: DIP_PATIENCE,
             refine: false,
             backend: BackendKind::Sim,
         }
@@ -192,7 +191,7 @@ impl LouvainResult {
 /// across supersteps — and [`Louvain::run`] recycles it across hierarchy
 /// rounds — instead of reallocating every superstep.
 #[derive(Debug, Default)]
-struct Phase1Scratch {
+pub(crate) struct Phase1Scratch {
     active: Vec<bool>,
     decide: kernels::DecideScratch,
     out: kernels::DecideOutput,
@@ -219,45 +218,19 @@ impl Louvain {
     /// of most of the paper's experiments ("phase 1 of the first round
     /// dominates the runtime"). Returns the final state and the stats.
     pub fn run_phase1(&self, graph: &Graph) -> (BspState, RoundStats) {
-        self.run_phase1_traced(graph, &mut NullSink)
+        let mut obs = Obs::off().driver("louvain");
+        self.run_phase1_round(graph, 0, &mut obs, &mut Phase1Scratch::default())
     }
 
-    /// [`Self::run_phase1`] with a [`TraceSink`] receiving one
-    /// [`TraceEvent::Superstep`] per BSP superstep. With a disabled sink
-    /// the instrumentation costs one branch per superstep.
-    pub fn run_phase1_traced(
-        &self,
-        graph: &Graph,
-        sink: &mut dyn TraceSink,
-    ) -> (BspState, RoundStats) {
-        self.run_phase1_round(
-            graph,
-            0,
-            sink,
-            &mut Profiler::disabled(),
-            &mut Phase1Scratch::default(),
-        )
-    }
-
-    /// [`Self::run_phase1_traced`] with a [`Profiler`] accumulating the
-    /// per-superstep span trees (classify → decide → apply → weight-update →
-    /// modularity, with per-kernel children under decide). With both the
-    /// sink and the profiler disabled this is the plain hot path.
-    pub fn run_phase1_instrumented(
-        &self,
-        graph: &Graph,
-        sink: &mut dyn TraceSink,
-        prof: &mut Profiler,
-    ) -> (BspState, RoundStats) {
-        self.run_phase1_round(graph, 0, sink, prof, &mut Phase1Scratch::default())
-    }
-
-    fn run_phase1_round(
+    /// One phase-1 round at hierarchy round `round`: per superstep a
+    /// `span` tree (classify → decide → apply → weight-update → modularity,
+    /// with per-kernel children under decide) and a `superstep` event, then
+    /// the round's `metrics` and `progress` events.
+    pub(crate) fn run_phase1_round(
         &self,
         graph: &Graph,
         round: usize,
-        sink: &mut dyn TraceSink,
-        prof: &mut Profiler,
+        obs: &mut Obs,
         scratch: &mut Phase1Scratch,
     ) -> (BspState, RoundStats) {
         let cfg = &self.config;
@@ -270,36 +243,10 @@ impl Louvain {
         let mut state = BspState::with_resolution(graph, cfg.resolution);
         let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed ^ round as u64);
         let mut iterations = Vec::new();
-        // Simultaneous greedy moves can overshoot and *lower* Q (the
-        // classic BSP-Louvain hazard), but on weak-community graphs the
-        // optimum lies beyond several such dips. Following Grappolo's
-        // convergence heuristics we keep iterating with bounded patience
-        // and restore the best state seen, so a round never ends below its
-        // peak and Theorem 6's guarantees carry to the system level.
-        let mut best_q = state.modularity(graph);
-        let mut best_state = state.clone(); // a round may never beat its start
-        let mut stagnant = 0usize;
-        let mut prev_q = best_q;
-        // When either consumer wants span trees, each superstep profiles
-        // into a fresh sub-profiler: its tree is emitted as a `span` trace
-        // event and absorbed into the run-level profiler. When both are
-        // off, the disabled sub-profiler keeps the hot path unchanged.
-        let instrumented = prof.is_enabled() || sink.enabled();
-        // Algorithm-level metrics are pure host-side observation (no
-        // simulated-memory traffic), built only when a sink wants them and
-        // emitted once per round as a `metrics` event.
-        let mut metrics = sink.enabled().then(MetricsRegistry::new);
-        // Live progress is host-side too: per-superstep snapshots reach the
-        // flight recorder at a bounded frequency, one deterministic
-        // `progress` event per round reaches the sink.
-        let mut progress = ProgressReporter::new("louvain");
-        let mut arcs_done = 0u64;
+        let mut prev_q = state.modularity(graph);
+        let mut dips = DipPatience::new(&state, prev_q, cfg.theta, cfg.dip_patience);
         for iteration in 0..cfg.max_iterations {
-            let mut sub = if instrumented {
-                Profiler::new()
-            } else {
-                Profiler::disabled()
-            };
+            let mut sub = obs.sub();
             let t0 = Instant::now();
             sub.scope("classify", |p| {
                 pruning::classify_into(cfg.pruning, graph, &state, &mut rng, active);
@@ -311,7 +258,7 @@ impl Louvain {
             let t1 = Instant::now();
             backend.decide(cfg.kernel, graph, &state, active, &mut sub, dscratch, out);
             let t2 = Instant::now();
-            if let Some(m) = metrics.as_mut() {
+            if let Some(m) = obs.metrics() {
                 record_superstep_metrics(m, cfg.kernel, graph, &state, active, out);
             }
             let summary = sub.scope("apply", |p| {
@@ -319,10 +266,10 @@ impl Louvain {
                 p.count("moved", summary.num_moved() as u64);
                 summary
             });
-            if let Some(m) = metrics.as_mut() {
-                let moved = summary.num_moved() as u64;
-                m.inc("phase1/moved", moved);
-                m.observe("phase1/moved_per_superstep", moved);
+            let moved = summary.num_moved();
+            if let Some(m) = obs.metrics() {
+                m.inc("phase1/moved", moved as u64);
+                m.observe("phase1/moved_per_superstep", moved as u64);
                 m.inc("phase1/supersteps", 1);
             }
             let t3 = Instant::now();
@@ -337,29 +284,17 @@ impl Louvain {
                 state.modularity(graph)
             });
             let t5 = Instant::now();
-            if instrumented {
-                let tree = sub.finish();
-                if sink.enabled() {
-                    sink.emit(TraceEvent::Span {
-                        round: round as u32,
-                        superstep: iteration as u32,
-                        phase: "phase1".to_string(),
-                        root: tree.clone(),
-                    });
-                    sink.emit(crate::backend::profile_event(
-                        cfg.backend,
-                        round as u32,
-                        iteration as u32,
-                        "phase1",
-                        &tree,
-                    ));
-                }
-                prof.scope("superstep", |p| p.absorb(tree));
-            }
+            obs.span(
+                round as u32,
+                iteration as u32,
+                "phase1",
+                Some(cfg.backend),
+                sub,
+            );
             iterations.push(IterationStats {
                 iteration,
                 num_active,
-                num_moved: summary.num_moved(),
+                num_moved: moved,
                 modularity: q,
                 tally: out.tally,
                 weight_tally,
@@ -368,170 +303,97 @@ impl Louvain {
                 weight_time: t4 - t3,
                 other_time: (t1 - t0) + (t3 - t2) + (t5 - t4),
             });
-            if sink.enabled() {
-                let moved = summary.num_moved();
-                sink.emit(TraceEvent::Superstep {
-                    round: round as u32,
-                    superstep: iteration as u32,
-                    active: num_active as u64,
-                    moved: moved as u64,
-                    pruned: (graph.num_vertices() - num_active) as u64,
-                    unmoved: num_active.saturating_sub(moved) as u64,
-                    modularity: q,
-                    delta_q: q - prev_q,
-                    decide_tally: out.tally,
-                    weight_tally,
-                    hash_occupancy: out.hash_stats.occupancy(),
-                    hash_evictions: out.hash_stats.shared_evictions,
-                });
-            }
-            prev_q = q;
-            // Each superstep sweeps the active vertices' arcs; the estimate
-            // scales the graph's arc count by the active fraction.
-            let n = graph.num_vertices();
-            arcs_done += if n == 0 {
-                0
-            } else {
-                (graph.num_arcs() as u64).saturating_mul(num_active as u64) / n as u64
-            };
-            progress.superstep(
+            obs.superstep(
+                graph,
                 round as u32,
-                "phase1",
                 iteration as u32,
+                num_active,
+                moved,
                 q,
-                Counts::from_counts(num_active, summary.num_moved(), n, arcs_done),
+                || {
+                    Some(TraceEvent::Superstep {
+                        round: round as u32,
+                        superstep: iteration as u32,
+                        active: num_active as u64,
+                        moved: moved as u64,
+                        pruned: (graph.num_vertices() - num_active) as u64,
+                        unmoved: num_active.saturating_sub(moved) as u64,
+                        modularity: q,
+                        delta_q: q - prev_q,
+                        decide_tally: out.tally,
+                        weight_tally,
+                        hash_occupancy: out.hash_stats.occupancy(),
+                        hash_evictions: out.hash_stats.shared_evictions,
+                    })
+                },
             );
-            // Progress is measured against the best state, never against
-            // the previous (possibly oscillating) superstep: a θ-sized
-            // up-tick inside an oscillation must not read as convergence.
-            if q > best_q {
-                best_state = state.clone();
-                if q > best_q + cfg.theta {
-                    stagnant = 0; // meaningful progress (Grappolo's θ rule)
-                } else {
-                    stagnant += 1;
-                }
-                best_q = q;
-            } else {
-                stagnant += 1;
-            }
-            if summary.num_moved() == 0 || stagnant > cfg.dip_patience {
+            prev_q = q;
+            if dips.step(&state, q, moved) {
                 break;
             }
         }
-        if state.modularity(graph) < best_q {
-            state = best_state;
-        }
-        if let Some(mut m) = metrics {
+        let best_q = dips.finish(graph, &mut state);
+        obs.phase1_end(round as u32, iterations.len(), best_q, "phase1", |m| {
+            let ratio = |num: u64, den: u64| {
+                if den == 0 {
+                    0.0
+                } else {
+                    num as f64 / den as f64
+                }
+            };
             let active_total = m.counter("pruning/active").unwrap_or(0);
             let moved_total = m.counter("phase1/moved").unwrap_or(0);
-            m.gauge(
-                "phase1/moved_fraction",
-                if active_total == 0 {
-                    0.0
-                } else {
-                    moved_total as f64 / active_total as f64
-                },
-            );
+            m.gauge("phase1/moved_fraction", ratio(moved_total, active_total));
             let sampled = m.counter("pruning/audit_sampled").unwrap_or(0);
             let fns = m.counter("pruning/audit_false_negatives").unwrap_or(0);
-            m.gauge(
-                "pruning/audit_fnr",
-                if sampled == 0 {
-                    0.0
-                } else {
-                    fns as f64 / sampled as f64
-                },
-            );
-            sink.emit(TraceEvent::Metrics {
-                round: round as u32,
-                scope: "phase1".to_string(),
-                registry: m,
-            });
-        }
+            m.gauge("pruning/audit_fnr", ratio(fns, sampled));
+        });
         let stats = RoundStats {
             round,
             num_vertices: graph.num_vertices(),
             modularity: best_q,
             iterations,
         };
-        let last = stats.iterations.last();
-        progress.round(
-            sink,
-            round as u32,
-            "phase1",
-            stats.iterations.len() as u32,
-            best_q,
-            Counts::from_counts(
-                last.map_or(0, |i| i.num_active),
-                last.map_or(0, |i| i.num_moved),
-                graph.num_vertices(),
-                arcs_done,
-            ),
-        );
         (state, stats)
     }
 
     /// Runs the full multi-round Louvain (phase 1 + phase 2 repetitions)
     /// and returns the flattened hierarchy result.
     pub fn run(&self, graph: &Graph) -> LouvainResult {
-        self.run_traced(graph, &mut NullSink)
+        self.run_with(graph, &mut Obs::off())
     }
 
-    /// [`Self::run`] with a [`TraceSink`] receiving the full event stream:
-    /// `run_start`, one `superstep` (plus its `span` tree) per BSP
-    /// superstep, one `round_end` per hierarchy round, and a final
-    /// `run_end`.
-    pub fn run_traced(&self, graph: &Graph, sink: &mut dyn TraceSink) -> LouvainResult {
-        self.run_instrumented(graph, sink, &mut Profiler::disabled())
-    }
-
-    /// [`Self::run_traced`] with a [`Profiler`] accumulating the run-level
-    /// span tree: one `round` span per hierarchy round, holding the merged
-    /// `superstep` trees plus `refine`/`contract` phase-2 spans.
-    pub fn run_instrumented(
-        &self,
-        graph: &Graph,
-        sink: &mut dyn TraceSink,
-        prof: &mut Profiler,
-    ) -> LouvainResult {
+    /// [`Self::run`] observed through `obs`: `run_start`, per BSP
+    /// superstep a `superstep` event plus its `span`/`profile` pair, per
+    /// hierarchy round the phase-1 `metrics`/`progress` events, a
+    /// `contract` span (holding `refine` when enabled) and a `round_end`,
+    /// and a final `run_end`. The run-level profile holds one `round` span
+    /// per hierarchy round.
+    pub fn run_with(&self, graph: &Graph, obs: &mut Obs) -> LouvainResult {
         let cfg = &self.config;
         let backend = cfg.backend.resolve();
-        if sink.enabled() {
-            sink.emit(TraceEvent::RunStart {
-                algorithm: "louvain".to_string(),
-                n: graph.num_vertices() as u64,
-                m: graph.num_edges() as u64,
-                devices: 1,
-            });
-        }
+        obs.run_start("louvain", graph, 1);
         let mut rounds = Vec::new();
         let mut current: Option<Graph> = None; // None = original graph
         let mut flat: Option<Partition> = None;
         let mut best: Option<(Partition, f64)> = None;
         let mut last_q = f64::NEG_INFINITY;
-        let instrumented = prof.is_enabled() || sink.enabled();
         // One working set for the whole hierarchy: later (coarser) rounds
         // reuse the first round's allocations. The contraction scratch also
         // reclaims each dropped coarse graph's CSR buffers, so steady-state
         // rounds contract without fresh allocations.
         let mut scratch = Phase1Scratch::default();
         let mut cscratch = CoarsenScratch::default();
-        let mut progress = ProgressReporter::new("louvain");
         for round in 0..cfg.max_rounds {
             let g = current.as_ref().unwrap_or(graph);
-            prof.enter("round");
-            let (state, stats) = self.run_phase1_round(g, round, sink, prof, &mut scratch);
+            obs.enter_round();
+            let (state, stats) = self.run_phase1_round(g, round, obs, &mut scratch);
             let q = stats.modularity;
+            let supersteps = stats.iterations.len();
             let moved_any = stats.iterations.iter().any(|i| i.num_moved > 0);
             // Phase 2 (refine + contract) profiles like a superstep: a
-            // fresh sub-tree per round, emitted as a `span` event and
-            // absorbed into the open `round` span.
-            let mut sub = if instrumented {
-                Profiler::new()
-            } else {
-                Profiler::disabled()
-            };
+            // fresh sub-tree per round, filed under the open `round` span.
+            let mut sub = obs.sub();
             let partition = if cfg.refine {
                 // Leiden-style repair: split each community into its
                 // well-connected pieces before aggregating; the next
@@ -549,6 +411,7 @@ impl Louvain {
             } else {
                 state.partition()
             };
+            let instrumented = obs.instrumented();
             let coarse = sub.scope("contract", |p| {
                 let started = Instant::now();
                 let coarse =
@@ -559,26 +422,14 @@ impl Louvain {
                 p.count("elapsed_ns", started.elapsed().as_nanos() as u64);
                 coarse
             });
-            if instrumented {
-                let tree = sub.finish();
-                if sink.enabled() {
-                    sink.emit(TraceEvent::Span {
-                        round: round as u32,
-                        superstep: stats.iterations.len() as u32,
-                        phase: "contract".to_string(),
-                        root: tree.clone(),
-                    });
-                    sink.emit(crate::backend::profile_event(
-                        cfg.backend,
-                        round as u32,
-                        stats.iterations.len() as u32,
-                        "contract",
-                        &tree,
-                    ));
-                }
-                prof.absorb(tree);
-            }
-            prof.exit();
+            obs.span(
+                round as u32,
+                supersteps as u32,
+                "contract",
+                Some(cfg.backend),
+                sub,
+            );
+            obs.exit_round();
             rounds.push(stats);
             let composed = match flat {
                 None => coarse.renumbered.clone(),
@@ -593,29 +444,16 @@ impl Louvain {
                 best = Some((composed.clone(), q_flat));
             }
             flat = Some(composed);
-            if sink.enabled() {
-                let stats = rounds.last().expect("round just pushed");
-                sink.emit(TraceEvent::RoundEnd {
-                    round: round as u32,
-                    supersteps: stats.iterations.len() as u32,
-                    modularity: q,
-                    communities: coarse.num_communities as u64,
-                });
-            }
+            obs.emit(|| TraceEvent::RoundEnd {
+                round: round as u32,
+                supersteps: supersteps as u32,
+                modularity: q,
+                communities: coarse.num_communities as u64,
+            });
             // Coarsening progress: the next round's graph size tells the
             // operator how fast the hierarchy is collapsing.
-            progress.round(
-                sink,
-                round as u32,
-                "contract",
-                rounds.last().map_or(0, |s| s.iterations.len()) as u32,
-                q_flat,
-                Counts {
-                    active_frac: 0.0,
-                    moved_frac: 0.0,
-                    arcs: coarse.graph.num_arcs() as u64,
-                },
-            );
+            let arcs = coarse.graph.num_arcs();
+            obs.round_progress(round as u32, "contract", supersteps, q_flat, arcs);
             // Stop when phase 1 stopped merging or the round gained < θ.
             if !moved_any || coarse.num_communities == g.num_vertices() || q - last_q < cfg.theta {
                 break;
@@ -637,14 +475,71 @@ impl Louvain {
             modularity,
             rounds,
         };
-        if sink.enabled() {
-            sink.emit(TraceEvent::RunEnd {
-                modularity,
-                rounds: result.rounds.len() as u32,
-                total_cycles: CostModel::default().cycles(&result.total_tally()),
-            });
-        }
+        let total_cycles = CostModel::default().cycles(&result.total_tally());
+        obs.run_end(modularity, result.rounds.len(), total_cycles);
         result
+    }
+}
+
+/// The default [`LouvainConfig::dip_patience`], also used by the drivers
+/// without a patience setting (multi-GPU, Grappolo).
+pub(crate) const DIP_PATIENCE: usize = 8;
+
+/// Dip-tolerant convergence of one BSP phase-1 round. Simultaneous greedy
+/// moves can overshoot and *lower* Q (the classic BSP-Louvain hazard), but
+/// on weak-community graphs the optimum lies beyond several such dips.
+/// Following Grappolo's convergence heuristics a round keeps iterating with
+/// bounded patience and restores the best state seen, so it never ends
+/// below its peak and Theorem 6's guarantees carry to the system level.
+pub(crate) struct DipPatience {
+    best_q: f64,
+    best_state: BspState,
+    stagnant: usize,
+    theta: f64,
+    patience: usize,
+}
+
+impl DipPatience {
+    /// Starts from the round's initial `state` at modularity `q` (a round
+    /// may never beat its start).
+    pub(crate) fn new(state: &BspState, q: f64, theta: f64, patience: usize) -> Self {
+        Self {
+            best_q: q,
+            best_state: state.clone(),
+            stagnant: 0,
+            theta,
+            patience,
+        }
+    }
+
+    /// Records a superstep that left `state` at modularity `q` after
+    /// `moved` moves; returns whether the round should stop — nothing
+    /// moved, or more than `patience` supersteps without a gain above θ.
+    pub(crate) fn step(&mut self, state: &BspState, q: f64, moved: usize) -> bool {
+        // Progress is measured against the best state, never against the
+        // previous (possibly oscillating) superstep: a θ-sized up-tick
+        // inside an oscillation must not read as convergence.
+        if q > self.best_q {
+            self.best_state = state.clone();
+            if q > self.best_q + self.theta {
+                self.stagnant = 0; // meaningful progress (Grappolo's θ rule)
+            } else {
+                self.stagnant += 1;
+            }
+            self.best_q = q;
+        } else {
+            self.stagnant += 1;
+        }
+        moved == 0 || self.stagnant > self.patience
+    }
+
+    /// Ends the round: restores the best state if `state` fell below it,
+    /// and returns the round's peak modularity.
+    pub(crate) fn finish(self, graph: &Graph, state: &mut BspState) -> f64 {
+        if state.modularity(graph) < self.best_q {
+            *state = self.best_state;
+        }
+        self.best_q
     }
 }
 
@@ -864,7 +759,7 @@ mod tests {
         let runner = Louvain::new(LouvainConfig::default());
         let plain = runner.run(&g);
         let mut sink = VecSink::default();
-        let traced = runner.run_traced(&g, &mut sink);
+        let traced = runner.run_with(&g, &mut Obs::traced(&mut sink));
         assert_eq!(traced.partition, plain.partition);
         assert_eq!(traced.modularity, plain.modularity);
 
@@ -916,8 +811,9 @@ mod tests {
         let runner = Louvain::new(LouvainConfig::default());
         let plain = runner.run(&g);
         let mut sink = VecSink::default();
-        let mut prof = Profiler::new();
-        let traced = runner.run_instrumented(&g, &mut sink, &mut prof);
+        let mut obs = Obs::traced(&mut sink).profiled();
+        let traced = runner.run_with(&g, &mut obs);
+        let tree = obs.finish();
         assert_eq!(traced.partition, plain.partition);
         assert_eq!(traced.modularity, plain.modularity);
 
@@ -958,7 +854,6 @@ mod tests {
 
         // The run-level profiler holds the merged tree: round → superstep →
         // decide, with tallies matching the per-iteration stats.
-        let tree = prof.finish();
         let round = tree.child("round").expect("round span");
         assert_eq!(round.invocations, traced.rounds.len() as u64);
         let step = round.child("superstep").expect("superstep span");
@@ -975,7 +870,7 @@ mod tests {
         let g = fixtures::ring_of_cliques(6, 5);
         let runner = Louvain::new(LouvainConfig::default());
         let mut sink = VecSink::default();
-        let traced = runner.run_traced(&g, &mut sink);
+        let traced = runner.run_with(&g, &mut Obs::traced(&mut sink));
         let rounds: Vec<_> = sink
             .events
             .iter()
@@ -1030,7 +925,7 @@ mod tests {
         let g = fixtures::ring_of_cliques(5, 4);
         let runner = Louvain::new(LouvainConfig::default());
         let plain = runner.run(&g);
-        let traced = runner.run_traced(&g, &mut gala_telemetry::NullSink);
+        let traced = runner.run_with(&g, &mut Obs::traced(&mut gala_telemetry::NullSink));
         assert_eq!(traced.partition, plain.partition);
         assert_eq!(traced.modularity, plain.modularity);
     }

@@ -31,7 +31,7 @@
 
 use crate::backend::ExecutionBackend;
 use crate::multi_gpu::{partition_by_arcs, MultiGpuConfig, SyncMode};
-use crate::progress::{Counts, ProgressReporter};
+use crate::observe::Obs;
 use gala_gpu::comm::DeviceGroup;
 use gala_gpu::memory::{CostModel, MemTally};
 use gala_gpu::profile::Profiler;
@@ -162,6 +162,22 @@ pub fn contract_partitioned(
     prof: &mut Profiler,
     scratch: &mut CoarsenScratch,
 ) -> (Coarsened, ContractRoundStats) {
+    let mut obs = Obs::off().driver("mg-contract");
+    contract_partitioned_with(graph, partition, cfg, backend, prof, scratch, &mut obs)
+}
+
+/// [`contract_partitioned`] inside an observed run: each device's
+/// aggregation beats the watchdog and reports the coarse arcs built so far
+/// to the live recorder through `obs`.
+pub(crate) fn contract_partitioned_with(
+    graph: &Graph,
+    partition: &Partition,
+    cfg: &MultiGpuConfig,
+    backend: &dyn ExecutionBackend,
+    prof: &mut Profiler,
+    scratch: &mut CoarsenScratch,
+    obs: &mut Obs,
+) -> (Coarsened, ContractRoundStats) {
     let p = cfg.num_devices;
     let n = graph.num_vertices();
     if ids_too_sparse(n, partition.assignment()) {
@@ -246,10 +262,9 @@ pub fn contract_partitioned(
     let mut device_tallies = Vec::with_capacity(p);
     let mut compute_us = 0.0f64;
     let mut elapsed_ns = 0u64;
-    // Live observation only (no sink reaches this layer): heartbeats keep
-    // the watchdog fed through a long aggregation, bounded-frequency
-    // snapshots report coarse arcs built so far.
-    let mut progress = ProgressReporter::new("mg-contract");
+    // Live observation only (no trace event comes from this layer):
+    // heartbeats keep the watchdog fed through a long aggregation,
+    // bounded-frequency snapshots report coarse arcs built so far.
     let mut coarse_arcs = 0u64;
     prof.scope("aggregate", |pr| {
         for (d, rows) in row_ranges.iter().enumerate() {
@@ -269,17 +284,7 @@ pub fn contract_partitioned(
             elapsed_ns = elapsed_ns.max(st.elapsed_ns);
             device_tallies.push(st.tally);
             coarse_arcs += pairs.len() as u64;
-            progress.superstep(
-                0,
-                "aggregate",
-                d as u32,
-                0.0,
-                Counts {
-                    active_frac: 0.0,
-                    moved_frac: 0.0,
-                    arcs: coarse_arcs,
-                },
-            );
+            obs.heartbeat("aggregate", d as u32, coarse_arcs);
             per_device_deg.push(deg);
             per_device_pairs.push(pairs);
         }

@@ -23,17 +23,17 @@
 
 use crate::backend::BackendKind;
 use crate::kernels::{self, KernelKind};
+use crate::louvain::{DipPatience, DIP_PATIENCE};
 use crate::mg_contract::{self, ContractRoundStats};
-use crate::progress::{Counts, ProgressReporter};
+use crate::observe::Obs;
 use crate::pruning::{self, PruningKind};
 use crate::state::BspState;
 use crate::weight::{self, WeightUpdateMode};
 use gala_gpu::comm::DeviceGroup;
 use gala_gpu::memory::{CostModel, MemTally};
-use gala_gpu::profile::Profiler;
 use gala_graph::coarsen::{CoarsenScratch, Coarsened};
 use gala_graph::{Graph, Partition, VertexId};
-use gala_telemetry::{MetricsRegistry, NullSink, TraceEvent, TraceSink};
+use gala_telemetry::TraceEvent;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::fmt;
@@ -223,46 +223,33 @@ pub fn partition_by_arcs(graph: &Graph, p: usize) -> Vec<std::ops::Range<VertexI
 
 /// Runs phase 1 on `num_devices` simulated devices.
 pub fn run_phase1(graph: &Graph, config: MultiGpuConfig) -> MultiGpuResult {
-    run_phase1_traced(graph, config, &mut NullSink)
+    run_phase1_with(graph, config, &mut Obs::off())
 }
 
-/// [`run_phase1`] with a [`TraceSink`] receiving `run_start`, one
-/// `superstep` + one `sync` event per BSP superstep (the sync event carries
-/// the dense-vs-sparse decision and the modelled byte volume), and a final
-/// `run_end`. A disabled sink costs one branch per superstep.
-pub fn run_phase1_traced(
-    graph: &Graph,
-    config: MultiGpuConfig,
-    sink: &mut dyn TraceSink,
-) -> MultiGpuResult {
-    run_phase1_instrumented(graph, config, sink, &mut Profiler::disabled())
+/// [`run_phase1`] observed through `obs`: `run_start`, per BSP superstep a
+/// `span`/`profile` pair (classify → decide → sync → apply → weight-update
+/// → modularity), a `superstep` and a `sync` event (the dense-vs-sparse
+/// decision and the modelled byte volume), then the round's `metrics` and
+/// `progress` events and a final `run_end`.
+pub fn run_phase1_with(graph: &Graph, config: MultiGpuConfig, obs: &mut Obs) -> MultiGpuResult {
+    obs.run_start("multi-gpu", graph, config.num_devices);
+    let result = run_phase1_round(graph, config, obs, 0);
+    let total: MemTally = result
+        .iterations
+        .iter()
+        .flat_map(|i| i.device_tallies.iter().copied())
+        .sum();
+    obs.run_end(result.modularity, 1, CostModel::default().cycles(&total));
+    result
 }
 
-/// [`run_phase1_traced`] with a [`Profiler`] accumulating per-superstep span
-/// trees (classify → decide → sync → apply → weight-update → modularity);
-/// each superstep's fresh tree is also emitted as a `span` trace event.
-pub fn run_phase1_instrumented(
-    graph: &Graph,
-    config: MultiGpuConfig,
-    sink: &mut dyn TraceSink,
-    prof: &mut Profiler,
-) -> MultiGpuResult {
-    run_phase1_round(graph, config, sink, prof, 0, true)
-}
-
-/// One phase-1 pass at hierarchy round `round`. `bracket` controls whether
-/// this call owns the trace's `run_start`/`run_end` bracket (standalone
-/// phase-1 entry points) or runs inside a caller-owned bracket
-/// ([`run_full_instrumented`], which emits one bracket around all rounds).
-/// With `round == 0` and `bracket == true`, the emitted event stream is
-/// byte-identical to the pre-refactor [`run_phase1_instrumented`].
+/// One phase-1 pass at hierarchy round `round`, inside the caller's
+/// `run_start`/`run_end` bracket.
 fn run_phase1_round(
     graph: &Graph,
     config: MultiGpuConfig,
-    sink: &mut dyn TraceSink,
-    prof: &mut Profiler,
+    obs: &mut Obs,
     round: u32,
-    bracket: bool,
 ) -> MultiGpuResult {
     let cfg = config;
     let backend = cfg.backend.resolve();
@@ -272,35 +259,15 @@ fn run_phase1_round(
     let mut state = BspState::new(graph);
     let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
     let mut iterations = Vec::new();
-    // Dip-tolerant convergence, mirroring louvain.rs.
-    const PATIENCE: usize = 8;
-    let mut best_q = state.modularity(graph);
-    let mut best_state = state.clone();
-    let mut stagnant = 0usize;
     let n = graph.num_vertices();
     let cycles_per_us = cfg.clock_ghz * 1000.0 * cfg.effective_parallelism;
-    let mut prev_q = best_q;
-    if bracket && sink.enabled() {
-        sink.emit(TraceEvent::RunStart {
-            algorithm: "multi-gpu".to_string(),
-            n: n as u64,
-            m: graph.num_edges() as u64,
-            devices: cfg.num_devices as u32,
-        });
-    }
-
-    let instrumented = prof.is_enabled() || sink.enabled();
-    // Algorithm-level metrics (sync strategy, routing, pruning): host-side
-    // observation only, emitted once as a `metrics` event before run_end.
-    let mut metrics = sink.enabled().then(|| {
-        let mut m = MetricsRegistry::new();
+    let mut prev_q = state.modularity(graph);
+    let mut dips = DipPatience::new(&state, prev_q, cfg.theta, DIP_PATIENCE);
+    // Algorithm-level metrics (sync strategy, routing, pruning): one
+    // `metrics` event per round.
+    if let Some(m) = obs.metrics() {
         m.inc("sync/devices", cfg.num_devices as u64);
-        m
-    });
-    // Live progress: per-superstep snapshots to the flight recorder at a
-    // bounded frequency, one deterministic `progress` event per round.
-    let mut progress = ProgressReporter::new("multi-gpu");
-    let mut arcs_done = 0u64;
+    }
     // Superstep working set, allocated once and recycled every iteration.
     let mut active: Vec<bool> = Vec::new();
     let mut next_comm = Vec::new();
@@ -308,11 +275,7 @@ fn run_phase1_round(
     let mut dscratch = kernels::DecideScratch::default();
     let mut dev_out = kernels::DecideOutput::default();
     for iteration in 0..cfg.max_iterations {
-        let mut sub = if instrumented {
-            Profiler::new()
-        } else {
-            Profiler::disabled()
-        };
+        let mut sub = obs.sub();
         sub.scope("classify", |p| {
             pruning::classify_into(cfg.pruning, graph, &state, &mut rng, &mut active);
             let num_active = active.iter().filter(|&&a| a).count() as u64;
@@ -344,16 +307,14 @@ fn run_phase1_round(
             for v in range.clone() {
                 next_comm[v as usize] = dev_out.next_comm[v as usize];
             }
-            if let Some(m) = metrics.as_mut() {
+            if let Some(m) = obs.metrics() {
                 m.inc("kernel/shuffle_vertices", dev_out.routing.shuffle_vertices);
                 m.inc("kernel/hash_vertices", dev_out.routing.hash_vertices);
                 m.inc("kernel/other_vertices", dev_out.routing.other_vertices);
             }
             device_tallies.push(dev_out.tally);
         }
-        if instrumented {
-            sub.scope("decide", |p| p.count("devices", cfg.num_devices as u64));
-        }
+        sub.scope("decide", |p| p.count("devices", cfg.num_devices as u64));
         let compute_us = device_tallies
             .iter()
             .map(|t| cost.cycles(t) / cycles_per_us)
@@ -365,8 +326,10 @@ fn run_phase1_round(
             .zip(&state.comm)
             .filter(|(a, b)| a != b)
             .count();
-        let dense_us = group.all_reduce_time_us(n as u64 * DENSE_BYTES_PER_VERTEX);
-        let sparse_us = group.all_gather_time_us(num_moved as u64 * SPARSE_BYTES_PER_MOVE);
+        let dense_bytes = n as u64 * DENSE_BYTES_PER_VERTEX;
+        let sparse_bytes = num_moved as u64 * SPARSE_BYTES_PER_MOVE;
+        let dense_us = group.all_reduce_time_us(dense_bytes);
+        let sparse_us = group.all_gather_time_us(sparse_bytes);
         let (sync_used, comm_us) = match cfg.sync {
             SyncMode::Dense => (SyncMode::Dense, dense_us),
             SyncMode::Sparse => (SyncMode::Sparse, sparse_us),
@@ -378,42 +341,25 @@ fn run_phase1_round(
                 }
             }
         };
+        let (mode, used_bytes) = match sync_used {
+            SyncMode::Dense => ("dense", dense_bytes),
+            // Same count the sparse cost above was modelled with.
+            _ => ("sparse", sparse_bytes),
+        };
 
-        if instrumented {
-            sub.scope("sync", |p| {
-                p.count(
-                    "bytes",
-                    match sync_used {
-                        SyncMode::Dense => n as u64 * DENSE_BYTES_PER_VERTEX,
-                        _ => num_moved as u64 * SPARSE_BYTES_PER_MOVE,
-                    },
-                );
-                p.count("dense_bytes", n as u64 * DENSE_BYTES_PER_VERTEX);
-                p.count("sparse_bytes", num_moved as u64 * SPARSE_BYTES_PER_MOVE);
-                p.count(
-                    match sync_used {
-                        SyncMode::Dense => "dense_syncs",
-                        _ => "sparse_syncs",
-                    },
-                    1,
-                );
-            });
-        }
-        if let Some(m) = metrics.as_mut() {
-            let used_bytes = match sync_used {
-                SyncMode::Dense => n as u64 * DENSE_BYTES_PER_VERTEX,
-                _ => num_moved as u64 * SPARSE_BYTES_PER_MOVE,
+        sub.scope("sync", |p| {
+            p.count("bytes", used_bytes);
+            p.count("dense_bytes", dense_bytes);
+            p.count("sparse_bytes", sparse_bytes);
+            let syncs = match sync_used {
+                SyncMode::Dense => "dense_syncs",
+                _ => "sparse_syncs",
             };
-            match sync_used {
-                SyncMode::Dense => {
-                    m.inc("sync/dense_syncs", 1);
-                    m.inc("sync/dense_bytes", used_bytes);
-                }
-                _ => {
-                    m.inc("sync/sparse_syncs", 1);
-                    m.inc("sync/sparse_bytes", used_bytes);
-                }
-            }
+            p.count(syncs, 1);
+        });
+        if let Some(m) = obs.metrics() {
+            m.inc(&format!("sync/{mode}_syncs"), 1);
+            m.inc(&format!("sync/{mode}_bytes"), used_bytes);
             m.observe("sync/bytes_per_superstep", used_bytes);
             m.inc("pruning/active", num_active as u64);
             m.inc("pruning/pruned", (n - num_active) as u64);
@@ -437,99 +383,49 @@ fn run_phase1_round(
             p.count("items", n as u64);
             state.modularity(graph)
         });
-        if instrumented {
-            let tree = sub.finish();
-            if sink.enabled() {
-                sink.emit(TraceEvent::Span {
+        obs.span(round, iteration as u32, "phase1", Some(cfg.backend), sub);
+        let moved = summary.num_moved();
+        obs.superstep(graph, round, iteration as u32, num_active, moved, q, || {
+            [
+                TraceEvent::Superstep {
                     round,
                     superstep: iteration as u32,
-                    phase: "phase1".to_string(),
-                    root: tree.clone(),
-                });
-                sink.emit(crate::backend::profile_event(
-                    cfg.backend,
-                    round,
-                    iteration as u32,
-                    "phase1",
-                    &tree,
-                ));
-            }
-            prof.scope("superstep", |p| p.absorb(tree));
-        }
-        if sink.enabled() {
-            let moved = summary.num_moved();
-            sink.emit(TraceEvent::Superstep {
-                round,
-                superstep: iteration as u32,
-                active: num_active as u64,
-                moved: moved as u64,
-                pruned: (n - num_active) as u64,
-                unmoved: num_active.saturating_sub(moved) as u64,
-                modularity: q,
-                delta_q: q - prev_q,
-                decide_tally: device_tallies.iter().copied().sum(),
-                weight_tally,
-                hash_occupancy: 0.0,
-                hash_evictions: 0,
-            });
-            sink.emit(TraceEvent::Sync {
-                superstep: iteration as u32,
-                mode: match sync_used {
-                    SyncMode::Dense => "dense".to_string(),
-                    _ => "sparse".to_string(),
+                    active: num_active as u64,
+                    moved: moved as u64,
+                    pruned: (n - num_active) as u64,
+                    unmoved: num_active.saturating_sub(moved) as u64,
+                    modularity: q,
+                    delta_q: q - prev_q,
+                    decide_tally: device_tallies.iter().copied().sum(),
+                    weight_tally,
+                    hash_occupancy: 0.0,
+                    hash_evictions: 0,
                 },
-                bytes: match sync_used {
-                    SyncMode::Dense => n as u64 * DENSE_BYTES_PER_VERTEX,
-                    // Same count the sparse cost above was modelled with.
-                    _ => num_moved as u64 * SPARSE_BYTES_PER_MOVE,
+                TraceEvent::Sync {
+                    superstep: iteration as u32,
+                    mode: mode.to_string(),
+                    bytes: used_bytes,
+                    comm_us,
+                    devices: cfg.num_devices as u32,
                 },
-                comm_us,
-                devices: cfg.num_devices as u32,
-            });
-        }
+            ]
+        });
         prev_q = q;
-        arcs_done += if n == 0 {
-            0
-        } else {
-            (graph.num_arcs() as u64).saturating_mul(num_active as u64) / n as u64
-        };
-        progress.superstep(
-            round,
-            "phase1",
-            iteration as u32,
-            q,
-            Counts::from_counts(num_active, summary.num_moved(), n, arcs_done),
-        );
         iterations.push(MultiGpuIteration {
             iteration,
             compute_us,
             comm_us,
             sync_used,
-            num_moved: summary.num_moved(),
+            num_moved: moved,
             num_active,
             device_tallies,
         });
-        // Progress measured against the best state (see louvain.rs).
-        if q > best_q {
-            best_state = state.clone();
-            if q > best_q + cfg.theta {
-                stagnant = 0;
-            } else {
-                stagnant += 1;
-            }
-            best_q = q;
-        } else {
-            stagnant += 1;
-        }
-        if summary.num_moved() == 0 || stagnant > PATIENCE {
+        if dips.step(&state, q, moved) {
             break;
         }
     }
-    if state.modularity(graph) < best_q {
-        state = best_state;
-    }
-
-    if let Some(mut m) = metrics {
+    let best_q = dips.finish(graph, &mut state);
+    obs.phase1_end(round, iterations.len(), best_q, "sync", |m| {
         let dense = m.counter("sync/dense_syncs").unwrap_or(0);
         let sparse = m.counter("sync/sparse_syncs").unwrap_or(0);
         m.gauge(
@@ -540,37 +436,7 @@ fn run_phase1_round(
                 sparse as f64 / (dense + sparse) as f64
             },
         );
-        sink.emit(TraceEvent::Metrics {
-            round,
-            scope: "sync".to_string(),
-            registry: m,
-        });
-    }
-    let last = iterations.last();
-    progress.round(
-        sink,
-        round,
-        "phase1",
-        iterations.len() as u32,
-        best_q,
-        Counts::from_counts(
-            last.map_or(0, |i| i.num_active),
-            last.map_or(0, |i| i.num_moved),
-            n,
-            arcs_done,
-        ),
-    );
-    if bracket && sink.enabled() {
-        let total: MemTally = iterations
-            .iter()
-            .flat_map(|i| i.device_tallies.iter().copied())
-            .sum();
-        sink.emit(TraceEvent::RunEnd {
-            modularity: best_q,
-            rounds: 1,
-            total_cycles: cost.cycles(&total),
-        });
-    }
+    });
     MultiGpuResult {
         partition: state.partition(),
         modularity: best_q,
@@ -610,63 +476,35 @@ impl MultiGpuFullResult {
 /// Runs the complete Louvain hierarchy with every phase 1 executed on the
 /// simulated devices and phase 2 selected by [`MultiGpuConfig::contract`].
 pub fn run_full(graph: &Graph, config: MultiGpuConfig) -> MultiGpuFullResult {
-    run_full_traced(graph, config, &mut NullSink)
+    run_full_with(graph, config, &mut Obs::off())
 }
 
-/// [`run_full`] with a [`TraceSink`] receiving one `run_start`/`run_end`
-/// bracket around the whole hierarchy, the per-round phase-1 event stream
+/// [`run_full`] observed through `obs`: one `run_start`/`run_end` bracket
+/// around the whole hierarchy, the per-round phase-1 event stream
 /// (supersteps, spans, syncs, metrics — with real round indices), one
-/// `contract` span per round, an exchange `sync` event per partitioned
-/// contraction, and a `round_end` per round.
-pub fn run_full_traced(
-    graph: &Graph,
-    config: MultiGpuConfig,
-    sink: &mut dyn TraceSink,
-) -> MultiGpuFullResult {
-    run_full_instrumented(graph, config, sink, &mut Profiler::disabled())
-}
-
-/// [`run_full_traced`] with a [`Profiler`] accumulating the run-level span
-/// tree: one `round` span per hierarchy round holding the merged
-/// `superstep` trees plus the round's `contract` span (with `aggregate` /
-/// `exchange` children under [`ContractMode::Partitioned`]).
-pub fn run_full_instrumented(
-    graph: &Graph,
-    config: MultiGpuConfig,
-    sink: &mut dyn TraceSink,
-    prof: &mut Profiler,
-) -> MultiGpuFullResult {
+/// `contract` span per round (with `aggregate` / `exchange` children under
+/// [`ContractMode::Partitioned`]), an exchange `sync` event per partitioned
+/// contraction, and a `round_end` per round. The run-level profile holds
+/// one `round` span per hierarchy round.
+pub fn run_full_with(graph: &Graph, config: MultiGpuConfig, obs: &mut Obs) -> MultiGpuFullResult {
     let cfg = config;
     let backend = cfg.backend.resolve();
-    let instrumented = prof.is_enabled() || sink.enabled();
-    if sink.enabled() {
-        sink.emit(TraceEvent::RunStart {
-            algorithm: "multi-gpu".to_string(),
-            n: graph.num_vertices() as u64,
-            m: graph.num_edges() as u64,
-            devices: cfg.num_devices as u32,
-        });
-    }
+    obs.run_start("multi-gpu", graph, cfg.num_devices);
     let mut current: Option<Graph> = None;
     let mut flat: Option<Partition> = None;
     let mut rounds: Vec<MultiGpuResult> = Vec::new();
     let mut contracts: Vec<ContractRoundStats> = Vec::new();
     let mut last_q = f64::NEG_INFINITY;
     let mut cscratch = CoarsenScratch::default();
-    let mut progress = ProgressReporter::new("multi-gpu");
     for round in 0..20u32 {
         let g = current.as_ref().unwrap_or(graph);
-        prof.enter("round");
-        let round_res = run_phase1_round(g, cfg, sink, prof, round, false);
+        obs.enter_round();
+        let round_res = run_phase1_round(g, cfg, obs, round);
         let q = round_res.modularity;
         // Phase 2 profiles like a superstep: a fresh sub-tree per round,
-        // emitted as a `span`/`profile` pair and absorbed into the open
-        // `round` span (the louvain driver's contract idiom).
-        let mut sub = if instrumented {
-            Profiler::new()
-        } else {
-            Profiler::disabled()
-        };
+        // filed under the open `round` span.
+        let mut sub = obs.sub();
+        let instrumented = obs.instrumented();
         let started = Instant::now();
         let (coarse, cstats) = sub.scope("contract", |p| {
             let out = match cfg.contract {
@@ -687,13 +525,14 @@ pub fn run_full_instrumented(
                     };
                     (coarse, stats)
                 }
-                ContractMode::Partitioned => mg_contract::contract_partitioned(
+                ContractMode::Partitioned => mg_contract::contract_partitioned_with(
                     g,
                     &round_res.partition,
                     &cfg,
                     backend,
                     p,
                     &mut cscratch,
+                    obs,
                 ),
             };
             p.count("vertices", g.num_vertices() as u64);
@@ -702,62 +541,26 @@ pub fn run_full_instrumented(
             p.count("elapsed_ns", started.elapsed().as_nanos() as u64);
             out
         });
-        let supersteps = round_res.iterations.len() as u32;
-        if instrumented {
-            let tree = sub.finish();
-            if sink.enabled() {
-                sink.emit(TraceEvent::Span {
-                    round,
-                    superstep: supersteps,
-                    phase: "contract".to_string(),
-                    root: tree.clone(),
-                });
-                sink.emit(crate::backend::profile_event(
-                    cfg.backend,
-                    round,
-                    supersteps,
-                    "contract",
-                    &tree,
-                ));
-            }
-            prof.absorb(tree);
-        }
+        let supersteps = round_res.iterations.len();
+        obs.span(round, supersteps as u32, "contract", Some(cfg.backend), sub);
         // The exchange is the phase-2 analogue of a phase-1 sync: one
         // event per partitioned round (the host fallback exchanges
         // nothing, so it emits nothing).
-        if sink.enabled() && cstats.mode != "host" {
-            sink.emit(TraceEvent::Sync {
-                superstep: supersteps,
+        if cstats.mode != "host" {
+            obs.emit(|| TraceEvent::Sync {
+                superstep: supersteps as u32,
                 mode: cstats.mode.to_string(),
                 bytes: cstats.exchange_bytes,
                 comm_us: cstats.exchange_us,
                 devices: cfg.num_devices as u32,
             });
         }
-        prof.exit();
+        obs.exit_round();
         let stalled = coarse.num_communities == g.num_vertices();
-        if sink.enabled() {
-            sink.emit(TraceEvent::RoundEnd {
-                round,
-                supersteps,
-                modularity: q,
-                communities: coarse.num_communities as u64,
-            });
-        }
         // Coarsening progress: the next level's arc count shows how fast
         // the hierarchy is collapsing.
-        progress.round(
-            sink,
-            round,
-            "contract",
-            supersteps,
-            q,
-            Counts {
-                active_frac: 0.0,
-                moved_frac: 0.0,
-                arcs: coarse.graph.num_arcs() as u64,
-            },
-        );
+        let (communities, arcs) = (coarse.num_communities, coarse.graph.num_arcs());
+        obs.round_end(round, "contract", supersteps, communities, arcs, || q);
         rounds.push(round_res);
         contracts.push(cstats);
         let Coarsened {
@@ -790,23 +593,21 @@ pub fn run_full_instrumented(
     }
     let partition = flat.unwrap_or_else(|| Partition::singletons(graph.num_vertices()));
     let modularity = crate::modularity::modularity(graph, &partition);
-    if sink.enabled() {
-        let total: MemTally = rounds
-            .iter()
-            .flat_map(|r| r.iterations.iter())
-            .flat_map(|i| i.device_tallies.iter().copied())
-            .chain(
-                contracts
-                    .iter()
-                    .flat_map(|c| c.device_tallies.iter().copied()),
-            )
-            .sum();
-        sink.emit(TraceEvent::RunEnd {
-            modularity,
-            rounds: rounds.len() as u32,
-            total_cycles: CostModel::default().cycles(&total),
-        });
-    }
+    let total: MemTally = rounds
+        .iter()
+        .flat_map(|r| r.iterations.iter())
+        .flat_map(|i| i.device_tallies.iter().copied())
+        .chain(
+            contracts
+                .iter()
+                .flat_map(|c| c.device_tallies.iter().copied()),
+        )
+        .sum();
+    obs.run_end(
+        modularity,
+        rounds.len(),
+        CostModel::default().cycles(&total),
+    );
     MultiGpuFullResult {
         partition,
         modularity,
@@ -920,7 +721,7 @@ mod tests {
             ..MultiGpuConfig::default()
         };
         let mut sink = VecSink::default();
-        let traced = run_phase1_traced(&g, cfg, &mut sink);
+        let traced = run_phase1_with(&g, cfg, &mut Obs::traced(&mut sink));
         assert_eq!(traced.partition, run_phase1(&g, cfg).partition);
 
         let syncs: Vec<_> = sink
@@ -968,8 +769,9 @@ mod tests {
         };
         let plain = run_phase1(&g, cfg);
         let mut sink = VecSink::default();
-        let mut prof = Profiler::new();
-        let traced = run_phase1_instrumented(&g, cfg, &mut sink, &mut prof);
+        let mut obs = Obs::traced(&mut sink).profiled();
+        let traced = run_phase1_with(&g, cfg, &mut obs);
+        let tree = obs.finish();
         assert_eq!(traced.partition, plain.partition);
 
         let span_roots: Vec<_> = sink
@@ -991,7 +793,6 @@ mod tests {
             assert_eq!(root.child("decide").unwrap().counter("devices"), 4);
         }
         // Merged run-level tree: total sync bytes match the trace events.
-        let tree = prof.finish();
         let sync = tree
             .child("superstep")
             .and_then(|s| s.child("sync"))
@@ -1017,7 +818,7 @@ mod tests {
             ..MultiGpuConfig::default()
         };
         let mut sink = VecSink::default();
-        let traced = run_phase1_traced(&g, cfg, &mut sink);
+        let traced = run_phase1_with(&g, cfg, &mut Obs::traced(&mut sink));
         let regs: Vec<_> = sink
             .events
             .iter()
@@ -1089,7 +890,7 @@ mod tests {
         };
         let plain = run_full(&g, cfg);
         let mut sink = VecSink::default();
-        let traced = run_full_traced(&g, cfg, &mut sink);
+        let traced = run_full_with(&g, cfg, &mut Obs::traced(&mut sink));
         assert_eq!(traced.partition, plain.partition);
         assert_eq!(traced.modularity.to_bits(), plain.modularity.to_bits());
 

@@ -6,12 +6,10 @@
 //! compared against, and the slowest baseline of Figure 5.
 
 use crate::modularity::{gain_score, modularity};
-use crate::progress::{Counts, ProgressReporter};
-use gala_gpu::profile::Profiler;
+use crate::observe::Obs;
 use gala_graph::coarsen::{coarsen_into, CoarsenScratch};
 use gala_graph::partition::CommunityId;
 use gala_graph::{Graph, Partition, VertexId};
-use gala_telemetry::{NullSink, TraceEvent, TraceSink};
 use std::collections::HashMap;
 use std::time::Instant;
 
@@ -49,46 +47,30 @@ pub struct SequentialResult {
 
 /// Runs sequential Louvain to convergence.
 pub fn sequential_louvain(graph: &Graph, config: SequentialConfig) -> SequentialResult {
-    sequential_louvain_instrumented(graph, config, &mut NullSink, &mut Profiler::disabled())
+    sequential_louvain_with(graph, config, &mut Obs::off())
 }
 
-/// [`sequential_louvain`] with tracing: emits the same `run_start` /
+/// [`sequential_louvain`] observed through `obs`: the same `run_start` /
 /// `span` / `profile` / `round_end` / `run_end` event sequence as the BSP
 /// drivers, with one wall-clock-timed `superstep` span tree per round
 /// (sequential phase 1 is one indivisible host pass) plus the usual
 /// `contract` tree. All spans charge host nanoseconds — this baseline has
 /// no simulated device, so its `profile` events carry the `"host"`
 /// backend and unit `"ns"`.
-pub fn sequential_louvain_instrumented(
+pub fn sequential_louvain_with(
     graph: &Graph,
     config: SequentialConfig,
-    sink: &mut dyn TraceSink,
-    prof: &mut Profiler,
+    obs: &mut Obs,
 ) -> SequentialResult {
-    if sink.enabled() {
-        sink.emit(TraceEvent::RunStart {
-            algorithm: "sequential".to_string(),
-            n: graph.num_vertices() as u64,
-            m: graph.num_edges() as u64,
-            devices: 1,
-        });
-    }
-    let instrumented = prof.is_enabled() || sink.enabled();
+    obs.run_start("sequential", graph, 1);
     let mut current: Option<Graph> = None;
     let mut flat: Option<Partition> = None;
     let mut rounds = 0;
     let mut cscratch = CoarsenScratch::default();
-    // One deterministic `progress` event per round (sequential phase 1 is
-    // one indivisible host pass, so there is no superstep granularity).
-    let mut progress = ProgressReporter::new("sequential");
     for round in 0..config.max_rounds {
         let g = current.as_ref().unwrap_or(graph);
-        prof.enter("round");
-        let mut sub = if instrumented {
-            Profiler::new()
-        } else {
-            Profiler::disabled()
-        };
+        obs.enter_round();
+        let mut sub = obs.sub();
         let assignment = sub.scope("superstep", |p| {
             p.scope("decide", |p| {
                 let started = Instant::now();
@@ -101,30 +83,9 @@ pub fn sequential_louvain_instrumented(
                 assignment
             })
         });
-        if instrumented {
-            let tree = sub.finish();
-            if sink.enabled() {
-                sink.emit(TraceEvent::Span {
-                    round: round as u32,
-                    superstep: 0,
-                    phase: "phase1".to_string(),
-                    root: tree.clone(),
-                });
-                sink.emit(crate::backend::profile_event_host(
-                    round as u32,
-                    0,
-                    "phase1",
-                    &tree,
-                ));
-            }
-            prof.absorb(tree);
-        }
+        obs.span(round as u32, 0, "phase1", None, sub);
         rounds += 1;
-        let mut sub = if instrumented {
-            Profiler::new()
-        } else {
-            Profiler::disabled()
-        };
+        let mut sub = obs.sub();
         let coarse = sub.scope("contract", |p| {
             let started = Instant::now();
             let coarse = coarsen_into(g, &Partition::from_assignment(assignment), &mut cscratch);
@@ -134,53 +95,21 @@ pub fn sequential_louvain_instrumented(
             p.count("elapsed_ns", started.elapsed().as_nanos() as u64);
             coarse
         });
-        if instrumented {
-            let tree = sub.finish();
-            if sink.enabled() {
-                sink.emit(TraceEvent::Span {
-                    round: round as u32,
-                    superstep: 1,
-                    phase: "contract".to_string(),
-                    root: tree.clone(),
-                });
-                sink.emit(crate::backend::profile_event_host(
-                    round as u32,
-                    1,
-                    "contract",
-                    &tree,
-                ));
-            }
-            prof.absorb(tree);
-        }
-        prof.exit();
+        obs.span(round as u32, 1, "contract", None, sub);
+        obs.exit_round();
         let merged_everything = coarse.num_communities == g.num_vertices();
-        flat = Some(match flat {
+        let level = match flat {
             None => coarse.renumbered.clone(),
             Some(prev) => prev.compose(&coarse.renumbered),
+        };
+        // One deterministic `progress` event per round (sequential phase 1
+        // is one indivisible host pass, so there is no superstep
+        // granularity).
+        let (communities, arcs) = (coarse.num_communities, g.num_arcs());
+        obs.round_end(round as u32, "phase1", 1, communities, arcs, || {
+            modularity(graph, &level)
         });
-        if sink.enabled() || progress.live() {
-            let q = modularity(graph, flat.as_ref().expect("just set"));
-            if sink.enabled() {
-                sink.emit(TraceEvent::RoundEnd {
-                    round: round as u32,
-                    supersteps: 1,
-                    modularity: q,
-                    communities: coarse.num_communities as u64,
-                });
-            }
-            progress.round(
-                sink,
-                round as u32,
-                "phase1",
-                1,
-                q,
-                Counts {
-                    active_frac: 0.0,
-                    moved_frac: 0.0,
-                    arcs: g.num_arcs() as u64,
-                },
-            );
-        }
+        flat = Some(level);
         if merged_everything {
             break;
         }
@@ -192,14 +121,8 @@ pub fn sequential_louvain_instrumented(
     }
     let partition = flat.unwrap_or_else(|| Partition::singletons(graph.num_vertices()));
     let q = modularity(graph, &partition);
-    if sink.enabled() {
-        sink.emit(TraceEvent::RunEnd {
-            modularity: q,
-            rounds: rounds as u32,
-            // Host-only baseline: no simulated cycles to report.
-            total_cycles: 0.0,
-        });
-    }
+    // Host-only baseline: no simulated cycles to report.
+    obs.run_end(q, rounds, 0.0);
     SequentialResult {
         partition,
         modularity: q,
@@ -313,13 +236,13 @@ mod tests {
 
     #[test]
     fn instrumented_run_emits_host_profile_events() {
-        use gala_telemetry::VecSink;
+        use gala_telemetry::{TraceEvent, VecSink};
         let g = fixtures::ring_of_cliques(6, 5);
         let plain = sequential_louvain(&g, SequentialConfig::default());
         let mut sink = VecSink::default();
-        let mut prof = Profiler::new();
-        let traced =
-            sequential_louvain_instrumented(&g, SequentialConfig::default(), &mut sink, &mut prof);
+        let mut obs = Obs::traced(&mut sink).profiled();
+        let traced = sequential_louvain_with(&g, SequentialConfig::default(), &mut obs);
+        let tree = obs.finish();
         assert_eq!(traced.partition, plain.partition);
         assert_eq!(traced.modularity, plain.modularity);
         let profiles: Vec<_> = sink
@@ -343,7 +266,6 @@ mod tests {
         let decide = spans.iter().find(|s| s.path == "superstep/decide").unwrap();
         assert!(decide.total > 0.0, "decide must carry wall time");
         assert_eq!(decide.components.compute, decide.total);
-        let tree = prof.finish();
         let round = tree.child("round").expect("round span");
         assert!(round.child("superstep").is_some());
         assert!(round.child("contract").is_some());

@@ -11,6 +11,7 @@
 use gala_core::kernels::hashtable::HashConfig;
 use gala_core::kernels::KernelKind;
 use gala_core::louvain::{Louvain, LouvainConfig};
+use gala_core::observe::Obs;
 use gala_graph::generators::sbm::PlantedPartition;
 use gala_graph::Graph;
 use gala_telemetry::{ProfileSpan, TraceEvent, VecSink};
@@ -37,7 +38,7 @@ fn profile_rows(graph: &Graph, kernel: KernelKind) -> Vec<(u32, u32, String, Vec
         kernel,
         ..LouvainConfig::default()
     })
-    .run_traced(graph, &mut sink);
+    .run_with(graph, &mut Obs::traced(&mut sink));
     sink.events
         .into_iter()
         .filter_map(|e| match e {
