@@ -1,5 +1,6 @@
-//! Host reference DecideAndMove: one rayon task per vertex, a per-vertex
-//! hash map for the community aggregation — the Grappolo CPU strategy.
+//! Host reference DecideAndMove: rayon over vertices, each chunk of
+//! vertices aggregating through one reusable [`Fold`] — the Grappolo CPU
+//! strategy without a per-vertex allocation.
 //!
 //! This kernel also defines the *canonical accumulation order*: `d_vc` for
 //! each community is summed in neighbor-list order, which the simulated GPU
@@ -11,8 +12,6 @@ use crate::state::BspState;
 use gala_gpu::memory::MemTally;
 use gala_graph::partition::CommunityId;
 use gala_graph::{Graph, VertexId};
-use rayon::prelude::*;
-use std::collections::HashMap;
 
 /// Runs the reference kernel over the active vertices.
 pub fn decide(graph: &Graph, state: &BspState, active: &[bool]) -> DecideOutput {
@@ -22,29 +21,126 @@ pub fn decide(graph: &Graph, state: &BspState, active: &[bool]) -> DecideOutput 
 }
 
 /// [`decide`] writing into `out`, recycling its `next_comm` allocation.
+/// Each pool chunk threads one [`Fold`] through all of its vertices.
 pub(crate) fn decide_into(
     graph: &Graph,
     state: &BspState,
     active: &[bool],
     out: &mut DecideOutput,
 ) {
-    (0..graph.num_vertices() as VertexId)
-        .into_par_iter()
-        .map(|v| {
-            if !active[v as usize] {
-                return state.comm[v as usize];
+    let _ = rayon::par_map_indexed_accum_into(
+        graph.num_vertices(),
+        &mut out.next_comm,
+        Fold::default,
+        |v, fold| {
+            if active[v] {
+                fold.decide(v as VertexId, graph, state)
+            } else {
+                state.comm[v]
             }
-            decide_one(v, graph, state)
-        })
-        .collect_into_vec(&mut out.next_comm);
+        },
+    );
     out.tally = MemTally::new();
     out.hash_stats = Default::default();
 }
 
 /// Decision for a single vertex: aggregate `(community, weight)` over the
 /// neighbor list (skipping the self-loop), then apply the shared rule.
+/// Builds a fresh degree-sized [`Fold`], so one call costs `O(deg(v))`.
 pub fn decide_one(v: VertexId, graph: &Graph, state: &BspState) -> CommunityId {
-    // Order-preserving aggregation: map community -> index into `cands`.
+    Fold::default().decide(v, graph, state)
+}
+
+/// Order-preserving community aggregation, reused across vertices.
+///
+/// `cands` holds `(community, d_vc)` in first-occurrence order; `slots` is
+/// an open-addressed index from community id to `cands` position (`pos`
+/// 0 = empty, else position + 1) whose first `2^bits ≥ 2·deg(v)` entries
+/// serve the current vertex. Only the slots a vertex filled are cleared
+/// afterwards, found again through `cands`, so the table stays all-empty
+/// between vertices without an `O(capacity)` wipe.
+#[derive(Debug, Default)]
+pub(crate) struct Fold {
+    cands: Vec<(CommunityId, f64)>,
+    slots: Vec<(CommunityId, u32)>,
+    bits: u32,
+}
+
+impl Fold {
+    /// Aggregates `v`'s neighborhood, picks its next community with
+    /// [`choose`], and resets the fold for the next vertex.
+    fn decide(&mut self, v: VertexId, graph: &Graph, state: &BspState) -> CommunityId {
+        self.aggregate(v, graph, state);
+        let next = choose(v, graph, state, &self.cands);
+        self.clear();
+        next
+    }
+
+    /// Folds every non-loop neighbor's weight into its community's entry,
+    /// in neighbor-list order.
+    fn aggregate(&mut self, v: VertexId, graph: &Graph, state: &BspState) {
+        self.bits = (2 * graph.degree(v))
+            .max(16)
+            .next_power_of_two()
+            .trailing_zeros();
+        let cap = 1usize << self.bits;
+        if self.slots.len() < cap {
+            self.slots.resize(cap, (0, 0));
+        }
+        let mask = cap - 1;
+        for (u, w) in graph.neighbors(v) {
+            if u == v {
+                continue;
+            }
+            let c = state.comm[u as usize];
+            let mut s = slot(c, self.bits);
+            loop {
+                let (key, pos) = self.slots[s];
+                if pos == 0 {
+                    self.cands.push((c, w));
+                    self.slots[s] = (c, self.cands.len() as u32);
+                    break;
+                }
+                if key == c {
+                    self.cands[pos as usize - 1].1 += w;
+                    break;
+                }
+                s = (s + 1) & mask;
+            }
+        }
+    }
+
+    /// Empties the slots `aggregate` filled, then `cands`. Probing skips
+    /// slots an earlier removal already emptied: every candidate's slot
+    /// lies on its probe path from its home slot.
+    fn clear(&mut self) {
+        let mask = (1usize << self.bits) - 1;
+        for &(c, _) in &self.cands {
+            let mut s = slot(c, self.bits);
+            while self.slots[s].1 == 0 || self.slots[s].0 != c {
+                s = (s + 1) & mask;
+            }
+            self.slots[s] = (0, 0);
+        }
+        self.cands.clear();
+    }
+}
+
+/// Home slot of community `c` in a `2^bits`-slot table (Fibonacci hashing).
+#[inline]
+fn slot(c: CommunityId, bits: u32) -> usize {
+    ((c as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - bits)) as usize
+}
+
+/// The reference aggregation the [`Fold`] replaced: a per-vertex
+/// `HashMap` from community to `cands` position.
+#[cfg(test)]
+pub(crate) fn hashmap_candidates(
+    v: VertexId,
+    graph: &Graph,
+    state: &BspState,
+) -> Vec<(CommunityId, f64)> {
+    use std::collections::HashMap;
     let mut index: HashMap<CommunityId, usize> = HashMap::with_capacity(graph.degree(v));
     let mut cands: Vec<(CommunityId, f64)> = Vec::with_capacity(graph.degree(v));
     for (u, w) in graph.neighbors(v) {
@@ -60,14 +156,46 @@ pub fn decide_one(v: VertexId, graph: &Graph, state: &BspState) -> CommunityId {
             }
         }
     }
-    choose(v, graph, state, &cands)
+    cands
+}
+
+/// A planted-partition graph (`internal_degree` 8) re-weighted with
+/// seeded non-integer weights in `[0.1, 2.0)`, so any change of summation
+/// order shows in the low bits of a sum.
+#[cfg(test)]
+pub(crate) fn weighted_planted(communities: usize, size: usize, mixing: f64, seed: u64) -> Graph {
+    use gala_graph::generators::sbm::PlantedPartition;
+    use gala_graph::GraphBuilder;
+    use rand::{Rng, SeedableRng};
+    let g = PlantedPartition {
+        num_communities: communities,
+        community_size: size,
+        internal_degree: 8.0,
+        mixing,
+    }
+    .generate(seed)
+    .graph;
+    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+    let mut b = GraphBuilder::new(g.num_vertices());
+    for v in g.vertices() {
+        for u in g.neighbor_ids(v).iter().copied().filter(|&u| u > v) {
+            b.add_edge(v, u, rng.gen_range(0.1..2.0));
+        }
+    }
+    b.build()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernels::hashtable::HashConfig;
+    use crate::kernels::{native, DecideScratch, KernelKind};
+    use crate::weight::{self, WeightUpdateMode};
+    use gala_gpu::profile::Profiler;
+    use gala_graph::coarsen::coarsen;
     use gala_graph::generators::fixtures;
     use gala_graph::GraphBuilder;
+    use proptest::prelude::*;
 
     #[test]
     fn inactive_vertices_keep_their_community() {
@@ -121,5 +249,98 @@ mod tests {
         let g = b.build();
         let s = BspState::new(&g);
         assert_eq!(decide_one(2, &g, &s), 2);
+    }
+
+    #[test]
+    fn fold_resets_between_vertices_of_different_degree() {
+        // The hub fills a large table; the leaves then reuse its prefix.
+        let g = fixtures::star(40);
+        let s = BspState::new(&g);
+        let mut fold = Fold::default();
+        for v in [0, 1, 0, 2] {
+            fold.aggregate(v, &g, &s);
+            assert_eq!(fold.cands, hashmap_candidates(v, &g, &s), "vertex {v}");
+            fold.clear();
+            assert!(fold.slots.iter().all(|&(_, pos)| pos == 0));
+        }
+    }
+
+    /// `cands` as bit patterns: the candidates, their first-occurrence
+    /// order, and every `d_vc` bit.
+    fn bits(cands: &[(CommunityId, f64)]) -> Vec<(CommunityId, u64)> {
+        cands.iter().map(|&(c, w)| (c, w.to_bits())).collect()
+    }
+
+    /// Checks the fold, `cpu::decide` and native `WorkloadAware` against
+    /// the `HashMap` reference over a few real supersteps of `g`.
+    fn assert_fold_matches_reference(g: &Graph) {
+        let mut s = BspState::new(g);
+        let active = vec![true; g.num_vertices()];
+        let mut fold = Fold::default();
+        for step in 0..4 {
+            let reference: Vec<CommunityId> = g
+                .vertices()
+                .map(|v| choose(v, g, &s, &hashmap_candidates(v, g, &s)))
+                .collect();
+            for v in g.vertices() {
+                fold.aggregate(v, g, &s);
+                assert_eq!(
+                    bits(&fold.cands),
+                    bits(&hashmap_candidates(v, g, &s)),
+                    "candidates of vertex {v} at step {step}"
+                );
+                fold.clear();
+            }
+            for width in [1, 2, 8] {
+                let cpu = rayon::with_parallelism(width, || decide(g, &s, &active));
+                assert_eq!(cpu.next_comm, reference, "cpu, width {width}");
+                let mut out = DecideOutput::default();
+                rayon::with_parallelism(width, || {
+                    native::decide_into(
+                        KernelKind::WorkloadAware(HashConfig::default()),
+                        g,
+                        &s,
+                        &active,
+                        &mut Profiler::disabled(),
+                        &mut DecideScratch::default(),
+                        &mut out,
+                    )
+                });
+                assert_eq!(out.next_comm, reference, "native, width {width}");
+            }
+            let summary = s.apply_moves(g, &reference);
+            weight::update(WeightUpdateMode::Delta, g, &mut s, &summary);
+            if summary.num_moved() == 0 {
+                break;
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(6))]
+
+        /// The reusable fold is the `HashMap` fold: same candidates, same
+        /// `d_vc` bits, same decisions at pool widths 1, 2 and 8, on
+        /// non-integer weights and on the coarsened (self-looped) level.
+        #[test]
+        fn fold_matches_hashmap_reference(
+            communities in 24usize..40,
+            size in 40usize..60,
+            mixing in 0.1f64..0.4,
+            seed in any::<u64>(),
+        ) {
+            let g = weighted_planted(communities, size, mixing, seed);
+            prop_assert!(g.num_vertices() >= rayon::min_par_len(), "graph runs sequentially");
+            assert_fold_matches_reference(&g);
+            let mut s = BspState::new(&g);
+            for _ in 0..2 {
+                let out = decide(&g, &s, &vec![true; g.num_vertices()]);
+                let summary = s.apply_moves(&g, &out.next_comm);
+                weight::update(WeightUpdateMode::Delta, &g, &mut s, &summary);
+            }
+            let coarse = coarsen(&g, &s.partition()).graph;
+            prop_assert!(coarse.vertices().any(|v| coarse.self_loop(v) > 0.0));
+            assert_fold_matches_reference(&coarse);
+        }
     }
 }

@@ -5,7 +5,8 @@
 //! there, and the best target under Grappolo's deterministic tie-breaking.
 //! They differ in *where the intermediate state lives*:
 //!
-//! * [`cpu`] — host reference: per-vertex `HashMap`, rayon over vertices.
+//! * [`cpu`] — host reference: rayon over vertices, each pool chunk
+//!   aggregating through one reusable open-addressed fold.
 //! * [`shuffle`] — paper Algorithm 2: a warp per vertex, state in lane
 //!   registers, aggregation via `__match_any_sync` + grouped reduce.
 //! * [`hash`] — paper Algorithm 3: a block per vertex, state in a
@@ -40,7 +41,7 @@ use hashtable::{HashConfig, TableStats};
 /// Which DecideAndMove kernel to run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum KernelKind {
-    /// Host reference implementation (per-vertex hash map on rayon).
+    /// Host reference implementation (per-chunk reusable fold on rayon).
     Cpu,
     /// Warp-level shuffle-based kernel (Algorithm 2).
     Shuffle,

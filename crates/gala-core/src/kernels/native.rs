@@ -15,8 +15,10 @@
 //!   [`SHUFFLE_DEGREE_THRESHOLD`]) are that fold too — and the
 //!   workload-aware dispatcher routes exactly those to the shuffle kernel.
 //!   Hence `Cpu`, `Hash`, and `WorkloadAware` all reduce to
-//!   [`cpu::decide_one`] bit-for-bit, and the native path runs that lean
-//!   per-vertex fold on rayon with nothing else in the loop.
+//!   [`cpu::decide_one`] bit-for-bit, and the native path runs that fold
+//!   on rayon with nothing else in the loop: each pool chunk threads one
+//!   reusable fold through its vertices, so a superstep allocates nothing
+//!   per vertex.
 //! * Explicit `Shuffle` on multi-chunk vertices merges per-chunk partial
 //!   sums, `Sort` accumulates in sorted order (after an unstable bitonic
 //!   sort), and `Replicated` merges by tree reduction — different

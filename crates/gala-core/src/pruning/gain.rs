@@ -58,7 +58,7 @@ pub fn is_provably_unmoved(v: VertexId, graph: &Graph, state: &BspState) -> bool
     if d_v == 0.0 {
         return true; // isolated vertices have nowhere to go
     }
-    let loop_v = graph.self_loop(v);
+    let loop_v = state.self_loop(v);
     let d_self = state.d_self[v as usize];
     let d_tot_cv = state.d_tot[state.comm[v as usize] as usize];
     // At resolution γ the degree terms of both scores carry γ, so the

@@ -13,10 +13,15 @@
 //!   superstep, the inputs of the movement-based pruning strategies,
 //! * `min_d_tot` — `min_C D_V(C)` over non-empty communities, the extra
 //!   BSP-provided state the MG pruning bound needs (Eq. 6).
+//!
+//! It also caches each vertex's self-loop weight for the round, so the
+//! per-superstep passes ([`BspState::modularity`], the MG bound) do not
+//! binary-search the adjacency for it.
 
 use gala_graph::partition::CommunityId;
 use gala_graph::{Graph, Partition, VertexId};
 use rayon::prelude::*;
+use std::sync::Arc;
 
 /// Mutable state carried across BSP supersteps of Louvain phase 1.
 #[derive(Clone, Debug)]
@@ -45,6 +50,9 @@ pub struct BspState {
     pub min_d_tot: f64,
     /// Number of completed supersteps.
     pub iteration: usize,
+    /// Self-loop weight per vertex, read once per round; empty when the
+    /// graph has no self-loop. Clones (best-state snapshots) share it.
+    loops: Arc<[f64]>,
 }
 
 /// Summary of one superstep's community moves. The move list is what the
@@ -80,6 +88,13 @@ impl BspState {
         let n = graph.num_vertices();
         let d_tot: Vec<f64> = (0..n).map(|v| graph.degree_w(v as VertexId)).collect();
         let min_d_tot = non_empty_min(&d_tot, &vec![1u32; n]);
+        let mut loops: Vec<f64> = (0..n as VertexId)
+            .into_par_iter()
+            .map(|v| graph.self_loop(v))
+            .collect();
+        if loops.iter().all(|&l| l == 0.0) {
+            loops = Vec::new();
+        }
         Self {
             m2: graph.total_weight(),
             resolution,
@@ -91,7 +106,15 @@ impl BspState {
             comm_changed: vec![false; n],
             min_d_tot,
             iteration: 0,
+            loops: loops.into(),
         }
+    }
+
+    /// `graph.self_loop(v)` for the graph this state was built on, from
+    /// the round's cache.
+    #[inline]
+    pub fn self_loop(&self, v: VertexId) -> f64 {
+        self.loops.get(v as usize).copied().unwrap_or(0.0)
     }
 
     /// Number of vertices.
@@ -124,7 +147,7 @@ impl BspState {
     /// the *naive* weight maintenance of Algorithm 1 lines 6–7.
     pub fn recompute_d_self(&mut self, graph: &Graph) {
         let comm = &self.comm;
-        self.d_self = (0..graph.num_vertices() as VertexId)
+        (0..graph.num_vertices() as VertexId)
             .into_par_iter()
             .map(|v| {
                 let cv = comm[v as usize];
@@ -134,7 +157,7 @@ impl BspState {
                     .map(|(_, w)| w)
                     .sum()
             })
-            .collect();
+            .collect_into_vec(&mut self.d_self);
     }
 
     /// Applies the superstep's decisions: updates `comm`, `d_tot`,
@@ -173,13 +196,15 @@ impl BspState {
     ///
     /// Exact whenever `d_self` is up to date (checked against the
     /// from-scratch [`crate::modularity::modularity`] in tests); reduces to
-    /// classic modularity at γ = 1.
+    /// classic modularity at γ = 1. `graph` must be the graph the state
+    /// was built on: the loop weights come from the state's cache.
     pub fn modularity(&self, graph: &Graph) -> f64 {
+        debug_assert_eq!(graph.num_vertices(), self.num_vertices());
         if self.m2 == 0.0 {
             return 0.0;
         }
         let internal: f64 = (0..self.comm.len())
-            .map(|v| self.d_self[v] + graph.self_loop(v as VertexId))
+            .map(|v| self.d_self[v] + self.self_loop(v as VertexId))
             .sum();
         let squares: f64 = self
             .d_tot
@@ -260,6 +285,25 @@ mod tests {
             (q_state - q_scratch).abs() < 1e-12,
             "{q_state} vs {q_scratch}"
         );
+    }
+
+    #[test]
+    fn loop_cache_matches_graph_and_is_shared_by_clones() {
+        let g = fixtures::ring_of_cliques(3, 4);
+        let s = BspState::new(&g);
+        assert!(s.loops.is_empty(), "loop-free graph cached its zeros");
+        let next: Vec<u32> = (0..12).map(|v| (v / 4 * 4) as u32).collect();
+        let mut merged = s.clone();
+        merged.apply_moves(&g, &next);
+        let coarse = gala_graph::coarsen::coarsen(&g, &merged.partition()).graph;
+        let c = BspState::new(&coarse);
+        assert!(coarse.vertices().all(|v| coarse.self_loop(v) > 0.0));
+        for v in coarse.vertices() {
+            assert_eq!(c.self_loop(v).to_bits(), coarse.self_loop(v).to_bits());
+        }
+        assert!(Arc::ptr_eq(&c.loops, &c.clone().loops));
+        let q_scratch = modularity(&coarse, &c.partition());
+        assert!((c.modularity(&coarse) - q_scratch).abs() < 1e-12);
     }
 
     #[test]

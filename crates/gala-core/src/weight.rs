@@ -16,7 +16,6 @@
 use crate::state::{BspState, MoveSummary};
 use gala_gpu::memory::{MemTally, Space};
 use gala_graph::{Graph, VertexId};
-use rayon::prelude::*;
 
 /// How to maintain `d_self` after each superstep.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -67,9 +66,10 @@ pub fn update(
                 tally.store(Space::Global, graph.num_vertices() as u64);
             } else {
                 let deltas = update_delta(graph, state, summary);
-                // Two passes over the moved vertices' adjacency (notify +
-                // own rescan), 3 loads per arc; an atomicAdd only for the
-                // neighbors whose d_self actually changes.
+                // The modelled kernel makes two passes over the moved
+                // vertices' adjacency (notify + own rescan), 3 loads per
+                // arc; an atomicAdd only for the neighbors whose d_self
+                // actually changes.
                 tally.load(Space::Global, 6 * moved_arcs);
                 tally.atomic(Space::Global, deltas);
                 tally.store(Space::Global, summary.num_moved() as u64);
@@ -81,21 +81,35 @@ pub fn update(
 
 /// Applies the delta update; returns the number of neighbor `d_self`
 /// adjustments actually performed.
+///
+/// One pass over each moved vertex's adjacency does both jobs: the vertex
+/// notifies its *unmoved* neighbors (their `±w` deltas go to a per-chunk
+/// buffer) and sums its own fresh `d_self`. Moved neighbors are skipped
+/// because they rescan themselves, so the two kinds of write never touch
+/// the same entry. The deltas are applied serially in chunk order, which
+/// is move order at every pool width, so the float additions into each
+/// `d_self[u]` happen in a fixed order whatever the thread schedule.
 fn update_delta(graph: &Graph, state: &mut BspState, summary: &MoveSummary) -> u64 {
-    // Phase 1: moved vertices notify their *unmoved* neighbors. Deltas are
-    // gathered per move in parallel, then applied in deterministic vertex
-    // order (float addition order is fixed regardless of thread schedule).
     let moved = &state.moved;
     let comm = &state.comm;
-    let deltas: Vec<(VertexId, f64)> = summary
-        .moves
-        .par_iter()
-        .flat_map_iter(|&(v, old, new)| {
-            graph.neighbors(v).filter_map(move |(u, w)| {
-                if u == v || moved[u as usize] {
-                    return None; // moved neighbors rescan themselves in phase 2
+    let mut fresh = Vec::new();
+    let chunks = rayon::par_map_accum_into(
+        &summary.moves,
+        &mut fresh,
+        Vec::new,
+        |&(v, old, new), deltas: &mut Vec<(VertexId, f64)>| {
+            let mut d_self = 0.0;
+            for (u, w) in graph.neighbors(v) {
+                if u == v {
+                    continue;
                 }
                 let cu = comm[u as usize];
+                if cu == new {
+                    d_self += w;
+                }
+                if moved[u as usize] {
+                    continue;
+                }
                 let mut delta = 0.0;
                 if cu == old {
                     delta -= w;
@@ -103,36 +117,21 @@ fn update_delta(graph: &Graph, state: &mut BspState, summary: &MoveSummary) -> u
                 if cu == new {
                     delta += w;
                 }
-                (delta != 0.0).then_some((u, delta))
-            })
-        })
-        .collect();
-    let mut sorted = deltas;
-    sorted.sort_unstable_by_key(|&(u, _)| u);
-    let num_deltas = sorted.len() as u64;
-    for (u, delta) in sorted {
+                if delta != 0.0 {
+                    deltas.push((u, delta));
+                }
+            }
+            d_self
+        },
+    );
+    let mut num_deltas = 0;
+    for (u, delta) in chunks.into_iter().flatten() {
         state.d_self[u as usize] += delta;
+        num_deltas += 1;
     }
-
-    // Phase 2: moved vertices recompute their own d_self from scratch.
-    let comm = &state.comm;
-    let fresh: Vec<(VertexId, f64)> = summary
-        .moves
-        .par_iter()
-        .map(|&(v, _, _)| {
-            let cv = comm[v as usize];
-            let d: f64 = graph
-                .neighbors(v)
-                .filter(|&(u, _)| u != v && comm[u as usize] == cv)
-                .map(|(_, w)| w)
-                .sum();
-            (v, d)
-        })
-        .collect();
-    for (v, d) in fresh {
+    for (&(v, _, _), d) in summary.moves.iter().zip(fresh) {
         state.d_self[v as usize] = d;
     }
-
     num_deltas
 }
 
@@ -142,28 +141,80 @@ mod tests {
     use crate::kernels::cpu;
     use gala_graph::generators::fixtures;
 
-    /// Delta maintenance must agree exactly with a full rescan after any
-    /// sequence of real supersteps.
+    /// Delta maintenance must agree with a full rescan after any sequence
+    /// of real supersteps: exactly on unit weights, and within 1e-12 of
+    /// each vertex's weighted degree on non-integer weights, where the two
+    /// sum the same terms in different orders.
     #[test]
     fn delta_matches_naive_over_iterations() {
-        let g = fixtures::ring_of_cliques(6, 5);
+        let unit = fixtures::ring_of_cliques(6, 5);
+        let weighted = cpu::weighted_planted(32, 40, 0.3, 7);
+        for (g, exact) in [(&unit, true), (&weighted, false)] {
+            let mut s = BspState::new(g);
+            let mut delta_steps = 0;
+            for _ in 0..30 {
+                let active = vec![true; g.num_vertices()];
+                let out = cpu::decide(g, &s, &active);
+                let summary = s.apply_moves(g, &out.next_comm);
+                let tally = update(WeightUpdateMode::Delta, g, &mut s, &summary);
+                delta_steps += usize::from(tally.global_atomics > 0);
+                let mut reference = s.clone();
+                reference.recompute_d_self(g);
+                for (v, (&d, &r)) in s.d_self.iter().zip(&reference.d_self).enumerate() {
+                    let tolerance = if exact {
+                        0.0
+                    } else {
+                        1e-12 * g.degree_w(v as VertexId)
+                    };
+                    assert!(
+                        (d - r).abs() <= tolerance,
+                        "vertex {v} at iter {}: {d} vs {r}",
+                        s.iteration
+                    );
+                }
+                if summary.num_moved() == 0 {
+                    break;
+                }
+            }
+            assert!(delta_steps > 0, "the delta path never ran (exact: {exact})");
+        }
+    }
+
+    /// The single-pass update is schedule-independent: `d_self` bits and
+    /// the returned tally are identical at pool widths 1, 2 and 8, on a
+    /// move set large enough to run in parallel.
+    #[test]
+    fn delta_is_bit_identical_across_widths() {
+        let g = cpu::weighted_planted(100, 50, 0.3, 11);
         let mut s = BspState::new(&g);
-        for _ in 0..6 {
-            let active = vec![true; g.num_vertices()];
-            let out = cpu::decide(&g, &s, &active);
+        for _ in 0..2 {
+            let out = cpu::decide(&g, &s, &vec![true; g.num_vertices()]);
             let summary = s.apply_moves(&g, &out.next_comm);
             update(WeightUpdateMode::Delta, &g, &mut s, &summary);
-            let mut reference = s.clone();
-            reference.recompute_d_self(&g);
-            assert_eq!(
-                s.d_self, reference.d_self,
-                "divergence at iter {}",
-                s.iteration
-            );
-            if summary.num_moved() == 0 {
-                break;
+        }
+        // Every third vertex joins its first neighbor's community: enough
+        // moves for the parallel path, few enough arcs for the delta path.
+        let mut next = s.comm.clone();
+        for v in (0..g.num_vertices()).step_by(3) {
+            if let Some(&u) = g.neighbor_ids(v as VertexId).first() {
+                next[v] = s.comm[u as usize];
             }
         }
+        let summary = s.apply_moves(&g, &next);
+        assert!(summary.num_moved() >= rayon::min_par_len());
+        let runs: Vec<(Vec<u64>, MemTally)> = [1, 2, 8]
+            .into_iter()
+            .map(|width| {
+                let mut t = s.clone();
+                let tally = rayon::with_parallelism(width, || {
+                    update(WeightUpdateMode::Delta, &g, &mut t, &summary)
+                });
+                (t.d_self.iter().map(|d| d.to_bits()).collect(), tally)
+            })
+            .collect();
+        assert!(runs[0].1.global_atomics > 0, "the delta path did not run");
+        assert_eq!(runs[0], runs[1], "width 2 differs from width 1");
+        assert_eq!(runs[0], runs[2], "width 8 differs from width 1");
     }
 
     #[test]

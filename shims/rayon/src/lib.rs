@@ -2,8 +2,8 @@
 //!
 //! The build container has no access to crates.io, so the workspace vendors
 //! the slice of `rayon` it uses: `par_iter` / `into_par_iter` over slices,
-//! `Vec`s and integer ranges, with `map`, `flat_map_iter`, `filter`,
-//! `fold` + `reduce`, `sum`, `collect`, and `for_each`.
+//! `Vec`s and integer ranges, with `map`, `filter`, `fold` + `reduce`,
+//! `sum`, `collect`, and `for_each`.
 //!
 //! Unlike the original shim — which spawned fresh `std::thread::scope`
 //! threads and deep-copied items into owned `Vec<Vec<T>>` chunks on every
@@ -179,23 +179,6 @@ impl<S: Source> ParIter<S> {
         }
     }
 
-    /// Maps each item to a serial iterator and concatenates the results in
-    /// input order.
-    pub fn flat_map_iter<U, F>(self, f: F) -> ParVec<U::Item>
-    where
-        U: IntoIterator,
-        U::Item: Send,
-        F: Fn(S::Item) -> U + Sync,
-    {
-        let src = self.source;
-        let nested = pool::par_collect_indexed(src.len(), &|i| {
-            f(src.get(i)).into_iter().collect::<Vec<_>>()
-        });
-        ParVec {
-            items: nested.into_iter().flatten().collect(),
-        }
-    }
-
     /// Keeps the items satisfying `pred` (items are computed in parallel,
     /// the filter itself is applied in input order).
     pub fn filter<F>(self, pred: F) -> ParVec<S::Item>
@@ -307,7 +290,7 @@ impl<S: Source> ParIter<S> {
 }
 
 /// An eagerly-evaluated parallel iterator over owned items — the result of
-/// `Vec::into_par_iter`, `flat_map_iter`, `filter`, or `fold`. Owned items
+/// `Vec::into_par_iter`, `filter`, or `fold`. Owned items
 /// cannot be re-produced from a borrowed backing store without forcing
 /// `T: Clone` on callers, and every workspace use sits on a cold path, so
 /// adaptors here run sequentially.
@@ -324,19 +307,6 @@ impl<T: Send> ParVec<T> {
     {
         ParVec {
             items: self.items.into_iter().map(f).collect(),
-        }
-    }
-
-    /// Maps each item to a serial iterator and concatenates the results in
-    /// input order.
-    pub fn flat_map_iter<U, F>(self, f: F) -> ParVec<U::Item>
-    where
-        U: IntoIterator,
-        U::Item: Send,
-        F: Fn(T) -> U + Sync,
-    {
-        ParVec {
-            items: self.items.into_iter().flat_map(f).collect(),
         }
     }
 
@@ -663,24 +633,6 @@ mod tests {
                 .reduce(|| 0u64, |a, b| a + b)
         });
         assert_eq!(total, items.iter().sum::<u64>());
-    }
-
-    #[test]
-    fn flat_map_iter_concatenates_in_order() {
-        let out: Vec<u32> = vec![1u32, 2, 3]
-            .into_par_iter()
-            .flat_map_iter(|x| 0..x)
-            .collect();
-        assert_eq!(out, vec![0, 0, 1, 0, 1, 2]);
-    }
-
-    #[test]
-    fn slice_flat_map_iter_concatenates_in_order() {
-        let input: Vec<u32> = (0..3000).map(|x| x % 4).collect();
-        let par: Vec<u32> =
-            with_parallelism(8, || input.par_iter().flat_map_iter(|&x| 0..x).collect());
-        let seq: Vec<u32> = input.iter().flat_map(|&x| 0..x).collect();
-        assert_eq!(par, seq);
     }
 
     #[test]
