@@ -1,7 +1,7 @@
 //! Out-of-core ingestion bench: streaming spill-and-merge vs in-memory.
 //!
 //! The paper's real inputs (uk-2007-02: 3.4 B edges) never fit the
-//! in-memory `GraphBuilder`, whose transient peak is ~44 bytes per arc.
+//! in-memory `GraphBuilder`, whose transient peak is ~28 bytes per arc.
 //! This binary measures the [`StreamingBuilder`] replacement against it on
 //! restartable [`CommunityStream`] graphs — the same edge sequence is fed
 //! to both builders and the resulting CSRs are asserted **bit-identical**

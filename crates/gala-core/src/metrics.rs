@@ -1,7 +1,6 @@
 //! Partition-quality metrics: NMI (Strehl & Ghosh) and community summaries.
 
 use gala_graph::Partition;
-use std::collections::HashMap;
 
 /// Normalized Mutual Information between two partitions of the same vertex
 /// set, with the geometric-mean normalisation of Strehl & Ghosh (the
@@ -16,21 +15,23 @@ pub fn nmi(a: &Partition, b: &Partition) -> f64 {
     if n == 0 {
         return 1.0;
     }
-    let mut joint: HashMap<(u32, u32), f64> = HashMap::new();
-    let mut ca: HashMap<u32, f64> = HashMap::new();
-    let mut cb: HashMap<u32, f64> = HashMap::new();
-    for v in 0..n {
-        let x = a.community_of(v as u32);
-        let y = b.community_of(v as u32);
-        *joint.entry((x, y)).or_insert(0.0) += 1.0;
-        *ca.entry(x).or_insert(0.0) += 1.0;
-        *cb.entry(y).or_insert(0.0) += 1.0;
-    }
+    // Counts come from sorted runs and every sum runs in ascending label
+    // order, so the result is the same bits on every call.
+    let mut pairs: Vec<(u32, u32)> = a
+        .assignment()
+        .iter()
+        .copied()
+        .zip(b.assignment().iter().copied())
+        .collect();
+    pairs.sort_unstable();
+    let joint = runs(&pairs);
+    let ca = runs(&sorted(a));
+    let cb = runs(&sorted(b));
     let n = n as f64;
-    let h = |counts: &HashMap<u32, f64>| -> f64 {
+    let h = |counts: &[(u32, f64)]| -> f64 {
         counts
-            .values()
-            .map(|&c| {
+            .iter()
+            .map(|&(_, c)| {
                 let p = c / n;
                 -p * p.ln()
             })
@@ -38,11 +39,13 @@ pub fn nmi(a: &Partition, b: &Partition) -> f64 {
     };
     let ha = h(&ca);
     let hb = h(&cb);
+    let count =
+        |counts: &[(u32, f64)], label: u32| counts[counts.partition_point(|&(l, _)| l < label)].1;
     let mut mi = 0.0;
-    for (&(x, y), &c) in &joint {
+    for &((x, y), c) in &joint {
         let pxy = c / n;
-        let px = ca[&x] / n;
-        let py = cb[&y] / n;
+        let px = count(&ca, x) / n;
+        let py = count(&cb, y) / n;
         mi += pxy * (pxy / (px * py)).ln();
     }
     if ha == 0.0 && hb == 0.0 {
@@ -52,6 +55,25 @@ pub fn nmi(a: &Partition, b: &Partition) -> f64 {
         return 0.0;
     }
     (mi / (ha * hb).sqrt()).clamp(0.0, 1.0)
+}
+
+/// A partition's labels in ascending order.
+fn sorted(p: &Partition) -> Vec<u32> {
+    let mut labels = p.assignment().to_vec();
+    labels.sort_unstable();
+    labels
+}
+
+/// Run-length counts `(key, count)` of a sorted slice.
+fn runs<K: Copy + PartialEq>(sorted: &[K]) -> Vec<(K, f64)> {
+    let mut out: Vec<(K, f64)> = Vec::new();
+    for &k in sorted {
+        match out.last_mut() {
+            Some((last, c)) if *last == k => *c += 1.0,
+            _ => out.push((k, 1.0)),
+        }
+    }
+    out
 }
 
 /// Summary of a community assignment.
@@ -107,6 +129,18 @@ mod tests {
         let a = Partition::from_assignment(vec![0, 0, 1, 1, 2, 2]);
         let b = Partition::from_assignment(vec![0, 1, 1, 1, 2, 0]);
         assert!((nmi(&a, &b) - nmi(&b, &a)).abs() < 1e-12);
+    }
+
+    #[test]
+    fn nmi_is_bit_reproducible() {
+        // Thousands of joint cells: a sum in hash order would differ in
+        // the last bits from one call to the next.
+        let a = Partition::from_assignment((0..5000u32).map(|v| v % 97).collect());
+        let b = Partition::from_assignment((0..5000u32).map(|v| (v * 7919) % 131).collect());
+        let first = nmi(&a, &b).to_bits();
+        for _ in 0..8 {
+            assert_eq!(nmi(&a, &b).to_bits(), first);
+        }
     }
 
     #[test]

@@ -142,8 +142,10 @@ impl GraphBuilder {
     /// Finalises the builder into a CSR [`Graph`], merging duplicates.
     ///
     /// Arcs are counting-sorted by source using the offsets histogram — no
-    /// global comparison sort — so only each row's targets are sorted, at
-    /// `Σ d(v) log d(v)` instead of `m log m` total.
+    /// global comparison sort — straight into the output arrays. A row
+    /// that arrives strictly sorted (the common case for edge lists that
+    /// are themselves sorted) is left as it is; only the other rows are
+    /// sorted by target, at `Σ d(v) log d(v)` instead of `m log m` total.
     ///
     /// Duplicate `(u, v)` arcs are summed **in insertion order** (the
     /// counting sort is stable and the per-row sort is stable), which
@@ -153,8 +155,8 @@ impl GraphBuilder {
     pub fn build(self) -> Graph {
         let n = self.num_vertices;
         let mut arcs = self.arcs;
-        // Unused growth slack is returned before the second arc-sized
-        // buffer below is allocated, trimming the build's transient peak.
+        // Unused growth slack is returned before the output arrays below
+        // are allocated, trimming the build's transient peak.
         arcs.shrink_to_fit();
         build_from_arcs(n, arcs)
     }
@@ -166,6 +168,12 @@ impl GraphBuilder {
 /// doubled weight). Stable counting sort by source + stable per-row sort by
 /// target — the same total order as a stable global `(u, v)` sort, so both
 /// callers produce bit-identical graphs.
+///
+/// The scatter writes straight into the final `targets`/`weights`, and
+/// the arc list is freed once scattered, so the peak is the arc list plus
+/// the output. Rows with duplicates or out-of-order targets are sorted
+/// and merged through a row-sized scratch buffer and compacted leftwards
+/// in place, over the slots their merged duplicates freed.
 pub(crate) fn build_from_arcs(n: usize, arcs: Vec<(VertexId, VertexId, f64)>) -> Graph {
     // Counting sort by source: histogram, prefix sum, scatter.
     let mut offsets = vec![0usize; n + 1];
@@ -175,47 +183,67 @@ pub(crate) fn build_from_arcs(n: usize, arcs: Vec<(VertexId, VertexId, f64)>) ->
     for i in 0..n {
         offsets[i + 1] += offsets[i];
     }
+    let mut targets: Vec<VertexId> = vec![0; arcs.len()];
+    let mut weights: Vec<f64> = vec![0.0; arcs.len()];
     let mut cursor: Vec<usize> = offsets[..n].to_vec();
-    let mut binned: Vec<(VertexId, f64)> = vec![(0, 0.0); arcs.len()];
     for (u, v, w) in arcs {
         let slot = &mut cursor[u as usize];
-        binned[*slot] = (v, w);
+        targets[*slot] = v;
+        weights[*slot] = w;
         *slot += 1;
     }
     drop(cursor);
-    // Sort each row by target and merge its duplicates in place,
-    // recording merged row lengths for an exactly-sized output.
-    let mut merged_offsets = Vec::with_capacity(n + 1);
-    merged_offsets.push(0usize);
-    let mut row_lens = Vec::with_capacity(n);
-    let mut total = 0usize;
+    // Rewrite each row in place: `lo..hi` is its scattered range, `out`
+    // the compacted write position (never past `lo`).
+    let mut row: Vec<(VertexId, f64)> = Vec::new();
+    let mut out = 0usize;
+    let mut lo = 0usize;
     for r in 0..n {
-        let row = &mut binned[offsets[r]..offsets[r + 1]];
-        // Stable: equal targets keep insertion order, so the merge
-        // below sums duplicate weights left-to-right as inserted.
-        row.sort_by_key(|&(v, _)| v);
-        let mut len = 0usize;
-        for i in 0..row.len() {
-            if len > 0 && row[len - 1].0 == row[i].0 {
-                row[len - 1].1 += row[i].1;
-            } else {
-                row[len] = row[i];
-                len += 1;
+        let hi = offsets[r + 1];
+        offsets[r] = out;
+        if targets[lo..hi].windows(2).all(|p| p[0] < p[1]) {
+            if out != lo {
+                targets.copy_within(lo..hi, out);
+                weights.copy_within(lo..hi, out);
+            }
+            out += hi - lo;
+        } else {
+            row.clear();
+            row.extend(
+                targets[lo..hi]
+                    .iter()
+                    .copied()
+                    .zip(weights[lo..hi].iter().copied()),
+            );
+            // Stable: equal targets keep insertion order, so the merge
+            // below sums duplicate weights left-to-right as inserted.
+            row.sort_by_key(|&(v, _)| v);
+            for &(v, w) in &row {
+                if out > offsets[r] && targets[out - 1] == v {
+                    weights[out - 1] += w;
+                } else {
+                    targets[out] = v;
+                    weights[out] = w;
+                    out += 1;
+                }
             }
         }
-        row_lens.push(len);
-        total += len;
-        merged_offsets.push(total);
+        lo = hi;
     }
-    let mut targets = Vec::with_capacity(total);
-    let mut weights = Vec::with_capacity(total);
-    for r in 0..n {
-        for &(v, w) in &binned[offsets[r]..offsets[r] + row_lens[r]] {
-            targets.push(v);
-            weights.push(w);
-        }
+    offsets[n] = out;
+    targets.truncate(out);
+    weights.truncate(out);
+    shrink_if_material(&mut targets, &mut weights);
+    Graph::from_csr(offsets, targets, weights)
+}
+
+/// Returns the merged-duplicate slack of freshly built CSR arrays when it
+/// is material; a shrink of a few percent is not worth the realloc.
+pub(crate) fn shrink_if_material(targets: &mut Vec<VertexId>, weights: &mut Vec<f64>) {
+    if targets.len() < targets.capacity() / 16 * 15 {
+        targets.shrink_to_fit();
+        weights.shrink_to_fit();
     }
-    Graph::from_csr(merged_offsets, targets, weights)
 }
 
 impl EdgeSink for GraphBuilder {
@@ -231,6 +259,101 @@ impl EdgeSink for GraphBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The back half `build_from_arcs` had before it scattered straight
+    /// into the output: counting sort through an intermediate
+    /// `(target, weight)` buffer, a stable sort and merge of every row,
+    /// then a copy into exactly-sized arrays. Kept as the bit-identity
+    /// reference.
+    fn reference_build(n: usize, arcs: Vec<(VertexId, VertexId, f64)>) -> Graph {
+        let mut offsets = vec![0usize; n + 1];
+        for &(u, _, _) in &arcs {
+            offsets[u as usize + 1] += 1;
+        }
+        for i in 0..n {
+            offsets[i + 1] += offsets[i];
+        }
+        let mut cursor: Vec<usize> = offsets[..n].to_vec();
+        let mut binned: Vec<(VertexId, f64)> = vec![(0, 0.0); arcs.len()];
+        for (u, v, w) in arcs {
+            let slot = &mut cursor[u as usize];
+            binned[*slot] = (v, w);
+            *slot += 1;
+        }
+        let mut merged_offsets = vec![0usize];
+        let mut row_lens = Vec::with_capacity(n);
+        let mut total = 0usize;
+        for r in 0..n {
+            let row = &mut binned[offsets[r]..offsets[r + 1]];
+            row.sort_by_key(|&(v, _)| v);
+            let mut len = 0usize;
+            for i in 0..row.len() {
+                if len > 0 && row[len - 1].0 == row[i].0 {
+                    row[len - 1].1 += row[i].1;
+                } else {
+                    row[len] = row[i];
+                    len += 1;
+                }
+            }
+            row_lens.push(len);
+            total += len;
+            merged_offsets.push(total);
+        }
+        let mut targets = Vec::with_capacity(total);
+        let mut weights = Vec::with_capacity(total);
+        for r in 0..n {
+            for &(v, w) in &binned[offsets[r]..offsets[r] + row_lens[r]] {
+                targets.push(v);
+                weights.push(w);
+            }
+        }
+        Graph::from_csr(merged_offsets, targets, weights)
+    }
+
+    fn assert_bit_identical(a: &Graph, b: &Graph) {
+        assert_eq!(a.offsets(), b.offsets());
+        assert_eq!(a.targets(), b.targets());
+        let wa: Vec<u64> = a.weights().iter().map(|w| w.to_bits()).collect();
+        let wb: Vec<u64> = b.weights().iter().map(|w| w.to_bits()).collect();
+        assert_eq!(wa, wb);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The in-place build is bit-identical to the reference on edge
+        /// multisets with duplicates, self-loops and inexact weights, fed
+        /// in random order (0), sorted so that every row arrives strictly
+        /// sorted and stays in place (1), in reverse sorted order (2), or
+        /// sorted with some edges repeated at the end (3).
+        #[test]
+        fn build_matches_reference(
+            n in 1u32..16,
+            raw in proptest::collection::vec((0u32..16, 0u32..16, 1u32..100), 0..80),
+            order in 0usize..4,
+        ) {
+            let mut edges: Vec<(u32, u32, f64)> = raw
+                .iter()
+                .map(|&(u, v, w)| (u % n, v % n, w as f64 * 0.1))
+                .collect();
+            if order > 0 {
+                edges.sort_by_key(|&(u, v, _)| (u.min(v), u.max(v)));
+                edges.dedup_by_key(|e| (e.0.min(e.1), e.0.max(e.1)));
+            }
+            if order == 2 {
+                edges.reverse();
+            }
+            if order == 3 {
+                let again: Vec<_> = edges.iter().step_by(3).copied().collect();
+                edges.extend(again);
+            }
+            let mut b = GraphBuilder::new(n as usize);
+            b.extend_edges(edges);
+            let expect = reference_build(n as usize, b.arcs.clone());
+            assert_bit_identical(&b.build(), &expect);
+        }
+    }
 
     #[test]
     fn merges_duplicate_edges() {

@@ -34,65 +34,35 @@ pub struct Graph {
 }
 
 impl Graph {
-    /// Builds a graph from raw CSR arrays.
+    /// Builds a graph from raw CSR arrays, auditing them in `O(n + m)`.
     ///
     /// # Panics
     ///
-    /// Panics if the arrays are inconsistent (wrong lengths, out-of-range
-    /// targets, unsorted adjacency, or asymmetric edges). Use
-    /// [`crate::builder::GraphBuilder`] for forgiving construction.
+    /// Panics if the arrays are inconsistent (wrong lengths, decreasing
+    /// offsets, unsorted adjacency, out-of-range targets, or an arc
+    /// without a reverse arc of equal weight, within `1e-9·max(|w|, 1)`).
+    /// Use [`crate::builder::GraphBuilder`] for forgiving construction.
     pub fn from_csr(offsets: Vec<usize>, targets: Vec<VertexId>, weights: Vec<f64>) -> Self {
-        assert!(!offsets.is_empty(), "offsets must have length n + 1");
-        let n = offsets.len() - 1;
-        assert_eq!(offsets[0], 0, "offsets[0] must be 0");
-        assert_eq!(
-            *offsets.last().unwrap(),
-            targets.len(),
-            "offsets must end at targets.len()"
-        );
-        assert_eq!(
-            targets.len(),
-            weights.len(),
-            "targets/weights length mismatch"
-        );
-        for v in 0..n {
-            assert!(
-                offsets[v] <= offsets[v + 1],
-                "offsets must be nondecreasing"
-            );
-            let adj = &targets[offsets[v]..offsets[v + 1]];
-            for pair in adj.windows(2) {
-                assert!(
-                    pair[0] < pair[1],
-                    "adjacency of {v} must be strictly sorted"
-                );
-            }
-            for &u in adj {
-                assert!((u as usize) < n, "target {u} out of range (n = {n})");
-            }
-        }
-        let mut degree_w = vec![0.0f64; n];
-        for v in 0..n {
-            degree_w[v] = weights[offsets[v]..offsets[v + 1]].iter().sum();
-        }
-        let graph = Self {
-            total_weight: degree_w.iter().sum(),
-            offsets,
-            targets,
-            weights,
-            degree_w,
-        };
-        graph.assert_symmetric();
-        graph
+        Self::try_from_csr(offsets, targets, weights).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`Self::from_csr`] with the audit's verdict as a `Result`, so
+    /// loaders can turn corrupt input into a typed error.
+    pub(crate) fn try_from_csr(
+        offsets: Vec<usize>,
+        targets: Vec<VertexId>,
+        weights: Vec<f64>,
+    ) -> Result<Self, String> {
+        audit_csr(&offsets, &targets, &weights)?;
+        Ok(Self::from_csr_trusted(offsets, targets, weights))
     }
 
     /// Builds a graph from CSR arrays that are already known to be valid
-    /// — i.e. produced by this crate and round-tripped through a
-    /// checksummed container ([`crate::io`] v2) or an exact permutation
-    /// ([`crate::reorder::apply`]). Skips the `O(m log d)` symmetry and
-    /// sortedness audit of [`Self::from_csr`], which dominates load time
-    /// for multi-hundred-million-arc graphs; structural invariants are
-    /// still `debug_assert`ed.
+    /// — i.e. round-tripped through a checksummed container
+    /// ([`crate::io`] v2) or an exact permutation
+    /// ([`crate::reorder::apply`]). Skips the structural and symmetry
+    /// audit of [`Self::from_csr`]; the invariants are still
+    /// `debug_assert`ed.
     pub(crate) fn from_csr_trusted(
         offsets: Vec<usize>,
         targets: Vec<VertexId>,
@@ -114,23 +84,6 @@ impl Graph {
             targets,
             weights,
             degree_w,
-        }
-    }
-
-    fn assert_symmetric(&self) {
-        for v in 0..self.num_vertices() as VertexId {
-            for (u, w) in self.neighbors(v) {
-                if u == v {
-                    continue;
-                }
-                let back = self
-                    .edge_weight(u, v)
-                    .unwrap_or_else(|| panic!("edge ({v},{u}) has no reverse edge"));
-                assert!(
-                    (back - w).abs() <= 1e-9 * w.abs().max(1.0),
-                    "edge ({v},{u}) weight {w} != reverse weight {back}"
-                );
-            }
         }
     }
 
@@ -253,6 +206,86 @@ impl Graph {
     }
 }
 
+/// The audit behind [`Graph::from_csr`], in `O(n + m)`.
+///
+/// A first pass checks the lengths, monotone offsets, strictly sorted
+/// rows and in-range targets. The symmetry pass then keeps one cursor per
+/// row: rows are visited in ascending order, so the arcs `(v, u)` with
+/// `v < u` reach row `u` in ascending `v`, and `cursor[u]` walks row `u`'s
+/// entries below `u` exactly once, matching each to its reverse arc. When
+/// row `v` itself comes up, its cursor must already have passed every
+/// entry below `v`. Each pair's weights are compared once, against the
+/// stricter of the two directions' tolerances `1e-9·max(|w|, 1)`, so the
+/// audit accepts exactly the arrays a per-arc reverse lookup accepts.
+fn audit_csr(offsets: &[usize], targets: &[VertexId], weights: &[f64]) -> Result<(), String> {
+    let Some(n) = offsets.len().checked_sub(1) else {
+        return Err("offsets must have length n + 1".into());
+    };
+    if offsets[0] != 0 {
+        return Err(format!("offsets[0] must be 0, got {}", offsets[0]));
+    }
+    if offsets[n] != targets.len() {
+        return Err(format!(
+            "offsets must end at targets.len() ({} != {})",
+            offsets[n],
+            targets.len()
+        ));
+    }
+    if targets.len() != weights.len() {
+        return Err(format!(
+            "targets/weights length mismatch ({} != {})",
+            targets.len(),
+            weights.len()
+        ));
+    }
+    for v in 0..n {
+        let (lo, hi) = (offsets[v], offsets[v + 1]);
+        if lo > hi || hi > targets.len() {
+            return Err("offsets must be nondecreasing".into());
+        }
+        let adj = &targets[lo..hi];
+        if adj.windows(2).any(|pair| pair[0] >= pair[1]) {
+            return Err(format!("adjacency of {v} must be strictly sorted"));
+        }
+        // Sorted, so the last target is the largest.
+        if let Some(&u) = adj.last().filter(|&&u| u as usize >= n) {
+            return Err(format!("target {u} out of range (n = {n})"));
+        }
+    }
+    let mut cursor: Vec<usize> = offsets[..n].to_vec();
+    for v in 0..n {
+        let hi = offsets[v + 1];
+        let mut i = cursor[v];
+        if i < hi && (targets[i] as usize) < v {
+            return Err(format!("edge ({v},{}) has no reverse edge", targets[i]));
+        }
+        if i < hi && targets[i] as usize == v {
+            i += 1; // the self-loop is its own reverse
+        }
+        for j in i..hi {
+            let u = targets[j] as usize;
+            let c = cursor[u];
+            if c == offsets[u + 1] || targets[c] as usize > v {
+                return Err(format!("edge ({v},{u}) has no reverse edge"));
+            }
+            if (targets[c] as usize) < v {
+                return Err(format!("edge ({u},{}) has no reverse edge", targets[c]));
+            }
+            let (w, back) = (weights[j], weights[c]);
+            let tol = 1e-9 * w.abs().max(1.0).min(back.abs().max(1.0));
+            // Phrased so that a NaN difference is rejected.
+            let within = (back - w).abs() <= tol;
+            if !within {
+                return Err(format!(
+                    "edge ({v},{u}) weight {w} != reverse weight {back}"
+                ));
+            }
+            cursor[u] = c + 1;
+        }
+    }
+    Ok(())
+}
+
 impl fmt::Debug for Graph {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Graph")
@@ -268,8 +301,8 @@ impl fmt::Debug for Graph {
 ///
 /// The workspace forbids `unsafe`, so there is no true `mmap(2)` here:
 /// the sections are streamed from disk into exactly-sized buffers and the
-/// container checksum replaces the `O(m log d)` structural audit that
-/// the owned path pays in [`Graph::from_csr`]. The type keeps the same
+/// container checksum replaces the `O(n + m)` structural audit that the
+/// owned path pays in [`Graph::from_csr`]. The type keeps the same
 /// seam a real mapping would use — drivers see `&Graph`, the store knows
 /// where the bytes came from — so swapping in OS mapping later only
 /// touches [`crate::io`].
@@ -360,6 +393,230 @@ impl std::ops::Deref for GraphStore {
 mod tests {
     use super::*;
     use crate::builder::GraphBuilder;
+    use proptest::prelude::*;
+
+    /// The audit `from_csr` ran before the cursor pass: the same
+    /// structural checks, then one reverse binary search per arc,
+    /// `O(m log d)`. Kept as the reference the cursor pass must agree with.
+    fn reference_accepts(offsets: &[usize], targets: &[VertexId], weights: &[f64]) -> bool {
+        let Some(n) = offsets.len().checked_sub(1) else {
+            return false;
+        };
+        if offsets[0] != 0 || offsets[n] != targets.len() || targets.len() != weights.len() {
+            return false;
+        }
+        for v in 0..n {
+            if offsets[v] > offsets[v + 1] || offsets[v + 1] > targets.len() {
+                return false;
+            }
+            let adj = &targets[offsets[v]..offsets[v + 1]];
+            if adj.windows(2).any(|p| p[0] >= p[1]) || adj.iter().any(|&u| u as usize >= n) {
+                return false;
+            }
+        }
+        let row = |v: usize| offsets[v]..offsets[v + 1];
+        for v in 0..n {
+            for j in row(v) {
+                let (u, w) = (targets[j] as usize, weights[j]);
+                if u == v {
+                    continue;
+                }
+                let Ok(k) = targets[row(u)].binary_search(&(v as VertexId)) else {
+                    return false;
+                };
+                let back = weights[offsets[u] + k];
+                let within = (back - w).abs() <= 1e-9 * w.abs().max(1.0);
+                if !within {
+                    return false;
+                }
+            }
+        }
+        true
+    }
+
+    /// Weights that exercise the tolerance: inexact decimals, zero, large
+    /// magnitudes (relative tolerance) and values below 1 (absolute).
+    const WEIGHTS: [f64; 6] = [0.1, 0.3, 1.0, 2.5, 0.0, 1e10];
+
+    /// Multiples of a weight's tolerance `1e-9·max(|w|, 1)` to nudge it by:
+    /// inside, at and across the bound, plus non-finite replacements.
+    const NUDGES: [f64; 8] = [0.5, 0.999, 1.0, 1.001, 2.0, -1.5, f64::NAN, f64::INFINITY];
+
+    /// A valid CSR from a random edge multiset (duplicates merged,
+    /// self-loops kept), as raw arrays.
+    fn random_csr(n: u32, edges: &[(u32, u32, usize)]) -> (Vec<usize>, Vec<VertexId>, Vec<f64>) {
+        let mut b = GraphBuilder::new(n as usize);
+        for &(u, v, w) in edges {
+            b.add_edge(u, v, WEIGHTS[w % WEIGHTS.len()]);
+        }
+        b.build().into_csr()
+    }
+
+    /// Inserts arc `(v, u, w)` at position `at` of row `v`.
+    fn insert_arc(
+        csr: &mut (Vec<usize>, Vec<VertexId>, Vec<f64>),
+        v: usize,
+        at: usize,
+        u: VertexId,
+        w: f64,
+    ) {
+        let (offsets, targets, weights) = csr;
+        targets.insert(at, u);
+        weights.insert(at, w);
+        offsets[v + 1..].iter_mut().for_each(|o| *o += 1);
+    }
+
+    /// Applies perturbation `kind` (0 = none) to a valid CSR. `pick` and
+    /// `nudge` choose where and how much.
+    fn perturb(
+        csr: &mut (Vec<usize>, Vec<VertexId>, Vec<f64>),
+        kind: usize,
+        pick: u64,
+        nudge: usize,
+    ) {
+        let n = csr.0.len() - 1;
+        let m = csr.1.len();
+        let row_of = |offsets: &[usize], i: usize| offsets.partition_point(|&o| o <= i) - 1;
+        match kind {
+            // Drop one arc.
+            1 if m > 0 => {
+                let i = pick as usize % m;
+                let v = row_of(&csr.0, i);
+                csr.1.remove(i);
+                csr.2.remove(i);
+                csr.0[v + 1..].iter_mut().for_each(|o| *o -= 1);
+            }
+            // Nudge one weight by a multiple of its tolerance, or replace
+            // it with a non-finite value.
+            2 if m > 0 => {
+                let i = pick as usize % m;
+                let w = csr.2[i];
+                let f = NUDGES[nudge % NUDGES.len()];
+                csr.2[i] = if f.is_finite() {
+                    w + f * 1e-9 * w.abs().max(1.0)
+                } else {
+                    f
+                };
+            }
+            // Append an out-of-range target to a row (keeps it sorted).
+            3 => {
+                let v = pick as usize % n;
+                let at = csr.0[v + 1];
+                insert_arc(csr, v, at, n as VertexId, 1.0);
+            }
+            // Unsort a row by swapping its first two entries.
+            4 => {
+                if let Some(v) = (0..n).find(|&v| csr.0[v + 1] - csr.0[v] >= 2) {
+                    let i = csr.0[v];
+                    csr.1.swap(i, i + 1);
+                    csr.2.swap(i, i + 1);
+                }
+            }
+            // Add one arc without its reverse, keeping the row sorted.
+            5 => {
+                let v = pick as usize % n;
+                let u = ((pick >> 32) as usize % n) as VertexId;
+                let row = &csr.1[csr.0[v]..csr.0[v + 1]];
+                if let Err(k) = row.binary_search(&u) {
+                    let at = csr.0[v] + k;
+                    insert_arc(csr, v, at, u, 1.0);
+                }
+            }
+            // Retarget one arc (may also unsort its row).
+            6 if m > 0 => {
+                let i = pick as usize % m;
+                csr.1[i] = ((pick >> 32) as usize % n) as VertexId;
+            }
+            // Shift one inner offset.
+            7 if n > 1 => {
+                let k = 1 + pick as usize % (n - 1);
+                csr.0[k] += 1;
+            }
+            _ => {}
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The cursor audit accepts exactly what the reverse-lookup
+        /// reference accepts, on valid CSRs and single perturbations.
+        #[test]
+        fn audit_matches_reference(
+            n in 1u32..12,
+            edges in proptest::collection::vec((0u32..12, 0u32..12, 0usize..6), 0..40),
+            kind in 0usize..8,
+            pick in any::<u64>(),
+            nudge in 0usize..8,
+        ) {
+            let edges: Vec<_> = edges.into_iter().map(|(u, v, w)| (u % n, v % n, w)).collect();
+            let mut csr = random_csr(n, &edges);
+            prop_assert!(audit_csr(&csr.0, &csr.1, &csr.2).is_ok());
+            perturb(&mut csr, kind, pick, nudge);
+            let (offsets, targets, weights) = &csr;
+            prop_assert_eq!(
+                audit_csr(offsets, targets, weights).is_ok(),
+                reference_accepts(offsets, targets, weights),
+                "kind {} on {:?}", kind, csr
+            );
+        }
+    }
+
+    #[test]
+    fn every_perturbation_kind_is_caught() {
+        // Path 0-1-2 with a self-loop on 1: each perturbation below breaks
+        // it, and both audits must say so.
+        let base = || {
+            (
+                vec![0, 1, 4, 5],
+                vec![1, 0, 1, 2, 1],
+                vec![1.0, 1.0, 2.0, 1.0, 1.0],
+            )
+        };
+        for (kind, pick, nudge) in [
+            (1, 0, 0),
+            (2, 0, 4),
+            (2, 0, 6),
+            (3, 0, 0),
+            (4, 0, 0),
+            (5, 2, 0),
+            (7, 0, 0),
+        ] {
+            let mut csr = base();
+            perturb(&mut csr, kind, pick, nudge);
+            let (o, t, w) = &csr;
+            assert!(audit_csr(o, t, w).is_err(), "kind {kind}: {csr:?}");
+            assert!(!reference_accepts(o, t, w), "kind {kind}: {csr:?}");
+        }
+    }
+
+    #[test]
+    fn missing_reverse_names_the_arc() {
+        // Arc (2,0) has no reverse; (0,1)/(1,0) is a proper pair.
+        let err = audit_csr(&[0, 1, 2, 3], &[1, 0, 0], &[1.0; 3]).unwrap_err();
+        assert_eq!(err, "edge (2,0) has no reverse edge");
+        // Arc (1,0) has no reverse, and row 2's visit finds it first.
+        let err = audit_csr(&[0, 1, 3, 4], &[2, 0, 2, 0], &[1.0; 4]).unwrap_err();
+        assert_eq!(err, "edge (1,0) has no reverse edge");
+        // Arc (0,2) has no reverse.
+        let err = audit_csr(&[0, 1, 1, 1], &[2], &[1.0]).unwrap_err();
+        assert_eq!(err, "edge (0,2) has no reverse edge");
+    }
+
+    #[test]
+    fn tolerance_is_the_stricter_direction() {
+        // |a - b| is within 1e-9·max(|b|, 1) but not within 1e-9·max(|a|, 1):
+        // the pair is rejected, as the per-arc reference rejects it.
+        let a = 1.074f64;
+        let b = 1.074000001074;
+        let csr = (vec![0, 1, 2], vec![1, 0], vec![a, b]);
+        assert!((b - a).abs() > 1e-9 * a.abs().max(1.0));
+        assert!((b - a).abs() <= 1e-9 * b.abs().max(1.0));
+        assert!(audit_csr(&csr.0, &csr.1, &csr.2).is_err());
+        assert!(!reference_accepts(&csr.0, &csr.1, &csr.2));
+        let swapped = (vec![0, 1, 2], vec![1, 0], vec![b, a]);
+        assert!(audit_csr(&swapped.0, &swapped.1, &swapped.2).is_err());
+    }
 
     fn triangle() -> Graph {
         let mut b = GraphBuilder::new(3);

@@ -4,10 +4,14 @@
 //! one `u v [w]` triple per line, `#` or `%` comment lines ignored, weight
 //! defaulting to 1. Directed inputs are symmetrised by the builder (the
 //! paper converts directed graphs such as TW and EW to undirected ones).
-//! Parsing is byte-level over a single reused line buffer — no per-edge
-//! `String` or `Vec` allocations — and generic over [`EdgeSink`], so the
-//! same parser feeds the in-memory [`GraphBuilder`] and the out-of-core
-//! [`crate::stream::StreamingBuilder`].
+//! Parsing is byte-level and runs in place in the reader's buffer: plain
+//! `u v [w]` lines take a single-scan fast path, every other line the
+//! general tokenizer, and only a line split across two buffer refills is
+//! copied. Nothing is allocated per edge. The parser is generic over
+//! [`EdgeSink`], so it feeds the in-memory [`GraphBuilder`] and the
+//! out-of-core [`crate::stream::StreamingBuilder`] alike. Weights must be
+//! finite and `>= 0`; anything else is an `InvalidData` error naming the
+//! line, as is every malformed line.
 //!
 //! ## Binary containers
 //!
@@ -19,7 +23,7 @@
 //!   aligned section positions and an FNV-1a checksum over the section
 //!   bytes. [`save_binary`] streams it without materialising the
 //!   container in memory; [`load_binary_mapped`] uses the checksum in
-//!   place of the `O(m log d)` structural audit and decodes through the
+//!   place of the `O(n + m)` structural audit and decodes through the
 //!   trusted CSR constructor into a [`MappedGraph`]. The workspace
 //!   forbids `unsafe`, so the "mapping" is emulated — sections are
 //!   streamed into exactly-sized buffers — but the header layout is
@@ -40,7 +44,6 @@
 
 use crate::builder::{EdgeSink, GraphBuilder};
 use crate::csr::{Graph, GraphStore, MappedGraph, VertexId};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::fs::File;
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::Path;
@@ -105,65 +108,175 @@ fn parse_vertex(tok: &[u8], lineno: usize, what: &str) -> io::Result<VertexId> {
     Ok(val as VertexId)
 }
 
+/// Parses an edge weight: any `f64` literal that is finite and `>= 0`,
+/// the weights [`EdgeSink::add_edge`] accepts.
 fn parse_weight(tok: &[u8], lineno: usize) -> io::Result<f64> {
     std::str::from_utf8(tok)
         .ok()
         .and_then(|s| s.parse::<f64>().ok())
+        .filter(|w| w.is_finite() && *w >= 0.0)
         .ok_or_else(|| {
             bad_data(format!(
-                "line {lineno}: invalid weight '{}'",
+                "line {lineno}: invalid weight '{}' (must be a finite number >= 0)",
                 String::from_utf8_lossy(tok)
             ))
         })
 }
 
+/// Parses one complete line (its `\n` included, when it has one) with the
+/// general tokenizer: comments, the `#vertices` directive, any ASCII
+/// whitespace, decimal weights, trailing tokens, and every error.
+fn parse_line<S: EdgeSink>(line: &[u8], lineno: usize, sink: &mut S) -> io::Result<()> {
+    let mut pos = 0usize;
+    let Some(first) = next_token(line, &mut pos) else {
+        return Ok(()); // blank line
+    };
+    if first[0] == b'#' || first[0] == b'%' {
+        // Honor our own writer's vertex-count directive so isolated
+        // trailing vertices survive a round-trip.
+        if first == b"#vertices" {
+            if let Some(tok) = next_token(line, &mut pos) {
+                if let Ok(n) = std::str::from_utf8(tok).unwrap_or("").parse::<usize>() {
+                    sink.reserve_vertices(n);
+                }
+            }
+        }
+        return Ok(());
+    }
+    let u = parse_vertex(first, lineno, "source")?;
+    let v = match next_token(line, &mut pos) {
+        Some(tok) => parse_vertex(tok, lineno, "target")?,
+        None => return Err(bad_data(format!("line {lineno}: missing target"))),
+    };
+    let w = match next_token(line, &mut pos) {
+        Some(tok) => parse_weight(tok, lineno)?,
+        None => 1.0,
+    };
+    sink.add_edge(u, v, w);
+    Ok(())
+}
+
+/// Ids of at most this many digits always fit a [`VertexId`].
+const FAST_ID_DIGITS: usize = 9;
+
+/// Integer weights of at most this many digits are exact in an `f64`
+/// (`10^15 < 2^53`).
+const FAST_WEIGHT_DIGITS: usize = 15;
+
+/// Reads up to `max` ASCII digits at `*pos`; `None` if there are none.
+/// A longer run leaves a digit at `*pos`, which the caller's delimiter
+/// check then rejects.
+#[inline]
+fn fast_digits(buf: &[u8], pos: &mut usize, max: usize) -> Option<u64> {
+    let start = *pos;
+    let mut val = 0u64;
+    while *pos - start < max {
+        match buf.get(*pos) {
+            Some(&b) if b.is_ascii_digit() => val = val * 10 + (b - b'0') as u64,
+            _ => break,
+        }
+        *pos += 1;
+    }
+    (*pos > start).then_some(val)
+}
+
+/// Skips spaces at `*pos`, returning how many there were.
+#[inline]
+fn skip_spaces(buf: &[u8], pos: &mut usize) -> usize {
+    let start = *pos;
+    while buf.get(*pos) == Some(&b' ') {
+        *pos += 1;
+    }
+    *pos - start
+}
+
+/// The fast path for the common line shape
+/// `digits ' '+ digits (' '+ digits)? ' '* '\n'`, with ids of at most
+/// [`FAST_ID_DIGITS`] digits and an integer weight of at most
+/// [`FAST_WEIGHT_DIGITS`]: both convert exactly, so the edge equals what
+/// [`parse_line`] makes of the same line. Returns the edge and the line's
+/// length including its `\n`, or `None` for any other line (or one cut
+/// off by the end of `buf`).
+#[inline]
+fn fast_line(buf: &[u8]) -> Option<(VertexId, VertexId, f64, usize)> {
+    let mut pos = 0usize;
+    let u = fast_digits(buf, &mut pos, FAST_ID_DIGITS)?;
+    if skip_spaces(buf, &mut pos) == 0 {
+        return None;
+    }
+    let v = fast_digits(buf, &mut pos, FAST_ID_DIGITS)?;
+    let mut w = 1.0;
+    if skip_spaces(buf, &mut pos) > 0 && buf.get(pos).is_some_and(u8::is_ascii_digit) {
+        w = fast_digits(buf, &mut pos, FAST_WEIGHT_DIGITS)? as f64;
+        skip_spaces(buf, &mut pos);
+    }
+    (buf.get(pos) == Some(&b'\n')).then_some((u as VertexId, v as VertexId, w, pos + 1))
+}
+
 /// Parses an edge-list from a reader into any [`EdgeSink`]. Lines starting
 /// with `#` or `%` are comments; each data line is `u v` or `u v w`
-/// (weight defaults to 1; extra trailing tokens are ignored). The
-/// `#vertices N` directive written by [`write_edge_list`] reserves
-/// isolated trailing vertices. Malformed lines are reported with their
-/// 1-based line number.
+/// (weight defaults to 1 and must be finite and `>= 0`; extra trailing
+/// tokens are ignored). The `#vertices N` directive written by
+/// [`write_edge_list`] reserves isolated trailing vertices. Malformed
+/// lines are reported with their 1-based line number.
 ///
-/// One line buffer is reused for the whole stream: parsing allocates
-/// nothing per edge.
+/// Complete lines are parsed in place in the reader's buffer
+/// (`fill_buf`/`consume`); only a line that straddles a refill is copied,
+/// into one reused carry buffer. Plain `u v [w]` lines with short integer
+/// tokens take a single-scan fast path; every other line goes through
+/// the general tokenizer, which produces the same edges. Parsing
+/// allocates nothing per edge.
 pub fn parse_edge_list_into<R: BufRead, S: EdgeSink>(
     mut reader: R,
     sink: &mut S,
 ) -> io::Result<()> {
-    let mut line: Vec<u8> = Vec::with_capacity(256);
+    let mut carry: Vec<u8> = Vec::new();
     let mut lineno = 0usize;
     loop {
-        line.clear();
-        if reader.read_until(b'\n', &mut line)? == 0 {
+        let buf = match reader.fill_buf() {
+            Ok(buf) => buf,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        let len = buf.len();
+        if len == 0 {
+            // End of input: the carry holds a last line without a newline.
+            if !carry.is_empty() {
+                parse_line(&carry, lineno + 1, sink)?;
+            }
             return Ok(());
         }
-        lineno += 1;
         let mut pos = 0usize;
-        let Some(first) = next_token(&line, &mut pos) else {
-            continue; // blank line
-        };
-        if first[0] == b'#' || first[0] == b'%' {
-            // Honor our own writer's vertex-count directive so isolated
-            // trailing vertices survive a round-trip.
-            if first == b"#vertices" {
-                if let Some(tok) = next_token(&line, &mut pos) {
-                    if let Ok(n) = std::str::from_utf8(tok).unwrap_or("").parse::<usize>() {
-                        sink.reserve_vertices(n);
-                    }
-                }
-            }
-            continue;
+        if !carry.is_empty() {
+            // Finish the line that straddled the previous refill.
+            let Some(nl) = buf.iter().position(|&b| b == b'\n') else {
+                carry.extend_from_slice(buf);
+                reader.consume(len);
+                continue;
+            };
+            carry.extend_from_slice(&buf[..=nl]);
+            lineno += 1;
+            parse_line(&carry, lineno, sink)?;
+            carry.clear();
+            pos = nl + 1;
         }
-        let u = parse_vertex(first, lineno, "source")?;
-        let v = match next_token(&line, &mut pos) {
-            Some(tok) => parse_vertex(tok, lineno, "target")?,
-            None => return Err(bad_data(format!("line {lineno}: missing target"))),
-        };
-        let w = match next_token(&line, &mut pos) {
-            Some(tok) => parse_weight(tok, lineno)?,
-            None => 1.0,
-        };
-        sink.add_edge(u, v, w);
+        while pos < len {
+            let rest = &buf[pos..];
+            if let Some((u, v, w, line_len)) = fast_line(rest) {
+                lineno += 1;
+                sink.add_edge(u, v, w);
+                pos += line_len;
+                continue;
+            }
+            let Some(nl) = rest.iter().position(|&b| b == b'\n') else {
+                carry.extend_from_slice(rest);
+                break;
+            };
+            lineno += 1;
+            parse_line(&rest[..=nl], lineno, sink)?;
+            pos += nl + 1;
+        }
+        reader.consume(len);
     }
 }
 
@@ -174,9 +287,16 @@ pub fn read_edge_list<R: BufRead>(reader: R) -> io::Result<Graph> {
     Ok(b.build())
 }
 
+/// Read buffer of [`load_edge_list`]. Larger buffers parse no faster
+/// and add to the peak resident set.
+const TEXT_READ_BUF_BYTES: usize = 64 << 10;
+
 /// Loads an edge-list file. See [`read_edge_list`].
 pub fn load_edge_list<P: AsRef<Path>>(path: P) -> io::Result<Graph> {
-    read_edge_list(BufReader::new(File::open(path)?))
+    read_edge_list(BufReader::with_capacity(
+        TEXT_READ_BUF_BYTES,
+        File::open(path)?,
+    ))
 }
 
 /// Writes the graph as an edge list (each undirected edge once, `u <= v`).
@@ -288,16 +408,13 @@ fn write_v2_sections<W: Write>(graph: &Graph, w: &mut W) -> io::Result<u64> {
 }
 
 /// Serialises the graph into the v2 binary container.
-pub fn to_bytes(graph: &Graph) -> Bytes {
-    let n = graph.num_vertices() as u64;
-    let arcs = graph.num_arcs() as u64;
-    let (_, _, total) = v2_layout(n, arcs);
-    let mut body = Vec::with_capacity((total - HEADER_BYTES) as usize);
-    let checksum = write_v2_sections(graph, &mut body).expect("Vec write is infallible");
-    let mut buf = BytesMut::with_capacity(total as usize);
-    buf.put_slice(&v2_header(graph, checksum));
-    buf.put_slice(&body);
-    buf.freeze()
+pub fn to_bytes(graph: &Graph) -> Vec<u8> {
+    let (_, _, total) = v2_layout(graph.num_vertices() as u64, graph.num_arcs() as u64);
+    let mut buf = Vec::with_capacity(total as usize);
+    buf.extend_from_slice(&v2_header(graph, 0));
+    let checksum = write_v2_sections(graph, &mut buf).expect("Vec write is infallible");
+    buf[CHECKSUM_POS as usize..][..8].copy_from_slice(&checksum.to_le_bytes());
+    buf
 }
 
 /// Saves the binary container (v2) to a file, streaming the sections —
@@ -341,22 +458,36 @@ fn read_chunked<R: Read>(
 }
 
 /// Reads and checksum-verifies the v2 sections that follow an
-/// already-consumed header. Each section is streamed straight into its
-/// exactly-sized output vector (1x peak, no whole-file staging buffer).
+/// already-consumed header, from a container of `container_len` bytes.
+/// Each section is streamed straight into its exactly-sized output vector
+/// (1x peak, no whole-file staging buffer); the header's sizes are checked
+/// against `container_len` before anything is allocated.
 fn read_v2_sections<R: Read>(
     header: &[u8; HEADER_BYTES as usize],
     r: &mut R,
+    container_len: u64,
 ) -> io::Result<V2Sections> {
-    let field = |i: usize| u64::from_le_bytes(header[i..i + 8].try_into().unwrap());
-    let n = field(8) as usize;
-    let arcs = field(16) as usize;
+    let field = |i: usize| u64_at(header, i);
+    let (n, arcs) = (field(8), field(16));
     let (offsets_pos, targets_pos, weights_pos) = (field(24), field(32), field(40));
     let want_checksum = field(48);
-    let (expect_targets, expect_weights, total) = v2_layout(n as u64, arcs as u64);
+    // Far beyond any real graph, and small enough that the layout
+    // arithmetic below cannot overflow.
+    const MAX_COUNT: u64 = 1 << 56;
+    if n >= MAX_COUNT || arcs >= MAX_COUNT {
+        return Err(bad_data("v2 container: inconsistent section layout".into()));
+    }
+    let (expect_targets, expect_weights, total) = v2_layout(n, arcs);
     if offsets_pos != HEADER_BYTES || targets_pos != expect_targets || weights_pos != expect_weights
     {
         return Err(bad_data("v2 container: inconsistent section layout".into()));
     }
+    if container_len < total {
+        return Err(bad_data(format!(
+            "v2 container: truncated ({container_len} of {total} bytes)"
+        )));
+    }
+    let (n, arcs) = (n as usize, arcs as usize);
     let mut fnv = Fnv1a::new();
     let mut offsets: Vec<usize> = Vec::new();
     offsets.reserve_exact(n + 1);
@@ -399,34 +530,54 @@ fn read_v2_sections<R: Read>(
     })
 }
 
-/// Parses a v1 body (everything after the magic) into CSR arrays.
-fn read_v1_body(mut data: &[u8]) -> io::Result<Graph> {
+/// Reads the little-endian `u64` at `data[i..i + 8]`.
+fn u64_at(data: &[u8], i: usize) -> u64 {
+    u64::from_le_bytes(data[i..i + 8].try_into().expect("an 8-byte slice"))
+}
+
+/// Decodes packed little-endian `N`-byte values.
+fn decode_le<T, const N: usize>(bytes: &[u8], from_le: fn([u8; N]) -> T) -> Vec<T> {
+    bytes
+        .chunks_exact(N)
+        .map(|c| from_le(c.try_into().expect("chunks_exact yields N bytes")))
+        .collect()
+}
+
+/// Parses a v1 body (everything after the magic) into an audited graph.
+fn read_v1_body(data: &[u8]) -> io::Result<Graph> {
+    let truncated = || bad_data("truncated graph container".into());
     if data.len() < 16 {
-        return Err(bad_data("truncated graph container".into()));
+        return Err(truncated());
     }
-    let n = data.get_u64_le() as usize;
-    let arcs = data.get_u64_le() as usize;
-    let need = (n + 1) * 8 + arcs * 4 + arcs * 8;
-    if data.remaining() < need {
-        return Err(bad_data("truncated graph container".into()));
+    let (n, arcs, body) = (u64_at(data, 0), u64_at(data, 8), &data[16..]);
+    // In u128, so a corrupt header cannot overflow the size arithmetic.
+    if (body.len() as u128) < (n as u128 + 1) * 8 + arcs as u128 * 12 {
+        return Err(truncated());
     }
-    let mut offsets = Vec::with_capacity(n + 1);
-    for _ in 0..=n {
-        offsets.push(data.get_u64_le() as usize);
-    }
-    let mut targets = Vec::with_capacity(arcs);
-    for _ in 0..arcs {
-        targets.push(data.get_u32_le());
-    }
-    let mut weights = Vec::with_capacity(arcs);
-    for _ in 0..arcs {
-        weights.push(data.get_f64_le());
-    }
-    Ok(Graph::from_csr(offsets, targets, weights))
+    let (n, arcs) = (n as usize, arcs as usize);
+    let (offset_bytes, rest) = body.split_at((n + 1) * 8);
+    let (target_bytes, rest) = rest.split_at(arcs * 4);
+    let offsets = decode_le(offset_bytes, |b| u64::from_le_bytes(b) as usize);
+    let targets = decode_le(target_bytes, u32::from_le_bytes);
+    let weights = decode_le(&rest[..arcs * 8], f64::from_le_bytes);
+    audited(offsets, targets, weights, "v1")
+}
+
+/// Audits decoded CSR arrays, turning a structural fault into
+/// `InvalidData` that names the container version and the fault.
+fn audited(
+    offsets: Vec<usize>,
+    targets: Vec<VertexId>,
+    weights: Vec<f64>,
+    version: &str,
+) -> io::Result<Graph> {
+    Graph::try_from_csr(offsets, targets, weights)
+        .map_err(|e| bad_data(format!("{version} container: corrupt graph: {e}")))
 }
 
 /// Deserialises a graph from a binary container (v1 or v2), with full
-/// structural validation.
+/// structural validation. Corrupt or truncated containers fail with
+/// `InvalidData`.
 pub fn from_bytes(data: &[u8]) -> io::Result<Graph> {
     if data.len() >= 8 && &data[..8] == MAGIC_V1 {
         return read_v1_body(&data[8..]);
@@ -434,16 +585,18 @@ pub fn from_bytes(data: &[u8]) -> io::Result<Graph> {
     if data.len() >= HEADER_BYTES as usize && &data[..8] == MAGIC_V2 {
         let header: [u8; HEADER_BYTES as usize] = data[..HEADER_BYTES as usize].try_into().unwrap();
         let mut rest = &data[HEADER_BYTES as usize..];
-        let s = read_v2_sections(&header, &mut rest)?;
-        return Ok(Graph::from_csr(s.offsets, s.targets, s.weights));
+        let s = read_v2_sections(&header, &mut rest, data.len() as u64)?;
+        return audited(s.offsets, s.targets, s.weights, "v2");
     }
     Err(bad_data("bad magic".into()))
 }
 
 /// Loads a binary container (v1 or v2) into a fully-validated owned
-/// [`Graph`].
+/// [`Graph`]. Corrupt or truncated containers fail with `InvalidData`.
 pub fn load_binary<P: AsRef<Path>>(path: P) -> io::Result<Graph> {
-    let mut r = BufReader::with_capacity(IO_CHUNK_BYTES, File::open(path)?);
+    let file = File::open(path)?;
+    let container_len = file.metadata()?.len();
+    let mut r = BufReader::with_capacity(IO_CHUNK_BYTES, file);
     let mut magic = [0u8; 8];
     r.read_exact(&mut magic)?;
     if &magic == MAGIC_V1 {
@@ -455,8 +608,8 @@ pub fn load_binary<P: AsRef<Path>>(path: P) -> io::Result<Graph> {
         let mut header = [0u8; HEADER_BYTES as usize];
         header[..8].copy_from_slice(&magic);
         r.read_exact(&mut header[8..])?;
-        let s = read_v2_sections(&header, &mut r)?;
-        return Ok(Graph::from_csr(s.offsets, s.targets, s.weights));
+        let s = read_v2_sections(&header, &mut r, container_len)?;
+        return audited(s.offsets, s.targets, s.weights, "v2");
     }
     Err(bad_data("bad magic".into()))
 }
@@ -468,7 +621,9 @@ pub fn load_binary<P: AsRef<Path>>(path: P) -> io::Result<Graph> {
 /// [`save_binary`] to upgrade).
 pub fn load_binary_mapped<P: AsRef<Path>>(path: P) -> io::Result<MappedGraph> {
     let path = path.as_ref();
-    let mut r = BufReader::with_capacity(IO_CHUNK_BYTES, File::open(path)?);
+    let file = File::open(path)?;
+    let container_len = file.metadata()?.len();
+    let mut r = BufReader::with_capacity(IO_CHUNK_BYTES, file);
     let mut header = [0u8; HEADER_BYTES as usize];
     r.read_exact(&mut header)?;
     if &header[..8] == MAGIC_V1 {
@@ -479,7 +634,7 @@ pub fn load_binary_mapped<P: AsRef<Path>>(path: P) -> io::Result<MappedGraph> {
     if &header[..8] != MAGIC_V2 {
         return Err(bad_data("bad magic".into()));
     }
-    let s = read_v2_sections(&header, &mut r)?;
+    let s = read_v2_sections(&header, &mut r, container_len)?;
     let graph = Graph::from_csr_trusted(s.offsets, s.targets, s.weights);
     Ok(MappedGraph::new(graph, path.to_path_buf(), s.section_bytes))
 }
@@ -511,23 +666,235 @@ mod tests {
         b.build()
     }
 
-    /// Serialises in the legacy v1 layout (the old writer, kept for
-    /// back-compat coverage).
-    fn to_bytes_v1(graph: &Graph) -> Vec<u8> {
+    /// A legacy v1 container around raw, possibly corrupt, CSR arrays
+    /// (the old writer's layout, kept for back-compat coverage).
+    fn v1_container(n: u64, offsets: &[usize], targets: &[u32], weights: &[f64]) -> Vec<u8> {
         let mut buf = Vec::new();
         buf.extend_from_slice(MAGIC_V1);
-        buf.extend_from_slice(&(graph.num_vertices() as u64).to_le_bytes());
-        buf.extend_from_slice(&(graph.num_arcs() as u64).to_le_bytes());
-        for &o in graph.offsets() {
+        buf.extend_from_slice(&n.to_le_bytes());
+        buf.extend_from_slice(&(targets.len() as u64).to_le_bytes());
+        for &o in offsets {
             buf.extend_from_slice(&(o as u64).to_le_bytes());
         }
-        for &t in graph.targets() {
+        for &t in targets {
             buf.extend_from_slice(&t.to_le_bytes());
         }
-        for &w in graph.weights() {
+        for &w in weights {
             buf.extend_from_slice(&w.to_le_bytes());
         }
         buf
+    }
+
+    /// Serialises a graph in the legacy v1 layout.
+    fn to_bytes_v1(graph: &Graph) -> Vec<u8> {
+        let n = graph.num_vertices() as u64;
+        v1_container(n, graph.offsets(), graph.targets(), graph.weights())
+    }
+
+    /// One sink call, weights as bits so comparisons are exact.
+    #[derive(Debug, PartialEq)]
+    enum Call {
+        Edge(VertexId, VertexId, u64),
+        Reserve(usize),
+    }
+
+    /// An [`EdgeSink`] that records every call in order.
+    #[derive(Debug, Default, PartialEq)]
+    struct Recorder(Vec<Call>);
+
+    impl EdgeSink for Recorder {
+        fn add_edge(&mut self, u: VertexId, v: VertexId, w: f64) {
+            self.0.push(Call::Edge(u, v, w.to_bits()));
+        }
+
+        fn reserve_vertices(&mut self, n: usize) {
+            self.0.push(Call::Reserve(n));
+        }
+    }
+
+    /// The per-line parser the buffered one replaced: `read_until` each
+    /// line into a buffer, then the general tokenizer. The reference for
+    /// edges, weight bits, reservations, line numbers and errors.
+    fn reference_parse(text: &[u8], sink: &mut Recorder) -> io::Result<()> {
+        let mut reader = Cursor::new(text);
+        let mut line = Vec::new();
+        let mut lineno = 0usize;
+        loop {
+            line.clear();
+            if reader.read_until(b'\n', &mut line)? == 0 {
+                return Ok(());
+            }
+            lineno += 1;
+            parse_line(&line, lineno, sink)?;
+        }
+    }
+
+    /// One generated line. Kinds below 22 are the shapes the fast path
+    /// must hand to the general tokenizer (five of them errors); the rest
+    /// are plain fast-path lines.
+    fn gen_line(kind: usize, a: u32, b: u32, c: u32) -> String {
+        let (u, v, w) = (a % 1000, b % 1000, c % 100);
+        match kind {
+            0 => format!("{u}\t{v}\t{w}\n"),
+            1 => format!("{u} {v} {w}\r\n"),
+            2 => format!("  {u} {v}\n"),
+            3 => format!("# comment {u}\n"),
+            4 => format!("% konect {u} {v}\n"),
+            5 => format!("#vertices {}\n", u + 1),
+            6 => format!("{u:010} {v}\n"),
+            7 => format!("{} {v}\n", 4_294_966_000 + a % 1000),
+            8 => format!("{u} {v} {}\n", 1_000_000_000_000_000u64 + c as u64),
+            9 => format!("{u} {v} {w:016}\n"),
+            10 => format!("{u} {v} {w}.{}\n", c % 10),
+            11 => format!("{u} {v} {w}e-1\n"),
+            12 => format!("{u} {v} {w} trailing tokens\n"),
+            13 => "\n".into(),
+            14 => "   \n".into(),
+            15 => format!("{u}{v}{w}\n"),
+            16 => format!("{u}\n"),
+            17 => format!("{u} x{v}\n"),
+            18 => format!("{u} {v} nan\n"),
+            19 => format!("{u} {v} -{w}\n"),
+            20 => format!("{u} 4294967296\n"),
+            21 => format!("{u} {v} {w:015}  \n"),
+            k if k % 3 == 0 => format!("{u} {v}\n"),
+            k if k % 3 == 1 => format!("{u} {v} {w}\n"),
+            _ => format!("{u}   {v}  {w}  \n"),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// The buffered fast-path parser makes exactly the sink calls,
+        /// and returns exactly the error, of the per-line reference, at
+        /// buffer sizes that split lines anywhere.
+        #[test]
+        fn parser_matches_per_line_reference(
+            lines in proptest::collection::vec((0usize..400, 0u32..u32::MAX, 0u32..u32::MAX, 0u32..u32::MAX), 0..40),
+            final_newline in proptest::prelude::any::<bool>(),
+        ) {
+            let mut text: String = lines.iter().map(|&(k, a, b, c)| gen_line(k, a, b, c)).collect();
+            if !final_newline && text.ends_with('\n') {
+                text.pop();
+            }
+            let mut expect = Recorder::default();
+            let expect_result = reference_parse(text.as_bytes(), &mut expect).map_err(|e| e.to_string());
+            for k in [1usize, 7, 64, 8192] {
+                let mut got = Recorder::default();
+                let reader = BufReader::with_capacity(k, Cursor::new(text.as_bytes()));
+                let result = parse_edge_list_into(reader, &mut got).map_err(|e| e.to_string());
+                proptest::prop_assert_eq!(&result, &expect_result, "capacity {}", k);
+                proptest::prop_assert_eq!(&got, &expect, "capacity {}", k);
+            }
+        }
+    }
+
+    #[test]
+    fn fast_line_takes_only_its_exact_shape() {
+        assert_eq!(fast_line(b"12 34\n"), Some((12, 34, 1.0, 6)));
+        assert_eq!(fast_line(b"12  34 7  \n9"), Some((12, 34, 7.0, 11)));
+        assert_eq!(
+            fast_line(b"999999999 0 999999999999999\n"),
+            Some((999_999_999, 0, 999_999_999_999_999.0, 28))
+        );
+        for line in [
+            &b"12 34"[..],
+            b"12\t34\n",
+            b"12 34\r\n",
+            b" 12 34\n",
+            b"12 34 0.5\n",
+            b"12 34 1 2\n",
+            b"1000000000 1\n",
+            b"1 2 1000000000000000\n",
+            b"12\n",
+            b"#vertices 3\n",
+        ] {
+            assert_eq!(fast_line(line), None, "{}", String::from_utf8_lossy(line));
+        }
+    }
+
+    #[test]
+    fn text_rejects_hostile_weights() {
+        for tok in [
+            "nan", "NaN", "inf", "-inf", "infinity", "-1", "-0.5", "1e400",
+        ] {
+            let err = read_edge_list(Cursor::new(format!("0 1\n1 2 {tok}\n"))).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            let msg = err.to_string();
+            assert!(msg.contains("line 2: invalid weight"), "{msg}");
+            assert!(msg.contains(tok), "{msg}");
+        }
+        let g = read_edge_list(Cursor::new("0 1 0\n1 2 -0\n")).unwrap();
+        assert_eq!(g.edge_weight(0, 1), Some(0.0));
+    }
+
+    /// Decodes a container through both owned loaders, returning the
+    /// `from_bytes` error (which `load_binary` must repeat).
+    fn owned_load_error(bytes: &[u8], name: &str) -> io::Error {
+        let err = from_bytes(bytes).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        let p = std::env::temp_dir().join(format!("gala_io_{name}_{}.bin", std::process::id()));
+        std::fs::write(&p, bytes).unwrap();
+        let file_err = load_binary(&p).unwrap_err();
+        let _ = std::fs::remove_file(p);
+        assert_eq!(file_err.kind(), io::ErrorKind::InvalidData, "{file_err}");
+        assert_eq!(file_err.to_string(), err.to_string());
+        err
+    }
+
+    #[test]
+    fn corrupt_v1_containers_fail_with_typed_errors() {
+        let cases: [(&str, Vec<u8>, &str); 5] = [
+            (
+                "missing_reverse",
+                v1_container(2, &[0, 1, 1], &[1], &[1.0]),
+                "reverse edge",
+            ),
+            (
+                "out_of_range",
+                v1_container(2, &[0, 1, 2], &[1, 7], &[1.0, 1.0]),
+                "out of range",
+            ),
+            (
+                "unsorted",
+                v1_container(3, &[0, 2, 3, 4], &[2, 1, 0, 0], &[1.0; 4]),
+                "strictly sorted",
+            ),
+            (
+                "bad_offsets",
+                v1_container(2, &[0, 5, 1], &[1], &[1.0]),
+                "nondecreasing",
+            ),
+            (
+                "huge_n",
+                v1_container(u64::MAX, &[0], &[], &[]),
+                "truncated",
+            ),
+        ];
+        for (name, bytes, want) in cases {
+            let err = owned_load_error(&bytes, name);
+            assert!(err.to_string().contains(want), "{name}: {err}");
+        }
+    }
+
+    #[test]
+    fn corrupt_v2_containers_fail_with_typed_errors() {
+        // A checksum-valid container around an asymmetric CSR: the owned
+        // loaders audit it, the mapped loader trusts the checksum.
+        let asym = Graph::from_csr_trusted(vec![0, 1, 1], vec![1], vec![1.0]);
+        let bytes = to_bytes(&asym);
+        let err = owned_load_error(&bytes, "v2_asym");
+        assert!(
+            err.to_string().contains("v2 container: corrupt graph"),
+            "{err}"
+        );
+        assert!(err.to_string().contains("reverse edge"), "{err}");
+        // A header claiming an absurd vertex count allocates nothing.
+        let mut huge = to_bytes(&sample());
+        huge[8..16].copy_from_slice(&u64::MAX.to_le_bytes());
+        let err = owned_load_error(&huge, "v2_huge");
+        assert!(err.to_string().contains("layout"), "{err}");
     }
 
     #[test]
@@ -612,13 +979,14 @@ mod tests {
     fn binary_rejects_truncation() {
         let g = sample();
         let bytes = to_bytes(&g);
-        assert!(from_bytes(&bytes[..bytes.len() - 4]).is_err());
+        let err = owned_load_error(&bytes[..bytes.len() - 4], "truncated");
+        assert!(err.to_string().contains("truncated"), "{err}");
     }
 
     #[test]
     fn binary_rejects_corruption() {
         let g = sample();
-        let mut bytes = to_bytes(&g).to_vec();
+        let mut bytes = to_bytes(&g);
         let last = bytes.len() - 1;
         bytes[last] ^= 0x01; // flip one weight bit
         let err = from_bytes(&bytes).unwrap_err();

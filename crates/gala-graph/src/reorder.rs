@@ -85,7 +85,7 @@ pub fn bfs_order(graph: &Graph) -> Ordering {
 /// round-trip, so weights carry over bit-for-bit and the transient peak
 /// is one adjacency row, not a second arc vector. Valid by construction
 /// (a permutation of a valid graph), so it uses the trusted constructor
-/// and skips the `O(m log d)` structural audit.
+/// and skips the `O(n + m)` structural audit.
 pub fn apply(graph: &Graph, ordering: &Ordering) -> Graph {
     let n = graph.num_vertices();
     assert_eq!(ordering.new_id.len(), n);

@@ -1,12 +1,13 @@
 //! Out-of-core graph construction: bounded-memory edge ingestion.
 //!
 //! [`crate::GraphBuilder`] materialises every directed arc in one `Vec`
-//! before sorting, so its transient peak is ~44 bytes per arc — fine for
-//! the paper's scaled stand-ins, hopeless for its real inputs (uk-2007:
-//! 3.4 B edges). [`StreamingBuilder`] accepts the same edge stream in
-//! bounded chunks: each full chunk is stably sorted and spilled to a
-//! temporary *run* file, and `finish()` k-way-merges the sorted runs
-//! straight into the final CSR arrays. Peak memory is the chunk budget
+//! before sorting, so its transient peak is ~28 bytes per arc (the 16-byte
+//! arc list plus the 12-byte CSR it scatters into) — fine for the paper's
+//! scaled stand-ins, hopeless for its real inputs (uk-2007: 3.4 B edges).
+//! [`StreamingBuilder`] accepts the same edge stream in bounded chunks:
+//! each full chunk is stably sorted and spilled to a temporary *run*
+//! file, and `finish()` k-way-merges the sorted runs straight into the
+//! final CSR arrays. Peak memory is the chunk budget
 //! plus the output graph itself, independent of the input edge count.
 //!
 //! ## Bit-identity
@@ -502,12 +503,8 @@ impl CsrAccumulator {
         for i in 0..self.n {
             self.counts[i + 1] += self.counts[i];
         }
-        // Return over-reservation slack (duplicates) when it is material;
-        // a shrink of a few percent is not worth the realloc risk.
-        if self.targets.len() < self.targets.capacity() / 16 * 15 {
-            self.targets.shrink_to_fit();
-            self.weights.shrink_to_fit();
-        }
+        // Return over-reservation slack (duplicates).
+        crate::builder::shrink_if_material(&mut self.targets, &mut self.weights);
         Graph::from_csr(self.counts, self.targets, self.weights)
     }
 }
