@@ -123,11 +123,21 @@ fn load_history(path: &str) -> Result<Vec<TrendRow>, Error> {
 }
 
 /// Flattens one report into history rows, in the report's own row order.
+/// A report may repeat a label across rows, but not a `(label, metric)`
+/// pair: the repeat would read as a second generation of one series.
 fn rows_from_report(path: &str) -> Result<Vec<TrendRow>, Error> {
     let report = Report::read_from(path).map_err(|e| format!("{path}: {e}"))?;
-    let mut out = Vec::new();
+    let mut out: Vec<TrendRow> = Vec::new();
     for row in &report.rows {
         for (metric, value) in &row.metrics {
+            if out
+                .iter()
+                .any(|r| r.label == row.label && r.metric == *metric)
+            {
+                return Err(
+                    format!("{path}: label `{}` repeats metric `{metric}`", row.label).into(),
+                );
+            }
             out.push(TrendRow {
                 source: report.name.clone(),
                 label: row.label.clone(),
@@ -387,9 +397,26 @@ mod tests {
     }
 
     #[test]
+    fn a_repeated_label_and_metric_is_rejected() {
+        let path = format!("{}.json", tmp("dup_report"));
+        let mut r = Report::new("bench", "bench_stress");
+        r.push(MetricRow::new("outofcore/phase1").metric("Wall s", 185.6));
+        // The same label with a disjoint metric is a continuation.
+        r.push(MetricRow::new("outofcore/phase1").metric("modularity", 0.57));
+        r.write_to(&path).unwrap();
+        assert_eq!(rows_from_report(&path).unwrap().len(), 2);
+        r.push(MetricRow::new("outofcore/phase1").metric("Wall s", 190.0));
+        r.write_to(&path).unwrap();
+        let err = rows_from_report(&path).unwrap_err().to_string();
+        assert!(err.contains("outofcore/phase1"), "{err}");
+        assert!(err.contains("Wall s"), "{err}");
+        let _ = std::fs::remove_file(path);
+    }
+
+    #[test]
     fn committed_reports_ingest_cleanly() {
-        // The repo's own BENCH_* reports must flatten into rows: this is
-        // what CI feeds `gala trend`.
+        // The repo's own BENCH_* reports must flatten into rows: these are
+        // the eight CI feeds `gala trend`.
         let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
         for name in [
             "BENCH_host.json",
@@ -397,6 +424,9 @@ mod tests {
             "BENCH_native.json",
             "BENCH_profile.json",
             "BENCH_mg_contract.json",
+            "BENCH_ingest.json",
+            "BENCH_stress.json",
+            "BENCH_recorder.json",
         ] {
             let path = format!("{dir}/results/{name}");
             let rows = rows_from_report(&path).unwrap();

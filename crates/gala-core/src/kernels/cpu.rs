@@ -1,13 +1,23 @@
 //! Host reference DecideAndMove: rayon over vertices, each chunk of
 //! vertices aggregating through one reusable [`Fold`] — the Grappolo CPU
-//! strategy without a per-vertex allocation.
+//! strategy without a per-vertex allocation, split by degree the way the
+//! paper's workload-aware dispatcher splits its kernels.
+//!
+//! A vertex with fewer than [`SHUFFLE_DEGREE_THRESHOLD`] neighbors has at
+//! most 31 candidate communities, and the fold finds each neighbor's entry
+//! by a linear search of the candidate list — the host counterpart of the
+//! register-resident warp kernel. At or above the threshold it indexes the
+//! candidates through an open-addressed table whose slots carry a
+//! per-vertex generation stamp, so moving on to the next vertex advances
+//! the stamp instead of emptying the slots the last one filled.
 //!
 //! This kernel also defines the *canonical accumulation order*: `d_vc` for
-//! each community is summed in neighbor-list order, which the simulated GPU
-//! kernels reproduce so that all kernels agree bit-for-bit on unit-weight
-//! graphs.
+//! each community is summed in neighbor-list order and candidates are listed
+//! in first-occurrence order, on both sides of the threshold. The simulated
+//! GPU kernels reproduce that order, so all kernels agree bit-for-bit on
+//! unit-weight graphs.
 
-use super::{choose, DecideOutput};
+use super::{choose, DecideOutput, SHUFFLE_DEGREE_THRESHOLD};
 use crate::state::BspState;
 use gala_gpu::memory::MemTally;
 use gala_graph::partition::CommunityId;
@@ -21,14 +31,15 @@ pub fn decide(graph: &Graph, state: &BspState, active: &[bool]) -> DecideOutput 
 }
 
 /// [`decide`] writing into `out`, recycling its `next_comm` allocation.
-/// Each pool chunk threads one [`Fold`] through all of its vertices.
+/// Each pool chunk threads one [`Fold`] through all of its vertices; the
+/// chunks' tallies sum to how many active vertices took each fold.
 pub(crate) fn decide_into(
     graph: &Graph,
     state: &BspState,
     active: &[bool],
     out: &mut DecideOutput,
-) {
-    let _ = rayon::par_map_indexed_accum_into(
+) -> FoldCounts {
+    let folds = rayon::par_map_indexed_accum_into(
         graph.num_vertices(),
         &mut out.next_comm,
         Fold::default,
@@ -42,6 +53,12 @@ pub(crate) fn decide_into(
     );
     out.tally = MemTally::new();
     out.hash_stats = Default::default();
+    folds
+        .iter()
+        .fold(FoldCounts::default(), |sum, f| FoldCounts {
+            linear: sum.linear + f.counts.linear,
+            hashed: sum.hashed + f.counts.hashed,
+        })
 }
 
 /// Decision for a single vertex: aggregate `(community, weight)` over the
@@ -51,19 +68,57 @@ pub fn decide_one(v: VertexId, graph: &Graph, state: &BspState) -> CommunityId {
     Fold::default().decide(v, graph, state)
 }
 
+/// How many vertices a decide pass aggregated by each fold: `linear`
+/// below [`SHUFFLE_DEGREE_THRESHOLD`] neighbors, `hashed` at or above it.
+/// This is the workload-aware dispatcher's routing split.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) struct FoldCounts {
+    pub(crate) linear: u64,
+    pub(crate) hashed: u64,
+}
+
+impl FoldCounts {
+    /// Every vertex the pass decided.
+    pub(crate) fn total(self) -> u64 {
+        self.linear + self.hashed
+    }
+}
+
 /// Order-preserving community aggregation, reused across vertices.
 ///
-/// `cands` holds `(community, d_vc)` in first-occurrence order; `slots` is
-/// an open-addressed index from community id to `cands` position (`pos`
-/// 0 = empty, else position + 1) whose first `2^bits ≥ 2·deg(v)` entries
-/// serve the current vertex. Only the slots a vertex filled are cleared
-/// afterwards, found again through `cands`, so the table stays all-empty
-/// between vertices without an `O(capacity)` wipe.
-#[derive(Debug, Default)]
+/// `cands` holds `(community, d_vc)` in first-occurrence order. For a
+/// vertex at or above the degree threshold, `slots` is an open-addressed
+/// index from community id to `cands` position whose first
+/// `2^k ≥ 2·deg(v)` entries serve the vertex. A slot is occupied only
+/// while it carries the current `stamp`; [`Fold::clear`] advances the
+/// stamp, which empties every slot at once. `stamp` never reads 0, the
+/// stamp of a slot no vertex has used.
+#[derive(Debug)]
 pub(crate) struct Fold {
     cands: Vec<(CommunityId, f64)>,
-    slots: Vec<(CommunityId, u32)>,
-    bits: u32,
+    slots: Vec<Slot>,
+    stamp: u32,
+    counts: FoldCounts,
+}
+
+/// One entry of [`Fold`]'s table: `comm` sits at `cands[pos]` if `stamp`
+/// is the fold's current stamp.
+#[derive(Clone, Copy, Debug, Default)]
+struct Slot {
+    comm: CommunityId,
+    pos: u32,
+    stamp: u32,
+}
+
+impl Default for Fold {
+    fn default() -> Self {
+        Self {
+            cands: Vec::new(),
+            slots: Vec::new(),
+            stamp: 1,
+            counts: FoldCounts::default(),
+        }
+    }
 }
 
 impl Fold {
@@ -77,32 +132,46 @@ impl Fold {
     }
 
     /// Folds every non-loop neighbor's weight into its community's entry,
-    /// in neighbor-list order.
+    /// in neighbor-list order: by linear search below the degree
+    /// threshold, through the stamped table at or above it.
     fn aggregate(&mut self, v: VertexId, graph: &Graph, state: &BspState) {
-        self.bits = (2 * graph.degree(v))
-            .max(16)
-            .next_power_of_two()
-            .trailing_zeros();
-        let cap = 1usize << self.bits;
+        let degree = graph.degree(v);
+        let neighbors = graph
+            .neighbors(v)
+            .filter(|&(u, _)| u != v)
+            .map(|(u, w)| (state.comm[u as usize], w));
+        if degree < SHUFFLE_DEGREE_THRESHOLD {
+            self.counts.linear += 1;
+            for (c, w) in neighbors {
+                match self.cands.iter_mut().find(|(key, _)| *key == c) {
+                    Some((_, d_vc)) => *d_vc += w,
+                    None => self.cands.push((c, w)),
+                }
+            }
+            return;
+        }
+        self.counts.hashed += 1;
+        let bits = (2 * degree).next_power_of_two().trailing_zeros();
+        let cap = 1usize << bits;
         if self.slots.len() < cap {
-            self.slots.resize(cap, (0, 0));
+            self.slots.resize(cap, Slot::default());
         }
         let mask = cap - 1;
-        for (u, w) in graph.neighbors(v) {
-            if u == v {
-                continue;
-            }
-            let c = state.comm[u as usize];
-            let mut s = slot(c, self.bits);
+        for (c, w) in neighbors {
+            let mut s = slot(c, bits);
             loop {
-                let (key, pos) = self.slots[s];
-                if pos == 0 {
+                let entry = &mut self.slots[s];
+                if entry.stamp != self.stamp {
+                    *entry = Slot {
+                        comm: c,
+                        pos: self.cands.len() as u32,
+                        stamp: self.stamp,
+                    };
                     self.cands.push((c, w));
-                    self.slots[s] = (c, self.cands.len() as u32);
                     break;
                 }
-                if key == c {
-                    self.cands[pos as usize - 1].1 += w;
+                if entry.comm == c {
+                    self.cands[entry.pos as usize].1 += w;
                     break;
                 }
                 s = (s + 1) & mask;
@@ -110,19 +179,16 @@ impl Fold {
         }
     }
 
-    /// Empties the slots `aggregate` filled, then `cands`. Probing skips
-    /// slots an earlier removal already emptied: every candidate's slot
-    /// lies on its probe path from its home slot.
+    /// Empties `cands` and advances the stamp, so no slot is occupied. When
+    /// the stamp wraps, every slot is reset to the never-used stamp 0 first:
+    /// otherwise a slot stamped `2^32 - 1` vertices ago would read as live.
     fn clear(&mut self) {
-        let mask = (1usize << self.bits) - 1;
-        for &(c, _) in &self.cands {
-            let mut s = slot(c, self.bits);
-            while self.slots[s].1 == 0 || self.slots[s].0 != c {
-                s = (s + 1) & mask;
-            }
-            self.slots[s] = (0, 0);
-        }
         self.cands.clear();
+        self.stamp = self.stamp.wrapping_add(1);
+        if self.stamp == 0 {
+            self.slots.fill(Slot::default());
+            self.stamp = 1;
+        }
     }
 }
 
@@ -159,18 +225,24 @@ pub(crate) fn hashmap_candidates(
     cands
 }
 
-/// A planted-partition graph (`internal_degree` 8) re-weighted with
-/// seeded non-integer weights in `[0.1, 2.0)`, so any change of summation
-/// order shows in the low bits of a sum.
+/// A planted-partition graph re-weighted with seeded non-integer weights
+/// in `[0.1, 2.0)`, so any change of summation order shows in the low bits
+/// of a sum.
 #[cfg(test)]
-pub(crate) fn weighted_planted(communities: usize, size: usize, mixing: f64, seed: u64) -> Graph {
+pub(crate) fn weighted_planted(
+    communities: usize,
+    size: usize,
+    internal_degree: f64,
+    mixing: f64,
+    seed: u64,
+) -> Graph {
     use gala_graph::generators::sbm::PlantedPartition;
     use gala_graph::GraphBuilder;
     use rand::{Rng, SeedableRng};
     let g = PlantedPartition {
         num_communities: communities,
         community_size: size,
-        internal_degree: 8.0,
+        internal_degree,
         mixing,
     }
     .generate(seed)
@@ -261,8 +333,41 @@ mod tests {
             fold.aggregate(v, &g, &s);
             assert_eq!(fold.cands, hashmap_candidates(v, &g, &s), "vertex {v}");
             fold.clear();
-            assert!(fold.slots.iter().all(|&(_, pos)| pos == 0));
+            assert!(fold.slots.iter().all(|slot| slot.stamp != fold.stamp));
         }
+    }
+
+    #[test]
+    fn fold_resets_slots_when_the_stamp_wraps() {
+        // Two hubs over disjoint leaves, both on the hashed side.
+        let mut b = GraphBuilder::new(82);
+        for leaf in 2..42 {
+            b.add_edge(0, leaf, 1.0);
+            b.add_edge(1, leaf + 40, 1.0);
+        }
+        let g = b.build();
+        let s = BspState::new(&g);
+        let mut fold = Fold::default();
+        // Hub 0 stamps its slots 1; hub 1 then runs on the last stamp, so
+        // the next clear wraps back to stamp 1. Without the reset, hub 0's
+        // old slots would read as occupied again.
+        fold.aggregate(0, &g, &s);
+        fold.clear();
+        fold.stamp = u32::MAX;
+        fold.aggregate(1, &g, &s);
+        assert_eq!(fold.cands, hashmap_candidates(1, &g, &s));
+        fold.clear();
+        assert_eq!(fold.stamp, 1);
+        assert!(fold.slots.iter().all(|slot| slot.stamp != fold.stamp));
+        fold.aggregate(0, &g, &s);
+        assert_eq!(fold.cands, hashmap_candidates(0, &g, &s));
+        assert_eq!(
+            fold.counts,
+            FoldCounts {
+                linear: 0,
+                hashed: 3
+            }
+        );
     }
 
     /// `cands` as bit patterns: the candidates, their first-occurrence
@@ -316,6 +421,25 @@ mod tests {
         }
     }
 
+    /// Checks the fold against the reference on `g` and on the coarse
+    /// (self-looped) level two supersteps of `g` produce.
+    fn assert_fold_matches_reference_with_coarse(g: &Graph) {
+        assert!(
+            g.num_vertices() >= rayon::min_par_len(),
+            "graph runs sequentially"
+        );
+        assert_fold_matches_reference(g);
+        let mut s = BspState::new(g);
+        for _ in 0..2 {
+            let out = decide(g, &s, &vec![true; g.num_vertices()]);
+            let summary = s.apply_moves(g, &out.next_comm);
+            weight::update(WeightUpdateMode::Delta, g, &mut s, &summary);
+        }
+        let coarse = coarsen(g, &s.partition()).graph;
+        assert!(coarse.vertices().any(|v| coarse.self_loop(v) > 0.0));
+        assert_fold_matches_reference(&coarse);
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(6))]
 
@@ -329,18 +453,23 @@ mod tests {
             mixing in 0.1f64..0.4,
             seed in any::<u64>(),
         ) {
-            let g = weighted_planted(communities, size, mixing, seed);
-            prop_assert!(g.num_vertices() >= rayon::min_par_len(), "graph runs sequentially");
-            assert_fold_matches_reference(&g);
-            let mut s = BspState::new(&g);
-            for _ in 0..2 {
-                let out = decide(&g, &s, &vec![true; g.num_vertices()]);
-                let summary = s.apply_moves(&g, &out.next_comm);
-                weight::update(WeightUpdateMode::Delta, &g, &mut s, &summary);
-            }
-            let coarse = coarsen(&g, &s.partition()).graph;
-            prop_assert!(coarse.vertices().any(|v| coarse.self_loop(v) > 0.0));
-            assert_fold_matches_reference(&coarse);
+            let g = weighted_planted(communities, size, 8.0, mixing, seed);
+            assert_fold_matches_reference_with_coarse(&g);
+        }
+
+        /// The same check where round 0 already takes both folds: vertex
+        /// degrees fall on both sides of the 32-neighbor threshold.
+        #[test]
+        fn fold_matches_hashmap_reference_across_threshold(
+            communities in 16usize..24,
+            size in 50usize..70,
+            mixing in 0.1f64..0.3,
+            seed in any::<u64>(),
+        ) {
+            let g = weighted_planted(communities, size, 26.0, mixing, seed);
+            let below = g.vertices().filter(|&v| g.degree(v) < SHUFFLE_DEGREE_THRESHOLD).count();
+            prop_assert!(below > 0 && below < g.num_vertices(), "{below} of {} below", g.num_vertices());
+            assert_fold_matches_reference_with_coarse(&g);
         }
     }
 }

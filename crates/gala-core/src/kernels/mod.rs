@@ -160,29 +160,31 @@ pub fn decide_profiled_into(
     } = scratch;
     match kind {
         KernelKind::Cpu => {
-            cpu::decide_into(graph, state, active, out);
-            out.routing.other_vertices = active.iter().filter(|&&a| a).count() as u64;
-            record_kernel(prof, "cpu", active, out);
+            out.routing = RoutingStats {
+                other_vertices: cpu::decide_into(graph, state, active, out).total(),
+                ..RoutingStats::default()
+            };
+            record_kernel(prof, "cpu", out);
         }
         KernelKind::Shuffle => {
             shuffle::decide_into(graph, state, active, work, comm_out, out);
             out.routing.shuffle_vertices = work.len() as u64;
-            record_kernel(prof, "shuffle", active, out);
+            record_kernel(prof, "shuffle", out);
         }
         KernelKind::Hash(cfg) => {
             hash::decide_into(graph, state, active, cfg, work, hash_out, out);
             out.routing.hash_vertices = work.len() as u64;
-            record_kernel(prof, "hash", active, out);
+            record_kernel(prof, "hash", out);
         }
         KernelKind::Sort => {
             sort::decide_into(graph, state, active, work, comm_out, out);
             out.routing.other_vertices = work.len() as u64;
-            record_kernel(prof, "sort", active, out);
+            record_kernel(prof, "sort", out);
         }
         KernelKind::Replicated => {
             replicated::decide_into(graph, state, active, work, comm_out, out);
             out.routing.other_vertices = work.len() as u64;
-            record_kernel(prof, "replicated", active, out);
+            record_kernel(prof, "replicated", out);
         }
         KernelKind::WorkloadAware(cfg) => {
             small.clear();
@@ -243,10 +245,12 @@ pub(crate) fn reset_pass(
     out.routing = RoutingStats::default();
 }
 
-/// Records a single-kernel output as a `"decide"` span with one child.
-fn record_kernel(prof: &mut Profiler, name: &str, active: &[bool], out: &DecideOutput) {
+/// Records a single-kernel output as a `"decide"` span with one child,
+/// whose `"items"` are the vertices `out.routing` counts.
+fn record_kernel(prof: &mut Profiler, name: &str, out: &DecideOutput) {
     if prof.is_enabled() {
-        let items = active.iter().filter(|&&a| a).count() as u64;
+        let r = out.routing;
+        let items = r.shuffle_vertices + r.hash_vertices + r.other_vertices;
         prof.scope("decide", |p| record_kernel_span(p, name, items, out));
     }
 }

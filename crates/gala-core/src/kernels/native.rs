@@ -12,13 +12,16 @@
 //!   drains in insertion order — the same left fold, for any edge weights.
 //!   The shuffle kernel's grouped reduce sums each 32-lane chunk in
 //!   ascending lane order, so *single-chunk* vertices (degree below
-//!   [`SHUFFLE_DEGREE_THRESHOLD`]) are that fold too — and the
+//!   [`super::SHUFFLE_DEGREE_THRESHOLD`]) are that fold too — and the
 //!   workload-aware dispatcher routes exactly those to the shuffle kernel.
 //!   Hence `Cpu`, `Hash`, and `WorkloadAware` all reduce to
 //!   [`cpu::decide_one`] bit-for-bit, and the native path runs that fold
-//!   on rayon with nothing else in the loop: each pool chunk threads one
-//!   reusable fold through its vertices, so a superstep allocates nothing
-//!   per vertex.
+//!   on rayon with nothing else in the loop. Each pool chunk threads one
+//!   reusable [`cpu::Fold`] through its vertices, so a superstep allocates
+//!   nothing per vertex. The fold makes the dispatcher's split itself: a
+//!   linear candidate search below the threshold, a stamped hash table at
+//!   or above it. Its per-chunk tally of the two is the routing split, so
+//!   reporting it costs no pass over the active mask.
 //! * Explicit `Shuffle` on multi-chunk vertices merges per-chunk partial
 //!   sums, `Sort` accumulates in sorted order (after an unstable bitonic
 //!   sort), and `Replicated` merges by tree reduction — different
@@ -32,7 +35,6 @@
 
 use super::{
     cpu, replicated, shuffle, sort, DecideOutput, DecideScratch, KernelKind, RoutingStats,
-    SHUFFLE_DEGREE_THRESHOLD,
 };
 use crate::state::BspState;
 use gala_gpu::memory::MemTally;
@@ -58,8 +60,7 @@ pub(crate) fn decide_into(
     let started = Instant::now();
     let routing = match kind {
         KernelKind::Cpu | KernelKind::Hash(_) | KernelKind::WorkloadAware(_) => {
-            cpu::decide_into(graph, state, active, out);
-            route_lean(kind, graph, active)
+            route_lean(kind, cpu::decide_into(graph, state, active, out))
         }
         KernelKind::Shuffle => RoutingStats {
             shuffle_vertices: run_sim_kernel(
@@ -108,29 +109,25 @@ pub(crate) fn decide_into(
 }
 
 /// Routing counts for the lean (cpu-fold) path, matching the simulator's
-/// semantics per kernel kind: the workload-aware dispatcher reports its
-/// degree-threshold split even though both halves run the same fold here.
-fn route_lean(kind: KernelKind, graph: &Graph, active: &[bool]) -> RoutingStats {
-    let mut routing = RoutingStats::default();
-    let num_active = active.iter().filter(|&&a| a).count() as u64;
+/// semantics per kernel kind. The fold's own degree split is the
+/// workload-aware dispatcher's, so no pass over `active` is needed.
+fn route_lean(kind: KernelKind, counts: cpu::FoldCounts) -> RoutingStats {
     match kind {
-        KernelKind::Cpu => routing.other_vertices = num_active,
-        KernelKind::Hash(_) => routing.hash_vertices = num_active,
-        KernelKind::WorkloadAware(_) => {
-            for (v, &is_active) in active.iter().enumerate() {
-                if !is_active {
-                    continue;
-                }
-                if graph.degree(v as VertexId) < SHUFFLE_DEGREE_THRESHOLD {
-                    routing.shuffle_vertices += 1;
-                } else {
-                    routing.hash_vertices += 1;
-                }
-            }
-        }
+        KernelKind::Cpu => RoutingStats {
+            other_vertices: counts.total(),
+            ..RoutingStats::default()
+        },
+        KernelKind::Hash(_) => RoutingStats {
+            hash_vertices: counts.total(),
+            ..RoutingStats::default()
+        },
+        KernelKind::WorkloadAware(_) => RoutingStats {
+            shuffle_vertices: counts.linear,
+            hash_vertices: counts.hashed,
+            other_vertices: 0,
+        },
         _ => unreachable!("lean routing is only for cpu/hash/workload-aware"),
     }
-    routing
 }
 
 /// Runs a simulated per-vertex decision function over the active set on

@@ -248,18 +248,18 @@ impl Louvain {
         for iteration in 0..cfg.max_iterations {
             let mut sub = obs.sub();
             let t0 = Instant::now();
-            sub.scope("classify", |p| {
+            let num_active = sub.scope("classify", |p| {
                 pruning::classify_into(cfg.pruning, graph, &state, &mut rng, active);
-                let num_active = active.iter().filter(|&&a| a).count() as u64;
-                p.count("active", num_active);
-                p.count("pruned", graph.num_vertices() as u64 - num_active);
+                let num_active = active.iter().filter(|&&a| a).count();
+                p.count("active", num_active as u64);
+                p.count("pruned", (graph.num_vertices() - num_active) as u64);
+                num_active
             });
-            let num_active = active.iter().filter(|&&a| a).count();
             let t1 = Instant::now();
             backend.decide(cfg.kernel, graph, &state, active, &mut sub, dscratch, out);
             let t2 = Instant::now();
             if let Some(m) = obs.metrics() {
-                record_superstep_metrics(m, cfg.kernel, graph, &state, active, out);
+                record_superstep_metrics(m, cfg.kernel, graph, &state, active, num_active, out);
             }
             let summary = sub.scope("apply", |p| {
                 let summary = state.apply_moves(graph, &out.next_comm);
@@ -559,13 +559,13 @@ fn record_superstep_metrics(
     graph: &Graph,
     state: &BspState,
     active: &[bool],
+    num_active: usize,
     out: &kernels::DecideOutput,
 ) {
     use gala_graph::VertexId;
 
-    let num_active = active.iter().filter(|&&a| a).count() as u64;
-    m.inc("pruning/active", num_active);
-    m.inc("pruning/pruned", graph.num_vertices() as u64 - num_active);
+    m.inc("pruning/active", num_active as u64);
+    m.inc("pruning/pruned", (graph.num_vertices() - num_active) as u64);
     let audit = pruning::audit_pruned(graph, state, active, AUDIT_SAMPLES_PER_SUPERSTEP);
     m.inc("pruning/audit_sampled", audit.sampled);
     m.inc("pruning/audit_false_negatives", audit.false_negatives);

@@ -276,13 +276,13 @@ fn run_phase1_round(
     let mut dev_out = kernels::DecideOutput::default();
     for iteration in 0..cfg.max_iterations {
         let mut sub = obs.sub();
-        sub.scope("classify", |p| {
+        let num_active = sub.scope("classify", |p| {
             pruning::classify_into(cfg.pruning, graph, &state, &mut rng, &mut active);
-            let num_active = active.iter().filter(|&&a| a).count() as u64;
-            p.count("active", num_active);
-            p.count("pruned", n as u64 - num_active);
+            let num_active = active.iter().filter(|&&a| a).count();
+            p.count("active", num_active as u64);
+            p.count("pruned", (n - num_active) as u64);
+            num_active
         });
-        let num_active = active.iter().filter(|&&a| a).count();
 
         // Each device decides over its owned range; the per-device kernel
         // spans merge by name into one `decide` subtree.

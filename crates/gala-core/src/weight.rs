@@ -148,7 +148,7 @@ mod tests {
     #[test]
     fn delta_matches_naive_over_iterations() {
         let unit = fixtures::ring_of_cliques(6, 5);
-        let weighted = cpu::weighted_planted(32, 40, 0.3, 7);
+        let weighted = cpu::weighted_planted(32, 40, 8.0, 0.3, 7);
         for (g, exact) in [(&unit, true), (&weighted, false)] {
             let mut s = BspState::new(g);
             let mut delta_steps = 0;
@@ -185,7 +185,7 @@ mod tests {
     /// move set large enough to run in parallel.
     #[test]
     fn delta_is_bit_identical_across_widths() {
-        let g = cpu::weighted_planted(100, 50, 0.3, 11);
+        let g = cpu::weighted_planted(100, 50, 8.0, 0.3, 11);
         let mut s = BspState::new(&g);
         for _ in 0..2 {
             let out = cpu::decide(&g, &s, &vec![true; g.num_vertices()]);
