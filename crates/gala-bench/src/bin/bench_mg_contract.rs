@@ -22,8 +22,9 @@
 
 use gala_bench::{all_datasets, new_report, scale_from_env, time, BenchArgs, Table};
 use gala_core::backend::BackendKind;
+use gala_core::louvain::{Louvain, LouvainConfig};
 use gala_core::mg_contract::contract_partitioned;
-use gala_core::multi_gpu::{MultiGpuConfig, SyncMode};
+use gala_core::multi_gpu::SyncMode;
 use gala_gpu::profile::Profiler;
 use gala_graph::coarsen::{coarsen_into, CoarsenScratch, Coarsened};
 use gala_graph::{Graph, Partition};
@@ -48,21 +49,21 @@ fn fingerprint(c: &Coarsened) -> (usize, Vec<u32>, Vec<usize>, Vec<u32>, Vec<u64
     )
 }
 
-fn config(devices: usize, backend: BackendKind) -> MultiGpuConfig {
-    MultiGpuConfig {
-        num_devices: devices,
+fn config(devices: usize, backend: BackendKind) -> LouvainConfig {
+    LouvainConfig {
+        devices,
         backend,
         sync: SyncMode::Adaptive,
-        ..MultiGpuConfig::default()
+        ..LouvainConfig::default()
     }
 }
 
 /// One partitioned contraction with the coarse buffers recycled back into
-/// the scratch (the steady-state loop `run_full` runs).
+/// the scratch (the steady-state loop `Louvain::run` runs).
 fn contract_once(
     graph: &Graph,
     partition: &Partition,
-    cfg: &MultiGpuConfig,
+    cfg: &LouvainConfig,
     scratch: &mut CoarsenScratch,
 ) -> gala_core::mg_contract::ContractRoundStats {
     let (coarse, stats) = contract_partitioned(
@@ -107,11 +108,10 @@ fn main() {
     for (d, g) in datasets.iter().take(num_graphs) {
         // A real first-round partition: the ghost-row distribution is what
         // the exchange model actually sees.
-        let partition =
-            gala_core::louvain::Louvain::new(gala_core::louvain::LouvainConfig::default())
-                .run_phase1(g)
-                .0
-                .partition();
+        let partition = Louvain::new(LouvainConfig::default())
+            .run_phase1(g)
+            .0
+            .partition();
         let reference = fingerprint(&coarsen_into(g, &partition, &mut CoarsenScratch::default()));
 
         // The host path's wall time is the 1-device parity baseline.

@@ -23,7 +23,6 @@
 
 use gala_bench::{all_datasets, eng, new_report, scale_from_env, BenchArgs, Table};
 use gala_core::louvain::{Louvain, LouvainConfig};
-use gala_core::multi_gpu::{run_phase1_with, MultiGpuConfig};
 use gala_core::observe::Obs;
 use gala_gpu::memory::CostModel;
 use gala_telemetry::{JsonlSink, Report, TraceEvent, VecSink};
@@ -82,15 +81,14 @@ fn main() {
     let mut sync_table = Table::new(&["Run", "Steps", "Sync bytes", "Dense", "Sparse"]);
     for (d, g) in datasets.iter().take(2) {
         for devices in [2usize, 4] {
+            // One round: the first phase 1 is what the baseline gates.
             let mut sink = VecSink::default();
-            let r = run_phase1_with(
-                g,
-                MultiGpuConfig {
-                    num_devices: devices,
-                    ..MultiGpuConfig::default()
-                },
-                &mut Obs::traced(&mut sink),
-            );
+            let r = Louvain::new(LouvainConfig {
+                devices,
+                max_rounds: 1,
+                ..LouvainConfig::default()
+            })
+            .run_with(g, &mut Obs::traced(&mut sink));
             let (mut bytes, mut dense, mut sparse) = (0u64, 0u64, 0u64);
             for ev in &sink.events {
                 if let TraceEvent::Sync { bytes: b, mode, .. } = ev {
@@ -103,7 +101,7 @@ fn main() {
             }
             sync_table.row(vec![
                 format!("{}/d{devices}", d.abbr()),
-                r.iterations.len().to_string(),
+                r.num_iterations().to_string(),
                 eng(bytes as f64),
                 dense.to_string(),
                 sparse.to_string(),

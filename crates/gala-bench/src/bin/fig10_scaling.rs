@@ -8,8 +8,19 @@
 //!   exchange) under the partitioned multi-device contraction, OR graph.
 
 use gala_bench::{all_datasets, new_report, scale_from_env, BenchArgs, Table};
-use gala_core::multi_gpu::{run_full, run_phase1, ContractMode, MultiGpuConfig, SyncMode};
+use gala_core::louvain::{Louvain, LouvainConfig};
+use gala_core::multi_gpu::{ContractMode, SyncMode};
 use gala_graph::datasets::Dataset;
+
+/// GALA on `devices` simulated devices with adaptive sync.
+fn on(devices: usize, contract: ContractMode) -> Louvain {
+    Louvain::new(LouvainConfig {
+        devices,
+        sync: SyncMode::Adaptive,
+        contract,
+        ..LouvainConfig::default()
+    })
+}
 
 fn main() {
     let scale = scale_from_env();
@@ -21,17 +32,7 @@ fn main() {
     for (d, g) in &datasets {
         let times: Vec<f64> = device_counts
             .iter()
-            .map(|&p| {
-                run_phase1(
-                    g,
-                    MultiGpuConfig {
-                        num_devices: p,
-                        sync: SyncMode::Adaptive,
-                        ..MultiGpuConfig::default()
-                    },
-                )
-                .total_us()
-            })
+            .map(|&p| on(p, ContractMode::Host).run_phase1(g).1.total_us())
             .collect();
         let mut row = vec![d.abbr().to_string()];
         for t in &times {
@@ -53,14 +54,7 @@ fn main() {
     let mut table = Table::new(&["GPUs", "Compute us", "Comm us", "Comm %"]);
     let mut computes = Vec::new();
     for &p in &device_counts {
-        let r = run_phase1(
-            &g,
-            MultiGpuConfig {
-                num_devices: p,
-                sync: SyncMode::Adaptive,
-                ..MultiGpuConfig::default()
-            },
-        );
+        let (_, r) = on(p, ContractMode::Host).run_phase1(&g);
         computes.push(r.compute_us());
         table.row(vec![
             p.to_string(),
@@ -87,16 +81,8 @@ fn main() {
         "Contract %",
     ]);
     for &p in &device_counts {
-        let r = run_full(
-            &g,
-            MultiGpuConfig {
-                num_devices: p,
-                sync: SyncMode::Adaptive,
-                contract: ContractMode::Partitioned,
-                ..MultiGpuConfig::default()
-            },
-        );
-        let phase1 = r.total_us();
+        let r = on(p, ContractMode::Partitioned).run(&g);
+        let phase1: f64 = r.rounds.iter().map(|r| r.total_us()).sum();
         let contract: f64 = r.contracts.iter().map(|c| c.compute_us).sum();
         let exchange: f64 = r.contracts.iter().map(|c| c.comm_us()).sum();
         let total = phase1 + contract + exchange;

@@ -23,7 +23,7 @@ use gala_bench::{eng, new_report, time, BenchArgs, Table};
 use gala_core::backend::BackendKind;
 use gala_core::louvain::{Louvain, LouvainConfig};
 use gala_core::mg_contract::contract_partitioned;
-use gala_core::multi_gpu::{run_phase1, MultiGpuConfig, SyncMode};
+use gala_core::multi_gpu::SyncMode;
 use gala_gpu::profile::Profiler;
 use gala_graph::coarsen::CoarsenScratch;
 use gala_graph::generators::sbm::PowerLawSbm;
@@ -104,15 +104,13 @@ fn main() {
         state.partition().num_communities()
     );
 
-    let (multi, wall) = time(|| {
-        run_phase1(
-            &g,
-            MultiGpuConfig {
-                num_devices: 8,
-                sync: SyncMode::Adaptive,
-                ..MultiGpuConfig::default()
-            },
-        )
+    let ((_, multi), wall) = time(|| {
+        Louvain::new(LouvainConfig {
+            devices: 8,
+            sync: SyncMode::Adaptive,
+            ..LouvainConfig::default()
+        })
+        .run_phase1(&g)
     });
     println!(
         "GALA phase 1 (8 simulated devices): {:.2}s host wall, modelled {:.0} us \
@@ -266,10 +264,10 @@ fn main() {
         contract_partitioned(
             &big,
             &big_state.partition(),
-            &MultiGpuConfig {
-                num_devices: CONTRACT_DEVICES,
+            &LouvainConfig {
+                devices: CONTRACT_DEVICES,
                 backend: BackendKind::Native,
-                ..MultiGpuConfig::default()
+                ..LouvainConfig::default()
             },
             BackendKind::Native.resolve(),
             &mut prof,

@@ -1214,7 +1214,7 @@ pub fn run(args: &AnalyzeArgs) -> Result<(), Error> {
 mod tests {
     use super::*;
     use gala_core::louvain::{Louvain, LouvainConfig};
-    use gala_core::multi_gpu::{run_full_with, ContractMode, MultiGpuConfig};
+    use gala_core::multi_gpu::ContractMode;
     use gala_core::observe::Obs;
     use gala_graph::generators::fixtures;
     use gala_telemetry::JsonlSink;
@@ -1242,15 +1242,12 @@ mod tests {
     fn write_mg_fixture_trace(name: &str) -> String {
         let g = fixtures::ring_of_cliques(8, 6);
         let mut sink = JsonlSink::new(Vec::new());
-        run_full_with(
-            &g,
-            MultiGpuConfig {
-                num_devices: 4,
-                contract: ContractMode::Partitioned,
-                ..MultiGpuConfig::default()
-            },
-            &mut Obs::traced(&mut sink),
-        );
+        Louvain::new(LouvainConfig {
+            devices: 4,
+            contract: ContractMode::Partitioned,
+            ..LouvainConfig::default()
+        })
+        .run_with(&g, &mut Obs::traced(&mut sink));
         let path = format!("{}.jsonl", tmp(name));
         std::fs::write(&path, sink.into_inner()).unwrap();
         path
@@ -1260,7 +1257,7 @@ mod tests {
     fn partitioned_traces_decode_and_check_exchange_accounting() {
         let path = write_mg_fixture_trace("mgload");
         let trace = load_trace(&path).unwrap();
-        assert_eq!(trace.algorithm, "multi-gpu");
+        assert_eq!(trace.algorithm, "louvain");
         assert_eq!(trace.devices, 4);
         let exchanges: Vec<ExchangeCheck> = trace
             .span_checks

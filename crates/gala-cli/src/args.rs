@@ -13,9 +13,12 @@ usage:
       --resolution <gamma>                     (default: 1.0)
       --format edgelist|metis|bin              (default: by extension)
       --output <file>                          write `vertex community` lines
-      --devices <p>                            simulated GPUs (default: 1)
-      --mg-contract host|partitioned           phase-2 contraction for
-                                               multi-device runs (default: host)
+      --devices <p>                            simulated GPUs each GALA superstep
+                                               is split over; the result is the
+                                               same at any count (default: 1)
+      --mg-contract host|partitioned           GALA phase-2 contraction: one host
+                                               pass, or per device with modelled
+                                               exchange (default: host)
       --reorder degree|bfs|none                locality preprocessing: renumber
                                                vertices before detection and
                                                report mean edge span before and
@@ -155,7 +158,7 @@ impl Backend {
     }
 }
 
-/// Phase-2 contraction strategy for multi-device runs (`--mg-contract`).
+/// GALA's phase-2 contraction strategy (`--mg-contract`).
 /// Mirrors `gala-core`'s `ContractMode`; both strategies are bit-identical,
 /// the partitioned one adds per-device compute and exchange modelling.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -282,7 +285,7 @@ pub struct DetectArgs {
     pub output: Option<String>,
     /// Simulated device count.
     pub devices: usize,
-    /// Phase-2 contraction strategy (multi-device runs).
+    /// Phase-2 contraction strategy (GALA only).
     pub mg_contract: MgContract,
     /// Locality preprocessing before detection.
     pub reorder: Reorder,

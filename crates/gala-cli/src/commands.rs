@@ -7,10 +7,10 @@ use crate::args::{
 use gala_core::backend::BackendKind;
 use gala_core::label_prop::{label_propagation, LabelPropConfig};
 use gala_core::leiden::{leiden_with, LeidenConfig};
-use gala_core::louvain::LouvainConfig;
+use gala_core::louvain::{Louvain, LouvainConfig};
 use gala_core::metrics::summarize;
 use gala_core::modularity::modularity_with_resolution;
-use gala_core::multi_gpu::{self, ContractMode, MultiGpuConfig};
+use gala_core::multi_gpu::ContractMode;
 use gala_core::observe::Obs;
 use gala_core::pruning::PruningKind;
 use gala_core::sequential::{sequential_louvain_with, SequentialConfig};
@@ -342,44 +342,24 @@ fn detect(args: DetectArgs) -> Result<(), Error> {
                 Pruning::MgRm => PruningKind::GainRelaxed,
                 Pruning::None => PruningKind::None,
             };
-            if args.mg_contract == MgContract::Partitioned {
-                // The partitioned contraction only exists in the full
-                // hierarchy driver, so `--mg-contract partitioned` runs
-                // all rounds even at one device.
-                let r = multi_gpu::run_full_with(
-                    &graph,
-                    MultiGpuConfig {
-                        num_devices: args.devices,
-                        pruning,
-                        backend,
-                        contract: ContractMode::Partitioned,
-                        ..MultiGpuConfig::default()
-                    },
-                    &mut obs,
-                );
-                ("GALA (multi-device, full)", r.partition)
-            } else if args.devices > 1 {
-                let r = multi_gpu::run_phase1_with(
-                    &graph,
-                    MultiGpuConfig {
-                        num_devices: args.devices,
-                        pruning,
-                        backend,
-                        ..MultiGpuConfig::default()
-                    },
-                    &mut obs,
-                );
-                ("GALA (multi-device, phase 1)", r.partition)
+            let r = Louvain::new(LouvainConfig {
+                pruning,
+                resolution: args.resolution,
+                backend,
+                devices: args.devices,
+                contract: match args.mg_contract {
+                    MgContract::Host => ContractMode::Host,
+                    MgContract::Partitioned => ContractMode::Partitioned,
+                },
+                ..LouvainConfig::default()
+            })
+            .run_with(&graph, &mut obs);
+            let name = if args.devices > 1 {
+                "GALA (multi-device)"
             } else {
-                let r = gala_core::louvain::Louvain::new(LouvainConfig {
-                    pruning,
-                    resolution: args.resolution,
-                    backend,
-                    ..LouvainConfig::default()
-                })
-                .run_with(&graph, &mut obs);
-                ("GALA", r.partition)
-            }
+                "GALA"
+            };
+            (name, r.partition)
         }
         Algorithm::Leiden => {
             let r = leiden_with(
@@ -726,10 +706,7 @@ mod tests {
         )
         .unwrap();
         let report = Report::read_from(&report_path).unwrap();
-        assert_eq!(
-            report.meta_value("algorithm"),
-            Some("GALA (multi-device, full)")
-        );
+        assert_eq!(report.meta_value("algorithm"), Some("GALA (multi-device)"));
         assert_eq!(report.meta_value("contract"), Some("partitioned"));
         for p in [graph_path, trace_path, report_path, out_host, out_part] {
             let _ = std::fs::remove_file(p);

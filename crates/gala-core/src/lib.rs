@@ -14,14 +14,17 @@
 //!   (Alg. 2), block hash-based (Alg. 3) with global-only / unified /
 //!   hierarchical hashtables, and a cuGraph-style sort-based baseline.
 //! * [`louvain`] — the BSP phase-1 loop, phase-2 coarsening, and the
-//!   multi-round driver with Grappolo's convergence heuristics.
+//!   multi-round driver with Grappolo's convergence heuristics, at any
+//!   simulated device count.
 //! * [`backend`] — the execution-backend seam: the simulated-GPU substrate
 //!   (cycle accounting) and the native host substrate (wall-clock timing)
 //!   behind one trait, guaranteed assignment-identical.
 //! * [`sequential`] — the classic sequential Louvain baseline (Blondel).
 //! * [`grappolo`] — a Grappolo-style CPU parallel baseline on rayon.
-//! * [`multi_gpu`] — vertex-partitioned multi-device execution with
-//!   adaptive dense/sparse synchronisation (Sec. 4.3).
+//! * [`multi_gpu`] — the device layer of the [`louvain`] loop: the
+//!   per-range decide split and the adaptive dense/sparse sync cost model
+//!   a run with `devices > 1` adds (Sec. 4.3); [`mg_contract`] is its
+//!   per-device phase-2 contraction.
 //! * [`metrics`] — NMI and partition-quality statistics.
 //! * [`observe`] — the one observer every driver reports through: trace
 //!   sink, run-level profiler, per-round metrics and live progress behind

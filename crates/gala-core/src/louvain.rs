@@ -1,10 +1,15 @@
 //! The GALA Louvain driver: BSP phase 1 (Algorithm 1) with pluggable
 //! pruning, kernels, and weight maintenance, plus the phase-2 coarsening
-//! loop building the community hierarchy.
+//! loop building the community hierarchy. The one loop serves every device
+//! count: with `devices > 1` each superstep's decide pass is split over
+//! simulated devices and its decisions synchronised ([`crate::multi_gpu`]),
+//! and phase 2 may contract per device ([`crate::mg_contract`]).
 
 use crate::backend::BackendKind;
 use crate::kernels::hashtable::TableStats;
 use crate::kernels::{self, KernelKind};
+use crate::mg_contract::{self, ContractRoundStats};
+use crate::multi_gpu::{self, ContractMode, Devices, SyncMode};
 use crate::observe::Obs;
 use crate::pruning::{self, PruningKind};
 use crate::state::BspState;
@@ -56,6 +61,17 @@ pub struct LouvainConfig {
     /// GPU (cycle accounting, the default) or the native host pool
     /// (wall-clock timing). Assignments are identical either way.
     pub backend: BackendKind,
+    /// Simulated devices each superstep's decide pass is split over
+    /// (Section 4.3). Assignments are identical at every count; what
+    /// changes is the modelled compute and communication time.
+    pub devices: usize,
+    /// How the devices synchronise each superstep's decisions, and how a
+    /// partitioned contraction picks its exchange (unused at one device
+    /// under host contraction).
+    pub sync: SyncMode,
+    /// Phase-2 strategy: host contraction, or the partitioned per-device
+    /// contraction with simulated collectives.
+    pub contract: ContractMode,
 }
 
 impl Default for LouvainConfig {
@@ -72,6 +88,9 @@ impl Default for LouvainConfig {
             dip_patience: DIP_PATIENCE,
             refine: false,
             backend: BackendKind::Sim,
+            devices: 1,
+            sync: SyncMode::Adaptive,
+            contract: ContractMode::Host,
         }
     }
 }
@@ -114,8 +133,16 @@ pub struct IterationStats {
     pub decide_time: Duration,
     /// Wall time of the weight-maintenance step.
     pub weight_time: Duration,
-    /// Wall time of everything else (classify, apply, modularity).
+    /// Wall time of everything else (classify, sync, apply, modularity).
     pub other_time: Duration,
+    /// Modelled device compute time (µs): the slowest device's decide pass
+    /// plus its share of weight maintenance.
+    pub compute_us: f64,
+    /// Modelled time of the superstep's sync collective (µs; 0 on one
+    /// device).
+    pub comm_us: f64,
+    /// The sync strategy the superstep used (`None` on one device).
+    pub sync: Option<SyncMode>,
 }
 
 /// One hierarchy round: a full phase-1 run on the (possibly coarsened)
@@ -161,6 +188,21 @@ impl RoundStats {
     pub fn weight_tally(&self) -> MemTally {
         self.iterations.iter().map(|i| i.weight_tally).sum()
     }
+
+    /// Total modelled device compute time (µs).
+    pub fn compute_us(&self) -> f64 {
+        self.iterations.iter().map(|i| i.compute_us).sum()
+    }
+
+    /// Total modelled communication time (µs).
+    pub fn comm_us(&self) -> f64 {
+        self.iterations.iter().map(|i| i.comm_us).sum()
+    }
+
+    /// Total modelled device time (µs).
+    pub fn total_us(&self) -> f64 {
+        self.compute_us() + self.comm_us()
+    }
 }
 
 /// Result of a full Louvain run.
@@ -172,6 +214,10 @@ pub struct LouvainResult {
     pub modularity: f64,
     /// Per-round statistics.
     pub rounds: Vec<RoundStats>,
+    /// Per-round phase-2 cost records: mode `"host"` with no modelled
+    /// device time under [`ContractMode::Host`], the per-device compute and
+    /// exchange/repartition model under [`ContractMode::Partitioned`].
+    pub contracts: Vec<ContractRoundStats>,
 }
 
 impl LouvainResult {
@@ -224,8 +270,10 @@ impl Louvain {
 
     /// One phase-1 round at hierarchy round `round`: per superstep a
     /// `span` tree (classify → decide → apply → weight-update → modularity,
-    /// with per-kernel children under decide) and a `superstep` event, then
-    /// the round's `metrics` and `progress` events.
+    /// with per-kernel children under decide, and a `sync` between decide
+    /// and apply on several devices) and a `superstep` event (plus a `sync`
+    /// event on several devices), then the round's `metrics` and `progress`
+    /// events.
     pub(crate) fn run_phase1_round(
         &self,
         graph: &Graph,
@@ -245,6 +293,8 @@ impl Louvain {
         let mut iterations = Vec::new();
         let mut prev_q = state.modularity(graph);
         let mut dips = DipPatience::new(&state, prev_q, cfg.theta, cfg.dip_patience);
+        // One device decides on the full mask; several split it.
+        let mut devices = (cfg.devices > 1).then(|| Devices::new(graph, cfg.devices, cfg.sync));
         for iteration in 0..cfg.max_iterations {
             let mut sub = obs.sub();
             let t0 = Instant::now();
@@ -256,11 +306,22 @@ impl Louvain {
                 num_active
             });
             let t1 = Instant::now();
-            backend.decide(cfg.kernel, graph, &state, active, &mut sub, dscratch, out);
+            let device_moved = match devices.as_mut() {
+                None => {
+                    backend.decide(cfg.kernel, graph, &state, active, &mut sub, dscratch, out);
+                    0
+                }
+                Some(d) => d.decide(
+                    backend, cfg.kernel, graph, &state, active, &mut sub, dscratch, out,
+                ),
+            };
             let t2 = Instant::now();
             if let Some(m) = obs.metrics() {
                 record_superstep_metrics(m, cfg.kernel, graph, &state, active, num_active, out);
             }
+            let sync = devices
+                .as_ref()
+                .map(|d| d.sync(graph.num_vertices(), device_moved, &mut sub, obs.metrics()));
             let summary = sub.scope("apply", |p| {
                 let summary = state.apply_moves(graph, &out.next_comm);
                 p.count("moved", summary.num_moved() as u64);
@@ -284,6 +345,10 @@ impl Louvain {
                 state.modularity(graph)
             });
             let t5 = Instant::now();
+            let compute_us = match &devices {
+                None => multi_gpu::compute_us(std::slice::from_ref(&out.tally), &weight_tally),
+                Some(d) => d.compute_us(&weight_tally),
+            };
             obs.span(
                 round as u32,
                 iteration as u32,
@@ -302,6 +367,9 @@ impl Louvain {
                 decide_time: t2 - t1,
                 weight_time: t4 - t3,
                 other_time: (t1 - t0) + (t3 - t2) + (t5 - t4),
+                compute_us,
+                comm_us: sync.map_or(0.0, |s| s.comm_us),
+                sync: sync.map(|s| s.mode),
             });
             obs.superstep(
                 graph,
@@ -311,7 +379,7 @@ impl Louvain {
                 moved,
                 q,
                 || {
-                    Some(TraceEvent::Superstep {
+                    let step = TraceEvent::Superstep {
                         round: round as u32,
                         superstep: iteration as u32,
                         active: num_active as u64,
@@ -324,7 +392,9 @@ impl Louvain {
                         weight_tally,
                         hash_occupancy: out.hash_stats.occupancy(),
                         hash_evictions: out.hash_stats.shared_evictions,
-                    })
+                    };
+                    let sync = devices.as_ref().zip(sync);
+                    std::iter::once(step).chain(sync.map(|(d, s)| d.event(iteration as u32, &s)))
                 },
             );
             prev_q = q;
@@ -347,6 +417,9 @@ impl Louvain {
             let sampled = m.counter("pruning/audit_sampled").unwrap_or(0);
             let fns = m.counter("pruning/audit_false_negatives").unwrap_or(0);
             m.gauge("pruning/audit_fnr", ratio(fns, sampled));
+            if let Some(d) = &devices {
+                d.finish_metrics(m);
+            }
         });
         let stats = RoundStats {
             round,
@@ -364,16 +437,19 @@ impl Louvain {
     }
 
     /// [`Self::run`] observed through `obs`: `run_start`, per BSP
-    /// superstep a `superstep` event plus its `span`/`profile` pair, per
-    /// hierarchy round the phase-1 `metrics`/`progress` events, a
-    /// `contract` span (holding `refine` when enabled) and a `round_end`,
-    /// and a final `run_end`. The run-level profile holds one `round` span
-    /// per hierarchy round.
+    /// superstep a `superstep` event (plus its `sync` on several devices)
+    /// and its `span`/`profile` pair, per hierarchy round the phase-1
+    /// `metrics`/`progress` events, a `contract` span (holding `refine`
+    /// when enabled, and `aggregate`/`exchange` under
+    /// [`ContractMode::Partitioned`]), an exchange `sync` event per
+    /// partitioned contraction, and a `round_end`, and a final `run_end`.
+    /// The run-level profile holds one `round` span per hierarchy round.
     pub fn run_with(&self, graph: &Graph, obs: &mut Obs) -> LouvainResult {
         let cfg = &self.config;
         let backend = cfg.backend.resolve();
-        obs.run_start("louvain", graph, 1);
+        obs.run_start("louvain", graph, cfg.devices);
         let mut rounds = Vec::new();
+        let mut contracts = Vec::new();
         let mut current: Option<Graph> = None; // None = original graph
         let mut flat: Option<Partition> = None;
         let mut best: Option<(Partition, f64)> = None;
@@ -412,15 +488,36 @@ impl Louvain {
                 state.partition()
             };
             let instrumented = obs.instrumented();
-            let coarse = sub.scope("contract", |p| {
+            let (coarse, cstats) = sub.scope("contract", |p| {
                 let started = Instant::now();
-                let coarse =
-                    backend.contract(g, &partition, cfg.kernel, instrumented, p, &mut cscratch);
+                let (coarse, cstats) = match cfg.contract {
+                    ContractMode::Host => {
+                        let coarse = backend.contract(
+                            g,
+                            &partition,
+                            cfg.kernel,
+                            instrumented,
+                            p,
+                            &mut cscratch,
+                        );
+                        let cstats = ContractRoundStats::host(cfg.devices, coarse.num_communities);
+                        (coarse, cstats)
+                    }
+                    ContractMode::Partitioned => mg_contract::contract_partitioned_with(
+                        g,
+                        &partition,
+                        cfg,
+                        backend,
+                        p,
+                        &mut cscratch,
+                        obs,
+                    ),
+                };
                 p.count("vertices", g.num_vertices() as u64);
                 p.count("arcs", g.num_arcs() as u64);
                 p.count("communities", coarse.num_communities as u64);
                 p.count("elapsed_ns", started.elapsed().as_nanos() as u64);
-                coarse
+                (coarse, cstats)
             });
             obs.span(
                 round as u32,
@@ -429,8 +526,21 @@ impl Louvain {
                 Some(cfg.backend),
                 sub,
             );
+            // The exchange is phase 2's analogue of a phase-1 sync: one
+            // event per partitioned round (host contraction exchanges
+            // nothing).
+            if cstats.mode != "host" {
+                obs.emit(|| TraceEvent::Sync {
+                    superstep: supersteps as u32,
+                    mode: cstats.mode.to_string(),
+                    bytes: cstats.exchange_bytes,
+                    comm_us: cstats.exchange_us,
+                    devices: cfg.devices as u32,
+                });
+            }
             obs.exit_round();
             rounds.push(stats);
+            contracts.push(cstats);
             let composed = match flat {
                 None => coarse.renumbered.clone(),
                 Some(prev) => prev.compose(&coarse.renumbered),
@@ -474,6 +584,7 @@ impl Louvain {
             partition,
             modularity,
             rounds,
+            contracts,
         };
         let total_cycles = CostModel::default().cycles(&result.total_tally());
         obs.run_end(modularity, result.rounds.len(), total_cycles);
@@ -481,8 +592,8 @@ impl Louvain {
     }
 }
 
-/// The default [`LouvainConfig::dip_patience`], also used by the drivers
-/// without a patience setting (multi-GPU, Grappolo).
+/// The default [`LouvainConfig::dip_patience`], also used by Grappolo,
+/// which has no patience setting.
 pub(crate) const DIP_PATIENCE: usize = 8;
 
 /// Dip-tolerant convergence of one BSP phase-1 round. Simultaneous greedy

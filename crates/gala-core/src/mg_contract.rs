@@ -2,7 +2,8 @@
 //!
 //! The multi-device phase-1 model ([`crate::multi_gpu`]) splits *fine*
 //! vertices into contiguous arc-balanced ranges; this module applies the
-//! same treatment to the contraction between rounds. Coarse rows (one per
+//! same treatment to the contraction between rounds when
+//! [`LouvainConfig::contract`] asks for it. Coarse rows (one per
 //! community) are split into contiguous per-device ranges balanced by
 //! member-arc counts, and each device:
 //!
@@ -30,7 +31,8 @@
 //! exchange/repartition time follows the α–β collective formulas.
 
 use crate::backend::ExecutionBackend;
-use crate::multi_gpu::{partition_by_arcs, MultiGpuConfig, SyncMode};
+use crate::louvain::LouvainConfig;
+use crate::multi_gpu::{partition_by_arcs, SyncMode, CYCLES_PER_US};
 use crate::observe::Obs;
 use gala_gpu::comm::DeviceGroup;
 use gala_gpu::memory::{CostModel, MemTally};
@@ -97,6 +99,17 @@ pub struct ContractRoundStats {
 }
 
 impl ContractRoundStats {
+    /// The record of a round contracted on the host in one piece: no
+    /// device model applies.
+    pub(crate) fn host(devices: usize, rows: usize) -> Self {
+        Self {
+            devices,
+            rows: rows as u64,
+            mode: "host",
+            ..Self::default()
+        }
+    }
+
     /// Total modelled collective time (exchange + assembly), µs.
     pub fn comm_us(&self) -> f64 {
         self.exchange_us + self.assemble_us
@@ -144,7 +157,7 @@ pub fn partition_rows_by_arcs(
     ranges
 }
 
-/// Runs one round's contraction partitioned over `cfg.num_devices`
+/// Runs one round's contraction partitioned over `cfg.devices`
 /// simulated devices (see the module docs for the model). Returns the
 /// coarse graph — bit-identical to [`coarsen_into`] — plus the round's
 /// modelled cost record. Spans land on `prof` under `aggregate` (per-device
@@ -157,7 +170,7 @@ pub fn partition_rows_by_arcs(
 pub fn contract_partitioned(
     graph: &Graph,
     partition: &Partition,
-    cfg: &MultiGpuConfig,
+    cfg: &LouvainConfig,
     backend: &dyn ExecutionBackend,
     prof: &mut Profiler,
     scratch: &mut CoarsenScratch,
@@ -172,22 +185,17 @@ pub fn contract_partitioned(
 pub(crate) fn contract_partitioned_with(
     graph: &Graph,
     partition: &Partition,
-    cfg: &MultiGpuConfig,
+    cfg: &LouvainConfig,
     backend: &dyn ExecutionBackend,
     prof: &mut Profiler,
     scratch: &mut CoarsenScratch,
     obs: &mut Obs,
 ) -> (Coarsened, ContractRoundStats) {
-    let p = cfg.num_devices;
+    let p = cfg.devices;
     let n = graph.num_vertices();
     if ids_too_sparse(n, partition.assignment()) {
         let coarse = coarsen_into(graph, partition, scratch);
-        let stats = ContractRoundStats {
-            devices: p,
-            rows: coarse.num_communities as u64,
-            mode: "host",
-            ..ContractRoundStats::default()
-        };
+        let stats = ContractRoundStats::host(p, coarse.num_communities);
         return (coarse, stats);
     }
     let group = DeviceGroup::new(p);
@@ -256,7 +264,6 @@ pub(crate) fn contract_partitioned_with(
     // Per-device aggregation of the owned row ranges. Devices run
     // concurrently in the model, so compute is the max over devices.
     let cost = CostModel::default();
-    let cycles_per_us = cfg.clock_ghz * 1000.0 * cfg.effective_parallelism;
     let mut per_device_deg: Vec<Vec<u64>> = Vec::with_capacity(p);
     let mut per_device_pairs: Vec<Vec<(CommunityId, f64)>> = Vec::with_capacity(p);
     let mut device_tallies = Vec::with_capacity(p);
@@ -280,7 +287,7 @@ pub(crate) fn contract_partitioned_with(
                 &mut pairs,
             );
             pr.record(&st.tally);
-            compute_us = compute_us.max(cost.cycles(&st.tally) / cycles_per_us);
+            compute_us = compute_us.max(cost.cycles(&st.tally) / CYCLES_PER_US);
             elapsed_ns = elapsed_ns.max(st.elapsed_ns);
             device_tallies.push(st.tally);
             coarse_arcs += pairs.len() as u64;
@@ -296,7 +303,7 @@ pub(crate) fn contract_partitioned_with(
     // Each device's finished slice stays resident for the next round — a
     // real distributed hierarchy never replicates the coarse CSR. What the
     // next round needs is the rows re-dealt into the arc-balanced fine
-    // ranges `run_full` hands to phase 1 ([`partition_by_arcs`]), so
+    // ranges the next round's phase 1 splits over ([`partition_by_arcs`]), so
     // assembly is a *repartition* AllToAll: only rows whose owner changes
     // between the row-range partition (balanced by member arcs) and the
     // next round's fine partition (balanced by coarse arcs) travel, as an
@@ -422,10 +429,10 @@ mod tests {
         let host = coarsen_into(&g, &p, &mut CoarsenScratch::default());
         for devices in [1, 2, 4, 8] {
             for backend in [BackendKind::Sim, BackendKind::Native] {
-                let cfg = MultiGpuConfig {
-                    num_devices: devices,
+                let cfg = LouvainConfig {
+                    devices,
                     backend,
-                    ..MultiGpuConfig::default()
+                    ..LouvainConfig::default()
                 };
                 let (coarse, stats) = contract_partitioned(
                     &g,
@@ -467,9 +474,9 @@ mod tests {
             .map(|v| if v < 5 { 1_000_000 } else { 2_000_000 })
             .collect();
         let p = Partition::from_assignment(assignment);
-        let cfg = MultiGpuConfig {
-            num_devices: 4,
-            ..MultiGpuConfig::default()
+        let cfg = LouvainConfig {
+            devices: 4,
+            ..LouvainConfig::default()
         };
         let (coarse, stats) = contract_partitioned(
             &g,
@@ -488,9 +495,9 @@ mod tests {
     fn empty_graph_contracts_cleanly() {
         let g = Graph::from_csr(vec![0], vec![], vec![]);
         let p = Partition::from_assignment(vec![]);
-        let cfg = MultiGpuConfig {
-            num_devices: 4,
-            ..MultiGpuConfig::default()
+        let cfg = LouvainConfig {
+            devices: 4,
+            ..LouvainConfig::default()
         };
         let (coarse, stats) = contract_partitioned(
             &g,
@@ -512,10 +519,10 @@ mod tests {
             (SyncMode::Dense, "exchange-dense"),
             (SyncMode::Sparse, "exchange-sparse"),
         ] {
-            let cfg = MultiGpuConfig {
-                num_devices: 4,
+            let cfg = LouvainConfig {
+                devices: 4,
                 sync,
-                ..MultiGpuConfig::default()
+                ..LouvainConfig::default()
             };
             let (_, stats) = contract_partitioned(
                 &g,
@@ -528,10 +535,10 @@ mod tests {
             assert_eq!(stats.mode, expect);
         }
         // Adaptive picks whichever of the two is cheaper.
-        let cfg = MultiGpuConfig {
-            num_devices: 4,
+        let cfg = LouvainConfig {
+            devices: 4,
             sync: SyncMode::Adaptive,
-            ..MultiGpuConfig::default()
+            ..LouvainConfig::default()
         };
         let (_, stats) = contract_partitioned(
             &g,
@@ -553,9 +560,9 @@ mod tests {
     fn profiler_scopes_carry_exchange_accounting() {
         let g = fixtures::ring_of_cliques(10, 6);
         let p = grouped(g.num_vertices(), 4);
-        let cfg = MultiGpuConfig {
-            num_devices: 4,
-            ..MultiGpuConfig::default()
+        let cfg = LouvainConfig {
+            devices: 4,
+            ..LouvainConfig::default()
         };
         let mut prof = Profiler::new();
         let (_, stats) = contract_partitioned(

@@ -1,9 +1,13 @@
-//! Multi-GPU GALA (paper Section 4.3): vertex-partitioned execution with
-//! adaptive dense/sparse synchronisation.
+//! The device layer of GALA's one BSP loop (paper Section 4.3): how a
+//! [`Louvain`](crate::louvain::Louvain) run with
+//! [`devices`](crate::louvain::LouvainConfig::devices) `> 1` splits each
+//! superstep over simulated devices, and what synchronising their
+//! decisions costs.
 //!
-//! Vertices are split into contiguous, edge-balanced ranges, one per
-//! simulated device. Each superstep every device runs DecideAndMove over
-//! its own range; the decisions are then synchronised:
+//! Vertices are split into contiguous, edge-balanced ranges
+//! ([`partition_by_arcs`]), one per device. Each superstep every device runs
+//! DecideAndMove over the active vertices of its own range; the decisions
+//! are then synchronised:
 //!
 //! * **Dense** — every vertex's state (community id, moved flag, community
 //!   weight) goes through an `AllReduce`, paying for the full state size
@@ -15,30 +19,25 @@
 //!   smaller modelled cost; early iterations are dense (everything moves),
 //!   late iterations sparse.
 //!
-//! The simulation is *functionally exact*: all devices share the host's
-//! ground-truth state, so the result equals the single-device run — the
-//! property tests pin this down. What the device split changes is the
-//! *cost*: per-device compute (max over devices, they run in parallel) plus
-//! the modelled collective time, which is what Figure 10 plots.
+//! Everything else — pruning, apply, weight maintenance, convergence and
+//! the hierarchy — is the single-device loop itself, and all devices share
+//! the host's ground-truth state, so a multi-device run returns exactly the
+//! single-device result (the property tests pin this down). What the split
+//! changes is the *cost*: per-device compute (max over devices, they run in
+//! parallel) plus the modelled collective time, which is what Figure 10
+//! plots. Phase 2's partitioned contraction is [`crate::mg_contract`].
 
-use crate::backend::BackendKind;
-use crate::kernels::{self, KernelKind};
-use crate::louvain::{DipPatience, DIP_PATIENCE};
-use crate::mg_contract::{self, ContractRoundStats};
-use crate::observe::Obs;
-use crate::pruning::{self, PruningKind};
+use crate::backend::ExecutionBackend;
+use crate::kernels::{DecideOutput, DecideScratch, KernelKind};
 use crate::state::BspState;
-use crate::weight::{self, WeightUpdateMode};
 use gala_gpu::comm::DeviceGroup;
 use gala_gpu::memory::{CostModel, MemTally};
-use gala_graph::coarsen::{CoarsenScratch, Coarsened};
-use gala_graph::{Graph, Partition, VertexId};
-use gala_telemetry::TraceEvent;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
+use gala_gpu::profile::Profiler;
+use gala_graph::{Graph, VertexId};
+use gala_telemetry::{MetricsRegistry, TraceEvent};
 use std::fmt;
+use std::ops::Range;
 use std::str::FromStr;
-use std::time::Instant;
 
 /// Synchronisation strategy between devices.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -51,11 +50,23 @@ pub enum SyncMode {
     Adaptive,
 }
 
-/// How [`run_full`] contracts the graph between hierarchy rounds.
+impl SyncMode {
+    fn name(self) -> &'static str {
+        match self {
+            SyncMode::Dense => "dense",
+            SyncMode::Sparse => "sparse",
+            SyncMode::Adaptive => "adaptive",
+        }
+    }
+}
+
+/// How [`Louvain`](crate::louvain::Louvain) contracts the graph between
+/// hierarchy rounds.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ContractMode {
-    /// Single host contraction through one [`CoarsenScratch`] (the
-    /// pre-partitioned behavior; the default).
+    /// Single host contraction through one
+    /// [`CoarsenScratch`](gala_graph::coarsen::CoarsenScratch) (the
+    /// default).
     #[default]
     Host,
     /// Partitioned per-device contraction with simulated collectives
@@ -94,111 +105,15 @@ const DENSE_BYTES_PER_VERTEX: u64 = 13;
 /// new community id (4).
 const SPARSE_BYTES_PER_MOVE: u64 = 8;
 
-/// Configuration of a multi-device run.
-#[derive(Clone, Copy, Debug)]
-pub struct MultiGpuConfig {
-    /// Number of simulated devices.
-    pub num_devices: usize,
-    /// DecideAndMove kernel per device.
-    pub kernel: KernelKind,
-    /// Pruning strategy (applies identically on every device).
-    pub pruning: PruningKind,
-    /// Weight maintenance mode.
-    pub weight_update: WeightUpdateMode,
-    /// Synchronisation strategy.
-    pub sync: SyncMode,
-    /// Convergence threshold θ.
-    pub theta: f64,
-    /// Superstep cap.
-    pub max_iterations: usize,
-    /// Seed (PM pruning only).
-    pub seed: u64,
-    /// Simulated GPU clock in GHz (converts cost-model cycles to µs).
-    pub clock_ghz: f64,
-    /// Effective concurrent lanes per device. The cost-model tally counts
-    /// *total* work; a GPU retires thousands of accesses per cycle across
-    /// its SMs, so modelled time = cycles / (clock · parallelism). 2048 is
-    /// a conservative A100-class figure (108 SMs, partial occupancy).
-    pub effective_parallelism: f64,
-    /// Execution backend for the per-device decide passes and the host
-    /// contraction between rounds. Note the native backend records no
-    /// tallies, so modelled compute/communication times degenerate to the
-    /// collective model only; assignments are identical either way.
-    pub backend: BackendKind,
-    /// Phase-2 strategy for [`run_full`]: host contraction or the
-    /// partitioned per-device contraction with simulated collectives.
-    pub contract: ContractMode,
-}
-
-impl Default for MultiGpuConfig {
-    fn default() -> Self {
-        Self {
-            num_devices: 1,
-            kernel: KernelKind::default(),
-            pruning: PruningKind::Gain,
-            weight_update: WeightUpdateMode::Delta,
-            sync: SyncMode::Adaptive,
-            theta: 1e-6,
-            max_iterations: 500,
-            seed: 0x6A1A,
-            clock_ghz: 1.4,
-            effective_parallelism: 2048.0,
-            backend: BackendKind::Sim,
-            contract: ContractMode::default(),
-        }
-    }
-}
-
-/// Per-superstep record of a multi-device run.
-#[derive(Clone, Debug)]
-pub struct MultiGpuIteration {
-    /// Superstep index.
-    pub iteration: usize,
-    /// Modelled compute time: max over devices of its kernel cycles / clock.
-    pub compute_us: f64,
-    /// Modelled collective time for this superstep's synchronisation.
-    pub comm_us: f64,
-    /// Which sync the (possibly adaptive) strategy actually used.
-    pub sync_used: SyncMode,
-    /// Vertices moved.
-    pub num_moved: usize,
-    /// Vertices active.
-    pub num_active: usize,
-    /// Per-device tallies (diagnostics).
-    pub device_tallies: Vec<MemTally>,
-}
-
-/// Result of a multi-device phase-1 run.
-#[derive(Clone, Debug)]
-pub struct MultiGpuResult {
-    /// Final communities.
-    pub partition: Partition,
-    /// Final modularity.
-    pub modularity: f64,
-    /// Per-superstep records.
-    pub iterations: Vec<MultiGpuIteration>,
-}
-
-impl MultiGpuResult {
-    /// Total modelled compute time (µs).
-    pub fn compute_us(&self) -> f64 {
-        self.iterations.iter().map(|i| i.compute_us).sum()
-    }
-
-    /// Total modelled communication time (µs).
-    pub fn comm_us(&self) -> f64 {
-        self.iterations.iter().map(|i| i.comm_us).sum()
-    }
-
-    /// Total modelled time (µs).
-    pub fn total_us(&self) -> f64 {
-        self.compute_us() + self.comm_us()
-    }
-}
+/// Cost-model cycles one device retires per modelled µs: a 1.4 GHz clock
+/// times 2048 effective concurrent lanes. The tally counts *total* work; a
+/// GPU retires thousands of accesses per cycle across its SMs, and 2048 is
+/// a conservative A100-class figure (108 SMs, partial occupancy).
+pub(crate) const CYCLES_PER_US: f64 = 1.4 * 1000.0 * 2048.0;
 
 /// Splits `0..n` into `p` contiguous ranges of roughly equal *arc* counts,
 /// the standard edge-balanced 1-D partition for vertex-centric workloads.
-pub fn partition_by_arcs(graph: &Graph, p: usize) -> Vec<std::ops::Range<VertexId>> {
+pub fn partition_by_arcs(graph: &Graph, p: usize) -> Vec<Range<VertexId>> {
     assert!(p >= 1);
     let n = graph.num_vertices();
     let total_arcs = graph.num_arcs().max(1);
@@ -221,211 +136,168 @@ pub fn partition_by_arcs(graph: &Graph, p: usize) -> Vec<std::ops::Range<VertexI
     ranges
 }
 
-/// Runs phase 1 on `num_devices` simulated devices.
-pub fn run_phase1(graph: &Graph, config: MultiGpuConfig) -> MultiGpuResult {
-    run_phase1_with(graph, config, &mut Obs::off())
-}
-
-/// [`run_phase1`] observed through `obs`: `run_start`, per BSP superstep a
-/// `span`/`profile` pair (classify → decide → sync → apply → weight-update
-/// → modularity), a `superstep` and a `sync` event (the dense-vs-sparse
-/// decision and the modelled byte volume), then the round's `metrics` and
-/// `progress` events and a final `run_end`.
-pub fn run_phase1_with(graph: &Graph, config: MultiGpuConfig, obs: &mut Obs) -> MultiGpuResult {
-    obs.run_start("multi-gpu", graph, config.num_devices);
-    let result = run_phase1_round(graph, config, obs, 0);
-    let total: MemTally = result
-        .iterations
-        .iter()
-        .flat_map(|i| i.device_tallies.iter().copied())
-        .sum();
-    obs.run_end(result.modularity, 1, CostModel::default().cycles(&total));
-    result
-}
-
-/// One phase-1 pass at hierarchy round `round`, inside the caller's
-/// `run_start`/`run_end` bracket.
-fn run_phase1_round(
-    graph: &Graph,
-    config: MultiGpuConfig,
-    obs: &mut Obs,
-    round: u32,
-) -> MultiGpuResult {
-    let cfg = config;
-    let backend = cfg.backend.resolve();
-    let group = DeviceGroup::new(cfg.num_devices);
+/// Modelled compute time (µs) of one superstep: the slowest device's
+/// decide pass (`decide` holds one tally per device) plus an even share of
+/// weight maintenance, itself a device kernel.
+pub(crate) fn compute_us(decide: &[MemTally], weight: &MemTally) -> f64 {
     let cost = CostModel::default();
-    let ranges = partition_by_arcs(graph, cfg.num_devices);
-    let mut state = BspState::new(graph);
-    let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
-    let mut iterations = Vec::new();
-    let n = graph.num_vertices();
-    let cycles_per_us = cfg.clock_ghz * 1000.0 * cfg.effective_parallelism;
-    let mut prev_q = state.modularity(graph);
-    let mut dips = DipPatience::new(&state, prev_q, cfg.theta, DIP_PATIENCE);
-    // Algorithm-level metrics (sync strategy, routing, pruning): one
-    // `metrics` event per round.
-    if let Some(m) = obs.metrics() {
-        m.inc("sync/devices", cfg.num_devices as u64);
-    }
-    // Superstep working set, allocated once and recycled every iteration.
-    let mut active: Vec<bool> = Vec::new();
-    let mut next_comm = Vec::new();
-    let mut device_active: Vec<bool> = Vec::new();
-    let mut dscratch = kernels::DecideScratch::default();
-    let mut dev_out = kernels::DecideOutput::default();
-    for iteration in 0..cfg.max_iterations {
-        let mut sub = obs.sub();
-        let num_active = sub.scope("classify", |p| {
-            pruning::classify_into(cfg.pruning, graph, &state, &mut rng, &mut active);
-            let num_active = active.iter().filter(|&&a| a).count();
-            p.count("active", num_active as u64);
-            p.count("pruned", (n - num_active) as u64);
-            num_active
-        });
+    let slowest = decide
+        .iter()
+        .map(|t| cost.cycles(t) / CYCLES_PER_US)
+        .fold(0.0, f64::max);
+    slowest + cost.cycles(weight) / decide.len() as f64 / CYCLES_PER_US
+}
 
-        // Each device decides over its owned range; the per-device kernel
-        // spans merge by name into one `decide` subtree.
-        next_comm.clear();
-        next_comm.extend_from_slice(&state.comm);
-        let mut device_tallies = Vec::with_capacity(cfg.num_devices);
-        for range in &ranges {
-            device_active.clear();
-            device_active.resize(n, false);
-            for v in range.clone() {
-                device_active[v as usize] = active[v as usize];
-            }
-            backend.decide(
-                cfg.kernel,
-                graph,
-                &state,
-                &device_active,
-                &mut sub,
-                &mut dscratch,
-                &mut dev_out,
-            );
-            for v in range.clone() {
-                next_comm[v as usize] = dev_out.next_comm[v as usize];
-            }
-            if let Some(m) = obs.metrics() {
-                m.inc("kernel/shuffle_vertices", dev_out.routing.shuffle_vertices);
-                m.inc("kernel/hash_vertices", dev_out.routing.hash_vertices);
-                m.inc("kernel/other_vertices", dev_out.routing.other_vertices);
-            }
-            device_tallies.push(dev_out.tally);
+/// One superstep's modelled synchronisation.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Sync {
+    /// The strategy used: dense or sparse.
+    pub(crate) mode: SyncMode,
+    /// Bytes it put on the wire.
+    pub(crate) bytes: u64,
+    /// Modelled collective time.
+    pub(crate) comm_us: f64,
+}
+
+/// The device split of one phase-1 round: the arc-balanced vertex ranges
+/// plus one device's mask and decisions, recycled every superstep.
+pub(crate) struct Devices {
+    ranges: Vec<Range<VertexId>>,
+    group: DeviceGroup,
+    sync: SyncMode,
+    active: Vec<bool>,
+    out: DecideOutput,
+    /// The last superstep's decide tally per device.
+    tallies: Vec<MemTally>,
+}
+
+impl Devices {
+    /// Splits `graph` over `devices` devices synchronising under `sync`.
+    pub(crate) fn new(graph: &Graph, devices: usize, sync: SyncMode) -> Self {
+        Self {
+            ranges: partition_by_arcs(graph, devices),
+            group: DeviceGroup::new(devices),
+            sync,
+            active: Vec::new(),
+            out: DecideOutput::default(),
+            tallies: Vec::with_capacity(devices),
         }
-        sub.scope("decide", |p| p.count("devices", cfg.num_devices as u64));
-        let compute_us = device_tallies
-            .iter()
-            .map(|t| cost.cycles(t) / cycles_per_us)
-            .fold(0.0, f64::max);
+    }
 
-        // Synchronise the decisions.
-        let num_moved = next_comm
-            .iter()
-            .zip(&state.comm)
-            .filter(|(a, b)| a != b)
-            .count();
+    /// Every device decides over the active vertices of its own range. The
+    /// merged decisions land in `out` with tallies, routing and hashtable
+    /// statistics summed over devices; the per-device kernel spans merge by
+    /// name into one `decide` subtree. Returns how many vertices change
+    /// community — the sparse sync's payload.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn decide(
+        &mut self,
+        backend: &dyn ExecutionBackend,
+        kernel: KernelKind,
+        graph: &Graph,
+        state: &BspState,
+        active: &[bool],
+        prof: &mut Profiler,
+        scratch: &mut DecideScratch,
+        out: &mut DecideOutput,
+    ) -> usize {
+        out.next_comm.clear();
+        out.next_comm.extend_from_slice(&state.comm);
+        out.tally = MemTally::new();
+        out.hash_stats = Default::default();
+        out.routing = Default::default();
+        self.tallies.clear();
+        let mut moved = 0;
+        for range in &self.ranges {
+            let range = range.start as usize..range.end as usize;
+            self.active.clear();
+            self.active.resize(active.len(), false);
+            self.active[range.clone()].copy_from_slice(&active[range.clone()]);
+            let dev = &mut self.out;
+            backend.decide(kernel, graph, state, &self.active, prof, scratch, dev);
+            for v in range {
+                moved += usize::from(dev.next_comm[v] != state.comm[v]);
+                out.next_comm[v] = dev.next_comm[v];
+            }
+            out.tally += dev.tally;
+            out.hash_stats += dev.hash_stats;
+            out.routing.shuffle_vertices += dev.routing.shuffle_vertices;
+            out.routing.hash_vertices += dev.routing.hash_vertices;
+            out.routing.other_vertices += dev.routing.other_vertices;
+            self.tallies.push(dev.tally);
+        }
+        prof.scope("decide", |p| p.count("devices", self.ranges.len() as u64));
+        moved
+    }
+
+    /// Modelled compute of the superstep last decided, whose weight
+    /// maintenance charged `weight`.
+    pub(crate) fn compute_us(&self, weight: &MemTally) -> f64 {
+        compute_us(&self.tallies, weight)
+    }
+
+    /// Models synchronising `moved` of `n` vertices' decisions under the
+    /// configured strategy, recording a `sync` span on `prof` and the
+    /// `sync/*` counters on `metrics`.
+    pub(crate) fn sync(
+        &self,
+        n: usize,
+        moved: usize,
+        prof: &mut Profiler,
+        metrics: Option<&mut MetricsRegistry>,
+    ) -> Sync {
         let dense_bytes = n as u64 * DENSE_BYTES_PER_VERTEX;
-        let sparse_bytes = num_moved as u64 * SPARSE_BYTES_PER_MOVE;
-        let dense_us = group.all_reduce_time_us(dense_bytes);
-        let sparse_us = group.all_gather_time_us(sparse_bytes);
-        let (sync_used, comm_us) = match cfg.sync {
-            SyncMode::Dense => (SyncMode::Dense, dense_us),
-            SyncMode::Sparse => (SyncMode::Sparse, sparse_us),
-            SyncMode::Adaptive => {
-                if sparse_us <= dense_us {
-                    (SyncMode::Sparse, sparse_us)
-                } else {
-                    (SyncMode::Dense, dense_us)
-                }
+        let sparse_bytes = moved as u64 * SPARSE_BYTES_PER_MOVE;
+        let dense_us = self.group.all_reduce_time_us(dense_bytes);
+        let sparse_us = self.group.all_gather_time_us(sparse_bytes);
+        let sparse = match self.sync {
+            SyncMode::Dense => false,
+            SyncMode::Sparse => true,
+            SyncMode::Adaptive => sparse_us <= dense_us,
+        };
+        let sync = if sparse {
+            Sync {
+                mode: SyncMode::Sparse,
+                bytes: sparse_bytes,
+                comm_us: sparse_us,
+            }
+        } else {
+            Sync {
+                mode: SyncMode::Dense,
+                bytes: dense_bytes,
+                comm_us: dense_us,
             }
         };
-        let (mode, used_bytes) = match sync_used {
-            SyncMode::Dense => ("dense", dense_bytes),
-            // Same count the sparse cost above was modelled with.
-            _ => ("sparse", sparse_bytes),
-        };
-
-        sub.scope("sync", |p| {
-            p.count("bytes", used_bytes);
+        let mode = sync.mode.name();
+        prof.scope("sync", |p| {
+            p.count("bytes", sync.bytes);
             p.count("dense_bytes", dense_bytes);
             p.count("sparse_bytes", sparse_bytes);
-            let syncs = match sync_used {
-                SyncMode::Dense => "dense_syncs",
-                _ => "sparse_syncs",
-            };
-            p.count(syncs, 1);
+            p.count(&format!("{mode}_syncs"), 1);
         });
-        if let Some(m) = obs.metrics() {
+        if let Some(m) = metrics {
             m.inc(&format!("sync/{mode}_syncs"), 1);
-            m.inc(&format!("sync/{mode}_bytes"), used_bytes);
-            m.observe("sync/bytes_per_superstep", used_bytes);
-            m.inc("pruning/active", num_active as u64);
-            m.inc("pruning/pruned", (n - num_active) as u64);
-            m.inc("phase1/moved", num_moved as u64);
-            m.inc("phase1/supersteps", 1);
+            m.inc(&format!("sync/{mode}_bytes"), sync.bytes);
+            m.observe("sync/bytes_per_superstep", sync.bytes);
         }
-        let summary = sub.scope("apply", |p| {
-            let summary = state.apply_moves(graph, &next_comm);
-            p.count("moved", summary.num_moved() as u64);
-            summary
-        });
-        let weight_tally = sub.scope("weight_update", |p| {
-            let tally = weight::update(cfg.weight_update, graph, &mut state, &summary);
-            p.record(&tally);
-            tally
-        });
-        // Weight maintenance is itself a device kernel, split evenly.
-        let compute_us =
-            compute_us + cost.cycles(&weight_tally) / (cfg.num_devices as f64) / cycles_per_us;
-        let q = sub.scope("modularity", |p| {
-            p.count("items", n as u64);
-            state.modularity(graph)
-        });
-        obs.span(round, iteration as u32, "phase1", Some(cfg.backend), sub);
-        let moved = summary.num_moved();
-        obs.superstep(graph, round, iteration as u32, num_active, moved, q, || {
-            [
-                TraceEvent::Superstep {
-                    round,
-                    superstep: iteration as u32,
-                    active: num_active as u64,
-                    moved: moved as u64,
-                    pruned: (n - num_active) as u64,
-                    unmoved: num_active.saturating_sub(moved) as u64,
-                    modularity: q,
-                    delta_q: q - prev_q,
-                    decide_tally: device_tallies.iter().copied().sum(),
-                    weight_tally,
-                    hash_occupancy: 0.0,
-                    hash_evictions: 0,
-                },
-                TraceEvent::Sync {
-                    superstep: iteration as u32,
-                    mode: mode.to_string(),
-                    bytes: used_bytes,
-                    comm_us,
-                    devices: cfg.num_devices as u32,
-                },
-            ]
-        });
-        prev_q = q;
-        iterations.push(MultiGpuIteration {
-            iteration,
-            compute_us,
-            comm_us,
-            sync_used,
-            num_moved: moved,
-            num_active,
-            device_tallies,
-        });
-        if dips.step(&state, q, moved) {
-            break;
+        sync
+    }
+
+    /// The `sync` trace event of superstep `superstep`.
+    pub(crate) fn event(&self, superstep: u32, sync: &Sync) -> TraceEvent {
+        TraceEvent::Sync {
+            superstep,
+            mode: sync.mode.name().to_string(),
+            bytes: sync.bytes,
+            comm_us: sync.comm_us,
+            devices: self.ranges.len() as u32,
         }
     }
-    let best_q = dips.finish(graph, &mut state);
-    obs.phase1_end(round, iterations.len(), best_q, "sync", |m| {
+
+    /// Closes a round's `sync/*` metrics: the device count and the
+    /// fraction of supersteps that synchronised sparsely.
+    pub(crate) fn finish_metrics(&self, m: &mut MetricsRegistry) {
+        m.inc("sync/devices", self.ranges.len() as u64);
         let dense = m.counter("sync/dense_syncs").unwrap_or(0);
         let sparse = m.counter("sync/sparse_syncs").unwrap_or(0);
         m.gauge(
@@ -436,190 +308,48 @@ fn run_phase1_round(
                 sparse as f64 / (dense + sparse) as f64
             },
         );
-    });
-    MultiGpuResult {
-        partition: state.partition(),
-        modularity: best_q,
-        iterations,
-    }
-}
-
-/// Result of a full multi-round multi-device run.
-#[derive(Clone, Debug)]
-pub struct MultiGpuFullResult {
-    /// Final communities on the original graph.
-    pub partition: Partition,
-    /// Final modularity.
-    pub modularity: f64,
-    /// Per-round phase-1 results.
-    pub rounds: Vec<MultiGpuResult>,
-    /// Per-round phase-2 cost records. Under [`ContractMode::Host`] these
-    /// carry mode `"host"` and no modelled device time; under
-    /// [`ContractMode::Partitioned`] they hold the per-device compute and
-    /// exchange/repartition model of [`mg_contract::contract_partitioned`].
-    pub contracts: Vec<ContractRoundStats>,
-}
-
-impl MultiGpuFullResult {
-    /// Total modelled phase-1 device time across rounds (µs).
-    pub fn total_us(&self) -> f64 {
-        self.rounds.iter().map(|r| r.total_us()).sum()
-    }
-
-    /// Total modelled phase-2 (contract + exchange) device time (µs); zero
-    /// under [`ContractMode::Host`].
-    pub fn contract_us(&self) -> f64 {
-        self.contracts.iter().map(|c| c.total_us()).sum()
-    }
-}
-
-/// Runs the complete Louvain hierarchy with every phase 1 executed on the
-/// simulated devices and phase 2 selected by [`MultiGpuConfig::contract`].
-pub fn run_full(graph: &Graph, config: MultiGpuConfig) -> MultiGpuFullResult {
-    run_full_with(graph, config, &mut Obs::off())
-}
-
-/// [`run_full`] observed through `obs`: one `run_start`/`run_end` bracket
-/// around the whole hierarchy, the per-round phase-1 event stream
-/// (supersteps, spans, syncs, metrics — with real round indices), one
-/// `contract` span per round (with `aggregate` / `exchange` children under
-/// [`ContractMode::Partitioned`]), an exchange `sync` event per partitioned
-/// contraction, and a `round_end` per round. The run-level profile holds
-/// one `round` span per hierarchy round.
-pub fn run_full_with(graph: &Graph, config: MultiGpuConfig, obs: &mut Obs) -> MultiGpuFullResult {
-    let cfg = config;
-    let backend = cfg.backend.resolve();
-    obs.run_start("multi-gpu", graph, cfg.num_devices);
-    let mut current: Option<Graph> = None;
-    let mut flat: Option<Partition> = None;
-    let mut rounds: Vec<MultiGpuResult> = Vec::new();
-    let mut contracts: Vec<ContractRoundStats> = Vec::new();
-    let mut last_q = f64::NEG_INFINITY;
-    let mut cscratch = CoarsenScratch::default();
-    for round in 0..20u32 {
-        let g = current.as_ref().unwrap_or(graph);
-        obs.enter_round();
-        let round_res = run_phase1_round(g, cfg, obs, round);
-        let q = round_res.modularity;
-        // Phase 2 profiles like a superstep: a fresh sub-tree per round,
-        // filed under the open `round` span.
-        let mut sub = obs.sub();
-        let instrumented = obs.instrumented();
-        let started = Instant::now();
-        let (coarse, cstats) = sub.scope("contract", |p| {
-            let out = match cfg.contract {
-                ContractMode::Host => {
-                    let coarse = backend.contract(
-                        g,
-                        &round_res.partition,
-                        cfg.kernel,
-                        instrumented,
-                        p,
-                        &mut cscratch,
-                    );
-                    let stats = ContractRoundStats {
-                        devices: cfg.num_devices,
-                        rows: coarse.num_communities as u64,
-                        mode: "host",
-                        ..ContractRoundStats::default()
-                    };
-                    (coarse, stats)
-                }
-                ContractMode::Partitioned => mg_contract::contract_partitioned_with(
-                    g,
-                    &round_res.partition,
-                    &cfg,
-                    backend,
-                    p,
-                    &mut cscratch,
-                    obs,
-                ),
-            };
-            p.count("vertices", g.num_vertices() as u64);
-            p.count("arcs", g.num_arcs() as u64);
-            p.count("communities", out.0.num_communities as u64);
-            p.count("elapsed_ns", started.elapsed().as_nanos() as u64);
-            out
-        });
-        let supersteps = round_res.iterations.len();
-        obs.span(round, supersteps as u32, "contract", Some(cfg.backend), sub);
-        // The exchange is the phase-2 analogue of a phase-1 sync: one
-        // event per partitioned round (the host fallback exchanges
-        // nothing, so it emits nothing).
-        if cstats.mode != "host" {
-            obs.emit(|| TraceEvent::Sync {
-                superstep: supersteps as u32,
-                mode: cstats.mode.to_string(),
-                bytes: cstats.exchange_bytes,
-                comm_us: cstats.exchange_us,
-                devices: cfg.num_devices as u32,
-            });
-        }
-        obs.exit_round();
-        let stalled = coarse.num_communities == g.num_vertices();
-        // Coarsening progress: the next level's arc count shows how fast
-        // the hierarchy is collapsing.
-        let (communities, arcs) = (coarse.num_communities, coarse.graph.num_arcs());
-        obs.round_end(round, "contract", supersteps, communities, arcs, || q);
-        rounds.push(round_res);
-        contracts.push(cstats);
-        let Coarsened {
-            graph: coarse_graph,
-            renumbered,
-            ..
-        } = coarse;
-        // Compose into the flat partition without cloning: the first
-        // round's renumbering *is* the flat partition; later rounds hand
-        // the spent level's assignment back to the scratch.
-        flat = Some(match flat.take() {
-            None => renumbered,
-            Some(prev) => {
-                let composed = prev.compose(&renumbered);
-                cscratch.reclaim_assignment(renumbered);
-                composed
-            }
-        });
-        if stalled || q - last_q < cfg.theta {
-            // The final round's coarse graph is never descended into:
-            // reclaim its CSR buffers instead of leaking them.
-            cscratch.reclaim_graph(coarse_graph);
-            break;
-        }
-        last_q = q;
-        if let Some(old) = current.take() {
-            cscratch.reclaim_graph(old);
-        }
-        current = Some(coarse_graph);
-    }
-    let partition = flat.unwrap_or_else(|| Partition::singletons(graph.num_vertices()));
-    let modularity = crate::modularity::modularity(graph, &partition);
-    let total: MemTally = rounds
-        .iter()
-        .flat_map(|r| r.iterations.iter())
-        .flat_map(|i| i.device_tallies.iter().copied())
-        .chain(
-            contracts
-                .iter()
-                .flat_map(|c| c.device_tallies.iter().copied()),
-        )
-        .sum();
-    obs.run_end(
-        modularity,
-        rounds.len(),
-        CostModel::default().cycles(&total),
-    );
-    MultiGpuFullResult {
-        partition,
-        modularity,
-        rounds,
-        contracts,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::louvain::{Louvain, LouvainConfig, LouvainResult};
+    use crate::observe::Obs;
     use gala_graph::generators::fixtures;
+    use gala_telemetry::VecSink;
+
+    fn on(devices: usize) -> Louvain {
+        Louvain::new(LouvainConfig {
+            devices,
+            ..LouvainConfig::default()
+        })
+    }
+
+    /// Total modelled device time of every phase-1 round (µs).
+    fn phase1_us(r: &LouvainResult) -> f64 {
+        r.rounds.iter().map(|r| r.total_us()).sum()
+    }
+
+    /// The phase-1 `sync` events of a trace (partitioned contraction adds
+    /// `exchange-*` ones).
+    fn phase1_syncs(sink: &VecSink) -> Vec<(String, u64, f64, u32)> {
+        sink.events
+            .iter()
+            .filter_map(|e| match e {
+                TraceEvent::Sync {
+                    mode,
+                    bytes,
+                    comm_us,
+                    devices,
+                    ..
+                } if !mode.starts_with("exchange-") => {
+                    Some((mode.clone(), *bytes, *comm_us, *devices))
+                }
+                _ => None,
+            })
+            .collect()
+    }
 
     #[test]
     fn ranges_cover_all_vertices() {
@@ -639,119 +369,82 @@ mod tests {
     #[test]
     fn multi_device_matches_single_device() {
         let g = fixtures::ring_of_cliques(8, 6);
-        let base = run_phase1(&g, MultiGpuConfig::default());
+        let (base, base_stats) = on(1).run_phase1(&g);
         for p in [2, 4, 8] {
-            let multi = run_phase1(
-                &g,
-                MultiGpuConfig {
-                    num_devices: p,
-                    ..MultiGpuConfig::default()
-                },
-            );
+            let (multi, stats) = on(p).run_phase1(&g);
             assert_eq!(
-                multi.partition, base.partition,
+                multi.partition(),
+                base.partition(),
                 "device count {p} changed the result"
             );
-            assert!((multi.modularity - base.modularity).abs() < 1e-12);
+            assert_eq!(stats.modularity.to_bits(), base_stats.modularity.to_bits());
         }
     }
 
     #[test]
     fn single_device_pays_no_communication() {
         let g = fixtures::two_cliques(6);
-        let r = run_phase1(&g, MultiGpuConfig::default());
-        assert_eq!(r.comm_us(), 0.0);
+        let (_, stats) = on(1).run_phase1(&g);
+        assert_eq!(stats.comm_us(), 0.0);
+        assert!(stats.iterations.iter().all(|i| i.sync.is_none()));
+        assert!(stats.compute_us() > 0.0);
     }
 
     #[test]
     fn adaptive_switches_to_sparse_late() {
         let g = fixtures::ring_of_cliques(10, 8);
-        let r = run_phase1(
-            &g,
-            MultiGpuConfig {
-                num_devices: 4,
-                sync: SyncMode::Adaptive,
-                ..MultiGpuConfig::default()
-            },
-        );
+        let (_, r) = on(4).run_phase1(&g);
         // The final iterations move almost nothing: sparse must win there.
         let last = r.iterations.last().unwrap();
-        assert_eq!(last.sync_used, SyncMode::Sparse);
+        assert_eq!(last.sync, Some(SyncMode::Sparse));
         // And adaptive must never cost more than either pure mode.
-        let dense = run_phase1(
-            &g,
-            MultiGpuConfig {
-                num_devices: 4,
-                sync: SyncMode::Dense,
-                ..MultiGpuConfig::default()
-            },
-        );
+        let (_, dense) = Louvain::new(LouvainConfig {
+            devices: 4,
+            sync: SyncMode::Dense,
+            ..LouvainConfig::default()
+        })
+        .run_phase1(&g);
         assert!(r.comm_us() <= dense.comm_us() + 1e-9);
     }
 
     #[test]
     fn full_run_matches_single_device_louvain_quality() {
         let g = fixtures::ring_of_cliques(8, 5);
-        let multi = run_full(
-            &g,
-            MultiGpuConfig {
-                num_devices: 4,
-                ..MultiGpuConfig::default()
-            },
-        );
-        let single = crate::louvain::Louvain::new(crate::louvain::LouvainConfig::default()).run(&g);
-        assert!(
-            (multi.modularity - single.modularity).abs() < 1e-9,
-            "multi {} vs single {}",
-            multi.modularity,
-            single.modularity
-        );
+        let multi = on(4).run(&g);
+        let single = on(1).run(&g);
+        assert_eq!(multi.partition, single.partition);
+        assert_eq!(multi.modularity.to_bits(), single.modularity.to_bits());
         assert_eq!(multi.partition.num_communities(), 8);
         assert!(multi.rounds.len() >= 2);
-        assert!(multi.total_us() > 0.0);
+        assert!(phase1_us(&multi) > 0.0);
     }
 
     #[test]
     fn trace_carries_sync_decision_and_bytes() {
-        use gala_telemetry::{TraceEvent, VecSink};
         let g = fixtures::ring_of_cliques(10, 8);
-        let cfg = MultiGpuConfig {
-            num_devices: 4,
-            sync: SyncMode::Adaptive,
-            ..MultiGpuConfig::default()
-        };
         let mut sink = VecSink::default();
-        let traced = run_phase1_with(&g, cfg, &mut Obs::traced(&mut sink));
-        assert_eq!(traced.partition, run_phase1(&g, cfg).partition);
+        let traced = on(4).run_with(&g, &mut Obs::traced(&mut sink));
+        assert_eq!(traced.partition, on(4).run(&g).partition);
 
-        let syncs: Vec<_> = sink
-            .events
-            .iter()
-            .filter_map(|e| match e {
-                TraceEvent::Sync {
-                    mode,
-                    bytes,
-                    comm_us,
-                    devices,
-                    ..
-                } => Some((mode.clone(), *bytes, *comm_us, *devices)),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(syncs.len(), traced.iterations.len());
+        let syncs = phase1_syncs(&sink);
+        let iterations: Vec<_> = traced.rounds.iter().flat_map(|r| &r.iterations).collect();
+        assert_eq!(syncs.len(), iterations.len());
         let n = g.num_vertices() as u64;
-        for ((mode, bytes, comm_us, devices), it) in syncs.iter().zip(&traced.iterations) {
+        for ((mode, bytes, comm_us, devices), it) in syncs.iter().zip(&iterations) {
             assert_eq!(*devices, 4);
             assert!((comm_us - it.comm_us).abs() < 1e-12);
-            match it.sync_used {
-                SyncMode::Dense => {
+            match it.sync {
+                Some(SyncMode::Dense) => {
+                    // Coarser rounds sync fewer vertices.
                     assert_eq!(mode, "dense");
-                    assert_eq!(*bytes, n * DENSE_BYTES_PER_VERTEX);
+                    assert_eq!(*bytes % DENSE_BYTES_PER_VERTEX, 0);
+                    assert!(*bytes <= n * DENSE_BYTES_PER_VERTEX);
                 }
-                _ => {
+                Some(SyncMode::Sparse) => {
                     assert_eq!(mode, "sparse");
-                    assert_eq!(*bytes % SPARSE_BYTES_PER_MOVE, 0);
+                    assert_eq!(*bytes, it.num_moved as u64 * SPARSE_BYTES_PER_MOVE);
                 }
+                other => panic!("unexpected sync {other:?}"),
             }
         }
         // Adaptive runs end sparse; the trace must show the switch.
@@ -760,17 +453,11 @@ mod tests {
 
     #[test]
     fn instrumented_run_records_sync_spans() {
-        use gala_telemetry::{TraceEvent, VecSink};
         let g = fixtures::ring_of_cliques(10, 8);
-        let cfg = MultiGpuConfig {
-            num_devices: 4,
-            sync: SyncMode::Adaptive,
-            ..MultiGpuConfig::default()
-        };
-        let plain = run_phase1(&g, cfg);
+        let plain = on(4).run(&g);
         let mut sink = VecSink::default();
         let mut obs = Obs::traced(&mut sink).profiled();
-        let traced = run_phase1_with(&g, cfg, &mut obs);
+        let traced = on(4).run_with(&g, &mut obs);
         let tree = obs.finish();
         assert_eq!(traced.partition, plain.partition);
 
@@ -778,11 +465,11 @@ mod tests {
             .events
             .iter()
             .filter_map(|e| match e {
-                TraceEvent::Span { root, .. } => Some(root),
+                TraceEvent::Span { phase, root, .. } if phase == "phase1" => Some(root),
                 _ => None,
             })
             .collect();
-        assert_eq!(span_roots.len(), traced.iterations.len());
+        assert_eq!(span_roots.len(), traced.num_iterations());
         for root in &span_roots {
             let sync = root.child("sync").expect("sync span");
             assert!(sync.counter("dense_bytes") > 0);
@@ -794,31 +481,19 @@ mod tests {
         }
         // Merged run-level tree: total sync bytes match the trace events.
         let sync = tree
-            .child("superstep")
+            .child("round")
+            .and_then(|r| r.child("superstep"))
             .and_then(|s| s.child("sync"))
             .expect("merged sync span");
-        let traced_bytes: u64 = sink
-            .events
-            .iter()
-            .filter_map(|e| match e {
-                TraceEvent::Sync { bytes, .. } => Some(*bytes),
-                _ => None,
-            })
-            .sum();
+        let traced_bytes: u64 = phase1_syncs(&sink).iter().map(|s| s.1).sum();
         assert_eq!(sync.counter("bytes"), traced_bytes);
     }
 
     #[test]
     fn traced_run_emits_sync_metrics() {
-        use gala_telemetry::{TraceEvent, VecSink};
         let g = fixtures::ring_of_cliques(10, 8);
-        let cfg = MultiGpuConfig {
-            num_devices: 4,
-            sync: SyncMode::Adaptive,
-            ..MultiGpuConfig::default()
-        };
         let mut sink = VecSink::default();
-        let traced = run_phase1_with(&g, cfg, &mut Obs::traced(&mut sink));
+        let traced = on(4).run_with(&g, &mut Obs::traced(&mut sink));
         let regs: Vec<_> = sink
             .events
             .iter()
@@ -829,75 +504,77 @@ mod tests {
                 _ => None,
             })
             .collect();
-        assert_eq!(regs.len(), 1, "one metrics event per multi-GPU run");
-        let (scope, m) = regs[0];
-        assert_eq!(scope, "sync");
-        assert_eq!(m.counter("sync/devices"), Some(4));
-        let dense = m.counter("sync/dense_syncs").unwrap_or(0);
-        let sparse = m.counter("sync/sparse_syncs").unwrap_or(0);
-        assert_eq!(dense + sparse, traced.iterations.len() as u64);
+        assert_eq!(
+            regs.len(),
+            traced.rounds.len(),
+            "one metrics event per round"
+        );
+        for ((scope, m), round) in regs.iter().zip(&traced.rounds) {
+            assert_eq!(*scope, "phase1");
+            assert_eq!(m.counter("sync/devices"), Some(4));
+            let dense = m.counter("sync/dense_syncs").unwrap_or(0);
+            let sparse = m.counter("sync/sparse_syncs").unwrap_or(0);
+            assert_eq!(dense + sparse, round.iterations.len() as u64);
+            // Byte histogram covers every superstep; totals match the
+            // counters.
+            let h = m.histogram("sync/bytes_per_superstep").unwrap();
+            assert_eq!(h.count(), round.iterations.len() as u64);
+            let total_bytes = m.counter("sync/dense_bytes").unwrap_or(0)
+                + m.counter("sync/sparse_bytes").unwrap_or(0);
+            assert_eq!(h.sum(), total_bytes);
+            // The single-device keys ride along.
+            assert!(m.gauge_value("pruning/audit_fnr").is_some());
+        }
         // The adaptive strategy ends sparse on this fixture, so both the
         // counter and the gauge must show sparse syncs happened.
-        assert!(sparse > 0);
-        assert!(m.gauge_value("sync/sparse_fraction").unwrap() > 0.0);
-        // Byte histogram covers every superstep; totals match the counters.
-        let h = m.histogram("sync/bytes_per_superstep").unwrap();
-        assert_eq!(h.count(), traced.iterations.len() as u64);
-        let total_bytes = m.counter("sync/dense_bytes").unwrap_or(0)
-            + m.counter("sync/sparse_bytes").unwrap_or(0);
-        assert_eq!(h.sum(), total_bytes);
+        let (_, first) = regs[0];
+        assert!(first.counter("sync/sparse_syncs").unwrap() > 0);
+        assert!(first.gauge_value("sync/sparse_fraction").unwrap() > 0.0);
         // Routing counters cover every decided vertex.
-        assert!(m.counter("kernel/shuffle_vertices").unwrap() > 0);
+        assert!(first.counter("kernel/shuffle_vertices").unwrap() > 0);
     }
 
     #[test]
     fn full_run_partitioned_matches_host_contraction() {
         let g = fixtures::ring_of_cliques(8, 5);
         for devices in [1, 2, 4, 8] {
-            let host = run_full(
-                &g,
-                MultiGpuConfig {
-                    num_devices: devices,
-                    ..MultiGpuConfig::default()
-                },
-            );
-            let part = run_full(
-                &g,
-                MultiGpuConfig {
-                    num_devices: devices,
-                    contract: ContractMode::Partitioned,
-                    ..MultiGpuConfig::default()
-                },
-            );
+            let host = on(devices).run(&g);
+            let part = Louvain::new(LouvainConfig {
+                devices,
+                contract: ContractMode::Partitioned,
+                ..LouvainConfig::default()
+            })
+            .run(&g);
             assert_eq!(part.partition, host.partition, "devices {devices}");
             assert_eq!(part.modularity.to_bits(), host.modularity.to_bits());
             assert_eq!(part.rounds.len(), host.rounds.len());
             assert!(part.contracts.iter().all(|c| c.mode != "host"));
             assert!(host.contracts.iter().all(|c| c.mode == "host"));
-            assert!(part.contract_us() > 0.0, "partitioned rounds are modelled");
-            assert_eq!(host.contract_us(), 0.0);
+            let contract_us =
+                |r: &LouvainResult| -> f64 { r.contracts.iter().map(|c| c.total_us()).sum() };
+            assert!(contract_us(&part) > 0.0, "partitioned rounds are modelled");
+            assert_eq!(contract_us(&host), 0.0);
         }
     }
 
     #[test]
     fn full_traced_brackets_rounds_and_emits_exchange_syncs() {
-        use gala_telemetry::VecSink;
         let g = fixtures::ring_of_cliques(8, 5);
-        let cfg = MultiGpuConfig {
-            num_devices: 4,
+        let runner = Louvain::new(LouvainConfig {
+            devices: 4,
             contract: ContractMode::Partitioned,
-            ..MultiGpuConfig::default()
-        };
-        let plain = run_full(&g, cfg);
+            ..LouvainConfig::default()
+        });
+        let plain = runner.run(&g);
         let mut sink = VecSink::default();
-        let traced = run_full_with(&g, cfg, &mut Obs::traced(&mut sink));
+        let traced = runner.run_with(&g, &mut Obs::traced(&mut sink));
         assert_eq!(traced.partition, plain.partition);
         assert_eq!(traced.modularity.to_bits(), plain.modularity.to_bits());
 
         let starts = sink
             .events
             .iter()
-            .filter(|e| matches!(e, TraceEvent::RunStart { .. }))
+            .filter(|e| matches!(e, TraceEvent::RunStart { devices: 4, .. }))
             .count();
         let ends = sink
             .events
@@ -913,7 +590,6 @@ mod tests {
                 _ => None,
             })
             .collect();
-        assert_eq!(round_ends.len(), traced.rounds.len());
         assert_eq!(
             round_ends,
             (0..traced.rounds.len() as u32).collect::<Vec<_>>()
@@ -971,14 +647,8 @@ mod tests {
     #[test]
     fn more_devices_reduce_compute_time() {
         let g = fixtures::ring_of_cliques(12, 8);
-        let one = run_phase1(&g, MultiGpuConfig::default());
-        let four = run_phase1(
-            &g,
-            MultiGpuConfig {
-                num_devices: 4,
-                ..MultiGpuConfig::default()
-            },
-        );
+        let (_, one) = on(1).run_phase1(&g);
+        let (_, four) = on(4).run_phase1(&g);
         assert!(
             four.compute_us() < one.compute_us(),
             "4-device compute {} vs 1-device {}",

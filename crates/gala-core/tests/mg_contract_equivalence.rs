@@ -2,15 +2,18 @@
 //! contraction must produce a bit-identical coarse graph (CSR structure,
 //! weight bits, renumbering) versus the host `coarsen_into` path — on both
 //! backends, at pool widths 1/2/8 and device counts 1/2/4/8 — and the full
-//! multi-device hierarchy must be unchanged by the contract mode. A kernel
-//! fault through the shared pool must not wedge the exchange step either.
+//! hierarchy must be unchanged by the device count, the contract mode and
+//! the backend. A kernel fault through the shared pool must not wedge the
+//! exchange step either.
 //!
 //! This is the library-level twin of CI's multi-device contraction
 //! equivalence step, which checks the same invariant through the CLI.
 
 use gala_core::backend::BackendKind;
+use gala_core::louvain::{Louvain, LouvainConfig};
 use gala_core::mg_contract::contract_partitioned;
-use gala_core::multi_gpu::{run_full, ContractMode, MultiGpuConfig, SyncMode};
+use gala_core::multi_gpu::{ContractMode, SyncMode};
+use gala_core::pruning::PruningKind;
 use gala_gpu::profile::Profiler;
 use gala_graph::coarsen::{coarsen_into, CoarsenScratch, Coarsened};
 use gala_graph::generators::sbm::PlantedPartition;
@@ -38,11 +41,11 @@ fn partitioned(
     backend: BackendKind,
     sync: SyncMode,
 ) -> Coarsened {
-    let cfg = MultiGpuConfig {
-        num_devices: devices,
+    let cfg = LouvainConfig {
+        devices,
         backend,
         sync,
-        ..MultiGpuConfig::default()
+        ..LouvainConfig::default()
     };
     contract_partitioned(
         graph,
@@ -117,9 +120,10 @@ proptest! {
         }
     }
 
-    /// The full hierarchy — flat partition and bit-equal modularity — is
-    /// unchanged by switching `run_full` to the partitioned contraction,
-    /// on either backend, at every device count.
+    /// A multi-device run is the single-device run: at every cell of
+    /// pruning {MG, PM} × γ {1.0, 2.5} × devices {1, 2, 4} × contraction
+    /// {host, partitioned} × backend {sim, native}, the flat partition and
+    /// the modularity bits equal single-device host `Louvain::run`'s.
     #[test]
     fn full_hierarchy_unchanged_by_contract_mode(
         num_communities in 2usize..5,
@@ -136,32 +140,43 @@ proptest! {
         }
         .generate(seed)
         .graph;
-        let reference = run_full(&graph, MultiGpuConfig::default());
-        for devices in DEVICES {
-            for backend in [BackendKind::Sim, BackendKind::Native] {
-                let got = run_full(
-                    &graph,
-                    MultiGpuConfig {
-                        num_devices: devices,
-                        backend,
-                        contract: ContractMode::Partitioned,
-                        ..MultiGpuConfig::default()
-                    },
-                );
-                prop_assert_eq!(
-                    got.partition.assignment(),
-                    reference.partition.assignment(),
-                    "devices {} backend {} diverged on the flat partition",
-                    devices,
-                    backend
-                );
-                prop_assert_eq!(
-                    got.modularity.to_bits(),
-                    reference.modularity.to_bits(),
-                    "devices {} backend {} diverged on modularity",
-                    devices,
-                    backend
-                );
+        for pruning in [PruningKind::Gain, PruningKind::probabilistic_default()] {
+            for resolution in [1.0, 2.5] {
+                let single = LouvainConfig {
+                    pruning,
+                    resolution,
+                    ..LouvainConfig::default()
+                };
+                let reference = Louvain::new(single).run(&graph);
+                for devices in [1, 2, 4] {
+                    for contract in [ContractMode::Host, ContractMode::Partitioned] {
+                        for backend in [BackendKind::Sim, BackendKind::Native] {
+                            let cell = format!(
+                                "{pruning:?} γ={resolution} devices={devices} \
+                                 contract={contract} backend={backend}"
+                            );
+                            let got = Louvain::new(LouvainConfig {
+                                devices,
+                                contract,
+                                backend,
+                                ..single
+                            })
+                            .run(&graph);
+                            prop_assert_eq!(
+                                got.partition.assignment(),
+                                reference.partition.assignment(),
+                                "{} diverged on the flat partition",
+                                cell
+                            );
+                            prop_assert_eq!(
+                                got.modularity.to_bits(),
+                                reference.modularity.to_bits(),
+                                "{} diverged on modularity",
+                                cell
+                            );
+                        }
+                    }
+                }
             }
         }
     }

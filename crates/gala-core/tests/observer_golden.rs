@@ -18,7 +18,7 @@
 use gala_core::grappolo::grappolo_with;
 use gala_core::leiden::{leiden_with, LeidenConfig};
 use gala_core::louvain::{Louvain, LouvainConfig};
-use gala_core::multi_gpu::{self, ContractMode, MultiGpuConfig};
+use gala_core::multi_gpu::ContractMode;
 use gala_core::observe::Obs;
 use gala_core::sequential::{sequential_louvain_with, SequentialConfig};
 use gala_graph::generators::fixtures;
@@ -37,20 +37,20 @@ fn runs() -> [(&'static str, Run); 6] {
         }),
         ("multi_gpu_phase1", |sink| {
             let g = fixtures::ring_of_cliques(6, 5);
-            let cfg = MultiGpuConfig {
-                num_devices: 2,
-                ..MultiGpuConfig::default()
+            let cfg = LouvainConfig {
+                devices: 2,
+                ..LouvainConfig::default()
             };
-            multi_gpu::run_phase1_with(&g, cfg, &mut Obs::traced(sink));
+            Louvain::new(cfg).run_with(&g, &mut Obs::traced(sink));
         }),
         ("multi_gpu_full", |sink| {
             let g = fixtures::ring_of_cliques(6, 5);
-            let cfg = MultiGpuConfig {
-                num_devices: 4,
+            let cfg = LouvainConfig {
+                devices: 4,
                 contract: ContractMode::Partitioned,
-                ..MultiGpuConfig::default()
+                ..LouvainConfig::default()
             };
-            multi_gpu::run_full_with(&g, cfg, &mut Obs::traced(sink));
+            Louvain::new(cfg).run_with(&g, &mut Obs::traced(sink));
         }),
         ("leiden", |sink| {
             let g = fixtures::ring_of_cliques(6, 5);

@@ -160,7 +160,7 @@ impl LogEvent {
 /// A bounded-frequency view of where a driver is right now.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ProgressSnapshot {
-    /// Driver name (`"louvain"`, `"multi-gpu"`, `"stream"`, …).
+    /// Driver name (`"louvain"`, `"leiden"`, `"stream"`, …).
     pub driver: String,
     /// Coarsening round (or chunk index for ingestion).
     pub round: u32,

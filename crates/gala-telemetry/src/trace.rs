@@ -26,7 +26,7 @@ use crate::SCHEMA_VERSION;
 pub enum TraceEvent {
     /// Emitted once when a driver starts.
     RunStart {
-        /// Driver name (`"louvain"`, `"multi-gpu"`, …).
+        /// Driver name (`"louvain"`, `"leiden"`, …).
         algorithm: String,
         /// Vertex count of the input graph.
         n: u64,
@@ -166,7 +166,7 @@ pub enum TraceEvent {
     /// run is right now, cheap enough to stream while it executes. Schema
     /// 5+.
     Progress {
-        /// Driver name (`"louvain"`, `"multi-gpu"`, `"stream"`, …).
+        /// Driver name (`"louvain"`, `"leiden"`, `"stream"`, …).
         driver: String,
         /// Coarsening round (or chunk index for ingestion).
         round: u32,

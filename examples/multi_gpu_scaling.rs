@@ -6,7 +6,8 @@
 //! cargo run --release --example multi_gpu_scaling
 //! ```
 
-use gala::core::multi_gpu::{run_phase1, MultiGpuConfig, SyncMode};
+use gala::core::louvain::{Louvain, LouvainConfig};
+use gala::core::multi_gpu::SyncMode;
 use gala::prelude::{Dataset, Scale};
 
 fn main() {
@@ -18,21 +19,19 @@ fn main() {
     );
     let mut base_total = 0.0;
     for devices in [1usize, 2, 4, 8] {
-        let r = run_phase1(
-            &graph,
-            MultiGpuConfig {
-                num_devices: devices,
-                sync: SyncMode::Adaptive,
-                ..MultiGpuConfig::default()
-            },
-        );
+        let (_, r) = Louvain::new(LouvainConfig {
+            devices,
+            sync: SyncMode::Adaptive,
+            ..LouvainConfig::default()
+        })
+        .run_phase1(&graph);
         if devices == 1 {
             base_total = r.total_us();
         }
         let sparse_iters = r
             .iterations
             .iter()
-            .filter(|i| i.sync_used == SyncMode::Sparse)
+            .filter(|i| i.sync == Some(SyncMode::Sparse))
             .count();
         println!(
             "{devices} device(s): compute {:>8.0} us, comm {:>7.0} us, total {:>8.0} us, \

@@ -6,7 +6,6 @@ use gala::core::kernels::{self, cpu, KernelKind};
 use gala::core::louvain::{Louvain, LouvainConfig};
 use gala::core::metrics::nmi;
 use gala::core::modularity::modularity;
-use gala::core::multi_gpu::{run_phase1, MultiGpuConfig};
 use gala::core::pruning::{classify, PruningKind};
 use gala::core::state::BspState;
 use gala::core::weight::{self, WeightUpdateMode};
@@ -153,12 +152,10 @@ proptest! {
     /// Multi-device execution is results-equivalent to single-device.
     #[test]
     fn multi_device_equals_single(graph in arb_graph(32, 120), devices in 2usize..6) {
-        let single = run_phase1(&graph, MultiGpuConfig::default());
-        let multi = run_phase1(&graph, MultiGpuConfig {
-            num_devices: devices,
-            ..MultiGpuConfig::default()
-        });
+        let single = Louvain::new(LouvainConfig::default()).run(&graph);
+        let multi = Louvain::new(LouvainConfig { devices, ..LouvainConfig::default() }).run(&graph);
         prop_assert_eq!(single.partition, multi.partition);
+        prop_assert_eq!(single.modularity.to_bits(), multi.modularity.to_bits());
     }
 
     /// Coarsening preserves total weight and the induced modularity.
