@@ -54,7 +54,7 @@ fn config(devices: usize, backend: BackendKind) -> LouvainConfig {
         devices,
         backend,
         sync: SyncMode::Adaptive,
-        ..LouvainConfig::default()
+        ..LouvainConfig::paper()
     }
 }
 
@@ -108,7 +108,7 @@ fn main() {
     for (d, g) in datasets.iter().take(num_graphs) {
         // A real first-round partition: the ghost-row distribution is what
         // the exchange model actually sees.
-        let partition = Louvain::new(LouvainConfig::default())
+        let partition = Louvain::new(LouvainConfig::paper())
             .run_phase1(g)
             .0
             .partition();

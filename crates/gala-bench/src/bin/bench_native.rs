@@ -41,7 +41,7 @@ const GATE_SPEEDUP: f64 = 2.0;
 fn runner(backend: BackendKind) -> Louvain {
     Louvain::new(LouvainConfig {
         backend,
-        ..LouvainConfig::default()
+        ..LouvainConfig::paper()
     })
 }
 

@@ -58,7 +58,7 @@ fn traced_run(
     let result = Louvain::new(LouvainConfig {
         kernel,
         backend,
-        ..LouvainConfig::default()
+        ..LouvainConfig::paper()
     })
     .run_with(graph, &mut Obs::traced(&mut sink));
     let profiles = sink

@@ -69,7 +69,7 @@ impl Measured {
         label: &str,
         failures: &mut Vec<String>,
     ) -> Duration {
-        let (stats, w) = run_phase1_timed(g, LouvainConfig::default());
+        let (stats, w) = run_phase1_timed(g, LouvainConfig::paper());
         let cycles = cost.cycles(&stats.decide_tally()) + cost.cycles(&stats.weight_tally());
         if self.steps != 0
             && (cycles.to_bits() != self.cycles.to_bits()

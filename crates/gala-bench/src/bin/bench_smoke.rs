@@ -34,7 +34,7 @@ fn main() {
     let scale = scale_from_env();
     let cost = CostModel::default();
     let configs: [(&str, LouvainConfig); 2] = [
-        ("gala", LouvainConfig::default()),
+        ("gala", LouvainConfig::paper()),
         ("baseline", LouvainConfig::baseline()),
     ];
 
@@ -86,7 +86,7 @@ fn main() {
             let r = Louvain::new(LouvainConfig {
                 devices,
                 max_rounds: 1,
-                ..LouvainConfig::default()
+                ..LouvainConfig::paper()
             })
             .run_with(g, &mut Obs::traced(&mut sink));
             let (mut bytes, mut dense, mut sparse) = (0u64, 0u64, 0u64);
@@ -127,7 +127,7 @@ fn main() {
             }
         };
         let mut sink = JsonlSink::new(BufWriter::new(file));
-        Louvain::new(LouvainConfig::default()).run_with(g, &mut Obs::traced(&mut sink));
+        Louvain::new(LouvainConfig::paper()).run_with(g, &mut Obs::traced(&mut sink));
         sink.into_inner();
         println!("\ntrace of {} written to {path}", d.abbr());
     }

@@ -22,7 +22,7 @@ fn main() {
         &g,
         LouvainConfig {
             pruning: PruningKind::Gain,
-            ..LouvainConfig::default()
+            ..LouvainConfig::paper()
         },
     );
     let mut table = Table::new(&["Iter", "Pruned(inactive)%", "Unmoved%"]);

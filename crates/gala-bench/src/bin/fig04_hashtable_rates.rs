@@ -32,7 +32,7 @@ fn main() {
                 kind,
                 shared_buckets,
             }),
-            ..LouvainConfig::default()
+            ..LouvainConfig::paper()
         };
         run_phase1_timed(&g, cfg).0
     };

@@ -46,7 +46,7 @@ fn main() {
     let mut sums = [0.0f64; 4]; // speedup accumulators: sort, ghash, cpu, seq
     let mut count = 0usize;
     for (d, g) in all_datasets(scale) {
-        let gala_cfg = LouvainConfig::default();
+        let gala_cfg = LouvainConfig::paper();
         let (gala_stats, gala_wall) = run_phase1_timed(&g, gala_cfg);
         let gala_cyc = cost.cycles(&gala_stats.total_tally());
 
@@ -54,7 +54,7 @@ fn main() {
             pruning: PruningKind::None,
             kernel: KernelKind::Sort,
             weight_update: WeightUpdateMode::Naive,
-            ..LouvainConfig::default()
+            ..LouvainConfig::paper()
         };
         let (sort_stats, sort_wall) = run_phase1_timed(&g, sort_cfg);
         let sort_cyc = cost.cycles(&sort_stats.total_tally());
@@ -66,7 +66,7 @@ fn main() {
                 shared_buckets: 0,
             }),
             weight_update: WeightUpdateMode::Naive,
-            ..LouvainConfig::default()
+            ..LouvainConfig::paper()
         };
         let (ghash_stats, ghash_wall) = run_phase1_timed(&g, ghash_cfg);
         let ghash_cyc = cost.cycles(&ghash_stats.total_tally());

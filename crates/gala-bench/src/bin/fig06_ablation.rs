@@ -45,7 +45,7 @@ fn main() {
             pruning: PruningKind::Gain,
             weight_update: WeightUpdateMode::Delta,
             kernel: KernelKind::WorkloadAware(HashConfig::default()),
-            ..LouvainConfig::default()
+            ..LouvainConfig::paper()
         };
         let (base, base_wall) = run_phase1_timed(&g, base_cfg);
         let (mg, mg_wall) = run_phase1_timed(&g, mg_cfg);

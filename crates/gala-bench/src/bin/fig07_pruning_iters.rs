@@ -36,7 +36,7 @@ fn main() {
                     &g,
                     LouvainConfig {
                         pruning: k,
-                        ..LouvainConfig::default()
+                        ..LouvainConfig::paper()
                     },
                 )
                 .0

@@ -46,7 +46,7 @@ fn main() {
                 LouvainConfig {
                     pruning: PruningKind::None,
                     weight_update: WeightUpdateMode::Naive,
-                    ..LouvainConfig::default()
+                    ..LouvainConfig::paper()
                 },
             ),
             (
@@ -54,7 +54,7 @@ fn main() {
                 LouvainConfig {
                     pruning: PruningKind::Gain,
                     weight_update: WeightUpdateMode::Naive,
-                    ..LouvainConfig::default()
+                    ..LouvainConfig::paper()
                 },
             ),
             (
@@ -62,7 +62,7 @@ fn main() {
                 LouvainConfig {
                     pruning: PruningKind::Gain,
                     weight_update: WeightUpdateMode::Delta,
-                    ..LouvainConfig::default()
+                    ..LouvainConfig::paper()
                 },
             ),
         ];

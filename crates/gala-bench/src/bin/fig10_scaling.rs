@@ -18,7 +18,7 @@ fn on(devices: usize, contract: ContractMode) -> Louvain {
         devices,
         sync: SyncMode::Adaptive,
         contract,
-        ..LouvainConfig::default()
+        ..LouvainConfig::paper()
     })
 }
 

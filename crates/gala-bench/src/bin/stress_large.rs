@@ -95,7 +95,7 @@ fn main() {
         s.max_degree
     );
 
-    let ((state, stats), wall) = time(|| Louvain::new(LouvainConfig::default()).run_phase1(&g));
+    let ((state, stats), wall) = time(|| Louvain::new(LouvainConfig::paper()).run_phase1(&g));
     println!(
         "GALA phase 1 (single device): {:.2}s wall, {} supersteps, Q = {:.5}, {} communities",
         wall.as_secs_f64(),
@@ -108,7 +108,7 @@ fn main() {
         Louvain::new(LouvainConfig {
             devices: 8,
             sync: SyncMode::Adaptive,
-            ..LouvainConfig::default()
+            ..LouvainConfig::paper()
         })
         .run_phase1(&g)
     });
@@ -245,7 +245,7 @@ fn main() {
     let ((big_state, big_stats), phase1_wall) = time(|| {
         Louvain::new(LouvainConfig {
             backend: BackendKind::Native,
-            ..LouvainConfig::default()
+            ..LouvainConfig::paper()
         })
         .run_phase1(&big)
     });
@@ -267,7 +267,7 @@ fn main() {
             &LouvainConfig {
                 devices: CONTRACT_DEVICES,
                 backend: BackendKind::Native,
-                ..LouvainConfig::default()
+                ..LouvainConfig::paper()
             },
             BackendKind::Native.resolve(),
             &mut prof,

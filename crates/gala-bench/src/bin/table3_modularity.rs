@@ -36,7 +36,7 @@ fn main() {
             .map(|&k| {
                 Louvain::new(LouvainConfig {
                     pruning: k,
-                    ..LouvainConfig::default()
+                    ..LouvainConfig::paper()
                 })
                 .run(&g)
                 .modularity

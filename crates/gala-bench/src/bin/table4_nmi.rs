@@ -90,7 +90,7 @@ fn main() {
         for &k in &kinds {
             let result = Louvain::new(LouvainConfig {
                 pruning: k,
-                ..LouvainConfig::default()
+                ..LouvainConfig::paper()
             })
             .run(&gt.graph);
             row.push(format!("{:.5}", nmi(&result.partition, &gt.ground_truth)));

@@ -2,7 +2,9 @@
 //!
 //! Loads one trace and renders per-superstep curves (modularity, moved and
 //! pruned rates, hashtable occupancy and evictions, warp divergence,
-//! coalescing efficiency, sync traffic) as aligned sparkline rows, plus a
+//! coalescing efficiency, sync traffic) as aligned sparkline rows, a
+//! per-round convergence table (supersteps run after the round's best Q,
+//! and the period of any Q limit cycle its tail ends in), plus a
 //! flamegraph-style top-N summary of the merged profiling span tree. With a
 //! second (baseline) trace it diffs a watched-metric set and reports
 //! regressions beyond `--threshold`; `--check` validates the trace's
@@ -671,6 +673,81 @@ fn curves(trace: &Trace) -> Vec<(&'static str, Vec<f64>)> {
     out
 }
 
+/// Longest Q cycle [`q_period`] looks for.
+const MAX_Q_PERIOD: usize = 4;
+
+/// How one phase-1 round converged, derived from its `superstep` events.
+#[derive(Debug)]
+struct RoundConvergence {
+    round: u64,
+    supersteps: usize,
+    /// Superstep of the round's highest Q (the first one that reached it).
+    best_at: usize,
+    /// Supersteps run after `best_at`: work the round's restore discards.
+    after_best: usize,
+    /// Period of a limit cycle in the round's tail, if any.
+    period: Option<usize>,
+}
+
+/// The smallest period `p` in `2..=MAX_Q_PERIOD` whose last `p` Q values
+/// repeat the `p` before them exactly and are not all equal (a constant
+/// tail is a settled round, not a cycle).
+fn q_period(qs: &[f64]) -> Option<usize> {
+    (2..=MAX_Q_PERIOD).find(|&p| {
+        let n = qs.len();
+        n >= 2 * p
+            && qs[n - p..] == qs[n - 2 * p..n - p]
+            && qs[n - p..].windows(2).any(|w| w[0] != w[1])
+    })
+}
+
+/// Per-round convergence of a trace's phase 1, in round order.
+fn convergence(trace: &Trace) -> Vec<RoundConvergence> {
+    trace
+        .supersteps
+        .chunk_by(|a, b| a.round == b.round)
+        .map(|steps| {
+            let qs: Vec<f64> = steps.iter().map(|s| s.modularity).collect();
+            let best = qs.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+            let best_at = qs.iter().position(|&q| q == best).unwrap_or(0);
+            RoundConvergence {
+                round: steps[0].round,
+                supersteps: qs.len(),
+                best_at,
+                after_best: qs.len() - 1 - best_at,
+                period: q_period(&qs),
+            }
+        })
+        .collect()
+}
+
+/// The convergence section: per round, the supersteps spent after the
+/// round's best Q and the period of any Q limit cycle its tail ends in.
+fn render_convergence(trace: &Trace) -> String {
+    let rounds = convergence(trace);
+    if rounds.is_empty() {
+        return String::new();
+    }
+    let mut out = format!(
+        "\n  {:<11} {:>10} {:>10} {:>10} {:>9}\n",
+        "convergence", "supersteps", "best Q at", "after best", "Q period"
+    );
+    for r in &rounds {
+        let period = r.period.map_or_else(|| "-".to_string(), |p| p.to_string());
+        out.push_str(&format!(
+            "  round {:<5} {:>10} {:>10} {:>10} {period:>9}\n",
+            r.round, r.supersteps, r.best_at, r.after_best
+        ));
+    }
+    let total: usize = rounds.iter().map(|r| r.supersteps).sum();
+    let after: usize = rounds.iter().map(|r| r.after_best).sum();
+    out.push_str(&format!(
+        "  {after} of {total} supersteps ({:.1}%) ran after their round's best Q\n",
+        100.0 * ratio(after as u64, total as u64)
+    ));
+    out
+}
+
 fn scale(values: Vec<f64>, k: f64) -> Vec<f64> {
     values.into_iter().map(|v| v * k).collect()
 }
@@ -873,6 +950,7 @@ fn render_single(path: &str, trace: &Trace, top: usize) -> String {
     for (name, values) in curves(trace) {
         out.push_str(&curve_row(name, &values));
     }
+    out.push_str(&render_convergence(trace));
     out.push('\n');
     out.push_str(&render_span_summary(trace, top));
     out.push_str(&render_metrics(trace));
@@ -1794,6 +1872,72 @@ mod tests {
         for p in [path, trace_path] {
             let _ = std::fs::remove_file(p);
         }
+    }
+
+    /// A `superstep` event carrying only what the convergence report reads.
+    fn step(round: u64, superstep: u64, modularity: f64) -> Superstep {
+        Superstep {
+            round,
+            superstep,
+            active: 10,
+            moved: 1,
+            pruned: 0,
+            unmoved: 9,
+            modularity,
+            hash_occupancy: 0.0,
+            hash_evictions: 0,
+            decide_tally: MemTally::default(),
+            weight_tally: MemTally::default(),
+        }
+    }
+
+    #[test]
+    fn convergence_reports_the_tail_after_best_q_and_its_period() {
+        // Round 0 peaks at superstep 3, then flips between two states;
+        // round 1 settles (a constant tail is no cycle); round 2 never
+        // beats its first superstep.
+        let rounds: [&[f64]; 3] = [
+            &[0.1, 0.3, 0.4, 0.5, 0.45, 0.47, 0.45, 0.47],
+            &[0.5, 0.6, 0.6],
+            &[0.6, 0.59],
+        ];
+        let trace = Trace {
+            supersteps: rounds
+                .iter()
+                .enumerate()
+                .flat_map(|(r, qs)| {
+                    qs.iter()
+                        .enumerate()
+                        .map(move |(i, &q)| step(r as u64, i as u64, q))
+                })
+                .collect(),
+            ..Trace::default()
+        };
+        let got = convergence(&trace);
+        assert_eq!(got[0].period, Some(2));
+        assert_eq!((got[0].best_at, got[0].after_best), (3, 4));
+        assert_eq!(got[1].period, None);
+        assert_eq!((got[2].best_at, got[2].after_best), (0, 1));
+        let want = "
+  convergence supersteps  best Q at after best  Q period
+  round 0              8          3          4         2
+  round 1              3          1          1         -
+  round 2              2          0          1         -
+  6 of 13 supersteps (46.2%) ran after their round's best Q
+";
+        assert_eq!(render_convergence(&trace), want);
+    }
+
+    #[test]
+    fn q_period_needs_two_full_cycles() {
+        assert_eq!(q_period(&[1.0, 2.0, 1.0, 2.0]), Some(2));
+        assert_eq!(q_period(&[2.0, 1.0, 2.0]), None);
+        assert_eq!(q_period(&[1.0, 2.0, 3.0, 4.0, 1.0, 2.0, 3.0, 4.0]), Some(4));
+        assert_eq!(
+            q_period(&[1.0, 2.0, 3.0, 4.0, 5.0, 1.0, 2.0, 3.0, 4.0, 5.0]),
+            None
+        );
+        assert_eq!(q_period(&[1.0; 8]), None);
     }
 
     #[test]

@@ -9,7 +9,9 @@ usage:
   gala detect <graph> [options]     run community detection
       --algorithm gala|leiden|lpa|sequential   (default: gala)
       --backend sim|native                     (default: sim; gala/leiden)
-      --pruning mg|sm|rm|pm|mgrm|none          (default: mg; gala only)
+      --pruning mgd|mg|sm|rm|pm|mgrm|none      (default: mgd; gala only)
+                                               mgd = MG with damped moves;
+                                               mg = the paper's plain MG
       --resolution <gamma>                     (default: 1.0)
       --format edgelist|metis|bin              (default: by extension)
       --output <file>                          write `vertex community` lines
@@ -43,7 +45,9 @@ usage:
                                       (plus per-partition Q with --graph)
   gala analyze <trace> [baseline] [options]
                                       inspect a --trace JSONL file:
-                                      per-superstep curves plus a top-N span
+                                      per-superstep curves, per-round
+                                      convergence (supersteps after the best
+                                      Q, any Q limit cycle) and a top-N span
                                       summary; with a second trace, diff the
                                       watched metrics and exit non-zero on a
                                       regression beyond the threshold
@@ -238,7 +242,9 @@ impl Store {
 /// Pruning strategy names.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Pruning {
-    /// Modularity-gain (MG).
+    /// Modularity-gain with damped moves (MGD, the default).
+    Mgd,
+    /// Modularity-gain (MG), the paper's strategy.
     Mg,
     /// Strict movement (SM).
     Sm,
@@ -255,6 +261,7 @@ pub enum Pruning {
 impl Pruning {
     fn parse(s: &str) -> Result<Self, ParseError> {
         match s {
+            "mgd" => Ok(Pruning::Mgd),
             "mg" => Ok(Pruning::Mg),
             "sm" => Ok(Pruning::Sm),
             "rm" => Ok(Pruning::Rm),
@@ -462,7 +469,7 @@ impl Command {
             format: None,
             algorithm: Algorithm::Gala,
             backend: Backend::Sim,
-            pruning: Pruning::Mg,
+            pruning: Pruning::Mgd,
             resolution: 1.0,
             output: None,
             devices: 1,
@@ -796,7 +803,7 @@ mod tests {
         assert_eq!(d.input, "graph.txt");
         assert_eq!(d.algorithm, Algorithm::Gala);
         assert_eq!(d.backend, Backend::Sim);
-        assert_eq!(d.pruning, Pruning::Mg);
+        assert_eq!(d.pruning, Pruning::Mgd);
         assert_eq!(d.resolution, 1.0);
         assert_eq!(d.mg_contract, MgContract::Host);
         assert!(!d.quiet);
@@ -831,6 +838,20 @@ mod tests {
         assert_eq!(d.report.as_deref(), Some("report.json"));
         assert!(Command::parse(&argv("detect g.txt --trace")).is_err());
         assert!(Command::parse(&argv("detect g.txt --report")).is_err());
+    }
+
+    #[test]
+    fn parses_pruning_names() {
+        for (name, want) in [
+            ("mgd", Pruning::Mgd),
+            ("mg", Pruning::Mg),
+            ("mg+rm", Pruning::MgRm),
+            ("none", Pruning::None),
+        ] {
+            let cmd = Command::parse(&argv(&format!("detect g.txt --pruning {name}"))).unwrap();
+            let Command::Detect(d) = cmd else { panic!() };
+            assert_eq!(d.pruning, want, "{name}");
+        }
     }
 
     #[test]

@@ -335,6 +335,7 @@ fn detect(args: DetectArgs) -> Result<(), Error> {
     let (name, partition): (&str, Partition) = match args.algorithm {
         Algorithm::Gala => {
             let pruning = match args.pruning {
+                Pruning::Mgd => PruningKind::GainDamped,
                 Pruning::Mg => PruningKind::Gain,
                 Pruning::Sm => PruningKind::Strict,
                 Pruning::Rm => PruningKind::Relaxed,

@@ -11,9 +11,12 @@
 //! | [`probabilistic`] (PM) | `v` kept its id across two iterations → prune with probability α | no |
 //! | [`gain`] (MG) | the modularity-gain upper bound (Eq. 6) shows no move can win | yes (Theorem 6) |
 //!
-//! plus [`PruningKind::None`] (the unpruned baseline) and
+//! plus [`PruningKind::None`] (the unpruned baseline),
 //! [`PruningKind::GainRelaxed`] (MG ∧ RM, the paper's MG+RM combination —
-//! inactive if *either* strategy says inactive).
+//! inactive if *either* strategy says inactive) and
+//! [`PruningKind::GainDamped`] (MG plus move damping, the default: a vertex
+//! that moved in the previous superstep sits about half of the next ones
+//! out, which breaks the limit cycles simultaneous BSP moves fall into).
 //!
 //! Iteration 0 is always fully active: no history exists yet.
 
@@ -44,6 +47,13 @@ pub enum PruningKind {
     Gain,
     /// MG ∧ RM combined: inactive if either marks it inactive.
     GainRelaxed,
+    /// MG with move damping: a vertex that moved in the previous superstep
+    /// is deferred when a fixed hash of (vertex, superstep) says so (about
+    /// half the time), every other vertex is classified as under MG. Not FN-free per superstep —
+    /// a deferred vertex may hold a winning move — by design: two
+    /// neighbours that keep swapping communities in lockstep are exactly
+    /// the moves worth holding back.
+    GainDamped,
 }
 
 impl PruningKind {
@@ -61,6 +71,7 @@ impl PruningKind {
             PruningKind::Probabilistic { .. } => "PM",
             PruningKind::Gain => "MG",
             PruningKind::GainRelaxed => "MG+RM",
+            PruningKind::GainDamped => "MGD",
         }
     }
 }
@@ -115,7 +126,30 @@ pub fn classify_into(
                 })
                 .collect_into_vec(out);
         }
+        PruningKind::GainDamped => {
+            let iteration = state.iteration;
+            (0..n as VertexId)
+                .into_par_iter()
+                .map(|v| {
+                    let deferred = state.moved[v as usize] && defers(v, iteration);
+                    !deferred && !gain::is_provably_unmoved(v, graph, state)
+                })
+                .collect_into_vec(out);
+        }
     }
+}
+
+/// Move damping's schedule: whether vertex `v`, having moved in the
+/// previous superstep, sits out superstep `iteration`. A fixed SplitMix64
+/// hash of (vertex, superstep) keeps about half of the previous movers —
+/// no rng draw and no dependence on pool width, so every backend, device
+/// count and kernel sees the same mask. A mover that sits out did not move,
+/// so it is back under plain MG the superstep after.
+pub(crate) fn defers(v: gala_graph::VertexId, iteration: usize) -> bool {
+    let mut x = (v as u64) ^ (iteration as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    (x ^ (x >> 31)) >> 63 == 1
 }
 
 /// Outcome of a sampled false-negative audit ([`audit_pruned`]).
@@ -361,9 +395,69 @@ mod tests {
             PruningKind::probabilistic_default(),
             PruningKind::Gain,
             PruningKind::GainRelaxed,
+            PruningKind::GainDamped,
         ] {
             let active = classify(kind, &g, &s, &mut rng);
             assert!(active.iter().all(|&a| a), "{kind:?}");
+        }
+    }
+
+    /// A 10k-vertex planted partition after one full superstep: most
+    /// vertices just moved, so the damping schedule has work to do.
+    fn after_one_superstep() -> (Graph, BspState) {
+        let g = gala_graph::generators::sbm::PlantedPartition {
+            num_communities: 100,
+            community_size: 100,
+            internal_degree: 8.0,
+            mixing: 0.3,
+        }
+        .generate(5)
+        .graph;
+        let mut s = BspState::new(&g);
+        let out = crate::kernels::cpu::decide(&g, &s, &vec![true; g.num_vertices()]);
+        let summary = s.apply_moves(&g, &out.next_comm);
+        crate::weight::update(crate::weight::WeightUpdateMode::Delta, &g, &mut s, &summary);
+        (g, s)
+    }
+
+    #[test]
+    fn damping_defers_about_half_of_the_previous_movers_only() {
+        let (g, s) = after_one_superstep();
+        let mut rng = ChaCha8Rng::seed_from_u64(0);
+        let mg = classify(PruningKind::Gain, &g, &s, &mut rng);
+        let damped = classify(PruningKind::GainDamped, &g, &s, &mut rng);
+        let movers = s.moved.iter().filter(|&&m| m).count();
+        assert!(movers > g.num_vertices() / 2, "only {movers} movers");
+        let mut deferred = 0;
+        for v in 0..g.num_vertices() {
+            if !s.moved[v] {
+                assert_eq!(damped[v], mg[v], "non-mover {v} left MG's mask");
+                continue;
+            }
+            let defer = defers(v as gala_graph::VertexId, s.iteration);
+            assert_eq!(damped[v], mg[v] && !defer, "mover {v}");
+            deferred += defer as usize;
+        }
+        let share = deferred as f64 / movers as f64;
+        assert!((0.4..=0.6).contains(&share), "deferred share {share}");
+        // Deferral only ever removes vertices MG kept active.
+        let mg_active = mg.iter().filter(|&&a| a).count();
+        let damped_active = damped.iter().filter(|&&a| a).count();
+        assert!(damped_active < mg_active);
+    }
+
+    #[test]
+    fn damped_mask_is_the_same_at_every_pool_width() {
+        let (g, s) = after_one_superstep();
+        let mask = |width| {
+            rayon::with_parallelism(width, || {
+                let mut rng = ChaCha8Rng::seed_from_u64(0);
+                classify(PruningKind::GainDamped, &g, &s, &mut rng)
+            })
+        };
+        let reference = mask(1);
+        for width in [2, 8] {
+            assert!(mask(width) == reference, "width {width}");
         }
     }
 
@@ -483,5 +577,6 @@ mod tests {
         assert_eq!(PruningKind::Gain.label(), "MG");
         assert_eq!(PruningKind::probabilistic_default().label(), "PM");
         assert_eq!(PruningKind::GainRelaxed.label(), "MG+RM");
+        assert_eq!(PruningKind::GainDamped.label(), "MGD");
     }
 }

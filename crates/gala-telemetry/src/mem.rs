@@ -162,7 +162,8 @@ mod tests {
             big[i] = 1;
         }
         let len = big.len();
-        drop(big);
+        // Keep the optimizer from eliding the buffer and its writes.
+        drop(std::hint::black_box(big));
         match probe.end() {
             // Generous slack: another test may free memory concurrently.
             Some(peak) => assert!(

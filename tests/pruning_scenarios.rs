@@ -152,3 +152,22 @@ fn mg_plus_rm_combines_both_angles() {
     let mgrm1 = classify(PruningKind::GainRelaxed, &g1, &s1, &mut rng());
     assert!(!mgrm1[0], "MG+RM accepts RM's false negative by design");
 }
+
+#[test]
+fn damped_mg_decides_unmoved_vertices_as_mg_does() {
+    // `v` did not move in either scenario, so damping leaves it to MG:
+    // active in scenario 1, pruned in scenario 2.
+    for (name, (g, s), want_active) in [
+        ("scenario 1", scenario1(), true),
+        ("scenario 2", scenario2(), false),
+    ] {
+        let mg = classify(PruningKind::Gain, &g, &s, &mut rng());
+        let mgd = classify(PruningKind::GainDamped, &g, &s, &mut rng());
+        assert_eq!(mgd[0], want_active, "{name}");
+        for v in 0..g.num_vertices() {
+            if !s.moved[v] {
+                assert_eq!(mgd[v], mg[v], "{name}: vertex {v}");
+            }
+        }
+    }
+}
