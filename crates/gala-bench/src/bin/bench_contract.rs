@@ -18,20 +18,13 @@
 //! GALA_SCALE=test bench_contract --quick --gate --report BENCH_contract.json
 //! ```
 
-use gala_bench::{all_datasets, new_report, scale_from_env, time, BenchArgs, Table};
+use gala_bench::{
+    all_datasets, best_of, hardware_threads, new_report, scale_from_env, BenchArgs, Table,
+};
 use gala_core::louvain::{Louvain, LouvainConfig};
 use gala_graph::coarsen::{coarsen, coarsen_into, CoarsenScratch};
 use rayon::{configured_threads, with_parallelism};
 use std::time::Duration;
-
-/// Best-of-`reps` wall time of `f` (after one untimed warmup call).
-fn best_of(reps: usize, mut f: impl FnMut()) -> Duration {
-    f();
-    (0..reps)
-        .map(|_| time(&mut f).1)
-        .min()
-        .expect("reps must be > 0")
-}
 
 fn ns(d: Duration) -> u128 {
     d.as_nanos()
@@ -48,7 +41,7 @@ fn main() {
 
     println!(
         "bench_contract — wall-clock phase-2 contraction ({} hardware threads, gate width {gate_width})\n",
-        std::thread::available_parallelism().map_or(1, |n| n.get())
+        hardware_threads()
     );
 
     let mut table = Table::new(&[
@@ -138,45 +131,33 @@ fn main() {
 
     let mut report = new_report("bench_contract")
         .meta("gate_width", gate_width.to_string())
-        .meta(
-            "hardware_threads",
-            std::thread::available_parallelism()
-                .map_or(1, |n| n.get())
-                .to_string(),
-        );
+        .meta("hardware_threads", hardware_threads().to_string());
     table.add_to_report(&mut report, "contract");
     args.write_report(&report);
 
-    if args.gate {
-        // Width 1 runs the pipeline inline, so "never slower than the seed"
-        // is an algorithmic claim (counting sort vs HashMap) that cannot
-        // flake on a single-core CI machine; the 2x floor at the width-8
-        // row is the PR's headline.
-        let tolerance = 1.15;
-        let floor = 2.0;
-        let mut failures = Vec::new();
-        for (row, k, pooled, seed) in &gate_rows {
-            if *k == 1 && *pooled as f64 > *seed as f64 * tolerance {
-                failures.push(format!(
-                    "{row}: pooled {pooled}ns vs seed {seed}ns (limit {tolerance}x)"
-                ));
-            }
-            if *k == 8 && (*seed as f64) < *pooled as f64 * floor {
-                failures.push(format!(
-                    "{row}: pooled {pooled}ns vs seed {seed}ns (floor {floor}x)"
-                ));
-            }
+    // Width 1 runs the pipeline inline, so "never slower than the seed"
+    // is an algorithmic claim (counting sort vs HashMap) that cannot flake
+    // on a single-core CI machine; the 2x floor at the width-8 row is the
+    // headline.
+    let tolerance = 1.15;
+    let floor = 2.0;
+    let mut failures = Vec::new();
+    for (row, k, pooled, seed) in &gate_rows {
+        if *k == 1 && *pooled as f64 > *seed as f64 * tolerance {
+            failures.push(format!(
+                "{row}: pooled {pooled}ns vs seed {seed}ns (limit {tolerance}x)"
+            ));
         }
-        if failures.is_empty() {
-            println!(
-                "\ngate OK: pooled contraction within {tolerance}x of seed at width 1, >= {floor}x at width 8"
-            );
-        } else {
-            eprintln!("\ngate FAILED:");
-            for f in &failures {
-                eprintln!("  {f}");
-            }
-            std::process::exit(1);
+        if *k == 8 && (*seed as f64) < *pooled as f64 * floor {
+            failures.push(format!(
+                "{row}: pooled {pooled}ns vs seed {seed}ns (floor {floor}x)"
+            ));
         }
     }
+    args.finish_gate(
+        &failures,
+        &format!(
+            "pooled contraction within {tolerance}x of seed at width 1, >= {floor}x at width 8"
+        ),
+    );
 }

@@ -24,7 +24,9 @@
 //! launch is more than 15% slower than either reference — on a single
 //! hardware thread the pool runs inline, so the gate is safe anywhere.
 
-use gala_bench::{all_datasets, new_report, scale_from_env, time, BenchArgs, Table};
+use gala_bench::{
+    all_datasets, best_of, hardware_threads, new_report, scale_from_env, BenchArgs, Table,
+};
 use gala_core::louvain::{Louvain, LouvainConfig};
 use gala_gpu::grid;
 use gala_gpu::memory::{MemTally, Space};
@@ -88,15 +90,6 @@ fn scan_kernel(graph: &Graph) -> impl Fn(&VertexId, &mut MemTally) -> f64 + Sync
     }
 }
 
-/// Best-of-`reps` wall time of `f` (after one untimed warmup call).
-fn best_of(reps: usize, mut f: impl FnMut()) -> Duration {
-    f();
-    (0..reps)
-        .map(|_| time(&mut f).1)
-        .min()
-        .expect("reps must be > 0")
-}
-
 fn ns(d: Duration) -> u128 {
     d.as_nanos()
 }
@@ -113,7 +106,7 @@ fn main() {
 
     println!(
         "bench_host — wall-clock launch path ({} hardware threads, gate width {gate_width})\n",
-        std::thread::available_parallelism().map_or(1, |n| n.get())
+        hardware_threads()
     );
 
     // Table 1: one grid::launch of a decide-shaped kernel, per executor.
@@ -221,45 +214,30 @@ fn main() {
 
     let mut report = new_report("bench_host")
         .meta("gate_width", gate_width.to_string())
-        .meta(
-            "hardware_threads",
-            std::thread::available_parallelism()
-                .map_or(1, |n| n.get())
-                .to_string(),
-        );
+        .meta("hardware_threads", hardware_threads().to_string());
     launch_table.add_to_report(&mut report, "launch");
     phase_table.add_to_report(&mut report, "phase1");
     args.write_report(&report);
 
-    if args.gate {
-        // Throughput gate at the configured width only: on a single
-        // hardware thread that width is 1 and the pool runs inline, so
-        // this cannot flake on small CI machines.
-        let tolerance = 1.15;
-        let mut failures = Vec::new();
-        for (row, k, pooled, seq, seed) in &gate_rows {
-            if *k != gate_width {
-                continue;
-            }
-            if *pooled as f64 > *seq as f64 * tolerance {
-                failures.push(format!(
-                    "{row}: pooled {pooled}ns vs seq {seq}ns (limit {tolerance}x)"
-                ));
-            }
-            if *pooled as f64 > *seed as f64 * tolerance {
-                failures.push(format!(
-                    "{row}: pooled {pooled}ns vs seed {seed}ns (limit {tolerance}x)"
-                ));
-            }
+    // Throughput gate at the configured width only: on a single hardware
+    // thread that width is 1 and the pool runs inline, so this cannot
+    // flake on small CI machines.
+    let tolerance = 1.15;
+    let mut failures = Vec::new();
+    for (row, _, pooled, seq, seed) in gate_rows.iter().filter(|(_, k, ..)| *k == gate_width) {
+        if *pooled as f64 > *seq as f64 * tolerance {
+            failures.push(format!(
+                "{row}: pooled {pooled}ns vs seq {seq}ns (limit {tolerance}x)"
+            ));
         }
-        if failures.is_empty() {
-            println!("\ngate OK: pooled launch within {tolerance}x of both references at width {gate_width}");
-        } else {
-            eprintln!("\ngate FAILED:");
-            for f in &failures {
-                eprintln!("  {f}");
-            }
-            std::process::exit(1);
+        if *pooled as f64 > *seed as f64 * tolerance {
+            failures.push(format!(
+                "{row}: pooled {pooled}ns vs seed {seed}ns (limit {tolerance}x)"
+            ));
         }
     }
+    args.finish_gate(
+        &failures,
+        &format!("pooled launch within {tolerance}x of both references at width {gate_width}"),
+    );
 }

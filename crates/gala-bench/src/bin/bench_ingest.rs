@@ -343,53 +343,46 @@ fn main() {
     reorder_t.add_to_report(&mut report, "reorder");
     args.write_report(&report);
 
-    if args.gate {
-        let mut failures = Vec::new();
-        let (small, large) = (gate_rows.first().unwrap(), gate_rows.last().unwrap());
-        if small.stream_tp < small.inmem_tp * GATE_THROUGHPUT_RATIO {
-            failures.push(format!(
-                "{}: streaming throughput {:.1} Marcs/s below {:.0}% of in-memory {:.1} Marcs/s",
-                small.label,
-                small.stream_tp,
-                GATE_THROUGHPUT_RATIO * 100.0,
-                small.inmem_tp
-            ));
-        }
-        let mut peak_verdict = format!("peak ratio <= {GATE_PEAK_RATIO} on {}", large.label);
-        match (large.stream_peak, large.inmem_peak) {
-            (Some(s), Some(i)) => {
-                if s as f64 > i as f64 * GATE_PEAK_RATIO {
-                    failures.push(format!(
-                        "{}: streaming peak {:.1} MiB above {:.0}% of in-memory {:.1} MiB",
-                        large.label,
-                        mib(s),
-                        GATE_PEAK_RATIO * 100.0,
-                        mib(i)
-                    ));
-                }
-            }
-            // A missing probe (no procfs on this platform) is a reduced
-            // measurement, not a regression: skip the memory half of the
-            // gate with a warning and keep the throughput verdict.
-            _ => {
-                eprintln!(
-                    "warning: {}: no RSS probe available, memory gate SKIPPED",
-                    large.label
-                );
-                peak_verdict = format!("peak gate skipped on {} (no RSS probe)", large.label);
+    let mut failures = Vec::new();
+    let (small, large) = (gate_rows.first().unwrap(), gate_rows.last().unwrap());
+    if small.stream_tp < small.inmem_tp * GATE_THROUGHPUT_RATIO {
+        failures.push(format!(
+            "{}: streaming throughput {:.1} Marcs/s below {:.0}% of in-memory {:.1} Marcs/s",
+            small.label,
+            small.stream_tp,
+            GATE_THROUGHPUT_RATIO * 100.0,
+            small.inmem_tp
+        ));
+    }
+    let mut peak_verdict = format!("peak ratio <= {GATE_PEAK_RATIO} on {}", large.label);
+    match (large.stream_peak, large.inmem_peak) {
+        (Some(s), Some(i)) => {
+            if s as f64 > i as f64 * GATE_PEAK_RATIO {
+                failures.push(format!(
+                    "{}: streaming peak {:.1} MiB above {:.0}% of in-memory {:.1} MiB",
+                    large.label,
+                    mib(s),
+                    GATE_PEAK_RATIO * 100.0,
+                    mib(i)
+                ));
             }
         }
-        if failures.is_empty() {
-            println!(
-                "\ngate OK: {peak_verdict}, throughput >= {GATE_THROUGHPUT_RATIO}x on {}",
-                small.label
+        // A missing probe (no procfs on this platform) is a reduced
+        // measurement, not a regression: skip the memory half of the gate
+        // with a warning and keep the throughput verdict.
+        _ => {
+            eprintln!(
+                "warning: {}: no RSS probe available, memory gate SKIPPED",
+                large.label
             );
-        } else {
-            eprintln!("\ngate FAILED:");
-            for f in &failures {
-                eprintln!("  {f}");
-            }
-            std::process::exit(1);
+            peak_verdict = format!("peak gate skipped on {} (no RSS probe)", large.label);
         }
     }
+    args.finish_gate(
+        &failures,
+        &format!(
+            "{peak_verdict}, throughput >= {GATE_THROUGHPUT_RATIO}x on {}",
+            small.label
+        ),
+    );
 }

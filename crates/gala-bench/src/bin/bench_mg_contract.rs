@@ -20,7 +20,9 @@
 //! GALA_SCALE=test bench_mg_contract --quick --gate --report BENCH_mg_contract.json
 //! ```
 
-use gala_bench::{all_datasets, new_report, scale_from_env, time, BenchArgs, Table};
+use gala_bench::{
+    all_datasets, best_of, hardware_threads, new_report, scale_from_env, BenchArgs, Table,
+};
 use gala_core::backend::BackendKind;
 use gala_core::louvain::{Louvain, LouvainConfig};
 use gala_core::mg_contract::contract_partitioned;
@@ -28,16 +30,6 @@ use gala_core::multi_gpu::SyncMode;
 use gala_gpu::profile::Profiler;
 use gala_graph::coarsen::{coarsen_into, CoarsenScratch, Coarsened};
 use gala_graph::{Graph, Partition};
-use std::time::Duration;
-
-/// Best-of-`reps` wall time of `f` (after one untimed warmup call).
-fn best_of(reps: usize, mut f: impl FnMut()) -> Duration {
-    f();
-    (0..reps)
-        .map(|_| time(&mut f).1)
-        .min()
-        .expect("reps must be > 0")
-}
 
 fn fingerprint(c: &Coarsened) -> (usize, Vec<u32>, Vec<usize>, Vec<u32>, Vec<u64>) {
     (
@@ -185,64 +177,51 @@ fn main() {
     }
     table.print();
 
-    let mut report = new_report("bench_mg_contract").meta(
-        "hardware_threads",
-        std::thread::available_parallelism()
-            .map_or(1, |n| n.get())
-            .to_string(),
-    );
+    let mut report =
+        new_report("bench_mg_contract").meta("hardware_threads", hardware_threads().to_string());
     table.add_to_report(&mut report, "mg_contract");
     args.write_report(&report);
 
-    if args.gate {
-        // 1-device parity is an algorithmic claim (the partitioning layer
-        // degenerates to one whole-range aggregation, and the collectives
-        // are free at p = 1), so it cannot flake on a loaded CI machine
-        // the way a cross-width speedup could. The 4-device band checks
-        // the row partitioning actually balances modelled compute without
-        // gating on the comm-dominated total.
-        let tolerance = 1.35;
-        let band = (0.15, 0.65);
-        let mut failures = Vec::new();
-        for (row, p, compute_us, _total, native_ns, host_ns) in &gate_rows {
-            if *p == 1 && *native_ns as f64 > *host_ns as f64 * tolerance {
+    // 1-device parity is an algorithmic claim (the partitioning layer
+    // degenerates to one whole-range aggregation, and the collectives are
+    // free at p = 1), so it cannot flake on a loaded CI machine the way a
+    // cross-width speedup could. The 4-device band checks the row
+    // partitioning actually balances modelled compute without gating on
+    // the comm-dominated total.
+    let tolerance = 1.35;
+    let band = (0.15, 0.65);
+    let mut failures = Vec::new();
+    for (row, p, compute_us, _total, native_ns, host_ns) in &gate_rows {
+        if *p == 1 && *native_ns as f64 > *host_ns as f64 * tolerance {
+            failures.push(format!(
+                "{row}: native partitioned {native_ns}ns vs host {host_ns}ns (limit {tolerance}x)"
+            ));
+        }
+        if *p == 4 {
+            let graph = row.rsplit_once("/p").map(|(g, _)| g).unwrap_or(row);
+            let base = gate_rows
+                .iter()
+                .find(|(r, q, ..)| *q == 1 && r.rsplit_once("/p").map(|(x, _)| x) == Some(graph))
+                .map(|(_, _, c, ..)| *c);
+            let base = match base {
+                Some(c) if c > 0.0 => c,
+                _ => continue,
+            };
+            let ratio = compute_us / base;
+            if !(band.0..=band.1).contains(&ratio) {
                 failures.push(format!(
-                    "{row}: native partitioned {native_ns}ns vs host {host_ns}ns (limit {tolerance}x)"
+                    "{row}: modelled compute ratio {ratio:.2} vs 1 device outside [{}, {}]",
+                    band.0, band.1
                 ));
             }
-            if *p == 4 {
-                let graph = row.rsplit_once("/p").map(|(g, _)| g).unwrap_or(row);
-                let base = gate_rows
-                    .iter()
-                    .find(|(r, q, ..)| {
-                        *q == 1 && r.rsplit_once("/p").map(|(x, _)| x) == Some(graph)
-                    })
-                    .map(|(_, _, c, ..)| *c);
-                let base = match base {
-                    Some(c) if c > 0.0 => c,
-                    _ => continue,
-                };
-                let ratio = compute_us / base;
-                if !(band.0..=band.1).contains(&ratio) {
-                    failures.push(format!(
-                        "{row}: modelled compute ratio {ratio:.2} vs 1 device outside [{}, {}]",
-                        band.0, band.1
-                    ));
-                }
-            }
-        }
-        if failures.is_empty() {
-            println!(
-                "\ngate OK: 1-device native within {tolerance}x of host; \
-                 4-device modelled compute in [{}, {}] of 1 device",
-                band.0, band.1
-            );
-        } else {
-            eprintln!("\ngate FAILED:");
-            for f in &failures {
-                eprintln!("  {f}");
-            }
-            std::process::exit(1);
         }
     }
+    args.finish_gate(
+        &failures,
+        &format!(
+            "1-device native within {tolerance}x of host; \
+             4-device modelled compute in [{}, {}] of 1 device",
+            band.0, band.1
+        ),
+    );
 }

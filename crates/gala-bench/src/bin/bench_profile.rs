@@ -172,18 +172,11 @@ fn main() {
     table.add_to_report(&mut report, "profile");
     args.write_report(&report);
 
-    if args.gate {
-        if gate_failures.is_empty() {
-            println!(
-                "\ngate OK: all six kernels joined with residuals inside [{}, {}]",
-                GATE_RESIDUAL_BAND.0, GATE_RESIDUAL_BAND.1
-            );
-        } else {
-            eprintln!("\ngate FAILED:");
-            for f in &gate_failures {
-                eprintln!("  {f}");
-            }
-            std::process::exit(1);
-        }
-    }
+    args.finish_gate(
+        &gate_failures,
+        &format!(
+            "all six kernels joined with residuals inside [{}, {}]",
+            GATE_RESIDUAL_BAND.0, GATE_RESIDUAL_BAND.1
+        ),
+    );
 }

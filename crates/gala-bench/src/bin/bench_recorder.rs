@@ -271,21 +271,12 @@ fn main() {
     table.add_to_report(&mut report, "overhead");
     args.write_report(&report);
 
-    if failures.is_empty() {
-        if args.gate {
-            println!(
-                "\ngate OK: instrumented phase 1 within 1% (+{} ms slack), \
-                 simulated cycles bit-identical, crash dump valid",
-                ms(SLACK)
-            );
-        }
-    } else {
-        eprintln!("\n{}:", if args.gate { "gate FAILED" } else { "warnings" });
-        for f in &failures {
-            eprintln!("  {f}");
-        }
-        if args.gate {
-            std::process::exit(1);
-        }
-    }
+    args.finish_gate(
+        &failures,
+        &format!(
+            "instrumented phase 1 within 1% (+{} ms slack), \
+             simulated cycles bit-identical, crash dump valid",
+            ms(SLACK)
+        ),
+    );
 }

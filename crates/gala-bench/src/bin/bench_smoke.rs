@@ -21,7 +21,7 @@
 //! writes a full instrumented trace (superstep + span events) of the
 //! first dataset's run — CI feeds that to `gala analyze --check`.
 
-use gala_bench::{all_datasets, eng, new_report, scale_from_env, BenchArgs, Table};
+use gala_bench::{all_datasets, conclude, eng, new_report, scale_from_env, BenchArgs, Table};
 use gala_core::louvain::{Louvain, LouvainConfig};
 use gala_core::observe::Obs;
 use gala_gpu::memory::CostModel;
@@ -140,15 +140,14 @@ fn main() {
                 std::process::exit(1);
             }
         };
-        let regressions = report.compare(&baseline, 0.10);
-        if regressions.is_empty() {
-            let metrics: usize = baseline.rows.iter().map(|r| r.metrics.len()).sum();
-            println!("\ncheck OK: {metrics} metrics within \u{b1}10% of {path}");
-        } else {
-            eprintln!("\ncheck FAILED against {path}:");
-            for r in &regressions {
-                eprintln!("  {r}");
-            }
+        let regressions: Vec<String> = report
+            .compare(&baseline, 0.10)
+            .iter()
+            .map(|r| format!("{path}: {r}"))
+            .collect();
+        let metrics: usize = baseline.rows.iter().map(|r| r.metrics.len()).sum();
+        let ok = format!("{metrics} metrics within \u{b1}10% of {path}");
+        if conclude("check", true, &regressions, &ok) {
             std::process::exit(1);
         }
     }

@@ -35,6 +35,20 @@ pub fn time<R>(f: impl FnOnce() -> R) -> (R, Duration) {
     (r, t.elapsed())
 }
 
+/// Best-of-`reps` wall time of `f` (after one untimed warmup call).
+pub fn best_of(reps: usize, mut f: impl FnMut()) -> Duration {
+    f();
+    (0..reps)
+        .map(|_| time(&mut f).1)
+        .min()
+        .expect("reps must be > 0")
+}
+
+/// The machine's hardware thread count (1 when unknown).
+pub fn hardware_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
 /// Runs phase 1 (the paper's measured region) and returns wall time plus
 /// the round stats.
 pub fn run_phase1_timed(
@@ -258,6 +272,36 @@ impl BenchArgs {
             println!("\nreport written to {path}");
         }
     }
+
+    /// Ends the run on its `--gate` verdict: [`conclude`]s the `gate`,
+    /// enforced only under `--gate`, and exits 1 when it failed.
+    pub fn finish_gate(&self, failures: &[String], ok: &str) {
+        if conclude("gate", self.gate, failures, ok) {
+            std::process::exit(1);
+        }
+    }
+}
+
+/// Prints the epilogue of the gate called `name` and returns whether it
+/// failed. With no `failures`, an enforced gate prints `{name} OK: {ok}`;
+/// failures go to stderr under `{name} FAILED:` when `enforced`, else
+/// under `warnings:`, and fail only an enforced gate.
+pub fn conclude(name: &str, enforced: bool, failures: &[String], ok: &str) -> bool {
+    if failures.is_empty() {
+        if enforced {
+            println!("\n{name} OK: {ok}");
+        }
+        return false;
+    }
+    if enforced {
+        eprintln!("\n{name} FAILED:");
+    } else {
+        eprintln!("\nwarnings:");
+    }
+    for f in failures {
+        eprintln!("  {f}");
+    }
+    enforced
 }
 
 /// Formats a duration as fractional milliseconds.
@@ -316,6 +360,16 @@ mod tests {
             ..BenchArgs::default()
         };
         assert_eq!(pinned.thread_sweep(8), vec![2]);
+    }
+
+    #[test]
+    fn gate_fails_only_when_enforced_with_failures() {
+        let failures = vec!["FR/t1: pooled 2ns vs seed 1ns (limit 1.15x)".to_string()];
+        assert!(conclude("gate", true, &failures, "ok"));
+        assert!(conclude("check", true, &failures, "ok"));
+        assert!(!conclude("gate", false, &failures, "ok"));
+        assert!(!conclude("gate", true, &[], "ok"));
+        assert!(!conclude("gate", false, &[], "ok"));
     }
 
     #[test]

@@ -22,8 +22,8 @@ use gala_gpu::memory::{CostModel, MemTally};
 use gala_gpu::profile::{Profiler, SpanRecord};
 use gala_telemetry::recorder::{self, LogEvent, ProgressSnapshot};
 use gala_telemetry::{
-    json, profile_span_from_json, span_from_json, tally_from_json, MetricsRegistry, ProfileSpan,
-    MIN_SCHEMA_VERSION, SCHEMA_VERSION,
+    direction, json, judge, profile_span_from_json, span_from_json, tally_from_json,
+    MetricsRegistry, ProfileSpan, Verdict, MIN_SCHEMA_VERSION, SCHEMA_VERSION,
 };
 
 /// One `superstep` event, decoded.
@@ -1091,11 +1091,11 @@ fn export_chrome_trace(trace_path: &str, out_path: &str) -> Result<usize, Error>
     Ok(count)
 }
 
-/// One watched metric for two-trace diffing.
+/// One watched metric for two-trace diffing; its name alone says which
+/// way it should move ([`direction`]).
 struct Watched {
     name: &'static str,
     value: f64,
-    higher_is_better: bool,
 }
 
 /// The watched-metric vector of a trace: scalars whose movement between two
@@ -1117,18 +1117,13 @@ fn watched_metrics(trace: &Trace) -> Vec<Watched> {
         .map(|e| e.modularity)
         .or_else(|| trace.supersteps.last().map(|s| s.modularity))
         .unwrap_or(0.0);
-    let w = |name, value, higher_is_better| Watched {
-        name,
-        value,
-        higher_is_better,
-    };
+    let w = |name, value| Watched { name, value };
     vec![
-        w("final modularity", final_q, true),
-        w("supersteps", trace.supersteps.len() as f64, false),
+        w("final modularity", final_q),
+        w("supersteps", trace.supersteps.len() as f64),
         w(
             "total cycles",
             trace.run_end.map(|e| e.total_cycles).unwrap_or(0.0),
-            false,
         ),
         // Phase-2 cost: the modelled cycles of every contract span. The
         // run_end total covers phase 1 only, so without this a contraction
@@ -1136,13 +1131,11 @@ fn watched_metrics(trace: &Trace) -> Vec<Watched> {
         w(
             "contract cycles",
             CostModel::default().cycles(&contract_total),
-            false,
         ),
-        w("divergence", decide_total.divergence(), false),
+        w("divergence", decide_total.divergence()),
         w(
             "coalescing efficiency",
             decide_total.coalescing_efficiency(),
-            true,
         ),
         w(
             "hash evictions",
@@ -1151,12 +1144,10 @@ fn watched_metrics(trace: &Trace) -> Vec<Watched> {
                 .iter()
                 .map(|s| s.hash_evictions)
                 .sum::<u64>() as f64,
-            false,
         ),
         w(
             "sync bytes",
             trace.syncs.iter().map(|s| s.bytes).sum::<u64>() as f64,
-            false,
         ),
     ]
 }
@@ -1168,19 +1159,6 @@ pub(crate) fn fmt_value(v: f64) -> String {
         format!("{v:.0}")
     } else {
         format!("{v:.4}")
-    }
-}
-
-/// Relative change current-vs-baseline; zero baselines compare as equal
-/// when the current value is also zero and as a full-scale change else.
-/// Shared with `trend`.
-pub(crate) fn rel_change(current: f64, baseline: f64) -> f64 {
-    if baseline == 0.0 && current == 0.0 {
-        0.0
-    } else if baseline == 0.0 {
-        current.signum()
-    } else {
-        (current - baseline) / baseline.abs()
     }
 }
 
@@ -1206,25 +1184,17 @@ fn render_diff(
     let mut regressions = Vec::new();
     for (c, b) in cur.iter().zip(&base) {
         debug_assert_eq!(c.name, b.name);
-        // Degenerate traces (empty, or with corrupt non-finite values) must
-        // not poison the verdict with NaN comparisons; treat as no change.
-        let raw = rel_change(c.value, b.value);
-        let change = if raw.is_finite() { raw } else { 0.0 };
-        let bad = if c.higher_is_better { -change } else { change };
-        let verdict = if bad > threshold {
+        let judged = judge(c.value, b.value, direction(c.name), threshold);
+        if judged.verdict == Verdict::Regressed {
             regressions.push(c.name.to_string());
-            "REGRESSED"
-        } else if bad < -threshold {
-            "improved"
-        } else {
-            "ok"
-        };
+        }
         out.push_str(&format!(
-            "  {:<22} {:>12} {:>12} {:>+8.1}%  {verdict}\n",
+            "  {:<22} {:>12} {:>12} {:>+8.1}%  {}\n",
             c.name,
             fmt_value(b.value),
             fmt_value(c.value),
-            change * 100.0
+            judged.change * 100.0,
+            judged.verdict
         ));
     }
     (out, regressions)
@@ -1769,11 +1739,26 @@ mod tests {
     }
 
     #[test]
-    fn rel_change_handles_zero_baselines() {
-        assert_eq!(rel_change(0.0, 0.0), 0.0);
-        assert_eq!(rel_change(5.0, 0.0), 1.0);
-        assert_eq!(rel_change(-5.0, 0.0), -1.0);
-        assert!((rel_change(11.0, 10.0) - 0.1).abs() < 1e-12);
+    fn watched_metric_names_classify_by_direction() {
+        use gala_telemetry::Direction::{HigherIsBetter, LowerIsBetter};
+        let want = [
+            ("final modularity", HigherIsBetter),
+            ("supersteps", LowerIsBetter),
+            ("total cycles", LowerIsBetter),
+            ("contract cycles", LowerIsBetter),
+            ("divergence", LowerIsBetter),
+            ("coalescing efficiency", HigherIsBetter),
+            ("hash evictions", LowerIsBetter),
+            ("sync bytes", LowerIsBetter),
+        ];
+        let names: Vec<&str> = watched_metrics(&Trace::default())
+            .iter()
+            .map(|w| w.name)
+            .collect();
+        assert_eq!(names, want.map(|(name, _)| name));
+        for (name, dir) in want {
+            assert_eq!(direction(name), dir, "{name}");
+        }
     }
 
     #[test]

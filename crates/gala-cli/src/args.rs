@@ -435,6 +435,19 @@ fn value<'a>(args: &'a [String], i: &mut usize, flag: &str) -> Result<&'a str, P
         .ok_or_else(|| ParseError(format!("{flag} needs a value")))
 }
 
+/// Parses the `--threshold` value shared by `analyze`, `profile` and
+/// `trend`: a relative tolerance that is neither NaN nor negative.
+fn parse_threshold(args: &[String], i: &mut usize) -> Result<f64, ParseError> {
+    let v = value(args, i, "--threshold")?;
+    let t: f64 = v
+        .parse()
+        .map_err(|_| ParseError(format!("bad --threshold `{v}`")))?;
+    if t.is_nan() || t < 0.0 {
+        return Err(ParseError("threshold must be >= 0".into()));
+    }
+    Ok(t)
+}
+
 impl Command {
     /// Parses an argv (without the program name).
     pub fn parse(args: &[String]) -> Result<Self, ParseError> {
@@ -555,15 +568,7 @@ impl Command {
                         .parse()
                         .map_err(|_| ParseError(format!("bad --top `{v}`")))?;
                 }
-                "--threshold" => {
-                    let v = value(args, &mut i, "--threshold")?;
-                    threshold = v
-                        .parse()
-                        .map_err(|_| ParseError(format!("bad --threshold `{v}`")))?;
-                    if threshold.is_nan() || threshold < 0.0 {
-                        return Err(ParseError("threshold must be >= 0".into()));
-                    }
-                }
+                "--threshold" => threshold = parse_threshold(args, &mut i)?,
                 "--check" => check = true,
                 "--logs" => logs = true,
                 flag if flag.starts_with("--") => {
@@ -616,15 +621,7 @@ impl Command {
                         Some(value(args, &mut i, "--write-calibration")?.to_string())
                 }
                 "--gate" => gate = Some(value(args, &mut i, "--gate")?.to_string()),
-                "--threshold" => {
-                    let v = value(args, &mut i, "--threshold")?;
-                    threshold = v
-                        .parse()
-                        .map_err(|_| ParseError(format!("bad --threshold `{v}`")))?;
-                    if threshold.is_nan() || threshold < 0.0 {
-                        return Err(ParseError("threshold must be >= 0".into()));
-                    }
-                }
+                "--threshold" => threshold = parse_threshold(args, &mut i)?,
                 flag if flag.starts_with("--") => {
                     return Err(ParseError(format!("unknown flag `{flag}`")))
                 }
@@ -660,15 +657,7 @@ impl Command {
         while i < args.len() {
             match args[i].as_str() {
                 "--history" => out.history = value(args, &mut i, "--history")?.to_string(),
-                "--threshold" => {
-                    let v = value(args, &mut i, "--threshold")?;
-                    out.threshold = v
-                        .parse()
-                        .map_err(|_| ParseError(format!("bad --threshold `{v}`")))?;
-                    if out.threshold.is_nan() || out.threshold < 0.0 {
-                        return Err(ParseError("threshold must be >= 0".into()));
-                    }
-                }
+                "--threshold" => out.threshold = parse_threshold(args, &mut i)?,
                 "--dry-run" => out.dry_run = true,
                 flag if flag.starts_with("--") => {
                     return Err(ParseError(format!("unknown flag `{flag}`")))

@@ -14,51 +14,10 @@
 //! order, so re-running the same reports produces byte-identical appends
 //! and the committed history stays reproducible.
 
-use crate::analyze::{rel_change, sparkline};
+use crate::analyze::{fmt_value, sparkline};
 use crate::args::TrendArgs;
 use crate::commands::Error;
-use gala_telemetry::{json, Report, SCHEMA_VERSION};
-
-/// How to judge movement of a metric, inferred from its name.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Direction {
-    /// Timings, traffic, misses: growth is a regression.
-    LowerIsBetter,
-    /// Quality and efficiency scores: shrinkage is a regression.
-    HigherIsBetter,
-    /// Workload descriptors (sizes, counts of input objects): informational
-    /// only, never flagged.
-    Neutral,
-}
-
-/// Classifies a metric name. The report schema carries no direction flag,
-/// so this encodes the workspace's naming conventions; unknown names fall
-/// back to lower-is-better, the safe default for a perf tracker.
-fn direction(metric: &str) -> Direction {
-    let m = metric.to_ascii_lowercase();
-    let has = |needle: &str| m.contains(needle);
-    // Throughputs ("arcs/s", "Marcs/s") end with a per-second unit; they
-    // must win over the Neutral size words they usually contain.
-    if m.ends_with("/s") {
-        Direction::HigherIsBetter
-    } else if has("vertices") || has("arcs") || has("comms") || has("edges") || m == "n" || m == "m"
-    {
-        Direction::Neutral
-    } else if has("speedup")
-        || has("modularity")
-        || has("nmi")
-        || has("ari")
-        || has("eff")
-        || has("occupancy")
-        || m == "q"
-        || has("vs seq")
-        || has("vs seed")
-    {
-        Direction::HigherIsBetter
-    } else {
-        Direction::LowerIsBetter
-    }
-}
+use gala_telemetry::{direction, json, judge, Report, Verdict, SCHEMA_VERSION};
 
 /// One decoded history row.
 #[derive(Clone, Debug)]
@@ -187,28 +146,17 @@ fn render(series: &[Series], threshold: f64) -> (String, Vec<String>) {
     for s in series {
         let latest = *s.values.last().unwrap();
         let (prev_text, change_text, verdict) = if s.values.len() < 2 {
-            ("-".to_string(), "-".to_string(), "new")
+            ("-".to_string(), "-".to_string(), "new".to_string())
         } else {
             let prev = s.values[s.values.len() - 2];
-            let raw = rel_change(latest, prev);
-            let change = if raw.is_finite() { raw } else { 0.0 };
-            let bad = match direction(&s.metric) {
-                Direction::LowerIsBetter => change,
-                Direction::HigherIsBetter => -change,
-                Direction::Neutral => 0.0,
-            };
-            let verdict = if bad > threshold {
+            let judged = judge(latest, prev, direction(&s.metric), threshold);
+            if judged.verdict == Verdict::Regressed {
                 regressions.push(s.key.clone());
-                "REGRESSED"
-            } else if bad < -threshold {
-                "improved"
-            } else {
-                "ok"
-            };
+            }
             (
-                crate::analyze::fmt_value(prev),
-                format!("{:+.1}%", change * 100.0),
-                verdict,
+                fmt_value(prev),
+                format!("{:+.1}%", judged.change * 100.0),
+                judged.verdict.to_string(),
             )
         };
         out.push_str(&format!(
@@ -216,7 +164,7 @@ fn render(series: &[Series], threshold: f64) -> (String, Vec<String>) {
             s.key,
             s.values.len(),
             prev_text,
-            crate::analyze::fmt_value(latest),
+            fmt_value(latest),
             change_text,
             verdict,
             sparkline(&s.values),
@@ -291,23 +239,6 @@ mod tests {
                 .metric("Speedup", speedup),
         );
         r.write_to(path).unwrap();
-    }
-
-    #[test]
-    fn direction_heuristic_matches_workspace_names() {
-        assert_eq!(direction("Pooled ns"), Direction::LowerIsBetter);
-        assert_eq!(direction("ns/arc"), Direction::LowerIsBetter);
-        assert_eq!(direction("total cycles"), Direction::LowerIsBetter);
-        assert_eq!(direction("Speedup"), Direction::HigherIsBetter);
-        assert_eq!(direction("modularity"), Direction::HigherIsBetter);
-        assert_eq!(direction("NMI"), Direction::HigherIsBetter);
-        assert_eq!(direction("Vertices"), Direction::Neutral);
-        assert_eq!(direction("Arcs"), Direction::Neutral);
-        // Throughputs end in "/s" and beat the Neutral size words.
-        assert_eq!(direction("Arcs/s"), Direction::HigherIsBetter);
-        assert_eq!(direction("Stream Marcs/s"), Direction::HigherIsBetter);
-        // But "ns/superstep" style rates still read lower-is-better.
-        assert_eq!(direction("ns/superstep"), Direction::LowerIsBetter);
     }
 
     #[test]
@@ -416,12 +347,11 @@ mod tests {
     #[test]
     fn committed_reports_ingest_cleanly() {
         // The repo's own BENCH_* reports must flatten into rows: these are
-        // the eight CI feeds `gala trend`.
+        // the seven CI feeds `gala trend`.
         let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
         for name in [
             "BENCH_host.json",
             "BENCH_contract.json",
-            "BENCH_native.json",
             "BENCH_profile.json",
             "BENCH_mg_contract.json",
             "BENCH_ingest.json",

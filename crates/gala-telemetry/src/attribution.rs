@@ -37,6 +37,7 @@ use std::collections::BTreeMap;
 use gala_gpu::memory::{ComponentCharges, CostModel, COMPONENT_NAMES};
 
 use crate::json::Value;
+use crate::report::{judge, Direction, Verdict};
 use crate::trace::ProfileSpan;
 use crate::{MIN_SCHEMA_VERSION, SCHEMA_VERSION};
 
@@ -356,23 +357,23 @@ impl Calibration {
         }
     }
 
-    /// Kernels whose residual drifted more than `tolerance` (relative)
-    /// from this calibration, plus kernels newly appearing or vanishing.
+    /// Kernels whose residual drifted more than `tolerance` (relative,
+    /// either way, as [`judge`] rules) from this calibration, plus kernels
+    /// newly appearing or vanishing.
     /// An empty result means the gate passes.
     pub fn drift(&self, report: &AttributionReport, tolerance: f64) -> Vec<String> {
         let mut problems = Vec::new();
         for kernel in &report.kernels {
             match self.residuals.get(&kernel.path) {
                 None => problems.push(format!("{}: not in calibration", kernel.path)),
-                Some(expected) => {
-                    let drift =
-                        (kernel.residual - expected).abs() / expected.abs().max(f64::MIN_POSITIVE);
-                    if drift > tolerance {
+                Some(&expected) => {
+                    let drift = judge(kernel.residual, expected, Direction::Either, tolerance);
+                    if drift.verdict == Verdict::Regressed {
                         problems.push(format!(
                             "{}: residual {:.4} drifted {:.1}% from calibrated {:.4} (tolerance {:.1}%)",
                             kernel.path,
                             kernel.residual,
-                            drift * 100.0,
+                            drift.change.abs() * 100.0,
                             expected,
                             tolerance * 100.0
                         ));

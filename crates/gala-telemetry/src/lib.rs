@@ -19,7 +19,8 @@
 //!   the workspace forbids `unsafe`).
 //! * [`report`] — schema-versioned [`Report`]s written by the bench
 //!   binaries and the CLI (`--report`), plus [`Report::compare`] for the
-//!   CI baseline gate (±10% simulated-cycle tolerance).
+//!   CI baseline gate (±10% simulated-cycle tolerance), and [`judge`],
+//!   the one rule every regression comparator in the workspace applies.
 //! * [`attribution`] — the sim↔native calibration model behind
 //!   `gala profile`: joins the `profile` events of a simulated and a
 //!   native trace span-by-span, fits a clock, and computes per-kernel
@@ -51,7 +52,9 @@ pub use metrics::{Histogram, MetricsRegistry};
 pub use recorder::{
     Level, LogEvent, Manifest, ProgressLimiter, ProgressSnapshot, Ring, StallReport, WatchdogCore,
 };
-pub use report::{MetricRow, Regression, Report, ReportError};
+pub use report::{
+    direction, judge, Direction, Judged, MetricRow, Regression, Report, ReportError, Verdict,
+};
 pub use trace::{
     components_from_json, components_to_json, profile_span_from_json, profile_span_to_json,
     profile_spans, profile_spans_wall, span_from_json, span_to_json, tally_from_json,

@@ -6,6 +6,11 @@
 //! JSON envelope. Reports parse back losslessly, so CI can diff a fresh
 //! `bench_smoke` report against the checked-in baseline with
 //! [`Report::compare`] and fail on simulated-cycle regressions.
+//!
+//! [`judge`] is the workspace's one rule for "did this number regress?":
+//! `Report::compare`, `Calibration::drift`, `gala analyze`'s two-trace
+//! diff and `gala trend` all decide through it, and [`direction`] is the
+//! one source of which way a metric name prefers to move.
 
 use std::fmt;
 use std::io;
@@ -86,6 +91,15 @@ impl Report {
     /// Looks up a row by label.
     pub fn row(&self, label: &str) -> Option<&MetricRow> {
         self.rows.iter().find(|r| r.label == label)
+    }
+
+    /// Looks up one `(label, metric)` value. A label may repeat across
+    /// rows with disjoint metrics, so every row carrying it is searched.
+    pub fn value(&self, label: &str, metric: &str) -> Option<f64> {
+        self.rows
+            .iter()
+            .filter(|r| r.label == label)
+            .find_map(|r| r.get(metric))
     }
 
     /// Looks up one metadata value.
@@ -194,57 +208,148 @@ impl Report {
 
     /// Compares this report against `baseline`, flagging every metric whose
     /// relative change exceeds `tolerance` (e.g. `0.10` for ±10%) and every
-    /// baseline row/metric missing here. Order of rows is irrelevant.
+    /// baseline row/metric missing here. Rows match on `(label, metric)`,
+    /// so row order and a label split across rows are irrelevant.
     ///
-    /// Higher-is-worse semantics are *not* assumed: a metric is flagged on
-    /// deviation in either direction, which keeps the baseline honest (an
-    /// unexplained 30% "improvement" usually means the workload changed).
+    /// Higher-is-worse semantics are *not* assumed: a metric is judged
+    /// [`Direction::Either`], flagged on deviation in either direction,
+    /// which keeps the baseline honest (an unexplained 30% "improvement"
+    /// usually means the workload changed).
     pub fn compare(&self, baseline: &Report, tolerance: f64) -> Vec<Regression> {
         let mut out = Vec::new();
         for base_row in &baseline.rows {
-            let Some(cur_row) = self.row(&base_row.label) else {
-                out.push(Regression {
-                    label: base_row.label.clone(),
-                    metric: "<row>".into(),
-                    baseline: f64::NAN,
-                    current: f64::NAN,
-                    change: f64::NAN,
-                });
-                continue;
+            let label = &base_row.label;
+            let flag = |metric: &str, baseline, current, change| Regression {
+                label: label.clone(),
+                metric: metric.to_string(),
+                baseline,
+                current,
+                change,
             };
+            if self.row(label).is_none() {
+                out.push(flag("<row>", f64::NAN, f64::NAN, f64::NAN));
+                continue;
+            }
             for &(ref name, base) in &base_row.metrics {
-                let Some(cur) = cur_row.get(name) else {
-                    out.push(Regression {
-                        label: base_row.label.clone(),
-                        metric: name.clone(),
-                        baseline: base,
-                        current: f64::NAN,
-                        change: f64::NAN,
-                    });
-                    continue;
-                };
-                let change = if base == 0.0 {
-                    if cur == 0.0 {
-                        0.0
-                    } else {
-                        f64::INFINITY
+                match self.value(label, name) {
+                    None => out.push(flag(name, base, f64::NAN, f64::NAN)),
+                    Some(cur) => {
+                        let judged = judge(cur, base, Direction::Either, tolerance);
+                        if judged.verdict == Verdict::Regressed {
+                            out.push(flag(name, base, cur, judged.change));
+                        }
                     }
-                } else {
-                    (cur - base) / base
-                };
-                if change.abs() > tolerance {
-                    out.push(Regression {
-                        label: base_row.label.clone(),
-                        metric: name.clone(),
-                        baseline: base,
-                        current: cur,
-                        change,
-                    });
                 }
             }
         }
         out
     }
+}
+
+/// Which way a metric prefers to move.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Direction {
+    /// Timings, traffic, misses: growth is a regression.
+    LowerIsBetter,
+    /// Quality and efficiency scores: shrinkage is a regression.
+    HigherIsBetter,
+    /// Exact baselines (simulated cycles, calibrated residuals): a move
+    /// beyond tolerance either way is a regression.
+    Either,
+    /// Workload descriptors (sizes, counts of input objects): informational
+    /// only, never flagged.
+    Neutral,
+}
+
+/// Classifies a metric name. The report schema carries no direction flag,
+/// so this encodes the workspace's naming conventions; unknown names fall
+/// back to lower-is-better, the safe default for a perf tracker.
+pub fn direction(metric: &str) -> Direction {
+    let m = metric.to_ascii_lowercase();
+    let has = |needle: &str| m.contains(needle);
+    // Throughputs ("arcs/s", "Marcs/s") end with a per-second unit; they
+    // must win over the Neutral size words they usually contain.
+    if m.ends_with("/s") {
+        Direction::HigherIsBetter
+    } else if has("vertices") || has("arcs") || has("comms") || has("edges") || m == "n" || m == "m"
+    {
+        Direction::Neutral
+    } else if has("speedup")
+        || has("modularity")
+        || has("nmi")
+        || has("ari")
+        || has("eff")
+        || has("occupancy")
+        || m == "q"
+        || has("vs seq")
+        || has("vs seed")
+    {
+        Direction::HigherIsBetter
+    } else {
+        Direction::LowerIsBetter
+    }
+}
+
+/// How a measured value stands against its reference.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Verdict {
+    /// Within tolerance, or not judged ([`Direction::Neutral`], NaN).
+    Ok,
+    /// Moved beyond tolerance the preferred way.
+    Improved,
+    /// Moved beyond tolerance the wrong way.
+    Regressed,
+}
+
+impl fmt::Display for Verdict {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.pad(match self {
+            Verdict::Ok => "ok",
+            Verdict::Improved => "improved",
+            Verdict::Regressed => "REGRESSED",
+        })
+    }
+}
+
+/// One value judged against its reference by [`judge`].
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Judged {
+    /// Relative change `(current - baseline) / |baseline|`: signed `±∞`
+    /// when a zero baseline became nonzero, `0` when either side is NaN.
+    pub change: f64,
+    /// The verdict at the given direction and tolerance.
+    pub verdict: Verdict,
+}
+
+/// Judges `current` against `baseline`: the relative change, and whether
+/// it moved beyond `tolerance` against (or with) `direction`.
+///
+/// A zero baseline that became nonzero is an infinite change, beyond any
+/// tolerance; 0 → 0 is no change. A NaN on either side reads as no change,
+/// so a degenerate measurement never fails a gate on its own.
+pub fn judge(current: f64, baseline: f64, direction: Direction, tolerance: f64) -> Judged {
+    let change = if baseline == 0.0 && current == 0.0 {
+        0.0
+    } else if baseline == 0.0 {
+        current.signum() * f64::INFINITY
+    } else {
+        (current - baseline) / baseline.abs()
+    };
+    let change = if change.is_nan() { 0.0 } else { change };
+    let bad = match direction {
+        Direction::LowerIsBetter => change,
+        Direction::HigherIsBetter => -change,
+        Direction::Either => change.abs(),
+        Direction::Neutral => 0.0,
+    };
+    let verdict = if bad > tolerance {
+        Verdict::Regressed
+    } else if bad < -tolerance {
+        Verdict::Improved
+    } else {
+        Verdict::Ok
+    };
+    Judged { change, verdict }
 }
 
 /// One out-of-tolerance metric found by [`Report::compare`].
@@ -258,8 +363,8 @@ pub struct Regression {
     pub baseline: f64,
     /// Current value (NaN when missing).
     pub current: f64,
-    /// Relative change `(current - baseline) / baseline` (NaN when either
-    /// side is missing).
+    /// Relative change as [`judge`] computes it (NaN when either side is
+    /// missing).
     pub change: f64,
 }
 
@@ -394,15 +499,118 @@ mod tests {
     }
 
     #[test]
+    fn judge_rule_table() {
+        use Direction::*;
+        use Verdict::*;
+        let inf = f64::INFINITY;
+        // (current, baseline, direction, tolerance, change, verdict)
+        let cases = [
+            (0.0, 0.0, Either, 0.1, 0.0, Ok),
+            (0.0, 0.0, LowerIsBetter, 0.0, 0.0, Ok),
+            // 0 -> nonzero is a signed infinite change, beyond any tolerance.
+            (1.0, 0.0, Either, 5.0, inf, Regressed),
+            (-1.0, 0.0, Either, 5.0, -inf, Regressed),
+            (3.0, 0.0, LowerIsBetter, 5.0, inf, Regressed),
+            (3.0, 0.0, HigherIsBetter, 5.0, inf, Improved),
+            (-3.0, 0.0, HigherIsBetter, 5.0, -inf, Regressed),
+            // NaN on either side is no change.
+            (f64::NAN, 1.0, Either, 0.1, 0.0, Ok),
+            (1.0, f64::NAN, LowerIsBetter, 0.1, 0.0, Ok),
+            (f64::NAN, 0.0, Either, 0.1, 0.0, Ok),
+            // Neutral never flags, however far it moves.
+            (100.0, 1.0, Neutral, 0.1, 99.0, Ok),
+            (1.0, 0.0, Neutral, 0.1, inf, Ok),
+            // Either flags both ways; one-sided directions improve the
+            // other way.
+            (1.2, 1.0, Either, 0.1, 0.2, Regressed),
+            (0.8, 1.0, Either, 0.1, -0.2, Regressed),
+            (1.2, 1.0, LowerIsBetter, 0.1, 0.2, Regressed),
+            (0.8, 1.0, LowerIsBetter, 0.1, -0.2, Improved),
+            (1.2, 1.0, HigherIsBetter, 0.1, 0.2, Improved),
+            (0.8, 1.0, HigherIsBetter, 0.1, -0.2, Regressed),
+            (1.09, 1.0, Either, 0.1, 0.09, Ok),
+            // A negative baseline divides by its magnitude: -10 -> -8 is
+            // a +20% move.
+            (-8.0, -10.0, LowerIsBetter, 0.1, 0.2, Regressed),
+            (-8.0, -10.0, HigherIsBetter, 0.1, 0.2, Improved),
+            (-12.0, -10.0, Either, 0.1, -0.2, Regressed),
+        ];
+        for (cur, base, dir, tol, change, verdict) in cases {
+            let judged = judge(cur, base, dir, tol);
+            let close = if change.is_infinite() {
+                judged.change == change
+            } else {
+                (judged.change - change).abs() < 1e-12
+            };
+            assert!(close, "{cur} vs {base} ({dir:?}): change {}", judged.change);
+            assert_eq!(
+                judged.verdict, verdict,
+                "{cur} vs {base} ({dir:?}, tol {tol})"
+            );
+        }
+    }
+
+    #[test]
     fn zero_baseline_handled() {
         let mut base = Report::new("bench", "b");
         base.push(MetricRow::new("r").metric("x", 0.0));
-        let mut same = base.clone();
-        assert!(same.compare(&base, 0.10).is_empty());
-        same.rows[0].metrics[0].1 = 1.0;
-        let regs = same.compare(&base, 0.10);
+        let mut cur = base.clone();
+        assert!(cur.compare(&base, 0.10).is_empty());
+        cur.rows[0].metrics[0].1 = -1.0;
+        let regs = cur.compare(&base, 5.0);
         assert_eq!(regs.len(), 1);
-        assert!(regs[0].change.is_infinite());
+        assert_eq!(regs[0].change, f64::NEG_INFINITY);
+    }
+
+    #[test]
+    fn compare_matches_repeated_labels_by_metric() {
+        // `results/BENCH_stress.json` splits `outofcore/phase1` over two
+        // rows with disjoint metrics; it must compare cleanly with itself.
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../results/BENCH_stress.json"
+        );
+        let stress = Report::read_from(path).unwrap();
+        let phase1 = stress
+            .rows
+            .iter()
+            .filter(|r| r.label == "outofcore/phase1")
+            .count();
+        assert_eq!(phase1, 2, "fixture no longer repeats the label");
+        assert_eq!(stress.compare(&stress, 0.10), Vec::new());
+        // A metric that lives only in the second row is still found.
+        let mut cur = stress.clone();
+        let second = cur
+            .rows
+            .iter()
+            .rposition(|r| r.label == "outofcore/phase1")
+            .unwrap();
+        cur.rows[second].metrics.clear();
+        assert!(!cur.compare(&stress, 0.10).is_empty());
+    }
+
+    #[test]
+    fn direction_heuristic_matches_workspace_names() {
+        assert_eq!(direction("Pooled ns"), Direction::LowerIsBetter);
+        assert_eq!(direction("ns/arc"), Direction::LowerIsBetter);
+        assert_eq!(direction("total cycles"), Direction::LowerIsBetter);
+        assert_eq!(direction("Speedup"), Direction::HigherIsBetter);
+        assert_eq!(direction("modularity"), Direction::HigherIsBetter);
+        assert_eq!(direction("NMI"), Direction::HigherIsBetter);
+        assert_eq!(direction("Vertices"), Direction::Neutral);
+        assert_eq!(direction("Arcs"), Direction::Neutral);
+        // Throughputs end in "/s" and beat the Neutral size words.
+        assert_eq!(direction("Arcs/s"), Direction::HigherIsBetter);
+        assert_eq!(direction("Stream Marcs/s"), Direction::HigherIsBetter);
+        // But "ns/superstep" style rates still read lower-is-better.
+        assert_eq!(direction("ns/superstep"), Direction::LowerIsBetter);
+    }
+
+    #[test]
+    fn verdicts_render_padded() {
+        assert_eq!(format!("{:<10}|", Verdict::Ok), "ok        |");
+        assert_eq!(Verdict::Regressed.to_string(), "REGRESSED");
+        assert_eq!(Verdict::Improved.to_string(), "improved");
     }
 
     #[test]
