@@ -14,8 +14,10 @@
 //!
 //! * **ingest** — per-graph: streaming build (budgeted chunks, spilled
 //!   runs, k-way merge) vs in-memory build; wall time, Marcs/s, peak MiB.
-//! * **parse** — `io::read_edge_list`'s byte-level text parser on a cached
-//!   fixture (`GALA_INGEST_FIXTURE` names it; regenerated when absent).
+//! * **parse** — `io::read_edge_list` on a cached fixture
+//!   (`GALA_INGEST_FIXTURE` names it; regenerated when absent): the
+//!   parallel in-memory text path, line-aligned chunks parsed across the
+//!   pool and a row-range parallel CSR scatter, parse and build together.
 //! * **load** — v2 binary container: owned load (full structural audit)
 //!   vs mapped load (checksum verify, trusted CSR), bit-identical.
 //! * **reorder** — degree preprocessing: `mean_edge_span` before/after.

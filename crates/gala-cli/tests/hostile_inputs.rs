@@ -1,5 +1,5 @@
 //! Hostile inputs through `gala detect`. A malformed input must fail with
-//! a typed error — a non-zero exit that is not a panic's 101, no
+//! a typed error — a non-zero exit that is not a panic's 101 or a signal, no
 //! `panicked at` on stderr, and a message that names the offending line or
 //! the corruption. A degenerate but well-formed graph must succeed with its
 //! documented partition: singletons when no edge joins two vertices, one
@@ -52,6 +52,8 @@ fn assert_rejected(name: &str, bytes: &[u8], expect: &[&str]) {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(!out.status.success(), "{name}: detect succeeded");
     assert_ne!(out.status.code(), Some(101), "{name}: panicked: {stderr}");
+    // `None` is a signal, e.g. the abort of a failed allocation.
+    assert!(out.status.code().is_some(), "{name}: killed: {stderr}");
     assert!(!stderr.contains("panicked at"), "{name}: {stderr}");
     for want in expect {
         assert!(
@@ -144,6 +146,17 @@ fn text_with_a_malformed_token_is_rejected() {
         "token.txt",
         b"# header\n0 1\n1 x2\n",
         &["line 3", "invalid target 'x2'"],
+    );
+}
+
+#[test]
+fn a_huge_vertex_id_without_a_directive_is_rejected() {
+    // Sized naively, this one edge would allocate offsets for 10^9
+    // vertices and abort; `assert_rejected` also rules out a signal exit.
+    assert_rejected(
+        "huge_id.txt",
+        b"0 999999999\n",
+        &["999999999", "1 edges", "#vertices"],
     );
 }
 

@@ -4,6 +4,12 @@
 //! accepts edges in any order and direction, merges duplicates by summing
 //! their weights, symmetrises automatically, and doubles self-loop input
 //! weights so that the stored graph obeys the crate's self-loop convention.
+//!
+//! The build is a counting sort whose scatter is split by row ranges
+//! across the pool (see [`GraphBuilder::build`]); the result does not
+//! depend on the pool width. Its output is symmetric by construction, so
+//! it skips [`Graph::from_csr`]'s `O(n + m)` audit in release builds;
+//! debug builds still run the audit on every build.
 
 use crate::csr::{Graph, VertexId};
 
@@ -50,7 +56,7 @@ pub struct GraphBuilder {
     num_vertices: usize,
     /// One entry per *directed arc*; self-loops appear once with doubled
     /// weight. Sorted and merged at `build()` time.
-    arcs: Vec<(VertexId, VertexId, f64)>,
+    arcs: Vec<DirectedArc>,
 }
 
 impl GraphBuilder {
@@ -134,6 +140,12 @@ impl GraphBuilder {
         }
     }
 
+    /// The accumulated arcs, for [`build_from_arcs`] callers that fill
+    /// several builders with consecutive pieces of one edge stream.
+    pub(crate) fn into_arcs(self) -> Vec<DirectedArc> {
+        self.arcs
+    }
+
     /// Number of arcs accumulated so far (before dedup).
     pub fn num_arcs(&self) -> usize {
         self.arcs.len()
@@ -147,52 +159,88 @@ impl GraphBuilder {
     /// are themselves sorted) is left as it is; only the other rows are
     /// sorted by target, at `Σ d(v) log d(v)` instead of `m log m` total.
     ///
-    /// Duplicate `(u, v)` arcs are summed **in insertion order** (the
-    /// counting sort is stable and the per-row sort is stable), which
-    /// pins the floating-point merge result: the out-of-core
-    /// [`crate::stream::StreamingBuilder`] reproduces it bit-for-bit at
-    /// any chunk size.
+    /// The scatter runs across the pool, one row range per thread; each
+    /// range receives its arcs in insertion order, so the graph is the
+    /// same at every pool width. Duplicate `(u, v)` arcs are summed **in
+    /// insertion order** (the counting sort is stable and the per-row sort
+    /// is stable), which pins the floating-point merge result: the
+    /// out-of-core [`crate::stream::StreamingBuilder`] reproduces it
+    /// bit-for-bit at any chunk size.
     pub fn build(self) -> Graph {
         let n = self.num_vertices;
         let mut arcs = self.arcs;
         // Unused growth slack is returned before the output arrays below
         // are allocated, trimming the build's transient peak.
         arcs.shrink_to_fit();
-        build_from_arcs(n, arcs)
+        build_from_arcs(n, vec![arcs])
     }
 }
 
-/// Directed-arc list → CSR, the shared back half of [`GraphBuilder::build`]
-/// and the streaming builder's no-spill fast path: arcs must already follow
-/// the crate conventions (both directions present, self-loops once at
-/// doubled weight). Stable counting sort by source + stable per-row sort by
-/// target — the same total order as a stable global `(u, v)` sort, so both
-/// callers produce bit-identical graphs.
+/// One directed arc `(source, target, weight)` awaiting the CSR build.
+pub(crate) type DirectedArc = (VertexId, VertexId, f64);
+
+/// Directed-arc lists → CSR, the shared back half of [`GraphBuilder::build`],
+/// the chunked text loader ([`crate::io::read_edge_list`]) and the streaming
+/// builder's no-spill fast path. `chunks` are consecutive pieces of one
+/// arc stream, in stream order; they are read in place, never
+/// concatenated. Arcs must already follow the crate conventions (both
+/// directions present, self-loops once at doubled weight). Stable
+/// counting sort by source + stable per-row sort by target — the same
+/// total order as a stable global `(u, v)` sort over the concatenated
+/// stream, so every caller produces bit-identical graphs.
 ///
-/// The scatter writes straight into the final `targets`/`weights`, and
-/// the arc list is freed once scattered, so the peak is the arc list plus
-/// the output. Rows with duplicates or out-of-order targets are sorted
-/// and merged through a row-sized scratch buffer and compacted leftwards
-/// in place, over the slots their merged duplicates freed.
-pub(crate) fn build_from_arcs(n: usize, arcs: Vec<(VertexId, VertexId, f64)>) -> Graph {
+/// The scatter is split by rows across the pool: after the histogram,
+/// `offsets` is cut into one row range per thread with near-equal arc
+/// counts ([`rayon::par_row_chunks`]), and each worker scans every chunk
+/// in order but writes only the arcs whose source lies in its own range,
+/// into its own disjoint `targets`/`weights` segment. Each row therefore
+/// receives its arcs in stream order at any pool width, and the result
+/// does not depend on the width. The arc lists are freed once scattered,
+/// so the peak is the arc lists plus the output. Rows with duplicates or
+/// out-of-order targets are then sorted and merged through a row-sized
+/// scratch buffer and compacted leftwards in place, over the slots their
+/// merged duplicates freed.
+///
+/// The output is symmetric by construction, so it is wrapped through
+/// [`Graph::from_csr_trusted`]: no release-mode audit, a full one in
+/// debug builds.
+pub(crate) fn build_from_arcs(n: usize, chunks: Vec<Vec<DirectedArc>>) -> Graph {
     // Counting sort by source: histogram, prefix sum, scatter.
     let mut offsets = vec![0usize; n + 1];
-    for &(u, _, _) in &arcs {
-        offsets[u as usize + 1] += 1;
+    for chunk in &chunks {
+        for &(u, _, _) in chunk {
+            offsets[u as usize + 1] += 1;
+        }
     }
     for i in 0..n {
         offsets[i + 1] += offsets[i];
     }
-    let mut targets: Vec<VertexId> = vec![0; arcs.len()];
-    let mut weights: Vec<f64> = vec![0.0; arcs.len()];
-    let mut cursor: Vec<usize> = offsets[..n].to_vec();
-    for (u, v, w) in arcs {
-        let slot = &mut cursor[u as usize];
-        targets[*slot] = v;
-        weights[*slot] = w;
-        *slot += 1;
-    }
-    drop(cursor);
+    let mut targets: Vec<VertexId> = vec![0; offsets[n]];
+    let mut weights: Vec<f64> = vec![0.0; offsets[n]];
+    let partitions = rayon::current_parallelism().min(n);
+    rayon::par_row_chunks(
+        &offsets,
+        &mut targets,
+        &mut weights,
+        partitions,
+        |rows, seg_t, seg_w| {
+            let base = offsets[rows.start];
+            let mut cursor: Vec<usize> = offsets[rows.clone()].iter().map(|&o| o - base).collect();
+            for chunk in &chunks {
+                for &(u, v, w) in chunk {
+                    // Wraps for sources below the range, so one compare
+                    // rejects both sides.
+                    let Some(slot) = cursor.get_mut((u as usize).wrapping_sub(rows.start)) else {
+                        continue;
+                    };
+                    seg_t[*slot] = v;
+                    seg_w[*slot] = w;
+                    *slot += 1;
+                }
+            }
+        },
+    );
+    drop(chunks);
     // Rewrite each row in place: `lo..hi` is its scattered range, `out`
     // the compacted write position (never past `lo`).
     let mut row: Vec<(VertexId, f64)> = Vec::new();
@@ -234,7 +282,7 @@ pub(crate) fn build_from_arcs(n: usize, arcs: Vec<(VertexId, VertexId, f64)>) ->
     targets.truncate(out);
     weights.truncate(out);
     shrink_if_material(&mut targets, &mut weights);
-    Graph::from_csr(offsets, targets, weights)
+    Graph::from_csr_trusted(offsets, targets, weights)
 }
 
 /// Returns the merged-duplicate slack of freshly built CSR arrays when it
@@ -326,7 +374,8 @@ mod tests {
         /// multisets with duplicates, self-loops and inexact weights, fed
         /// in random order (0), sorted so that every row arrives strictly
         /// sorted and stays in place (1), in reverse sorted order (2), or
-        /// sorted with some edges repeated at the end (3).
+        /// sorted with some edges repeated at the end (3), at pool widths
+        /// 1, 2 and 8 (one row range per thread in the scatter).
         #[test]
         fn build_matches_reference(
             n in 1u32..16,
@@ -351,7 +400,10 @@ mod tests {
             let mut b = GraphBuilder::new(n as usize);
             b.extend_edges(edges);
             let expect = reference_build(n as usize, b.arcs.clone());
-            assert_bit_identical(&b.build(), &expect);
+            for width in [1, 2, 8] {
+                let got = rayon::with_parallelism(width, || b.clone().build());
+                assert_bit_identical(&got, &expect);
+            }
         }
     }
 

@@ -54,28 +54,33 @@ impl Graph {
         weights: Vec<f64>,
     ) -> Result<Self, String> {
         audit_csr(&offsets, &targets, &weights)?;
-        Ok(Self::from_csr_trusted(offsets, targets, weights))
+        Ok(Self::from_audited(offsets, targets, weights))
     }
 
-    /// Builds a graph from CSR arrays that are already known to be valid
-    /// — i.e. round-tripped through a checksummed container
-    /// ([`crate::io`] v2) or an exact permutation
-    /// ([`crate::reorder::apply`]). Skips the structural and symmetry
-    /// audit of [`Self::from_csr`]; the invariants are still
-    /// `debug_assert`ed.
+    /// Builds a graph from CSR arrays that are valid by construction or
+    /// by checksum: the builders' output ([`crate::builder`] and
+    /// [`crate::stream`] push both arcs of every edge and merge
+    /// duplicates in one order), an exact permutation
+    /// ([`crate::reorder::apply`]), or a checksummed container
+    /// ([`crate::io`] v2, mapped). Skips the `O(n + m)` structural and
+    /// symmetry audit of [`Self::from_csr`] in release builds; debug
+    /// builds still run it and panic on a violation, so the debug test
+    /// tier audits every trusted construction.
     pub(crate) fn from_csr_trusted(
         offsets: Vec<usize>,
         targets: Vec<VertexId>,
         weights: Vec<f64>,
     ) -> Self {
-        debug_assert!(!offsets.is_empty());
-        debug_assert_eq!(offsets[0], 0);
-        debug_assert_eq!(*offsets.last().unwrap(), targets.len());
-        debug_assert_eq!(targets.len(), weights.len());
+        debug_assert_eq!(audit_csr(&offsets, &targets, &weights), Ok(()));
+        Self::from_audited(offsets, targets, weights)
+    }
+
+    /// Wraps CSR arrays that passed the audit (or are trusted to) and
+    /// caches the weighted degrees.
+    fn from_audited(offsets: Vec<usize>, targets: Vec<VertexId>, weights: Vec<f64>) -> Self {
         let n = offsets.len() - 1;
         let mut degree_w = vec![0.0f64; n];
         for v in 0..n {
-            debug_assert!(offsets[v] <= offsets[v + 1]);
             degree_w[v] = weights[offsets[v]..offsets[v + 1]].iter().sum();
         }
         Self {
@@ -672,6 +677,15 @@ mod tests {
     fn asymmetric_graph_rejected() {
         // Directed arc 0 -> 1 only.
         Graph::from_csr(vec![0, 1, 1], vec![1], vec![1.0]);
+    }
+
+    /// Debug builds audit trusted constructions too, so a builder that
+    /// stopped producing symmetric output would fail the debug tests.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "reverse edge")]
+    fn trusted_asymmetric_csr_panics_in_debug() {
+        Graph::from_csr_trusted(vec![0, 1, 1], vec![1], vec![1.0]);
     }
 
     #[test]

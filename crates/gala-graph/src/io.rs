@@ -4,14 +4,36 @@
 //! one `u v [w]` triple per line, `#` or `%` comment lines ignored, weight
 //! defaulting to 1. Directed inputs are symmetrised by the builder (the
 //! paper converts directed graphs such as TW and EW to undirected ones).
-//! Parsing is byte-level and runs in place in the reader's buffer: plain
-//! `u v [w]` lines take a single-scan fast path, every other line the
-//! general tokenizer, and only a line split across two buffer refills is
-//! copied. Nothing is allocated per edge. The parser is generic over
-//! [`EdgeSink`], so it feeds the in-memory [`GraphBuilder`] and the
-//! out-of-core [`crate::stream::StreamingBuilder`] alike. Weights must be
-//! finite and `>= 0`; anything else is an `InvalidData` error naming the
-//! line, as is every malformed line.
+//! Parsing is byte-level: plain `u v [w]` lines take a single-scan fast
+//! path, every other line the general tokenizer, and nothing is allocated
+//! per edge. Weights must be finite and `>= 0`; anything else is an
+//! `InvalidData` error naming the line, as is every malformed line.
+//!
+//! Text reaches a graph two ways, through one line loop:
+//!
+//! * **In memory** ([`load_edge_list`], [`read_edge_list`]): the whole
+//!   input is read into one buffer and cut into about four line-aligned
+//!   chunks per pool thread. The chunks are parsed in parallel, each into
+//!   its own exactly reserved arc list, and the text is dropped before
+//!   the build. The builder scatters the lists into the CSR by row ranges
+//!   across the pool and wraps its symmetric-by-construction output
+//!   without a release-mode audit (debug builds still run it). The graph
+//!   is bit-identical to a serial parse at any pool width, and a
+//!   malformed input reports its first bad line, as the serial parser
+//!   does.
+//! * **Streaming** ([`parse_edge_list_into`]): bounded memory, in place
+//!   in the reader's buffer (only a line split across two refills is
+//!   copied), generic over [`EdgeSink`] so it also feeds the out-of-core
+//!   [`crate::stream::StreamingBuilder`].
+//!
+//! **Vertex-count bound.** The in-memory loaders size the graph by its
+//! largest id. Without a `#vertices N` directive, that count may not
+//! exceed `2 × edges + 2^20`: a graph without isolated vertices has
+//! `n <= 2m`, and the slack (8 MiB of offsets) admits hand-written files
+//! with gaps in their ids. A larger id is an `InvalidData` error naming
+//! the id and the edge count, not a multi-gigabyte allocation; a
+//! `#vertices N` directive raises the limit to `N`. The streaming parser
+//! applies no bound of its own.
 //!
 //! ## Binary containers
 //!
@@ -213,6 +235,33 @@ fn fast_line(buf: &[u8]) -> Option<(VertexId, VertexId, f64, usize)> {
     (buf.get(pos) == Some(&b'\n')).then_some((u as VertexId, v as VertexId, w, pos + 1))
 }
 
+/// Parses every complete (`\n`-terminated) line of `buf`, numbering them
+/// on from `*lineno`, and returns the length of that prefix; whatever
+/// follows it is one unterminated line. Plain `u v [w]` lines with short
+/// integer tokens take the single-scan [`fast_line`]; every other line
+/// goes through the general tokenizer [`parse_line`], which produces the
+/// same edges. The one line loop of both the streaming
+/// [`parse_edge_list_into`] and the chunked in-memory loader.
+fn parse_lines<S: EdgeSink>(buf: &[u8], lineno: &mut usize, sink: &mut S) -> io::Result<usize> {
+    let mut pos = 0usize;
+    while pos < buf.len() {
+        let rest = &buf[pos..];
+        if let Some((u, v, w, line_len)) = fast_line(rest) {
+            *lineno += 1;
+            sink.add_edge(u, v, w);
+            pos += line_len;
+            continue;
+        }
+        let Some(nl) = rest.iter().position(|&b| b == b'\n') else {
+            break;
+        };
+        *lineno += 1;
+        parse_line(&rest[..=nl], *lineno, sink)?;
+        pos += nl + 1;
+    }
+    Ok(pos)
+}
+
 /// Parses an edge-list from a reader into any [`EdgeSink`]. Lines starting
 /// with `#` or `%` are comments; each data line is `u v` or `u v w`
 /// (weight defaults to 1 and must be finite and `>= 0`; extra trailing
@@ -220,12 +269,12 @@ fn fast_line(buf: &[u8]) -> Option<(VertexId, VertexId, f64, usize)> {
 /// [`write_edge_list`] reserves isolated trailing vertices. Malformed
 /// lines are reported with their 1-based line number.
 ///
-/// Complete lines are parsed in place in the reader's buffer
-/// (`fill_buf`/`consume`); only a line that straddles a refill is copied,
-/// into one reused carry buffer. Plain `u v [w]` lines with short integer
-/// tokens take a single-scan fast path; every other line goes through
-/// the general tokenizer, which produces the same edges. Parsing
-/// allocates nothing per edge.
+/// This is the bounded-memory streaming parser, for sinks such as the
+/// out-of-core [`crate::stream::StreamingBuilder`] that must never hold
+/// the whole input. Complete lines are parsed in place in the reader's
+/// buffer (`fill_buf`/`consume`); only a line that straddles a refill is
+/// copied, into one reused carry buffer. Parsing allocates nothing per
+/// edge.
 pub fn parse_edge_list_into<R: BufRead, S: EdgeSink>(
     mut reader: R,
     sink: &mut S,
@@ -260,43 +309,148 @@ pub fn parse_edge_list_into<R: BufRead, S: EdgeSink>(
             carry.clear();
             pos = nl + 1;
         }
-        while pos < len {
-            let rest = &buf[pos..];
-            if let Some((u, v, w, line_len)) = fast_line(rest) {
-                lineno += 1;
-                sink.add_edge(u, v, w);
-                pos += line_len;
-                continue;
-            }
-            let Some(nl) = rest.iter().position(|&b| b == b'\n') else {
-                carry.extend_from_slice(rest);
-                break;
-            };
-            lineno += 1;
-            parse_line(&rest[..=nl], lineno, sink)?;
-            pos += nl + 1;
-        }
+        pos += parse_lines(&buf[pos..], &mut lineno, sink)?;
+        carry.extend_from_slice(&buf[pos..]);
         reader.consume(len);
     }
 }
 
-/// Parses an edge-list from a reader. See [`parse_edge_list_into`].
-pub fn read_edge_list<R: BufRead>(reader: R) -> io::Result<Graph> {
-    let mut b = GraphBuilder::new(0);
-    parse_edge_list_into(reader, &mut b)?;
-    Ok(b.build())
+/// Without a `#vertices N` directive, an in-memory text load may name at
+/// most `2 × edges + UNDECLARED_VERTEX_SLACK` vertices. A graph without
+/// isolated vertices has `n <= 2m`; the slack (8 MiB of offsets) admits
+/// hand-written files with gaps in their ids.
+const UNDECLARED_VERTEX_SLACK: usize = 1 << 20;
+
+/// One chunk's parse: its arcs (in a builder that sees only the edges)
+/// plus what the vertex-count bound needs.
+struct TextChunk {
+    builder: GraphBuilder,
+    edges: usize,
+    /// Largest `#vertices` count in the chunk.
+    declared: usize,
 }
 
-/// Read buffer of [`load_edge_list`]. Larger buffers parse no faster
-/// and add to the peak resident set.
-const TEXT_READ_BUF_BYTES: usize = 64 << 10;
+impl EdgeSink for TextChunk {
+    fn add_edge(&mut self, u: VertexId, v: VertexId, w: f64) {
+        self.edges += 1;
+        self.builder.add_edge(u, v, w);
+    }
+
+    fn reserve_vertices(&mut self, n: usize) {
+        self.declared = self.declared.max(n);
+    }
+}
+
+/// Cuts `text` at line starts into `chunks` pieces of near-equal byte
+/// length (some empty when lines are long or few). Returns the
+/// `chunks + 1` cut positions; every piece but the last ends in `\n`.
+fn line_cuts(text: &[u8], chunks: usize) -> Vec<usize> {
+    let mut cuts = vec![0usize];
+    for c in 1..chunks {
+        let goal = (text.len() * c / chunks).max(cuts[c - 1]);
+        let cut = match goal {
+            0 => 0,
+            _ => text[goal - 1..]
+                .iter()
+                .position(|&b| b == b'\n')
+                .map_or(text.len(), |i| goal + i),
+        };
+        cuts.push(cut);
+    }
+    cuts.push(text.len());
+    cuts
+}
+
+/// The in-memory text loader behind [`read_edge_list`] and
+/// [`load_edge_list`]: the whole input in one buffer, parsed in
+/// line-aligned chunks across the pool, then built by
+/// [`crate::builder::build_from_arcs`].
+///
+/// A first pool pass counts each chunk's newlines, which gives every
+/// chunk its first line number and its exact arc reservation (two arcs
+/// per line, so no arc list reallocates). A second pass parses each chunk
+/// into its own arc list with [`parse_lines`]. The lists are handed to the
+/// build in chunk order and never concatenated, so the graph is
+/// bit-identical to the serial parse at any chunk count. A malformed line
+/// stops its chunk; the earliest chunk's error is returned, which is the
+/// error of the first bad line, with its global line number. The text is
+/// dropped before the build starts.
+pub(crate) fn parse_text_chunked(text: Vec<u8>, chunks: usize) -> io::Result<Graph> {
+    let cuts = line_cuts(&text, chunks.max(1));
+    let pieces: Vec<&[u8]> = cuts.windows(2).map(|c| &text[c[0]..c[1]]).collect();
+    let newlines = rayon::par_map_tasks(pieces.clone(), |piece| {
+        piece.iter().filter(|&&b| b == b'\n').count()
+    });
+    let mut tasks = Vec::with_capacity(pieces.len());
+    let mut first_line = 0usize;
+    for (piece, &nl) in pieces.into_iter().zip(&newlines) {
+        tasks.push((piece, first_line, nl));
+        first_line += nl;
+    }
+    let parsed = rayon::par_map_tasks(tasks, |(piece, mut lineno, newlines)| {
+        // Only the last piece can end in a line without a newline.
+        let lines = newlines + usize::from(piece.last().is_some_and(|&b| b != b'\n'));
+        let mut sink = TextChunk {
+            builder: GraphBuilder::with_capacity(0, lines),
+            edges: 0,
+            declared: 0,
+        };
+        let done = parse_lines(piece, &mut lineno, &mut sink)?;
+        if done < piece.len() {
+            parse_line(&piece[done..], lineno + 1, &mut sink)?;
+        }
+        Ok(sink)
+    });
+    drop(text);
+    let parts = parsed.into_iter().collect::<io::Result<Vec<TextChunk>>>()?;
+    let edges: usize = parts.iter().map(|p| p.edges).sum();
+    let ids = parts
+        .iter()
+        .map(|p| p.builder.num_vertices())
+        .max()
+        .unwrap_or(0);
+    let declared = parts.iter().map(|p| p.declared).max().unwrap_or(0);
+    let limit = edges
+        .saturating_mul(2)
+        .saturating_add(UNDECLARED_VERTEX_SLACK)
+        .max(declared);
+    if ids > limit {
+        return Err(bad_data(format!(
+            "largest vertex id {} is out of proportion to the {edges} edges read: \
+             without a `#vertices N` directive, an edge list may name at most \
+             2 × edges + {UNDECLARED_VERTEX_SLACK} = {limit} vertices; \
+             declare the vertex count with a `#vertices N` line to load it",
+            ids - 1
+        )));
+    }
+    let arcs = parts.into_iter().map(|p| p.builder.into_arcs()).collect();
+    Ok(crate::builder::build_from_arcs(ids.max(declared), arcs))
+}
+
+/// Chunks per pool thread of the in-memory text loader: more than one so
+/// uneven chunks balance.
+const TEXT_CHUNKS_PER_THREAD: usize = 4;
+
+/// Parses a whole edge-list from a reader into a [`Graph`], in memory and
+/// in parallel (see the module docs). The format is that of
+/// [`parse_edge_list_into`]. The graph is bit-identical to a serial parse
+/// at any pool width.
+///
+/// Without a `#vertices N` directive, the vertex count (largest id + 1)
+/// may not exceed `2 × edges + 2^20`; a larger id is an `InvalidData`
+/// error rather than a multi-gigabyte allocation. A directive raises the
+/// limit to its `N`. Use [`parse_edge_list_into`] with a
+/// [`crate::stream::StreamingBuilder`] for inputs that must not be held
+/// in memory.
+pub fn read_edge_list<R: Read>(mut reader: R) -> io::Result<Graph> {
+    let mut text = Vec::new();
+    reader.read_to_end(&mut text)?;
+    parse_text_chunked(text, TEXT_CHUNKS_PER_THREAD * rayon::current_parallelism())
+}
 
 /// Loads an edge-list file. See [`read_edge_list`].
 pub fn load_edge_list<P: AsRef<Path>>(path: P) -> io::Result<Graph> {
-    read_edge_list(BufReader::with_capacity(
-        TEXT_READ_BUF_BYTES,
-        File::open(path)?,
-    ))
+    read_edge_list(File::open(path)?)
 }
 
 /// Writes the graph as an edge list (each undirected edge once, `u <= v`).
@@ -685,6 +839,47 @@ mod tests {
         buf
     }
 
+    /// A checksum-valid v2 container around raw, possibly corrupt, CSR
+    /// arrays, written byte by byte like [`v1_container`].
+    fn v2_container(offsets: &[usize], targets: &[u32], weights: &[f64]) -> Vec<u8> {
+        let (n, arcs) = (offsets.len() as u64 - 1, targets.len() as u64);
+        let (targets_pos, weights_pos, _) = v2_layout(n, arcs);
+        let mut sections = Vec::new();
+        for &o in offsets {
+            sections.extend_from_slice(&(o as u64).to_le_bytes());
+        }
+        for &t in targets {
+            sections.extend_from_slice(&t.to_le_bytes());
+        }
+        sections.resize((weights_pos - HEADER_BYTES) as usize, 0);
+        for &w in weights {
+            sections.extend_from_slice(&w.to_le_bytes());
+        }
+        let mut fnv = Fnv1a::new();
+        fnv.update(&sections);
+        let mut buf = MAGIC_V2.to_vec();
+        for field in [
+            n,
+            arcs,
+            HEADER_BYTES,
+            targets_pos,
+            weights_pos,
+            fnv.finish(),
+            0,
+        ] {
+            buf.extend_from_slice(&field.to_le_bytes());
+        }
+        buf.extend_from_slice(&sections);
+        buf
+    }
+
+    #[test]
+    fn v2_container_helper_matches_the_writer() {
+        let g = sample();
+        let bytes = v2_container(g.offsets(), g.targets(), g.weights());
+        assert_eq!(bytes, to_bytes(&g));
+    }
+
     /// Serialises a graph in the legacy v1 layout.
     fn to_bytes_v1(graph: &Graph) -> Vec<u8> {
         let n = graph.num_vertices() as u64;
@@ -790,6 +985,135 @@ mod tests {
         }
     }
 
+    /// One well-formed generated line over ids `0..12`, so duplicate
+    /// edges (with inexact fractional weights) land in different chunks.
+    fn valid_line(kind: usize, a: u32, b: u32, c: u32) -> String {
+        let (u, v) = (a % 12, b % 12);
+        let w = format!("{}.{}", c % 7, c % 10);
+        match kind {
+            0 => format!("{u} {v}\n"),
+            1 => format!("{u} {v} {}\n", c % 9),
+            2 => format!("{u} {v} {w}\n"),
+            3 => format!("{u} {v} {w}\r\n"),
+            4 => format!("{u}\t{v}\t{w}\n"),
+            5 => format!("{u} {u} {w}\n"),
+            6 => format!("# comment {u} {v}\n"),
+            7 => format!("% konect {u}\n"),
+            8 => "\n".into(),
+            9 => "  \r\n".into(),
+            _ => format!("#vertices {}\n", 10 + c % 8),
+        }
+    }
+
+    fn assert_bit_identical(a: &Graph, b: &Graph) {
+        assert_eq!(a.offsets(), b.offsets());
+        assert_eq!(a.targets(), b.targets());
+        let wa: Vec<u64> = a.weights().iter().map(|w| w.to_bits()).collect();
+        let wb: Vec<u64> = b.weights().iter().map(|w| w.to_bits()).collect();
+        assert_eq!(wa, wb);
+    }
+
+    /// The serial reference: the streaming parser into one builder, built
+    /// at pool width 1.
+    fn serial_load(text: &[u8]) -> io::Result<Graph> {
+        let mut b = GraphBuilder::new(0);
+        parse_edge_list_into(Cursor::new(text), &mut b)?;
+        Ok(rayon::with_parallelism(1, || b.build()))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        /// The chunked in-memory loader builds the serial parse's graph,
+        /// bit for bit, at every pool width and chunk count.
+        #[test]
+        fn chunked_load_matches_serial_parse(
+            lines in proptest::collection::vec((0usize..14, 0u32..u32::MAX, 0u32..u32::MAX, 0u32..u32::MAX), 0..40),
+            final_newline in proptest::prelude::any::<bool>(),
+        ) {
+            let mut text: String = lines.iter().map(|&(k, a, b, c)| valid_line(k, a, b, c)).collect();
+            if !final_newline && text.ends_with('\n') {
+                text.pop();
+            }
+            let expect = serial_load(text.as_bytes()).unwrap();
+            for width in [1usize, 2, 8] {
+                for chunks in [1usize, 2, 7, lines.len() + 1] {
+                    let got = rayon::with_parallelism(width, || {
+                        parse_text_chunked(text.clone().into_bytes(), chunks)
+                    })
+                    .unwrap();
+                    assert_bit_identical(&got, &expect);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn chunked_load_reports_the_first_bad_line_like_the_serial_parser() {
+        let good: String = (0..40)
+            .map(|i| format!("{} {}\n", i % 9, (i * 7) % 11))
+            .collect();
+        for (tail, want) in [
+            ("3 x4\n5 6\n", "line 41: invalid target 'x4'"),
+            ("3 4 -1\n", "line 41: invalid weight '-1'"),
+            ("3 4\n7\n8 y\n", "line 42: missing target"),
+            ("3 4\n9 4294967296", "line 42: target '4294967296' exceeds"),
+        ] {
+            let text = format!("{good}{tail}");
+            let expect = serial_load(text.as_bytes()).unwrap_err().to_string();
+            assert!(expect.contains(want), "{expect}");
+            for width in [1usize, 2, 8] {
+                for chunks in [1usize, 2, 7, 45] {
+                    let err = rayon::with_parallelism(width, || {
+                        parse_text_chunked(text.clone().into_bytes(), chunks)
+                    })
+                    .unwrap_err();
+                    assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+                    assert_eq!(err.to_string(), expect, "width {width}, {chunks} chunks");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn huge_ids_need_a_vertices_directive() {
+        let err = read_edge_list(Cursor::new("0 999999999\n")).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let msg = err.to_string();
+        for want in ["999999999", "1 edges", "#vertices"] {
+            assert!(msg.contains(want), "{want}: {msg}");
+        }
+        // One edge allows 2 + 2^20 vertices: ids up to 2^20 + 1.
+        let limit = 2 + UNDECLARED_VERTEX_SLACK;
+        let g = read_edge_list(Cursor::new(format!("0 {}\n", limit - 1))).unwrap();
+        assert_eq!(g.num_vertices(), limit);
+        assert!(read_edge_list(Cursor::new(format!("0 {limit}\n"))).is_err());
+        // A directive raises the limit to its count.
+        let text = format!("#vertices {}\n0 {limit}\n", limit + 1);
+        assert_eq!(
+            read_edge_list(Cursor::new(text)).unwrap().num_vertices(),
+            limit + 1
+        );
+        // The streaming parser applies no bound of its own.
+        let mut b = GraphBuilder::new(0);
+        parse_edge_list_into(Cursor::new(format!("0 {limit}\n")), &mut b).unwrap();
+        assert_eq!(b.num_vertices(), limit + 1);
+    }
+
+    #[test]
+    fn line_cuts_fall_on_line_starts() {
+        let text = b"0 1\n22 33\n4 5";
+        for chunks in 1..20 {
+            let cuts = line_cuts(text, chunks);
+            assert_eq!(cuts.len(), chunks + 1);
+            assert_eq!((cuts[0], cuts[chunks]), (0, text.len()));
+            assert!(cuts.windows(2).all(|p| p[0] <= p[1]));
+            assert!(cuts
+                .iter()
+                .all(|&c| c == 0 || c == text.len() || text[c - 1] == b'\n'));
+        }
+    }
+
     #[test]
     fn fast_line_takes_only_its_exact_shape() {
         assert_eq!(fast_line(b"12 34\n"), Some((12, 34, 1.0, 6)));
@@ -882,8 +1206,7 @@ mod tests {
     fn corrupt_v2_containers_fail_with_typed_errors() {
         // A checksum-valid container around an asymmetric CSR: the owned
         // loaders audit it, the mapped loader trusts the checksum.
-        let asym = Graph::from_csr_trusted(vec![0, 1, 1], vec![1], vec![1.0]);
-        let bytes = to_bytes(&asym);
+        let bytes = v2_container(&[0, 1, 1], &[1], &[1.0]);
         let err = owned_load_error(&bytes, "v2_asym");
         assert!(
             err.to_string().contains("v2 container: corrupt graph"),

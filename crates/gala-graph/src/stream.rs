@@ -331,7 +331,7 @@ impl StreamingBuilder {
             // throughput (the `--gate` floor in bench_ingest).
             let mut chunk = std::mem::take(&mut self.chunk);
             chunk.shrink_to_fit();
-            crate::builder::build_from_arcs(n, chunk)
+            crate::builder::build_from_arcs(n, vec![chunk])
         } else {
             self.spill_chunk()?;
             // Free the recycled chunk buffer before the output allocates.
@@ -505,7 +505,9 @@ impl CsrAccumulator {
         }
         // Return over-reservation slack (duplicates).
         crate::builder::shrink_if_material(&mut self.targets, &mut self.weights);
-        Graph::from_csr(self.counts, self.targets, self.weights)
+        // Symmetric by construction: every edge pushed both of its arcs
+        // into the runs, and duplicates merge in one order.
+        Graph::from_csr_trusted(self.counts, self.targets, self.weights)
     }
 }
 

@@ -36,6 +36,7 @@ pub use pool::{
 };
 
 use std::iter::Sum;
+use std::ops::Range;
 use std::sync::Mutex;
 
 /// A pure, random-access view of a parallel pipeline: `get(i)` computes the
@@ -432,17 +433,103 @@ where
     pool::par_produce_accum(len, out, &identity, &f)
 }
 
-/// Fills a two-array CSR body (`targets`/`weights`) row by row across the
-/// pool. `bounds` is the row offset array (`bounds.len() == rows + 1`,
-/// monotone, with `bounds[rows]` equal to both output lengths); `fill` is
-/// invoked once per row with that row's disjoint `&mut` output segments and
-/// a per-chunk accumulator threaded through all rows of the chunk.
+/// Maps every owned task through `f` across the pool, one task per pool
+/// chunk, and returns the results in task order. Unlike the pipelines it
+/// has no small-input fallback: callers size the task list themselves, so
+/// a handful of heavy tasks (say, one slice of a text file each) still
+/// spread over the pool. Tasks may carry disjoint `&mut` borrows, such as
+/// segments carved with `split_at_mut`; each is handed to its worker
+/// through a take-once slot. Runs inline at parallelism 1.
+pub fn par_map_tasks<I, R, F>(tasks: Vec<I>, f: F) -> Vec<R>
+where
+    I: Send,
+    R: Send,
+    F: Fn(I) -> R + Sync,
+{
+    let slots: Vec<Mutex<Option<I>>> = tasks.into_iter().map(|t| Mutex::new(Some(t))).collect();
+    let out: Vec<Mutex<Option<R>>> = slots.iter().map(|_| Mutex::new(None)).collect();
+    pool::execute(slots.len(), &|c| {
+        let task = slots[c]
+            .lock()
+            .expect("task slot poisoned")
+            .take()
+            .expect("task claimed twice");
+        *out[c].lock().expect("result slot poisoned") = Some(f(task));
+    });
+    out.into_iter()
+        .map(|m| {
+            m.into_inner()
+                .expect("result slot poisoned")
+                .expect("task finished without storing its result")
+        })
+        .collect()
+}
+
+/// Splits a two-array CSR body (`targets`/`weights`) into `num_chunks`
+/// contiguous row ranges and runs `f(rows, targets_seg, weights_seg)` for
+/// each range across the pool ([`par_map_tasks`]), returning the results in
+/// chunk order. `bounds` is the row offset array (`bounds.len() == rows +
+/// 1`, monotone, with `bounds[rows]` equal to both output lengths); the
+/// segments handed to `f` are the range's `bounds[rows.start]..
+/// bounds[rows.end]`, so row `r` sits at `bounds[r] - bounds[rows.start]`
+/// within them.
 ///
-/// Rows are dealt to chunks by cutting `bounds` at near-equal *output*
-/// offsets (binary search), so a few heavy rows don't serialise the fill the
-/// way equal row counts would. Each chunk's segments are carved with
-/// `split_at_mut` — no `unsafe`, no overlap — and handed to the worker
-/// through a take-once slot. Accumulators come back in chunk order (a single
+/// Rows are cut at near-equal *output* offsets (binary search), so a few
+/// heavy rows don't serialise the work the way equal row counts would; a
+/// single row larger than a chunk's share leaves some chunks empty. The
+/// segments are carved with `split_at_mut`: no `unsafe`, no overlap.
+pub fn par_row_chunks<T, W, R, F>(
+    bounds: &[usize],
+    targets: &mut [T],
+    weights: &mut [W],
+    num_chunks: usize,
+    f: F,
+) -> Vec<R>
+where
+    T: Send,
+    W: Send,
+    R: Send,
+    F: Fn(Range<usize>, &mut [T], &mut [W]) -> R + Sync,
+{
+    let rows = bounds.len().saturating_sub(1);
+    let total = if rows == 0 { 0 } else { bounds[rows] };
+    assert_eq!(targets.len(), total, "targets not sized to bounds total");
+    assert_eq!(weights.len(), total, "weights not sized to bounds total");
+    debug_assert!(
+        bounds.windows(2).all(|w| w[0] <= w[1]),
+        "bounds not monotone"
+    );
+    let num_chunks = num_chunks.max(1);
+    let mut cuts = Vec::with_capacity(num_chunks + 1);
+    cuts.push(0usize);
+    for c in 1..num_chunks {
+        let goal = total * c / num_chunks;
+        let row = bounds.partition_point(|&b| b < goal).min(rows);
+        cuts.push(row.max(cuts[c - 1]));
+    }
+    cuts.push(rows);
+    let mut tasks = Vec::with_capacity(num_chunks);
+    let (mut rest_t, mut rest_w) = (targets, weights);
+    for c in 0..num_chunks {
+        let size = if rows == 0 {
+            0
+        } else {
+            bounds[cuts[c + 1]] - bounds[cuts[c]]
+        };
+        let (seg_t, tail_t) = rest_t.split_at_mut(size);
+        let (seg_w, tail_w) = rest_w.split_at_mut(size);
+        (rest_t, rest_w) = (tail_t, tail_w);
+        tasks.push((cuts[c]..cuts[c + 1], seg_t, seg_w));
+    }
+    par_map_tasks(tasks, |(rows, seg_t, seg_w)| f(rows, seg_t, seg_w))
+}
+
+/// Fills a two-array CSR body (`targets`/`weights`) row by row across the
+/// pool. `bounds` is the row offset array, as for [`par_row_chunks`];
+/// `fill` is invoked once per row with that row's disjoint `&mut` output
+/// segments and a per-chunk accumulator threaded through all rows of the
+/// chunk. Rows are dealt to about four chunks per thread by
+/// [`par_row_chunks`]. Accumulators come back in chunk order (a single
 /// accumulator when the fill ran sequentially).
 pub fn par_fill_csr<T, W, A, ID, F>(
     bounds: &[usize],
@@ -460,73 +547,26 @@ where
 {
     let rows = bounds.len().saturating_sub(1);
     let total = if rows == 0 { 0 } else { bounds[rows] };
-    assert_eq!(targets.len(), total, "targets not sized to bounds total");
-    assert_eq!(weights.len(), total, "weights not sized to bounds total");
-    debug_assert!(
-        bounds.windows(2).all(|w| w[0] <= w[1]),
-        "bounds not monotone"
-    );
-    if rows <= 1 || pool::run_sequential(total) {
-        let mut acc = identity();
-        for r in 0..rows {
-            let (lo, hi) = (bounds[r], bounds[r + 1]);
-            fill(r, &mut targets[lo..hi], &mut weights[lo..hi], &mut acc);
-        }
-        return vec![acc];
-    }
-    // Cut rows at near-equal output offsets; duplicate cuts (a single row
-    // larger than a chunk's share) simply yield empty chunks.
-    let width = pool::current_parallelism();
-    let num_chunks = (width * 4).min(rows);
-    let mut cuts = Vec::with_capacity(num_chunks + 1);
-    cuts.push(0usize);
-    for c in 1..num_chunks {
-        let goal = total * c / num_chunks;
-        let row = bounds.partition_point(|&b| b < goal).min(rows);
-        cuts.push(row.max(cuts[c - 1]));
-    }
-    cuts.push(rows);
-    // Carve each chunk's disjoint output segments.
-    type FillSlot<'a, T, W> = Mutex<Option<(usize, usize, usize, &'a mut [T], &'a mut [W])>>;
-    let mut slots: Vec<FillSlot<'_, T, W>> = Vec::with_capacity(num_chunks);
-    let mut rest_t = targets;
-    let mut rest_w = weights;
-    for c in 0..num_chunks {
-        let (row_lo, row_hi) = (cuts[c], cuts[c + 1]);
-        let size = bounds[row_hi] - bounds[row_lo];
-        let (seg_t, tail_t) = rest_t.split_at_mut(size);
-        let (seg_w, tail_w) = rest_w.split_at_mut(size);
-        rest_t = tail_t;
-        rest_w = tail_w;
-        slots.push(Mutex::new(Some((
-            row_lo,
-            row_hi,
-            bounds[row_lo],
-            seg_t,
-            seg_w,
-        ))));
-    }
-    let accs: Vec<Mutex<Option<A>>> = (0..num_chunks).map(|_| Mutex::new(None)).collect();
-    pool::execute(num_chunks, &|c| {
-        let (row_lo, row_hi, base, seg_t, seg_w) = slots[c]
-            .lock()
-            .expect("fill slot poisoned")
-            .take()
-            .expect("fill chunk claimed twice");
-        let mut acc = identity();
-        for r in row_lo..row_hi {
-            let (lo, hi) = (bounds[r] - base, bounds[r + 1] - base);
-            fill(r, &mut seg_t[lo..hi], &mut seg_w[lo..hi], &mut acc);
-        }
-        *accs[c].lock().expect("accumulator slot poisoned") = Some(acc);
-    });
-    accs.into_iter()
-        .map(|m| {
-            m.into_inner()
-                .expect("accumulator slot poisoned")
-                .expect("fill chunk finished without storing its accumulator")
-        })
-        .collect()
+    let num_chunks = if rows <= 1 || pool::run_sequential(total) {
+        1
+    } else {
+        (pool::current_parallelism() * 4).min(rows)
+    };
+    par_row_chunks(
+        bounds,
+        targets,
+        weights,
+        num_chunks,
+        |range, seg_t, seg_w| {
+            let mut acc = identity();
+            let base = bounds.get(range.start).copied().unwrap_or(0);
+            for r in range {
+                let (lo, hi) = (bounds[r] - base, bounds[r + 1] - base);
+                fill(r, &mut seg_t[lo..hi], &mut seg_w[lo..hi], &mut acc);
+            }
+            acc
+        },
+    )
 }
 
 /// [`par_map_accum_into`] into a fresh output vector.
@@ -764,6 +804,49 @@ mod tests {
                     assert_eq!(weights[i], r as f64);
                 }
             }
+        }
+    }
+
+    #[test]
+    fn par_map_tasks_returns_results_in_task_order() {
+        for width in [1, 2, 8] {
+            let mut slots = vec![0usize; 13];
+            let tasks: Vec<(usize, &mut usize)> = slots.iter_mut().enumerate().collect();
+            let out = with_parallelism(width, || {
+                super::par_map_tasks(tasks, |(c, slot)| {
+                    *slot = c + 1;
+                    c * c
+                })
+            });
+            assert_eq!(out, (0..13).map(|c| c * c).collect::<Vec<_>>());
+            assert_eq!(slots, (1..14).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn par_row_chunks_covers_every_row_once_in_order() {
+        let bounds = [0usize, 2, 2, 7, 8, 8, 12];
+        for num_chunks in [1, 2, 3, 10] {
+            let mut t = vec![usize::MAX; 12];
+            let mut w = vec![0u8; 12];
+            let ranges = with_parallelism(4, || {
+                super::par_row_chunks(&bounds, &mut t, &mut w, num_chunks, |rows, seg_t, seg_w| {
+                    let base = bounds[rows.start];
+                    assert_eq!(seg_t.len(), bounds[rows.end] - base);
+                    for r in rows.clone() {
+                        for i in bounds[r] - base..bounds[r + 1] - base {
+                            seg_t[i] = r;
+                            seg_w[i] += 1;
+                        }
+                    }
+                    rows
+                })
+            });
+            assert_eq!(ranges.len(), num_chunks);
+            assert_eq!((ranges[0].start, ranges[num_chunks - 1].end), (0, 6));
+            assert!(ranges.windows(2).all(|p| p[0].end == p[1].start));
+            assert_eq!(t, vec![0, 0, 2, 2, 2, 2, 2, 3, 5, 5, 5, 5]);
+            assert!(w.iter().all(|&x| x == 1));
         }
     }
 
