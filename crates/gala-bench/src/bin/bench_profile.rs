@@ -28,7 +28,7 @@ use gala_core::louvain::{Louvain, LouvainConfig};
 use gala_core::observe::Obs;
 use gala_graph::generators::sbm::PlantedPartition;
 use gala_graph::Graph;
-use gala_telemetry::{Attribution, AttributionReport, TraceEvent, VecSink};
+use gala_telemetry::{Attribution, AttributionReport, PhaseProfile, TraceEvent, VecSink};
 
 /// Residuals outside this band trip the `--gate`.
 const GATE_RESIDUAL_BAND: (f64, f64) = (0.05, 20.0);
@@ -65,7 +65,7 @@ fn traced_run(
         .events
         .into_iter()
         .filter_map(|e| match e {
-            TraceEvent::Profile { unit, spans, .. } => Some((unit, spans)),
+            TraceEvent::Profile(PhaseProfile { unit, spans, .. }) => Some((unit, spans)),
             _ => None,
         })
         .collect();

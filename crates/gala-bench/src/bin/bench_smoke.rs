@@ -25,7 +25,7 @@ use gala_bench::{all_datasets, conclude, eng, new_report, scale_from_env, BenchA
 use gala_core::louvain::{Louvain, LouvainConfig};
 use gala_core::observe::Obs;
 use gala_gpu::memory::CostModel;
-use gala_telemetry::{JsonlSink, Report, TraceEvent, VecSink};
+use gala_telemetry::{DeviceSync, JsonlSink, Report, TraceEvent, VecSink};
 use std::fs::File;
 use std::io::BufWriter;
 
@@ -91,7 +91,7 @@ fn main() {
             .run_with(g, &mut Obs::traced(&mut sink));
             let (mut bytes, mut dense, mut sparse) = (0u64, 0u64, 0u64);
             for ev in &sink.events {
-                if let TraceEvent::Sync { bytes: b, mode, .. } = ev {
+                if let TraceEvent::Sync(DeviceSync { bytes: b, mode, .. }) = ev {
                     bytes += b;
                     match mode.as_str() {
                         "dense" => dense += 1,

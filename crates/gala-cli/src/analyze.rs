@@ -18,46 +18,14 @@
 
 use crate::args::AnalyzeArgs;
 use crate::commands::Error;
+use gala_core::mg_contract::{EXCHANGE_BYTES_PER_ARC, EXCHANGE_BYTES_PER_MEMBER};
 use gala_gpu::memory::{CostModel, MemTally};
 use gala_gpu::profile::{Profiler, SpanRecord};
 use gala_telemetry::recorder::{self, LogEvent, ProgressSnapshot};
 use gala_telemetry::{
-    direction, json, judge, profile_span_from_json, span_from_json, tally_from_json,
-    MetricsRegistry, ProfileSpan, Verdict, MIN_SCHEMA_VERSION, SCHEMA_VERSION,
+    direction, json, judge, read_trace, DeviceSync, MetricsRegistry, MetricsSnapshot, PhaseProfile,
+    RunEnd, RunStart, SpanTree, Superstep, TraceEvent, Verdict,
 };
-
-/// One `superstep` event, decoded.
-#[derive(Clone, Debug)]
-struct Superstep {
-    round: u64,
-    superstep: u64,
-    active: u64,
-    moved: u64,
-    pruned: u64,
-    unmoved: u64,
-    modularity: f64,
-    hash_occupancy: f64,
-    hash_evictions: u64,
-    decide_tally: MemTally,
-    weight_tally: MemTally,
-}
-
-/// One `sync` event, decoded (multi-device traces only).
-#[derive(Clone, Debug)]
-struct SyncEvent {
-    superstep: u64,
-    mode: String,
-    bytes: u64,
-    comm_us: f64,
-}
-
-/// One `metrics` event, decoded (schema 3+ traces only).
-#[derive(Clone, Debug)]
-struct MetricsEvent {
-    round: u64,
-    scope: String,
-    registry: MetricsRegistry,
-}
 
 /// Exchange accounting lifted from a partitioned `contract` span (the
 /// `contract` → `exchange` scope emitted by the multi-device phase-2
@@ -74,15 +42,8 @@ struct ExchangeCheck {
     sparse_exchanges: u64,
 }
 
-/// Bytes per ghost community member in the sparse exchange model
-/// (mirrors `gala-core::mg_contract::EXCHANGE_BYTES_PER_MEMBER`).
-const EXCHANGE_BYTES_PER_MEMBER: u64 = 8;
-/// Bytes per ghost member arc in the sparse exchange model
-/// (mirrors `gala-core::mg_contract::EXCHANGE_BYTES_PER_ARC`).
-const EXCHANGE_BYTES_PER_ARC: u64 = 12;
-
 /// What `--check` needs from one `span` event. The tree itself is merged
-/// into [`Trace::merged_root`] at parse time and dropped, so a trace with
+/// into [`Trace::merged_root`] at load time and dropped, so a trace with
 /// thousands of supersteps never holds every tree at once.
 #[derive(Clone, Debug)]
 struct SpanCheck {
@@ -92,45 +53,16 @@ struct SpanCheck {
     exchange: Option<ExchangeCheck>,
 }
 
-/// One retained span tree (only kept when the chrome-trace exporter needs
-/// per-superstep timelines rather than the merged profile).
-#[derive(Clone, Debug)]
-struct SpanTree {
-    round: u64,
-    superstep: u64,
-    phase: String,
-    root: SpanRecord,
-}
-
-/// One `profile` event, decoded (schema 4+ traces only).
-#[derive(Clone, Debug)]
-struct ProfileCheck {
-    phase: String,
-    backend: String,
-    unit: String,
-    spans: Vec<ProfileSpan>,
-}
-
-/// The `run_end` summary.
-#[derive(Clone, Copy, Debug)]
-struct RunEnd {
-    modularity: f64,
-    rounds: u64,
-    total_cycles: f64,
-}
-
-/// A fully decoded trace file.
+/// A trace file's events, grouped by kind.
 #[derive(Clone, Debug, Default)]
 struct Trace {
-    algorithm: String,
-    n: u64,
-    m: u64,
-    devices: u64,
+    /// The last `run_start` (all defaults when the trace has none).
+    run_start: RunStart,
     supersteps: Vec<Superstep>,
-    syncs: Vec<SyncEvent>,
+    syncs: Vec<DeviceSync>,
     span_checks: Vec<SpanCheck>,
-    metrics: Vec<MetricsEvent>,
-    profiles: Vec<ProfileCheck>,
+    metrics: Vec<MetricsSnapshot>,
+    profiles: Vec<PhaseProfile>,
     /// Individual span trees, retained only when loaded with
     /// `keep_spans` (the chrome-trace exporter); empty otherwise.
     span_trees: Vec<SpanTree>,
@@ -146,37 +78,13 @@ struct Trace {
     events: usize,
 }
 
-fn field_u64(v: &json::Value, key: &str, line: usize) -> Result<u64, Error> {
-    v.get(key)
-        .and_then(|x| x.as_u64())
-        .ok_or_else(|| format!("line {line}: missing or non-integer `{key}`").into())
-}
-
-fn field_f64(v: &json::Value, key: &str, line: usize) -> Result<f64, Error> {
-    v.get(key)
-        .and_then(|x| x.as_f64())
-        .ok_or_else(|| format!("line {line}: missing or non-numeric `{key}`").into())
-}
-
-fn field_str(v: &json::Value, key: &str, line: usize) -> Result<String, Error> {
-    Ok(v.get(key)
-        .and_then(|x| x.as_str())
-        .ok_or_else(|| format!("line {line}: missing or non-string `{key}`"))?
-        .to_string())
-}
-
-fn field_tally(v: &json::Value, key: &str, line: usize) -> Result<MemTally, Error> {
-    v.get(key)
-        .and_then(tally_from_json)
-        .ok_or_else(|| format!("line {line}: bad `{key}` tally").into())
-}
-
-/// Parses a trace JSONL file, rejecting unknown schemas, unknown event
-/// kinds and malformed lines (line numbers in every error).
+/// Loads a trace file through [`read_trace`], which rejects unknown
+/// schemas, unknown event kinds and malformed lines (line numbers in every
+/// error).
 ///
-/// The file is streamed line by line — span trees are folded into the
-/// merged profile as they arrive — so peak memory is one line plus the
-/// decoded summaries, independent of trace length.
+/// Span trees are folded into the merged profile as they arrive, so peak
+/// memory is one line plus the decoded summaries, independent of trace
+/// length.
 fn load_trace(path: &str) -> Result<Trace, Error> {
     load_trace_with_spans(path, false)
 }
@@ -185,60 +93,16 @@ fn load_trace(path: &str) -> Result<Trace, Error> {
 /// (`keep_spans`), which the chrome-trace exporter needs to lay out a
 /// per-superstep timeline. The default path drops them to keep memory flat.
 fn load_trace_with_spans(path: &str, keep_spans: bool) -> Result<Trace, Error> {
-    use std::io::BufRead;
-    let file = std::fs::File::open(path).map_err(|e| format!("{path}: {e}"))?;
-    let reader = std::io::BufReader::new(file);
     let mut trace = Trace::default();
     let mut merger = Profiler::new();
-    for (idx, raw) in reader.lines().enumerate() {
-        let line = idx + 1;
-        let raw = raw.map_err(|e| format!("{path} line {line}: {e}"))?;
-        if raw.trim().is_empty() {
-            continue;
-        }
-        let v = json::parse(&raw).map_err(|e| format!("{path} line {line}: {e}"))?;
-        let schema = field_u64(&v, "schema", line)?;
-        if !(MIN_SCHEMA_VERSION..=SCHEMA_VERSION).contains(&schema) {
-            return Err(format!(
-                "{path} line {line}: event {} has schema {schema} (this build reads \
-                 {MIN_SCHEMA_VERSION}..={SCHEMA_VERSION})",
-                trace.events
-            )
-            .into());
-        }
-        trace.events += 1;
-        match field_str(&v, "event", line)?.as_str() {
-            "run_start" => {
-                trace.algorithm = field_str(&v, "algorithm", line)?;
-                trace.n = field_u64(&v, "n", line)?;
-                trace.m = field_u64(&v, "m", line)?;
-                trace.devices = field_u64(&v, "devices", line)?;
-            }
-            "superstep" => trace.supersteps.push(Superstep {
-                round: field_u64(&v, "round", line)?,
-                superstep: field_u64(&v, "superstep", line)?,
-                active: field_u64(&v, "active", line)?,
-                moved: field_u64(&v, "moved", line)?,
-                pruned: field_u64(&v, "pruned", line)?,
-                unmoved: field_u64(&v, "unmoved", line)?,
-                modularity: field_f64(&v, "modularity", line)?,
-                hash_occupancy: field_f64(&v, "hash_occupancy", line)?,
-                hash_evictions: field_u64(&v, "hash_evictions", line)?,
-                decide_tally: field_tally(&v, "decide_tally", line)?,
-                weight_tally: field_tally(&v, "weight_tally", line)?,
-            }),
-            "sync" => trace.syncs.push(SyncEvent {
-                superstep: field_u64(&v, "superstep", line)?,
-                mode: field_str(&v, "mode", line)?,
-                bytes: field_u64(&v, "bytes", line)?,
-                comm_us: field_f64(&v, "comm_us", line)?,
-            }),
-            "span" => {
-                let root = v
-                    .get("root")
-                    .and_then(span_from_json)
-                    .ok_or_else(|| format!("{path} line {line}: bad span tree"))?;
-                let exchange = root
+    trace.events = read_trace(path, |event| {
+        match event {
+            TraceEvent::RunStart(e) => trace.run_start = e,
+            TraceEvent::Superstep(e) => trace.supersteps.push(e),
+            TraceEvent::Sync(e) => trace.syncs.push(e),
+            TraceEvent::Span(tree) => {
+                let exchange = tree
+                    .root
                     .child("contract")
                     .and_then(|c| c.child("exchange"))
                     .map(|ex| ExchangeCheck {
@@ -251,71 +115,24 @@ fn load_trace_with_spans(path: &str, keep_spans: bool) -> Result<Trace, Error> {
                         sparse_exchanges: ex.counter("sparse_exchanges"),
                     });
                 trace.span_checks.push(SpanCheck {
-                    phase: field_str(&v, "phase", line)?,
-                    tally: root.total_tally(),
+                    phase: tree.phase.clone(),
+                    tally: tree.root.total_tally(),
                     exchange,
                 });
                 if keep_spans {
-                    trace.span_trees.push(SpanTree {
-                        round: field_u64(&v, "round", line)?,
-                        superstep: field_u64(&v, "superstep", line)?,
-                        phase: field_str(&v, "phase", line)?,
-                        root: root.clone(),
-                    });
+                    trace.span_trees.push(tree.clone());
                 }
-                merger.absorb(root);
+                merger.absorb(tree.root);
             }
-            "profile" => {
-                let spans = v
-                    .get("spans")
-                    .and_then(json::Value::as_array)
-                    .ok_or_else(|| format!("{path} line {line}: profile event missing `spans`"))?
-                    .iter()
-                    .map(profile_span_from_json)
-                    .collect::<Option<Vec<_>>>()
-                    .ok_or_else(|| format!("{path} line {line}: bad profile span"))?;
-                trace.profiles.push(ProfileCheck {
-                    phase: field_str(&v, "phase", line)?,
-                    backend: field_str(&v, "backend", line)?,
-                    unit: field_str(&v, "unit", line)?,
-                    spans,
-                });
-            }
-            "metrics" => {
-                let registry = v
-                    .get("registry")
-                    .and_then(MetricsRegistry::from_json)
-                    .ok_or_else(|| format!("{path} line {line}: bad metrics registry"))?;
-                trace.metrics.push(MetricsEvent {
-                    round: field_u64(&v, "round", line)?,
-                    scope: field_str(&v, "scope", line)?,
-                    registry,
-                });
-            }
-            "log" => trace.logs.push(
-                LogEvent::from_json(&v)
-                    .ok_or_else(|| format!("{path} line {line}: bad log event"))?,
-            ),
-            "progress" => trace.progress.push(
-                ProgressSnapshot::from_json(&v)
-                    .ok_or_else(|| format!("{path} line {line}: bad progress event"))?,
-            ),
-            "round_end" => trace.round_ends += 1,
-            "run_end" => {
-                trace.run_end = Some(RunEnd {
-                    modularity: field_f64(&v, "modularity", line)?,
-                    rounds: field_u64(&v, "rounds", line)?,
-                    total_cycles: field_f64(&v, "total_cycles", line)?,
-                });
-            }
-            other => {
-                return Err(format!("{path} line {line}: unknown event `{other}`").into());
-            }
+            TraceEvent::Profile(e) => trace.profiles.push(e),
+            TraceEvent::Metrics(e) => trace.metrics.push(e),
+            TraceEvent::Log(e) => trace.logs.push(e),
+            TraceEvent::Progress(e) => trace.progress.push(e),
+            TraceEvent::RoundEnd(_) => trace.round_ends += 1,
+            TraceEvent::RunEnd(e) => trace.run_end = Some(e),
         }
-    }
-    if trace.events == 0 {
-        return Err(format!("{path}: empty trace").into());
-    }
+        Ok(())
+    })?;
     trace.merged_root = merger.finish();
     Ok(trace)
 }
@@ -323,7 +140,7 @@ fn load_trace_with_spans(path: &str, keep_spans: bool) -> Result<Trace, Error> {
 /// Structural validation (`--check`): bracketing, per-superstep counting
 /// invariants, finite metrics, coherent tally counters.
 fn check(path: &str, trace: &Trace) -> Result<String, Error> {
-    if trace.algorithm.is_empty() {
+    if trace.run_start.algorithm.is_empty() {
         return Err(format!("{path}: no run_start event").into());
     }
     let end = trace
@@ -341,11 +158,12 @@ fn check(path: &str, trace: &Trace) -> Result<String, Error> {
             )
             .into());
         }
-        if s.active + s.pruned > trace.n && trace.devices <= 1 && s.round == 0 {
+        let start = &trace.run_start;
+        if s.active + s.pruned > start.n && start.devices <= 1 && s.round == 0 {
             return Err(format!(
                 "{at}: active + pruned ({}) exceeds n ({})",
                 s.active + s.pruned,
-                trace.n
+                start.n
             )
             .into());
         }
@@ -424,7 +242,7 @@ fn check(path: &str, trace: &Trace) -> Result<String, Error> {
             .into());
         }
     }
-    let exchange_syncs: Vec<&SyncEvent> = trace
+    let exchange_syncs: Vec<&DeviceSync> = trace
         .syncs
         .iter()
         .filter(|y| y.mode.starts_with("exchange-"))
@@ -542,7 +360,7 @@ fn check(path: &str, trace: &Trace) -> Result<String, Error> {
          {} metrics, {} profiles, {} logs, {} progress), final Q = {:.5}",
         trace.events,
         trace.supersteps.len(),
-        trace.round_ends.max(end.rounds),
+        trace.round_ends.max(u64::from(end.rounds)),
         trace.span_checks.len(),
         trace.syncs.len(),
         trace.metrics.len(),
@@ -679,7 +497,7 @@ const MAX_Q_PERIOD: usize = 4;
 /// How one phase-1 round converged, derived from its `superstep` events.
 #[derive(Debug)]
 struct RoundConvergence {
-    round: u64,
+    round: u32,
     supersteps: usize,
     /// Superstep of the round's highest Q (the first one that reached it).
     best_at: usize,
@@ -924,9 +742,10 @@ fn render_logs(trace: &Trace) -> String {
 
 /// Full single-trace report: header, curves, span summary.
 fn render_single(path: &str, trace: &Trace, top: usize) -> String {
+    let start = &trace.run_start;
     let mut out = format!(
         "trace: {path}\nalgorithm {} | n {} | m {} | devices {}\n",
-        trace.algorithm, trace.n, trace.m, trace.devices
+        start.algorithm, start.n, start.m, start.devices
     );
     if let Some(end) = trace.run_end {
         out.push_str(&format!(
@@ -1028,7 +847,7 @@ fn chrome_trace(trace: &Trace) -> json::Value {
     ];
     let mut cursor = 0.0_f64;
     // Start timestamp of each (round, superstep), for counters and syncs.
-    let mut superstep_ts: Vec<((u64, u64), f64)> = Vec::new();
+    let mut superstep_ts: Vec<((u32, u32), f64)> = Vec::new();
     if trace.span_trees.is_empty() {
         for s in &trace.supersteps {
             let dur = (cost.cycles(&s.decide_tally) + cost.cycles(&s.weight_tally)) / CYCLES_PER_US;
@@ -1052,7 +871,7 @@ fn chrome_trace(trace: &Trace) -> json::Value {
             cursor += dur;
         }
     }
-    let ts_of = |round: u64, superstep: u64| {
+    let ts_of = |round: u32, superstep: u32| {
         superstep_ts
             .iter()
             .find(|(k, _)| *k == (round, superstep))
@@ -1265,7 +1084,7 @@ mod tests {
     use gala_core::multi_gpu::ContractMode;
     use gala_core::observe::Obs;
     use gala_graph::generators::fixtures;
-    use gala_telemetry::JsonlSink;
+    use gala_telemetry::{JsonlSink, RoundEnd, SCHEMA_VERSION};
 
     fn tmp(name: &str) -> String {
         std::env::temp_dir()
@@ -1305,8 +1124,8 @@ mod tests {
     fn partitioned_traces_decode_and_check_exchange_accounting() {
         let path = write_mg_fixture_trace("mgload");
         let trace = load_trace(&path).unwrap();
-        assert_eq!(trace.algorithm, "louvain");
-        assert_eq!(trace.devices, 4);
+        assert_eq!(trace.run_start.algorithm, "louvain");
+        assert_eq!(trace.run_start.devices, 4);
         let exchanges: Vec<ExchangeCheck> = trace
             .span_checks
             .iter()
@@ -1316,7 +1135,7 @@ mod tests {
             !exchanges.is_empty(),
             "partitioned run must emit exchange-scoped contract spans"
         );
-        let syncs: Vec<&SyncEvent> = trace
+        let syncs: Vec<&DeviceSync> = trace
             .syncs
             .iter()
             .filter(|y| y.mode.starts_with("exchange-"))
@@ -1389,8 +1208,8 @@ mod tests {
     fn loads_and_checks_a_real_trace() {
         let path = write_fixture_trace("load");
         let trace = load_trace(&path).unwrap();
-        assert_eq!(trace.algorithm, "louvain");
-        assert_eq!(trace.n, 30);
+        assert_eq!(trace.run_start.algorithm, "louvain");
+        assert_eq!(trace.run_start.n, 30);
         assert!(!trace.supersteps.is_empty());
         assert!(
             !trace.span_checks.is_empty(),
@@ -1613,11 +1432,17 @@ mod tests {
     #[test]
     fn schema_errors_name_the_offending_event() {
         let path = format!("{}.jsonl", tmp("schemaidx"));
+        let round_end = TraceEvent::RoundEnd(RoundEnd {
+            round: 0,
+            supersteps: 3,
+            modularity: 0.4,
+            communities: 2,
+        });
         std::fs::write(
             &path,
             format!(
-                "{{\"event\":\"round_end\",\"schema\":{SCHEMA_VERSION}}}\n\
-                 {{\"event\":\"run_end\",\"schema\":99}}\n"
+                "{}\n{{\"event\":\"run_end\",\"schema\":99}}\n",
+                round_end.to_json().render()
             ),
         )
         .unwrap();
@@ -1658,6 +1483,38 @@ mod tests {
         let trace = load_trace(&format!("{dir}/small_trace.jsonl")).unwrap();
         assert!(trace.metrics.is_empty());
         assert!(trace.run_end.is_some());
+    }
+
+    #[test]
+    fn checked_in_traces_decode_check_and_re_render() {
+        let golden = concat!(env!("CARGO_MANIFEST_DIR"), "/../gala-core/tests/data");
+        let small = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/small_trace.jsonl");
+        let stems = [
+            "louvain",
+            "multi_gpu_phase1",
+            "multi_gpu_full",
+            "leiden",
+            "sequential",
+            "grappolo",
+        ];
+        let paths: Vec<String> = stems
+            .iter()
+            .map(|stem| format!("{golden}/golden_{stem}.jsonl"))
+            .chain([small.to_string()])
+            .collect();
+        for path in &paths {
+            let summary = check(path, &load_trace(path).unwrap()).unwrap();
+            assert!(summary.starts_with("ok:"), "{path}: {summary}");
+        }
+        // The golden streams are schema 5, what this build writes: every
+        // line decodes and renders back to the same bytes.
+        for path in &paths[..stems.len()] {
+            let text = std::fs::read_to_string(path).unwrap();
+            for (i, line) in text.lines().enumerate() {
+                let event = TraceEvent::from_json(&json::parse(line).unwrap()).unwrap();
+                assert_eq!(event.to_json().render(), line, "{path} line {}", i + 1);
+            }
+        }
     }
 
     #[test]
@@ -1769,14 +1626,14 @@ mod tests {
         // --progress` writes).
         let mut text = std::fs::read_to_string(&path).unwrap();
         for seq in 3..6u64 {
-            let ev = LogEvent {
+            let ev = TraceEvent::Log(LogEvent {
                 seq,
                 elapsed_us: seq * 1000,
                 level: gala_telemetry::Level::Info,
                 scope: "louvain".into(),
                 message: format!("line {seq}"),
                 fields: vec![("round".into(), seq as f64)],
-            };
+            });
             text.push_str(&ev.to_json().render());
             text.push('\n');
         }
@@ -1818,14 +1675,14 @@ mod tests {
         let path = format!("{}.json", tmp("crash"));
         let events: Vec<json::Value> = (2..5u64)
             .map(|seq| {
-                LogEvent {
+                TraceEvent::Log(LogEvent {
                     seq,
                     elapsed_us: seq * 10,
                     level: gala_telemetry::Level::Error,
                     scope: "watchdog".into(),
                     message: "stall".into(),
                     fields: Vec::new(),
-                }
+                })
                 .to_json()
             })
             .collect();
@@ -1860,19 +1717,15 @@ mod tests {
     }
 
     /// A `superstep` event carrying only what the convergence report reads.
-    fn step(round: u64, superstep: u64, modularity: f64) -> Superstep {
+    fn step(round: u32, superstep: u32, modularity: f64) -> Superstep {
         Superstep {
             round,
             superstep,
             active: 10,
             moved: 1,
-            pruned: 0,
             unmoved: 9,
             modularity,
-            hash_occupancy: 0.0,
-            hash_evictions: 0,
-            decide_tally: MemTally::default(),
-            weight_tally: MemTally::default(),
+            ..Superstep::default()
         }
     }
 
@@ -1893,7 +1746,7 @@ mod tests {
                 .flat_map(|(r, qs)| {
                     qs.iter()
                         .enumerate()
-                        .map(move |(i, &q)| step(r as u64, i as u64, q))
+                        .map(move |(i, &q)| step(r as u32, i as u32, q))
                 })
                 .collect(),
             ..Trace::default()

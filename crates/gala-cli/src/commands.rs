@@ -489,12 +489,24 @@ mod tests {
     use super::*;
     use crate::args::Command;
     use gala_graph::generators::fixtures;
+    use gala_telemetry::{read_trace, TraceEvent};
 
     fn tmp(name: &str) -> String {
         std::env::temp_dir()
             .join(format!("gala_cli_{name}_{}", std::process::id()))
             .to_string_lossy()
             .into_owned()
+    }
+
+    /// Every event of the trace file at `path`, decoded.
+    fn trace_events(path: &str) -> Vec<TraceEvent> {
+        let mut events = Vec::new();
+        read_trace(path, |e| {
+            events.push(e);
+            Ok(())
+        })
+        .unwrap();
+        events
     }
 
     #[test]
@@ -562,21 +574,13 @@ mod tests {
         execute(cmd).unwrap();
 
         // Trace: valid JSONL, bracketed by run_start/run_end.
-        let text = std::fs::read_to_string(&trace_path).unwrap();
-        let events: Vec<_> = text
-            .lines()
-            .map(|l| gala_telemetry::json::parse(l).unwrap())
-            .collect();
+        let events = trace_events(&trace_path);
         assert!(events.len() >= 3);
-        assert_eq!(events[0].get("event").unwrap().as_str(), Some("run_start"));
-        assert_eq!(
-            events.last().unwrap().get("event").unwrap().as_str(),
-            Some("run_end")
-        );
-        assert!(events.iter().any(|e| {
-            e.get("event").unwrap().as_str() == Some("superstep")
-                && e.get("moved").unwrap().as_u64().unwrap() > 0
-        }));
+        assert_eq!(events[0].kind(), "run_start");
+        assert_eq!(events.last().unwrap().kind(), "run_end");
+        assert!(events
+            .iter()
+            .any(|e| matches!(e, TraceEvent::Superstep(s) if s.moved > 0)));
 
         // Report: parses back through the schema and carries the result.
         let report = Report::read_from(&report_path).unwrap();
@@ -597,9 +601,7 @@ mod tests {
         assert!(decide.get("invocations").unwrap() >= 1.0);
 
         // And the trace now carries span events alongside supersteps.
-        assert!(events
-            .iter()
-            .any(|e| e.get("event").unwrap().as_str() == Some("span")));
+        assert!(events.iter().any(|e| e.kind() == "span"));
         for p in [graph_path, trace_path, report_path] {
             let _ = std::fs::remove_file(p);
         }
@@ -625,11 +627,9 @@ mod tests {
         )
         .unwrap();
         execute(cmd).unwrap();
-        let text = std::fs::read_to_string(&trace_path).unwrap();
-        let syncs = text
-            .lines()
-            .map(|l| gala_telemetry::json::parse(l).unwrap())
-            .filter(|e| e.get("event").unwrap().as_str() == Some("sync"))
+        let syncs = trace_events(&trace_path)
+            .iter()
+            .filter(|e| e.kind() == "sync")
             .count();
         assert!(syncs > 0, "multi-device trace must contain sync events");
         for p in [graph_path, trace_path] {
@@ -690,16 +690,10 @@ mod tests {
             std::fs::read_to_string(&out_part).unwrap()
         );
         // The trace carries exchange syncs and survives `analyze --check`.
-        let text = std::fs::read_to_string(&trace_path).unwrap();
         assert!(
-            text.lines()
-                .map(|l| gala_telemetry::json::parse(l).unwrap())
-                .any(|e| e.get("event").unwrap().as_str() == Some("sync")
-                    && e.get("mode")
-                        .unwrap()
-                        .as_str()
-                        .unwrap()
-                        .starts_with("exchange-")),
+            trace_events(&trace_path)
+                .iter()
+                .any(|e| matches!(e, TraceEvent::Sync(y) if y.mode.starts_with("exchange-"))),
             "partitioned trace must contain exchange sync events"
         );
         execute(
@@ -738,11 +732,10 @@ mod tests {
             .unwrap(),
         )
         .unwrap();
-        let text = std::fs::read_to_string(&trace_path).unwrap();
         assert!(
-            text.lines()
-                .map(|l| gala_telemetry::json::parse(l).unwrap())
-                .any(|e| e.get("event").unwrap().as_str() == Some("progress")),
+            trace_events(&trace_path)
+                .iter()
+                .any(|e| e.kind() == "progress"),
             "trace must carry deterministic progress events"
         );
         execute(

@@ -23,92 +23,40 @@ use crate::args::ProfileArgs;
 use crate::commands::Error;
 use gala_gpu::memory::COMPONENT_NAMES;
 use gala_telemetry::{
-    json, profile_span_from_json, Attribution, AttributionReport, Calibration, MetricRow,
-    ProfileSpan, Report, MIN_SCHEMA_VERSION, SCHEMA_VERSION,
+    json, read_trace, Attribution, AttributionReport, Calibration, MetricRow, PhaseProfile, Report,
+    TraceEvent,
 };
 
-/// The `profile` events of one trace file, each reduced to the fields the
-/// attribution join needs.
-#[derive(Debug)]
-struct ProfileEvents {
-    /// Total events in the file (all kinds).
-    events: usize,
-    /// `(unit, spans)` per `profile` event, in file order.
-    profiles: Vec<(String, Vec<ProfileSpan>)>,
-}
-
-/// Streams one trace file, keeping only its `profile` events. Schema
-/// violations report the offending event index and schema, like
-/// `gala analyze`.
-fn load_profiles(path: &str) -> Result<ProfileEvents, Error> {
-    use std::io::BufRead;
-    let file = std::fs::File::open(path).map_err(|e| format!("{path}: {e}"))?;
-    let reader = std::io::BufReader::new(file);
-    let mut out = ProfileEvents {
-        events: 0,
-        profiles: Vec::new(),
-    };
-    for (idx, raw) in reader.lines().enumerate() {
-        let line = idx + 1;
-        let raw = raw.map_err(|e| format!("{path} line {line}: {e}"))?;
-        if raw.trim().is_empty() {
-            continue;
+/// Streams one trace file through [`read_trace`], keeping only its
+/// `profile` events.
+fn load_profiles(path: &str) -> Result<Vec<PhaseProfile>, Error> {
+    let mut profiles = Vec::new();
+    read_trace(path, |event| {
+        if let TraceEvent::Profile(p) = event {
+            if p.unit != "cycles" && p.unit != "ns" {
+                return Err(format!("unknown profile unit `{}`", p.unit));
+            }
+            profiles.push(p);
         }
-        let v = json::parse(&raw).map_err(|e| format!("{path} line {line}: {e}"))?;
-        let schema = v
-            .get("schema")
-            .and_then(json::Value::as_u64)
-            .ok_or_else(|| format!("{path} line {line}: missing `schema`"))?;
-        if !(MIN_SCHEMA_VERSION..=SCHEMA_VERSION).contains(&schema) {
-            return Err(format!(
-                "{path} line {line}: event {} has schema {schema} (this build reads \
-                 {MIN_SCHEMA_VERSION}..={SCHEMA_VERSION})",
-                out.events
-            )
-            .into());
-        }
-        out.events += 1;
-        if v.get("event").and_then(json::Value::as_str) != Some("profile") {
-            continue;
-        }
-        let unit = v
-            .get("unit")
-            .and_then(json::Value::as_str)
-            .ok_or_else(|| format!("{path} line {line}: profile event missing `unit`"))?
-            .to_string();
-        if unit != "cycles" && unit != "ns" {
-            return Err(format!("{path} line {line}: unknown profile unit `{unit}`").into());
-        }
-        let spans = v
-            .get("spans")
-            .and_then(json::Value::as_array)
-            .ok_or_else(|| format!("{path} line {line}: profile event missing `spans`"))?
-            .iter()
-            .map(profile_span_from_json)
-            .collect::<Option<Vec<_>>>()
-            .ok_or_else(|| format!("{path} line {line}: bad profile span"))?;
-        out.profiles.push((unit, spans));
-    }
-    if out.events == 0 {
-        return Err(format!("{path}: empty trace").into());
-    }
-    if out.profiles.is_empty() {
+        Ok(())
+    })?;
+    if profiles.is_empty() {
         return Err(format!(
             "{path}: no profile events (trace written by a pre-schema-4 build? \
              re-run `gala detect --trace` with this build)"
         )
         .into());
     }
-    Ok(out)
+    Ok(profiles)
 }
 
 /// Feeds one file's profile events into the join, dispatching on `unit`.
-fn feed(attr: &mut Attribution, events: &ProfileEvents) {
-    for (unit, spans) in &events.profiles {
-        if unit == "cycles" {
-            attr.add_sim(spans);
+fn feed(attr: &mut Attribution, profiles: &[PhaseProfile]) {
+    for p in profiles {
+        if p.unit == "cycles" {
+            attr.add_sim(&p.spans);
         } else {
-            attr.add_native(spans);
+            attr.add_native(&p.spans);
         }
     }
 }
@@ -144,16 +92,16 @@ fn component_stack(row: &gala_telemetry::KernelResidual) -> String {
 fn render_report(
     sim_path: &str,
     native_path: &str,
-    sim: &ProfileEvents,
-    native: &ProfileEvents,
+    sim: &[PhaseProfile],
+    native: &[PhaseProfile],
     report: &AttributionReport,
     top: usize,
 ) -> String {
     let flagged = report.kernels.iter().filter(|k| k.flagged).count();
     let mut out = format!(
         "profile: {sim_path} ({} profile events) vs {native_path} ({} profile events)\n",
-        sim.profiles.len(),
-        native.profiles.len()
+        sim.len(),
+        native.len()
     );
     out.push_str(&format!(
         "fitted clock {:.4} cycles/ns | mean residual {:.4} | sigma {:.4} | \
@@ -368,7 +316,7 @@ mod tests {
     use gala_core::louvain::{Louvain, LouvainConfig};
     use gala_core::observe::Obs;
     use gala_graph::generators::fixtures;
-    use gala_telemetry::JsonlSink;
+    use gala_telemetry::{JsonlSink, SCHEMA_VERSION};
 
     fn tmp(name: &str) -> String {
         std::env::temp_dir()
@@ -411,7 +359,10 @@ mod tests {
         }
     }
 
-    fn resolve(sim: &str, native: &str) -> (ProfileEvents, ProfileEvents, AttributionReport) {
+    fn resolve(
+        sim: &str,
+        native: &str,
+    ) -> (Vec<PhaseProfile>, Vec<PhaseProfile>, AttributionReport) {
         let s = load_profiles(sim).unwrap();
         let n = load_profiles(native).unwrap();
         let mut attr = Attribution::new();
@@ -425,8 +376,8 @@ mod tests {
     fn joins_real_backend_pair_and_renders() {
         let (sim, native) = paired("join");
         let (s, n, report) = resolve(&sim, &native);
-        assert!(s.profiles.iter().all(|(u, _)| u == "cycles"));
-        assert!(n.profiles.iter().all(|(u, _)| u == "ns"));
+        assert!(s.iter().all(|p| p.unit == "cycles"));
+        assert!(n.iter().all(|p| p.unit == "ns"));
         // The default workload-aware kernel anchors at the decide scope,
         // and phase 2 yields a contract row.
         assert!(
@@ -549,7 +500,8 @@ mod tests {
         std::fs::write(
             &path,
             format!(
-                "{{\"event\":\"run_end\",\"schema\":{SCHEMA_VERSION}}}\n{{\"event\":\"run_end\",\"schema\":1}}\n"
+                "{{\"event\":\"run_end\",\"schema\":{SCHEMA_VERSION},\"modularity\":0.5,\
+                 \"rounds\":1,\"total_cycles\":0}}\n{{\"event\":\"run_end\",\"schema\":1}}\n"
             ),
         )
         .unwrap();

@@ -1,5 +1,5 @@
-//! Hostile inputs through `gala detect`. A malformed input must fail with
-//! a typed error — a non-zero exit that is not a panic's 101 or a signal, no
+//! Hostile inputs through `gala detect` and `gala analyze`. A malformed
+//! input must fail with a typed error — a non-zero exit that is not a panic's 101 or a signal, no
 //! `panicked at` on stderr, and a message that names the offending line or
 //! the corruption. A degenerate but well-formed graph must succeed with its
 //! documented partition: singletons when no edge joins two vertices, one
@@ -39,18 +39,18 @@ fn v1_container(n: u64, offsets: &[u64], targets: &[u32], weights: &[f64]) -> Ve
     buf
 }
 
-/// Runs `gala detect` on `bytes` saved as `name`, asserting a clean
+/// Runs `gala <cmd...>` on `bytes` saved as `name`, asserting a clean
 /// failure whose stderr contains every string in `expect`.
-fn assert_rejected(name: &str, bytes: &[u8], expect: &[&str]) {
+fn assert_rejected(cmd: &[&str], name: &str, bytes: &[u8], expect: &[&str]) {
     let path = temp_file(name, bytes);
     let out = Command::new(env!("CARGO_BIN_EXE_gala"))
-        .arg("detect")
+        .args(cmd)
         .arg(&path)
         .output()
         .unwrap();
     let _ = std::fs::remove_file(&path);
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(!out.status.success(), "{name}: detect succeeded");
+    assert!(!out.status.success(), "{name}: {cmd:?} succeeded");
     assert_ne!(out.status.code(), Some(101), "{name}: panicked: {stderr}");
     // `None` is a signal, e.g. the abort of a failed allocation.
     assert!(out.status.code().is_some(), "{name}: killed: {stderr}");
@@ -136,13 +136,19 @@ fn degenerate_graphs_get_their_documented_partition() {
 fn text_with_hostile_weights_is_rejected() {
     for (name, w) in [("nan.txt", "nan"), ("inf.txt", "inf"), ("neg.txt", "-1")] {
         let text = format!("0 1 1\n1 2 2\n2 0 {w}\n");
-        assert_rejected(name, text.as_bytes(), &["line 3", "invalid weight", w]);
+        assert_rejected(
+            &["detect"],
+            name,
+            text.as_bytes(),
+            &["line 3", "invalid weight", w],
+        );
     }
 }
 
 #[test]
 fn text_with_a_malformed_token_is_rejected() {
     assert_rejected(
+        &["detect"],
         "token.txt",
         b"# header\n0 1\n1 x2\n",
         &["line 3", "invalid target 'x2'"],
@@ -154,6 +160,7 @@ fn a_huge_vertex_id_without_a_directive_is_rejected() {
     // Sized naively, this one edge would allocate offsets for 10^9
     // vertices and abort; `assert_rejected` also rules out a signal exit.
     assert_rejected(
+        &["detect"],
         "huge_id.txt",
         b"0 999999999\n",
         &["999999999", "1 edges", "#vertices"],
@@ -165,7 +172,12 @@ fn truncated_v2_container_is_rejected() {
     let mut b = GraphBuilder::new(4);
     b.extend_edges([(0, 1, 1.0), (1, 2, 1.0), (2, 3, 0.5)]);
     let bytes = io::to_bytes(&b.build());
-    assert_rejected("truncated.bin", &bytes[..bytes.len() - 5], &["truncated"]);
+    assert_rejected(
+        &["detect"],
+        "truncated.bin",
+        &bytes[..bytes.len() - 5],
+        &["truncated"],
+    );
 }
 
 #[test]
@@ -176,7 +188,7 @@ fn checksum_corrupt_v2_container_is_rejected() {
     // Flip a bit of the last weight: the CSR stays well-formed, so only
     // the checksum can catch it.
     *bytes.last_mut().unwrap() ^= 1;
-    assert_rejected("checksum.bin", &bytes, &["checksum mismatch"]);
+    assert_rejected(&["detect"], "checksum.bin", &bytes, &["checksum mismatch"]);
 }
 
 #[test]
@@ -184,6 +196,7 @@ fn v1_container_without_a_reverse_arc_is_rejected() {
     // Arc 0 -> 1 with no 1 -> 0.
     let bytes = v1_container(2, &[0, 1, 1], &[1], &[1.0]);
     assert_rejected(
+        &["detect"],
         "asym.bin",
         &bytes,
         &["corrupt graph", "edge (0,1) has no reverse edge"],
@@ -194,8 +207,21 @@ fn v1_container_without_a_reverse_arc_is_rejected() {
 fn v1_container_with_an_out_of_range_target_is_rejected() {
     let bytes = v1_container(2, &[0, 1, 2], &[1, 9], &[1.0, 1.0]);
     assert_rejected(
+        &["detect"],
         "range.bin",
         &bytes,
         &["corrupt graph", "target 9 out of range"],
+    );
+}
+
+#[test]
+fn a_deeply_nested_trace_line_is_rejected() {
+    // One line of 200,000 `[` used to recurse the JSON parser off the end
+    // of its stack; the nesting bound turns it into a parse error.
+    assert_rejected(
+        &["analyze", "--check"],
+        "deep.jsonl",
+        &b"[".repeat(200_000),
+        &["line 1", "nesting deeper than 128"],
     );
 }

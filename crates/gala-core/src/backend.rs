@@ -31,7 +31,7 @@ use gala_gpu::profile::{Profiler, SpanRecord};
 use gala_graph::coarsen::{self, coarsen_into, CoarsenScratch, Coarsened};
 use gala_graph::partition::CommunityId;
 use gala_graph::{Graph, Partition};
-use gala_telemetry::{profile_spans, profile_spans_wall, TraceEvent};
+use gala_telemetry::{profile_spans, profile_spans_wall, PhaseProfile, TraceEvent};
 use std::fmt;
 use std::str::FromStr;
 use std::time::Instant;
@@ -310,14 +310,14 @@ pub(crate) fn profile_event(
         Some(BackendKind::Native) => ("native", "ns", profile_spans_wall(root)),
         None => ("host", "ns", profile_spans_wall(root)),
     };
-    TraceEvent::Profile {
+    TraceEvent::Profile(PhaseProfile {
         round,
         superstep,
         phase: phase.to_string(),
         backend: backend.to_string(),
         unit: unit.to_string(),
         spans,
-    }
+    })
 }
 
 /// Hashtable placement for the contract kernel: reuse the phase-1 kernel's

@@ -174,7 +174,7 @@ mod tests {
 
     #[test]
     fn instrumented_run_matches_plain_and_emits_profiles() {
-        use gala_telemetry::{TraceEvent, VecSink};
+        use gala_telemetry::{PhaseProfile, TraceEvent, VecSink};
         let g = fixtures::ring_of_cliques(6, 5);
         let plain = grappolo(&g, 1e-6);
         let mut sink = VecSink::default();
@@ -185,13 +185,13 @@ mod tests {
         assert_eq!(traced.modularity, plain.modularity);
         let mut phase1_profiles = 0;
         for event in &sink.events {
-            if let TraceEvent::Profile {
+            if let TraceEvent::Profile(PhaseProfile {
                 backend,
                 unit,
                 phase,
                 spans,
                 ..
-            } = event
+            }) = event
             {
                 assert_eq!(backend, "host");
                 assert_eq!(unit, "ns");

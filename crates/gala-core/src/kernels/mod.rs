@@ -140,7 +140,8 @@ pub fn decide_profiled(
 
 /// [`decide_profiled`] writing into caller-owned buffers: `out` is fully
 /// rewritten and `scratch` provides the recycled intermediates. This is the
-/// hot entry point the Louvain and multi-GPU drivers call every superstep.
+/// hot entry point the Louvain driver calls every superstep, on one device
+/// or split over several.
 pub fn decide_profiled_into(
     kind: KernelKind,
     graph: &Graph,

@@ -420,7 +420,7 @@ mod tests {
 
     #[test]
     fn instrumented_run_matches_plain_and_profiles_both_units() {
-        use gala_telemetry::{TraceEvent, VecSink};
+        use gala_telemetry::{PhaseProfile, TraceEvent, VecSink};
         let g = fixtures::ring_of_cliques(8, 5);
         let plain = leiden(&g, LeidenConfig::default());
         let mut sink = VecSink::default();
@@ -434,13 +434,13 @@ mod tests {
         let mut saw_host_phase1 = false;
         let mut saw_sim_contract = false;
         for event in &sink.events {
-            if let TraceEvent::Profile {
+            if let TraceEvent::Profile(PhaseProfile {
                 backend,
                 unit,
                 phase,
                 spans,
                 ..
-            } = event
+            }) = event
             {
                 match phase.as_str() {
                     "phase1" => {

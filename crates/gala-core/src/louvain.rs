@@ -17,7 +17,7 @@ use crate::weight::{self, WeightUpdateMode};
 use gala_gpu::memory::{CostModel, MemTally};
 use gala_graph::coarsen::CoarsenScratch;
 use gala_graph::{Graph, Partition};
-use gala_telemetry::{MetricsRegistry, TraceEvent};
+use gala_telemetry::{DeviceSync, MetricsRegistry, RoundEnd, Superstep, TraceEvent};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::time::{Duration, Instant};
@@ -391,7 +391,7 @@ impl Louvain {
                 moved,
                 q,
                 || {
-                    let step = TraceEvent::Superstep {
+                    let step = TraceEvent::Superstep(Superstep {
                         round: round as u32,
                         superstep: iteration as u32,
                         active: num_active as u64,
@@ -404,7 +404,7 @@ impl Louvain {
                         weight_tally,
                         hash_occupancy: out.hash_stats.occupancy(),
                         hash_evictions: out.hash_stats.shared_evictions,
-                    };
+                    });
                     let sync = devices.as_ref().zip(sync);
                     std::iter::once(step).chain(sync.map(|(d, s)| d.event(iteration as u32, &s)))
                 },
@@ -542,12 +542,14 @@ impl Louvain {
             // event per partitioned round (host contraction exchanges
             // nothing).
             if cstats.mode != "host" {
-                obs.emit(|| TraceEvent::Sync {
-                    superstep: supersteps as u32,
-                    mode: cstats.mode.to_string(),
-                    bytes: cstats.exchange_bytes,
-                    comm_us: cstats.exchange_us,
-                    devices: cfg.devices as u32,
+                obs.emit(|| {
+                    TraceEvent::Sync(DeviceSync {
+                        superstep: supersteps as u32,
+                        mode: cstats.mode.to_string(),
+                        bytes: cstats.exchange_bytes,
+                        comm_us: cstats.exchange_us,
+                        devices: cfg.devices as u32,
+                    })
                 });
             }
             obs.exit_round();
@@ -566,11 +568,13 @@ impl Louvain {
                 best = Some((composed.clone(), q_flat));
             }
             flat = Some(composed);
-            obs.emit(|| TraceEvent::RoundEnd {
-                round: round as u32,
-                supersteps: supersteps as u32,
-                modularity: q,
-                communities: coarse.num_communities as u64,
+            obs.emit(|| {
+                TraceEvent::RoundEnd(RoundEnd {
+                    round: round as u32,
+                    supersteps: supersteps as u32,
+                    modularity: q,
+                    communities: coarse.num_communities as u64,
+                })
             });
             // Coarsening progress: the next round's graph size tells the
             // operator how fast the hierarchy is collapsing.
@@ -892,7 +896,7 @@ mod tests {
 
     #[test]
     fn traced_run_equals_untraced_run() {
-        use gala_telemetry::VecSink;
+        use gala_telemetry::{RunEnd, VecSink};
         let g = fixtures::ring_of_cliques(6, 5);
         let runner = Louvain::new(LouvainConfig::default());
         let plain = runner.run(&g);
@@ -908,13 +912,13 @@ mod tests {
         let supersteps: Vec<_> = events
             .iter()
             .filter_map(|e| match e {
-                TraceEvent::Superstep {
+                TraceEvent::Superstep(Superstep {
                     active,
                     moved,
                     pruned,
                     unmoved,
                     ..
-                } => Some((*active, *moved, *pruned, *unmoved)),
+                }) => Some((*active, *moved, *pruned, *unmoved)),
                 _ => None,
             })
             .collect();
@@ -929,11 +933,11 @@ mod tests {
         let round_ends = events.iter().filter(|e| e.kind() == "round_end").count();
         assert_eq!(round_ends, traced.rounds.len());
         match events.last().unwrap() {
-            TraceEvent::RunEnd {
+            TraceEvent::RunEnd(RunEnd {
                 modularity,
                 rounds,
                 total_cycles,
-            } => {
+            }) => {
                 assert_eq!(*modularity, traced.modularity);
                 assert_eq!(*rounds as usize, traced.rounds.len());
                 assert!(*total_cycles > 0.0);
@@ -944,7 +948,7 @@ mod tests {
 
     #[test]
     fn instrumented_run_produces_span_trees() {
-        use gala_telemetry::VecSink;
+        use gala_telemetry::{SpanTree, VecSink};
         let g = fixtures::ring_of_cliques(6, 5);
         let runner = Louvain::new(LouvainConfig::default());
         let plain = runner.run(&g);
@@ -960,7 +964,7 @@ mod tests {
             .events
             .iter()
             .filter_map(|e| match e {
-                TraceEvent::Span { phase, root, .. } if phase == "phase1" => Some(root),
+                TraceEvent::Span(SpanTree { phase, root, .. }) if phase == "phase1" => Some(root),
                 _ => None,
             })
             .collect();
@@ -968,7 +972,9 @@ mod tests {
         let contracts = sink
             .events
             .iter()
-            .filter(|e| matches!(e, TraceEvent::Span { phase, .. } if phase == "contract"))
+            .filter(
+                |e| matches!(e, TraceEvent::Span(SpanTree { phase, .. }) if phase == "contract"),
+            )
             .count();
         assert_eq!(contracts, traced.rounds.len());
         // Each phase-1 tree has the superstep phases with the decide
@@ -1004,7 +1010,7 @@ mod tests {
 
     #[test]
     fn traced_run_emits_per_round_metrics() {
-        use gala_telemetry::VecSink;
+        use gala_telemetry::{MetricsSnapshot, VecSink};
         let g = fixtures::ring_of_cliques(6, 5);
         let runner = Louvain::new(LouvainConfig::default());
         let mut sink = VecSink::default();
@@ -1013,11 +1019,11 @@ mod tests {
             .events
             .iter()
             .filter_map(|e| match e {
-                TraceEvent::Metrics {
+                TraceEvent::Metrics(MetricsSnapshot {
                     round,
                     scope,
                     registry,
-                } => Some((*round, scope.as_str(), registry)),
+                }) => Some((*round, scope.as_str(), registry)),
                 _ => None,
             })
             .collect();
@@ -1060,7 +1066,7 @@ mod tests {
     fn damped_audit_samples_only_what_the_mg_bound_pruned() {
         // Damping defers vertices that may hold winning moves; the audit
         // must keep measuring Theorem 6 on the MG-pruned set alone.
-        use gala_telemetry::VecSink;
+        use gala_telemetry::{MetricsSnapshot, VecSink};
         let g = gala_graph::generators::sbm::PlantedPartition {
             num_communities: 12,
             community_size: 50,
@@ -1073,7 +1079,7 @@ mod tests {
         Louvain::new(LouvainConfig::default()).run_with(&g, &mut Obs::traced(&mut sink));
         let (mut deferred, mut sampled, mut fns) = (0, 0, 0);
         for e in &sink.events {
-            if let TraceEvent::Metrics { registry, .. } = e {
+            if let TraceEvent::Metrics(MetricsSnapshot { registry, .. }) = e {
                 deferred += registry.counter("pruning/deferred").unwrap_or(0);
                 sampled += registry.counter("pruning/audit_sampled").unwrap_or(0);
                 fns += registry

@@ -34,7 +34,7 @@ use gala_gpu::comm::DeviceGroup;
 use gala_gpu::memory::{CostModel, MemTally};
 use gala_gpu::profile::Profiler;
 use gala_graph::{Graph, VertexId};
-use gala_telemetry::{MetricsRegistry, TraceEvent};
+use gala_telemetry::{DeviceSync, MetricsRegistry, TraceEvent};
 use std::fmt;
 use std::ops::Range;
 use std::str::FromStr;
@@ -285,13 +285,13 @@ impl Devices {
 
     /// The `sync` trace event of superstep `superstep`.
     pub(crate) fn event(&self, superstep: u32, sync: &Sync) -> TraceEvent {
-        TraceEvent::Sync {
+        TraceEvent::Sync(DeviceSync {
             superstep,
             mode: sync.mode.name().to_string(),
             bytes: sync.bytes,
             comm_us: sync.comm_us,
             devices: self.ranges.len() as u32,
-        }
+        })
     }
 
     /// Closes a round's `sync/*` metrics: the device count and the
@@ -317,7 +317,7 @@ mod tests {
     use crate::louvain::{Louvain, LouvainConfig, LouvainResult};
     use crate::observe::Obs;
     use gala_graph::generators::fixtures;
-    use gala_telemetry::VecSink;
+    use gala_telemetry::{MetricsSnapshot, RoundEnd, RunStart, SpanTree, VecSink};
 
     fn on(devices: usize) -> Louvain {
         Louvain::new(LouvainConfig {
@@ -337,13 +337,13 @@ mod tests {
         sink.events
             .iter()
             .filter_map(|e| match e {
-                TraceEvent::Sync {
+                TraceEvent::Sync(DeviceSync {
                     mode,
                     bytes,
                     comm_us,
                     devices,
                     ..
-                } if !mode.starts_with("exchange-") => {
+                }) if !mode.starts_with("exchange-") => {
                     Some((mode.clone(), *bytes, *comm_us, *devices))
                 }
                 _ => None,
@@ -465,7 +465,7 @@ mod tests {
             .events
             .iter()
             .filter_map(|e| match e {
-                TraceEvent::Span { phase, root, .. } if phase == "phase1" => Some(root),
+                TraceEvent::Span(SpanTree { phase, root, .. }) if phase == "phase1" => Some(root),
                 _ => None,
             })
             .collect();
@@ -498,9 +498,9 @@ mod tests {
             .events
             .iter()
             .filter_map(|e| match e {
-                TraceEvent::Metrics {
+                TraceEvent::Metrics(MetricsSnapshot {
                     scope, registry, ..
-                } => Some((scope.as_str(), registry)),
+                }) => Some((scope.as_str(), registry)),
                 _ => None,
             })
             .collect();
@@ -574,19 +574,19 @@ mod tests {
         let starts = sink
             .events
             .iter()
-            .filter(|e| matches!(e, TraceEvent::RunStart { devices: 4, .. }))
+            .filter(|e| matches!(e, TraceEvent::RunStart(RunStart { devices: 4, .. })))
             .count();
         let ends = sink
             .events
             .iter()
-            .filter(|e| matches!(e, TraceEvent::RunEnd { .. }))
+            .filter(|e| matches!(e, TraceEvent::RunEnd(_)))
             .count();
         assert_eq!((starts, ends), (1, 1), "one bracket around the hierarchy");
         let round_ends: Vec<u32> = sink
             .events
             .iter()
             .filter_map(|e| match e {
-                TraceEvent::RoundEnd { round, .. } => Some(*round),
+                TraceEvent::RoundEnd(RoundEnd { round, .. }) => Some(*round),
                 _ => None,
             })
             .collect();
@@ -600,7 +600,7 @@ mod tests {
             .events
             .iter()
             .filter_map(|e| match e {
-                TraceEvent::Span { phase, root, .. } if phase == "contract" => Some(root),
+                TraceEvent::Span(SpanTree { phase, root, .. }) if phase == "contract" => Some(root),
                 _ => None,
             })
             .collect();
@@ -618,7 +618,9 @@ mod tests {
             .events
             .iter()
             .filter_map(|e| match e {
-                TraceEvent::Sync { mode, bytes, .. } if mode.starts_with("exchange-") => {
+                TraceEvent::Sync(DeviceSync { mode, bytes, .. })
+                    if mode.starts_with("exchange-") =>
+                {
                     Some((mode.clone(), *bytes))
                 }
                 _ => None,

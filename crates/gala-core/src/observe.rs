@@ -45,7 +45,9 @@ use crate::backend::{profile_event, BackendKind};
 use gala_gpu::profile::{Profiler, SpanRecord};
 use gala_graph::Graph;
 use gala_telemetry::recorder::{self, ProgressLimiter, ProgressSnapshot};
-use gala_telemetry::{MetricsRegistry, TraceEvent, TraceSink};
+use gala_telemetry::{
+    MetricsRegistry, MetricsSnapshot, RoundEnd, RunEnd, RunStart, SpanTree, TraceEvent, TraceSink,
+};
 
 /// A run's observer. Construct it with [`Obs::off`] or [`Obs::traced`]
 /// (plus [`Obs::profiled`] for the run-level span tree) right before the
@@ -129,20 +131,24 @@ impl<'a> Obs<'a> {
     /// Opens the run: names the driver and emits `run_start`.
     pub(crate) fn run_start(&mut self, driver: &'static str, graph: &Graph, devices: usize) {
         self.driver = driver;
-        self.emit(|| TraceEvent::RunStart {
-            algorithm: driver.to_string(),
-            n: graph.num_vertices() as u64,
-            m: graph.num_edges() as u64,
-            devices: devices as u32,
+        self.emit(|| {
+            TraceEvent::RunStart(RunStart {
+                algorithm: driver.to_string(),
+                n: graph.num_vertices() as u64,
+                m: graph.num_edges() as u64,
+                devices: devices as u32,
+            })
         });
     }
 
     /// Closes the run with `run_end`.
     pub(crate) fn run_end(&mut self, modularity: f64, rounds: usize, total_cycles: f64) {
-        self.emit(|| TraceEvent::RunEnd {
-            modularity,
-            rounds: rounds as u32,
-            total_cycles,
+        self.emit(|| {
+            TraceEvent::RunEnd(RunEnd {
+                modularity,
+                rounds: rounds as u32,
+                total_cycles,
+            })
         });
     }
 
@@ -184,12 +190,12 @@ impl<'a> Obs<'a> {
         }
         let tree = sub.finish();
         if let Some(sink) = self.sink.as_deref_mut() {
-            sink.emit(TraceEvent::Span {
+            sink.emit(TraceEvent::Span(SpanTree {
                 round,
                 superstep,
                 phase: phase.to_string(),
                 root: tree.clone(),
-            });
+            }));
             sink.emit(profile_event(backend, round, superstep, phase, &tree));
         }
         if phase == "phase1" && tree.child("superstep").is_none() {
@@ -250,11 +256,11 @@ impl<'a> Obs<'a> {
         if let Some(sink) = self.sink.as_deref_mut() {
             let mut registry = self.metrics.take().unwrap_or_default();
             finish(&mut registry);
-            sink.emit(TraceEvent::Metrics {
+            sink.emit(TraceEvent::Metrics(MetricsSnapshot {
                 round,
                 scope: scope.to_string(),
                 registry,
-            });
+            }));
         }
         let step = std::mem::take(&mut self.step);
         self.send_round(round, "phase1", supersteps as u32, q, step);
@@ -279,11 +285,13 @@ impl<'a> Obs<'a> {
             return;
         }
         let q = q();
-        self.emit(|| TraceEvent::RoundEnd {
-            round,
-            supersteps: supersteps as u32,
-            modularity: q,
-            communities: communities as u64,
+        self.emit(|| {
+            TraceEvent::RoundEnd(RoundEnd {
+                round,
+                supersteps: supersteps as u32,
+                modularity: q,
+                communities: communities as u64,
+            })
         });
         self.round_progress(round, phase, supersteps, q, arcs);
     }
@@ -350,11 +358,11 @@ impl<'a> Obs<'a> {
             return;
         }
         let snap = self.snap(round, phase, superstep, q, c);
-        if let Some(sink) = self.sink.as_deref_mut() {
-            sink.emit(snap.to_trace_event());
-        }
         if self.live {
             recorder::observe_progress(&snap);
+        }
+        if let Some(sink) = self.sink.as_deref_mut() {
+            sink.emit(TraceEvent::Progress(snap));
         }
     }
 }
@@ -410,7 +418,7 @@ mod tests {
         drop(obs);
         assert_eq!(sink.events.len(), 1);
         match &sink.events[0] {
-            TraceEvent::Progress {
+            TraceEvent::Progress(ProgressSnapshot {
                 driver,
                 round,
                 phase,
@@ -418,7 +426,7 @@ mod tests {
                 modularity,
                 arcs,
                 ..
-            } => {
+            }) => {
                 assert_eq!(driver, "test-driver");
                 assert_eq!(*round, 2);
                 assert_eq!(phase, "contract");

@@ -236,7 +236,7 @@ mod tests {
 
     #[test]
     fn instrumented_run_emits_host_profile_events() {
-        use gala_telemetry::{TraceEvent, VecSink};
+        use gala_telemetry::{PhaseProfile, TraceEvent, VecSink};
         let g = fixtures::ring_of_cliques(6, 5);
         let plain = sequential_louvain(&g, SequentialConfig::default());
         let mut sink = VecSink::default();
@@ -249,13 +249,13 @@ mod tests {
             .events
             .iter()
             .filter_map(|e| match e {
-                TraceEvent::Profile {
+                TraceEvent::Profile(PhaseProfile {
                     backend,
                     unit,
                     phase,
                     spans,
                     ..
-                } => Some((backend.as_str(), unit.as_str(), phase.as_str(), spans)),
+                }) => Some((backend.as_str(), unit.as_str(), phase.as_str(), spans)),
                 _ => None,
             })
             .collect();

@@ -112,9 +112,9 @@ fn set(v: &mut Value, key: &str, f: impl FnOnce(&mut Value)) {
 fn normalized(event: &TraceEvent) -> String {
     let mut v = event.to_json();
     zero_elapsed(&mut v);
-    match v.get("event").and_then(Value::as_str) {
-        Some("progress") => set(&mut v, "rss_bytes", zero_numbers),
-        Some("profile") if v.get("unit").and_then(Value::as_str) == Some("ns") => {
+    match event {
+        TraceEvent::Progress(_) => set(&mut v, "rss_bytes", zero_numbers),
+        TraceEvent::Profile(p) if p.unit == "ns" => {
             set(&mut v, "spans", |spans| {
                 if let Value::Array(rows) = spans {
                     for row in rows {

@@ -14,7 +14,7 @@ use gala_core::louvain::{Louvain, LouvainConfig};
 use gala_core::observe::Obs;
 use gala_graph::generators::sbm::PlantedPartition;
 use gala_graph::Graph;
-use gala_telemetry::{ProfileSpan, TraceEvent, VecSink};
+use gala_telemetry::{PhaseProfile, ProfileSpan, TraceEvent, VecSink};
 use rayon::with_parallelism;
 
 const WIDTHS: [usize; 3] = [1, 2, 8];
@@ -42,14 +42,14 @@ fn profile_rows(graph: &Graph, kernel: KernelKind) -> Vec<(u32, u32, String, Vec
     sink.events
         .into_iter()
         .filter_map(|e| match e {
-            TraceEvent::Profile {
+            TraceEvent::Profile(PhaseProfile {
                 round,
                 superstep,
                 phase,
                 backend,
                 unit,
                 spans,
-            } => {
+            }) => {
                 assert_eq!(backend, "sim");
                 assert_eq!(unit, "cycles");
                 Some((round, superstep, phase, spans))

@@ -39,7 +39,7 @@ use gala_gpu::memory::{ComponentCharges, CostModel, COMPONENT_NAMES};
 use crate::json::Value;
 use crate::report::{judge, Direction, Verdict};
 use crate::trace::ProfileSpan;
-use crate::{MIN_SCHEMA_VERSION, SCHEMA_VERSION};
+use crate::{check_schema, SCHEMA_VERSION};
 
 /// How many standard deviations a kernel's residual may sit from the
 /// fleet mean before [`KernelResidual::flagged`] is set.
@@ -410,15 +410,7 @@ impl Calibration {
     /// Parses a calibration back, enforcing the schema range every other
     /// reader in the workspace enforces.
     pub fn from_json(v: &Value) -> Result<Self, String> {
-        let schema = v
-            .get("schema")
-            .and_then(Value::as_u64)
-            .ok_or("calibration missing schema")?;
-        if !(MIN_SCHEMA_VERSION..=SCHEMA_VERSION).contains(&schema) {
-            return Err(format!(
-                "calibration schema {schema} outside supported {MIN_SCHEMA_VERSION}..={SCHEMA_VERSION}"
-            ));
-        }
+        check_schema(v).map_err(|e| format!("calibration {e}"))?;
         let clock = v
             .get("clock_cycles_per_ns")
             .and_then(Value::as_f64)

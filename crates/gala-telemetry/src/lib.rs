@@ -8,7 +8,8 @@
 //! * [`trace`] — [`TraceEvent`]s emitted per superstep / sync / round by
 //!   the `gala-core` drivers, consumed through the [`TraceSink`] trait.
 //!   The [`NullSink`] reports `enabled() == false`, so tracing costs one
-//!   branch when off.
+//!   branch when off. The module owns the trace format: the JSON codec
+//!   and [`read_trace`], the one reader of trace files.
 //! * [`metrics`] — a [`MetricsRegistry`] of named counters, gauges and
 //!   log2-bucketed [`Histogram`]s for algorithm-level quantities (pruning
 //!   effectiveness, kernel routing splits, hashtable level statistics,
@@ -56,9 +57,9 @@ pub use report::{
     direction, judge, Direction, Judged, MetricRow, Regression, Report, ReportError, Verdict,
 };
 pub use trace::{
-    components_from_json, components_to_json, profile_span_from_json, profile_span_to_json,
-    profile_spans, profile_spans_wall, span_from_json, span_to_json, tally_from_json,
-    tally_to_json, JsonlSink, NullSink, ProfileSpan, TraceEvent, TraceSink, VecSink,
+    profile_spans, profile_spans_wall, read_trace, DeviceSync, JsonlSink, MetricsSnapshot,
+    NullSink, PhaseProfile, ProfileSpan, RoundEnd, RunEnd, RunStart, SpanTree, Superstep,
+    TraceEvent, TraceSink, VecSink,
 };
 
 /// Version of the trace-event and report JSON schemas. Bump on any
@@ -77,3 +78,21 @@ pub const SCHEMA_VERSION: u64 = 5;
 /// [`MIN_SCHEMA_VERSION`] are purely additive (new event kinds), so traces
 /// and reports in `MIN_SCHEMA_VERSION..=SCHEMA_VERSION` all parse.
 pub const MIN_SCHEMA_VERSION: u64 = 2;
+
+/// The schema gate every reader applies: `doc`'s `"schema"` member must be
+/// an integer in `MIN_SCHEMA_VERSION..=SCHEMA_VERSION`. Returns the
+/// version, or an error phrase that follows the document's name, e.g.
+/// "has schema 1 (this build reads 2..=5)".
+pub fn check_schema(doc: &Value) -> Result<u64, String> {
+    let schema = doc
+        .get("schema")
+        .and_then(Value::as_u64)
+        .ok_or("has no integer `schema`")?;
+    if (MIN_SCHEMA_VERSION..=SCHEMA_VERSION).contains(&schema) {
+        Ok(schema)
+    } else {
+        Err(format!(
+            "has schema {schema} (this build reads {MIN_SCHEMA_VERSION}..={SCHEMA_VERSION})"
+        ))
+    }
+}

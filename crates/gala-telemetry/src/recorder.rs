@@ -34,7 +34,7 @@ use std::time::{Duration, Instant};
 
 use crate::json::Value;
 use crate::trace::{TraceEvent, TraceSink};
-use crate::{MIN_SCHEMA_VERSION, SCHEMA_VERSION};
+use crate::{check_schema, SCHEMA_VERSION};
 
 /// Severity of a [`LogEvent`], ordered from most to least severe.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -100,7 +100,8 @@ impl std::fmt::Display for Level {
     }
 }
 
-/// One structured log line in the flight-recorder ring.
+/// One structured log line in the flight-recorder ring; in a trace, the
+/// payload of [`TraceEvent::Log`].
 #[derive(Clone, Debug, PartialEq)]
 pub struct LogEvent {
     /// Monotonic sequence number, assigned at append time and never
@@ -119,45 +120,8 @@ pub struct LogEvent {
     pub fields: Vec<(String, f64)>,
 }
 
-impl LogEvent {
-    /// The schema-5 [`TraceEvent::Log`] form of this line.
-    pub fn to_trace_event(&self) -> TraceEvent {
-        TraceEvent::Log {
-            seq: self.seq,
-            elapsed_us: self.elapsed_us,
-            level: self.level.as_str().to_string(),
-            scope: self.scope.clone(),
-            message: self.message.clone(),
-            fields: self.fields.clone(),
-        }
-    }
-
-    /// Serialises exactly like [`TraceEvent::Log`] (one JSONL object).
-    pub fn to_json(&self) -> Value {
-        self.to_trace_event().to_json()
-    }
-
-    /// Parses a [`LogEvent`] back from the object [`LogEvent::to_json`]
-    /// writes. Returns `None` on any structural mismatch.
-    pub fn from_json(v: &Value) -> Option<Self> {
-        let fields = v
-            .get("fields")?
-            .as_object()?
-            .iter()
-            .map(|(k, n)| Some((k.clone(), n.as_f64()?)))
-            .collect::<Option<_>>()?;
-        Some(LogEvent {
-            seq: v.get("seq")?.as_u64()?,
-            elapsed_us: v.get("elapsed_us")?.as_u64()?,
-            level: Level::parse(v.get("level")?.as_str()?)?,
-            scope: v.get("scope")?.as_str()?.to_string(),
-            message: v.get("message")?.as_str()?.to_string(),
-            fields,
-        })
-    }
-}
-
-/// A bounded-frequency view of where a driver is right now.
+/// A bounded-frequency view of where a driver is right now; in a trace,
+/// the payload of [`TraceEvent::Progress`].
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ProgressSnapshot {
     /// Driver name (`"louvain"`, `"leiden"`, `"stream"`, …).
@@ -181,42 +145,6 @@ pub struct ProgressSnapshot {
 }
 
 impl ProgressSnapshot {
-    /// The schema-5 [`TraceEvent::Progress`] form of this snapshot.
-    pub fn to_trace_event(&self) -> TraceEvent {
-        TraceEvent::Progress {
-            driver: self.driver.clone(),
-            round: self.round,
-            phase: self.phase.clone(),
-            superstep: self.superstep,
-            modularity: self.modularity,
-            active_frac: self.active_frac,
-            moved_frac: self.moved_frac,
-            arcs: self.arcs,
-            rss_bytes: self.rss_bytes,
-        }
-    }
-
-    /// Serialises exactly like [`TraceEvent::Progress`].
-    pub fn to_json(&self) -> Value {
-        self.to_trace_event().to_json()
-    }
-
-    /// Parses a snapshot back from the object [`ProgressSnapshot::to_json`]
-    /// writes. Returns `None` on any structural mismatch.
-    pub fn from_json(v: &Value) -> Option<Self> {
-        Some(ProgressSnapshot {
-            driver: v.get("driver")?.as_str()?.to_string(),
-            round: v.get("round")?.as_u64()? as u32,
-            phase: v.get("phase")?.as_str()?.to_string(),
-            superstep: v.get("superstep")?.as_u64()? as u32,
-            modularity: v.get("modularity")?.as_f64()?,
-            active_frac: v.get("active_frac")?.as_f64()?,
-            moved_frac: v.get("moved_frac")?.as_f64()?,
-            arcs: v.get("arcs")?.as_u64()?,
-            rss_bytes: v.get("rss_bytes")?.as_u64()?,
-        })
-    }
-
     /// One-line human rendering for status lines and heartbeat logs.
     pub fn render_line(&self) -> String {
         let rss = if self.rss_bytes > 0 {
@@ -531,7 +459,7 @@ pub fn drain_into_sink(sink: &mut dyn TraceSink) {
     }
     let (events, _) = drain();
     for event in events {
-        sink.emit(event.to_trace_event());
+        sink.emit(TraceEvent::Log(event));
     }
 }
 
@@ -767,7 +695,12 @@ pub fn write_crash_dump(manifest: &Manifest, reason: &str) -> Option<std::path::
         .set("dropped", dropped)
         .set(
             "events",
-            Value::Array(events.iter().map(LogEvent::to_json).collect()),
+            Value::Array(
+                events
+                    .into_iter()
+                    .map(|e| TraceEvent::Log(e).to_json())
+                    .collect(),
+            ),
         );
     let path = crash_dir().join(format!("crash-{}.json", std::process::id()));
     std::fs::write(&path, doc.render_pretty()).ok()?;
@@ -802,16 +735,7 @@ pub fn install_panic_hook(manifest: Manifest) {
 /// increasing sequence numbers starting at the drop counter, well-formed
 /// log events). Returns a one-line summary on success.
 pub fn validate_crash_dump(doc: &Value) -> Result<String, String> {
-    let schema = doc
-        .get("schema")
-        .and_then(Value::as_u64)
-        .ok_or("crash dump missing numeric `schema`")?;
-    if !(MIN_SCHEMA_VERSION..=SCHEMA_VERSION).contains(&schema) {
-        return Err(format!(
-            "crash dump schema {schema} outside supported range \
-             {MIN_SCHEMA_VERSION}..={SCHEMA_VERSION}"
-        ));
-    }
+    let schema = check_schema(doc).map_err(|e| format!("crash dump {e}"))?;
     if doc.get("kind").and_then(Value::as_str) != Some("crash") {
         return Err("crash dump `kind` is not \"crash\"".to_string());
     }
@@ -828,8 +752,14 @@ pub fn validate_crash_dump(doc: &Value) -> Result<String, String> {
         .ok_or("crash dump missing `events` array")?;
     for (i, ev) in events.iter().enumerate() {
         let expect = dropped + i as u64;
-        let parsed = LogEvent::from_json(ev)
-            .ok_or_else(|| format!("crash dump event {i} is not a well-formed log event"))?;
+        let parsed = match TraceEvent::from_json(ev) {
+            Ok(TraceEvent::Log(parsed)) => parsed,
+            _ => {
+                return Err(format!(
+                    "crash dump event {i} is not a well-formed log event"
+                ))
+            }
+        };
         if parsed.seq != expect {
             return Err(format!(
                 "crash dump event {i} has seq {} (expected {expect}: the first \
@@ -919,11 +849,11 @@ mod tests {
     #[test]
     fn log_event_round_trips_through_json() {
         let event = sample_event(7);
-        let rendered = event.to_json().render();
-        let v = parse(&rendered).unwrap();
+        let event = TraceEvent::Log(event);
+        let v = parse(&event.to_json().render()).unwrap();
         assert_eq!(v.get("event").unwrap().as_str(), Some("log"));
         assert_eq!(v.get("schema").unwrap().as_u64(), Some(SCHEMA_VERSION));
-        assert_eq!(LogEvent::from_json(&v).unwrap(), event);
+        assert_eq!(TraceEvent::from_json(&v), Ok(event));
     }
 
     #[test]
@@ -939,9 +869,10 @@ mod tests {
             arcs: 123_456,
             rss_bytes: 64 << 20,
         };
-        let v = parse(&snap.to_json().render()).unwrap();
+        let event = TraceEvent::Progress(snap.clone());
+        let v = parse(&event.to_json().render()).unwrap();
         assert_eq!(v.get("event").unwrap().as_str(), Some("progress"));
-        assert_eq!(ProgressSnapshot::from_json(&v).unwrap(), snap);
+        assert_eq!(TraceEvent::from_json(&v), Ok(event));
         let line = snap.render_line();
         assert!(line.contains("multi-gpu"), "{line}");
         assert!(line.contains("0.45100"), "{line}");
@@ -982,7 +913,12 @@ mod tests {
             .set("dropped", ring.dropped())
             .set(
                 "events",
-                Value::Array(ring.drain().iter().map(LogEvent::to_json).collect()),
+                Value::Array(
+                    ring.drain()
+                        .into_iter()
+                        .map(|e| TraceEvent::Log(e).to_json())
+                        .collect(),
+                ),
             );
         let summary = validate_crash_dump(&doc).unwrap();
         assert!(summary.starts_with("ok:"), "{summary}");
@@ -1074,12 +1010,12 @@ mod tests {
                     .into_iter()
                     .filter(|(k, _)| seen.insert(k.clone()))
                     .collect();
-                let event = LogEvent {
+                let event = TraceEvent::Log(LogEvent {
                     seq, elapsed_us, level, scope, message, fields,
-                };
+                });
                 let rendered = event.to_json().render();
-                let back = LogEvent::from_json(&parse(&rendered).unwrap()).unwrap();
-                prop_assert_eq!(back, event);
+                let back = TraceEvent::from_json(&parse(&rendered).unwrap());
+                prop_assert_eq!(back, Ok(event));
             }
 
             #[test]
@@ -1094,14 +1030,13 @@ mod tests {
                 driver in name_strategy(),
                 phase in name_strategy(),
             ) {
-                let snap = ProgressSnapshot {
+                let event = TraceEvent::Progress(ProgressSnapshot {
                     driver, round, phase, superstep, modularity,
                     active_frac, moved_frac, arcs, rss_bytes,
-                };
-                let rendered = snap.to_json().render();
-                let back =
-                    ProgressSnapshot::from_json(&parse(&rendered).unwrap()).unwrap();
-                prop_assert_eq!(back, snap);
+                });
+                let rendered = event.to_json().render();
+                let back = TraceEvent::from_json(&parse(&rendered).unwrap());
+                prop_assert_eq!(back, Ok(event));
             }
 
             #[test]

@@ -17,7 +17,7 @@ use std::io;
 use std::path::Path;
 
 use crate::json::{parse, ParseError, Value};
-use crate::{MIN_SCHEMA_VERSION, SCHEMA_VERSION};
+use crate::{check_schema, SCHEMA_VERSION};
 
 /// One labelled row of numeric metrics (mirrors one table row).
 #[derive(Clone, Debug, PartialEq)]
@@ -139,16 +139,7 @@ impl Report {
 
     /// Parses a report back from its JSON envelope.
     pub fn from_json(v: &Value) -> Result<Report, ReportError> {
-        let schema = v
-            .get("schema")
-            .and_then(Value::as_u64)
-            .ok_or_else(|| ReportError::shape("missing `schema`"))?;
-        if !(MIN_SCHEMA_VERSION..=SCHEMA_VERSION).contains(&schema) {
-            return Err(ReportError::Shape(format!(
-                "unsupported schema version {schema} \
-                 (this build reads {MIN_SCHEMA_VERSION}..={SCHEMA_VERSION})"
-            )));
-        }
+        check_schema(v).map_err(|e| ReportError::Shape(format!("report {e}")))?;
         let text = |key: &str| -> Result<String, ReportError> {
             v.get(key)
                 .and_then(Value::as_str)
