@@ -508,8 +508,8 @@ impl Command {
                     out.resolution = v
                         .parse()
                         .map_err(|_| ParseError(format!("bad resolution `{v}`")))?;
-                    if out.resolution.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
-                        return Err(ParseError("resolution must be > 0".into()));
+                    if !(out.resolution.is_finite() && out.resolution > 0.0) {
+                        return Err(ParseError("resolution must be finite and > 0".into()));
                     }
                 }
                 "--output" => out.output = Some(value(args, &mut i, "--output")?.to_string()),
@@ -869,6 +869,8 @@ mod tests {
     fn rejects_bad_values() {
         assert!(Command::parse(&argv("detect g.txt --resolution zero")).is_err());
         assert!(Command::parse(&argv("detect g.txt --resolution -1")).is_err());
+        assert!(Command::parse(&argv("detect g.txt --resolution inf")).is_err());
+        assert!(Command::parse(&argv("detect g.txt --resolution NaN")).is_err());
         assert!(Command::parse(&argv("detect g.txt --devices 0")).is_err());
         assert!(Command::parse(&argv("detect g.txt --pruning magic")).is_err());
         assert!(Command::parse(&argv("detect g.txt --backend warp")).is_err());

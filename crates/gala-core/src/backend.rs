@@ -70,6 +70,21 @@ impl BackendKind {
             BackendKind::Native => &NativeBackend,
         }
     }
+
+    /// Whether this backend decides `kernel` through the host fold
+    /// ([`kernels::cpu`]), the one decide path that records stay
+    /// certificates: natively every kind whose decisions reduce to it
+    /// (`Cpu`, `Hash`, `WorkloadAware`), on the simulator only `Cpu`. The
+    /// simulated GPU kernels and the native ablation kernels record none.
+    pub(crate) fn certifies(self, kernel: KernelKind) -> bool {
+        match self {
+            BackendKind::Sim => kernel == KernelKind::Cpu,
+            BackendKind::Native => matches!(
+                kernel,
+                KernelKind::Cpu | KernelKind::Hash(_) | KernelKind::WorkloadAware(_)
+            ),
+        }
+    }
 }
 
 impl fmt::Display for BackendKind {

@@ -61,7 +61,7 @@ fn phase1_round(
         sub.scope("decide", |p| {
             let started = Instant::now();
             p.scope("cpu", |p| {
-                cpu::decide_into(graph, &state, &active, &mut out);
+                cpu::decide_into(graph, &state, &active, None, &mut out);
                 p.count("items", n as u64);
             });
             p.count("elapsed_ns", started.elapsed().as_nanos() as u64);

@@ -17,7 +17,8 @@
 //! GPU kernels reproduce that order, so all kernels agree bit-for-bit on
 //! unit-weight graphs.
 
-use super::{choose, DecideOutput, SHUFFLE_DEGREE_THRESHOLD};
+use super::{choose_with_margin, DecideOutput, SHUFFLE_DEGREE_THRESHOLD};
+use crate::pruning::certificate::Certificates;
 use crate::state::BspState;
 use gala_gpu::memory::MemTally;
 use gala_graph::partition::CommunityId;
@@ -26,17 +27,20 @@ use gala_graph::{Graph, VertexId};
 /// Runs the reference kernel over the active vertices.
 pub fn decide(graph: &Graph, state: &BspState, active: &[bool]) -> DecideOutput {
     let mut out = DecideOutput::default();
-    decide_into(graph, state, active, &mut out);
+    decide_into(graph, state, active, None, &mut out);
     out
 }
 
 /// [`decide`] writing into `out`, recycling its `next_comm` allocation.
 /// Each pool chunk threads one [`Fold`] through all of its vertices; the
-/// chunks' tallies sum to how many active vertices took each fold.
+/// chunks' tallies sum to how many active vertices took each fold. With
+/// `certs`, every active vertex's stay certificate is recorded (or
+/// cleared) as it is decided.
 pub(crate) fn decide_into(
     graph: &Graph,
     state: &BspState,
     active: &[bool],
+    certs: Option<&Certificates>,
     out: &mut DecideOutput,
 ) -> FoldCounts {
     let folds = rayon::par_map_indexed_accum_into(
@@ -45,7 +49,7 @@ pub(crate) fn decide_into(
         Fold::default,
         |v, fold| {
             if active[v] {
-                fold.decide(v as VertexId, graph, state)
+                fold.decide(v as VertexId, graph, state, certs)
             } else {
                 state.comm[v]
             }
@@ -65,7 +69,7 @@ pub(crate) fn decide_into(
 /// neighbor list (skipping the self-loop), then apply the shared rule.
 /// Builds a fresh degree-sized [`Fold`], so one call costs `O(deg(v))`.
 pub fn decide_one(v: VertexId, graph: &Graph, state: &BspState) -> CommunityId {
-    Fold::default().decide(v, graph, state)
+    Fold::default().decide(v, graph, state, None)
 }
 
 /// How many vertices a decide pass aggregated by each fold: `linear`
@@ -123,10 +127,20 @@ impl Default for Fold {
 
 impl Fold {
     /// Aggregates `v`'s neighborhood, picks its next community with
-    /// [`choose`], and resets the fold for the next vertex.
-    fn decide(&mut self, v: VertexId, graph: &Graph, state: &BspState) -> CommunityId {
+    /// [`super::choose`], records `v`'s stay certificate into `certs`, and
+    /// resets the fold for the next vertex.
+    fn decide(
+        &mut self,
+        v: VertexId,
+        graph: &Graph,
+        state: &BspState,
+        certs: Option<&Certificates>,
+    ) -> CommunityId {
         self.aggregate(v, graph, state);
-        let next = choose(v, graph, state, &self.cands);
+        let (next, margin) = choose_with_margin(v, graph, state, &self.cands);
+        if let Some(certs) = certs {
+            certs.record(v, margin, graph, state);
+        }
         self.clear();
         next
     }
@@ -261,7 +275,7 @@ pub(crate) fn weighted_planted(
 mod tests {
     use super::*;
     use crate::kernels::hashtable::HashConfig;
-    use crate::kernels::{native, DecideScratch, KernelKind};
+    use crate::kernels::{choose, native, DecideScratch, KernelKind};
     use crate::weight::{self, WeightUpdateMode};
     use gala_gpu::profile::Profiler;
     use gala_graph::coarsen::coarsen;

@@ -31,6 +31,7 @@ pub mod replicated;
 pub mod shuffle;
 pub mod sort;
 
+use crate::pruning::certificate::Certificates;
 use crate::state::BspState;
 use gala_gpu::memory::MemTally;
 use gala_gpu::profile::Profiler;
@@ -97,10 +98,18 @@ pub struct DecideOutput {
 /// Reusable scratch buffers for decide passes. Drivers keep one of these
 /// across supersteps (and rounds) so the work list, kernel launch outputs,
 /// and workload-aware masks are recycled instead of reallocated every
-/// superstep. The contents carry no state between calls — every pass fully
-/// rewrites what it uses.
+/// superstep. Every buffer but `certs` carries no state between calls —
+/// every pass fully rewrites what it uses.
+///
+/// `certs` holds the `mgd` stay certificates ([`crate::pruning`]). They
+/// ride here because this is what reaches the decide fold on one device
+/// and on several alike. The Louvain driver arms them for its rounds; a
+/// default scratch keeps them disarmed, so other callers decide exactly
+/// as before.
 #[derive(Debug, Default)]
 pub struct DecideScratch {
+    /// Stay certificates the fold records into while armed.
+    pub(crate) certs: Certificates,
     /// Active-vertex work list handed to the grid launcher.
     work: Vec<VertexId>,
     /// Launch outputs of kernels returning a plain community id.
@@ -152,6 +161,7 @@ pub fn decide_profiled_into(
     out: &mut DecideOutput,
 ) {
     let DecideScratch {
+        certs,
         work,
         comm_out,
         hash_out,
@@ -162,7 +172,7 @@ pub fn decide_profiled_into(
     match kind {
         KernelKind::Cpu => {
             out.routing = RoutingStats {
-                other_vertices: cpu::decide_into(graph, state, active, out).total(),
+                other_vertices: cpu::decide_into(graph, state, active, certs.armed(), out).total(),
                 ..RoutingStats::default()
             };
             record_kernel(prof, "cpu", out);
@@ -285,12 +295,28 @@ fn record_kernel_span(prof: &mut Profiler, name: &str, items: u64, out: &DecideO
 /// 3. Singleton-swap guard: a vertex alone in its community only moves into
 ///    another *singleton* community of smaller id, preventing the classic
 ///    two-singleton oscillation of parallel Louvain.
+#[inline]
 pub fn choose(
     v: VertexId,
     graph: &Graph,
     state: &BspState,
     candidates: &[(CommunityId, f64)],
 ) -> CommunityId {
+    choose_with_margin(v, graph, state, candidates).0
+}
+
+/// [`choose`], also returning the stay margin: the stay score minus the
+/// best foreign score, `+∞` when `v` has no foreign candidate. The margin
+/// is positive exactly when `v` stays because staying strictly wins; every
+/// move, tie and singleton-guard stay has a margin ≤ 0. Stay certificates
+/// ([`crate::pruning`]) are built from it.
+#[inline]
+pub(crate) fn choose_with_margin(
+    v: VertexId,
+    graph: &Graph,
+    state: &BspState,
+    candidates: &[(CommunityId, f64)],
+) -> (CommunityId, f64) {
     let cv = state.comm[v as usize];
     let d_v = graph.degree_w(v);
     let mut stay_d_vc = 0.0;
@@ -313,19 +339,21 @@ pub fn choose(
         };
     }
     let Some((best_score, best_c)) = best else {
-        return cv; // no foreign neighbor community: nothing to move to
+        // No foreign neighbor community: nothing to move to.
+        return (cv, f64::INFINITY);
     };
     let stay_score = state.score(stay_d_vc, d_v, state.d_tot_without(v, graph));
+    let margin = stay_score - best_score;
     let wants_move = best_score > stay_score || (best_score == stay_score && best_c < cv);
     if !wants_move {
-        return cv;
+        return (cv, margin);
     }
     // Singleton-swap guard (Grappolo): singleton may only join a singleton
     // with a smaller id.
     if state.comm_size[cv as usize] == 1 && state.comm_size[best_c as usize] == 1 && best_c > cv {
-        return cv;
+        return (cv, margin);
     }
-    best_c
+    (best_c, margin)
 }
 
 #[cfg(test)]

@@ -60,7 +60,8 @@ pub(crate) fn decide_into(
     let started = Instant::now();
     let routing = match kind {
         KernelKind::Cpu | KernelKind::Hash(_) | KernelKind::WorkloadAware(_) => {
-            route_lean(kind, cpu::decide_into(graph, state, active, out))
+            let certs = scratch.certs.armed();
+            route_lean(kind, cpu::decide_into(graph, state, active, certs, out))
         }
         KernelKind::Shuffle => RoutingStats {
             shuffle_vertices: run_sim_kernel(

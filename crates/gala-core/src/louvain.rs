@@ -11,6 +11,7 @@ use crate::kernels::{self, KernelKind};
 use crate::mg_contract::{self, ContractRoundStats};
 use crate::multi_gpu::{self, ContractMode, Devices, SyncMode};
 use crate::observe::Obs;
+use crate::pruning::certificate::Certificates;
 use crate::pruning::{self, PruningKind};
 use crate::state::BspState;
 use crate::weight::{self, WeightUpdateMode};
@@ -44,7 +45,8 @@ pub struct LouvainConfig {
     /// Seed for the PM strategy's randomness (unused by the others).
     pub seed: u64,
     /// Resolution parameter γ of generalised modularity: 1.0 is classic
-    /// Louvain; larger values favour smaller communities.
+    /// Louvain; larger values favour smaller communities. Must be finite
+    /// and positive; [`Louvain::run`] panics otherwise.
     pub resolution: f64,
     /// Supersteps a round may go without reaching a new best modularity
     /// before it stops (simultaneous BSP moves can dip Q temporarily;
@@ -301,6 +303,14 @@ impl Louvain {
             out,
         } = scratch;
         let mut state = BspState::with_resolution(graph, cfg.resolution);
+        // Damped MG also skips vertices holding a stay certificate, where
+        // the decide path records them.
+        let certs = &mut dscratch.certs;
+        if cfg.pruning == PruningKind::GainDamped && cfg.backend.certifies(cfg.kernel) {
+            certs.arm(graph.num_vertices());
+        } else {
+            certs.disarm();
+        }
         let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed ^ round as u64);
         let mut iterations = Vec::new();
         let mut prev_q = state.modularity(graph);
@@ -311,7 +321,15 @@ impl Louvain {
             let mut sub = obs.sub();
             let t0 = Instant::now();
             let num_active = sub.scope("classify", |p| {
-                pruning::classify_into(cfg.pruning, graph, &state, &mut rng, active);
+                let certs = &dscratch.certs;
+                pruning::classify_certified_into(
+                    cfg.pruning,
+                    graph,
+                    &state,
+                    &mut rng,
+                    certs,
+                    active,
+                );
                 let num_active = active.iter().filter(|&&a| a).count();
                 p.count("active", num_active as u64);
                 p.count("pruned", (graph.num_vertices() - num_active) as u64);
@@ -329,7 +347,8 @@ impl Louvain {
             };
             let t2 = Instant::now();
             if let Some(m) = obs.metrics() {
-                record_superstep_metrics(m, cfg, graph, &state, active, num_active, out);
+                let certs = &dscratch.certs;
+                record_superstep_metrics(m, cfg, graph, &state, certs, active, num_active, out);
             }
             let sync = devices
                 .as_ref()
@@ -347,7 +366,9 @@ impl Louvain {
             }
             let t3 = Instant::now();
             let weight_tally = sub.scope("weight_update", |p| {
-                let tally = weight::update(cfg.weight_update, graph, &mut state, &summary);
+                let certs = &mut dscratch.certs;
+                let tally =
+                    weight::update_certified(cfg.weight_update, graph, &mut state, &summary, certs);
                 p.record(&tally);
                 tally
             });
@@ -444,6 +465,11 @@ impl Louvain {
 
     /// Runs the full multi-round Louvain (phase 1 + phase 2 repetitions)
     /// and returns the flattened hierarchy result.
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`LouvainConfig::resolution`] is not finite and positive:
+    /// the gain scores and the stay certificates' budgets divide by it.
     pub fn run(&self, graph: &Graph) -> LouvainResult {
         self.run_with(graph, &mut Obs::off())
     }
@@ -682,13 +708,19 @@ const AUDIT_SAMPLES_PER_SUPERSTEP: usize = 64;
 /// memory traffic.
 ///
 /// The audit measures Theorem 6, so under [`PruningKind::GainDamped`] it
-/// samples only what the MG bound pruned; the vertices damping deferred
-/// on top are counted as `pruning/deferred` (present once nonzero).
+/// samples only what the MG bound pruned. Of the vertices the bound kept
+/// but the mask skipped, those holding a stay certificate are counted as
+/// `pruning/certified` and the rest, which damping deferred, as
+/// `pruning/deferred` (each present once nonzero). Certified vertices get a
+/// stronger audit of their own: a sample of them is decided in full, and
+/// any that would leave its community at all counts as a false negative.
+#[allow(clippy::too_many_arguments)]
 fn record_superstep_metrics(
     m: &mut MetricsRegistry,
     cfg: &LouvainConfig,
     graph: &Graph,
     state: &BspState,
+    certs: &Certificates,
     active: &[bool],
     num_active: usize,
     out: &kernels::DecideOutput,
@@ -700,7 +732,26 @@ fn record_superstep_metrics(
     let mg_active;
     let audited = if cfg.pruning == PruningKind::GainDamped && state.iteration > 0 {
         mg_active = pruning::gain::classify(graph, state);
-        let deferred = mg_active.iter().filter(|&&a| a).count() - num_active;
+        // The decide pass has rewritten the certificates of the vertices
+        // it evaluated, so only the skipped ones still show what classify
+        // saw.
+        let certified: Vec<VertexId> = match certs.armed() {
+            Some(c) => (0..graph.num_vertices() as VertexId)
+                .filter(|&v| !active[v as usize] && c.holds(v))
+                .collect(),
+            None => Vec::new(),
+        };
+        let skipped = certified.iter().filter(|&&v| mg_active[v as usize]).count();
+        let deferred = mg_active.iter().filter(|&&a| a).count() - num_active - skipped;
+        if skipped > 0 {
+            m.inc("pruning/certified", skipped as u64);
+        }
+        if !certified.is_empty() {
+            let audit =
+                pruning::audit_certified(graph, state, &certified, AUDIT_SAMPLES_PER_SUPERSTEP);
+            m.inc("pruning/audit_sampled", audit.sampled);
+            m.inc("pruning/audit_false_negatives", audit.false_negatives);
+        }
         if deferred > 0 {
             m.inc("pruning/deferred", deferred as u64);
         }
@@ -1065,7 +1116,9 @@ mod tests {
     #[test]
     fn damped_audit_samples_only_what_the_mg_bound_pruned() {
         // Damping defers vertices that may hold winning moves; the audit
-        // must keep measuring Theorem 6 on the MG-pruned set alone.
+        // must keep measuring Theorem 6 on the MG-pruned set alone. On
+        // native, certificates prune on top, and their own audit must find
+        // every sampled certified vertex staying put.
         use gala_telemetry::{MetricsSnapshot, VecSink};
         let g = gala_graph::generators::sbm::PlantedPartition {
             num_communities: 12,
@@ -1075,21 +1128,117 @@ mod tests {
         }
         .generate(3)
         .graph;
-        let mut sink = VecSink::default();
-        Louvain::new(LouvainConfig::default()).run_with(&g, &mut Obs::traced(&mut sink));
-        let (mut deferred, mut sampled, mut fns) = (0, 0, 0);
-        for e in &sink.events {
-            if let TraceEvent::Metrics(MetricsSnapshot { registry, .. }) = e {
-                deferred += registry.counter("pruning/deferred").unwrap_or(0);
-                sampled += registry.counter("pruning/audit_sampled").unwrap_or(0);
-                fns += registry
-                    .counter("pruning/audit_false_negatives")
-                    .unwrap_or(0);
+        for backend in [BackendKind::Sim, BackendKind::Native] {
+            let mut sink = VecSink::default();
+            let cfg = LouvainConfig {
+                backend,
+                ..LouvainConfig::default()
+            };
+            Louvain::new(cfg).run_with(&g, &mut Obs::traced(&mut sink));
+            let (mut deferred, mut certified, mut sampled, mut fns) = (0, 0, 0, 0);
+            for e in &sink.events {
+                if let TraceEvent::Metrics(MetricsSnapshot { registry, .. }) = e {
+                    deferred += registry.counter("pruning/deferred").unwrap_or(0);
+                    certified += registry.counter("pruning/certified").unwrap_or(0);
+                    sampled += registry.counter("pruning/audit_sampled").unwrap_or(0);
+                    fns += registry
+                        .counter("pruning/audit_false_negatives")
+                        .unwrap_or(0);
+                }
+            }
+            assert!(deferred > 0, "{backend}: damping deferred nothing");
+            assert!(sampled > 0, "{backend}: the audit sampled nothing");
+            assert_eq!(fns, 0, "{backend}: a pruned vertex held a winning move");
+            match backend {
+                // The simulated warp kernels record no certificates.
+                BackendKind::Sim => assert_eq!(certified, 0),
+                BackendKind::Native => assert!(certified > 0, "no vertex was certified"),
             }
         }
-        assert!(deferred > 0, "damping deferred nothing");
-        assert!(sampled > 0, "the audit sampled nothing");
-        assert_eq!(fns, 0, "MG-pruned vertices held winning moves");
+    }
+
+    /// Drives `mgd` supersteps twice in lockstep, with and without stay
+    /// certificates, and decides every certified vertex in full before
+    /// each superstep: each must stay where it is, and the two runs must
+    /// make the same moves.
+    fn assert_certificates_sound(g: &Graph, gamma: f64) {
+        use gala_gpu::profile::Profiler;
+        let backend = BackendKind::Native.resolve();
+        let kernel = KernelKind::default();
+        let n = g.num_vertices();
+        let mut certified = BspState::with_resolution(g, gamma);
+        let mut plain = certified.clone();
+        let mut cs = Phase1Scratch::default();
+        let mut ps = Phase1Scratch::default();
+        cs.decide.certs.arm(n);
+        let mut rng = ChaCha8Rng::seed_from_u64(0);
+        let (mut audited, mut skipped) = (0, 0);
+        for step in 0..200 {
+            let certs = &cs.decide.certs;
+            pruning::classify_certified_into(
+                PruningKind::GainDamped,
+                g,
+                &certified,
+                &mut rng,
+                certs,
+                &mut cs.active,
+            );
+            pruning::classify_into(PruningKind::GainDamped, g, &plain, &mut rng, &mut ps.active);
+            for v in 0..n as gala_graph::VertexId {
+                if step > 0 && certs.holds(v) {
+                    let next = kernels::cpu::decide_one(v, g, &certified);
+                    assert_eq!(
+                        next, certified.comm[v as usize],
+                        "γ {gamma}: certified vertex {v} moves at superstep {step}"
+                    );
+                    audited += 1;
+                    skipped += usize::from(ps.active[v as usize]);
+                }
+            }
+            let mut prof = Profiler::disabled();
+            backend.decide(
+                kernel,
+                g,
+                &certified,
+                &cs.active,
+                &mut prof,
+                &mut cs.decide,
+                &mut cs.out,
+            );
+            backend.decide(
+                kernel,
+                g,
+                &plain,
+                &ps.active,
+                &mut prof,
+                &mut ps.decide,
+                &mut ps.out,
+            );
+            assert_eq!(
+                cs.out.next_comm, ps.out.next_comm,
+                "γ {gamma}: superstep {step} diverged"
+            );
+            let summary = certified.apply_moves(g, &cs.out.next_comm);
+            plain.apply_moves(g, &ps.out.next_comm);
+            let mode = WeightUpdateMode::Delta;
+            weight::update_certified(mode, g, &mut certified, &summary, &mut cs.decide.certs);
+            weight::update(mode, g, &mut plain, &summary);
+            if summary.num_moved() == 0 {
+                break;
+            }
+        }
+        assert!(
+            skipped > 0,
+            "γ {gamma}: certificates skipped nothing MG kept ({audited} audited)"
+        );
+    }
+
+    #[test]
+    fn every_certified_vertex_stays_on_weighted_graphs() {
+        let g = kernels::cpu::weighted_planted(40, 40, 8.0, 0.3, 9);
+        for gamma in [1.0, 2.5] {
+            assert_certificates_sound(&g, gamma);
+        }
     }
 
     #[test]
@@ -1102,6 +1251,17 @@ mod tests {
         let traced = runner.run_with(&g, &mut Obs::traced(&mut gala_telemetry::NullSink));
         assert_eq!(traced.partition, plain.partition);
         assert_eq!(traced.modularity, plain.modularity);
+    }
+
+    #[test]
+    #[should_panic(expected = "resolution must be finite and positive")]
+    fn run_rejects_a_zero_resolution() {
+        let g = fixtures::two_cliques(3);
+        Louvain::new(LouvainConfig {
+            resolution: 0.0,
+            ..LouvainConfig::default()
+        })
+        .run(&g);
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //!
 //! Before each BSP superstep a pruning strategy splits the vertices into an
 //! *active set* (processed by DecideAndMove) and an *inactive set*
-//! (skipped). The four strategies from the paper:
+//! (skipped). The four strategies from the paper, and the stay
+//! certificates the default policy adds:
 //!
 //! | Strategy | Inactive when… | FN-free? |
 //! |---|---|---|
@@ -10,22 +11,94 @@
 //! | [`relaxed`] (RM) | `v` and every neighbor kept their community *id* | **no** (Lemma 4) |
 //! | [`probabilistic`] (PM) | `v` kept its id across two iterations → prune with probability α | no |
 //! | [`gain`] (MG) | the modularity-gain upper bound (Eq. 6) shows no move can win | yes (Theorem 6) |
+//! | stay certificate (in `mgd`) | `v` last stayed by a margin that neither a neighbor's move (other than into `v`'s community) nor the community totals' drift since has used up | yes, and stronger: `v` would not move at all |
 //!
 //! plus [`PruningKind::None`] (the unpruned baseline),
 //! [`PruningKind::GainRelaxed`] (MG ∧ RM, the paper's MG+RM combination —
 //! inactive if *either* strategy says inactive) and
 //! [`PruningKind::GainDamped`] (MG plus move damping, the default: a vertex
 //! that moved in the previous superstep sits about half of the next ones
-//! out, which breaks the limit cycles simultaneous BSP moves fall into).
+//! out, which breaks the limit cycles simultaneous BSP moves fall into;
+//! and a vertex holding a stay certificate is skipped).
 //!
 //! Iteration 0 is always fully active: no history exists yet.
+//!
+//! ## Stay certificates
+//!
+//! MG's bound is stateless: it prunes a vertex only when most of its
+//! weight lies inside its own community, so a settled boundary vertex is
+//! decided again every superstep. A stay certificate remembers why the
+//! last decision kept it. Write `S` and `M(T)` for the stay and move
+//! scores of [`gain`]'s soundness section. When DecideAndMove keeps `v`
+//! because staying *strictly* wins, its margin is
+//!
+//! ```text
+//! δ = S − max_T M(T)        (over the foreign candidates T; +∞ if none)
+//! ```
+//!
+//! Suppose `v` stays put and every neighbor that moves joins `cv`. Then
+//! `d_self(v)` can only grow and every `d_T(v)` only shrink (weights are
+//! non-negative), and no new candidate appears. Only the totals `D_V` can
+//! work against `v`, so for every `T`
+//!
+//! ```text
+//! S − M(T) shrinks by at most γ·d_v·(ΔD_V(cv) − ΔD_V(T))/m2
+//!                   ≤ γ·d_v·(rise of any total + fall of any total)/m2.
+//! ```
+//!
+//! A per-round *drift clock* `K` sums, superstep by superstep, a bound on
+//! the rise of any total plus the fall of any total: a mover of degree
+//! `d_u` lowers one total and raises another by `d_u`, so `2·Σ d_u` over
+//! the movers will do. The certificate is the expiry
+//!
+//! ```text
+//! E_v = K + (δ − slack)·m2/(γ·d_v),   slack = 10⁻⁹·(1 + γ + 10⁻⁶·deg(v))·d_v,
+//! ```
+//!
+//! and `v` is skipped while `K < E_v`: then the drift is below `δ − slack`,
+//! every `S − M(T)` is still positive, and DecideAndMove would keep `v`.
+//! Rounding is covered on every side. Each summed weight `d_c(v)` is
+//! within `deg(v)·2⁻⁵³·d_v` of its exact value, and each gain score within
+//! `6·2⁻⁵³·(1 + γ)·d_v` of its value on the summed weights. The recorded
+//! margin and the comparison a later decision would make each lose at
+//! most twice both, and the slack covers that many times over. The clock adds `2⁻⁵¹·m2` per
+//! mover for the rounding of the stored totals, inflates each step by
+//! `10⁻⁶` relative for the rounding of `Σ d_u`, and rounds up. `E_v` is
+//! stored as an `f32` one step below its nearest value, and the clock is
+//! compared rounded up, so `E_v` never rounds into a longer certificate.
+//!
+//! Three events end a certificate. A neighbor's move clears it, unless
+//! the neighbor joined `cv`: the weight update's walk over each mover's
+//! adjacency stores 0 into the slots of its unmoved neighbors outside its
+//! new community, in the pass it already makes. A superstep whose
+//! weight update rescans the whole graph walks no adjacency, so it clears
+//! every certificate, and so does one whose movers hold a quarter of the
+//! arcs: its clock advance expires nearly every certificate anyway. And
+//! the vertex's own next evaluation rewrites it. A mover never holds one,
+//! since it did not stay.
+//!
+//! Only a *strict* stay earns a certificate. A tie (`best == stay`, kept
+//! because the best candidate's id is larger) has no margin to spend: any
+//! drift in its favor turns it into a move. A stay forced by the singleton
+//! guard is a vertex that wants to move: its margin is not positive, and
+//! the guard's verdict depends on community sizes the clock does not
+//! track.
+//!
+//! Certificates are recorded wherever the host fold ([`crate::kernels::cpu`])
+//! decides: the native `Cpu`, `Hash` and `WorkloadAware` kernels and the
+//! simulator's `Cpu` kernel. The simulated GPU kernels and the native
+//! `Shuffle`, `Sort` and `Replicated` kernels record none and keep plain
+//! `mgd`'s mask. Because a certificate skips only vertices DecideAndMove
+//! would leave in place, every configuration makes the same moves.
 
+pub(crate) mod certificate;
 pub mod gain;
 pub mod probabilistic;
 pub mod relaxed;
 pub mod strict;
 
 use crate::state::BspState;
+use certificate::Certificates;
 use gala_graph::Graph;
 use rand_chacha::ChaCha8Rng;
 
@@ -98,6 +171,20 @@ pub fn classify_into(
     rng: &mut ChaCha8Rng,
     out: &mut Vec<bool>,
 ) {
+    classify_certified_into(kind, graph, state, rng, &Certificates::default(), out);
+}
+
+/// [`classify_into`] that also skips, under [`PruningKind::GainDamped`],
+/// every vertex whose stay certificate in `certs` holds. Disarmed
+/// certificates, and every other policy, give [`classify_into`]'s mask.
+pub(crate) fn classify_certified_into(
+    kind: PruningKind,
+    graph: &Graph,
+    state: &BspState,
+    rng: &mut ChaCha8Rng,
+    certs: &Certificates,
+    out: &mut Vec<bool>,
+) {
     use gala_graph::VertexId;
     use rayon::prelude::*;
 
@@ -128,13 +215,21 @@ pub fn classify_into(
         }
         PruningKind::GainDamped => {
             let iteration = state.iteration;
-            (0..n as VertexId)
-                .into_par_iter()
-                .map(|v| {
-                    let deferred = state.moved[v as usize] && defers(v, iteration);
-                    !deferred && !gain::is_provably_unmoved(v, graph, state)
-                })
-                .collect_into_vec(out);
+            let damped = |v: VertexId| {
+                let deferred = state.moved[v as usize] && defers(v, iteration);
+                !deferred && !gain::is_provably_unmoved(v, graph, state)
+            };
+            // The certificate is one load, so it goes before the bound.
+            match certs.armed() {
+                Some(certs) => (0..n as VertexId)
+                    .into_par_iter()
+                    .map(|v| !certs.holds(v) && damped(v))
+                    .collect_into_vec(out),
+                None => (0..n as VertexId)
+                    .into_par_iter()
+                    .map(damped)
+                    .collect_into_vec(out),
+            }
         }
     }
 }
@@ -143,8 +238,8 @@ pub fn classify_into(
 /// previous superstep, sits out superstep `iteration`. A fixed SplitMix64
 /// hash of (vertex, superstep) keeps about half of the previous movers —
 /// no rng draw and no dependence on pool width, so every backend, device
-/// count and kernel sees the same mask. A mover that sits out did not move,
-/// so it is back under plain MG the superstep after.
+/// count and kernel defers the same vertices. A mover that sits out did not
+/// move, so it is back under plain MG the superstep after.
 pub(crate) fn defers(v: gala_graph::VertexId, iteration: usize) -> bool {
     let mut x = (v as u64) ^ (iteration as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -219,6 +314,34 @@ pub fn audit_pruned(
             }
         }
         idx += 1;
+    }
+    result
+}
+
+/// Audits stay certificates by deciding a deterministic sample of the
+/// `certified` vertices in full: every `stride`-th one, at most
+/// `max_samples`. A certificate claims more than MG's "no strictly better
+/// move", namely that DecideAndMove leaves the vertex where it is, so any
+/// sampled vertex that [`crate::kernels::cpu::decide_one`] would move —
+/// even by a zero-gain tie-break — counts as a false negative.
+pub(crate) fn audit_certified(
+    graph: &Graph,
+    state: &BspState,
+    certified: &[gala_graph::VertexId],
+    max_samples: usize,
+) -> AuditResult {
+    use crate::kernels::cpu;
+
+    let mut result = AuditResult::default();
+    if certified.is_empty() || max_samples == 0 {
+        return result;
+    }
+    let stride = certified.len().div_ceil(max_samples);
+    for &v in certified.iter().step_by(stride) {
+        result.sampled += 1;
+        if cpu::decide_one(v, graph, state) != state.comm[v as usize] {
+            result.false_negatives += 1;
+        }
     }
     result
 }

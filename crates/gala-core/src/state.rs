@@ -80,6 +80,10 @@ impl BspState {
     }
 
     /// Initial state with an explicit resolution parameter γ > 0.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `resolution` is not finite and positive.
     pub fn with_resolution(graph: &Graph, resolution: f64) -> Self {
         assert!(
             resolution.is_finite() && resolution > 0.0,
@@ -164,8 +168,17 @@ impl BspState {
     /// `comm_size`, `moved`, `comm_changed`, and `min_d_tot`. Does **not**
     /// touch `d_self` — that is the weight-maintenance step's job (see
     /// [`crate::weight`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `next_comm` does not hold exactly one community per
+    /// vertex.
     pub fn apply_moves(&mut self, graph: &Graph, next_comm: &[CommunityId]) -> MoveSummary {
-        assert_eq!(next_comm.len(), self.comm.len());
+        assert_eq!(
+            next_comm.len(),
+            self.comm.len(),
+            "apply_moves needs one community per vertex"
+        );
         let mut moves = Vec::new();
         self.comm_changed.iter_mut().for_each(|c| *c = false);
         for (v, &new) in next_comm.iter().enumerate() {
@@ -258,6 +271,14 @@ mod tests {
         assert_eq!(s.d_tot[1], g.degree_w(0) + g.degree_w(1));
         assert!(s.comm_changed[0] && s.comm_changed[1] && !s.comm_changed[2]);
         assert_eq!(s.iteration, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "one community per vertex")]
+    fn apply_moves_rejects_a_short_assignment() {
+        let g = fixtures::two_cliques(3);
+        let mut s = BspState::new(&g);
+        s.apply_moves(&g, &[0; 5]);
     }
 
     #[test]

@@ -12,7 +12,12 @@
 //!   depending on whether `v` left or joined `u`'s community; moved vertices
 //!   rescan only themselves. Cost is proportional to the moved vertices'
 //!   edges — the stage-P2 fix.
+//!
+//! The same walk over the movers' adjacency invalidates the neighbours'
+//! stay certificates (see [`crate::pruning`]), so the `mgd` policy's
+//! bookkeeping adds no pass of its own.
 
+use crate::pruning::certificate::Certificates;
 use crate::state::{BspState, MoveSummary};
 use gala_gpu::memory::{MemTally, Space};
 use gala_graph::{Graph, VertexId};
@@ -41,9 +46,29 @@ pub fn update(
     state: &mut BspState,
     summary: &MoveSummary,
 ) -> MemTally {
+    update_certified(mode, graph, state, summary, &mut Certificates::default())
+}
+
+/// [`update`] that also maintains armed stay certificates: the drift clock
+/// advances past the superstep's moves, and the delta walk clears the
+/// certificate of every unmoved neighbour of a mover that did not join
+/// the neighbour's community. A full rescan walks
+/// no adjacency, so it clears every certificate instead, and so does a
+/// superstep heavy enough that walking for them would not pay
+/// ([`Certificates::settle`]). No certificate survives such a superstep,
+/// and the clock has nothing to time. The tally is [`update`]'s either way.
+pub(crate) fn update_certified(
+    mode: WeightUpdateMode,
+    graph: &Graph,
+    state: &mut BspState,
+    summary: &MoveSummary,
+    certs: &mut Certificates,
+) -> MemTally {
     let mut tally = MemTally::new();
     match mode {
         WeightUpdateMode::Naive => {
+            // The rescan walks no mover's adjacency.
+            certs.clear();
             state.recompute_d_self(graph);
             // Per arc: neighbor id + weight + C[u]; per vertex: one store.
             tally.load(Space::Global, 3 * graph.num_arcs() as u64);
@@ -60,12 +85,13 @@ pub fn update(
                 .iter()
                 .map(|&(v, _, _)| graph.degree(v) as u64)
                 .sum();
+            let certs = certs.settle(graph, summary, moved_arcs, state.m2);
             if 2 * moved_arcs >= graph.num_arcs() as u64 {
                 state.recompute_d_self(graph);
                 tally.load(Space::Global, 3 * graph.num_arcs() as u64);
                 tally.store(Space::Global, graph.num_vertices() as u64);
             } else {
-                let deltas = update_delta(graph, state, summary);
+                let deltas = update_delta(graph, state, summary, certs);
                 // The modelled kernel makes two passes over the moved
                 // vertices' adjacency (notify + own rescan), 3 loads per
                 // arc; an atomicAdd only for the neighbors whose d_self
@@ -89,7 +115,16 @@ pub fn update(
 /// the same entry. The deltas are applied serially in chunk order, which
 /// is move order at every pool width, so the float additions into each
 /// `d_self[u]` happen in a fixed order whatever the thread schedule.
-fn update_delta(graph: &Graph, state: &mut BspState, summary: &MoveSummary) -> u64 {
+///
+/// With `certs`, the certificate of each unmoved neighbour outside the
+/// mover's new community is cleared on the way. Those stores all write 0,
+/// so their interleaving is immaterial.
+fn update_delta(
+    graph: &Graph,
+    state: &mut BspState,
+    summary: &MoveSummary,
+    certs: Option<&Certificates>,
+) -> u64 {
     let moved = &state.moved;
     let comm = &state.comm;
     let mut fresh = Vec::new();
@@ -109,6 +144,11 @@ fn update_delta(graph: &Graph, state: &mut BspState, summary: &MoveSummary) -> u
                 }
                 if moved[u as usize] {
                     continue;
+                }
+                // A mover joining `u`'s community only strengthens `u`'s
+                // stay, so its certificate survives that.
+                if let Some(certs) = certs.filter(|_| cu != new) {
+                    certs.invalidate(u);
                 }
                 let mut delta = 0.0;
                 if cu == old {
