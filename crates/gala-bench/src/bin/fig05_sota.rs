@@ -7,7 +7,8 @@
 //! * `GALA`            — MG pruning + workload-aware kernels + delta update.
 //! * `SortKernel`      — cuGraph-style sort-based DecideAndMove, no pruning.
 //! * `GlobalHash`      — Grappolo-GPU-style global-only hashtable, no pruning.
-//! * `Grappolo (CPU)`  — rayon BSP baseline, no simulator overhead.
+//! * `Grappolo (CPU)`  — `LouvainConfig::grappolo()`: no pruning, host fold,
+//!   naive weights, on the native pool (no simulator overhead).
 //! * `Sequential`      — classic Blondel Louvain.
 //!
 //! Reported per graph: phase-1 wall time (host), simulated GPU cycles
@@ -19,10 +20,9 @@
 use gala_bench::{
     all_datasets, eng, ms, new_report, run_phase1_timed, scale_from_env, time, BenchArgs, Table,
 };
-use gala_core::grappolo;
 use gala_core::kernels::hashtable::{HashConfig, HashTableKind};
 use gala_core::kernels::KernelKind;
-use gala_core::louvain::LouvainConfig;
+use gala_core::louvain::{Louvain, LouvainConfig};
 use gala_core::pruning::PruningKind;
 use gala_core::sequential::{sequential_louvain, SequentialConfig};
 use gala_core::weight::WeightUpdateMode;
@@ -71,7 +71,7 @@ fn main() {
         let (ghash_stats, ghash_wall) = run_phase1_timed(&g, ghash_cfg);
         let ghash_cyc = cost.cycles(&ghash_stats.total_tally());
 
-        let (_, cpu_wall) = time(|| grappolo::phase1(&g, 1e-6, 500));
+        let (_, cpu_wall) = time(|| Louvain::new(LouvainConfig::grappolo()).run_phase1(&g));
         let (_, seq_wall) = time(|| {
             sequential_louvain(
                 &g,

@@ -1,6 +1,8 @@
 //! Argument grammar for the `gala` CLI (hand-rolled: the workspace carries
 //! no arg-parsing dependency).
 
+use gala_core::backend::BackendKind;
+use gala_core::multi_gpu::ContractMode;
 use std::fmt;
 
 /// Usage text printed on parse errors and `--help`.
@@ -140,52 +142,6 @@ impl Algorithm {
     }
 }
 
-/// Execution backends (`--backend`): the simulated GPU with cycle
-/// accounting, or the native host pool with wall-clock timing. Both
-/// produce identical assignments — CI's backend-equivalence job gates it.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Backend {
-    /// Simulated-GPU execution (the default).
-    #[default]
-    Sim,
-    /// Native execution on the host work-stealing pool.
-    Native,
-}
-
-impl Backend {
-    fn parse(s: &str) -> Result<Self, ParseError> {
-        match s {
-            "sim" => Ok(Backend::Sim),
-            "native" => Ok(Backend::Native),
-            other => Err(ParseError(format!("unknown backend `{other}`"))),
-        }
-    }
-}
-
-/// GALA's phase-2 contraction strategy (`--mg-contract`).
-/// Mirrors `gala-core`'s `ContractMode`; both strategies are bit-identical,
-/// the partitioned one adds per-device compute and exchange modelling.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum MgContract {
-    /// Single host contraction between rounds (the default).
-    #[default]
-    Host,
-    /// Partitioned per-device contraction with simulated collectives.
-    Partitioned,
-}
-
-impl MgContract {
-    fn parse(s: &str) -> Result<Self, ParseError> {
-        match s {
-            "host" => Ok(MgContract::Host),
-            "partitioned" => Ok(MgContract::Partitioned),
-            other => Err(ParseError(format!(
-                "unknown contract mode `{other}` (expected host|partitioned)"
-            ))),
-        }
-    }
-}
-
 /// Locality preprocessing (`--reorder`): renumber vertices before
 /// detection. Assignments written with `--output` are mapped back to the
 /// original ids. The graph itself is unchanged up to relabeling, but
@@ -283,7 +239,7 @@ pub struct DetectArgs {
     /// Algorithm to run.
     pub algorithm: Algorithm,
     /// Execution backend (GALA and Leiden).
-    pub backend: Backend,
+    pub backend: BackendKind,
     /// Pruning strategy (GALA only).
     pub pruning: Pruning,
     /// Resolution γ.
@@ -293,7 +249,7 @@ pub struct DetectArgs {
     /// Simulated device count.
     pub devices: usize,
     /// Phase-2 contraction strategy (GALA only).
-    pub mg_contract: MgContract,
+    pub mg_contract: ContractMode,
     /// Locality preprocessing before detection.
     pub reorder: Reorder,
     /// Binary-graph load path.
@@ -481,12 +437,12 @@ impl Command {
             input: String::new(),
             format: None,
             algorithm: Algorithm::Gala,
-            backend: Backend::Sim,
+            backend: BackendKind::Sim,
             pruning: Pruning::Mgd,
             resolution: 1.0,
             output: None,
             devices: 1,
-            mg_contract: MgContract::Host,
+            mg_contract: ContractMode::Host,
             reorder: Reorder::None,
             store: Store::Owned,
             trace: None,
@@ -501,7 +457,11 @@ impl Command {
                 "--algorithm" => {
                     out.algorithm = Algorithm::parse(value(args, &mut i, "--algorithm")?)?
                 }
-                "--backend" => out.backend = Backend::parse(value(args, &mut i, "--backend")?)?,
+                "--backend" => {
+                    out.backend = value(args, &mut i, "--backend")?
+                        .parse()
+                        .map_err(ParseError)?
+                }
                 "--pruning" => out.pruning = Pruning::parse(value(args, &mut i, "--pruning")?)?,
                 "--resolution" => {
                     let v = value(args, &mut i, "--resolution")?;
@@ -523,7 +483,9 @@ impl Command {
                     }
                 }
                 "--mg-contract" => {
-                    out.mg_contract = MgContract::parse(value(args, &mut i, "--mg-contract")?)?
+                    out.mg_contract = value(args, &mut i, "--mg-contract")?
+                        .parse()
+                        .map_err(ParseError)?
                 }
                 "--reorder" => out.reorder = Reorder::parse(value(args, &mut i, "--reorder")?)?,
                 "--store" => out.store = Store::parse(value(args, &mut i, "--store")?)?,
@@ -791,10 +753,10 @@ mod tests {
         let Command::Detect(d) = cmd else { panic!() };
         assert_eq!(d.input, "graph.txt");
         assert_eq!(d.algorithm, Algorithm::Gala);
-        assert_eq!(d.backend, Backend::Sim);
+        assert_eq!(d.backend, BackendKind::Sim);
         assert_eq!(d.pruning, Pruning::Mgd);
         assert_eq!(d.resolution, 1.0);
-        assert_eq!(d.mg_contract, MgContract::Host);
+        assert_eq!(d.mg_contract, ContractMode::Host);
         assert!(!d.quiet);
         assert!(!d.progress);
     }
@@ -807,11 +769,11 @@ mod tests {
         .unwrap();
         let Command::Detect(d) = cmd else { panic!() };
         assert_eq!(d.algorithm, Algorithm::Leiden);
-        assert_eq!(d.backend, Backend::Native);
+        assert_eq!(d.backend, BackendKind::Native);
         assert_eq!(d.resolution, 2.5);
         assert_eq!(d.output.as_deref(), Some("out.txt"));
         assert_eq!(d.devices, 4);
-        assert_eq!(d.mg_contract, MgContract::Partitioned);
+        assert_eq!(d.mg_contract, ContractMode::Partitioned);
         assert!(d.quiet);
         assert!(d.progress);
         assert_eq!(d.trace, None);

@@ -1,16 +1,13 @@
 //! Command execution: graph IO, algorithm dispatch, and reporting.
 
 use crate::args::{
-    Algorithm, Backend, Command, DetectArgs, Format, GenerateArgs, MgContract, Pruning, Reorder,
-    Store, USAGE,
+    Algorithm, Command, DetectArgs, Format, GenerateArgs, Pruning, Reorder, Store, USAGE,
 };
-use gala_core::backend::BackendKind;
 use gala_core::label_prop::{label_propagation, LabelPropConfig};
 use gala_core::leiden::{leiden_with, LeidenConfig};
 use gala_core::louvain::{Louvain, LouvainConfig};
 use gala_core::metrics::summarize;
 use gala_core::modularity::modularity_with_resolution;
-use gala_core::multi_gpu::ContractMode;
 use gala_core::observe::Obs;
 use gala_core::pruning::PruningKind;
 use gala_core::sequential::{sequential_louvain_with, SequentialConfig};
@@ -288,10 +285,6 @@ fn detect(args: DetectArgs) -> Result<(), Error> {
         Some(s) => s,
         None => &mut null,
     };
-    let backend = match args.backend {
-        Backend::Sim => BackendKind::Sim,
-        Backend::Native => BackendKind::Native,
-    };
     // --progress: arm the flight recorder for live observation. The ring
     // filter honours GALA_LOG; the status line renders on stderr (rewritten
     // in place on a TTY, one plain line per snapshot otherwise) so stdout
@@ -314,7 +307,7 @@ fn detect(args: DetectArgs) -> Result<(), Error> {
             recorder::Manifest::with_cmdline()
                 .entry("input", &args.input)
                 .entry("algorithm", &format!("{:?}", args.algorithm))
-                .entry("backend", &format!("{backend}"))
+                .entry("backend", &format!("{}", args.backend))
                 .entry("devices", &format!("{}", args.devices))
                 .entry("resolution", &format!("{}", args.resolution))
                 .entry("schema", &format!("{}", gala_telemetry::SCHEMA_VERSION)),
@@ -346,12 +339,9 @@ fn detect(args: DetectArgs) -> Result<(), Error> {
             let r = Louvain::new(LouvainConfig {
                 pruning,
                 resolution: args.resolution,
-                backend,
+                backend: args.backend,
                 devices: args.devices,
-                contract: match args.mg_contract {
-                    MgContract::Host => ContractMode::Host,
-                    MgContract::Partitioned => ContractMode::Partitioned,
-                },
+                contract: args.mg_contract,
                 ..LouvainConfig::default()
             })
             .run_with(&graph, &mut obs);
@@ -367,7 +357,7 @@ fn detect(args: DetectArgs) -> Result<(), Error> {
                 &graph,
                 LeidenConfig {
                     resolution: args.resolution,
-                    backend,
+                    backend: args.backend,
                     ..LeidenConfig::default()
                 },
                 &mut obs,
@@ -405,17 +395,11 @@ fn detect(args: DetectArgs) -> Result<(), Error> {
     if let Some(path) = &args.report {
         let mut report = Report::new("run", "detect")
             .meta("algorithm", name)
-            .meta("backend", format!("{backend}"))
+            .meta("backend", format!("{}", args.backend))
             .meta("input", args.input.as_str())
             .meta("resolution", format!("{}", args.resolution))
             .meta("devices", format!("{}", args.devices))
-            .meta(
-                "contract",
-                match args.mg_contract {
-                    MgContract::Host => "host",
-                    MgContract::Partitioned => "partitioned",
-                },
-            )
+            .meta("contract", format!("{}", args.mg_contract))
             .meta("store", store_kind)
             .meta(
                 "reorder",

@@ -311,8 +311,9 @@ impl ExecutionBackend for NativeBackend {
 /// substrate that ran them. Sim trees charge simulated cycles from each
 /// span's `MemTally` through the default [`CostModel`] (summing exactly to
 /// `self_cycles`); native trees charge each span's measured `elapsed_ns`
-/// counter, and so do host-only passes (`backend == None`: sequential,
-/// grappolo, leiden's local moving), attributed to the `"host"` backend.
+/// counter, and so do host-only passes (`backend == None`: sequential
+/// Louvain's and Leiden's local moving), attributed to the `"host"`
+/// backend.
 pub(crate) fn profile_event(
     backend: Option<BackendKind>,
     round: u32,

@@ -6,11 +6,8 @@
 //! phase approach [that] iteratively merges communities" (paper Section 1)
 //! is actually for: zooming between granularities without re-running.
 
-use crate::louvain::{Louvain, LouvainConfig, Phase1Scratch};
-use crate::modularity::modularity_with_resolution;
+use crate::louvain::{Louvain, LouvainConfig};
 use crate::observe::Obs;
-use gala_gpu::profile::Profiler;
-use gala_graph::coarsen::CoarsenScratch;
 use gala_graph::{Graph, Partition};
 
 /// A full Louvain hierarchy: level 0 is the finest (first-round)
@@ -25,53 +22,17 @@ pub struct Dendrogram {
 }
 
 impl Dendrogram {
-    /// Builds the dendrogram by running Louvain with `config`, recording
-    /// the flattened partition after every round.
+    /// Builds the dendrogram by running [`Louvain::run`] with `config`,
+    /// recording the flattened partition after every round: level `i` is
+    /// round `i`'s, and [`Self::best_level`] is the partition `run`
+    /// returns.
     pub fn build(graph: &Graph, config: LouvainConfig) -> Self {
-        let runner = Louvain::new(config);
-        let backend = config.backend.resolve();
         let mut levels = Vec::new();
         let mut modularities = Vec::new();
-        let mut current: Option<Graph> = None;
-        let mut flat: Option<Partition> = None;
-        let mut scratch = Phase1Scratch::default();
-        let mut cscratch = CoarsenScratch::default();
-        // Live observation only: the dendrogram builder has no trace sink,
-        // so supersteps and completed levels go straight to the flight
-        // recorder.
-        let mut obs = Obs::off().driver("hierarchy");
-        for round in 0..config.max_rounds {
-            let g = current.as_ref().unwrap_or(graph);
-            // Every level's phase 1 seeds like a standalone phase-1 run.
-            let (state, stats) = runner.run_phase1_round(g, 0, &mut obs, &mut scratch);
-            let moved_any = stats.iterations.iter().any(|i| i.num_moved > 0);
-            let coarse = backend.contract(
-                g,
-                &state.partition(),
-                config.kernel,
-                false,
-                &mut Profiler::disabled(),
-                &mut cscratch,
-            );
-            let level = match &flat {
-                None => coarse.renumbered.clone(),
-                Some(prev) => prev.compose(&coarse.renumbered),
-            };
-            let q = modularity_with_resolution(graph, &level, config.resolution);
-            modularities.push(q);
-            let (supersteps, arcs) = (stats.iterations.len(), coarse.graph.num_arcs());
-            obs.round_progress(round as u32, "level", supersteps, q, arcs);
+        Louvain::new(config).run_levels(graph, &mut Obs::off(), &mut |level, q| {
             levels.push(level.clone());
-            flat = Some(level);
-            if !moved_any || coarse.num_communities == g.num_vertices() {
-                break;
-            }
-            if let Some(old) = current.take() {
-                cscratch.reclaim_graph(old);
-            }
-            cscratch.reclaim_assignment(coarse.renumbered);
-            current = Some(coarse.graph);
-        }
+            modularities.push(q);
+        });
         if levels.is_empty() {
             levels.push(Partition::singletons(graph.num_vertices()));
             modularities.push(0.0);
@@ -97,20 +58,23 @@ impl Dendrogram {
         self.modularities[level]
     }
 
-    /// The coarsest (final) partition — what `Louvain::run` returns.
+    /// The coarsest (last) level. `Louvain::run` returns the best level
+    /// ([`Self::best_level`]), whose partition differs from this one only
+    /// when a later round lowered modularity (as a `refine` round can).
     pub fn final_partition(&self) -> &Partition {
         self.levels.last().expect("dendrogram is never empty")
     }
 
-    /// The level with maximal modularity (usually the last, but a capped
-    /// `max_rounds` can leave an interior peak).
+    /// The first level with maximal modularity: the partition
+    /// `Louvain::run` returns.
     pub fn best_level(&self) -> usize {
-        self.modularities
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.total_cmp(b.1))
-            .map(|(i, _)| i)
-            .unwrap_or(0)
+        let mut best = 0;
+        for (i, q) in self.modularities.iter().enumerate() {
+            if *q > self.modularities[best] {
+                best = i;
+            }
+        }
+        best
     }
 
     /// The finest level with at most `k` communities, if any.
@@ -159,7 +123,64 @@ mod tests {
                 "level {i} lost modularity"
             );
         }
-        assert_eq!(d.best_level(), d.num_levels() - 1);
+        // The last round merged nothing, so the final level repeats the
+        // best one.
+        let best = d.best_level();
+        assert_eq!(d.level(best), d.final_partition());
+        assert_eq!(d.modularity_at(best), d.modularity_at(d.num_levels() - 1));
+    }
+
+    #[test]
+    fn best_level_is_what_louvain_run_returns() {
+        use crate::multi_gpu::ContractMode;
+        use crate::pruning::PruningKind;
+        // Each level is one round of the driver's own hierarchy loop, so
+        // the level count, the best partition and its Q bits are `run`'s
+        // under every config, `pm`'s per-round seeds and `refine` included.
+        let g = gala_graph::generators::sbm::PlantedPartition {
+            num_communities: 10,
+            community_size: 40,
+            internal_degree: 6.0,
+            mixing: 0.35,
+        }
+        .generate(5)
+        .graph;
+        let default = LouvainConfig::default();
+        let configs = [
+            ("default", default),
+            ("paper", LouvainConfig::paper()),
+            (
+                "pm",
+                LouvainConfig {
+                    pruning: PruningKind::probabilistic_default(),
+                    ..default
+                },
+            ),
+            (
+                "refine",
+                LouvainConfig {
+                    refine: true,
+                    ..default
+                },
+            ),
+            (
+                "partitioned",
+                LouvainConfig {
+                    devices: 2,
+                    contract: ContractMode::Partitioned,
+                    ..default
+                },
+            ),
+        ];
+        for (name, cfg) in configs {
+            let d = Dendrogram::build(&g, cfg);
+            let run = Louvain::new(cfg).run(&g);
+            assert_eq!(d.num_levels(), run.rounds.len(), "{name}: level count");
+            let best = d.best_level();
+            assert_eq!(d.level(best), &run.partition, "{name}: best partition");
+            let q = d.modularity_at(best);
+            assert_eq!(q.to_bits(), run.modularity.to_bits(), "{name}: best Q");
+        }
     }
 
     #[test]

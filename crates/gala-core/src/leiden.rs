@@ -16,12 +16,12 @@ use crate::backend::BackendKind;
 use crate::kernels::KernelKind;
 use crate::modularity::modularity_with_resolution;
 use crate::observe::Obs;
+use crate::sequential::{local_moving, Sweep};
 use gala_graph::coarsen::CoarsenScratch;
 use gala_graph::partition::CommunityId;
 use gala_graph::subgraph::community_subgraph;
 use gala_graph::traversal::connected_components;
 use gala_graph::{Graph, Partition, VertexId};
-use std::collections::HashMap;
 use std::time::Instant;
 
 /// Configuration of a Leiden run.
@@ -85,7 +85,7 @@ pub fn leiden_with(graph: &Graph, config: LeidenConfig, obs: &mut Obs) -> Leiden
     let mut flat: Option<Partition> = None;
     let mut rounds = 0;
     let mut cscratch = CoarsenScratch::default();
-    let mut sweep = SweepScratch::default();
+    let mut sweep = Sweep::default();
     for round in 0..config.max_rounds {
         let g = current.as_ref().unwrap_or(graph);
         let mut comm: Vec<CommunityId> = labels
@@ -97,7 +97,15 @@ pub fn leiden_with(graph: &Graph, config: LeidenConfig, obs: &mut Obs) -> Leiden
             p.scope("decide", |p| {
                 let started = Instant::now();
                 let moved = p.scope("cpu", |p| {
-                    let moved = local_move(g, &mut comm, &config, &mut sweep);
+                    let moved = local_moving(
+                        g,
+                        &mut comm,
+                        config.resolution,
+                        config.theta,
+                        config.max_sweeps,
+                        None,
+                        &mut sweep,
+                    );
                     p.count("items", g.num_vertices() as u64);
                     moved
                 });
@@ -122,7 +130,7 @@ pub fn leiden_with(graph: &Graph, config: LeidenConfig, obs: &mut Obs) -> Leiden
         // Refinement: re-partition each community from singletons.
         let refined = sub.scope("refine", |p| {
             let started = Instant::now();
-            let refined = refine(g, &partition, &config, &mut sweep);
+            let refined = refine_partition(g, &partition, config.resolution, config.max_sweeps);
             p.count("communities", refined.num_communities() as u64);
             p.count("elapsed_ns", started.elapsed().as_nanos() as u64);
             refined
@@ -189,84 +197,6 @@ pub fn leiden_with(graph: &Graph, config: LeidenConfig, obs: &mut Obs) -> Leiden
     }
 }
 
-/// Reusable buffers for the local-moving sweeps, hoisted so every round of
-/// a [`leiden`] run recycles one allocation set for the per-community
-/// totals and the per-vertex candidate aggregation instead of reallocating
-/// them each call — the same scratch discipline as `louvain.rs`.
-#[derive(Debug, Default)]
-struct SweepScratch {
-    /// `D_V(C)` per community id slot.
-    d_tot: Vec<f64>,
-    /// Per-vertex `(community, d_vc)` aggregation map.
-    agg: HashMap<CommunityId, f64>,
-}
-
-/// Sequential local moving with immediate updates (Louvain phase-1 style),
-/// starting from the given assignment. Returns whether anything moved.
-fn local_move(
-    graph: &Graph,
-    comm: &mut [CommunityId],
-    config: &LeidenConfig,
-    scratch: &mut SweepScratch,
-) -> bool {
-    let n = graph.num_vertices();
-    let m2 = graph.total_weight();
-    if m2 == 0.0 {
-        return false;
-    }
-    let slots = comm.iter().copied().max().unwrap_or(0) as usize + 1;
-    let d_tot = &mut scratch.d_tot;
-    d_tot.clear();
-    d_tot.resize(slots.max(n), 0.0);
-    for v in 0..n {
-        d_tot[comm[v] as usize] += graph.degree_w(v as VertexId);
-    }
-    let gamma = config.resolution;
-    let mut any_moved = false;
-    let agg = &mut scratch.agg;
-    for _ in 0..config.max_sweeps {
-        let mut sweep_gain = 0.0;
-        for v in 0..n as VertexId {
-            let cv = comm[v as usize];
-            let d_v = graph.degree_w(v);
-            agg.clear();
-            for (u, w) in graph.neighbors(v) {
-                if u != v {
-                    *agg.entry(comm[u as usize]).or_insert(0.0) += w;
-                }
-            }
-            if agg.is_empty() {
-                continue;
-            }
-            d_tot[cv as usize] -= d_v;
-            let score = |d_vc: f64, dt: f64| d_vc - gamma * d_v * dt / m2;
-            let stay = score(agg.get(&cv).copied().unwrap_or(0.0), d_tot[cv as usize]);
-            let mut best_c = cv;
-            let mut best = stay;
-            for (&c, &d_vc) in agg.iter() {
-                if c == cv {
-                    continue;
-                }
-                let s = score(d_vc, d_tot[c as usize]);
-                if s > best || (s == best && c < best_c) {
-                    best = s;
-                    best_c = c;
-                }
-            }
-            d_tot[best_c as usize] += d_v;
-            if best_c != cv {
-                comm[v as usize] = best_c;
-                any_moved = true;
-                sweep_gain += 2.0 / m2 * (best - stay);
-            }
-        }
-        if sweep_gain < config.theta {
-            break;
-        }
-    }
-    any_moved
-}
-
 /// Leiden's refinement as a standalone operation: within each community of
 /// `partition`, re-partition from singletons by local moving restricted to
 /// that community. Every refined community is internally connected by
@@ -282,76 +212,18 @@ pub fn refine_partition(
     resolution: f64,
     max_sweeps: usize,
 ) -> Partition {
-    refine(
-        graph,
-        partition,
-        &LeidenConfig {
-            resolution,
-            max_sweeps,
-            ..LeidenConfig::default()
-        },
-        &mut SweepScratch::default(),
-    )
-}
-
-fn refine(
-    graph: &Graph,
-    partition: &Partition,
-    config: &LeidenConfig,
-    scratch: &mut SweepScratch,
-) -> Partition {
-    let n = graph.num_vertices();
     // Refined labels start as singletons (label = own vertex id).
-    let mut refined: Vec<CommunityId> = (0..n as CommunityId).collect();
-    let m2 = graph.total_weight();
-    if m2 == 0.0 {
-        return Partition::from_assignment(refined);
-    }
-    let gamma = config.resolution;
-    let d_tot = &mut scratch.d_tot;
-    d_tot.clear();
-    d_tot.extend((0..n).map(|v| graph.degree_w(v as VertexId)));
-    let agg = &mut scratch.agg;
-    for _ in 0..config.max_sweeps {
-        let mut moved = false;
-        for v in 0..n as VertexId {
-            let parent = partition.community_of(v);
-            let cv = refined[v as usize];
-            let d_v = graph.degree_w(v);
-            agg.clear();
-            for (u, w) in graph.neighbors(v) {
-                if u != v && partition.community_of(u) == parent {
-                    *agg.entry(refined[u as usize]).or_insert(0.0) += w;
-                }
-            }
-            if agg.is_empty() {
-                continue;
-            }
-            d_tot[cv as usize] -= d_v;
-            let score = |d_vc: f64, dt: f64| d_vc - gamma * d_v * dt / m2;
-            let stay = score(agg.get(&cv).copied().unwrap_or(0.0), d_tot[cv as usize]);
-            let mut best_c = cv;
-            let mut best = stay;
-            for (&c, &d_vc) in agg.iter() {
-                if c == cv {
-                    continue;
-                }
-                let s = score(d_vc, d_tot[c as usize]);
-                if s > best || (s == best && c < best_c) {
-                    best = s;
-                    best_c = c;
-                }
-            }
-            d_tot[best_c as usize] += d_v;
-            if best_c != cv {
-                refined[v as usize] = best_c;
-                moved = true;
-            }
-        }
-        if !moved {
-            break;
-        }
-    }
+    let mut refined: Vec<CommunityId> = (0..graph.num_vertices() as CommunityId).collect();
+    let mut sweep = Sweep::default();
+    local_moving(
+        graph,
+        &mut refined,
+        resolution,
+        0.0,
+        max_sweeps,
+        Some(partition),
+        &mut sweep,
+    );
     Partition::from_assignment(refined)
 }
 

@@ -19,8 +19,10 @@
 //! * [`backend`] — the execution-backend seam: the simulated-GPU substrate
 //!   (cycle accounting) and the native host substrate (wall-clock timing)
 //!   behind one trait, guaranteed assignment-identical.
-//! * [`sequential`] — the classic sequential Louvain baseline (Blondel).
-//! * [`grappolo`] — a Grappolo-style CPU parallel baseline on rayon.
+//! * [`sequential`] — the classic sequential Louvain baseline (Blondel),
+//!   owning the one sequential local-moving sweep [`leiden`] shares.
+//! * [`grappolo`] — the Grappolo CPU parallel baseline: the [`louvain`]
+//!   driver under `LouvainConfig::grappolo()`.
 //! * [`multi_gpu`] — the device layer of the [`louvain`] loop: the
 //!   per-range decide split and the adaptive dense/sparse sync cost model
 //!   a run with `devices > 1` adds (Sec. 4.3); [`mg_contract`] is its

@@ -21,7 +21,7 @@ use gala_graph::{Graph, Partition};
 use gala_telemetry::{DeviceSync, MetricsRegistry, RoundEnd, Superstep, TraceEvent};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Configuration of a GALA Louvain run. [`LouvainConfig::paper`] is the
 /// paper's full system: MG pruning, workload-aware kernels with the
@@ -124,6 +124,20 @@ impl LouvainConfig {
             ..Self::paper()
         }
     }
+
+    /// Grappolo's CPU parallel Louvain (Lu, Halappanavar & Kalyanaraman,
+    /// 2015), the CPU baseline of Fig 5: the paper's BSP heuristics with no
+    /// pruning, the host fold and naive weight maintenance, timed on the
+    /// native pool without simulator overhead.
+    pub fn grappolo() -> Self {
+        Self {
+            pruning: PruningKind::None,
+            kernel: KernelKind::Cpu,
+            weight_update: WeightUpdateMode::Naive,
+            backend: BackendKind::Native,
+            ..Self::paper()
+        }
+    }
 }
 
 /// Per-superstep record (the raw material of Figs 1, 4, 7, 8).
@@ -143,12 +157,6 @@ pub struct IterationStats {
     pub weight_tally: MemTally,
     /// Hashtable placement stats (hash kernels only).
     pub hash_stats: TableStats,
-    /// Wall time of DecideAndMove.
-    pub decide_time: Duration,
-    /// Wall time of the weight-maintenance step.
-    pub weight_time: Duration,
-    /// Wall time of everything else (classify, sync, apply, modularity).
-    pub other_time: Duration,
     /// Modelled device compute time (µs): the slowest device's decide pass
     /// plus its share of weight maintenance.
     pub compute_us: f64,
@@ -174,16 +182,6 @@ pub struct RoundStats {
 }
 
 impl RoundStats {
-    /// Total DecideAndMove wall time of the round.
-    pub fn decide_time(&self) -> Duration {
-        self.iterations.iter().map(|i| i.decide_time).sum()
-    }
-
-    /// Total weight-maintenance wall time of the round.
-    pub fn weight_time(&self) -> Duration {
-        self.iterations.iter().map(|i| i.weight_time).sum()
-    }
-
     /// Total simulated memory tally of the round (DecideAndMove + weight
     /// maintenance).
     pub fn total_tally(&self) -> MemTally {
@@ -251,7 +249,7 @@ impl LouvainResult {
 /// across supersteps — and [`Louvain::run`] recycles it across hierarchy
 /// rounds — instead of reallocating every superstep.
 #[derive(Debug, Default)]
-pub(crate) struct Phase1Scratch {
+struct Phase1Scratch {
     active: Vec<bool>,
     decide: kernels::DecideScratch,
     out: kernels::DecideOutput,
@@ -288,7 +286,7 @@ impl Louvain {
     /// and apply on several devices) and a `superstep` event (plus a `sync`
     /// event on several devices), then the round's `metrics` and `progress`
     /// events.
-    pub(crate) fn run_phase1_round(
+    fn run_phase1_round(
         &self,
         graph: &Graph,
         round: usize,
@@ -319,7 +317,6 @@ impl Louvain {
         let mut devices = (cfg.devices > 1).then(|| Devices::new(graph, cfg.devices, cfg.sync));
         for iteration in 0..cfg.max_iterations {
             let mut sub = obs.sub();
-            let t0 = Instant::now();
             let num_active = sub.scope("classify", |p| {
                 let certs = &dscratch.certs;
                 pruning::classify_certified_into(
@@ -335,7 +332,6 @@ impl Louvain {
                 p.count("pruned", (graph.num_vertices() - num_active) as u64);
                 num_active
             });
-            let t1 = Instant::now();
             let device_moved = match devices.as_mut() {
                 None => {
                     backend.decide(cfg.kernel, graph, &state, active, &mut sub, dscratch, out);
@@ -345,7 +341,6 @@ impl Louvain {
                     backend, cfg.kernel, graph, &state, active, &mut sub, dscratch, out,
                 ),
             };
-            let t2 = Instant::now();
             if let Some(m) = obs.metrics() {
                 let certs = &dscratch.certs;
                 record_superstep_metrics(m, cfg, graph, &state, certs, active, num_active, out);
@@ -364,7 +359,6 @@ impl Louvain {
                 m.observe("phase1/moved_per_superstep", moved as u64);
                 m.inc("phase1/supersteps", 1);
             }
-            let t3 = Instant::now();
             let weight_tally = sub.scope("weight_update", |p| {
                 let certs = &mut dscratch.certs;
                 let tally =
@@ -372,12 +366,10 @@ impl Louvain {
                 p.record(&tally);
                 tally
             });
-            let t4 = Instant::now();
             let q = sub.scope("modularity", |p| {
                 p.count("items", graph.num_vertices() as u64);
                 state.modularity(graph)
             });
-            let t5 = Instant::now();
             let compute_us = match &devices {
                 None => multi_gpu::compute_us(std::slice::from_ref(&out.tally), &weight_tally),
                 Some(d) => d.compute_us(&weight_tally),
@@ -397,9 +389,6 @@ impl Louvain {
                 tally: out.tally,
                 weight_tally,
                 hash_stats: out.hash_stats,
-                decide_time: t2 - t1,
-                weight_time: t4 - t3,
-                other_time: (t1 - t0) + (t3 - t2) + (t5 - t4),
                 compute_us,
                 comm_us: sync.map_or(0.0, |s| s.comm_us),
                 sync: sync.map(|s| s.mode),
@@ -483,6 +472,18 @@ impl Louvain {
     /// partitioned contraction, and a `round_end`, and a final `run_end`.
     /// The run-level profile holds one `round` span per hierarchy round.
     pub fn run_with(&self, graph: &Graph, obs: &mut Obs) -> LouvainResult {
+        self.run_levels(graph, obs, &mut |_, _| {})
+    }
+
+    /// [`Self::run_with`], handing `on_level` each round's flattened
+    /// partition of the original graph and its modularity: the levels of
+    /// the hierarchy, finest first.
+    pub(crate) fn run_levels(
+        &self,
+        graph: &Graph,
+        obs: &mut Obs,
+        on_level: &mut dyn FnMut(&Partition, f64),
+    ) -> LouvainResult {
         let cfg = &self.config;
         let backend = cfg.backend.resolve();
         obs.run_start("louvain", graph, cfg.devices);
@@ -590,6 +591,7 @@ impl Louvain {
             // recovers it, and the caller should never see that dip.
             let q_flat =
                 crate::modularity::modularity_with_resolution(graph, &composed, cfg.resolution);
+            on_level(&composed, q_flat);
             if best.as_ref().is_none_or(|(_, bq)| q_flat > *bq) {
                 best = Some((composed.clone(), q_flat));
             }
@@ -634,9 +636,8 @@ impl Louvain {
     }
 }
 
-/// The default [`LouvainConfig::dip_patience`], also used by Grappolo,
-/// which has no patience setting.
-pub(crate) const DIP_PATIENCE: usize = 8;
+/// The default [`LouvainConfig::dip_patience`].
+const DIP_PATIENCE: usize = 8;
 
 /// Dip-tolerant convergence of one BSP phase-1 round. Simultaneous greedy
 /// moves can overshoot and *lower* Q (the classic BSP-Louvain hazard), but
@@ -644,7 +645,7 @@ pub(crate) const DIP_PATIENCE: usize = 8;
 /// Following Grappolo's convergence heuristics a round keeps iterating with
 /// bounded patience and restores the best state seen, so it never ends
 /// below its peak and Theorem 6's guarantees carry to the system level.
-pub(crate) struct DipPatience {
+struct DipPatience {
     best_q: f64,
     best_state: BspState,
     stagnant: usize,
@@ -655,7 +656,7 @@ pub(crate) struct DipPatience {
 impl DipPatience {
     /// Starts from the round's initial `state` at modularity `q` (a round
     /// may never beat its start).
-    pub(crate) fn new(state: &BspState, q: f64, theta: f64, patience: usize) -> Self {
+    fn new(state: &BspState, q: f64, theta: f64, patience: usize) -> Self {
         Self {
             best_q: q,
             best_state: state.clone(),
@@ -668,7 +669,7 @@ impl DipPatience {
     /// Records a superstep that left `state` at modularity `q` after
     /// `moved` moves; returns whether the round should stop — nothing
     /// moved, or more than `patience` supersteps without a gain above θ.
-    pub(crate) fn step(&mut self, state: &BspState, q: f64, moved: usize) -> bool {
+    fn step(&mut self, state: &BspState, q: f64, moved: usize) -> bool {
         // Progress is measured against the best state, never against the
         // previous (possibly oscillating) superstep: a θ-sized up-tick
         // inside an oscillation must not read as convergence.
@@ -688,7 +689,7 @@ impl DipPatience {
 
     /// Ends the round: restores the best state if `state` fell below it,
     /// and returns the round's peak modularity.
-    pub(crate) fn finish(self, graph: &Graph, state: &mut BspState) -> f64 {
+    fn finish(self, graph: &Graph, state: &mut BspState) -> f64 {
         if state.modularity(graph) < self.best_q {
             *state = self.best_state;
         }

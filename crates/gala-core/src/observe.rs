@@ -270,7 +270,7 @@ impl<'a> Obs<'a> {
     /// `phase`, reporting the next level's `arcs`. The round's modularity
     /// `q` is computed only when the sink or the live recorder will see it.
     /// Also resets the arcs-done estimate, for drivers whose phase 1 has
-    /// no [`Obs::phase1_end`] (Grappolo).
+    /// no [`Obs::phase1_end`] (sequential Louvain, Leiden).
     pub(crate) fn round_end(
         &mut self,
         round: u32,

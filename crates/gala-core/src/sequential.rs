@@ -5,7 +5,7 @@
 //! assignment. This is the quality gold standard the parallel versions are
 //! compared against, and the slowest baseline of Figure 5.
 
-use crate::modularity::{gain_score, modularity};
+use crate::modularity::modularity;
 use crate::observe::Obs;
 use gala_graph::coarsen::{coarsen_into, CoarsenScratch};
 use gala_graph::partition::CommunityId;
@@ -67,6 +67,7 @@ pub fn sequential_louvain_with(
     let mut flat: Option<Partition> = None;
     let mut rounds = 0;
     let mut cscratch = CoarsenScratch::default();
+    let mut sweep = Sweep::default();
     for round in 0..config.max_rounds {
         let g = current.as_ref().unwrap_or(graph);
         obs.enter_round();
@@ -75,7 +76,17 @@ pub fn sequential_louvain_with(
             p.scope("decide", |p| {
                 let started = Instant::now();
                 let assignment = p.scope("cpu", |p| {
-                    let assignment = phase1(g, config.theta, config.max_sweeps);
+                    let mut assignment: Vec<CommunityId> =
+                        (0..g.num_vertices() as CommunityId).collect();
+                    local_moving(
+                        g,
+                        &mut assignment,
+                        1.0,
+                        config.theta,
+                        config.max_sweeps,
+                        None,
+                        &mut sweep,
+                    );
                     p.count("items", g.num_vertices() as u64);
                     assignment
                 });
@@ -130,25 +141,62 @@ pub fn sequential_louvain_with(
     }
 }
 
-/// One phase-1 pass: repeated sweeps over all vertices with immediate
-/// (sequential-consistent) state updates.
-fn phase1(graph: &Graph, theta: f64, max_sweeps: usize) -> Vec<CommunityId> {
+/// Reusable buffers of [`local_moving`], hoisted so a driver recycles one
+/// allocation set across its rounds instead of reallocating per call.
+#[derive(Debug, Default)]
+pub(crate) struct Sweep {
+    /// `D_V(C)` per community id slot.
+    d_tot: Vec<f64>,
+    /// Per-vertex `(community, d_vc)` aggregation map.
+    agg: HashMap<CommunityId, f64>,
+}
+
+/// Sequential local moving, the one sweep behind sequential Louvain's
+/// phase 1 and Leiden's local moving and refinement. Starting from `comm`,
+/// each sweep visits every vertex and applies its move at once, so a
+/// vertex always sees the freshest assignment. A vertex moves to the
+/// neighbouring community with the highest score `d_vc − γ·d_v·D/m2`
+/// (`D` the community's total degree without `v`), ties going to the lower
+/// id; it stays unless some community strictly beats staying or ties with
+/// a lower id.
+///
+/// With `within`, only neighbours in `v`'s own `within` community count,
+/// so no community grows past one `within` community (Leiden's
+/// refinement). Sweeps stop once one moves nothing or gains less than
+/// `theta` in modularity, or after `max_sweeps`. Returns whether anything
+/// moved.
+pub(crate) fn local_moving(
+    graph: &Graph,
+    comm: &mut [CommunityId],
+    gamma: f64,
+    theta: f64,
+    max_sweeps: usize,
+    within: Option<&Partition>,
+    sweep: &mut Sweep,
+) -> bool {
     let n = graph.num_vertices();
     let m2 = graph.total_weight();
-    let mut comm: Vec<CommunityId> = (0..n as CommunityId).collect();
-    let mut d_tot: Vec<f64> = (0..n).map(|v| graph.degree_w(v as VertexId)).collect();
     if m2 == 0.0 {
-        return comm;
+        return false;
     }
-    let mut agg: HashMap<CommunityId, f64> = HashMap::new();
+    let Sweep { d_tot, agg } = sweep;
+    let slots = comm.iter().copied().max().map_or(0, |c| c as usize + 1);
+    d_tot.clear();
+    d_tot.resize(slots.max(n), 0.0);
+    for v in 0..n {
+        d_tot[comm[v] as usize] += graph.degree_w(v as VertexId);
+    }
+    let mut any_moved = false;
     for _ in 0..max_sweeps {
+        let mut moved = false;
         let mut sweep_gain = 0.0;
         for v in 0..n as VertexId {
             let cv = comm[v as usize];
             let d_v = graph.degree_w(v);
+            let parent = within.map(|p| (p, p.community_of(v)));
             agg.clear();
             for (u, w) in graph.neighbors(v) {
-                if u != v {
+                if u != v && parent.is_none_or(|(p, c)| p.community_of(u) == c) {
                     *agg.entry(comm[u as usize]).or_insert(0.0) += w;
                 }
             }
@@ -157,35 +205,33 @@ fn phase1(graph: &Graph, theta: f64, max_sweeps: usize) -> Vec<CommunityId> {
             }
             // Extract v from its community.
             d_tot[cv as usize] -= d_v;
-            let stay = gain_score(
-                agg.get(&cv).copied().unwrap_or(0.0),
-                d_v,
-                d_tot[cv as usize],
-                m2,
-            );
+            let score = |d_vc: f64, dt: f64| d_vc - gamma * d_v * dt / m2;
+            let stay = score(agg.get(&cv).copied().unwrap_or(0.0), d_tot[cv as usize]);
             let mut best_c = cv;
             let mut best = stay;
             for (&c, &d_vc) in agg.iter() {
                 if c == cv {
                     continue;
                 }
-                let score = gain_score(d_vc, d_v, d_tot[c as usize], m2);
-                if score > best || (score == best && c < best_c) {
-                    best = score;
+                let s = score(d_vc, d_tot[c as usize]);
+                if s > best || (s == best && c < best_c) {
+                    best = s;
                     best_c = c;
                 }
             }
             d_tot[best_c as usize] += d_v;
             if best_c != cv {
                 comm[v as usize] = best_c;
+                moved = true;
                 sweep_gain += 2.0 / m2 * (best - stay);
             }
         }
-        if sweep_gain < theta {
+        any_moved |= moved;
+        if !moved || sweep_gain < theta {
             break;
         }
     }
-    comm
+    any_moved
 }
 
 #[cfg(test)]

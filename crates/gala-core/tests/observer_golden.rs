@@ -15,7 +15,6 @@
 //! After a deliberate change to the trace, regenerate the files with
 //! `cargo test -p gala-core --test observer_golden -- --ignored bless`.
 
-use gala_core::grappolo::grappolo_with;
 use gala_core::leiden::{leiden_with, LeidenConfig};
 use gala_core::louvain::{Louvain, LouvainConfig};
 use gala_core::multi_gpu::ContractMode;
@@ -62,7 +61,7 @@ fn runs() -> [(&'static str, Run); 6] {
         }),
         ("grappolo", |sink| {
             let g = fixtures::ring_of_cliques(6, 5);
-            grappolo_with(&g, 1e-6, &mut Obs::traced(sink));
+            Louvain::new(LouvainConfig::grappolo()).run_with(&g, &mut Obs::traced(sink));
         }),
     ]
 }
