@@ -3,6 +3,7 @@
 
 use gala_core::backend::BackendKind;
 use gala_core::multi_gpu::ContractMode;
+use gala_core::pruning::PruningKind;
 use std::fmt;
 
 /// Usage text printed on parse errors and `--help`.
@@ -195,40 +196,6 @@ impl Store {
     }
 }
 
-/// Pruning strategy names.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Pruning {
-    /// Modularity-gain with damped moves (MGD, the default).
-    Mgd,
-    /// Modularity-gain (MG), the paper's strategy.
-    Mg,
-    /// Strict movement (SM).
-    Sm,
-    /// Relaxed movement (RM).
-    Rm,
-    /// Probabilistic movement (PM, α = 0.25).
-    Pm,
-    /// MG + RM combined.
-    MgRm,
-    /// No pruning.
-    None,
-}
-
-impl Pruning {
-    fn parse(s: &str) -> Result<Self, ParseError> {
-        match s {
-            "mgd" => Ok(Pruning::Mgd),
-            "mg" => Ok(Pruning::Mg),
-            "sm" => Ok(Pruning::Sm),
-            "rm" => Ok(Pruning::Rm),
-            "pm" => Ok(Pruning::Pm),
-            "mgrm" | "mg+rm" => Ok(Pruning::MgRm),
-            "none" => Ok(Pruning::None),
-            other => Err(ParseError(format!("unknown pruning strategy `{other}`"))),
-        }
-    }
-}
-
 /// The `detect` subcommand's options.
 #[derive(Clone, Debug, PartialEq)]
 pub struct DetectArgs {
@@ -241,7 +208,7 @@ pub struct DetectArgs {
     /// Execution backend (GALA and Leiden).
     pub backend: BackendKind,
     /// Pruning strategy (GALA only).
-    pub pruning: Pruning,
+    pub pruning: PruningKind,
     /// Resolution γ.
     pub resolution: f64,
     /// Assignment output path.
@@ -438,7 +405,7 @@ impl Command {
             format: None,
             algorithm: Algorithm::Gala,
             backend: BackendKind::Sim,
-            pruning: Pruning::Mgd,
+            pruning: PruningKind::GainDamped,
             resolution: 1.0,
             output: None,
             devices: 1,
@@ -462,7 +429,11 @@ impl Command {
                         .parse()
                         .map_err(ParseError)?
                 }
-                "--pruning" => out.pruning = Pruning::parse(value(args, &mut i, "--pruning")?)?,
+                "--pruning" => {
+                    out.pruning = value(args, &mut i, "--pruning")?
+                        .parse()
+                        .map_err(ParseError)?
+                }
                 "--resolution" => {
                     let v = value(args, &mut i, "--resolution")?;
                     out.resolution = v
@@ -754,7 +725,7 @@ mod tests {
         assert_eq!(d.input, "graph.txt");
         assert_eq!(d.algorithm, Algorithm::Gala);
         assert_eq!(d.backend, BackendKind::Sim);
-        assert_eq!(d.pruning, Pruning::Mgd);
+        assert_eq!(d.pruning, PruningKind::GainDamped);
         assert_eq!(d.resolution, 1.0);
         assert_eq!(d.mg_contract, ContractMode::Host);
         assert!(!d.quiet);
@@ -794,10 +765,10 @@ mod tests {
     #[test]
     fn parses_pruning_names() {
         for (name, want) in [
-            ("mgd", Pruning::Mgd),
-            ("mg", Pruning::Mg),
-            ("mg+rm", Pruning::MgRm),
-            ("none", Pruning::None),
+            ("mgd", PruningKind::GainDamped),
+            ("mg", PruningKind::Gain),
+            ("mg+rm", PruningKind::GainRelaxed),
+            ("none", PruningKind::None),
         ] {
             let cmd = Command::parse(&argv(&format!("detect g.txt --pruning {name}"))).unwrap();
             let Command::Detect(d) = cmd else { panic!() };

@@ -1,15 +1,12 @@
 //! Command execution: graph IO, algorithm dispatch, and reporting.
 
-use crate::args::{
-    Algorithm, Command, DetectArgs, Format, GenerateArgs, Pruning, Reorder, Store, USAGE,
-};
+use crate::args::{Algorithm, Command, DetectArgs, Format, GenerateArgs, Reorder, Store, USAGE};
 use gala_core::label_prop::{label_propagation, LabelPropConfig};
 use gala_core::leiden::{leiden_with, LeidenConfig};
 use gala_core::louvain::{Louvain, LouvainConfig};
 use gala_core::metrics::summarize;
 use gala_core::modularity::modularity_with_resolution;
 use gala_core::observe::Obs;
-use gala_core::pruning::PruningKind;
 use gala_core::sequential::{sequential_louvain_with, SequentialConfig};
 use gala_core::validation::{coverage, mean_conductance};
 use gala_gpu::memory::CostModel;
@@ -50,32 +47,40 @@ pub fn execute(cmd: Command) -> Result<(), Error> {
 }
 
 /// Reads a `vertex community` assignment file (as written by `detect
-/// --output`). Missing vertices default to singleton labels.
+/// --output`). Vertex ids and labels are `u32`s. Missing vertices default
+/// to singleton labels: the smallest labels no explicit line uses.
 pub fn load_assignment(path: &str, num_vertices: usize) -> Result<Partition, Error> {
     let text = std::fs::read_to_string(path)?;
-    let mut n = num_vertices;
-    let mut pairs = Vec::new();
+    let mut explicit: Vec<Option<u32>> = vec![None; num_vertices];
     for (lineno, line) in text.lines().enumerate() {
         let t = line.trim();
         if t.is_empty() || t.starts_with('#') {
             continue;
         }
         let mut it = t.split_whitespace();
-        let bad = || format!("{path} line {}: expected `vertex community`", lineno + 1);
-        let v: usize = it.next().ok_or_else(bad)?.parse().map_err(|_| bad())?;
+        let bad = || {
+            format!(
+                "{path} line {}: expected `vertex community`, two integers below 2^32",
+                lineno + 1
+            )
+        };
+        let v: u32 = it.next().ok_or_else(bad)?.parse().map_err(|_| bad())?;
         let c: u32 = it.next().ok_or_else(bad)?.parse().map_err(|_| bad())?;
-        n = n.max(v + 1);
-        pairs.push((v, c));
+        let v = v as usize;
+        if explicit.len() <= v {
+            explicit.resize(v + 1, None);
+        }
+        explicit[v] = Some(c);
     }
-    let mut assignment: Vec<u32> = (0..n as u32).collect();
-    // Avoid label collisions with explicit assignments: shift defaults up.
-    let max_label = pairs.iter().map(|&(_, c)| c).max().unwrap_or(0);
-    for x in assignment.iter_mut() {
-        *x += max_label + 1;
-    }
-    for (v, c) in pairs {
-        assignment[v] = c;
-    }
+    let mut used: Vec<u32> = explicit.iter().flatten().copied().collect();
+    used.sort_unstable();
+    used.dedup();
+    // At most 2^32 vertices, so the free labels never run out.
+    let mut free = (0..=u32::MAX).filter(|l| used.binary_search(l).is_err());
+    let assignment = explicit
+        .into_iter()
+        .map(|c| c.or_else(|| free.next()).expect("a free label per vertex"))
+        .collect();
     Ok(Partition::from_assignment(assignment))
 }
 
@@ -327,17 +332,8 @@ fn detect(args: DetectArgs) -> Result<(), Error> {
     let start = Instant::now();
     let (name, partition): (&str, Partition) = match args.algorithm {
         Algorithm::Gala => {
-            let pruning = match args.pruning {
-                Pruning::Mgd => PruningKind::GainDamped,
-                Pruning::Mg => PruningKind::Gain,
-                Pruning::Sm => PruningKind::Strict,
-                Pruning::Rm => PruningKind::Relaxed,
-                Pruning::Pm => PruningKind::probabilistic_default(),
-                Pruning::MgRm => PruningKind::GainRelaxed,
-                Pruning::None => PruningKind::None,
-            };
             let r = Louvain::new(LouvainConfig {
-                pruning,
+                pruning: args.pruning,
                 resolution: args.resolution,
                 backend: args.backend,
                 devices: args.devices,
@@ -400,6 +396,7 @@ fn detect(args: DetectArgs) -> Result<(), Error> {
             .meta("resolution", format!("{}", args.resolution))
             .meta("devices", format!("{}", args.devices))
             .meta("contract", format!("{}", args.mg_contract))
+            .meta("pruning", format!("{}", args.pruning))
             .meta("store", store_kind)
             .meta(
                 "reorder",
@@ -570,6 +567,7 @@ mod tests {
         let report = Report::read_from(&report_path).unwrap();
         assert_eq!(report.kind, "run");
         assert_eq!(report.meta_value("algorithm"), Some("GALA"));
+        assert_eq!(report.meta_value("pruning"), Some("mgd"));
         let row = report.row("summary").unwrap();
         assert_eq!(row.get("vertices"), Some(20.0));
         assert_eq!(row.get("communities"), Some(5.0));
@@ -841,6 +839,32 @@ mod tests {
         assert_ne!(p.community_of(1), 7);
         assert_ne!(p.community_of(3), 7);
         assert_ne!(p.community_of(1), p.community_of(3));
+        let _ = std::fs::remove_file(path);
+    }
+
+    #[test]
+    fn load_assignment_rejects_vertex_ids_beyond_u32() {
+        let path = format!("{}.a", tmp("hugev"));
+        for v in ["4294967296", "18446744073709551615"] {
+            std::fs::write(&path, format!("0 0\n{v} 1\n")).unwrap();
+            let err = load_assignment(&path, 0).unwrap_err().to_string();
+            assert!(err.contains("line 2: expected `vertex community`"), "{err}");
+        }
+        let _ = std::fs::remove_file(path);
+    }
+
+    #[test]
+    fn default_labels_never_collide_with_the_largest_label() {
+        // Label u32::MAX leaves no room above the largest label, so the
+        // defaults must come from the free labels below it.
+        let path = format!("{}.a", tmp("wrap"));
+        std::fs::write(&path, "0 4294967295\n2 1\n").unwrap();
+        let p = load_assignment(&path, 3).unwrap();
+        assert_eq!(p.num_communities(), 3);
+        assert_eq!(p.assignment(), &[u32::MAX, 0, 1]);
+        std::fs::write(&path, "0 4294967295\n2 0\n").unwrap();
+        let p = load_assignment(&path, 4).unwrap();
+        assert_eq!(p.assignment(), &[u32::MAX, 1, 0, 2]);
         let _ = std::fs::remove_file(path);
     }
 

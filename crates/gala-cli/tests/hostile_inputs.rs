@@ -168,6 +168,20 @@ fn a_huge_vertex_id_without_a_directive_is_rejected() {
 }
 
 #[test]
+fn a_vertices_directive_beyond_u32_ids_is_rejected() {
+    // Trusted as written, the first count would overflow the offsets
+    // length and the second would allocate 48 GB of offsets.
+    for n in ["18446744073709551615", "6000000000"] {
+        assert_rejected(
+            &["stats"],
+            &format!("vertices_{n}.txt"),
+            format!("#vertices {n}\n0 1\n").as_bytes(),
+            &["line 1", "#vertices", n],
+        );
+    }
+}
+
+#[test]
 fn truncated_v2_container_is_rejected() {
     let mut b = GraphBuilder::new(4);
     b.extend_edges([(0, 1, 1.0), (1, 2, 1.0), (2, 3, 0.5)]);

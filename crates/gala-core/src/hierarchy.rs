@@ -76,11 +76,6 @@ impl Dendrogram {
         }
         best
     }
-
-    /// The finest level with at most `k` communities, if any.
-    pub fn level_with_at_most(&self, k: usize) -> Option<usize> {
-        (0..self.levels.len()).find(|&i| self.levels[i].num_communities() <= k)
-    }
 }
 
 #[cfg(test)]
@@ -181,15 +176,6 @@ mod tests {
             let q = d.modularity_at(best);
             assert_eq!(q.to_bits(), run.modularity.to_bits(), "{name}: best Q");
         }
-    }
-
-    #[test]
-    fn cut_by_community_budget() {
-        let g = fixtures::ring_of_cliques(8, 4);
-        let d = Dendrogram::build(&g, LouvainConfig::default());
-        let lvl = d.level_with_at_most(10).expect("some level has <= 10");
-        assert!(d.level(lvl).num_communities() <= 10);
-        assert!(d.level_with_at_most(0).is_none());
     }
 
     #[test]

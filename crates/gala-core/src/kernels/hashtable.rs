@@ -174,11 +174,6 @@ impl VertexTable {
         self.s
     }
 
-    /// Number of global buckets.
-    pub fn global_buckets(&self) -> usize {
-        self.g
-    }
-
     #[inline]
     fn space_of(&self, idx: usize) -> Space {
         if idx < self.s {
@@ -420,7 +415,7 @@ mod tests {
             shared_buckets: 512,
         };
         let mut t = VertexTable::new(cfg, 256, &mut shared);
-        assert_eq!(t.global_buckets(), 512);
+        assert_eq!(t.g, 512);
         let mut tally = MemTally::new();
         for k in 0..400u32 {
             t.upsert_add(k, 1.0, &mut tally);

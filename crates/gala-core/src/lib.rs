@@ -37,7 +37,6 @@
 #![warn(missing_docs)]
 
 pub mod backend;
-pub mod consensus;
 pub mod grappolo;
 pub mod hierarchy;
 pub mod kernels;

@@ -34,13 +34,6 @@ pub fn gain_score(d_vc: f64, d_v: f64, d_tot_wo_v: f64, m2: f64) -> f64 {
     d_vc - d_v * d_tot_wo_v / m2
 }
 
-/// Exact modularity change of moving an extracted (singleton) vertex into
-/// a community with score `gain_score`, per the module-docs formula.
-#[inline]
-pub fn delta_q_from_score(score: f64, m2: f64) -> f64 {
-    2.0 / m2 * score
-}
-
 /// Modularity `Q` of `partition` over `graph` (Eq. 1), computed from
 /// scratch in `O(n + m)`.
 ///
@@ -218,7 +211,8 @@ mod tests {
             .sum();
         let d_tot1 = g.degree_w(1) + g.degree_w(2);
         let score = gain_score(d_vc, d_v, d_tot1, m2);
-        let predicted = delta_q_from_score(score, m2);
+        // The module-docs formula: ΔQ = 2/m2 · score for an extracted vertex.
+        let predicted = 2.0 / m2 * score;
         let actual = modularity(&g, &after) - modularity(&g, &before);
         assert!(
             (actual - predicted).abs() < 1e-12,

@@ -101,6 +101,8 @@ use crate::state::BspState;
 use certificate::Certificates;
 use gala_graph::Graph;
 use rand_chacha::ChaCha8Rng;
+use std::fmt;
+use std::str::FromStr;
 
 /// Which pruning strategy to apply before each superstep.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -145,6 +147,41 @@ impl PruningKind {
             PruningKind::Gain => "MG",
             PruningKind::GainRelaxed => "MG+RM",
             PruningKind::GainDamped => "MGD",
+        }
+    }
+}
+
+/// The CLI name (`gala detect --pruning`). Every `Probabilistic` α
+/// displays as `pm`, which parses back to the paper's α = 0.25.
+impl fmt::Display for PruningKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            PruningKind::None => "none",
+            PruningKind::Strict => "sm",
+            PruningKind::Relaxed => "rm",
+            PruningKind::Probabilistic { .. } => "pm",
+            PruningKind::Gain => "mg",
+            PruningKind::GainRelaxed => "mgrm",
+            PruningKind::GainDamped => "mgd",
+        })
+    }
+}
+
+impl FromStr for PruningKind {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        match s {
+            "mgd" => Ok(PruningKind::GainDamped),
+            "mg" => Ok(PruningKind::Gain),
+            "sm" => Ok(PruningKind::Strict),
+            "rm" => Ok(PruningKind::Relaxed),
+            "pm" => Ok(PruningKind::probabilistic_default()),
+            "mgrm" | "mg+rm" => Ok(PruningKind::GainRelaxed),
+            "none" => Ok(PruningKind::None),
+            other => Err(format!(
+                "unknown pruning strategy `{other}` (expected mgd|mg|sm|rm|pm|mgrm|none)"
+            )),
         }
     }
 }
@@ -693,6 +730,23 @@ mod tests {
             AuditResult::default(),
             "nothing pruned, nothing sampled"
         );
+    }
+
+    #[test]
+    fn cli_names_parse_and_display_round_trip() {
+        for kind in [
+            PruningKind::None,
+            PruningKind::Strict,
+            PruningKind::Relaxed,
+            PruningKind::probabilistic_default(),
+            PruningKind::Gain,
+            PruningKind::GainRelaxed,
+            PruningKind::GainDamped,
+        ] {
+            assert_eq!(kind.to_string().parse::<PruningKind>().unwrap(), kind);
+        }
+        // The paper labels are table headings, not CLI names.
+        assert!("MG".parse::<PruningKind>().is_err());
     }
 
     #[test]

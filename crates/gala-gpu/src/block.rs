@@ -63,15 +63,6 @@ impl SharedMem {
         self.used += bytes;
         Some(vec![T::default(); len])
     }
-
-    /// Maximum number of `T` elements that still fit.
-    pub fn max_elems<T>(&self) -> usize {
-        if std::mem::size_of::<T>() == 0 {
-            usize::MAX
-        } else {
-            self.remaining() / std::mem::size_of::<T>()
-        }
-    }
 }
 
 /// Static configuration of a simulated block.
@@ -116,14 +107,6 @@ mod tests {
         let c: Option<Vec<u64>> = sm.try_alloc(4);
         assert!(c.is_some());
         assert_eq!(sm.remaining(), 0);
-    }
-
-    #[test]
-    fn max_elems_tracks_remaining() {
-        let mut sm = SharedMem::new(100);
-        assert_eq!(sm.max_elems::<u32>(), 25);
-        let _: Vec<u32> = sm.try_alloc(10).unwrap();
-        assert_eq!(sm.max_elems::<u32>(), 15);
     }
 
     #[test]

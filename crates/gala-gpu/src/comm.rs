@@ -1,10 +1,12 @@
 //! Multi-device collectives under a ring α–β cost model — the stand-in for
 //! NCCL `ncclAllReduce` / `ncclAllGather` over NVLink (paper Section 4.3).
 //!
-//! The collectives are *functional* (they really combine the per-device
-//! buffers, so multi-GPU Louvain produces exact results) and *costed*: each
-//! call returns a [`CommEvent`] with the bytes moved and the modelled time,
-//! using the standard ring-algorithm formulas:
+//! Every collective has a modelled time under the standard ring-algorithm
+//! formulas below. AllGather and AllToAll are also *functional*: they really
+//! combine the per-device buffers (the partitioned phase-2 contraction routes
+//! its ghost rows through [`DeviceGroup::all_to_all`]) and return a
+//! [`CommEvent`] with the bytes moved and the modelled time. AllReduce is
+//! costed only, through [`DeviceGroup::all_reduce_time_us`]:
 //!
 //! * AllReduce: `2·(p−1)·α + 2·(p−1)/p · bytes / β`
 //! * AllGather: `(p−1)·α + (p−1)/p · total_bytes / β`
@@ -20,12 +22,8 @@
 /// Which collective produced a [`CommEvent`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CollectiveKind {
-    /// Element-wise reduction leaving every device with the combined buffer.
-    AllReduce,
     /// Concatenation leaving every device with all devices' items.
     AllGather,
-    /// One device's buffer copied to all others.
-    Broadcast,
     /// Personalised exchange: every device sends a distinct buffer to every
     /// other device (phase-2 cross-partition row exchange).
     AllToAll,
@@ -82,81 +80,6 @@ impl DeviceGroup {
             return 0.0;
         }
         (p - 1.0) * self.alpha_us + (p - 1.0) / p * total_bytes as f64 / self.bytes_per_us
-    }
-
-    /// Element-wise sum-AllReduce over equal-length `f64` buffers, one per
-    /// device. Every buffer ends up holding the sum.
-    pub fn all_reduce_sum(&self, buffers: &mut [Vec<f64>]) -> CommEvent {
-        assert_eq!(buffers.len(), self.num_devices, "one buffer per device");
-        let len = buffers.first().map_or(0, |b| b.len());
-        assert!(
-            buffers.iter().all(|b| b.len() == len),
-            "AllReduce buffers must have equal length"
-        );
-        let mut sum = vec![0.0f64; len];
-        for b in buffers.iter() {
-            for (s, x) in sum.iter_mut().zip(b) {
-                *s += x;
-            }
-        }
-        for b in buffers.iter_mut() {
-            b.copy_from_slice(&sum);
-        }
-        let payload = (len * std::mem::size_of::<f64>()) as u64;
-        CommEvent {
-            kind: CollectiveKind::AllReduce,
-            payload_bytes: payload,
-            time_us: self.all_reduce_time_us(payload),
-        }
-    }
-
-    /// Element-wise *max*-AllReduce over equal-length `u32` buffers (used to
-    /// propagate community-id assignments where each device owns a disjoint
-    /// vertex range and non-owned slots hold 0).
-    pub fn all_reduce_max_u32(&self, buffers: &mut [Vec<u32>]) -> CommEvent {
-        assert_eq!(buffers.len(), self.num_devices, "one buffer per device");
-        let len = buffers.first().map_or(0, |b| b.len());
-        assert!(buffers.iter().all(|b| b.len() == len));
-        let mut max = vec![0u32; len];
-        for b in buffers.iter() {
-            for (s, x) in max.iter_mut().zip(b) {
-                *s = (*s).max(*x);
-            }
-        }
-        for b in buffers.iter_mut() {
-            b.copy_from_slice(&max);
-        }
-        let payload = (len * std::mem::size_of::<u32>()) as u64;
-        CommEvent {
-            kind: CollectiveKind::AllReduce,
-            payload_bytes: payload,
-            time_us: self.all_reduce_time_us(payload),
-        }
-    }
-
-    /// Broadcast: copies `root`'s buffer to every device slot. Ring
-    /// pipeline cost: `(p−1)·α + bytes/β` for large messages.
-    pub fn broadcast<T: Clone>(&self, buffers: &mut [Vec<T>], root: usize) -> CommEvent {
-        assert_eq!(buffers.len(), self.num_devices, "one buffer per device");
-        assert!(root < self.num_devices, "root device out of range");
-        let src = buffers[root].clone();
-        let bytes = (src.len() * std::mem::size_of::<T>()) as u64;
-        for (d, buf) in buffers.iter_mut().enumerate() {
-            if d != root {
-                *buf = src.clone();
-            }
-        }
-        let p = self.num_devices as f64;
-        let time_us = if self.num_devices == 1 {
-            0.0
-        } else {
-            (p - 1.0) * self.alpha_us + bytes as f64 / self.bytes_per_us
-        };
-        CommEvent {
-            kind: CollectiveKind::Broadcast,
-            payload_bytes: bytes,
-            time_us,
-        }
     }
 
     /// Modelled time for an AllToAll moving `total_bytes` across all device
@@ -248,28 +171,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn all_reduce_sums_everywhere() {
-        let g = DeviceGroup::new(3);
-        let mut bufs = vec![vec![1.0, 2.0], vec![10.0, 20.0], vec![100.0, 200.0]];
-        let ev = g.all_reduce_sum(&mut bufs);
-        for b in &bufs {
-            assert_eq!(b, &vec![111.0, 222.0]);
-        }
-        assert_eq!(ev.kind, CollectiveKind::AllReduce);
-        assert_eq!(ev.payload_bytes, 16);
-        assert!(ev.time_us > 0.0);
-    }
-
-    #[test]
-    fn all_reduce_max_propagates_owned_slots() {
-        let g = DeviceGroup::new(2);
-        let mut bufs = vec![vec![7, 0, 3, 0], vec![0, 9, 0, 1]];
-        g.all_reduce_max_u32(&mut bufs);
-        assert_eq!(bufs[0], vec![7, 9, 3, 1]);
-        assert_eq!(bufs[1], vec![7, 9, 3, 1]);
-    }
-
-    #[test]
     fn all_gather_concatenates_in_device_order() {
         let g = DeviceGroup::new(2);
         let (out, ev) = g.all_gather(&[vec![1u32, 2], vec![3u32]], 4);
@@ -344,25 +245,6 @@ mod tests {
     }
 
     #[test]
-    fn broadcast_copies_root_everywhere() {
-        let g = DeviceGroup::new(3);
-        let mut bufs = vec![vec![0u32; 2], vec![7, 8], vec![0, 0]];
-        let ev = g.broadcast(&mut bufs, 1);
-        assert!(bufs.iter().all(|b| b == &vec![7, 8]));
-        assert_eq!(ev.kind, CollectiveKind::Broadcast);
-        assert_eq!(ev.payload_bytes, 8);
-        assert!(ev.time_us > 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "root device out of range")]
-    fn broadcast_rejects_bad_root() {
-        let g = DeviceGroup::new(2);
-        let mut bufs = vec![vec![0u8], vec![0u8]];
-        g.broadcast(&mut bufs, 5);
-    }
-
-    #[test]
     fn single_device_costs_nothing() {
         let g = DeviceGroup::new(1);
         assert_eq!(g.all_reduce_time_us(1_000_000), 0.0);
@@ -388,13 +270,5 @@ mod tests {
         let dense = g.all_reduce_time_us(n * 4);
         let sparse = g.all_gather_time_us(n * 12);
         assert!(dense < sparse, "dense {dense} vs sparse {sparse}");
-    }
-
-    #[test]
-    #[should_panic(expected = "equal length")]
-    fn all_reduce_rejects_ragged_buffers() {
-        let g = DeviceGroup::new(2);
-        let mut bufs = vec![vec![1.0], vec![1.0, 2.0]];
-        g.all_reduce_sum(&mut bufs);
     }
 }

@@ -5,18 +5,18 @@
 //! *which warp/block primitives move it*. This crate reproduces that
 //! execution model in portable Rust:
 //!
-//! * [`warp`] — 32-lane warps with the CUDA warp-level primitives the paper
-//!   uses (`__match_any_sync`, `__reduce_add_sync`, `__reduce_max_sync`,
-//!   plus `shfl`/`ballot`), implemented lane-array style with active masks.
+//! * [`warp`] — 32-lane warps with the CUDA warp-level primitives the
+//!   shuffle kernel issues (`__match_any_sync`, `__reduce_add_sync`,
+//!   `__reduce_max_sync`, `__reduce_min_sync`, `__ballot_sync`), implemented
+//!   lane-array style with active masks.
 //! * [`block`] — thread blocks with a byte-budgeted shared-memory arena.
 //! * [`memory`] — per-space access tallies and an explicit latency
 //!   [`memory::CostModel`] turning tallies into simulated cycles.
-//! * [`atomics`] — device atomics (`atomic_cas`, `atomic_add`) with access
-//!   accounting.
 //! * [`grid`] — kernel launch: a work list fanned out over host threads
 //!   (rayon), one simulated block/warp per item, tallies reduced at the end.
-//! * [`comm`] — multi-device collectives (`AllReduce`, `AllGather`) under a
-//!   ring α–β cost model, standing in for NCCL over NVLink.
+//! * [`comm`] — multi-device collectives (`AllReduce`, `AllGather`,
+//!   `AllToAll`) under a ring α–β cost model, standing in for NCCL over
+//!   NVLink.
 //! * [`profile`] — named profiling spans attributing tallies, counters and
 //!   simulated cycles to phases of a run (zero-cost when disabled).
 //!
@@ -29,7 +29,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod atomics;
 pub mod block;
 pub mod comm;
 pub mod grid;

@@ -42,7 +42,7 @@ pub struct MemTally {
     pub shared_atomics: u64,
     /// Atomic operations on global memory.
     pub global_atomics: u64,
-    /// Warp-level primitive invocations (match/reduce/shfl/ballot).
+    /// Warp-level primitive invocations (match/reduce/ballot).
     pub warp_primitives: u64,
     /// Lockstep SIMT steps executed (one per warp-wide instruction issue).
     pub simt_steps: u64,

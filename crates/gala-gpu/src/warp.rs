@@ -165,44 +165,6 @@ impl<'t> Warp<'t> {
         }
         (taken, not_taken)
     }
-
-    /// Runs `f` with this warp's active mask narrowed to `mask` (a subset),
-    /// restoring the original mask afterwards — the simulator's analogue of
-    /// executing one side of a divergent branch.
-    pub fn with_mask<R>(&mut self, mask: u32, f: impl FnOnce(&mut Self) -> R) -> R {
-        let saved = self.active;
-        self.active = saved & mask;
-        let out = f(self);
-        self.active = saved;
-        out
-    }
-
-    /// `__shfl_sync`: every active lane reads the value held by `src_lane`.
-    /// Returns `None` if `src_lane` is inactive or out of range (undefined
-    /// behaviour in CUDA; an error here).
-    pub fn shfl_sync<T: Copy>(&mut self, values: &[T; WARP_SIZE], src_lane: usize) -> Option<T> {
-        self.tally.simt_step(self.active);
-        self.tally.warp_primitive(1);
-        if src_lane >= WARP_SIZE || self.active & (1 << src_lane) == 0 {
-            return None;
-        }
-        Some(values[src_lane])
-    }
-}
-
-/// Builds a lane array from a slice shorter than or equal to the warp size,
-/// returning the array (padded with `fill`) and the active mask covering the
-/// populated lanes.
-pub fn lanes_from_slice<T: Copy>(slice: &[T], fill: T) -> ([T; WARP_SIZE], u32) {
-    assert!(slice.len() <= WARP_SIZE, "slice exceeds warp size");
-    let mut lanes = [fill; WARP_SIZE];
-    lanes[..slice.len()].copy_from_slice(slice);
-    let active = if slice.len() == WARP_SIZE {
-        FULL_MASK
-    } else {
-        (1u32 << slice.len()) - 1
-    };
-    (lanes, active)
 }
 
 #[cfg(test)]
@@ -293,16 +255,6 @@ mod tests {
     }
 
     #[test]
-    fn shfl_reads_source_lane() {
-        let mut vals = [0u32; WARP_SIZE];
-        vals[4] = 42;
-        let (v, _) = with_warp(FULL_MASK, |w| w.shfl_sync(&vals, 4));
-        assert_eq!(v, Some(42));
-        let (v, _) = with_warp(0b1, |w| w.shfl_sync(&vals, 4));
-        assert_eq!(v, None);
-    }
-
-    #[test]
     fn primitives_are_tallied() {
         let vals = [0u32; WARP_SIZE];
         let ((), tally) = with_warp(FULL_MASK, |w| {
@@ -310,23 +262,6 @@ mod tests {
             w.reduce_min_u32_sync(&vals);
         });
         assert_eq!(tally.warp_primitives, 2);
-    }
-
-    #[test]
-    fn lanes_from_slice_pads_and_masks() {
-        let (lanes, active) = lanes_from_slice(&[1u32, 2, 3], 0);
-        assert_eq!(active, 0b111);
-        assert_eq!(&lanes[..4], &[1, 2, 3, 0]);
-        let full: Vec<u32> = (0..32).collect();
-        let (_, active) = lanes_from_slice(&full, 0);
-        assert_eq!(active, FULL_MASK);
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds warp size")]
-    fn lanes_from_slice_rejects_oversize() {
-        let big = [0u32; 33];
-        lanes_from_slice(&big, 0);
     }
 
     #[test]
@@ -350,22 +285,18 @@ mod tests {
             *p = i % 2 == 0;
         }
         let vals = [1.0f64; WARP_SIZE];
-        let ((), tally) = with_warp(FULL_MASK, |w| {
-            let (taken, not_taken) = w.branch(&pred);
-            assert_eq!(taken.count_ones(), 16);
-            assert_eq!(not_taken.count_ones(), 16);
-            // Divergent paths execute serially under partial masks.
-            w.with_mask(taken, |w| {
-                w.reduce_max_sync(&vals);
-            });
-            w.with_mask(not_taken, |w| {
-                w.reduce_max_sync(&vals);
-            });
-            // Reconverged uniform branch: no extra serialization.
-            let (t2, n2) = w.branch(&[true; WARP_SIZE]);
-            assert_eq!(t2, FULL_MASK);
-            assert_eq!(n2, 0);
-        });
+        let mut tally = MemTally::new();
+        let (taken, not_taken) = Warp::new(FULL_MASK, &mut tally).branch(&pred);
+        assert_eq!(taken.count_ones(), 16);
+        assert_eq!(not_taken.count_ones(), 16);
+        // Divergent paths execute serially under partial masks, each as its
+        // own narrowed warp (as the shuffle kernel runs them).
+        Warp::new(taken, &mut tally).reduce_max_sync(&vals);
+        Warp::new(not_taken, &mut tally).reduce_max_sync(&vals);
+        // Reconverged uniform branch: no extra serialization.
+        let (t2, n2) = Warp::new(FULL_MASK, &mut tally).branch(&[true; WARP_SIZE]);
+        assert_eq!(t2, FULL_MASK);
+        assert_eq!(n2, 0);
         assert_eq!(tally.simt_serialized, 1);
         // 2 branch steps at 32 lanes + 2 reduce steps at 16 lanes each.
         assert_eq!(tally.simt_steps, 4);
@@ -381,13 +312,5 @@ mod tests {
         });
         assert_eq!(tally.simt_serialized, 0);
         assert_eq!(tally.simt_steps, 2);
-    }
-
-    #[test]
-    fn with_mask_restores_active() {
-        let ((), _) = with_warp(FULL_MASK, |w| {
-            w.with_mask(0b1, |w| assert_eq!(w.num_active(), 1));
-            assert_eq!(w.active(), FULL_MASK);
-        });
     }
 }

@@ -84,14 +84,6 @@ impl GraphBuilder {
         }
     }
 
-    /// Reserves space for `additional` more *edges* (up to two arcs each)
-    /// in one exact reservation. Streaming callers that replay bounded
-    /// chunks call this once per chunk instead of relying on push-time
-    /// doubling, which can transiently hold ~2x the needed memory.
-    pub fn reserve_edges(&mut self, additional: usize) {
-        self.arcs.reserve_exact(additional.saturating_mul(2));
-    }
-
     /// Current vertex count (grows with added endpoints).
     pub fn num_vertices(&self) -> usize {
         self.num_vertices

@@ -33,7 +33,8 @@
 //! with gaps in their ids. A larger id is an `InvalidData` error naming
 //! the id and the edge count, not a multi-gigabyte allocation; a
 //! `#vertices N` directive raises the limit to `N`. The streaming parser
-//! applies no bound of its own.
+//! applies no bound of its own. Both parsers reject a directive whose `N`
+//! exceeds the `2^32` vertices a `u32` id can name.
 //!
 //! ## Binary containers
 //!
@@ -65,7 +66,7 @@
 //! |     56 | reserved (0)                           |
 
 use crate::builder::{EdgeSink, GraphBuilder};
-use crate::csr::{Graph, GraphStore, MappedGraph, VertexId};
+use crate::csr::{Graph, MappedGraph, VertexId};
 use std::fs::File;
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::Path;
@@ -145,6 +146,25 @@ fn parse_weight(tok: &[u8], lineno: usize) -> io::Result<f64> {
         })
 }
 
+/// The most vertices a `#vertices N` directive may declare: one per
+/// [`VertexId`].
+const MAX_DECLARED_VERTICES: u64 = 1 << 32;
+
+/// Parses the count of a `#vertices N` directive. `None` when the token is
+/// not a number, so the line stays a comment; a number above
+/// [`MAX_DECLARED_VERTICES`] is an `InvalidData` error naming the line.
+fn parse_vertex_count(tok: &[u8], lineno: usize) -> io::Result<Option<usize>> {
+    let text = String::from_utf8_lossy(tok);
+    match text.parse::<u64>() {
+        Ok(n) if n <= MAX_DECLARED_VERTICES => Ok(Some(n as usize)),
+        Err(e) if *e.kind() != std::num::IntErrorKind::PosOverflow => Ok(None),
+        _ => Err(bad_data(format!(
+            "line {lineno}: `#vertices {text}` exceeds the {MAX_DECLARED_VERTICES} \
+             vertices a u32 id can name"
+        ))),
+    }
+}
+
 /// Parses one complete line (its `\n` included, when it has one) with the
 /// general tokenizer: comments, the `#vertices` directive, any ASCII
 /// whitespace, decimal weights, trailing tokens, and every error.
@@ -158,7 +178,7 @@ fn parse_line<S: EdgeSink>(line: &[u8], lineno: usize, sink: &mut S) -> io::Resu
         // trailing vertices survive a round-trip.
         if first == b"#vertices" {
             if let Some(tok) = next_token(line, &mut pos) {
-                if let Ok(n) = std::str::from_utf8(tok).unwrap_or("").parse::<usize>() {
+                if let Some(n) = parse_vertex_count(tok, lineno)? {
                     sink.reserve_vertices(n);
                 }
             }
@@ -793,20 +813,6 @@ pub fn load_binary_mapped<P: AsRef<Path>>(path: P) -> io::Result<MappedGraph> {
     Ok(MappedGraph::new(graph, path.to_path_buf(), s.section_bytes))
 }
 
-/// Loads a binary container into a [`GraphStore`]: v2 files come back
-/// [`GraphStore::Mapped`], v1 files [`GraphStore::Owned`]. Drivers that
-/// do not care about the backing call this and deref.
-pub fn load_store<P: AsRef<Path>>(path: P) -> io::Result<GraphStore> {
-    let path = path.as_ref();
-    let mut magic = [0u8; 8];
-    File::open(path)?.read_exact(&mut magic)?;
-    if &magic == MAGIC_V2 {
-        Ok(GraphStore::Mapped(load_binary_mapped(path)?))
-    } else {
-        Ok(GraphStore::Owned(load_binary(path)?))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1101,6 +1107,41 @@ mod tests {
     }
 
     #[test]
+    fn vertices_directive_beyond_u32_ids_is_an_error() {
+        for n in [
+            "4294967297",
+            "6000000000",
+            "18446744073709551615",
+            "99999999999999999999",
+        ] {
+            let text = format!("% header\n#vertices {n}\n0 1\n");
+            let err = read_edge_list(Cursor::new(text.clone())).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            let msg = err.to_string();
+            assert!(msg.starts_with("line 2: `#vertices"), "{msg}");
+            assert!(msg.contains(n), "{msg}");
+            let mut b = GraphBuilder::new(0);
+            let err = parse_edge_list_into(Cursor::new(text), &mut b).unwrap_err();
+            assert_eq!(err.to_string(), msg);
+        }
+        // 2^32 vertices is the largest declarable count (checked without
+        // building: the streaming builder only records it).
+        let mut b = GraphBuilder::new(0);
+        parse_edge_list_into(Cursor::new("#vertices 4294967296\n"), &mut b).unwrap();
+        assert_eq!(b.num_vertices(), 1 << 32);
+        // A directive whose count is not a number stays a comment.
+        for line in [
+            "#vertices\n",
+            "#vertices many\n",
+            "#vertices -3\n",
+            "#vertices 1e9\n",
+        ] {
+            let g = read_edge_list(Cursor::new(format!("{line}0 1\n"))).unwrap();
+            assert_eq!(g.num_vertices(), 2, "{line:?}");
+        }
+    }
+
+    #[test]
     fn line_cuts_fall_on_line_starts() {
         let text = b"0 1\n22 33\n4 5";
         for chunks in 1..20 {
@@ -1345,9 +1386,6 @@ mod tests {
         assert_eq!(wa, wb);
         assert_eq!(mapped.source(), p.as_path());
         assert!(mapped.mapped_bytes() > 0);
-        let store = load_store(&p).unwrap();
-        assert_eq!(store.kind(), "mapped");
-        assert_eq!(store.num_arcs(), g.num_arcs());
         let _ = std::fs::remove_file(p);
     }
 
@@ -1370,10 +1408,6 @@ mod tests {
         let p = std::env::temp_dir().join("gala_io_mapped_v1_test.bin");
         std::fs::write(&p, to_bytes_v1(&g)).unwrap();
         assert!(load_binary_mapped(&p).is_err());
-        // But the store loader falls back to owned.
-        let store = load_store(&p).unwrap();
-        assert_eq!(store.kind(), "owned");
-        assert_eq!(store.graph(), &g);
         let _ = std::fs::remove_file(p);
     }
 }

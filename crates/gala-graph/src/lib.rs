@@ -36,7 +36,6 @@
 #![warn(missing_docs)]
 
 pub mod builder;
-pub mod clustering;
 pub mod coarsen;
 pub mod csr;
 pub mod datasets;

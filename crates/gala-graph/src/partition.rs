@@ -48,12 +48,6 @@ impl Partition {
         self.assignment[v as usize]
     }
 
-    /// Mutable access to the raw assignment vector.
-    #[inline]
-    pub fn assignment_mut(&mut self) -> &mut [CommunityId] {
-        &mut self.assignment
-    }
-
     /// Raw assignment slice.
     #[inline]
     pub fn assignment(&self) -> &[CommunityId] {

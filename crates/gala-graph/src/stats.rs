@@ -63,66 +63,6 @@ impl GraphStats {
     }
 }
 
-/// Degree assortativity coefficient (Newman 2002): the Pearson correlation
-/// of the degrees at the two ends of each edge. Social networks are
-/// assortative (> 0, hubs befriend hubs); web/biological graphs and
-/// R-MAT-style synthetics are disassortative (< 0). Returns 0 for graphs
-/// with no edges or no degree variance.
-pub fn degree_assortativity(graph: &Graph) -> f64 {
-    let mut sum_xy = 0.0f64;
-    let mut sum_x = 0.0f64;
-    let mut sum_x2 = 0.0f64;
-    let mut m = 0.0f64;
-    for v in graph.vertices() {
-        let dv = graph.degree(v) as f64;
-        for (u, _) in graph.neighbors(v) {
-            if u == v {
-                continue; // self-loops carry no cross-degree information
-            }
-            let du = graph.degree(u) as f64;
-            // Each undirected edge visited from both ends: the two visits
-            // contribute (dv,du) and (du,dv), symmetrising the sums.
-            sum_xy += dv * du;
-            sum_x += dv;
-            sum_x2 += dv * dv;
-            m += 1.0;
-        }
-    }
-    if m == 0.0 {
-        return 0.0;
-    }
-    let mean = sum_x / m;
-    let var = sum_x2 / m - mean * mean;
-    if var <= 0.0 {
-        return 0.0;
-    }
-    (sum_xy / m - mean * mean) / var
-}
-
-/// Histogram of unweighted degrees in power-of-two buckets
-/// (`[0,1), [1,2), [2,4), [4,8) ...`). Useful for eyeballing the degree
-/// skew of generated stand-ins.
-pub fn degree_histogram(graph: &Graph) -> Vec<(usize, usize)> {
-    let mut buckets: Vec<usize> = Vec::new();
-    for v in graph.vertices() {
-        let d = graph.degree(v);
-        let b = if d == 0 {
-            0
-        } else {
-            (usize::BITS - d.leading_zeros()) as usize
-        };
-        if buckets.len() <= b {
-            buckets.resize(b + 1, 0);
-        }
-        buckets[b] += 1;
-    }
-    buckets
-        .into_iter()
-        .enumerate()
-        .map(|(b, c)| (if b == 0 { 0 } else { 1 << (b - 1) }, c))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -153,58 +93,5 @@ mod tests {
         assert_eq!(s.num_vertices, 0);
         assert_eq!(s.min_degree, 0);
         assert_eq!(s.mean_degree, 0.0);
-    }
-
-    #[test]
-    fn assortativity_of_regular_graph_is_degenerate_zero() {
-        // Every vertex has the same degree: zero variance, defined as 0.
-        let g = crate::generators::fixtures::ring_of_cliques(4, 3);
-        // Ring-of-3-cliques: every vertex has degree 3 (2 intra + 1 bridge
-        // for corner vertices... sizes differ, so use a true cycle instead).
-        let mut b = GraphBuilder::new(6);
-        for v in 0..6u32 {
-            b.add_edge(v, (v + 1) % 6, 1.0);
-        }
-        let cycle = b.build();
-        assert_eq!(degree_assortativity(&cycle), 0.0);
-        // And the clique ring is finite either way.
-        assert!(degree_assortativity(&g).is_finite());
-    }
-
-    #[test]
-    fn star_is_maximally_disassortative() {
-        let g = crate::generators::fixtures::star(8);
-        assert!((degree_assortativity(&g) + 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn assortativity_bounds_and_edge_cases() {
-        let empty = GraphBuilder::new(3).build();
-        assert_eq!(degree_assortativity(&empty), 0.0);
-        let g = crate::generators::sbm::PlantedPartition {
-            num_communities: 4,
-            community_size: 30,
-            internal_degree: 6.0,
-            mixing: 0.1,
-        }
-        .generate(1)
-        .graph;
-        let r = degree_assortativity(&g);
-        assert!((-1.0..=1.0).contains(&r), "r = {r}");
-    }
-
-    #[test]
-    fn histogram_buckets() {
-        let mut b = GraphBuilder::new(4);
-        b.add_edge(0, 1, 1.0);
-        b.add_edge(0, 2, 1.0);
-        b.add_edge(0, 3, 1.0);
-        let g = b.build();
-        let h = degree_histogram(&g);
-        // Degrees: 3,1,1,1 -> bucket 1 (deg 1) has 3, bucket 2 (deg 2-3) has 1.
-        assert_eq!(h.iter().map(|&(_, c)| c).sum::<usize>(), 4);
-        let map: std::collections::HashMap<_, _> = h.into_iter().collect();
-        assert_eq!(map[&1], 3);
-        assert_eq!(map[&2], 1);
     }
 }

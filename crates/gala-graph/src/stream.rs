@@ -203,11 +203,6 @@ impl StreamingBuilder {
         self.total_arcs
     }
 
-    /// Arcs a chunk holds before spilling (derived from the budget).
-    pub fn chunk_capacity_arcs(&self) -> usize {
-        self.chunk_arcs
-    }
-
     /// Number of run files spilled so far.
     pub fn spilled_runs(&self) -> usize {
         self.runs.len()

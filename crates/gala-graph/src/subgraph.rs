@@ -1,9 +1,8 @@
-//! Induced subgraphs and ego networks.
+//! Induced subgraphs.
 //!
 //! Community analysis constantly needs "the graph restricted to this
 //! vertex set": Leiden's connectivity guarantee checks communities'
-//! induced subgraphs, drill-down UIs extract one community, and ego
-//! networks seed local methods.
+//! induced subgraphs, and drill-down UIs extract one community.
 
 use crate::builder::GraphBuilder;
 use crate::csr::{Graph, VertexId};
@@ -18,13 +17,6 @@ pub struct Subgraph {
     pub graph: Graph,
     /// Parent-graph ids in subgraph-vertex order (sorted ascending).
     pub vertices: Vec<VertexId>,
-}
-
-impl Subgraph {
-    /// Maps a subgraph vertex back to the parent id.
-    pub fn to_parent(&self, v: VertexId) -> VertexId {
-        self.vertices[v as usize]
-    }
 }
 
 /// Builds the subgraph induced by `vertices` (deduplicated, sorted).
@@ -74,16 +66,6 @@ pub fn community_subgraph(
     induced(graph, &members)
 }
 
-/// The ego network of `center`: the subgraph induced by `center`, its
-/// neighbors, and (for `radius >= 2`) vertices within `radius` hops.
-pub fn ego_network(graph: &Graph, center: VertexId, radius: u32) -> Subgraph {
-    let dist = crate::traversal::bfs_distances(graph, center);
-    let members: Vec<VertexId> = (0..graph.num_vertices() as VertexId)
-        .filter(|&v| dist[v as usize] <= radius)
-        .collect();
-    induced(graph, &members)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -95,7 +77,7 @@ mod tests {
         let sub = induced(&g, &[0, 1, 2]);
         assert_eq!(sub.graph.num_vertices(), 3);
         assert_eq!(sub.graph.num_edges(), 3); // the clique, bridge dropped
-        assert_eq!(sub.to_parent(2), 2);
+        assert_eq!(sub.vertices, vec![0, 1, 2]);
     }
 
     #[test]
@@ -124,22 +106,6 @@ mod tests {
         let sub = community_subgraph(&g, &p, 1);
         assert_eq!(sub.vertices, vec![4, 5, 6, 7]);
         assert_eq!(sub.graph.num_edges(), 6);
-    }
-
-    #[test]
-    fn ego_network_radius_one() {
-        let g = fixtures::star(4);
-        let ego = ego_network(&g, 0, 1);
-        assert_eq!(ego.graph.num_vertices(), 5);
-        let leaf_ego = ego_network(&g, 1, 1);
-        assert_eq!(leaf_ego.vertices, vec![0, 1]);
-    }
-
-    #[test]
-    fn ego_network_radius_two_spans_the_star() {
-        let g = fixtures::star(4);
-        let ego = ego_network(&g, 1, 2);
-        assert_eq!(ego.graph.num_vertices(), 5); // leaf -> center -> leaves
     }
 
     #[test]

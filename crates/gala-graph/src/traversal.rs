@@ -1,36 +1,10 @@
-//! Graph traversal utilities: BFS and connected components.
+//! Graph traversal utilities: connected components.
 //!
 //! Community detection experiments need these for sanity checks (an LFR
 //! graph that fell apart into fragments invalidates an NMI comparison) and
 //! for reporting (the paper's graphs are single giant components).
 
 use crate::csr::{Graph, VertexId};
-
-/// BFS from `source`: returns the distance (in hops) of every vertex, with
-/// `u32::MAX` for unreachable vertices.
-pub fn bfs_distances(graph: &Graph, source: VertexId) -> Vec<u32> {
-    let n = graph.num_vertices();
-    assert!((source as usize) < n, "source out of range");
-    let mut dist = vec![u32::MAX; n];
-    dist[source as usize] = 0;
-    let mut frontier = vec![source];
-    let mut next = Vec::new();
-    let mut level = 0u32;
-    while !frontier.is_empty() {
-        level += 1;
-        for &v in &frontier {
-            for (u, _) in graph.neighbors(v) {
-                if dist[u as usize] == u32::MAX {
-                    dist[u as usize] = level;
-                    next.push(u);
-                }
-            }
-        }
-        std::mem::swap(&mut frontier, &mut next);
-        next.clear();
-    }
-    dist
-}
 
 /// Connected components: returns `(component_id per vertex, #components)`.
 /// Component ids are the smallest vertex id of the component.
@@ -58,39 +32,11 @@ pub fn connected_components(graph: &Graph) -> (Vec<VertexId>, usize) {
     (comp, count)
 }
 
-/// Size of the largest connected component (0 for an empty graph).
-pub fn giant_component_size(graph: &Graph) -> usize {
-    let (comp, _) = connected_components(graph);
-    let mut counts = std::collections::HashMap::new();
-    for c in comp {
-        *counts.entry(c).or_insert(0usize) += 1;
-    }
-    counts.values().copied().max().unwrap_or(0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::generators::fixtures;
     use crate::GraphBuilder;
-
-    #[test]
-    fn bfs_on_path() {
-        let g = fixtures::path(5);
-        let d = bfs_distances(&g, 0);
-        assert_eq!(d, vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn bfs_unreachable_is_max() {
-        let mut b = GraphBuilder::new(4);
-        b.add_edge(0, 1, 1.0);
-        b.add_edge(2, 3, 1.0);
-        let g = b.build();
-        let d = bfs_distances(&g, 0);
-        assert_eq!(d[1], 1);
-        assert_eq!(d[2], u32::MAX);
-    }
 
     #[test]
     fn components_on_disconnected_cliques() {
@@ -107,7 +53,6 @@ mod tests {
         assert_eq!(comp[3], comp[4]);
         assert_ne!(comp[0], comp[3]);
         assert_eq!(comp[5], 5);
-        assert_eq!(giant_component_size(&g), 3);
     }
 
     #[test]
@@ -115,7 +60,6 @@ mod tests {
         let g = fixtures::ring_of_cliques(5, 4);
         let (_, k) = connected_components(&g);
         assert_eq!(k, 1);
-        assert_eq!(giant_component_size(&g), 20);
     }
 
     #[test]
@@ -124,6 +68,5 @@ mod tests {
         let (comp, k) = connected_components(&g);
         assert!(comp.is_empty());
         assert_eq!(k, 0);
-        assert_eq!(giant_component_size(&g), 0);
     }
 }

@@ -1,14 +1,14 @@
 //! Sim↔native calibration: per-kernel residuals from paired traces.
 //!
-//! The simulator predicts *cycles* from a flat [`CostModel`]; the native
-//! backend measures *nanoseconds* on real hardware. An [`Attribution`]
-//! joins the `profile` events of one sim trace and one native trace
-//! span-by-span and asks, per kernel: *how many predicted cycles does one
-//! measured nanosecond buy?* If the cost model were perfect, that ratio
-//! would be the same constant (the machine's effective clock) for every
-//! kernel. It is not — and the per-kernel deviation from the fitted clock
-//! is exactly the calibration signal the ROADMAP's "cost-model
-//! calibration" item asks for:
+//! The simulator predicts *cycles* from a flat
+//! [`CostModel`](gala_gpu::memory::CostModel); the native backend measures
+//! *nanoseconds* on real hardware. An [`Attribution`] joins the `profile`
+//! events of one sim trace and one native trace span-by-span and asks, per
+//! kernel: *how many predicted cycles does one measured nanosecond buy?* If
+//! the cost model were perfect, that ratio would be the same constant (the
+//! machine's effective clock) for every kernel. It is not — and the
+//! per-kernel deviation from the fitted clock is exactly the calibration
+//! signal the ROADMAP's "cost-model calibration" item asks for:
 //!
 //! 1. Both traces' [`ProfileSpan`] rows are accumulated per path (sim rows
 //!    carry component cycle charges, native rows wall-ns).
@@ -26,7 +26,7 @@
 //! 4. Residuals are folded back into per-*component* factors (how much of
 //!    each kernel's charge sits in compute vs. global memory vs. atomics
 //!    weights its residual), yielding the scale arguments for
-//!    [`CostModel::calibrated`].
+//!    [`CostModel::calibrated`](gala_gpu::memory::CostModel::calibrated).
 //!
 //! The fitted state can be persisted as a [`Calibration`] and later
 //! compared (`gala profile --gate`) to catch kernels whose residual
@@ -34,7 +34,7 @@
 
 use std::collections::BTreeMap;
 
-use gala_gpu::memory::{ComponentCharges, CostModel, COMPONENT_NAMES};
+use gala_gpu::memory::{ComponentCharges, COMPONENT_NAMES};
 
 use crate::json::Value;
 use crate::report::{judge, Direction, Verdict};
@@ -122,9 +122,10 @@ pub struct AttributionReport {
 }
 
 impl AttributionReport {
-    /// The five scale arguments for [`CostModel::calibrated`], collapsing
-    /// the coalesced/uncoalesced split into one global-memory factor and
-    /// mapping `scan_sort` onto the warp-primitive weight.
+    /// The five scale arguments for
+    /// [`CostModel::calibrated`](gala_gpu::memory::CostModel::calibrated),
+    /// collapsing the coalesced/uncoalesced split into one global-memory
+    /// factor and mapping `scan_sort` onto the warp-primitive weight.
     pub fn suggested_scales(&self) -> [f64; 5] {
         let f = &self.factors;
         let global_mass: f64 = self
@@ -145,12 +146,6 @@ impl AttributionReport {
         };
         [f.compute, f.shared_mem, global, f.atomics, f.scan_sort]
     }
-
-    /// A [`CostModel`] rescaled by [`AttributionReport::suggested_scales`].
-    pub fn calibrated_model(&self) -> CostModel {
-        let [compute, shared_mem, global_mem, atomics, scan_sort] = self.suggested_scales();
-        CostModel::calibrated(compute, shared_mem, global_mem, atomics, scan_sort)
-    }
 }
 
 impl Attribution {
@@ -167,11 +162,6 @@ impl Attribution {
     /// Accumulates the rows of one native `profile` event (unit `"ns"`).
     pub fn add_native(&mut self, spans: &[ProfileSpan]) {
         accumulate(&mut self.native, spans);
-    }
-
-    /// Whether both sides have received at least one row.
-    pub fn has_both_sides(&self) -> bool {
-        !self.sim.is_empty() && !self.native.is_empty()
     }
 
     /// Fits the clock and computes per-kernel residuals. Returns `None`
@@ -321,7 +311,8 @@ fn component_factors(rows: &[KernelResidual]) -> ComponentCharges {
 }
 
 /// A persisted calibration: the fitted clock, per-kernel residuals and
-/// suggested [`CostModel::calibrated`] scales, written by
+/// suggested [`CostModel::calibrated`](gala_gpu::memory::CostModel::calibrated)
+/// scales, written by
 /// `gala profile --write-calibration` and consumed by `--gate`.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Calibration {
@@ -329,7 +320,8 @@ pub struct Calibration {
     pub clock_cycles_per_ns: f64,
     /// Per-kernel residuals keyed by anchor path.
     pub residuals: BTreeMap<String, f64>,
-    /// The five [`CostModel::calibrated`] scale arguments
+    /// The five [`CostModel::calibrated`](gala_gpu::memory::CostModel::calibrated)
+    /// scale arguments
     /// (compute, shared_mem, global_mem, atomics, scan_sort).
     pub scales: [f64; 5],
 }
@@ -514,12 +506,6 @@ mod tests {
         // Uniform residuals calibrate to the identity model.
         let factors = report.suggested_scales();
         assert_eq!(factors, [1.0; 5]);
-        assert_eq!(
-            report
-                .calibrated_model()
-                .cycles(&gala_gpu::memory::MemTally::new()),
-            0.0
-        );
     }
 
     #[test]

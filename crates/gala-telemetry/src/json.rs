@@ -80,14 +80,6 @@ impl Value {
         }
     }
 
-    /// The boolean, if this is one.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// The elements, if this is an array.
     pub fn as_array(&self) -> Option<&[Value]> {
         match self {

@@ -105,20 +105,6 @@ impl Histogram {
         &self.buckets
     }
 
-    /// The inclusive `[lo, hi]` value range bucket `i` covers. Bucket 64
-    /// (values with the top bit set) is capped at `u64::MAX`.
-    pub fn bucket_range(i: usize) -> (u64, u64) {
-        if i == 0 {
-            (0, 0)
-        } else {
-            let hi = match 1u64.checked_shl(i as u32) {
-                Some(top) => top - 1,
-                None => u64::MAX,
-            };
-            (1u64 << (i - 1), hi)
-        }
-    }
-
     /// Folds `other` into `self` (element-wise; associative and
     /// commutative).
     pub fn merge(&mut self, other: &Histogram) {
@@ -238,11 +224,6 @@ impl MetricsRegistry {
         find_mut(&mut self.histograms, name, Histogram::new).record(value);
     }
 
-    /// Mutable access to a named histogram (for bulk recording).
-    pub fn histogram_mut(&mut self, name: &str) -> &mut Histogram {
-        find_mut(&mut self.histograms, name, Histogram::new)
-    }
-
     /// Reads a counter (`None` when absent).
     pub fn counter(&self, name: &str) -> Option<u64> {
         self.counters
@@ -355,6 +336,21 @@ mod tests {
     use crate::json::parse;
     use proptest::prelude::*;
 
+    /// The inclusive `[lo, hi]` value range bucket `i` covers: the layout
+    /// `bucket_of` must invert. Bucket 64 (values with the top bit set) is
+    /// capped at `u64::MAX`.
+    fn bucket_range(i: usize) -> (u64, u64) {
+        if i == 0 {
+            (0, 0)
+        } else {
+            let hi = match 1u64.checked_shl(i as u32) {
+                Some(top) => top - 1,
+                None => u64::MAX,
+            };
+            (1u64 << (i - 1), hi)
+        }
+    }
+
     #[test]
     fn bucket_boundaries_follow_bit_length() {
         // Value 0 → bucket 0; [2^(i-1), 2^i - 1] → bucket i.
@@ -378,11 +374,11 @@ mod tests {
     #[test]
     fn bucket_range_is_the_inverse_of_bucket_of() {
         for i in 0..=64usize {
-            let (lo, hi) = Histogram::bucket_range(i);
+            let (lo, hi) = bucket_range(i);
             assert_eq!(bucket_of(lo), i, "lo of bucket {i}");
             assert_eq!(bucket_of(hi), i, "hi of bucket {i}");
             if i > 0 {
-                assert_eq!(lo, Histogram::bucket_range(i - 1).1 + 1, "contiguous");
+                assert_eq!(lo, bucket_range(i - 1).1 + 1, "contiguous");
             }
         }
     }
@@ -509,7 +505,7 @@ mod tests {
             let mut h = Histogram::new();
             h.record(value);
             let b = h.buckets().iter().position(|&c| c == 1).unwrap();
-            let (lo, hi) = Histogram::bucket_range(b);
+            let (lo, hi) = bucket_range(b);
             prop_assert!(lo <= value && value <= hi,
                 "{value} outside bucket {b} = [{lo}, {hi}]");
         }

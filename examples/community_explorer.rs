@@ -1,6 +1,6 @@
 //! Community exploration workflow: build the full dendrogram, pick a level,
 //! drill into one community with induced subgraphs, and characterise it
-//! with clustering / conductance — the "downstream user" workflow the
+//! with conductance and connectivity — the "downstream user" workflow the
 //! library is meant to serve.
 //!
 //! ```sh
@@ -10,7 +10,6 @@
 use gala::core::hierarchy::Dendrogram;
 use gala::core::louvain::LouvainConfig;
 use gala::core::validation::conductance;
-use gala::graph::clustering::average_clustering;
 use gala::graph::generators::sbm::PowerLawSbm;
 use gala::graph::subgraph::community_subgraph;
 use gala::graph::traversal::connected_components;
@@ -27,10 +26,9 @@ fn main() {
     .generate(21);
     let graph = gt.graph;
     println!(
-        "graph: {} vertices, {} edges, avg clustering {:.3}\n",
+        "graph: {} vertices, {} edges\n",
         graph.num_vertices(),
-        graph.num_edges(),
-        average_clustering(&graph)
+        graph.num_edges()
     );
 
     // 1. The full hierarchy, not just the final cut.
@@ -62,10 +60,9 @@ fn main() {
     let sub = community_subgraph(&graph, partition, *largest_id);
     let (_, pieces) = connected_components(&sub.graph);
     println!(
-        "  induced subgraph: {} edges, {} connected piece(s), clustering {:.3}",
+        "  induced subgraph: {} edges, {} connected piece(s)",
         sub.graph.num_edges(),
-        pieces,
-        average_clustering(&sub.graph)
+        pieces
     );
     assert_eq!(sub.graph.num_vertices(), largest.len());
 }
