@@ -1,8 +1,8 @@
 //! Flight-recorder overhead gate: the observability layer must be free.
 //!
 //! Runs phase 1 on a few stand-in graphs twice per dataset — once with the
-//! recorder fully idle, once with a `GALA_LOG=debug`-equivalent filter, a
-//! live progress callback, and the ring draining — and gates on:
+//! recorder idle, once with a live progress callback (what `gala detect
+//! --progress` turns on) — and gates on:
 //!
 //! * **wall**: the best paired wall delta (each on-rep minus its
 //!   temporally adjacent off-rep, pair order alternating; minimum over
@@ -15,8 +15,9 @@
 //! * **determinism**: simulated cycle totals and final modularity are
 //!   bit-for-bit identical (`f64::to_bits`) across modes and repetitions —
 //!   observation is host-side only and must never feed back into the run;
-//! * **crash path**: an injected panic produces a `crash-<pid>.json` dump
-//!   (in a scratch `GALA_CRASH_DIR`) that [`recorder::validate_crash_dump`]
+//! * **crash path**: an injected panic after one delivered snapshot
+//!   produces a `crash-<pid>.json` dump (in a scratch `GALA_CRASH_DIR`)
+//!   that carries that snapshot and that [`recorder::validate_crash_dump`]
 //!   accepts — the same validator `gala analyze --check` applies;
 //! * **baseline**: `results/baseline_cycles.json` is byte-identical before
 //!   and after the run (the recorder writes nothing it does not own).
@@ -30,8 +31,8 @@ use gala_bench::{
 use gala_core::louvain::LouvainConfig;
 use gala_gpu::memory::CostModel;
 use gala_graph::Graph;
-use gala_telemetry::json;
-use gala_telemetry::recorder::{self, Level};
+use gala_telemetry::recorder::{self, ProgressSnapshot};
+use gala_telemetry::{json, TraceEvent};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -88,33 +89,39 @@ impl Measured {
     }
 }
 
-/// Injects a panic under an armed recorder and checks the crash dump it
-/// leaves behind. The default hook is silenced for the drill so the bench
+/// Delivers one snapshot, injects a panic under an armed recorder, and
+/// checks that the crash dump it leaves behind validates and carries that
+/// snapshot. The default hook is silenced for the drill so the bench
 /// output stays a report, not a backtrace.
 fn crash_drill() -> Result<String, String> {
     let dir = std::env::temp_dir().join(format!("gala-crash-drill-{}", std::process::id()));
     std::fs::create_dir_all(&dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
     let prev_dir = std::env::var_os("GALA_CRASH_DIR");
     std::env::set_var("GALA_CRASH_DIR", &dir);
-    recorder::init("debug");
-    recorder::log(
-        Level::Info,
-        "bench_recorder",
-        "crash drill armed",
-        &[("drill", 1.0)],
-    );
-    recorder::log(Level::Debug, "bench_recorder", "injecting panic", &[]);
+    let snap = ProgressSnapshot {
+        driver: "bench_recorder".to_string(),
+        round: 1,
+        phase: "crash-drill".to_string(),
+        superstep: 7,
+        modularity: 0.5,
+        active_frac: 0.25,
+        moved_frac: 0.125,
+        arcs: 4096,
+        rss_bytes: 0,
+    };
+    recorder::set_progress_callback(Box::new(|_| {}));
+    recorder::observe_progress(&snap);
     std::panic::set_hook(Box::new(|_| {}));
     recorder::install_panic_hook(
         recorder::Manifest::with_cmdline().entry("drill", "bench_recorder"),
     );
     let unwound = std::panic::catch_unwind(|| panic!("injected: bench_recorder crash drill"));
     let _ = std::panic::take_hook(); // back to the standard hook
+    recorder::clear_progress_callback();
     match prev_dir {
         Some(v) => std::env::set_var("GALA_CRASH_DIR", v),
         None => std::env::remove_var("GALA_CRASH_DIR"),
     }
-    recorder::init("");
     if unwound.is_ok() {
         return Err("injected panic did not unwind".to_string());
     }
@@ -123,6 +130,12 @@ fn crash_drill() -> Result<String, String> {
         .map_err(|e| format!("crash dump {} unreadable: {e}", path.display()))?;
     let doc = json::parse(&text).map_err(|e| format!("crash dump does not parse: {e:?}"))?;
     let verdict = recorder::validate_crash_dump(&doc)?;
+    let carried = doc.get("progress").map(TraceEvent::from_json);
+    if carried != Some(Ok(TraceEvent::Progress(snap))) {
+        return Err(format!(
+            "crash dump does not carry the drill's snapshot (found {carried:?})"
+        ));
+    }
     let _ = std::fs::remove_dir_all(&dir);
     Ok(verdict)
 }
@@ -146,21 +159,15 @@ fn main() {
         "On ms",
         "Ratio",
         "Snapshots",
-        "Log lines",
     ]);
     let mut failures: Vec<String> = Vec::new();
 
     for (d, g) in all_datasets(scale).iter().take(num_graphs) {
-        // The instrumented mode mirrors what `gala detect --progress` with
-        // GALA_LOG=debug flips on: a debug-level ring filter plus a live
-        // progress callback. Repetitions interleave off/on — alternating
-        // which mode runs first in each pair — so clock drift, thermal
-        // ramps, and cache warmth bias both modes equally.
+        // The instrumented mode mirrors what `gala detect --progress` flips
+        // on: a live progress callback. Repetitions interleave off/on —
+        // alternating which mode runs first in each pair — so clock drift,
+        // thermal ramps, and cache warmth bias both modes equally.
         let snaps = Arc::new(AtomicU64::new(0));
-        let counter = Arc::clone(&snaps);
-        recorder::set_progress_callback(Box::new(move |_| {
-            counter.fetch_add(1, Ordering::Relaxed);
-        }));
         let mut off = Measured::new();
         let mut on = Measured::new();
         // Per-pair wall deltas (on − off). Each pair is temporally
@@ -172,14 +179,16 @@ fn main() {
         let mut deltas = Vec::with_capacity(reps);
         for rep in 0..reps {
             let fold_off = |off: &mut Measured, failures: &mut Vec<String>| {
-                recorder::init("");
-                recorder::enable_progress(false);
                 off.fold(g, &cost, &format!("{}/off", d.abbr()), failures)
             };
             let fold_on = |on: &mut Measured, failures: &mut Vec<String>| {
-                recorder::init("debug");
-                recorder::enable_progress(true);
-                on.fold(g, &cost, &format!("{}/on", d.abbr()), failures)
+                let counter = Arc::clone(&snaps);
+                recorder::set_progress_callback(Box::new(move |_| {
+                    counter.fetch_add(1, Ordering::Relaxed);
+                }));
+                let wall = on.fold(g, &cost, &format!("{}/on", d.abbr()), failures);
+                recorder::clear_progress_callback();
+                wall
             };
             let (off_w, on_w) = if rep % 2 == 0 {
                 let o = fold_off(&mut off, &mut failures);
@@ -194,10 +203,6 @@ fn main() {
         }
         deltas.sort_by(f64::total_cmp);
         let best_delta = deltas[0];
-        let (events, _) = recorder::drain();
-        let log_lines = events.len() as u64;
-        recorder::clear_progress_callback();
-        recorder::init("");
 
         if on.cycles.to_bits() != off.cycles.to_bits()
             || on.modularity.to_bits() != off.modularity.to_bits()
@@ -222,12 +227,6 @@ fn main() {
                 d.abbr()
             ));
         }
-        if log_lines == 0 {
-            failures.push(format!(
-                "{}: instrumented run produced no flight-recorder log lines",
-                d.abbr()
-            ));
-        }
         let limit = off.wall.as_secs_f64() * 0.01 + SLACK.as_secs_f64();
         if best_delta > limit {
             failures.push(format!(
@@ -249,7 +248,6 @@ fn main() {
             ms(on.wall),
             format!("{ratio:.2}x"),
             snap_count.to_string(),
-            log_lines.to_string(),
         ]);
     }
     table.print();
@@ -275,7 +273,7 @@ fn main() {
         &failures,
         &format!(
             "instrumented phase 1 within 1% (+{} ms slack), \
-             simulated cycles bit-identical, crash dump valid",
+             simulated cycles bit-identical, crash dump carries the last snapshot",
             ms(SLACK)
         ),
     );

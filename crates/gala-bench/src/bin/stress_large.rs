@@ -146,9 +146,8 @@ fn main() {
     // The capacity act runs for minutes at full scale, so it heartbeats:
     // every driver's progress snapshots reach a plain status line on
     // stderr (at most one every 2 s), a watchdog flags a superstep that
-    // stalls for over a minute, and GALA_LOG turns on ring logging for
-    // the crash dump a panic would leave behind.
-    recorder::init_from_env();
+    // stalls for over a minute, and a panic leaves a crash dump carrying
+    // the last snapshot.
     let mut print_gate = ProgressLimiter::new(Duration::from_secs(2));
     recorder::set_progress_callback(Box::new(move |snap| {
         if print_gate.ready() {

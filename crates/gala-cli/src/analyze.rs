@@ -21,7 +21,7 @@ use crate::commands::Error;
 use gala_core::mg_contract::{EXCHANGE_BYTES_PER_ARC, EXCHANGE_BYTES_PER_MEMBER};
 use gala_gpu::memory::{CostModel, MemTally};
 use gala_gpu::profile::{Profiler, SpanRecord};
-use gala_telemetry::recorder::{self, LogEvent, ProgressSnapshot};
+use gala_telemetry::recorder::{self, ProgressSnapshot};
 use gala_telemetry::{
     direction, json, judge, read_trace, DeviceSync, MetricsRegistry, MetricsSnapshot, PhaseProfile,
     RunEnd, RunStart, SpanTree, Superstep, TraceEvent, Verdict,
@@ -69,8 +69,6 @@ struct Trace {
     /// All span trees merged by name in first-seen order (the in-process
     /// profiler's rule), built incrementally while streaming the file.
     merged_root: SpanRecord,
-    /// Flight-recorder ring lines drained into the trace (schema 5+).
-    logs: Vec<LogEvent>,
     /// Deterministic per-round driver snapshots (schema 5+).
     progress: Vec<ProgressSnapshot>,
     round_ends: u64,
@@ -126,7 +124,6 @@ fn load_trace_with_spans(path: &str, keep_spans: bool) -> Result<Trace, Error> {
             }
             TraceEvent::Profile(e) => trace.profiles.push(e),
             TraceEvent::Metrics(e) => trace.metrics.push(e),
-            TraceEvent::Log(e) => trace.logs.push(e),
             TraceEvent::Progress(e) => trace.progress.push(e),
             TraceEvent::RoundEnd(_) => trace.round_ends += 1,
             TraceEvent::RunEnd(e) => trace.run_end = Some(e),
@@ -302,35 +299,13 @@ fn check(path: &str, trace: &Trace) -> Result<String, Error> {
             }
         }
     }
-    // Flight-recorder lines: the ring drains one contiguous window, so the
-    // sequence numbers must run without gaps — a jump means lines were lost
-    // between the drain and the trace write, not by the (accounted) ring
-    // eviction. Progress snapshots must carry sane scalars.
-    for (i, pair) in trace.logs.windows(2).enumerate() {
-        if pair[1].seq != pair[0].seq + 1 {
-            return Err(format!(
-                "{path}: log event {} has seq {} after seq {} (the drained window \
-                 must be contiguous)",
-                i + 1,
-                pair[1].seq,
-                pair[0].seq
-            )
-            .into());
-        }
-    }
     for (i, p) in trace.progress.iter().enumerate() {
-        let at = format!("{path}: progress event {i} ({} r{})", p.driver, p.round);
-        if !p.modularity.is_finite() {
-            return Err(format!("{at}: non-finite modularity").into());
-        }
-        for (name, frac) in [("active_frac", p.active_frac), ("moved_frac", p.moved_frac)] {
-            if !(0.0..=1.0).contains(&frac) {
-                return Err(format!("{at}: {name} {frac} outside [0,1]").into());
-            }
-        }
-        if p.driver.is_empty() || p.phase.is_empty() {
-            return Err(format!("{at}: empty driver or phase").into());
-        }
+        p.check().map_err(|e| {
+            format!(
+                "{path}: progress event {i} ({} r{}): {e}",
+                p.driver, p.round
+            )
+        })?;
     }
     for (i, ev) in trace.metrics.iter().enumerate() {
         let at = format!("{path}: metrics event {i} (round {})", ev.round);
@@ -357,7 +332,7 @@ fn check(path: &str, trace: &Trace) -> Result<String, Error> {
     }
     Ok(format!(
         "ok: {} events ({} supersteps, {} rounds, {} span trees, {} syncs, \
-         {} metrics, {} profiles, {} logs, {} progress), final Q = {:.5}",
+         {} metrics, {} profiles, {} progress), final Q = {:.5}",
         trace.events,
         trace.supersteps.len(),
         trace.round_ends.max(u64::from(end.rounds)),
@@ -365,7 +340,6 @@ fn check(path: &str, trace: &Trace) -> Result<String, Error> {
         trace.syncs.len(),
         trace.metrics.len(),
         trace.profiles.len(),
-        trace.logs.len(),
         trace.progress.len(),
         end.modularity,
     ))
@@ -602,7 +576,7 @@ fn render_span_summary(trace: &Trace, top: usize) -> String {
     let mut rows = Vec::new();
     flatten_spans(&trace.merged_root, "", &cost, &mut rows);
     if rows.is_empty() {
-        return "no span events in trace (produced by an older build?)\n".to_string();
+        return "no span events in trace (label propagation, or an older build)\n".to_string();
     }
     let total_self: f64 = rows.iter().map(|r| r.self_cycles).sum();
     rows.sort_by(|a, b| {
@@ -689,53 +663,16 @@ fn render_profiles(trace: &Trace) -> String {
     )
 }
 
-/// Flight-recorder inventory: one pointer line when the trace carries
-/// `log`/`progress` events, the empty string otherwise (so pre-schema-5
-/// golden outputs stay byte-identical).
-fn render_recorder_summary(trace: &Trace) -> String {
-    if trace.logs.is_empty() && trace.progress.is_empty() {
+/// Progress-snapshot section: one line per deterministic per-round
+/// `progress` event, the empty string when the trace has none (so
+/// pre-schema-5 golden outputs stay byte-identical).
+fn render_progress(trace: &Trace) -> String {
+    if trace.progress.is_empty() {
         return String::new();
     }
-    format!(
-        "\nflight recorder: {} log lines, {} progress snapshots (print with --logs)\n",
-        trace.logs.len(),
-        trace.progress.len()
-    )
-}
-
-/// The `--logs` section: deterministic progress snapshots, then the drained
-/// ring lines with their elapsed stamps.
-fn render_logs(trace: &Trace) -> String {
-    if trace.logs.is_empty() && trace.progress.is_empty() {
-        return "no flight-recorder events in trace (write one with \
-                `gala detect --progress` and GALA_LOG set)\n"
-            .to_string();
-    }
-    let mut out = String::new();
-    if !trace.progress.is_empty() {
-        out.push_str(&format!(
-            "\nprogress snapshots ({})\n",
-            trace.progress.len()
-        ));
-        for p in &trace.progress {
-            out.push_str(&format!("  {}\n", p.render_line()));
-        }
-    }
-    if !trace.logs.is_empty() {
-        out.push_str(&format!(
-            "\nflight-recorder log ({} lines, first seq {})\n",
-            trace.logs.len(),
-            trace.logs[0].seq
-        ));
-        for l in &trace.logs {
-            out.push_str(&format!(
-                "  [{:>9.3}s] {:<5} {}: {}\n",
-                l.elapsed_us as f64 / 1e6,
-                l.level.as_str(),
-                l.scope,
-                l.message
-            ));
-        }
+    let mut out = format!("\nprogress snapshots ({})\n", trace.progress.len());
+    for p in &trace.progress {
+        out.push_str(&format!("  {}\n", p.render_line()));
     }
     out
 }
@@ -774,16 +711,18 @@ fn render_single(path: &str, trace: &Trace, top: usize) -> String {
     out.push_str(&render_span_summary(trace, top));
     out.push_str(&render_metrics(trace));
     out.push_str(&render_profiles(trace));
-    out.push_str(&render_recorder_summary(trace));
+    out.push_str(&render_progress(trace));
     out
 }
 
 /// Simulated cycles per exported microsecond: the cost model has no wall
 /// clock, so the exporter nominates a 1 GHz device — slice *ratios* are
-/// what matter in the timeline, not absolute times.
-const CYCLES_PER_US: f64 = 1000.0;
+/// what matter in the timeline, not absolute times. Shared with
+/// `gala profile`'s exporter.
+pub(crate) const CYCLES_PER_US: f64 = 1000.0;
 
-fn chrome_slice(name: &str, ts: f64, dur: f64, tid: u64) -> json::Value {
+/// A Chrome "X" (complete) slice on `tid`. Shared with `gala profile`.
+pub(crate) fn chrome_slice(name: &str, ts: f64, dur: f64, tid: u64) -> json::Value {
     json::Value::object()
         .set("name", name)
         .set("ph", "X")
@@ -793,7 +732,8 @@ fn chrome_slice(name: &str, ts: f64, dur: f64, tid: u64) -> json::Value {
         .set("tid", tid)
 }
 
-fn chrome_counter(name: &str, ts: f64, value: f64) -> json::Value {
+/// A Chrome "C" counter sample. Shared with `gala profile`.
+pub(crate) fn chrome_counter(name: &str, ts: f64, value: f64) -> json::Value {
     json::Value::object()
         .set("name", name)
         .set("ph", "C")
@@ -803,7 +743,9 @@ fn chrome_counter(name: &str, ts: f64, value: f64) -> json::Value {
         .set("args", json::Value::object().set("value", value))
 }
 
-fn chrome_meta(name: &str, tid: u64, value: &str) -> json::Value {
+/// A Chrome "M" metadata record naming the process or thread `tid`.
+/// Shared with `gala profile`.
+pub(crate) fn chrome_meta(name: &str, tid: u64, value: &str) -> json::Value {
     json::Value::object()
         .set("name", name)
         .set("ph", "M")
@@ -1042,7 +984,7 @@ pub fn run(args: &AnalyzeArgs) -> Result<(), Error> {
         println!("wrote {count} trace events to {out} (open in https://ui.perfetto.dev)");
         return Ok(());
     }
-    // Crash dumps validate (structure, manifest, contiguous event window)
+    // Crash dumps validate (structure, manifest, last progress snapshot)
     // under any mode; they have no curves to render.
     if let Some(verdict) = try_crash_dump(&args.trace) {
         println!("{}", verdict?);
@@ -1051,10 +993,6 @@ pub fn run(args: &AnalyzeArgs) -> Result<(), Error> {
     let trace = load_trace(&args.trace)?;
     if args.check {
         println!("{}", check(&args.trace, &trace)?);
-        return Ok(());
-    }
-    if args.logs {
-        print!("{}", render_logs(&trace));
         return Ok(());
     }
     match &args.baseline {
@@ -1621,71 +1559,56 @@ mod tests {
     #[test]
     fn log_and_progress_events_load_check_and_render() {
         let path = write_fixture_trace("recorder");
-        // The instrumented run already emits deterministic progress events;
-        // append a drained ring window behind run_end (the order `detect
-        // --progress` writes).
-        let mut text = std::fs::read_to_string(&path).unwrap();
-        for seq in 3..6u64 {
-            let ev = TraceEvent::Log(LogEvent {
-                seq,
-                elapsed_us: seq * 1000,
-                level: gala_telemetry::Level::Info,
-                scope: "louvain".into(),
-                message: format!("line {seq}"),
-                fields: vec![("round".into(), seq as f64)],
-            });
-            text.push_str(&ev.to_json().render());
-            text.push('\n');
-        }
-        std::fs::write(&path, &text).unwrap();
         let trace = load_trace(&path).unwrap();
         assert!(
             !trace.progress.is_empty(),
             "instrumented run must emit progress events"
         );
-        assert_eq!(trace.logs.len(), 3);
         let summary = check(&path, &trace).unwrap();
-        assert!(summary.contains("3 logs"), "{summary}");
         assert!(summary.contains("progress"), "{summary}");
-        // A seq gap means lines were lost outside the accounted ring window.
-        let mut gapped = trace.clone();
-        gapped.logs[2].seq += 5;
-        let err = check(&path, &gapped).unwrap_err().to_string();
-        assert!(err.contains("contiguous"), "{err}");
         // Progress snapshots with broken fractions are rejected.
         let mut bad_frac = trace.clone();
         bad_frac.progress[0].moved_frac = 1.5;
         let err = check(&path, &bad_frac).unwrap_err().to_string();
         assert!(err.contains("outside [0,1]"), "{err}");
-        // Rendering: the inventory pointer and the --logs section.
+        // The default report lists the snapshots; traces without progress
+        // events render no section header.
         let rendered = render_single(&path, &trace, 10);
-        assert!(rendered.contains("flight recorder:"), "{rendered}");
-        let logs = render_logs(&trace);
-        assert!(logs.contains("progress snapshots"), "{logs}");
-        assert!(logs.contains("line 3"), "{logs}");
-        // Traces without recorder events render neither section header.
-        let bare = Trace::default();
-        assert_eq!(render_recorder_summary(&bare), "");
-        assert!(render_logs(&bare).contains("no flight-recorder events"));
+        assert!(
+            rendered.contains(&format!("progress snapshots ({})", trace.progress.len())),
+            "{rendered}"
+        );
+        assert!(
+            rendered.contains(&trace.progress[0].render_line()),
+            "{rendered}"
+        );
+        assert_eq!(render_progress(&Trace::default()), "");
+        // The log channel is gone: a `log` line is an unknown event.
+        let mut text = std::fs::read_to_string(&path).unwrap();
+        text.push_str(
+            "{\"event\":\"log\",\"schema\":5,\"seq\":0,\"elapsed_us\":1,\"level\":\"info\",\
+             \"scope\":\"louvain\",\"message\":\"line 0\",\"fields\":{}}\n",
+        );
+        std::fs::write(&path, &text).unwrap();
+        let err = load_trace(&path).unwrap_err().to_string();
+        assert!(err.contains("unknown event `log`"), "{err}");
         let _ = std::fs::remove_file(path);
     }
 
     #[test]
     fn crash_dumps_are_detected_and_validated() {
         let path = format!("{}.json", tmp("crash"));
-        let events: Vec<json::Value> = (2..5u64)
-            .map(|seq| {
-                TraceEvent::Log(LogEvent {
-                    seq,
-                    elapsed_us: seq * 10,
-                    level: gala_telemetry::Level::Error,
-                    scope: "watchdog".into(),
-                    message: "stall".into(),
-                    fields: Vec::new(),
-                })
-                .to_json()
-            })
-            .collect();
+        let snap = ProgressSnapshot {
+            driver: "louvain".into(),
+            round: 2,
+            phase: "phase1".into(),
+            superstep: 5,
+            modularity: 0.4,
+            active_frac: 0.5,
+            moved_frac: 0.125,
+            arcs: 780,
+            rss_bytes: 0,
+        };
         let doc = json::Value::object()
             .set("schema", SCHEMA_VERSION)
             .set("kind", "crash")
@@ -1695,19 +1618,28 @@ mod tests {
                 "manifest",
                 json::Value::object().set("cmdline", "gala detect g.txt"),
             )
-            .set("dropped", 2u64)
-            .set("events", json::Value::Array(events));
+            .set("progress", TraceEvent::Progress(snap).to_json());
         std::fs::write(&path, doc.render_pretty()).unwrap();
         let verdict = try_crash_dump(&path).expect("crash dump detected");
-        verdict.unwrap();
-        // A drop counter that disagrees with the first surviving seq fails.
-        let bad = doc.set("dropped", 0u64);
+        assert!(verdict.unwrap().contains("louvain r2 phase1 s5"));
+        // A `progress` member that is not a progress event fails.
+        let bad = doc.clone().set("progress", json::Value::Array(Vec::new()));
         std::fs::write(&path, bad.render_pretty()).unwrap();
         let err = try_crash_dump(&path)
             .expect("still detected")
             .unwrap_err()
             .to_string();
-        assert!(err.contains("seq"), "{err}");
+        assert!(err.contains("progress"), "{err}");
+        // So does a dump without a manifest.
+        let bare = json::Value::object()
+            .set("schema", SCHEMA_VERSION)
+            .set("kind", "crash");
+        std::fs::write(&path, bare.render_pretty()).unwrap();
+        let err = try_crash_dump(&path)
+            .expect("still detected")
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("manifest"), "{err}");
         // A JSONL trace is not mistaken for a crash dump.
         let trace_path = write_fixture_trace("notcrash");
         assert!(try_crash_dump(&trace_path).is_none());

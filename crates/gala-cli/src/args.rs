@@ -33,12 +33,12 @@ usage:
                                                validated owned arrays, or the
                                                checksummed mapped container
                                                (default: owned; bin format only)
-      --trace <file>     write a JSONL superstep trace (gala algorithm)
+      --trace <file>     write a JSONL superstep trace (any algorithm)
       --report <file>    write a machine-readable JSON run report
       --quiet                                  suppress the report
       --progress         live status line on stderr (plain lines when
-                         stderr is not a TTY); honours GALA_LOG for the
-                         flight-recorder level/scope filter
+                         stderr is not a TTY); a panic leaves a
+                         crash-<pid>.json dump with the last snapshot
   gala stats <graph> [--format ...]   print graph statistics
   gala generate <kind> --out <file> [--n <v>] [--seed <s>] [--mixing <mu>]
       kinds: sbm | lfr | rmat | ba | ws | gnp
@@ -57,8 +57,6 @@ usage:
       --top <n>          span-summary rows (default: 10)
       --threshold <t>    relative regression tolerance (default: 0.1)
       --check            validate the trace only (exit non-zero if malformed)
-      --logs             print the trace's flight-recorder log and
-                         progress events after the report
       --chrome-trace <file>  export a Chrome Trace Event JSON file for
                              Perfetto / chrome://tracing instead of a report
   gala profile <sim.trace> <native.trace> [options]
@@ -301,8 +299,6 @@ pub struct AnalyzeArgs {
     pub check: bool,
     /// Write a Chrome Trace Event Format export here instead of a report.
     pub chrome_trace: Option<String>,
-    /// Print the trace's flight-recorder log/progress events.
-    pub logs: bool,
 }
 
 /// The `profile` subcommand's options.
@@ -488,7 +484,6 @@ impl Command {
         let mut threshold = 0.1f64;
         let mut check = false;
         let mut chrome_trace = None;
-        let mut logs = false;
         let mut i = 0;
         while i < args.len() {
             match args[i].as_str() {
@@ -503,7 +498,6 @@ impl Command {
                 }
                 "--threshold" => threshold = parse_threshold(args, &mut i)?,
                 "--check" => check = true,
-                "--logs" => logs = true,
                 flag if flag.starts_with("--") => {
                     return Err(ParseError(format!("unknown flag `{flag}`")))
                 }
@@ -524,7 +518,6 @@ impl Command {
             threshold,
             check,
             chrome_trace,
-            logs,
         }))
     }
 
@@ -865,12 +858,6 @@ mod tests {
         let Command::Analyze(a) = cmd else { panic!() };
         assert!(a.check);
         assert_eq!(a.chrome_trace, None);
-        assert!(!a.logs);
-
-        let cmd = Command::parse(&argv("analyze t.jsonl --logs")).unwrap();
-        let Command::Analyze(a) = cmd else { panic!() };
-        assert!(a.logs);
-        assert!(!a.check);
 
         let cmd = Command::parse(&argv("analyze t.jsonl --chrome-trace out.json")).unwrap();
         let Command::Analyze(a) = cmd else { panic!() };

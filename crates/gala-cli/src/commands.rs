@@ -1,7 +1,7 @@
 //! Command execution: graph IO, algorithm dispatch, and reporting.
 
 use crate::args::{Algorithm, Command, DetectArgs, Format, GenerateArgs, Reorder, Store, USAGE};
-use gala_core::label_prop::{label_propagation, LabelPropConfig};
+use gala_core::label_prop::{label_propagation_with, LabelPropConfig};
 use gala_core::leiden::{leiden_with, LeidenConfig};
 use gala_core::louvain::{Louvain, LouvainConfig};
 use gala_core::metrics::summarize;
@@ -48,9 +48,13 @@ pub fn execute(cmd: Command) -> Result<(), Error> {
 
 /// Reads a `vertex community` assignment file (as written by `detect
 /// --output`). Vertex ids and labels are `u32`s. Missing vertices default
-/// to singleton labels: the smallest labels no explicit line uses.
+/// to singleton labels: the smallest labels no explicit line uses. A
+/// vertex id of `max(num_vertices, lines + 2^20)` or more is an error
+/// naming its line, so a stray huge id cannot size the label vector.
 pub fn load_assignment(path: &str, num_vertices: usize) -> Result<Partition, Error> {
     let text = std::fs::read_to_string(path)?;
+    let lines = text.lines().count();
+    let limit = num_vertices.max(lines + io::UNDECLARED_VERTEX_SLACK);
     let mut explicit: Vec<Option<u32>> = vec![None; num_vertices];
     for (lineno, line) in text.lines().enumerate() {
         let t = line.trim();
@@ -67,6 +71,16 @@ pub fn load_assignment(path: &str, num_vertices: usize) -> Result<Partition, Err
         let v: u32 = it.next().ok_or_else(bad)?.parse().map_err(|_| bad())?;
         let c: u32 = it.next().ok_or_else(bad)?.parse().map_err(|_| bad())?;
         let v = v as usize;
+        if v >= limit {
+            return Err(format!(
+                "{path} line {}: vertex id {v} is out of proportion to the file's {lines} \
+                 lines: an assignment may name at most max(vertices, lines + \
+                 {}) = {limit} vertices",
+                lineno + 1,
+                io::UNDECLARED_VERTEX_SLACK
+            )
+            .into());
+        }
         if explicit.len() <= v {
             explicit.resize(v + 1, None);
         }
@@ -279,8 +293,7 @@ fn detect(args: DetectArgs) -> Result<(), Error> {
             (reordered, Some(ord), Some((before, after)))
         }
     };
-    // --trace: the run's JSONL event stream (every algorithm but label
-    // propagation emits one; lpa leaves the file empty).
+    // --trace: the run's JSONL event stream (every algorithm emits one).
     let mut jsonl = match &args.trace {
         Some(path) => Some(JsonlSink::new(BufWriter::new(File::create(path)?))),
         None => None,
@@ -290,13 +303,12 @@ fn detect(args: DetectArgs) -> Result<(), Error> {
         Some(s) => s,
         None => &mut null,
     };
-    // --progress: arm the flight recorder for live observation. The ring
-    // filter honours GALA_LOG; the status line renders on stderr (rewritten
-    // in place on a TTY, one plain line per snapshot otherwise) so stdout
-    // stays clean for reports. A watchdog flags supersteps that go silent,
-    // and a panic hook drains the ring into a provenance-stamped crash dump.
+    // --progress: arm the flight recorder for live observation. The status
+    // line renders on stderr (rewritten in place on a TTY, one plain line
+    // per snapshot otherwise) so stdout stays clean for reports. A watchdog
+    // flags supersteps that go silent, and a panic hook writes a
+    // provenance-stamped crash dump carrying the last snapshot.
     let progress_tty = if args.progress {
-        recorder::init_from_env();
         let tty = std::io::stderr().is_terminal();
         recorder::set_progress_callback(Box::new(move |snap| {
             let line = snap.render_line();
@@ -322,9 +334,9 @@ fn detect(args: DetectArgs) -> Result<(), Error> {
         None
     };
     // One observer carries the trace sink and, under --report, the
-    // run-level profiler (so the report carries the span tree; lpa leaves
-    // it empty). Built after the recorder is armed: it samples the
-    // recorder's switches.
+    // run-level profiler (so the report carries the span tree; lpa, which
+    // has no spans, leaves it empty). Built after the recorder is armed:
+    // it samples the recorder's switches.
     let mut obs = Obs::traced(sink);
     if args.report.is_some() {
         obs = obs.profiled();
@@ -361,7 +373,7 @@ fn detect(args: DetectArgs) -> Result<(), Error> {
             ("Leiden", r.partition)
         }
         Algorithm::Lpa => {
-            let r = label_propagation(&graph, LabelPropConfig::default());
+            let r = label_propagation_with(&graph, LabelPropConfig::default(), &mut obs);
             ("label propagation", r.partition)
         }
         Algorithm::Sequential => {
@@ -378,9 +390,6 @@ fn detect(args: DetectArgs) -> Result<(), Error> {
             // Terminate the in-place status line.
             eprintln!();
         }
-        // Append the recorder's buffered log lines to the trace (a no-op
-        // without --trace): readers accept `log` events after `run_end`.
-        recorder::drain_into_sink(sink);
     }
     if let Some(s) = jsonl {
         // Flush the trace before anything else can fail.
@@ -692,9 +701,8 @@ mod tests {
 
     #[test]
     fn progress_detect_runs_and_its_trace_survives_check() {
-        // Non-TTY path (test harness stderr is a pipe): plain status lines,
-        // deterministic trace content, and the trailing ring flush must not
-        // break `analyze --check`.
+        // Non-TTY path (test harness stderr is a pipe): plain status lines
+        // and deterministic trace content that passes `analyze --check`.
         let g = fixtures::ring_of_cliques(5, 4);
         let graph_path = format!("{}.txt", tmp("prog"));
         let trace_path = format!("{}.jsonl", tmp("prog"));
@@ -720,6 +728,37 @@ mod tests {
                 .any(|e| e.kind() == "progress"),
             "trace must carry deterministic progress events"
         );
+        execute(
+            Command::parse(&["analyze", trace_path.as_str(), "--check"].map(String::from)).unwrap(),
+        )
+        .unwrap();
+        for p in [graph_path, trace_path] {
+            let _ = std::fs::remove_file(p);
+        }
+    }
+
+    #[test]
+    fn lpa_trace_brackets_its_sweeps_and_survives_check() {
+        let g = fixtures::ring_of_cliques(5, 4);
+        let graph_path = format!("{}.txt", tmp("lpa"));
+        let trace_path = format!("{}.jsonl", tmp("lpa"));
+        save(&g, &graph_path).unwrap();
+        let argv = [
+            "detect",
+            graph_path.as_str(),
+            "--algorithm",
+            "lpa",
+            "--trace",
+            trace_path.as_str(),
+            "--quiet",
+        ];
+        execute(Command::parse(&argv.map(String::from)).unwrap()).unwrap();
+        let events = trace_events(&trace_path);
+        let kinds: Vec<&str> = events.iter().map(TraceEvent::kind).collect();
+        assert_eq!(kinds.first(), Some(&"run_start"));
+        assert_eq!(kinds.last(), Some(&"run_end"));
+        assert!(kinds.contains(&"superstep"), "{kinds:?}");
+        assert!(kinds.contains(&"round_end"), "{kinds:?}");
         execute(
             Command::parse(&["analyze", trace_path.as_str(), "--check"].map(String::from)).unwrap(),
         )

@@ -19,6 +19,7 @@
 //! Every renderer returns a `String` so tests can pin output; [`run`]
 //! only adds printing and file IO.
 
+use crate::analyze::{chrome_counter, chrome_meta, chrome_slice, CYCLES_PER_US};
 use crate::args::ProfileArgs;
 use crate::commands::Error;
 use gala_gpu::memory::COMPONENT_NAMES;
@@ -183,62 +184,28 @@ fn build_report(args: &ProfileArgs, report: &AttributionReport) -> Report {
     doc
 }
 
-/// Simulated cycles per exported microsecond (same nominal 1 GHz device
-/// as the `analyze` exporter — slice ratios are what matter).
-const CYCLES_PER_US: f64 = 1000.0;
-
 /// Chrome Trace Event export: one "X" slice per kernel (duration from
 /// predicted cycles) and one "C" counter track per cost component, laid
 /// out sequentially in display order. Loadable in Perfetto.
 fn chrome_trace(report: &AttributionReport) -> json::Value {
     let mut events = vec![
-        json::Value::object()
-            .set("name", "process_name")
-            .set("ph", "M")
-            .set("pid", 0u64)
-            .set("tid", 0u64)
-            .set(
-                "args",
-                json::Value::object().set("name", "gala profile (sim vs native)"),
-            ),
-        json::Value::object()
-            .set("name", "thread_name")
-            .set("ph", "M")
-            .set("pid", 0u64)
-            .set("tid", 0u64)
-            .set("args", json::Value::object().set("name", "kernels")),
+        chrome_meta("process_name", 0, "gala profile (sim vs native)"),
+        chrome_meta("thread_name", 0, "kernels"),
     ];
     let mut cursor = 0.0_f64;
     for r in display_rows(report) {
         let dur = r.sim_cycles / CYCLES_PER_US;
         events.push(
-            json::Value::object()
-                .set("name", r.path.as_str())
-                .set("ph", "X")
-                .set("ts", cursor)
-                .set("dur", dur)
-                .set("pid", 0u64)
-                .set("tid", 0u64)
-                .set(
-                    "args",
-                    json::Value::object()
-                        .set("residual", r.residual)
-                        .set("native_ns", r.native_ns),
-                ),
+            chrome_slice(&r.path, cursor, dur, 0).set(
+                "args",
+                json::Value::object()
+                    .set("residual", r.residual)
+                    .set("native_ns", r.native_ns),
+            ),
         );
         for name in COMPONENT_NAMES {
-            events.push(
-                json::Value::object()
-                    .set("name", format!("cost/{name}").as_str())
-                    .set("ph", "C")
-                    .set("ts", cursor)
-                    .set("pid", 0u64)
-                    .set("tid", 0u64)
-                    .set(
-                        "args",
-                        json::Value::object().set("value", r.components.get(name).unwrap_or(0.0)),
-                    ),
-            );
+            let value = r.components.get(name).unwrap_or(0.0);
+            events.push(chrome_counter(&format!("cost/{name}"), cursor, value));
         }
         cursor += dur;
     }

@@ -42,12 +42,32 @@ fn v1_container(n: u64, offsets: &[u64], targets: &[u32], weights: &[f64]) -> Ve
 /// Runs `gala <cmd...>` on `bytes` saved as `name`, asserting a clean
 /// failure whose stderr contains every string in `expect`.
 fn assert_rejected(cmd: &[&str], name: &str, bytes: &[u8], expect: &[&str]) {
+    assert_rejected_by(
+        Command::new(env!("CARGO_BIN_EXE_gala")),
+        cmd,
+        name,
+        bytes,
+        expect,
+    );
+}
+
+/// `gala` started through `sh` under a 4 GB address-space limit, so an
+/// allocation sized by a hostile count fails fast instead of taking the
+/// machine's memory.
+fn gala_under_4gb() -> Command {
+    let mut gala = Command::new("sh");
+    gala.args([
+        "-c",
+        "ulimit -v 4000000 && exec \"$0\" \"$@\"",
+        env!("CARGO_BIN_EXE_gala"),
+    ]);
+    gala
+}
+
+/// [`assert_rejected`] with the `gala` command line starting at `gala`.
+fn assert_rejected_by(mut gala: Command, cmd: &[&str], name: &str, bytes: &[u8], expect: &[&str]) {
     let path = temp_file(name, bytes);
-    let out = Command::new(env!("CARGO_BIN_EXE_gala"))
-        .args(cmd)
-        .arg(&path)
-        .output()
-        .unwrap();
+    let out = gala.args(cmd).arg(&path).output().unwrap();
     let _ = std::fs::remove_file(&path);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(!out.status.success(), "{name}: {cmd:?} succeeded");
@@ -179,6 +199,34 @@ fn a_vertices_directive_beyond_u32_ids_is_rejected() {
             &["line 1", "#vertices", n],
         );
     }
+}
+
+#[test]
+fn a_vertices_directive_beyond_memory_is_rejected() {
+    // 2^32 vertices is a valid count, but its offsets alone need 32 GiB:
+    // the reservation fails and names the directive instead of aborting.
+    assert_rejected_by(
+        gala_under_4gb(),
+        &["stats"],
+        "vertices_2pow32.txt",
+        b"#vertices 4294967296\n0 1\n",
+        &["#vertices 4294967296", "vertex arrays"],
+    );
+}
+
+#[test]
+fn compare_rejects_a_vertex_id_out_of_proportion_to_the_file() {
+    // Sized by its largest id, this one line would allocate labels for
+    // 2^32 vertices.
+    let small = temp_file("assign_small.txt", b"0 0\n1 0\n");
+    assert_rejected_by(
+        gala_under_4gb(),
+        &["compare", small.to_str().unwrap()],
+        "assign_huge_id.txt",
+        b"4294967295 0\n",
+        &["line 1", "4294967295"],
+    );
+    let _ = std::fs::remove_file(small);
 }
 
 #[test]

@@ -9,8 +9,11 @@
 //! largest incident weight (smallest label id on ties), BSP-style — the
 //! same superstep discipline as GALA's Louvain, so runs are reproducible.
 
+use crate::modularity::modularity;
+use crate::observe::Obs;
 use gala_graph::partition::CommunityId;
 use gala_graph::{Graph, Partition, VertexId};
+use gala_telemetry::{Superstep, TraceEvent};
 use rayon::prelude::*;
 use std::collections::HashMap;
 
@@ -43,24 +46,77 @@ pub struct LabelPropResult {
 
 /// Runs synchronous weighted label propagation.
 pub fn label_propagation(graph: &Graph, config: LabelPropConfig) -> LabelPropResult {
+    label_propagation_with(graph, config, &mut Obs::off())
+}
+
+/// [`label_propagation`] observed through `obs`: `run_start`, one
+/// `superstep` event per sweep (every vertex is active; `moved` counts
+/// the labels that changed), then `round_end` and `run_end` for the one
+/// round. LPA optimises no objective, so the modularity each event
+/// carries is computed only when the sink or the live recorder will see
+/// it. The partition is the same with observation on or off.
+pub fn label_propagation_with(
+    graph: &Graph,
+    config: LabelPropConfig,
+    obs: &mut Obs,
+) -> LabelPropResult {
+    obs.run_start("lpa", graph, 1);
     let n = graph.num_vertices();
-    let mut labels: Vec<CommunityId> = (0..n as CommunityId).collect();
+    let observed = obs.observed();
+    let q_of = |labels: &Partition| {
+        if observed {
+            modularity(graph, labels)
+        } else {
+            0.0
+        }
+    };
+    let mut labels = Partition::singletons(n);
+    let mut q = q_of(&labels);
     let mut iterations = 0;
     let mut converged = false;
-    for _ in 0..config.max_iterations {
+    for superstep in 0..config.max_iterations {
         iterations += 1;
         let next: Vec<CommunityId> = (0..n as VertexId)
             .into_par_iter()
-            .map(|v| best_label(graph, &labels, v))
+            .map(|v| best_label(graph, labels.assignment(), v))
             .collect();
-        if next == labels {
+        let moved = next
+            .iter()
+            .zip(labels.assignment())
+            .filter(|(a, b)| a != b)
+            .count();
+        labels = Partition::from_assignment(next);
+        let prev_q = q;
+        q = q_of(&labels);
+        obs.superstep(graph, 0, superstep as u32, n, moved, q, || {
+            Some(TraceEvent::Superstep(Superstep {
+                round: 0,
+                superstep: superstep as u32,
+                active: n as u64,
+                moved: moved as u64,
+                pruned: 0,
+                unmoved: (n - moved) as u64,
+                modularity: q,
+                delta_q: q - prev_q,
+                ..Superstep::default()
+            }))
+        });
+        if moved == 0 {
             converged = true;
             break;
         }
-        labels = next;
     }
+    obs.round_end(
+        0,
+        "phase1",
+        iterations,
+        labels.num_communities(),
+        graph.num_arcs(),
+        || q,
+    );
+    obs.run_end(q, 1, 0.0);
     LabelPropResult {
-        partition: Partition::from_assignment(labels),
+        partition: labels,
         iterations,
         converged,
     }
@@ -146,6 +202,42 @@ mod tests {
         let g = fixtures::ring_of_cliques(2, 2); // tiny cycle-ish graph
         let r = label_propagation(&g, LabelPropConfig { max_iterations: 3 });
         assert!(r.iterations <= 3);
+    }
+
+    #[test]
+    fn traced_run_matches_plain_and_emits_one_superstep_per_sweep() {
+        let g = fixtures::two_cliques(6);
+        let plain = label_propagation(&g, LabelPropConfig::default());
+        let mut sink = gala_telemetry::VecSink::default();
+        let traced =
+            label_propagation_with(&g, LabelPropConfig::default(), &mut Obs::traced(&mut sink));
+        assert_eq!(traced.partition, plain.partition);
+        assert!(traced.converged);
+        let steps: Vec<&Superstep> = sink
+            .events
+            .iter()
+            .filter_map(|e| match e {
+                TraceEvent::Superstep(s) => Some(s),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(steps.len(), traced.iterations);
+        assert!(steps.iter().all(|s| s.active == 12 && s.pruned == 0));
+        assert_eq!(
+            steps.last().unwrap().moved,
+            0,
+            "the converged sweep moves nothing"
+        );
+        let q = modularity(&g, &traced.partition);
+        assert_eq!(steps.last().unwrap().modularity, q);
+        match (sink.events.first(), sink.events.last()) {
+            (Some(TraceEvent::RunStart(start)), Some(TraceEvent::RunEnd(end))) => {
+                assert_eq!(start.algorithm, "lpa");
+                assert_eq!(end.modularity, q);
+                assert_eq!(end.rounds, 1);
+            }
+            other => panic!("unbracketed trace: {other:?}"),
+        }
     }
 
     #[test]

@@ -31,8 +31,8 @@
 //! Two consumers with different needs hang off the progress snapshots:
 //!
 //! * the flight [`recorder`] wants *live* observation — bounded-frequency
-//!   snapshots forwarded to the status-line callback and the ring, plus
-//!   watchdog heartbeats — and tolerates wall-clock-dependent cadence
+//!   snapshots forwarded to the status-line callback, plus watchdog
+//!   heartbeats — and tolerates wall-clock-dependent cadence
 //!   because nothing it does feeds back into the run;
 //! * the [`TraceSink`] wants *deterministic* content — the set of emitted
 //!   events must not depend on how fast the host happens to be — so it only
@@ -119,6 +119,13 @@ impl<'a> Obs<'a> {
     /// profiler wants span trees.
     pub(crate) fn instrumented(&self) -> bool {
         self.sink.is_some() || self.prof.is_enabled()
+    }
+
+    /// Whether anything will read a modularity: the sink, or the live
+    /// recorder's snapshots. Drivers that compute Q only for observation
+    /// skip it otherwise.
+    pub(crate) fn observed(&self) -> bool {
+        self.sink.is_some() || self.live
     }
 
     /// Emits the event `event` builds, building it only when tracing.
@@ -281,7 +288,7 @@ impl<'a> Obs<'a> {
         q: impl FnOnce() -> f64,
     ) {
         self.step = Counts::default();
-        if self.sink.is_none() && !self.live {
+        if !self.observed() {
             return;
         }
         let q = q();
@@ -354,7 +361,7 @@ impl<'a> Obs<'a> {
     /// forwarded to the recorder when live: round boundaries bypass the
     /// rate limiter so they are never dropped.
     fn send_round(&mut self, round: u32, phase: &str, superstep: u32, q: f64, c: Counts) {
-        if !self.live && self.sink.is_none() {
+        if !self.observed() {
             return;
         }
         let snap = self.snap(round, phase, superstep, q, c);

@@ -11,6 +11,8 @@
 //! it skips [`Graph::from_csr`]'s `O(n + m)` audit in release builds;
 //! debug builds still run the audit on every build.
 
+use std::collections::TryReserveError;
+
 use crate::csr::{Graph, VertexId};
 
 /// Anything that can accept a stream of undirected edges: the in-memory
@@ -158,13 +160,17 @@ impl GraphBuilder {
     /// is stable), which pins the floating-point merge result: the
     /// out-of-core [`crate::stream::StreamingBuilder`] reproduces it
     /// bit-for-bit at any chunk size.
+    ///
+    /// Panics when the vertex arrays for the declared vertex count cannot
+    /// be allocated; [`crate::io::read_edge_list`] reports that case as an
+    /// error instead.
     pub fn build(self) -> Graph {
         let n = self.num_vertices;
         let mut arcs = self.arcs;
         // Unused growth slack is returned before the output arrays below
         // are allocated, trimming the build's transient peak.
         arcs.shrink_to_fit();
-        build_from_arcs(n, vec![arcs])
+        build_from_arcs(n, vec![arcs]).expect("the CSR vertex arrays fit in memory")
     }
 }
 
@@ -196,9 +202,18 @@ pub(crate) type DirectedArc = (VertexId, VertexId, f64);
 /// The output is symmetric by construction, so it is wrapped through
 /// [`Graph::from_csr_trusted`]: no release-mode audit, a full one in
 /// debug builds.
-pub(crate) fn build_from_arcs(n: usize, chunks: Vec<Vec<DirectedArc>>) -> Graph {
+///
+/// `n` may come from a `#vertices` directive that no arc backs, so the
+/// vertex-indexed build arrays (`offsets` and the scatter cursors) are
+/// reserved fallibly: a count beyond memory is an error, not an abort.
+pub(crate) fn build_from_arcs(
+    n: usize,
+    chunks: Vec<Vec<DirectedArc>>,
+) -> Result<Graph, TryReserveError> {
     // Counting sort by source: histogram, prefix sum, scatter.
-    let mut offsets = vec![0usize; n + 1];
+    let mut offsets = Vec::new();
+    offsets.try_reserve_exact(n + 1)?;
+    offsets.resize(n + 1, 0usize);
     for chunk in &chunks {
         for &(u, _, _) in chunk {
             offsets[u as usize + 1] += 1;
@@ -210,14 +225,16 @@ pub(crate) fn build_from_arcs(n: usize, chunks: Vec<Vec<DirectedArc>>) -> Graph 
     let mut targets: Vec<VertexId> = vec![0; offsets[n]];
     let mut weights: Vec<f64> = vec![0.0; offsets[n]];
     let partitions = rayon::current_parallelism().min(n);
-    rayon::par_row_chunks(
+    let scattered = rayon::par_row_chunks(
         &offsets,
         &mut targets,
         &mut weights,
         partitions,
         |rows, seg_t, seg_w| {
             let base = offsets[rows.start];
-            let mut cursor: Vec<usize> = offsets[rows.clone()].iter().map(|&o| o - base).collect();
+            let mut cursor = Vec::new();
+            cursor.try_reserve_exact(rows.len())?;
+            cursor.extend(offsets[rows.clone()].iter().map(|&o| o - base));
             for chunk in &chunks {
                 for &(u, v, w) in chunk {
                     // Wraps for sources below the range, so one compare
@@ -230,8 +247,12 @@ pub(crate) fn build_from_arcs(n: usize, chunks: Vec<Vec<DirectedArc>>) -> Graph 
                     *slot += 1;
                 }
             }
+            Ok(())
         },
     );
+    scattered
+        .into_iter()
+        .collect::<Result<(), TryReserveError>>()?;
     drop(chunks);
     // Rewrite each row in place: `lo..hi` is its scattered range, `out`
     // the compacted write position (never past `lo`).
@@ -274,7 +295,7 @@ pub(crate) fn build_from_arcs(n: usize, chunks: Vec<Vec<DirectedArc>>) -> Graph 
     targets.truncate(out);
     weights.truncate(out);
     shrink_if_material(&mut targets, &mut weights);
-    Graph::from_csr_trusted(offsets, targets, weights)
+    Ok(Graph::from_csr_trusted(offsets, targets, weights))
 }
 
 /// Returns the merged-duplicate slack of freshly built CSR arrays when it

@@ -339,7 +339,7 @@ pub fn parse_edge_list_into<R: BufRead, S: EdgeSink>(
 /// most `2 × edges + UNDECLARED_VERTEX_SLACK` vertices. A graph without
 /// isolated vertices has `n <= 2m`; the slack (8 MiB of offsets) admits
 /// hand-written files with gaps in their ids.
-const UNDECLARED_VERTEX_SLACK: usize = 1 << 20;
+pub const UNDECLARED_VERTEX_SLACK: usize = 1 << 20;
 
 /// One chunk's parse: its arcs (in a builder that sees only the edges)
 /// plus what the vertex-count bound needs.
@@ -444,7 +444,14 @@ pub(crate) fn parse_text_chunked(text: Vec<u8>, chunks: usize) -> io::Result<Gra
         )));
     }
     let arcs = parts.into_iter().map(|p| p.builder.into_arcs()).collect();
-    Ok(crate::builder::build_from_arcs(ids.max(declared), arcs))
+    let n = ids.max(declared);
+    crate::builder::build_from_arcs(n, arcs).map_err(|e| {
+        bad_data(if declared == n {
+            format!("`#vertices {n}`: cannot reserve the vertex arrays of a {n}-vertex graph ({e})")
+        } else {
+            format!("cannot reserve the vertex arrays of a {n}-vertex graph ({e})")
+        })
+    })
 }
 
 /// Chunks per pool thread of the in-memory text loader: more than one so

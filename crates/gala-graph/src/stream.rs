@@ -327,6 +327,7 @@ impl StreamingBuilder {
             let mut chunk = std::mem::take(&mut self.chunk);
             chunk.shrink_to_fit();
             crate::builder::build_from_arcs(n, vec![chunk])
+                .map_err(|e| io::Error::new(io::ErrorKind::OutOfMemory, e))?
         } else {
             self.spill_chunk()?;
             // Free the recycled chunk buffer before the output allocates.

@@ -26,12 +26,11 @@
 //!   `gala profile`: joins the `profile` events of a simulated and a
 //!   native trace span-by-span, fits a clock, and computes per-kernel
 //!   residuals plus per-component calibration factors.
-//! * [`recorder`] — the in-process flight recorder: a fixed-capacity
-//!   drop-oldest ring of leveled log events behind a `GALA_LOG`-style
-//!   filter, bounded-frequency [`recorder::ProgressSnapshot`]s for the
-//!   CLI's `--progress` status line, a heartbeat watchdog for stalled
-//!   supersteps, and a panic hook that drains the ring into a
-//!   `crash-<pid>.json` dump with a provenance manifest.
+//! * [`recorder`] — the in-process flight recorder: bounded-frequency
+//!   [`recorder::ProgressSnapshot`]s for the CLI's `--progress` status
+//!   line, a heartbeat watchdog for stalled supersteps, and a panic hook
+//!   that writes a `crash-<pid>.json` dump carrying a provenance manifest
+//!   and the last snapshot delivered.
 //!
 //! Both formats carry [`SCHEMA_VERSION`] so downstream tooling can reject
 //! documents it does not understand.
@@ -50,9 +49,7 @@ pub mod trace;
 pub use attribution::{Attribution, AttributionReport, Calibration, KernelResidual};
 pub use json::Value;
 pub use metrics::{Histogram, MetricsRegistry};
-pub use recorder::{
-    Level, LogEvent, Manifest, ProgressLimiter, ProgressSnapshot, Ring, StallReport, WatchdogCore,
-};
+pub use recorder::{Manifest, ProgressLimiter, ProgressSnapshot, StallReport, WatchdogCore};
 pub use report::{
     direction, judge, Direction, Judged, MetricRow, Regression, Report, ReportError, Verdict,
 };
@@ -70,8 +67,12 @@ pub use trace::{
 /// a [`MetricsRegistry`] (counters / gauges / log2 histograms); 4 —
 /// `profile` events decomposing every span's cycles (sim) or wall
 /// nanoseconds (native) into component charges for `gala profile`; 5 —
-/// `log` / `progress` events from the flight [`recorder`] (leveled ring
-/// lines and bounded-frequency driver snapshots).
+/// `progress` events carrying bounded-frequency driver snapshots. Schema
+/// 5 also had `log` events (the flight [`recorder`]'s leveled ring lines,
+/// written only by `gala detect --progress` with the log-level
+/// environment variable set); the ring is gone, no field of any remaining
+/// event changed, and a trace holding a `log` line now fails to read as
+/// an unknown event.
 pub const SCHEMA_VERSION: u64 = 5;
 
 /// Oldest schema this build still reads. Additions since

@@ -1,124 +1,35 @@
-//! The in-process flight recorder: leveled structured logging into a
-//! fixed-capacity ring, bounded-frequency progress snapshots, a stall
-//! watchdog, and crash forensics.
+//! The in-process flight recorder: bounded-frequency progress snapshots,
+//! a stall watchdog, and crash forensics.
 //!
 //! Everything the post-hoc layers (`trace`, `metrics`, `report`) capture is
 //! only inspectable after a run finishes; the recorder is the *live* side
 //! of observability:
 //!
-//! * [`log`] appends a leveled [`LogEvent`] to a global drop-oldest
-//!   [`Ring`] behind a branch-cheap [`enabled`] check driven by the
-//!   `GALA_LOG` environment variable (`error|warn|info|debug`, optionally
-//!   per scope: `GALA_LOG=warn,stream=debug`). When `GALA_LOG` is unset
-//!   every call site costs one relaxed atomic load.
-//! * [`observe_progress`] fans a [`ProgressSnapshot`] out to an optional
-//!   live callback (the CLI's `--progress` status line), the ring, and the
-//!   watchdog. Drivers gate snapshot construction on [`progress_active`]
-//!   and bound their emission frequency with a [`ProgressLimiter`].
-//! * [`arm_watchdog`] starts a monitor thread that flags a run whose
-//!   heartbeats stop arriving before a deadline, recording the last-known
-//!   span stack. The deadline logic lives in the clock-injectable
-//!   [`WatchdogCore`] so tests need no real threads or sleeps.
-//! * [`install_panic_hook`] drains the ring into a `crash-<pid>.json` dump
-//!   carrying a provenance [`Manifest`]; [`validate_crash_dump`] is the
-//!   shared validator behind both `gala analyze --check` and the
-//!   `bench_recorder` gate.
+//! * [`observe_progress`] hands a [`ProgressSnapshot`] to the live callback
+//!   (the CLI's `--progress` status line) and keeps it as the last snapshot
+//!   a crash dump reports. Progress is on exactly while a callback is set;
+//!   drivers gate snapshot construction on [`progress_active`] and bound
+//!   their emission frequency with a [`ProgressLimiter`].
+//! * [`arm_watchdog`] starts a monitor thread that warns on stderr when a
+//!   run's heartbeats stop arriving before a deadline, naming the
+//!   last-known span stack. The deadline logic lives in the
+//!   clock-injectable [`WatchdogCore`] so tests need no real threads or
+//!   sleeps.
+//! * [`install_panic_hook`] writes a `crash-<pid>.json` dump carrying a
+//!   provenance [`Manifest`], the panic reason and the last progress
+//!   snapshot; [`validate_crash_dump`] is the shared validator behind both
+//!   `gala analyze --check` and the `bench_recorder` gate.
 //!
-//! Log and progress data leave the process as schema-5 `log` / `progress`
-//! [`TraceEvent`]s, so every existing JSONL consumer reads them.
+//! Snapshots leave the process as schema-5 `progress` [`TraceEvent`]s, so
+//! every existing JSONL consumer reads them.
 
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use crate::json::Value;
-use crate::trace::{TraceEvent, TraceSink};
+use crate::trace::TraceEvent;
 use crate::{check_schema, SCHEMA_VERSION};
-
-/// Severity of a [`LogEvent`], ordered from most to least severe.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Level {
-    /// A failure the run cannot recover from silently.
-    Error,
-    /// A degraded condition the run works around.
-    Warn,
-    /// Coarse lifecycle milestones (default for `--progress` runs).
-    Info,
-    /// High-frequency detail (per-superstep heartbeats).
-    Debug,
-}
-
-impl Level {
-    /// The canonical lowercase name (`"error"`, `"warn"`, …).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Level::Error => "error",
-            Level::Warn => "warn",
-            Level::Info => "info",
-            Level::Debug => "debug",
-        }
-    }
-
-    /// Parses a level name; `None` for anything unknown.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "error" => Some(Level::Error),
-            "warn" => Some(Level::Warn),
-            "info" => Some(Level::Info),
-            "debug" => Some(Level::Debug),
-            _ => None,
-        }
-    }
-
-    #[cfg(test)]
-    fn from_rank(rank: u8) -> Option<Self> {
-        match rank {
-            1 => Some(Level::Error),
-            2 => Some(Level::Warn),
-            3 => Some(Level::Info),
-            4 => Some(Level::Debug),
-            _ => None,
-        }
-    }
-
-    /// Rank used by the global max-level atomic: 0 is "off", higher ranks
-    /// admit more detail.
-    fn rank(self) -> u8 {
-        match self {
-            Level::Error => 1,
-            Level::Warn => 2,
-            Level::Info => 3,
-            Level::Debug => 4,
-        }
-    }
-}
-
-impl std::fmt::Display for Level {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-/// One structured log line in the flight-recorder ring; in a trace, the
-/// payload of [`TraceEvent::Log`].
-#[derive(Clone, Debug, PartialEq)]
-pub struct LogEvent {
-    /// Monotonic sequence number, assigned at append time and never
-    /// reused: `seq` minus the ring's drop counter is the event's position
-    /// in the surviving window.
-    pub seq: u64,
-    /// Microseconds since the recorder was initialised.
-    pub elapsed_us: u64,
-    /// Severity.
-    pub level: Level,
-    /// Component that produced the line (`"louvain"`, `"stream"`, …).
-    pub scope: String,
-    /// Human-readable message.
-    pub message: String,
-    /// Structured numeric payload, in insertion order.
-    pub fields: Vec<(String, f64)>,
-}
 
 /// A bounded-frequency view of where a driver is right now; in a trace,
 /// the payload of [`TraceEvent::Progress`].
@@ -145,7 +56,7 @@ pub struct ProgressSnapshot {
 }
 
 impl ProgressSnapshot {
-    /// One-line human rendering for status lines and heartbeat logs.
+    /// One-line human rendering for status lines and `gala analyze`.
     pub fn render_line(&self) -> String {
         let rss = if self.rss_bytes > 0 {
             format!(", rss {:.0} MiB", crate::mem::mib(self.rss_bytes))
@@ -164,257 +75,80 @@ impl ProgressSnapshot {
             self.arcs,
         )
     }
-}
 
-/// Fixed-capacity drop-oldest buffer of [`LogEvent`]s with a monotonic
-/// sequence counter and a drop counter, so consumers can tell exactly how
-/// many lines the window lost.
-#[derive(Debug)]
-pub struct Ring {
-    capacity: usize,
-    buf: VecDeque<LogEvent>,
-    next_seq: u64,
-    dropped: u64,
-}
-
-impl Ring {
-    /// An empty ring holding at most `capacity` events (min 1).
-    pub fn new(capacity: usize) -> Self {
-        Ring {
-            capacity: capacity.max(1),
-            buf: VecDeque::new(),
-            next_seq: 0,
-            dropped: 0,
+    /// The invariants every reader holds a snapshot to: a named driver
+    /// and phase, a finite modularity, and fractions in `[0, 1]`.
+    pub fn check(&self) -> Result<(), String> {
+        if self.driver.is_empty() || self.phase.is_empty() {
+            return Err("empty driver or phase".to_string());
         }
-    }
-
-    /// Appends one event, assigning its `seq` and evicting the oldest
-    /// event when full. Returns the assigned sequence number.
-    pub fn push(&mut self, mut event: LogEvent) -> u64 {
-        let seq = self.next_seq;
-        event.seq = seq;
-        self.next_seq += 1;
-        if self.buf.len() == self.capacity {
-            self.buf.pop_front();
-            self.dropped += 1;
+        if !self.modularity.is_finite() {
+            return Err("non-finite modularity".to_string());
         }
-        self.buf.push_back(event);
-        seq
-    }
-
-    /// Events currently held, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &LogEvent> {
-        self.buf.iter()
-    }
-
-    /// Number of events currently held.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether the ring holds no events.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Events evicted so far. The oldest surviving event's `seq` equals
-    /// this counter.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Removes and returns every held event, oldest first. The sequence
-    /// counter keeps running, and the drop counter advances past the
-    /// drained events — they have left the window — so the invariant
-    /// "the oldest surviving seq equals [`Ring::dropped`]" keeps holding
-    /// for later pushes. Crash-dump validation relies on it: a panic after
-    /// an earlier drain must still produce a consistent event window.
-    pub fn drain(&mut self) -> Vec<LogEvent> {
-        self.dropped = self.next_seq;
-        self.buf.drain(..).collect()
-    }
-}
-
-/// Per-scope level overrides parsed from a `GALA_LOG` spec.
-#[derive(Debug, Default)]
-struct Filter {
-    /// Default maximum level; `None` disables unscoped logging.
-    default: Option<Level>,
-    /// `scope=level` overrides, first match wins.
-    scopes: Vec<(String, Level)>,
-}
-
-impl Filter {
-    /// Parses `error|warn|info|debug[,scope=level...]`. Unknown words are
-    /// ignored rather than erroring: a typo in an env var must not kill a
-    /// run. Returns `None` when nothing parses (recorder stays off).
-    fn parse(spec: &str) -> Option<Filter> {
-        let mut filter = Filter::default();
-        for part in spec.split(',').map(str::trim).filter(|p| !p.is_empty()) {
-            match part.split_once('=') {
-                Some((scope, level)) => {
-                    if let Some(level) = Level::parse(level.trim()) {
-                        filter.scopes.push((scope.trim().to_string(), level));
-                    }
-                }
-                None => {
-                    if let Some(level) = Level::parse(part) {
-                        filter.default = Some(level);
-                    }
-                }
+        for (name, frac) in [
+            ("active_frac", self.active_frac),
+            ("moved_frac", self.moved_frac),
+        ] {
+            if !(0.0..=1.0).contains(&frac) {
+                return Err(format!("{name} {frac} outside [0,1]"));
             }
         }
-        if filter.default.is_none() && filter.scopes.is_empty() {
-            None
-        } else {
-            Some(filter)
-        }
-    }
-
-    /// The level admitted for `scope`.
-    fn level_for(&self, scope: &str) -> Option<Level> {
-        self.scopes
-            .iter()
-            .find(|(s, _)| s == scope)
-            .map(|&(_, l)| l)
-            .or(self.default)
-    }
-
-    /// The most permissive level any scope admits (the branch-cheap
-    /// first-stage filter).
-    fn max_level(&self) -> Option<Level> {
-        self.scopes
-            .iter()
-            .map(|&(_, l)| l)
-            .chain(self.default)
-            .max()
+        Ok(())
     }
 }
 
 /// A live progress consumer, as registered by [`set_progress_callback`].
 pub type ProgressCallback = Box<dyn FnMut(&ProgressSnapshot) + Send>;
 
-/// Mutable recorder state behind the global mutex: the ring, the scope
-/// filter, and the live progress callback.
+/// Mutable recorder state behind the global mutex: the live progress
+/// callback and the last snapshot it was handed.
+#[derive(Default)]
 struct RecorderState {
-    ring: Ring,
-    filter: Filter,
-    started: Instant,
     progress_cb: Option<ProgressCallback>,
+    last: Option<ProgressSnapshot>,
 }
 
-/// Global recorder singleton. The hot-path gate is [`MAX_LEVEL`], not this
-/// mutex: disabled call sites never lock.
+/// Global recorder singleton. The hot-path gate is [`PROGRESS`], not this
+/// mutex: call sites never lock while no callback is set.
 static RECORDER: OnceLock<Mutex<RecorderState>> = OnceLock::new();
 
-/// Rank of the most permissive admitted level; 0 = recorder off.
-static MAX_LEVEL: AtomicU8 = AtomicU8::new(0);
-
-/// Whether a live progress consumer (callback or ring) wants snapshots.
+/// Whether a progress callback is set.
 static PROGRESS: AtomicBool = AtomicBool::new(false);
 
-/// Default ring capacity: enough for the tail of any stress run while
-/// keeping a full drain under ~1 MiB of JSON.
-pub const DEFAULT_RING_CAPACITY: usize = 4096;
-
-fn state() -> &'static Mutex<RecorderState> {
-    RECORDER.get_or_init(|| {
-        Mutex::new(RecorderState {
-            ring: Ring::new(DEFAULT_RING_CAPACITY),
-            filter: Filter::default(),
-            started: Instant::now(),
-            progress_cb: None,
-        })
-    })
-}
-
-/// Locks the recorder state, recovering from a poisoned mutex: the
-/// recorder must stay usable inside a panic hook, which by definition runs
-/// after some thread panicked (possibly while logging).
+/// Locks the recorder state, recovering from a poisoned mutex: a panic
+/// inside the progress callback must not disable the recorder for the
+/// rest of the process.
 fn lock() -> std::sync::MutexGuard<'static, RecorderState> {
-    match state().lock() {
+    let state = RECORDER.get_or_init(Mutex::default);
+    match state.lock() {
         Ok(guard) => guard,
         Err(poisoned) => poisoned.into_inner(),
     }
 }
 
-/// Configures the recorder from a `GALA_LOG`-style spec
-/// (`error|warn|info|debug[,scope=level...]`). An unparseable or empty
-/// spec turns logging off. Progress observation is independent — see
-/// [`enable_progress`].
-pub fn init(spec: &str) {
-    let filter = Filter::parse(spec).unwrap_or_default();
-    let rank = filter.max_level().map_or(0, Level::rank);
-    let mut st = lock();
-    st.filter = filter;
-    drop(st);
-    MAX_LEVEL.store(rank, Ordering::Relaxed);
-}
-
-/// [`init`] from the `GALA_LOG` environment variable; a no-op when the
-/// variable is unset (logging stays off, costing one branch per site).
-pub fn init_from_env() {
-    if let Ok(spec) = std::env::var("GALA_LOG") {
-        init(&spec);
-    }
-}
-
-/// Whether any scope admits `level`. One relaxed atomic load — the gate
-/// instrumented code checks before building a message.
-pub fn enabled(level: Level) -> bool {
-    MAX_LEVEL.load(Ordering::Relaxed) >= level.rank()
-}
-
-/// Appends one structured line to the ring if `level` passes the `scope`'s
-/// filter. Callers on hot paths should gate on [`enabled`] first so the
-/// message and fields are never built when logging is off.
-pub fn log(level: Level, scope: &str, message: &str, fields: &[(&str, f64)]) {
-    if !enabled(level) {
-        return;
-    }
-    let mut st = lock();
-    match st.filter.level_for(scope) {
-        Some(max) if level <= max => {}
-        _ => return,
-    }
-    let elapsed_us = st.started.elapsed().as_micros() as u64;
-    st.ring.push(LogEvent {
-        seq: 0, // assigned by the ring
-        elapsed_us,
-        level,
-        scope: scope.to_string(),
-        message: message.to_string(),
-        fields: fields.iter().map(|&(k, v)| (k.to_string(), v)).collect(),
-    });
-}
-
-/// Turns progress observation on or off. Drivers check
-/// [`progress_active`] (one atomic load) before building snapshots.
-pub fn enable_progress(on: bool) {
-    PROGRESS.store(on, Ordering::Relaxed);
-}
-
-/// Whether any live consumer wants [`ProgressSnapshot`]s.
+/// Whether a live consumer wants [`ProgressSnapshot`]s: one atomic load,
+/// true exactly while a progress callback is set.
 pub fn progress_active() -> bool {
     PROGRESS.load(Ordering::Relaxed)
 }
 
 /// Registers the live progress callback (the CLI's `--progress` status
-/// line) and enables progress observation.
+/// line), which turns progress observation on.
 pub fn set_progress_callback(cb: ProgressCallback) {
     lock().progress_cb = Some(cb);
-    enable_progress(true);
+    PROGRESS.store(true, Ordering::Relaxed);
 }
 
-/// Drops the progress callback and disables progress observation.
+/// Drops the progress callback, which turns progress observation off.
 pub fn clear_progress_callback() {
     lock().progress_cb = None;
-    enable_progress(false);
+    PROGRESS.store(false, Ordering::Relaxed);
 }
 
-/// Fans one snapshot out to the live callback, the log ring (debug
-/// level), and the watchdog heartbeat. Drivers bound their call frequency
-/// with a [`ProgressLimiter`]; this function does not rate-limit.
+/// Hands one snapshot to the live callback, keeps it as the snapshot a
+/// crash dump reports, and beats the watchdog. Drivers bound their call
+/// frequency with a [`ProgressLimiter`]; this function does not
+/// rate-limit.
 pub fn observe_progress(snap: &ProgressSnapshot) {
     if watchdog_armed() {
         heartbeat(&format!("{}/{}", snap.driver, snap.phase));
@@ -426,41 +160,7 @@ pub fn observe_progress(snap: &ProgressSnapshot) {
     if let Some(cb) = st.progress_cb.as_mut() {
         cb(snap);
     }
-    drop(st);
-    if enabled(Level::Debug) {
-        log(
-            Level::Debug,
-            &snap.driver,
-            &snap.render_line(),
-            &[
-                ("round", snap.round as f64),
-                ("modularity", snap.modularity),
-                ("active_frac", snap.active_frac),
-                ("moved_frac", snap.moved_frac),
-            ],
-        );
-    }
-}
-
-/// Removes every buffered log line and returns it with the ring's drop
-/// counter (events evicted or drained before the returned window — the
-/// first returned event's `seq` equals the counter).
-pub fn drain() -> (Vec<LogEvent>, u64) {
-    let mut st = lock();
-    let dropped = st.ring.dropped();
-    (st.ring.drain(), dropped)
-}
-
-/// Drains the ring into `sink` as schema-5 `log` events. A no-op on a
-/// disabled sink (events stay in the ring).
-pub fn drain_into_sink(sink: &mut dyn TraceSink) {
-    if !sink.enabled() {
-        return;
-    }
-    let (events, _) = drain();
-    for event in events {
-        sink.emit(TraceEvent::Log(event));
-    }
+    st.last = Some(snap.clone());
 }
 
 /// Bounds how often a driver builds progress snapshots: `ready()` is true
@@ -500,21 +200,10 @@ impl ProgressLimiter {
     }
 }
 
-/// Clock seam for the watchdog, injectable so stall detection is testable
-/// without real time.
-pub trait WatchdogClock: Send + Sync {
-    /// Monotonic microseconds.
-    fn now_us(&self) -> u64;
-}
-
-/// The real clock: microseconds since the recorder started.
-#[derive(Debug, Default)]
-pub struct SystemClock;
-
-impl WatchdogClock for SystemClock {
-    fn now_us(&self) -> u64 {
-        lock().started.elapsed().as_micros() as u64
-    }
+/// The watchdog's monotonic clock: microseconds since its first reading.
+fn now_us() -> u64 {
+    static START: OnceLock<Instant> = OnceLock::new();
+    START.get_or_init(Instant::now).elapsed().as_micros() as u64
 }
 
 /// A stalled-run report from [`WatchdogCore::poll`].
@@ -594,18 +283,17 @@ pub fn heartbeat(stack: &str) {
         return;
     }
     if let Some(core) = WATCHDOG.get() {
-        core.beat(SystemClock.now_us(), stack);
+        core.beat(now_us(), stack);
     }
 }
 
 /// Arms the stall watchdog: a detached monitor thread polls at a quarter
-/// of `deadline` and, on a stall, logs an error-level line carrying the
+/// of `deadline` and, on a stall, prints a warning to stderr carrying the
 /// silence length and the last-known span stack. Arming is idempotent; the
 /// first deadline wins. Returns whether a (new or existing) monitor is
 /// live.
 pub fn arm_watchdog(deadline: Duration) -> bool {
-    let core = WATCHDOG
-        .get_or_init(|| std::sync::Arc::new(WatchdogCore::new(deadline, SystemClock.now_us())));
+    let core = WATCHDOG.get_or_init(|| std::sync::Arc::new(WatchdogCore::new(deadline, now_us())));
     if WATCHDOG_ON.swap(true, Ordering::Relaxed) {
         return true; // already armed
     }
@@ -616,7 +304,7 @@ pub fn arm_watchdog(deadline: Duration) -> bool {
         .spawn(move || {
             while WATCHDOG_ON.load(Ordering::Relaxed) {
                 std::thread::sleep(poll_every);
-                if let Some(report) = core.poll(SystemClock.now_us()) {
+                if let Some(report) = core.poll(now_us()) {
                     let line = format!(
                         "superstep stalled: {:.1}s without a heartbeat (last stack: {})",
                         report.silent_us as f64 / 1e6,
@@ -625,12 +313,6 @@ pub fn arm_watchdog(deadline: Duration) -> bool {
                         } else {
                             &report.last_stack
                         },
-                    );
-                    log(
-                        Level::Error,
-                        "watchdog",
-                        &line,
-                        &[("silent_us", report.silent_us as f64)],
                     );
                     eprintln!("gala: warning: {line}");
                 }
@@ -681,27 +363,30 @@ fn crash_dir() -> std::path::PathBuf {
         .unwrap_or_else(|_| std::path::PathBuf::from("."))
 }
 
-/// Drains the ring into a `crash-<pid>.json` dump carrying `manifest` and
-/// the panic `reason`. Returns the path written, or `None` when the write
-/// failed (a crash dump must never panic in turn).
+/// The last snapshot [`observe_progress`] delivered. Never blocks: a
+/// panic inside the progress callback leaves the lock held by the
+/// panicking thread, and the dump then reports no snapshot.
+fn last_snapshot() -> Option<ProgressSnapshot> {
+    match RECORDER.get()?.try_lock() {
+        Ok(st) => st.last.clone(),
+        Err(std::sync::TryLockError::Poisoned(p)) => p.into_inner().last.clone(),
+        Err(std::sync::TryLockError::WouldBlock) => None,
+    }
+}
+
+/// Writes a `crash-<pid>.json` dump carrying `manifest`, the panic
+/// `reason` and the last progress snapshot (a `progress` event object, or
+/// `null` when none was delivered). Returns the path written, or `None`
+/// when the write failed (a crash dump must never panic in turn).
 pub fn write_crash_dump(manifest: &Manifest, reason: &str) -> Option<std::path::PathBuf> {
-    let (events, dropped) = drain();
+    let progress = last_snapshot().map_or(Value::Null, |s| TraceEvent::Progress(s).to_json());
     let doc = Value::object()
         .set("schema", SCHEMA_VERSION)
         .set("kind", "crash")
         .set("pid", std::process::id() as u64)
         .set("reason", reason)
         .set("manifest", manifest.to_json())
-        .set("dropped", dropped)
-        .set(
-            "events",
-            Value::Array(
-                events
-                    .into_iter()
-                    .map(|e| TraceEvent::Log(e).to_json())
-                    .collect(),
-            ),
-        );
+        .set("progress", progress);
     let path = crash_dir().join(format!("crash-{}.json", std::process::id()));
     std::fs::write(&path, doc.render_pretty()).ok()?;
     Some(path)
@@ -731,9 +416,8 @@ pub fn install_panic_hook(manifest: Manifest) {
 }
 
 /// Validates a parsed crash dump: schema in range, `kind == "crash"`, a
-/// provenance manifest present, and the event window consistent (strictly
-/// increasing sequence numbers starting at the drop counter, well-formed
-/// log events). Returns a one-line summary on success.
+/// provenance manifest present, and `progress` absent, `null`, or a
+/// well-formed `progress` event. Returns a one-line summary on success.
 pub fn validate_crash_dump(doc: &Value) -> Result<String, String> {
     let schema = check_schema(doc).map_err(|e| format!("crash dump {e}"))?;
     if doc.get("kind").and_then(Value::as_str) != Some("crash") {
@@ -742,38 +426,25 @@ pub fn validate_crash_dump(doc: &Value) -> Result<String, String> {
     doc.get("manifest")
         .and_then(Value::as_object)
         .ok_or("crash dump missing `manifest` object")?;
-    let dropped = doc
-        .get("dropped")
-        .and_then(Value::as_u64)
-        .ok_or("crash dump missing numeric `dropped`")?;
-    let events = doc
-        .get("events")
-        .and_then(Value::as_array)
-        .ok_or("crash dump missing `events` array")?;
-    for (i, ev) in events.iter().enumerate() {
-        let expect = dropped + i as u64;
-        let parsed = match TraceEvent::from_json(ev) {
-            Ok(TraceEvent::Log(parsed)) => parsed,
-            _ => {
-                return Err(format!(
-                    "crash dump event {i} is not a well-formed log event"
-                ))
-            }
-        };
-        if parsed.seq != expect {
+    let progress = match doc.get("progress") {
+        None | Some(Value::Null) => return Ok(format!("ok: crash dump, schema {schema}")),
+        Some(v) => v,
+    };
+    let snap = match TraceEvent::from_json(progress) {
+        Ok(TraceEvent::Progress(snap)) => snap,
+        Ok(other) => {
             return Err(format!(
-                "crash dump event {i} has seq {} (expected {expect}: the first \
-                 surviving seq must equal the drop counter and run contiguously)",
-                parsed.seq
-            ));
+                "crash dump `progress` is a `{}` event, not a progress event",
+                other.kind()
+            ))
         }
-        if !parsed.fields.iter().all(|(_, v)| v.is_finite()) {
-            return Err(format!("crash dump event {i} carries a non-finite field"));
-        }
-    }
+        Err(e) => return Err(format!("crash dump `progress` is malformed: {e}")),
+    };
+    snap.check()
+        .map_err(|e| format!("crash dump `progress`: {e}"))?;
     Ok(format!(
-        "ok: crash dump with {} events ({dropped} dropped), schema {schema}",
-        events.len()
+        "ok: crash dump at {} r{} {} s{}, schema {schema}",
+        snap.driver, snap.round, snap.phase, snap.superstep
     ))
 }
 
@@ -781,80 +452,6 @@ pub fn validate_crash_dump(doc: &Value) -> Result<String, String> {
 mod tests {
     use super::*;
     use crate::json::parse;
-
-    fn sample_event(seq: u64) -> LogEvent {
-        LogEvent {
-            seq,
-            elapsed_us: 1000 + seq,
-            level: Level::Info,
-            scope: "louvain".into(),
-            message: format!("line {seq}"),
-            fields: vec![("round".into(), seq as f64)],
-        }
-    }
-
-    #[test]
-    fn levels_order_and_round_trip() {
-        assert!(Level::Error < Level::Warn);
-        assert!(Level::Warn < Level::Info);
-        assert!(Level::Info < Level::Debug);
-        for level in [Level::Error, Level::Warn, Level::Info, Level::Debug] {
-            assert_eq!(Level::parse(level.as_str()), Some(level));
-            assert_eq!(Level::from_rank(level.rank()), Some(level));
-        }
-        assert_eq!(Level::parse("verbose"), None);
-        assert_eq!(Level::from_rank(0), None);
-    }
-
-    #[test]
-    fn filter_parses_default_and_scoped_levels() {
-        let f = Filter::parse("warn,stream=debug, louvain = info").unwrap();
-        assert_eq!(f.level_for("anything"), Some(Level::Warn));
-        assert_eq!(f.level_for("stream"), Some(Level::Debug));
-        assert_eq!(f.level_for("louvain"), Some(Level::Info));
-        assert_eq!(f.max_level(), Some(Level::Debug));
-        // Scoped-only spec: unscoped logging stays off.
-        let f = Filter::parse("stream=error").unwrap();
-        assert_eq!(f.level_for("louvain"), None);
-        assert_eq!(f.max_level(), Some(Level::Error));
-        // Garbage parses to nothing.
-        assert!(Filter::parse("loud").is_none());
-        assert!(Filter::parse("").is_none());
-    }
-
-    #[test]
-    fn ring_drops_oldest_and_counts_drops() {
-        let mut ring = Ring::new(3);
-        for i in 0..5 {
-            let seq = ring.push(sample_event(999));
-            assert_eq!(seq, i);
-        }
-        assert_eq!(ring.len(), 3);
-        assert_eq!(ring.dropped(), 2);
-        let seqs: Vec<u64> = ring.events().map(|e| e.seq).collect();
-        assert_eq!(seqs, [2, 3, 4]);
-        // The oldest surviving seq equals the drop counter.
-        assert_eq!(seqs[0], ring.dropped());
-        let drained = ring.drain();
-        assert_eq!(drained.len(), 3);
-        assert!(ring.is_empty());
-        // The sequence counter keeps running across the drain, and the
-        // drop counter advances past the drained events, so the oldest
-        // surviving seq still equals the drop counter afterwards.
-        assert_eq!(ring.push(sample_event(0)), 5);
-        assert_eq!(ring.dropped(), 5);
-        assert_eq!(ring.events().next().unwrap().seq, ring.dropped());
-    }
-
-    #[test]
-    fn log_event_round_trips_through_json() {
-        let event = sample_event(7);
-        let event = TraceEvent::Log(event);
-        let v = parse(&event.to_json().render()).unwrap();
-        assert_eq!(v.get("event").unwrap().as_str(), Some("log"));
-        assert_eq!(v.get("schema").unwrap().as_u64(), Some(SCHEMA_VERSION));
-        assert_eq!(TraceEvent::from_json(&v), Ok(event));
-    }
 
     #[test]
     fn progress_snapshot_round_trips_through_json() {
@@ -898,46 +495,68 @@ mod tests {
         assert_eq!(report.last_stack, "louvain/contract");
     }
 
+    fn sample_snapshot() -> ProgressSnapshot {
+        ProgressSnapshot {
+            driver: "louvain".into(),
+            round: 1,
+            phase: "phase1".into(),
+            superstep: 4,
+            modularity: 0.42,
+            active_frac: 0.5,
+            moved_frac: 0.125,
+            arcs: 780,
+            rss_bytes: 0,
+        }
+    }
+
     #[test]
     fn crash_dump_validator_accepts_written_dumps_and_rejects_tampering() {
-        let mut ring = Ring::new(2);
-        for _ in 0..4 {
-            ring.push(sample_event(0));
-        }
         let doc = Value::object()
             .set("schema", SCHEMA_VERSION)
             .set("kind", "crash")
             .set("pid", 42u64)
             .set("reason", "test")
             .set("manifest", Value::object().set("cmdline", "gala detect"))
-            .set("dropped", ring.dropped())
             .set(
-                "events",
-                Value::Array(
-                    ring.drain()
-                        .into_iter()
-                        .map(|e| TraceEvent::Log(e).to_json())
-                        .collect(),
-                ),
+                "progress",
+                TraceEvent::Progress(sample_snapshot()).to_json(),
             );
         let summary = validate_crash_dump(&doc).unwrap();
         assert!(summary.starts_with("ok:"), "{summary}");
-        assert!(summary.contains("2 events"), "{summary}");
+        assert!(summary.contains("louvain r1 phase1 s4"), "{summary}");
+        // No snapshot delivered yet: `null` or absent.
+        assert!(validate_crash_dump(&doc.clone().set("progress", Value::Null)).is_ok());
         // Wrong kind.
         let bad = doc.clone().set("kind", "trace");
         assert!(validate_crash_dump(&bad).is_err());
-        // Drop counter disagreeing with the first surviving seq.
-        let bad = doc.clone().set("dropped", 0u64);
-        assert!(validate_crash_dump(&bad).unwrap_err().contains("seq"));
         // Out-of-range schema.
         let bad = doc.clone().set("schema", SCHEMA_VERSION + 10);
         assert!(validate_crash_dump(&bad).unwrap_err().contains("schema"));
+        // A `progress` that is not a progress event, or misses a field.
+        let bad = doc
+            .clone()
+            .set("progress", Value::object().set("event", "run_end"));
+        assert!(validate_crash_dump(&bad).unwrap_err().contains("progress"));
+        let bad = doc.clone().set(
+            "progress",
+            TraceEvent::Progress(sample_snapshot())
+                .to_json()
+                .set("arcs", "many"),
+        );
+        assert!(validate_crash_dump(&bad).unwrap_err().contains("arcs"));
+        // A well-formed event whose fractions are out of range.
+        let mut snap = sample_snapshot();
+        snap.moved_frac = 1.5;
+        let bad = doc
+            .clone()
+            .set("progress", TraceEvent::Progress(snap).to_json());
+        assert!(validate_crash_dump(&bad)
+            .unwrap_err()
+            .contains("outside [0,1]"));
         // Missing manifest.
         let mut no_manifest = Value::object()
             .set("schema", SCHEMA_VERSION)
-            .set("kind", "crash")
-            .set("dropped", 0u64)
-            .set("events", Value::Array(Vec::new()));
+            .set("kind", "crash");
         assert!(validate_crash_dump(&no_manifest).is_err());
         no_manifest = no_manifest.set("manifest", Value::object());
         assert!(validate_crash_dump(&no_manifest).is_ok());
@@ -948,18 +567,22 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("gala_crash_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         std::env::set_var("GALA_CRASH_DIR", &dir);
-        init("debug");
-        log(Level::Info, "test", "before the crash", &[("x", 1.0)]);
+        set_progress_callback(Box::new(|_| {}));
+        observe_progress(&sample_snapshot());
+        clear_progress_callback();
         let manifest = Manifest::with_cmdline().entry("seed", "42");
         let path = write_crash_dump(&manifest, "injected panic").expect("dump written");
         std::env::remove_var("GALA_CRASH_DIR");
-        init(""); // recorder back off for other tests
         let doc = parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
         assert_eq!(doc.get("kind").unwrap().as_str(), Some("crash"));
         assert_eq!(doc.get("reason").unwrap().as_str(), Some("injected panic"));
         assert_eq!(
             doc.get("manifest").unwrap().get("seed").unwrap().as_str(),
             Some("42")
+        );
+        assert_eq!(
+            TraceEvent::from_json(doc.get("progress").unwrap()),
+            Ok(TraceEvent::Progress(sample_snapshot()))
         );
         validate_crash_dump(&doc).unwrap();
         let _ = std::fs::remove_file(&path);
@@ -980,10 +603,6 @@ mod tests {
         use super::*;
         use proptest::prelude::*;
 
-        fn level_strategy() -> impl Strategy<Value = Level> {
-            (0usize..4).prop_map(|i| [Level::Error, Level::Warn, Level::Info, Level::Debug][i])
-        }
-
         /// Lowercase identifiers plus a few JSON-hostile characters, so
         /// round-trips exercise the escaper.
         fn name_strategy() -> impl Strategy<Value = String> {
@@ -993,31 +612,6 @@ mod tests {
         }
 
         proptest! {
-            #[test]
-            fn log_events_round_trip_through_json(
-                seq in 0u64..(1u64 << 53),
-                elapsed_us in 0u64..(1u64 << 53),
-                level in level_strategy(),
-                scope in name_strategy(),
-                message in name_strategy(),
-                fields in proptest::collection::vec(
-                    (name_strategy(), -1e12f64..1e12), 0..6),
-            ) {
-                // Duplicate field names collapse under the object encoding;
-                // keep first occurrences only, as the recorder emits.
-                let mut seen = std::collections::HashSet::new();
-                let fields: Vec<(String, f64)> = fields
-                    .into_iter()
-                    .filter(|(k, _)| seen.insert(k.clone()))
-                    .collect();
-                let event = TraceEvent::Log(LogEvent {
-                    seq, elapsed_us, level, scope, message, fields,
-                });
-                let rendered = event.to_json().render();
-                let back = TraceEvent::from_json(&parse(&rendered).unwrap());
-                prop_assert_eq!(back, Ok(event));
-            }
-
             #[test]
             fn progress_snapshots_round_trip_through_json(
                 round in 0u32..10_000,
@@ -1037,26 +631,6 @@ mod tests {
                 let rendered = event.to_json().render();
                 let back = TraceEvent::from_json(&parse(&rendered).unwrap());
                 prop_assert_eq!(back, Ok(event));
-            }
-
-            #[test]
-            fn ring_window_is_always_contiguous_and_bounded(
-                capacity in 1usize..32,
-                pushes in 0usize..120,
-            ) {
-                let mut ring = Ring::new(capacity);
-                for _ in 0..pushes {
-                    ring.push(sample_event(0));
-                }
-                prop_assert!(ring.len() <= capacity);
-                prop_assert_eq!(ring.len() as u64 + ring.dropped(), pushes as u64);
-                let seqs: Vec<u64> = ring.events().map(|e| e.seq).collect();
-                if let Some(&first) = seqs.first() {
-                    prop_assert_eq!(first, ring.dropped());
-                    for (i, &s) in seqs.iter().enumerate() {
-                        prop_assert_eq!(s, first + i as u64);
-                    }
-                }
             }
         }
     }

@@ -5,7 +5,7 @@
 //! moment of a run — run start/end, each BSP superstep with its move/prune
 //! counts and per-phase memory tallies, each inter-device synchronisation
 //! with the dense-vs-sparse decision and modelled byte volume, span trees,
-//! cost profiles, metrics and flight-recorder lines. This module is the
+//! cost profiles, metrics and progress snapshots. This module is the
 //! only place that knows the trace format: [`TraceEvent::to_json`] writes
 //! it and [`TraceEvent::from_json`] is its exact inverse. Events flow into
 //! a [`TraceSink`]:
@@ -26,7 +26,7 @@ use gala_gpu::profile::SpanRecord;
 
 use crate::json::{self, Value};
 use crate::metrics::MetricsRegistry;
-use crate::recorder::{Level, LogEvent, ProgressSnapshot};
+use crate::recorder::ProgressSnapshot;
 use crate::{check_schema, SCHEMA_VERSION};
 
 /// One structured event in a run's trace.
@@ -48,9 +48,6 @@ pub enum TraceEvent {
     RoundEnd(RoundEnd),
     /// Emitted once when a driver finishes.
     RunEnd(RunEnd),
-    /// One structured flight-recorder log line, drained from the
-    /// recorder's ring (see `crate::recorder`). Schema 5+.
-    Log(LogEvent),
     /// A bounded-frequency progress snapshot from a live driver: where the
     /// run is right now, cheap enough to stream while it executes. Schema
     /// 5+.
@@ -430,7 +427,6 @@ impl TraceEvent {
             TraceEvent::Metrics(_) => "metrics",
             TraceEvent::RoundEnd(_) => "round_end",
             TraceEvent::RunEnd(_) => "run_end",
-            TraceEvent::Log(_) => "log",
             TraceEvent::Progress(_) => "progress",
         }
     }
@@ -495,18 +491,6 @@ impl TraceEvent {
                 .set("modularity", e.modularity)
                 .set("rounds", e.rounds)
                 .set("total_cycles", e.total_cycles),
-            TraceEvent::Log(e) => base
-                .set("seq", e.seq)
-                .set("elapsed_us", e.elapsed_us)
-                .set("level", e.level.as_str())
-                .set("scope", e.scope.as_str())
-                .set("message", e.message.as_str())
-                .set(
-                    "fields",
-                    e.fields
-                        .iter()
-                        .fold(Value::object(), |v, (k, n)| v.set(k, *n)),
-                ),
             TraceEvent::Progress(e) => base
                 .set("driver", e.driver.as_str())
                 .set("round", e.round)
@@ -586,19 +570,6 @@ impl TraceEvent {
                 modularity: f.f64("modularity")?,
                 rounds: f.u32("rounds")?,
                 total_cycles: f.f64("total_cycles")?,
-            }),
-            "log" => TraceEvent::Log(LogEvent {
-                seq: f.u64("seq")?,
-                elapsed_us: f.u64("elapsed_us")?,
-                level: f.get("level", "unknown", |v| Level::parse(v.as_str()?))?,
-                scope: f.string("scope")?,
-                message: f.string("message")?,
-                fields: f.get("fields", "malformed", |v| {
-                    v.as_object()?
-                        .iter()
-                        .map(|(k, n)| Some((k.clone(), n.as_f64()?)))
-                        .collect()
-                })?,
             }),
             "progress" => TraceEvent::Progress(ProgressSnapshot {
                 driver: f.string("driver")?,
@@ -1091,14 +1062,6 @@ mod tests {
                 rounds: 3,
                 total_cycles: 123456.5,
             }),
-            TraceEvent::Log(LogEvent {
-                seq: 8,
-                elapsed_us: 1500,
-                level: Level::Warn,
-                scope: "watchdog".into(),
-                message: "slow \"superstep\"".into(),
-                fields: vec![("silent_us".into(), 2e6), ("round".into(), 1.0)],
-            }),
             TraceEvent::Progress(ProgressSnapshot {
                 driver: "louvain".into(),
                 round: 2,
@@ -1119,7 +1082,7 @@ mod tests {
         let mut kinds: Vec<&str> = events.iter().map(TraceEvent::kind).collect();
         kinds.sort_unstable();
         kinds.dedup();
-        assert_eq!(kinds.len(), 10, "one event per kind");
+        assert_eq!(kinds.len(), 9, "one event per kind");
         for event in events {
             let line = event.to_json().render();
             let decoded = TraceEvent::from_json(&parse(&line).unwrap());
