@@ -30,7 +30,7 @@ use gala_gpu::memory::{CostModel, MemTally};
 use gala_gpu::profile::{Profiler, SpanRecord};
 use gala_graph::coarsen::{self, coarsen_into, CoarsenScratch, Coarsened};
 use gala_graph::partition::CommunityId;
-use gala_graph::{Graph, Partition};
+use gala_graph::{Graph, Partition, VertexId};
 use gala_telemetry::{profile_spans, profile_spans_wall, PhaseProfile, TraceEvent};
 use std::fmt;
 use std::str::FromStr;
@@ -117,10 +117,26 @@ pub trait ExecutionBackend: Sync {
     /// Short name (`"sim"` / `"native"`) for reports and telemetry.
     fn name(&self) -> &'static str;
 
-    /// Runs the selected DecideAndMove kernel over all `active` vertices
-    /// into caller-owned buffers, with the same contract as
-    /// [`kernels::decide_profiled_into`]: `out` is fully rewritten and
-    /// `scratch` provides the recycled intermediates.
+    /// Runs the selected DecideAndMove kernel over the vertices of `work`
+    /// (ascending) into caller-owned buffers: `out.moves` lists the
+    /// decided vertices that change community, the rest of `out` but
+    /// `next_comm` is rewritten, and `scratch` provides the recycled
+    /// intermediates.
+    #[allow(clippy::too_many_arguments)]
+    fn decide_list(
+        &self,
+        kind: KernelKind,
+        graph: &Graph,
+        state: &BspState,
+        work: &[VertexId],
+        prof: &mut Profiler,
+        scratch: &mut DecideScratch,
+        out: &mut DecideOutput,
+    );
+
+    /// [`Self::decide_list`] over all `active` vertices, with the same
+    /// contract as [`kernels::decide_profiled_into`]: `out` is fully
+    /// rewritten, `next_comm` and `moves` included.
     #[allow(clippy::too_many_arguments)]
     fn decide(
         &self,
@@ -131,7 +147,11 @@ pub trait ExecutionBackend: Sync {
         prof: &mut Profiler,
         scratch: &mut DecideScratch,
         out: &mut DecideOutput,
-    );
+    ) {
+        scratch.decide_masked(state, active, out, |work, scratch, out| {
+            self.decide_list(kind, graph, state, work, prof, scratch, out)
+        });
+    }
 
     /// Contracts `graph` by `partition` (phase 2). `kernel` is the phase-1
     /// kernel kind, from which hash-based backends derive their table
@@ -178,17 +198,19 @@ impl ExecutionBackend for SimBackend {
         "sim"
     }
 
-    fn decide(
+    fn decide_list(
         &self,
         kind: KernelKind,
         graph: &Graph,
         state: &BspState,
-        active: &[bool],
+        work: &[VertexId],
         prof: &mut Profiler,
         scratch: &mut DecideScratch,
         out: &mut DecideOutput,
     ) {
-        kernels::decide_profiled_into(kind, graph, state, active, prof, scratch, out);
+        scratch.decide_listed(state, work, out, |active, scratch, out| {
+            kernels::decide_profiled_into(kind, graph, state, active, prof, scratch, out)
+        });
     }
 
     fn contract(
@@ -260,17 +282,17 @@ impl ExecutionBackend for NativeBackend {
         "native"
     }
 
-    fn decide(
+    fn decide_list(
         &self,
         kind: KernelKind,
         graph: &Graph,
         state: &BspState,
-        active: &[bool],
+        work: &[VertexId],
         prof: &mut Profiler,
         scratch: &mut DecideScratch,
         out: &mut DecideOutput,
     ) {
-        kernels::native::decide_into(kind, graph, state, active, prof, scratch, out);
+        kernels::native::decide_list(kind, graph, state, work, prof, scratch, out);
     }
 
     fn contract(

@@ -27,36 +27,52 @@ use gala_graph::{Graph, VertexId};
 /// Runs the reference kernel over the active vertices.
 pub fn decide(graph: &Graph, state: &BspState, active: &[bool]) -> DecideOutput {
     let mut out = DecideOutput::default();
-    decide_into(graph, state, active, None, &mut out);
+    decide_into(graph, state, active, None, &mut Vec::new(), &mut out);
     out
 }
 
-/// [`decide`] writing into `out`, recycling its `next_comm` allocation.
-/// Each pool chunk threads one [`Fold`] through all of its vertices; the
-/// chunks' tallies sum to how many active vertices took each fold. With
-/// `certs`, every active vertex's stay certificate is recorded (or
-/// cleared) as it is decided.
+/// [`decide`] writing into `out`, recycling its `next_comm` allocation and
+/// the work-list buffer `work`: [`decide_list`] over the active vertices.
 pub(crate) fn decide_into(
     graph: &Graph,
     state: &BspState,
     active: &[bool],
     certs: Option<&Certificates>,
+    work: &mut Vec<VertexId>,
     out: &mut DecideOutput,
 ) -> FoldCounts {
-    let folds = rayon::par_map_indexed_accum_into(
-        graph.num_vertices(),
-        &mut out.next_comm,
-        Fold::default,
-        |v, fold| {
-            if active[v] {
-                fold.decide(v as VertexId, graph, state, certs)
-            } else {
-                state.comm[v]
-            }
-        },
-    );
+    work.clear();
+    work.extend((0..active.len() as VertexId).filter(|&v| active[v as usize]));
+    let mut next = Vec::new();
+    let counts = decide_list(graph, state, work, certs, &mut next);
+    out.next_comm.clear();
+    out.next_comm.extend_from_slice(&state.comm);
+    for (&v, &c) in work.iter().zip(&next) {
+        out.next_comm[v as usize] = c;
+    }
     out.tally = MemTally::new();
     out.hash_stats = Default::default();
+    counts
+}
+
+/// Decides every vertex of `work`, writing its next community to the same
+/// position of `next`. Each pool chunk threads one [`Fold`] through its
+/// vertices; the chunks' tallies sum to how many vertices took each fold.
+/// With `certs`, every decided vertex's stay certificate is recorded (or
+/// cleared) as it is decided. The pass goes to the pool by the arcs it
+/// folds, not by the vertices: a short list of high-degree vertices, as
+/// on a coarse level, is worth splitting.
+pub(crate) fn decide_list(
+    graph: &Graph,
+    state: &BspState,
+    work: &[VertexId],
+    certs: Option<&Certificates>,
+    next: &mut Vec<CommunityId>,
+) -> FoldCounts {
+    let arcs = work.iter().map(|&v| graph.degree(v)).sum();
+    let folds = rayon::par_map_costed_accum_into(work, arcs, next, Fold::default, |&v, fold| {
+        fold.decide(v, graph, state, certs)
+    });
     folds
         .iter()
         .fold(FoldCounts::default(), |sum, f| FoldCounts {
@@ -274,8 +290,9 @@ pub(crate) fn weighted_planted(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::{ExecutionBackend, NativeBackend};
     use crate::kernels::hashtable::HashConfig;
-    use crate::kernels::{choose, native, DecideScratch, KernelKind};
+    use crate::kernels::{choose, DecideScratch, KernelKind};
     use crate::weight::{self, WeightUpdateMode};
     use gala_gpu::profile::Profiler;
     use gala_graph::coarsen::coarsen;
@@ -415,7 +432,7 @@ mod tests {
                 assert_eq!(cpu.next_comm, reference, "cpu, width {width}");
                 let mut out = DecideOutput::default();
                 rayon::with_parallelism(width, || {
-                    native::decide_into(
+                    NativeBackend.decide(
                         KernelKind::WorkloadAware(HashConfig::default()),
                         g,
                         &s,

@@ -86,7 +86,15 @@ pub struct RoutingStats {
 #[derive(Clone, Debug, Default)]
 pub struct DecideOutput {
     /// Chosen community per vertex (unchanged for inactive vertices).
+    /// Written by every mask-taking pass; the native work-list pass
+    /// ([`crate::backend::ExecutionBackend::decide_list`]) leaves it as
+    /// it was.
     pub next_comm: Vec<CommunityId>,
+    /// `(vertex, new community)` of every decided vertex that changes
+    /// community, in ascending vertex order. Written by the work-list
+    /// passes and by [`crate::backend::ExecutionBackend::decide`]; the
+    /// simulated kernels' own mask-taking entry points leave it as it was.
+    pub moves: Vec<(VertexId, CommunityId)>,
     /// Summed simulated memory tally.
     pub tally: MemTally,
     /// Hashtable placement statistics (hash-based kernels only).
@@ -96,10 +104,10 @@ pub struct DecideOutput {
 }
 
 /// Reusable scratch buffers for decide passes. Drivers keep one of these
-/// across supersteps (and rounds) so the work list, kernel launch outputs,
-/// and workload-aware masks are recycled instead of reallocated every
-/// superstep. Every buffer but `certs` carries no state between calls —
-/// every pass fully rewrites what it uses.
+/// across supersteps (and rounds) so the work lists, masks and kernel
+/// launch outputs are recycled instead of reallocated every superstep.
+/// Every buffer but `certs` carries no state between calls — every pass
+/// fully rewrites what it uses.
 ///
 /// `certs` holds the `mgd` stay certificates ([`crate::pruning`]). They
 /// ride here because this is what reaches the decide fold on one device
@@ -112,6 +120,10 @@ pub struct DecideScratch {
     pub(crate) certs: Certificates,
     /// Active-vertex work list handed to the grid launcher.
     work: Vec<VertexId>,
+    /// The work list a mask-taking pass hands to its work-list form.
+    listed: Vec<VertexId>,
+    /// The mask a simulated work-list pass hands to its kernels.
+    mask: Vec<bool>,
     /// Launch outputs of kernels returning a plain community id.
     comm_out: Vec<CommunityId>,
     /// Launch outputs of the hash kernel (community + table stats).
@@ -122,6 +134,70 @@ pub struct DecideScratch {
     large: Vec<bool>,
     /// Workload-aware secondary output (the hash half).
     sub: DecideOutput,
+}
+
+impl DecideScratch {
+    /// Runs the work-list pass `pass` over the vertices `active` marks:
+    /// the mask-taking form of a decide pass. `out.next_comm` is rebuilt
+    /// from `state` and the pass's moves.
+    pub(crate) fn decide_masked(
+        &mut self,
+        state: &BspState,
+        active: &[bool],
+        out: &mut DecideOutput,
+        pass: impl FnOnce(&[VertexId], &mut Self, &mut DecideOutput),
+    ) {
+        let mut work = std::mem::take(&mut self.listed);
+        work.clear();
+        work.extend((0..active.len() as VertexId).filter(|&v| active[v as usize]));
+        pass(&work, self, out);
+        self.listed = work;
+        out.next_comm.clear();
+        out.next_comm.extend_from_slice(&state.comm);
+        for &(v, c) in &out.moves {
+            out.next_comm[v as usize] = c;
+        }
+    }
+
+    /// Runs the mask-taking pass `pass` over the vertices of `work`: the
+    /// work-list form of a simulated decide pass, whose kernels launch
+    /// over a mask. `out.moves` is read off `out.next_comm`.
+    pub(crate) fn decide_listed(
+        &mut self,
+        state: &BspState,
+        work: &[VertexId],
+        out: &mut DecideOutput,
+        pass: impl FnOnce(&[bool], &mut Self, &mut DecideOutput),
+    ) {
+        let mut mask = std::mem::take(&mut self.mask);
+        mask.clear();
+        mask.resize(state.num_vertices(), false);
+        for &v in work {
+            mask[v as usize] = true;
+        }
+        pass(&mask, self, out);
+        self.mask = mask;
+        out.moves.clear();
+        out.moves.extend(
+            work.iter()
+                .map(|&v| (v, out.next_comm[v as usize]))
+                .filter(|&(v, c)| c != state.comm[v as usize]),
+        );
+    }
+}
+
+impl DecideOutput {
+    /// Sets `moves` from a work-list pass's decisions: `next[i]` is the
+    /// community chosen for `work[i]`.
+    pub(crate) fn set_moves(&mut self, state: &BspState, work: &[VertexId], next: &[CommunityId]) {
+        self.moves.clear();
+        self.moves.extend(
+            work.iter()
+                .copied()
+                .zip(next.iter().copied())
+                .filter(|&(v, c)| c != state.comm[v as usize]),
+        );
+    }
 }
 
 /// Runs the selected kernel over all `active` vertices.
@@ -168,11 +244,13 @@ pub fn decide_profiled_into(
         small,
         large,
         sub,
+        ..
     } = scratch;
     match kind {
         KernelKind::Cpu => {
             out.routing = RoutingStats {
-                other_vertices: cpu::decide_into(graph, state, active, certs.armed(), out).total(),
+                other_vertices: cpu::decide_into(graph, state, active, certs.armed(), work, out)
+                    .total(),
                 ..RoutingStats::default()
             };
             record_kernel(prof, "cpu", out);

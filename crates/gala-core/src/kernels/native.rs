@@ -43,53 +43,44 @@ use gala_graph::partition::CommunityId;
 use gala_graph::{Graph, VertexId};
 use std::time::Instant;
 
-/// Runs the native equivalent of [`super::decide_profiled_into`]: same
-/// buffers, same routing semantics, zero simulated cost. When `prof` is
-/// enabled the pass records a `"decide"` span whose kernel children carry
-/// `"items"` counters and whose scope carries a real `"elapsed_ns"`
+/// Runs the native equivalent of [`super::decide_profiled_into`] over the
+/// vertices of `work` (ascending), setting `out.moves`; `out.next_comm` is
+/// not written. Same routing semantics, zero simulated cost. When `prof`
+/// is enabled the pass records a `"decide"` span whose kernel children
+/// carry `"items"` counters and whose scope carries a real `"elapsed_ns"`
 /// counter instead of a memory tally.
-pub(crate) fn decide_into(
+pub(crate) fn decide_list(
     kind: KernelKind,
     graph: &Graph,
     state: &BspState,
-    active: &[bool],
+    work: &[VertexId],
     prof: &mut Profiler,
     scratch: &mut DecideScratch,
     out: &mut DecideOutput,
 ) {
     let started = Instant::now();
+    let DecideScratch {
+        certs, comm_out, ..
+    } = scratch;
     let routing = match kind {
         KernelKind::Cpu | KernelKind::Hash(_) | KernelKind::WorkloadAware(_) => {
-            let certs = scratch.certs.armed();
-            route_lean(kind, cpu::decide_into(graph, state, active, certs, out))
+            let counts = cpu::decide_list(graph, state, work, certs.armed(), comm_out);
+            route_lean(kind, counts)
         }
         KernelKind::Shuffle => RoutingStats {
-            shuffle_vertices: run_sim_kernel(
-                graph,
-                state,
-                active,
-                scratch,
-                out,
-                shuffle::decide_one,
-            ),
+            shuffle_vertices: run_sim_kernel(graph, state, work, comm_out, shuffle::decide_one),
             ..RoutingStats::default()
         },
         KernelKind::Sort => RoutingStats {
-            other_vertices: run_sim_kernel(graph, state, active, scratch, out, sort::decide_one),
+            other_vertices: run_sim_kernel(graph, state, work, comm_out, sort::decide_one),
             ..RoutingStats::default()
         },
         KernelKind::Replicated => RoutingStats {
-            other_vertices: run_sim_kernel(
-                graph,
-                state,
-                active,
-                scratch,
-                out,
-                replicated::decide_one,
-            ),
+            other_vertices: run_sim_kernel(graph, state, work, comm_out, replicated::decide_one),
             ..RoutingStats::default()
         },
     };
+    out.set_moves(state, work, comm_out);
     out.tally = MemTally::new();
     out.hash_stats = Default::default();
     out.routing = routing;
@@ -131,26 +122,22 @@ fn route_lean(kind: KernelKind, counts: cpu::FoldCounts) -> RoutingStats {
     }
 }
 
-/// Runs a simulated per-vertex decision function over the active set on
-/// the pool, discarding its tallies: the work list and launch outputs
-/// recycle the same scratch buffers as the simulated launch path. Returns
-/// the number of vertices decided.
+/// A simulator's per-vertex decision function.
+type SimKernel = fn(VertexId, &Graph, &BspState, &mut MemTally) -> CommunityId;
+
+/// Runs a simulated per-vertex decision function over `work` on the pool,
+/// discarding its tallies, into `next`. Returns the number of vertices
+/// decided.
 fn run_sim_kernel(
     graph: &Graph,
     state: &BspState,
-    active: &[bool],
-    scratch: &mut DecideScratch,
-    out: &mut DecideOutput,
-    kernel: impl Fn(VertexId, &Graph, &BspState, &mut MemTally) -> CommunityId + Sync,
+    work: &[VertexId],
+    next: &mut Vec<CommunityId>,
+    kernel: SimKernel,
 ) -> u64 {
-    let DecideScratch { work, comm_out, .. } = scratch;
-    super::reset_pass(state, active, work, out);
-    let _ = rayon::par_map_accum_into(work, comm_out, MemTally::new, |&v, tally| {
+    let _ = rayon::par_map_accum_into(work, next, MemTally::new, |&v, tally| {
         kernel(v, graph, state, tally)
     });
-    for (&v, &c) in work.iter().zip(comm_out.iter()) {
-        out.next_comm[v as usize] = c;
-    }
     work.len() as u64
 }
 
@@ -171,6 +158,7 @@ fn kernel_name(kind: KernelKind) -> &'static str {
 mod tests {
     use super::super::decide;
     use super::*;
+    use crate::backend::{ExecutionBackend, NativeBackend};
     use crate::kernels::hashtable::HashConfig;
     use gala_graph::generators::fixtures;
 
@@ -197,7 +185,7 @@ mod tests {
                 let sim = decide(kind, &g, &s, &active);
                 let mut scratch = DecideScratch::default();
                 let mut out = DecideOutput::default();
-                decide_into(
+                NativeBackend.decide(
                     kind,
                     &g,
                     &s,
@@ -222,7 +210,7 @@ mod tests {
         for kind in all_kinds() {
             let mut scratch = DecideScratch::default();
             let mut out = DecideOutput::default();
-            decide_into(
+            NativeBackend.decide(
                 kind,
                 &g,
                 &s,
@@ -243,7 +231,7 @@ mod tests {
         let mut prof = Profiler::new();
         let mut scratch = DecideScratch::default();
         let mut out = DecideOutput::default();
-        decide_into(
+        NativeBackend.decide(
             KernelKind::default(),
             &g,
             &s,

@@ -8,6 +8,11 @@
 //! variant: every vertex simultaneously adopts the label carrying the
 //! largest incident weight (smallest label id on ties), BSP-style — the
 //! same superstep discipline as GALA's Louvain, so runs are reproducible.
+//!
+//! Synchronous updates can fall into a period-2 cycle, two labelings
+//! that sweep into each other. A sweep that reproduces the labels of two
+//! sweeps back has entered one, and no later sweep leaves it, so the run
+//! stops there and returns the half with the higher modularity.
 
 use crate::modularity::modularity;
 use crate::observe::Obs;
@@ -40,7 +45,8 @@ pub struct LabelPropResult {
     pub partition: Partition,
     /// Supersteps executed.
     pub iterations: usize,
-    /// Whether the run reached a fixed point (no label changed).
+    /// Whether the run reached a fixed point (no label changed). A run
+    /// that stopped in a period-2 cycle did not.
     pub converged: bool,
 }
 
@@ -54,7 +60,8 @@ pub fn label_propagation(graph: &Graph, config: LabelPropConfig) -> LabelPropRes
 /// the labels that changed), then `round_end` and `run_end` for the one
 /// round. LPA optimises no objective, so the modularity each event
 /// carries is computed only when the sink or the live recorder will see
-/// it. The partition is the same with observation on or off.
+/// it, and otherwise only to pick a half of a period-2 cycle. The
+/// partition is the same with observation on or off.
 pub fn label_propagation_with(
     graph: &Graph,
     config: LabelPropConfig,
@@ -71,6 +78,8 @@ pub fn label_propagation_with(
         }
     };
     let mut labels = Partition::singletons(n);
+    // The labels of the sweep before `labels`'.
+    let mut before: Option<Partition> = None;
     let mut q = q_of(&labels);
     let mut iterations = 0;
     let mut converged = false;
@@ -85,7 +94,11 @@ pub fn label_propagation_with(
             .zip(labels.assignment())
             .filter(|(a, b)| a != b)
             .count();
-        labels = Partition::from_assignment(next);
+        let cycled = moved > 0 && before.as_ref().is_some_and(|b| b.assignment() == next);
+        before = Some(std::mem::replace(
+            &mut labels,
+            Partition::from_assignment(next),
+        ));
         let prev_q = q;
         q = q_of(&labels);
         obs.superstep(graph, 0, superstep as u32, n, moved, q, || {
@@ -103,6 +116,16 @@ pub fn label_propagation_with(
         });
         if moved == 0 {
             converged = true;
+            break;
+        }
+        if cycled {
+            // Keep the better half of the cycle; the later one on a tie.
+            let other = before.take().expect("the cycle's other half");
+            let (q_other, q_last) = (modularity(graph, &other), modularity(graph, &labels));
+            if q_other > q_last {
+                labels = other;
+            }
+            q = q_other.max(q_last);
             break;
         }
     }
@@ -238,6 +261,55 @@ mod tests {
             }
             other => panic!("unbracketed trace: {other:?}"),
         }
+    }
+
+    /// `gala generate sbm --n 2000 --seed 7 --mixing 0.25`.
+    fn cycling_sbm() -> Graph {
+        gala_graph::generators::sbm::PowerLawSbm {
+            num_vertices: 2000,
+            min_community: 15,
+            max_community: 100,
+            size_exponent: 2.0,
+            internal_degree: 10.0,
+            mixing: 0.25,
+        }
+        .generate(7)
+        .graph
+    }
+
+    #[test]
+    fn a_period_two_cycle_stops_the_run_at_its_better_half() {
+        let g = cycling_sbm();
+        let config = LabelPropConfig::default();
+        let r = label_propagation(&g, config);
+        assert!(
+            r.iterations < config.max_iterations,
+            "ran all {} sweeps",
+            r.iterations
+        );
+        assert!(!r.converged);
+        // The two halves sweep into each other, and the returned one is
+        // no worse than the other.
+        let q = modularity(&g, &r.partition);
+        let next: Vec<CommunityId> = (0..g.num_vertices() as VertexId)
+            .map(|v| best_label(&g, r.partition.assignment(), v))
+            .collect();
+        let next = Partition::from_assignment(next);
+        assert_ne!(next, r.partition, "not a fixed point");
+        let after: Vec<CommunityId> = (0..g.num_vertices() as VertexId)
+            .map(|v| best_label(&g, next.assignment(), v))
+            .collect();
+        assert_eq!(after.as_slice(), r.partition.assignment(), "not a 2-cycle");
+        assert!(q >= modularity(&g, &next), "kept the worse half");
+        // What the 100 capped sweeps used to return is no better.
+        let mut last = Partition::singletons(g.num_vertices());
+        for _ in 0..config.max_iterations {
+            let labels: Vec<CommunityId> = (0..g.num_vertices() as VertexId)
+                .map(|v| best_label(&g, last.assignment(), v))
+                .collect();
+            last = Partition::from_assignment(labels);
+        }
+        assert!(q >= modularity(&g, &last), "{q} below the last sweep's Q");
     }
 
     #[test]

@@ -13,11 +13,11 @@ use crate::multi_gpu::{self, ContractMode, Devices, SyncMode};
 use crate::observe::Obs;
 use crate::pruning::certificate::Certificates;
 use crate::pruning::{self, PruningKind};
-use crate::state::BspState;
+use crate::state::{BspState, Undo};
 use crate::weight::{self, WeightUpdateMode};
 use gala_gpu::memory::{CostModel, MemTally};
 use gala_graph::coarsen::CoarsenScratch;
-use gala_graph::{Graph, Partition};
+use gala_graph::{Graph, Partition, VertexId};
 use gala_telemetry::{DeviceSync, MetricsRegistry, RoundEnd, Superstep, TraceEvent};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -244,13 +244,14 @@ impl LouvainResult {
     }
 }
 
-/// Reusable phase-1 working set: the active mask, the kernel scratch, and
-/// the decide output live here so a round recycles one allocation set
-/// across supersteps — and [`Louvain::run`] recycles it across hierarchy
-/// rounds — instead of reallocating every superstep.
+/// Reusable phase-1 working set: the active mask and work list, the
+/// kernel scratch, and the decide output live here so a round recycles
+/// one allocation set across supersteps — and [`Louvain::run`] recycles it
+/// across hierarchy rounds — instead of reallocating every superstep.
 #[derive(Debug, Default)]
 struct Phase1Scratch {
     active: Vec<bool>,
+    work: Vec<VertexId>,
     decide: kernels::DecideScratch,
     out: kernels::DecideOutput,
 }
@@ -297,6 +298,7 @@ impl Louvain {
         let backend = cfg.backend.resolve();
         let Phase1Scratch {
             active,
+            work,
             decide: dscratch,
             out,
         } = scratch;
@@ -319,26 +321,19 @@ impl Louvain {
             let mut sub = obs.sub();
             let num_active = sub.scope("classify", |p| {
                 let certs = &dscratch.certs;
-                pruning::classify_certified_into(
-                    cfg.pruning,
-                    graph,
-                    &state,
-                    &mut rng,
-                    certs,
-                    active,
-                );
-                let num_active = active.iter().filter(|&&a| a).count();
+                pruning::classify_work(cfg.pruning, graph, &state, &mut rng, certs, active, work);
+                let num_active = work.len();
                 p.count("active", num_active as u64);
                 p.count("pruned", (graph.num_vertices() - num_active) as u64);
                 num_active
             });
             let device_moved = match devices.as_mut() {
                 None => {
-                    backend.decide(cfg.kernel, graph, &state, active, &mut sub, dscratch, out);
+                    backend.decide_list(cfg.kernel, graph, &state, work, &mut sub, dscratch, out);
                     0
                 }
                 Some(d) => d.decide(
-                    backend, cfg.kernel, graph, &state, active, &mut sub, dscratch, out,
+                    backend, cfg.kernel, graph, &state, work, &mut sub, dscratch, out,
                 ),
             };
             if let Some(m) = obs.metrics() {
@@ -349,7 +344,7 @@ impl Louvain {
                 .as_ref()
                 .map(|d| d.sync(graph.num_vertices(), device_moved, &mut sub, obs.metrics()));
             let summary = sub.scope("apply", |p| {
-                let summary = state.apply_moves(graph, &out.next_comm);
+                let summary = state.apply_logged(graph, &out.moves, Some(dips.undo()));
                 p.count("moved", summary.num_moved() as u64);
                 summary
             });
@@ -361,8 +356,14 @@ impl Louvain {
             }
             let weight_tally = sub.scope("weight_update", |p| {
                 let certs = &mut dscratch.certs;
-                let tally =
-                    weight::update_certified(cfg.weight_update, graph, &mut state, &summary, certs);
+                let tally = weight::update_certified(
+                    cfg.weight_update,
+                    graph,
+                    &mut state,
+                    &summary,
+                    certs,
+                    Some(dips.undo()),
+                );
                 p.record(&tally);
                 tally
             });
@@ -645,9 +646,14 @@ const DIP_PATIENCE: usize = 8;
 /// Following Grappolo's convergence heuristics a round keeps iterating with
 /// bounded patience and restores the best state seen, so it never ends
 /// below its peak and Theorem 6's guarantees carry to the system level.
+///
+/// The best state is not copied: an [`Undo`] log holds every write made
+/// to the state since it, which the driver's apply and weight update
+/// record into ([`Self::undo`]), so tracking it costs O(writes) rather
+/// than O(n) per improvement.
 struct DipPatience {
     best_q: f64,
-    best_state: BspState,
+    undo: Undo,
     stagnant: usize,
     theta: f64,
     patience: usize,
@@ -657,13 +663,20 @@ impl DipPatience {
     /// Starts from the round's initial `state` at modularity `q` (a round
     /// may never beat its start).
     fn new(state: &BspState, q: f64, theta: f64, patience: usize) -> Self {
+        let mut undo = Undo::default();
+        undo.mark(state);
         Self {
             best_q: q,
-            best_state: state.clone(),
+            undo,
             stagnant: 0,
             theta,
             patience,
         }
+    }
+
+    /// The log every write to the round's state goes to.
+    fn undo(&mut self) -> &mut Undo {
+        &mut self.undo
     }
 
     /// Records a superstep that left `state` at modularity `q` after
@@ -674,7 +687,7 @@ impl DipPatience {
         // previous (possibly oscillating) superstep: a θ-sized up-tick
         // inside an oscillation must not read as convergence.
         if q > self.best_q {
-            self.best_state = state.clone();
+            self.undo.mark(state);
             if q > self.best_q + self.theta {
                 self.stagnant = 0; // meaningful progress (Grappolo's θ rule)
             } else {
@@ -689,9 +702,9 @@ impl DipPatience {
 
     /// Ends the round: restores the best state if `state` fell below it,
     /// and returns the round's peak modularity.
-    fn finish(self, graph: &Graph, state: &mut BspState) -> f64 {
+    fn finish(&mut self, graph: &Graph, state: &mut BspState) -> f64 {
         if state.modularity(graph) < self.best_q {
-            *state = self.best_state;
+            self.undo.restore(graph, state);
         }
         self.best_q
     }
@@ -709,12 +722,13 @@ const AUDIT_SAMPLES_PER_SUPERSTEP: usize = 64;
 /// memory traffic.
 ///
 /// The audit measures Theorem 6, so under [`PruningKind::GainDamped`] it
-/// samples only what the MG bound pruned. Of the vertices the bound kept
-/// but the mask skipped, those holding a stay certificate are counted as
-/// `pruning/certified` and the rest, which damping deferred, as
-/// `pruning/deferred` (each present once nonzero). Certified vertices get a
-/// stronger audit of their own: a sample of them is decided in full, and
-/// any that would leave its community at all counts as a false negative.
+/// samples only what the MG bound pruned, certified or not. Of the
+/// vertices the bound kept but the mask skipped, those holding a stay
+/// certificate are counted as `pruning/certified` and the rest, which
+/// damping deferred, as `pruning/deferred` (each present once nonzero).
+/// Certified vertices get a stronger audit of their own: a sample of them
+/// is decided in full, and any that would leave its community at all
+/// counts as a false negative.
 #[allow(clippy::too_many_arguments)]
 fn record_superstep_metrics(
     m: &mut MetricsRegistry,
@@ -726,8 +740,6 @@ fn record_superstep_metrics(
     num_active: usize,
     out: &kernels::DecideOutput,
 ) {
-    use gala_graph::VertexId;
-
     m.inc("pruning/active", num_active as u64);
     m.inc("pruning/pruned", (graph.num_vertices() - num_active) as u64);
     let mg_active;
@@ -738,14 +750,13 @@ fn record_superstep_metrics(
         // saw.
         let certified: Vec<VertexId> = match certs.armed() {
             Some(c) => (0..graph.num_vertices() as VertexId)
-                .filter(|&v| !active[v as usize] && c.holds(v))
+                .filter(|&v| !active[v as usize] && mg_active[v as usize] && c.holds(v))
                 .collect(),
             None => Vec::new(),
         };
-        let skipped = certified.iter().filter(|&&v| mg_active[v as usize]).count();
-        let deferred = mg_active.iter().filter(|&&a| a).count() - num_active - skipped;
-        if skipped > 0 {
-            m.inc("pruning/certified", skipped as u64);
+        let deferred = mg_active.iter().filter(|&&a| a).count() - num_active - certified.len();
+        if !certified.is_empty() {
+            m.inc("pruning/certified", certified.len() as u64);
         }
         if !certified.is_empty() {
             let audit =
@@ -1158,11 +1169,31 @@ mod tests {
         }
     }
 
-    /// Drives `mgd` supersteps twice in lockstep, with and without stay
-    /// certificates, and decides every certified vertex in full before
-    /// each superstep: each must stay where it is, and the two runs must
-    /// make the same moves.
-    fn assert_certificates_sound(g: &Graph, gamma: f64) {
+    /// What [`assert_certificates_sound`] saw over one run.
+    #[derive(Debug, Default, PartialEq)]
+    struct CertificateRun {
+        /// Certified vertices decided in full (decide certificates).
+        stayed: usize,
+        /// Of those, vertices plain `mgd` would have decided.
+        skipped: usize,
+        /// MG-certified vertices whose bound was evaluated again.
+        bounded: usize,
+        /// Supersteps whose frontier was listed.
+        listed: usize,
+        /// Full clears of the table, and certificates that expired.
+        clears: u64,
+        expiries: u64,
+    }
+
+    /// Drives `mgd` supersteps twice in lockstep: once as the driver does,
+    /// classifying the frontier with stay certificates, and once with no
+    /// certificates. Before each superstep it checks that the frontier's
+    /// mask is a full [`pruning::classify_certified_into`] scan's, and it
+    /// checks every vertex holding a certificate: one the MG bound pruned
+    /// must still satisfy the bound, and one the fold certified must stay
+    /// where it is when decided in full. The two runs must make the same
+    /// moves.
+    fn assert_certificates_sound(g: &Graph, gamma: f64) -> CertificateRun {
         use gala_gpu::profile::Profiler;
         let backend = BackendKind::Native.resolve();
         let kernel = KernelKind::default();
@@ -1173,7 +1204,10 @@ mod tests {
         let mut ps = Phase1Scratch::default();
         cs.decide.certs.arm(n);
         let mut rng = ChaCha8Rng::seed_from_u64(0);
-        let (mut audited, mut skipped) = (0, 0);
+        let mut run = CertificateRun::default();
+        let mut full = Vec::new();
+        // Whether each vertex's certificate came from the MG bound.
+        let mut from_bound = vec![false; n];
         for step in 0..200 {
             let certs = &cs.decide.certs;
             pruning::classify_certified_into(
@@ -1182,30 +1216,64 @@ mod tests {
                 &certified,
                 &mut rng,
                 certs,
-                &mut cs.active,
+                &mut full,
             );
+            let held: Vec<bool> = (0..n as VertexId).map(|v| certs.holds(v)).collect();
+            if step > 0 {
+                let listed = matches!(certs.frontier(), pruning::certificate::Frontier::List(_));
+                run.listed += usize::from(listed);
+            }
+            pruning::classify_work(
+                PruningKind::GainDamped,
+                g,
+                &certified,
+                &mut rng,
+                certs,
+                &mut cs.active,
+                &mut cs.work,
+            );
+            assert!(
+                cs.active == full,
+                "γ {gamma}: frontier mask differs at superstep {step}"
+            );
+            let listed: Vec<VertexId> = (0..n as VertexId).filter(|&v| full[v as usize]).collect();
+            assert_eq!(cs.work, listed, "γ {gamma}: work list at superstep {step}");
             pruning::classify_into(PruningKind::GainDamped, g, &plain, &mut rng, &mut ps.active);
-            for v in 0..n as gala_graph::VertexId {
-                if step > 0 && certs.holds(v) {
+            for v in 0..n as VertexId {
+                let i = v as usize;
+                if !certs.holds(v) {
+                    continue;
+                }
+                from_bound[i] |= !held[i];
+                if from_bound[i] {
+                    assert!(
+                        pruning::gain::is_provably_unmoved(v, g, &certified),
+                        "γ {gamma}: MG-certified vertex {v} fails the bound at superstep {step}"
+                    );
+                    run.bounded += 1;
+                } else {
                     let next = kernels::cpu::decide_one(v, g, &certified);
                     assert_eq!(
-                        next, certified.comm[v as usize],
+                        next, certified.comm[i],
                         "γ {gamma}: certified vertex {v} moves at superstep {step}"
                     );
-                    audited += 1;
-                    skipped += usize::from(ps.active[v as usize]);
+                    run.stayed += 1;
+                    run.skipped += usize::from(ps.active[i]);
                 }
             }
             let mut prof = Profiler::disabled();
-            backend.decide(
+            backend.decide_list(
                 kernel,
                 g,
                 &certified,
-                &cs.active,
+                &cs.work,
                 &mut prof,
                 &mut cs.decide,
                 &mut cs.out,
             );
+            for &v in &cs.work {
+                from_bound[v as usize] = false;
+            }
             backend.decide(
                 kernel,
                 g,
@@ -1215,23 +1283,27 @@ mod tests {
                 &mut ps.decide,
                 &mut ps.out,
             );
+            let summary = certified.apply_move_list(g, &cs.out.moves);
+            let plain_summary = plain.apply_moves(g, &ps.out.next_comm);
             assert_eq!(
-                cs.out.next_comm, ps.out.next_comm,
+                summary, plain_summary,
                 "γ {gamma}: superstep {step} diverged"
             );
-            let summary = certified.apply_moves(g, &cs.out.next_comm);
-            plain.apply_moves(g, &ps.out.next_comm);
             let mode = WeightUpdateMode::Delta;
-            weight::update_certified(mode, g, &mut certified, &summary, &mut cs.decide.certs);
+            let certs = &mut cs.decide.certs;
+            weight::update_certified(mode, g, &mut certified, &summary, certs, None);
             weight::update(mode, g, &mut plain, &summary);
             if summary.num_moved() == 0 {
                 break;
             }
         }
+        (run.clears, run.expiries) = cs.decide.certs.counts;
         assert!(
-            skipped > 0,
-            "γ {gamma}: certificates skipped nothing MG kept ({audited} audited)"
+            run.skipped > 0 && run.bounded > 0,
+            "γ {gamma}: certificates skipped nothing MG kept, or the bound certified nothing \
+             ({run:?})"
         );
+        run
     }
 
     #[test]
@@ -1240,6 +1312,171 @@ mod tests {
         for gamma in [1.0, 2.5] {
             assert_certificates_sound(&g, gamma);
         }
+    }
+
+    /// A planted partition with unit or seeded non-integer weights.
+    fn planted(communities: usize, size: usize, mixing: f64, seed: u64, weighted: bool) -> Graph {
+        if weighted {
+            return kernels::cpu::weighted_planted(communities, size, 8.0, mixing, seed);
+        }
+        gala_graph::generators::sbm::PlantedPartition {
+            num_communities: communities,
+            community_size: size,
+            internal_degree: 8.0,
+            mixing,
+        }
+        .generate(seed)
+        .graph
+    }
+
+    /// Runs [`assert_certificates_sound`] on `g` at pool widths 1, 2 and
+    /// 8, which must see the same run.
+    fn certificate_run_at_every_width(g: &Graph) -> CertificateRun {
+        let run = rayon::with_parallelism(1, || assert_certificates_sound(g, 1.0));
+        for width in [2, 8] {
+            let other = rayon::with_parallelism(width, || assert_certificates_sound(g, 1.0));
+            assert_eq!(other, run, "width {width}");
+        }
+        run
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(4))]
+
+        /// The frontier's mask is the full scan's at every superstep, at
+        /// pool widths 1, 2 and 8, on unit and non-integer weights, with
+        /// full clears of the table along the way.
+        #[test]
+        fn frontier_mask_is_the_full_scan(
+            communities in 24usize..40,
+            size in 40usize..60,
+            mixing in 0.1f64..0.35,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            for weighted in [false, true] {
+                let g = planted(communities, size, mixing, seed, weighted);
+                let run = certificate_run_at_every_width(&g);
+                proptest::prop_assert!(run.clears > 0, "{run:?}");
+            }
+        }
+    }
+
+    /// The same check on graphs large enough for the frontier to be
+    /// listed and for certificates to expire out of the queue.
+    #[test]
+    fn listed_frontier_follows_expiries() {
+        let (mut listed, mut expiries) = (0, 0);
+        for seed in [1, 3] {
+            for weighted in [false, true] {
+                let run = certificate_run_at_every_width(&planted(150, 40, 0.2, seed, weighted));
+                listed += run.listed;
+                expiries += run.expiries;
+            }
+        }
+        assert!(
+            listed > 0 && expiries > 0,
+            "{listed} listed supersteps, {expiries} expiries"
+        );
+    }
+
+    /// Asserts two states equal in every field, floats bit for bit.
+    fn assert_same_state(a: &BspState, b: &BspState) {
+        fn same<T: PartialEq + std::fmt::Debug>(a: &[T], b: &[T], what: &str) {
+            let first = a.iter().zip(b).position(|(x, y)| x != y);
+            assert!(
+                a.len() == b.len() && first.is_none(),
+                "{what} differs at {first:?}"
+            );
+        }
+        let bits = |x: &[f64]| x.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
+        same(&a.comm, &b.comm, "comm");
+        same(&bits(&a.d_self), &bits(&b.d_self), "d_self");
+        same(&bits(&a.d_tot), &bits(&b.d_tot), "d_tot");
+        same(&a.comm_size, &b.comm_size, "comm_size");
+        same(&a.moved, &b.moved, "moved");
+        same(&a.comm_changed, &b.comm_changed, "comm_changed");
+        assert_eq!(a.min_d_tot.to_bits(), b.min_d_tot.to_bits(), "min_d_tot");
+        assert_eq!(a.iteration, b.iteration, "iteration");
+        assert_eq!((a.m2, a.resolution), (b.m2, b.resolution));
+    }
+
+    /// Runs one phase-1 round the way the driver does, keeping the best
+    /// state both through [`DipPatience`]'s undo log and as the clone the
+    /// log replaced, and checks that the round ends in the state the
+    /// clone-based round would. Returns, for a round that ended below its
+    /// best, whether the restore copied arrays back and how many logged
+    /// writes it undid.
+    fn assert_undo_restores_the_best_clone(
+        g: &Graph,
+        pruning: PruningKind,
+    ) -> Option<(bool, usize)> {
+        use gala_gpu::profile::Profiler;
+        let cfg = LouvainConfig {
+            pruning,
+            backend: BackendKind::Native,
+            ..LouvainConfig::default()
+        };
+        let backend = cfg.backend.resolve();
+        let mut scratch = Phase1Scratch::default();
+        let certs = &mut scratch.decide.certs;
+        if pruning == PruningKind::GainDamped {
+            certs.arm(g.num_vertices());
+        }
+        let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
+        let mut state = BspState::new(g);
+        let mut best = (state.modularity(g), state.clone());
+        let mut dips = DipPatience::new(&state, best.0, cfg.theta, cfg.dip_patience);
+        for _ in 0..cfg.max_iterations {
+            let s = &mut scratch;
+            let (active, work) = (&mut s.active, &mut s.work);
+            pruning::classify_work(pruning, g, &state, &mut rng, &s.decide.certs, active, work);
+            let prof = &mut Profiler::disabled();
+            backend.decide_list(cfg.kernel, g, &state, work, prof, &mut s.decide, &mut s.out);
+            let summary = state.apply_logged(g, &s.out.moves, Some(dips.undo()));
+            let certs = &mut s.decide.certs;
+            let undo = Some(dips.undo());
+            weight::update_certified(cfg.weight_update, g, &mut state, &summary, certs, undo);
+            let q = state.modularity(g);
+            if q > best.0 {
+                best = (q, state.clone());
+            }
+            if dips.step(&state, q, summary.num_moved()) {
+                break;
+            }
+        }
+        // The clone-based round restored its clone only below the best.
+        let dipped = state.modularity(g) < best.0;
+        let expected = if dipped { best.1 } else { state.clone() };
+        assert_eq!(dips.finish(g, &mut state).to_bits(), best.0.to_bits());
+        assert_same_state(&state, &expected);
+        // The restored state carries on as the clone would.
+        let mut clone = expected;
+        let next: Vec<u32> = (0..g.num_vertices() as u32).map(|v| v / 7 * 7).collect();
+        let (a, b) = (state.apply_moves(g, &next), clone.apply_moves(g, &next));
+        assert_eq!(a, b);
+        assert_same_state(&state, &clone);
+        dipped.then_some(dips.undo().restored)
+    }
+
+    #[test]
+    fn undo_log_restores_the_best_state_of_a_dipping_round() {
+        // Plain MG falls into BSP limit cycles, so its rounds end below
+        // their best. The restores copy arrays back, and on the
+        // larger graph also undo writes logged before the copy.
+        let mut restores = Vec::new();
+        for (communities, size) in [(40, 40), (100, 50)] {
+            for weighted in [false, true] {
+                let g = planted(communities, size, 0.4, 5, weighted);
+                for pruning in [PruningKind::Gain, PruningKind::GainDamped] {
+                    restores.extend(assert_undo_restores_the_best_clone(&g, pruning));
+                }
+            }
+        }
+        assert!(restores.iter().any(|&(copied, _)| copied), "{restores:?}");
+        assert!(
+            restores.iter().any(|&(_, writes)| writes > 0),
+            "{restores:?}"
+        );
     }
 
     #[test]

@@ -160,12 +160,11 @@ pub(crate) struct Sync {
 }
 
 /// The device split of one phase-1 round: the arc-balanced vertex ranges
-/// plus one device's mask and decisions, recycled every superstep.
+/// plus one device's decisions, recycled every superstep.
 pub(crate) struct Devices {
     ranges: Vec<Range<VertexId>>,
     group: DeviceGroup,
     sync: SyncMode,
-    active: Vec<bool>,
     out: DecideOutput,
     /// The last superstep's decide tally per device.
     tallies: Vec<MemTally>,
@@ -178,17 +177,17 @@ impl Devices {
             ranges: partition_by_arcs(graph, devices),
             group: DeviceGroup::new(devices),
             sync,
-            active: Vec::new(),
             out: DecideOutput::default(),
             tallies: Vec::with_capacity(devices),
         }
     }
 
-    /// Every device decides over the active vertices of its own range. The
-    /// merged decisions land in `out` with tallies, routing and hashtable
-    /// statistics summed over devices; the per-device kernel spans merge by
-    /// name into one `decide` subtree. Returns how many vertices change
-    /// community — the sparse sync's payload.
+    /// Every device decides over the vertices of the work list `work`
+    /// (ascending) in its own range. The merged moves land in `out.moves`
+    /// with tallies, routing and hashtable statistics summed over devices;
+    /// the per-device kernel spans merge by name into one `decide`
+    /// subtree. Returns how many vertices change community — the sparse
+    /// sync's payload.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn decide(
         &mut self,
@@ -196,29 +195,22 @@ impl Devices {
         kernel: KernelKind,
         graph: &Graph,
         state: &BspState,
-        active: &[bool],
+        work: &[VertexId],
         prof: &mut Profiler,
         scratch: &mut DecideScratch,
         out: &mut DecideOutput,
     ) -> usize {
-        out.next_comm.clear();
-        out.next_comm.extend_from_slice(&state.comm);
+        out.moves.clear();
         out.tally = MemTally::new();
         out.hash_stats = Default::default();
         out.routing = Default::default();
         self.tallies.clear();
-        let mut moved = 0;
         for range in &self.ranges {
-            let range = range.start as usize..range.end as usize;
-            self.active.clear();
-            self.active.resize(active.len(), false);
-            self.active[range.clone()].copy_from_slice(&active[range.clone()]);
+            let from = work.partition_point(|&v| v < range.start);
+            let to = work.partition_point(|&v| v < range.end);
             let dev = &mut self.out;
-            backend.decide(kernel, graph, state, &self.active, prof, scratch, dev);
-            for v in range {
-                moved += usize::from(dev.next_comm[v] != state.comm[v]);
-                out.next_comm[v] = dev.next_comm[v];
-            }
+            backend.decide_list(kernel, graph, state, &work[from..to], prof, scratch, dev);
+            out.moves.extend_from_slice(&dev.moves);
             out.tally += dev.tally;
             out.hash_stats += dev.hash_stats;
             out.routing.shuffle_vertices += dev.routing.shuffle_vertices;
@@ -227,7 +219,7 @@ impl Devices {
             self.tallies.push(dev.tally);
         }
         prof.scope("decide", |p| p.count("devices", self.ranges.len() as u64));
-        moved
+        out.moves.len()
     }
 
     /// Modelled compute of the superstep last decided, whose weight

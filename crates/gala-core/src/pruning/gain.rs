@@ -54,18 +54,26 @@ pub(crate) fn classify_into(graph: &Graph, state: &BspState, out: &mut Vec<bool>
 /// yield a strictly positive gain over staying.
 #[inline]
 pub fn is_provably_unmoved(v: VertexId, graph: &Graph, state: &BspState) -> bool {
+    margin(v, graph, state) >= 0.0
+}
+
+/// The left-hand side of the Eq. 6 bound, `S − M̄` in gain-score units:
+/// how far the stay score is above the best score any move could reach.
+/// `+∞` for an isolated vertex, which has nowhere to go. Stay
+/// certificates ([`crate::pruning`]) are built from it.
+#[inline]
+pub(crate) fn margin(v: VertexId, graph: &Graph, state: &BspState) -> f64 {
     let d_v = graph.degree_w(v);
     if d_v == 0.0 {
-        return true; // isolated vertices have nowhere to go
+        return f64::INFINITY;
     }
     let loop_v = state.self_loop(v);
     let d_self = state.d_self[v as usize];
     let d_tot_cv = state.d_tot[state.comm[v as usize] as usize];
     // At resolution γ the degree terms of both scores carry γ, so the
     // bound's community-total term scales by γ too (γ = 1 is Eq. 6).
-    let lhs = 2.0 * d_self - (d_v - loop_v)
-        + state.resolution * (state.min_d_tot - d_tot_cv + d_v) * d_v / state.m2;
-    lhs >= 0.0
+    2.0 * d_self - (d_v - loop_v)
+        + state.resolution * (state.min_d_tot - d_tot_cv + d_v) * d_v / state.m2
 }
 
 #[cfg(test)]

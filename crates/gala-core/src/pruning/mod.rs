@@ -11,7 +11,7 @@
 //! | [`relaxed`] (RM) | `v` and every neighbor kept their community *id* | **no** (Lemma 4) |
 //! | [`probabilistic`] (PM) | `v` kept its id across two iterations → prune with probability α | no |
 //! | [`gain`] (MG) | the modularity-gain upper bound (Eq. 6) shows no move can win | yes (Theorem 6) |
-//! | stay certificate (in `mgd`) | `v` last stayed by a margin that neither a neighbor's move (other than into `v`'s community) nor the community totals' drift since has used up | yes, and stronger: `v` would not move at all |
+//! | stay certificate (in `mgd`) | `v` last stayed, or passed MG's bound, by a margin that neither a neighbor's move (other than into `v`'s community) nor the community totals' drift since has used up | yes; a decided one is stronger: `v` would not move at all |
 //!
 //! plus [`PruningKind::None`] (the unpruned baseline),
 //! [`PruningKind::GainRelaxed`] (MG ∧ RM, the paper's MG+RM combination —
@@ -67,6 +67,27 @@
 //! stored as an `f32` one step below its nearest value, and the clock is
 //! compared rounded up, so `E_v` never rounds into a longer certificate.
 //!
+//! The MG bound's margin certifies the same way. Its left-hand side is
+//! exactly `S − M̄` in gain-score units ([`gain`]). While `v` stays and no
+//! neighbor leaves `cv`, `d_self(v)` can only grow and the rest of the
+//! bound is fixed but for `min D_V − D_V(cv)`, which falls by at most the
+//! rise of any total plus the fall of any total: a community that is
+//! non-empty after a superstep was non-empty before it (a vertex only
+//! joins a neighbor's community), so the minimum falls by no more than
+//! some total does. So the bound's margin shrinks by at most
+//! `γ·d_v·ΔK/m2`, the decide margins' rate, and classify records it for
+//! the vertices the bound prunes: not for one whose certificate would not
+//! outlast a superstep like the last, and not while the frontier is far
+//! from small (`Certificates::records_bound`). Evaluated on the stored
+//! state, the left-hand side is within `20·2⁻⁵³·(1 + γ)·d_v` of its exact
+//! value, and the stored `d_self` only
+//! grows under a holding certificate (it receives `+w` deltas alone, and
+//! a float sum of non-negative terms is monotone), so the same slack
+//! covers its rounding: while the certificate holds, the bound evaluated
+//! afresh still holds. A vertex that holds an MG certificate is one the
+//! plain mask prunes anyway, so these certificates leave the mask as it
+//! was; they only spare classify the proof.
+//!
 //! Three events end a certificate. A neighbor's move clears it, unless
 //! the neighbor joined `cv`: the weight update's walk over each mover's
 //! adjacency stores 0 into the slots of its unmoved neighbors outside its
@@ -90,6 +111,23 @@
 //! `Shuffle`, `Sort` and `Replicated` kernels record none and keep plain
 //! `mgd`'s mask. Because a certificate skips only vertices DecideAndMove
 //! would leave in place, every configuration makes the same moves.
+//!
+//! ## The frontier
+//!
+//! Where certificates are armed, the driver classifies only the
+//! *frontier* (`Certificates::frontier`), under one
+//! invariant: **every vertex outside the frontier holds a certificate.**
+//! Such a vertex is inactive whatever the rest of the mask says, so
+//! evaluating the frontier alone (`classify_work`) gives the mask a full
+//! scan would. The frontier is everything after arming or clearing the
+//! table; after that the weight update rebuilds it from the vertices the
+//! last superstep left uncertified (movers, ties, guard stays, deferred
+//! vertices, margins within the slack), the certificates that expired and
+//! the ones the walk invalidated, so a superstep costs O(frontier +
+//! moved) in classify, decide, apply and the best-state log. A frontier of
+//! a sixteenth of the vertices or more is kept as "every vertex", where a
+//! scan is cheaper than a list. The simulated GPU kernels keep their
+//! O(n) classify.
 
 pub(crate) mod certificate;
 pub mod gain;
@@ -269,6 +307,130 @@ pub(crate) fn classify_certified_into(
             }
         }
     }
+}
+
+/// Classifies the next superstep into the `active` mask and its ascending
+/// work list `work`, both rewritten: the driver's classify. Under
+/// [`PruningKind::GainDamped`] with armed certificates, from superstep 1
+/// on, only the frontier is evaluated ([`Certificates::frontier`]); every
+/// other vertex holds a certificate and stays inactive. Each candidate
+/// gets [`classify_certified_into`]'s test, in its order, and a vertex the
+/// MG bound prunes has its bound's margin recorded as a certificate, so
+/// the frontier does not have to prove it again while the certificate
+/// holds. The mask is the one [`classify_certified_into`] would produce,
+/// and updating it costs O(frontier + last work list). Every other case
+/// is that full classify, with the work list read off the mask.
+pub(crate) fn classify_work(
+    kind: PruningKind,
+    graph: &Graph,
+    state: &BspState,
+    rng: &mut ChaCha8Rng,
+    certs: &Certificates,
+    active: &mut Vec<bool>,
+    work: &mut Vec<gala_graph::VertexId>,
+) {
+    use certificate::Frontier;
+    use gala_graph::VertexId;
+
+    let frontier = match certs.armed() {
+        Some(certs) if kind == PruningKind::GainDamped && state.iteration > 0 => certs.frontier(),
+        _ => {
+            classify_certified_into(kind, graph, state, rng, certs, active);
+            work.clear();
+            work.extend((0..active.len() as VertexId).filter(|&v| active[v as usize]));
+            return;
+        }
+    };
+    let records = certs.records_bound();
+    // Each pool chunk lists its active vertices, in order, and counts the
+    // frontier ([`Certificates::saw`]).
+    let chunks = match frontier {
+        Frontier::All(n) => {
+            // The whole mask is rewritten.
+            rayon::par_map_indexed_accum_into(
+                n,
+                active,
+                <(Vec<VertexId>, Counts)>::default,
+                |v, (work, counts)| {
+                    let v = v as VertexId;
+                    let is_active = judge(v, graph, state, certs, records, counts);
+                    if is_active {
+                        work.push(v);
+                    }
+                    is_active
+                },
+            )
+        }
+        Frontier::List(list) => {
+            // The last superstep's work list holds every vertex the mask
+            // marks.
+            for &v in work.iter() {
+                active[v as usize] = false;
+            }
+            // The pool writes one `()` per candidate: a vector that
+            // allocates nothing.
+            let chunks = rayon::par_map_accum_into(
+                list,
+                &mut Vec::new(),
+                <(Vec<VertexId>, Counts)>::default,
+                |&v, (work, counts)| {
+                    if judge(v, graph, state, certs, records, counts) {
+                        work.push(v);
+                    }
+                },
+            );
+            for &v in chunks.iter().flat_map(|(work, _)| work) {
+                active[v as usize] = true;
+            }
+            chunks
+        }
+    };
+    let counts = chunks.iter().fold(Counts::default(), |sum, (_, c)| Counts {
+        uncertified: sum.uncertified + c.uncertified,
+        bound: sum.bound + c.bound,
+    });
+    certs.saw(counts.uncertified, counts.bound);
+    work.clear();
+    work.extend(chunks.into_iter().flat_map(|(work, _)| work));
+}
+
+/// What [`classify_work`] counts: the candidates without a certificate,
+/// and those the MG bound pruned without recording one.
+#[derive(Clone, Copy, Debug, Default)]
+struct Counts {
+    uncertified: usize,
+    bound: usize,
+}
+
+/// [`classify_certified_into`]'s `mgd` test for one vertex: whether it is
+/// active. Records the MG bound's certificate when `records` says to and
+/// it would last, and counts the vertex into `counts`.
+#[inline(always)]
+fn judge(
+    v: gala_graph::VertexId,
+    graph: &Graph,
+    state: &BspState,
+    certs: &Certificates,
+    records: bool,
+    counts: &mut Counts,
+) -> bool {
+    if certs.holds(v) {
+        return false;
+    }
+    counts.uncertified += 1;
+    if state.moved[v as usize] && defers(v, state.iteration) {
+        return false;
+    }
+    let margin = gain::margin(v, graph, state);
+    if margin >= 0.0 {
+        if !records {
+            counts.bound += 1;
+        } else if certs.lasts(v, margin, graph, state) {
+            certs.record(v, margin, graph, state);
+        }
+        return false;
+    }
+    true
 }
 
 /// Move damping's schedule: whether vertex `v`, having moved in the

@@ -17,6 +17,13 @@
 //! It also caches each vertex's self-loop weight for the round, so the
 //! per-superstep passes ([`BspState::modularity`], the MG bound) do not
 //! binary-search the adjacency for it.
+//!
+//! Applying a superstep costs O(moved), not O(n): the state remembers
+//! which `moved` and `comm_changed` flags it set last time and resets only
+//! those, and it keeps `min_d_tot` exact by tracking one community that
+//! attains it, rescanning all totals only when that community grew or
+//! emptied. An undo log of the writes lets the driver return to an
+//! earlier state without keeping a copy of it.
 
 use gala_graph::partition::CommunityId;
 use gala_graph::{Graph, Partition, VertexId};
@@ -51,8 +58,14 @@ pub struct BspState {
     /// Number of completed supersteps.
     pub iteration: usize,
     /// Self-loop weight per vertex, read once per round; empty when the
-    /// graph has no self-loop. Clones (best-state snapshots) share it.
+    /// graph has no self-loop. Clones share it.
     loops: Arc<[f64]>,
+    /// The vertices `moved` marks: what the next apply resets.
+    moved_list: Vec<VertexId>,
+    /// The communities `comm_changed` marks.
+    changed_list: Vec<CommunityId>,
+    /// A non-empty community whose total is `min_d_tot`.
+    min_comm: CommunityId,
 }
 
 /// Summary of one superstep's community moves. The move list is what the
@@ -91,7 +104,8 @@ impl BspState {
         );
         let n = graph.num_vertices();
         let d_tot: Vec<f64> = (0..n).map(|v| graph.degree_w(v as VertexId)).collect();
-        let min_d_tot = non_empty_min(&d_tot, &vec![1u32; n]);
+        let comm_size = vec![1; n];
+        let (min_d_tot, min_comm) = non_empty_min(&d_tot, &comm_size);
         let mut loops: Vec<f64> = (0..n as VertexId)
             .into_par_iter()
             .map(|v| graph.self_loop(v))
@@ -105,12 +119,15 @@ impl BspState {
             comm: (0..n as CommunityId).collect(),
             d_self: vec![0.0; n],
             d_tot,
-            comm_size: vec![1; n],
+            comm_size,
             moved: vec![false; n],
             comm_changed: vec![false; n],
             min_d_tot,
             iteration: 0,
             loops: loops.into(),
+            moved_list: Vec::new(),
+            changed_list: Vec::new(),
+            min_comm,
         }
     }
 
@@ -150,6 +167,15 @@ impl BspState {
     /// Recomputes `d_self` for every vertex by scanning its neighbors —
     /// the *naive* weight maintenance of Algorithm 1 lines 6–7.
     pub fn recompute_d_self(&mut self, graph: &Graph) {
+        self.recompute_d_self_logged(graph, None);
+    }
+
+    /// [`Self::recompute_d_self`], first letting `undo` keep the state
+    /// it overwrites.
+    pub(crate) fn recompute_d_self_logged(&mut self, graph: &Graph, undo: Option<&mut Undo>) {
+        if let Some(undo) = undo {
+            undo.reserve_d_self(self, self.num_vertices());
+        }
         let comm = &self.comm;
         (0..graph.num_vertices() as VertexId)
             .into_par_iter()
@@ -164,10 +190,9 @@ impl BspState {
             .collect_into_vec(&mut self.d_self);
     }
 
-    /// Applies the superstep's decisions: updates `comm`, `d_tot`,
-    /// `comm_size`, `moved`, `comm_changed`, and `min_d_tot`. Does **not**
-    /// touch `d_self` — that is the weight-maintenance step's job (see
-    /// [`crate::weight`]).
+    /// Applies the superstep's decisions given as a full assignment: the
+    /// moves are the vertices whose entry differs from `comm`, applied
+    /// through [`Self::apply_move_list`].
     ///
     /// # Panics
     ///
@@ -179,28 +204,105 @@ impl BspState {
             self.comm.len(),
             "apply_moves needs one community per vertex"
         );
-        let mut moves = Vec::new();
-        self.comm_changed.iter_mut().for_each(|c| *c = false);
-        for (v, &new) in next_comm.iter().enumerate() {
-            let old = self.comm[v];
-            if old != new {
-                moves.push((v as VertexId, old, new));
-                self.moved[v] = true;
-                let d_v = graph.degree_w(v as VertexId);
-                self.d_tot[old as usize] -= d_v;
-                self.d_tot[new as usize] += d_v;
-                self.comm_size[old as usize] -= 1;
-                self.comm_size[new as usize] += 1;
-                self.comm_changed[old as usize] = true;
-                self.comm_changed[new as usize] = true;
-                self.comm[v] = new;
-            } else {
-                self.moved[v] = false;
+        let moves: Vec<(VertexId, CommunityId)> = (0..next_comm.len() as VertexId)
+            .zip(next_comm)
+            .filter(|&(v, &c)| c != self.comm[v as usize])
+            .map(|(v, &c)| (v, c))
+            .collect();
+        self.apply_move_list(graph, &moves)
+    }
+
+    /// Applies the superstep's moves, `(vertex, new community)` in
+    /// ascending vertex order: updates `comm`, `d_tot`, `comm_size`,
+    /// `moved`, `comm_changed`, and `min_d_tot` in O(moves), plus a rescan
+    /// of the totals when the community attaining `min_d_tot` grew or
+    /// emptied. Does **not** touch `d_self` — that is the
+    /// weight-maintenance step's job (see [`crate::weight`]). An entry
+    /// naming the vertex's current community is not a move.
+    pub fn apply_move_list(
+        &mut self,
+        graph: &Graph,
+        moves: &[(VertexId, CommunityId)],
+    ) -> MoveSummary {
+        self.apply_logged(graph, moves, None)
+    }
+
+    /// [`Self::apply_move_list`], logging the moves into `undo`.
+    pub(crate) fn apply_logged(
+        &mut self,
+        graph: &Graph,
+        moves: &[(VertexId, CommunityId)],
+        undo: Option<&mut Undo>,
+    ) -> MoveSummary {
+        debug_assert!(
+            moves.windows(2).all(|w| w[0].0 < w[1].0),
+            "moves out of order"
+        );
+        let mut undo = undo.and_then(|undo| undo.reserve_moves(self, moves.len()).then_some(undo));
+        // Past an eighth of the flags, clearing all of them is cheaper.
+        if 8 * (self.moved_list.len() + self.changed_list.len()) > self.num_vertices() {
+            self.moved.fill(false);
+            self.comm_changed.fill(false);
+            self.moved_list.clear();
+            self.changed_list.clear();
+        }
+        for v in self.moved_list.drain(..) {
+            self.moved[v as usize] = false;
+        }
+        for c in self.changed_list.drain(..) {
+            self.comm_changed[c as usize] = false;
+        }
+        let mut summary = Vec::with_capacity(moves.len());
+        for &(v, new) in moves {
+            let old = self.comm[v as usize];
+            if old == new {
+                continue;
+            }
+            let (o, n) = (old as usize, new as usize);
+            if let Some(undo) = undo.as_deref_mut() {
+                let d_tot = [self.d_tot[o], self.d_tot[n]];
+                undo.moves.push(Move { v, old, new, d_tot });
+            }
+            summary.push((v, old, new));
+            self.moved[v as usize] = true;
+            self.moved_list.push(v);
+            let d_v = graph.degree_w(v);
+            self.d_tot[o] -= d_v;
+            self.d_tot[n] += d_v;
+            self.comm_size[o] -= 1;
+            self.comm_size[n] += 1;
+            for c in [old, new] {
+                if !self.comm_changed[c as usize] {
+                    self.comm_changed[c as usize] = true;
+                    self.changed_list.push(c);
+                }
+            }
+            self.comm[v as usize] = new;
+        }
+        self.update_min_d_tot();
+        self.iteration += 1;
+        MoveSummary { moves: summary }
+    }
+
+    /// Brings `min_d_tot` up to date after the moves that set
+    /// `changed_list`. Only the changed communities' totals moved, so
+    /// unless the tracked minimum's community grew or emptied, the new
+    /// minimum is the smallest of its total and theirs. A minimum is
+    /// exact, so this gives the bits a full scan would.
+    fn update_min_d_tot(&mut self) {
+        let a = self.min_comm as usize;
+        if self.comm_size.get(a).is_none_or(|&s| s == 0) || self.d_tot[a] > self.min_d_tot {
+            (self.min_d_tot, self.min_comm) = non_empty_min(&self.d_tot, &self.comm_size);
+            return;
+        }
+        let mut min = (self.d_tot[a], self.min_comm);
+        for &c in &self.changed_list {
+            let d = self.d_tot[c as usize];
+            if self.comm_size[c as usize] > 0 && d < min.0 {
+                min = (d, c);
             }
         }
-        self.min_d_tot = non_empty_min(&self.d_tot, &self.comm_size);
-        self.iteration += 1;
-        MoveSummary { moves }
+        (self.min_d_tot, self.min_comm) = min;
     }
 
     /// Generalised modularity of the current assignment in `O(n)` from the
@@ -230,13 +332,170 @@ impl BspState {
     }
 }
 
-fn non_empty_min(d_tot: &[f64], comm_size: &[u32]) -> f64 {
+/// The smallest total over the non-empty communities, and a community
+/// attaining it (`INFINITY` and 0 when every community is empty).
+fn non_empty_min(d_tot: &[f64], comm_size: &[u32]) -> (f64, CommunityId) {
     d_tot
         .iter()
         .zip(comm_size)
-        .filter(|&(_, &size)| size > 0)
-        .map(|(&dt, _)| dt)
-        .fold(f64::INFINITY, f64::min)
+        .enumerate()
+        .filter(|&(_, (_, &size))| size > 0)
+        .fold((f64::INFINITY, 0), |min, (c, (&dt, _))| {
+            if dt < min.0 {
+                (dt, c as CommunityId)
+            } else {
+                min
+            }
+        })
+}
+
+/// A logged move: `v` left `old` for `new` when the two communities'
+/// totals were `d_tot`.
+#[derive(Clone, Copy, Debug)]
+struct Move {
+    v: VertexId,
+    old: CommunityId,
+    new: CommunityId,
+    d_tot: [f64; 2],
+}
+
+/// An undo log: what a [`BspState`] was before the writes made since
+/// [`Undo::mark`], so [`Undo::restore`] can take the state back to the
+/// marked one in O(writes), bit for bit. The phase-1 driver keeps one per
+/// round to return to the round's best state.
+///
+/// Only `comm`, `d_tot` and `d_self` are logged. A restore recounts the
+/// member counts from `comm` and sets the `moved` and `comm_changed` flags
+/// from the marked state's lists of them, which the mark keeps. A batch of
+/// writes that would take the moves past `n/8` entries or the `d_self`
+/// writes past `n/4` — a superstep in which much of the graph moves, or a
+/// full `d_self` rescan — is not logged: the three arrays are copied
+/// instead, once, into buffers the log keeps across marks, and nothing
+/// more is logged until the next mark. Restoring copies them back and
+/// undoes the writes logged before. A state that is still a round's
+/// initial one needs neither: it is built afresh.
+#[derive(Debug, Default)]
+pub(crate) struct Undo {
+    moves: Vec<Move>,
+    /// `(v, old d_self[v])` of the `d_self` writes, in batches.
+    d_self: Vec<Vec<(VertexId, f64)>>,
+    /// How many entries `d_self` holds.
+    d_self_len: usize,
+    /// `comm`, `d_tot` and `d_self` as copied in place of logging.
+    copy: (Vec<CommunityId>, Vec<f64>, Vec<f64>),
+    /// Whether `copy` was taken since the mark.
+    copied: bool,
+    /// Whether the marked state is a round's initial one.
+    initial: bool,
+    /// The marked state's flag lists and scalars.
+    moved_list: Vec<VertexId>,
+    changed_list: Vec<CommunityId>,
+    min_d_tot: f64,
+    min_comm: CommunityId,
+    iteration: usize,
+    /// Whether the last restore copied the arrays back, and how many
+    /// logged writes it undid, for the tests.
+    #[cfg(test)]
+    pub(crate) restored: (bool, usize),
+}
+
+impl Undo {
+    /// Forgets every logged write: `state` is the one to return to.
+    pub(crate) fn mark(&mut self, state: &BspState) {
+        self.moves.clear();
+        self.d_self.clear();
+        self.d_self_len = 0;
+        self.copied = false;
+        self.initial = state.iteration == 0;
+        self.moved_list.clone_from(&state.moved_list);
+        self.changed_list.clone_from(&state.changed_list);
+        self.min_d_tot = state.min_d_tot;
+        self.min_comm = state.min_comm;
+        self.iteration = state.iteration;
+    }
+
+    /// Prepares for `moves` more moves in `state`: whether to log them.
+    pub(crate) fn reserve_moves(&mut self, state: &BspState, moves: usize) -> bool {
+        self.reserve(state, self.moves.len() + moves <= state.num_vertices() / 8)
+    }
+
+    /// Prepares for `writes` more `d_self` writes in `state`: whether to
+    /// log them.
+    pub(crate) fn reserve_d_self(&mut self, state: &BspState, writes: usize) -> bool {
+        self.reserve(state, self.d_self_len + writes <= state.num_vertices() / 4)
+    }
+
+    /// Whether to log a batch that `fits` the log's bound; copies the
+    /// arrays when it does not. Nothing is logged once they are copied,
+    /// or while the marked state is the initial one.
+    fn reserve(&mut self, state: &BspState, fits: bool) -> bool {
+        if self.copied || self.initial {
+            return false;
+        }
+        if fits {
+            return true;
+        }
+        self.copy.0.clone_from(&state.comm);
+        self.copy.1.clone_from(&state.d_tot);
+        self.copy.2.clone_from(&state.d_self);
+        self.copied = true;
+        false
+    }
+
+    /// Logs a batch of `d_self` writes as `(v, old d_self[v])`, in the
+    /// order they were made; only after [`Self::reserve_d_self`] said to.
+    pub(crate) fn log_d_self(&mut self, batch: Vec<(VertexId, f64)>) {
+        self.d_self_len += batch.len();
+        self.d_self.push(batch);
+    }
+
+    /// Returns `state`, a state of `graph`, to the marked state by undoing
+    /// the logged writes, newest first, and empties the log.
+    pub(crate) fn restore(&mut self, graph: &Graph, state: &mut BspState) {
+        if self.initial {
+            *state = BspState::with_resolution(graph, state.resolution);
+            return;
+        }
+        #[cfg(test)]
+        {
+            self.restored = (self.copied, self.moves.len() + self.d_self_len);
+        }
+        if std::mem::take(&mut self.copied) {
+            state.comm.clone_from(&self.copy.0);
+            state.d_tot.clone_from(&self.copy.1);
+            state.d_self.clone_from(&self.copy.2);
+        }
+        for Move { v, old, new, d_tot } in self.moves.drain(..).rev() {
+            state.comm[v as usize] = old;
+            [state.d_tot[old as usize], state.d_tot[new as usize]] = d_tot;
+        }
+        for (v, old) in self
+            .d_self
+            .drain(..)
+            .rev()
+            .flat_map(|batch| batch.into_iter().rev())
+        {
+            state.d_self[v as usize] = old;
+        }
+        self.d_self_len = 0;
+        state.comm_size.fill(0);
+        for &c in &state.comm {
+            state.comm_size[c as usize] += 1;
+        }
+        state.moved.fill(false);
+        state.comm_changed.fill(false);
+        for &v in &self.moved_list {
+            state.moved[v as usize] = true;
+        }
+        for &c in &self.changed_list {
+            state.comm_changed[c as usize] = true;
+        }
+        state.moved_list.clone_from(&self.moved_list);
+        state.changed_list.clone_from(&self.changed_list);
+        state.min_d_tot = self.min_d_tot;
+        state.min_comm = self.min_comm;
+        state.iteration = self.iteration;
+    }
 }
 
 #[cfg(test)]

@@ -14,11 +14,12 @@
 //!   edges — the stage-P2 fix.
 //!
 //! The same walk over the movers' adjacency invalidates the neighbours'
-//! stay certificates (see [`crate::pruning`]), so the `mgd` policy's
-//! bookkeeping adds no pass of its own.
+//! stay certificates and hands them to the frontier (see
+//! [`crate::pruning`]), so the `mgd` policy's bookkeeping adds no pass of
+//! its own.
 
 use crate::pruning::certificate::Certificates;
-use crate::state::{BspState, MoveSummary};
+use crate::state::{BspState, MoveSummary, Undo};
 use gala_gpu::memory::{MemTally, Space};
 use gala_graph::{Graph, VertexId};
 
@@ -46,7 +47,14 @@ pub fn update(
     state: &mut BspState,
     summary: &MoveSummary,
 ) -> MemTally {
-    update_certified(mode, graph, state, summary, &mut Certificates::default())
+    update_certified(
+        mode,
+        graph,
+        state,
+        summary,
+        &mut Certificates::default(),
+        None,
+    )
 }
 
 /// [`update`] that also maintains armed stay certificates: the drift clock
@@ -56,20 +64,22 @@ pub fn update(
 /// no adjacency, so it clears every certificate instead, and so does a
 /// superstep heavy enough that walking for them would not pay
 /// ([`Certificates::settle`]). No certificate survives such a superstep,
-/// and the clock has nothing to time. The tally is [`update`]'s either way.
+/// and the clock has nothing to time. With `undo`, every `d_self` write is
+/// logged there. The tally is [`update`]'s either way.
 pub(crate) fn update_certified(
     mode: WeightUpdateMode,
     graph: &Graph,
     state: &mut BspState,
     summary: &MoveSummary,
     certs: &mut Certificates,
+    undo: Option<&mut Undo>,
 ) -> MemTally {
     let mut tally = MemTally::new();
     match mode {
         WeightUpdateMode::Naive => {
             // The rescan walks no mover's adjacency.
             certs.clear();
-            state.recompute_d_self(graph);
+            state.recompute_d_self_logged(graph, undo);
             // Per arc: neighbor id + weight + C[u]; per vertex: one store.
             tally.load(Space::Global, 3 * graph.num_arcs() as u64);
             tally.store(Space::Global, graph.num_vertices() as u64);
@@ -85,13 +95,13 @@ pub(crate) fn update_certified(
                 .iter()
                 .map(|&(v, _, _)| graph.degree(v) as u64)
                 .sum();
-            let certs = certs.settle(graph, summary, moved_arcs, state.m2);
+            let walk = certs.settle(graph, summary, moved_arcs, state.m2);
             if 2 * moved_arcs >= graph.num_arcs() as u64 {
-                state.recompute_d_self(graph);
+                state.recompute_d_self_logged(graph, undo);
                 tally.load(Space::Global, 3 * graph.num_arcs() as u64);
                 tally.store(Space::Global, graph.num_vertices() as u64);
             } else {
-                let deltas = update_delta(graph, state, summary, certs);
+                let deltas = update_delta(graph, state, summary, walk.then_some(certs), undo);
                 // The modelled kernel makes two passes over the moved
                 // vertices' adjacency (notify + own rescan), 3 loads per
                 // arc; an atomicAdd only for the neighbors whose d_self
@@ -117,22 +127,28 @@ pub(crate) fn update_certified(
 /// `d_self[u]` happen in a fixed order whatever the thread schedule.
 ///
 /// With `certs`, the certificate of each unmoved neighbour outside the
-/// mover's new community is cleared on the way. Those stores all write 0,
-/// so their interleaving is immaterial.
+/// mover's new community is cleared on the way, and while the frontier is
+/// listed the neighbours that held one join it ([`Certificates::admit`]).
+/// Those stores all write 0, so their interleaving is immaterial, and the
+/// frontier is sorted, so the order the chunks report them in is
+/// immaterial too.
 fn update_delta(
     graph: &Graph,
     state: &mut BspState,
     summary: &MoveSummary,
-    certs: Option<&Certificates>,
+    certs: Option<&mut Certificates>,
+    undo: Option<&mut Undo>,
 ) -> u64 {
     let moved = &state.moved;
     let comm = &state.comm;
+    let shared = certs.as_deref();
+    let lists = shared.is_some_and(Certificates::lists);
     let mut fresh = Vec::new();
     let chunks = rayon::par_map_accum_into(
         &summary.moves,
         &mut fresh,
-        Vec::new,
-        |&(v, old, new), deltas: &mut Vec<(VertexId, f64)>| {
+        <(Vec<(VertexId, f64)>, Vec<VertexId>)>::default,
+        |&(v, old, new), (deltas, invalidated)| {
             let mut d_self = 0.0;
             for (u, w) in graph.neighbors(v) {
                 if u == v {
@@ -147,8 +163,10 @@ fn update_delta(
                 }
                 // A mover joining `u`'s community only strengthens `u`'s
                 // stay, so its certificate survives that.
-                if let Some(certs) = certs.filter(|_| cu != new) {
-                    certs.invalidate(u);
+                if let Some(certs) = shared.filter(|_| cu != new) {
+                    if certs.invalidate(u) && lists {
+                        invalidated.push(u);
+                    }
                 }
                 let mut delta = 0.0;
                 if cu == old {
@@ -164,15 +182,34 @@ fn update_delta(
             d_self
         },
     );
-    let mut num_deltas = 0;
-    for (u, delta) in chunks.into_iter().flatten() {
-        state.d_self[u as usize] += delta;
-        num_deltas += 1;
+    if let Some(certs) = certs {
+        certs.admit(chunks.iter().flat_map(|(_, invalidated)| invalidated));
+    }
+    let num_deltas = chunks.iter().map(|(deltas, _)| deltas.len()).sum::<usize>();
+    let writes = num_deltas + summary.num_moved();
+    let mut undo = undo.and_then(|undo| undo.reserve_d_self(state, writes).then_some(undo));
+    for (mut deltas, _) in chunks {
+        // Each entry keeps what its write overwrote: the batch is its own
+        // undo log.
+        for (u, delta) in &mut deltas {
+            let d_self = &mut state.d_self[*u as usize];
+            (*d_self, *delta) = (*d_self + *delta, *d_self);
+        }
+        if let Some(undo) = undo.as_deref_mut() {
+            undo.log_d_self(deltas);
+        }
+    }
+    if let Some(undo) = undo {
+        let overwritten = summary
+            .moves
+            .iter()
+            .map(|&(v, _, _)| (v, state.d_self[v as usize]));
+        undo.log_d_self(overwritten.collect());
     }
     for (&(v, _, _), d) in summary.moves.iter().zip(fresh) {
         state.d_self[v as usize] = d;
     }
-    num_deltas
+    num_deltas as u64
 }
 
 #[cfg(test)]

@@ -389,10 +389,30 @@ where
     ID: Fn() -> A + Sync,
     F: Fn(&T, &mut A) -> R + Sync,
 {
+    par_map_costed_accum_into(items, items.len(), out, identity, f)
+}
+
+/// [`par_map_accum_into`] over items of uneven weight: `cost` is their
+/// total weight, in the units [`min_par_len`] counts, and the pipeline runs
+/// on the pool whenever that reaches the threshold, however few the items.
+pub fn par_map_costed_accum_into<T, R, A, ID, F>(
+    items: &[T],
+    cost: usize,
+    out: &mut Vec<R>,
+    identity: ID,
+    f: F,
+) -> Vec<A>
+where
+    T: Sync,
+    R: Send,
+    A: Send,
+    ID: Fn() -> A + Sync,
+    F: Fn(&T, &mut A) -> R + Sync,
+{
     // The sequential path stays statically dispatched: for the small-input
     // and single-thread cases the per-item indirect call through the
     // pool's `dyn Fn` interface would be the dominant cost.
-    if pool::run_sequential(items.len()) {
+    if pool::run_sequential(cost) {
         out.clear();
         out.reserve(items.len());
         let mut acc = identity();
