@@ -16,8 +16,9 @@
 //!   runs, k-way merge) vs in-memory build; wall time, Marcs/s, peak MiB.
 //! * **parse** — `io::read_edge_list` on a cached fixture
 //!   (`GALA_INGEST_FIXTURE` names it; regenerated when absent): the
-//!   parallel in-memory text path, line-aligned chunks parsed across the
-//!   pool and a row-range parallel CSR scatter, parse and build together.
+//!   parallel in-memory text path, block reads parsed in line-aligned
+//!   pieces across the pool into edge records and built by row ranges,
+//!   parse and build together.
 //! * **load** — v2 binary container: owned load (full structural audit)
 //!   vs mapped load (checksum verify, trusted CSR), bit-identical.
 //! * **reorder** — degree preprocessing: `mean_edge_span` before/after.

@@ -5,15 +5,22 @@
 //! their weights, symmetrises automatically, and doubles self-loop input
 //! weights so that the stored graph obeys the crate's self-loop convention.
 //!
-//! The build is a counting sort whose scatter is split by row ranges
-//! across the pool (see [`GraphBuilder::build`]); the result does not
-//! depend on the pool width. Its output is symmetric by construction, so
-//! it skips [`Graph::from_csr`]'s `O(n + m)` audit in release builds;
-//! debug builds still run the audit on every build.
+//! One back half turns every in-memory record stream into a CSR: the
+//! builder's arc list (two 16-byte arcs per edge, one CSR entry each), the
+//! streaming builder's unspilled chunk (arcs again), and the text loader's
+//! edge lists (one 16-byte record per edge, written to both endpoints'
+//! rows). It is a counting sort in which the histogram, the scatter, the
+//! row finish (sortedness check, duplicate merge, compaction) and the
+//! weighted degree sums all run per row range across the pool; only
+//! `O(n)` steps, and a `memmove` per range when duplicates merged, are
+//! serial. The result does not depend on the pool width
+//! or on the record kind. Its output is symmetric by construction, so it
+//! skips [`Graph::from_csr`]'s `O(n + m)` audit in release builds; debug
+//! builds still run the audit on every build.
 
 use std::collections::TryReserveError;
 
-use crate::csr::{Graph, VertexId};
+use crate::csr::{row_weight, Graph, VertexId};
 
 /// Anything that can accept a stream of undirected edges: the in-memory
 /// [`GraphBuilder`], the out-of-core [`crate::stream::StreamingBuilder`],
@@ -30,6 +37,16 @@ pub trait EdgeSink {
 
     /// Ensures the built graph has at least `n` vertices.
     fn reserve_vertices(&mut self, n: usize);
+}
+
+impl<S: EdgeSink + ?Sized> EdgeSink for &mut S {
+    fn add_edge(&mut self, u: VertexId, v: VertexId, w: f64) {
+        (**self).add_edge(u, v, w);
+    }
+
+    fn reserve_vertices(&mut self, n: usize) {
+        (**self).reserve_vertices(n);
+    }
 }
 
 /// Validates an edge weight (shared by every [`EdgeSink`]).
@@ -58,7 +75,7 @@ pub struct GraphBuilder {
     num_vertices: usize,
     /// One entry per *directed arc*; self-loops appear once with doubled
     /// weight. Sorted and merged at `build()` time.
-    arcs: Vec<DirectedArc>,
+    arcs: Vec<Record>,
 }
 
 impl GraphBuilder {
@@ -134,12 +151,6 @@ impl GraphBuilder {
         }
     }
 
-    /// The accumulated arcs, for [`build_from_arcs`] callers that fill
-    /// several builders with consecutive pieces of one edge stream.
-    pub(crate) fn into_arcs(self) -> Vec<DirectedArc> {
-        self.arcs
-    }
-
     /// Number of arcs accumulated so far (before dedup).
     pub fn num_arcs(&self) -> usize {
         self.arcs.len()
@@ -153,7 +164,7 @@ impl GraphBuilder {
     /// are themselves sorted) is left as it is; only the other rows are
     /// sorted by target, at `Σ d(v) log d(v)` instead of `m log m` total.
     ///
-    /// The scatter runs across the pool, one row range per thread; each
+    /// Every pass runs across the pool, one row range per thread; each
     /// range receives its arcs in insertion order, so the graph is the
     /// same at every pool width. Duplicate `(u, v)` arcs are summed **in
     /// insertion order** (the counting sort is stable and the per-row sort
@@ -170,132 +181,246 @@ impl GraphBuilder {
         // Unused growth slack is returned before the output arrays below
         // are allocated, trimming the build's transient peak.
         arcs.shrink_to_fit();
-        build_from_arcs(n, vec![arcs]).expect("the CSR vertex arrays fit in memory")
+        build_from_arcs(n, arcs).expect("the CSR vertex arrays fit in memory")
     }
 }
 
-/// One directed arc `(source, target, weight)` awaiting the CSR build.
-pub(crate) type DirectedArc = (VertexId, VertexId, f64);
+/// One record awaiting the CSR build, `(u, v, w)`: an arc (one CSR entry,
+/// in row `u`) or an undirected edge (two entries, one in each endpoint's
+/// row; a self-loop once, its weight already doubled).
+pub(crate) type Record = (VertexId, VertexId, f64);
 
-/// Directed-arc lists → CSR, the shared back half of [`GraphBuilder::build`],
-/// the chunked text loader ([`crate::io::read_edge_list`]) and the streaming
-/// builder's no-spill fast path. `chunks` are consecutive pieces of one
-/// arc stream, in stream order; they are read in place, never
-/// concatenated. Arcs must already follow the crate conventions (both
-/// directions present, self-loops once at doubled weight). Stable
-/// counting sort by source + stable per-row sort by target — the same
-/// total order as a stable global `(u, v)` sort over the concatenated
-/// stream, so every caller produces bit-identical graphs.
+/// Undirected edge records for [`build_from_edges`], 16 bytes per edge:
+/// each edge once, a self-loop at doubled weight. The text loader's sink.
+#[derive(Default)]
+pub(crate) struct EdgeRecords(pub(crate) Vec<Record>);
+
+impl EdgeSink for EdgeRecords {
+    fn add_edge(&mut self, u: VertexId, v: VertexId, w: f64) {
+        assert_weight(w);
+        self.0.push((u, v, if u == v { 2.0 * w } else { w }));
+    }
+
+    fn reserve_vertices(&mut self, _n: usize) {}
+}
+
+/// An arc list → CSR: the back half of [`GraphBuilder::build`] and of the
+/// streaming builder's no-spill fast path. See [`build_csr`].
+pub(crate) fn build_from_arcs(n: usize, arcs: Vec<Record>) -> Result<Graph, TryReserveError> {
+    build_csr::<false>(n, vec![arcs])
+}
+
+/// Edge lists → CSR: the back half of the text loader
+/// ([`crate::io::read_edge_list`]), which stores each edge once. See
+/// [`build_csr`].
+pub(crate) fn build_from_edges(
+    n: usize,
+    chunks: Vec<Vec<Record>>,
+) -> Result<Graph, TryReserveError> {
+    build_csr::<true>(n, chunks)
+}
+
+/// Calls `entry(row, target, weight)` for each CSR entry `record` stands
+/// for: the arc itself, or both directions of an edge, the source's row
+/// first (a self-loop once).
+#[inline(always)]
+fn for_each_entry<const EDGES: bool>(
+    &(u, v, w): &Record,
+    mut entry: impl FnMut(VertexId, VertexId, f64),
+) {
+    entry(u, v, w);
+    if EDGES && u != v {
+        entry(v, u, w);
+    }
+}
+
+/// Record lists → CSR, read as arcs or, with `EDGES`, as edges. `chunks`
+/// are consecutive pieces of one record stream, in stream order; they are
+/// read in place, never concatenated. Stable counting sort by source +
+/// stable per-row sort by target: the same total order as a stable global
+/// `(u, v)` sort over the stream's entries, so every caller produces
+/// bit-identical graphs, and an edge stream builds the graph of the arc
+/// stream that lists each edge's two arcs in its place.
 ///
-/// The scatter is split by rows across the pool: after the histogram,
-/// `offsets` is cut into one row range per thread with near-equal arc
-/// counts ([`rayon::par_row_chunks`]), and each worker scans every chunk
-/// in order but writes only the arcs whose source lies in its own range,
-/// into its own disjoint `targets`/`weights` segment. Each row therefore
-/// receives its arcs in stream order at any pool width, and the result
-/// does not depend on the width. The arc lists are freed once scattered,
-/// so the peak is the arc lists plus the output. Rows with duplicates or
-/// out-of-order targets are then sorted and merged through a row-sized
-/// scratch buffer and compacted leftwards in place, over the slots their
-/// merged duplicates freed.
+/// Every `O(m)` pass but the join's `memmove`, which runs only when
+/// duplicates merged, runs per row range on the pool. Each reads the whole
+/// stream once per range, so no pass does more than `P` reads of it at
+/// pool width `P`:
 ///
-/// The output is symmetric by construction, so it is wrapped through
-/// [`Graph::from_csr_trusted`]: no release-mode audit, a full one in
+/// 1. **Histogram.** The rows are cut into `P` ranges of equal row count;
+///    each worker counts the entries of its own rows into its slice of
+///    `offsets`. A serial `O(n)` prefix sum follows.
+/// 2. **Scatter and finish.** The rows are cut again, into `P` ranges of
+///    near-equal entry count ([`rayon::row_cuts`]). Each worker writes
+///    the entries of its rows into its own disjoint `targets`/`weights`
+///    segment, using its slice of `offsets` as the row cursors, so each
+///    row receives its entries in stream order at any pool width. It then
+///    finishes its rows in place: a row that arrived strictly sorted stays
+///    as it is; any other is sorted stably by target and its duplicates
+///    are summed left to right, in stream order. Rows are compacted
+///    leftwards within the segment over the slots merged duplicates freed,
+///    and each row's weighted degree is summed.
+/// 3. **Join.** When some range merged duplicates, each later segment is
+///    moved left over the gap with one `memmove`, in order. Without
+///    duplicates nothing moves.
+///
+/// The records are freed once the rows are finished, so the peak is the
+/// record lists plus the output: 16 B per edge plus 24 B per edge of CSR
+/// for the text loader, 32 B per edge (two arcs) plus the CSR for the
+/// arc builders. The output is symmetric by construction, so it is wrapped
+/// through [`Graph::from_csr_built`]: no release-mode audit, a full one in
 /// debug builds.
 ///
-/// `n` may come from a `#vertices` directive that no arc backs, so the
-/// vertex-indexed build arrays (`offsets` and the scatter cursors) are
-/// reserved fallibly: a count beyond memory is an error, not an abort.
-pub(crate) fn build_from_arcs(
+/// `n` may come from a `#vertices` directive that no record backs, so the
+/// vertex arrays (`offsets` and the degrees) are reserved fallibly: a count
+/// beyond memory is an error, not an abort.
+fn build_csr<const EDGES: bool>(
     n: usize,
-    chunks: Vec<Vec<DirectedArc>>,
+    chunks: Vec<Vec<Record>>,
 ) -> Result<Graph, TryReserveError> {
-    // Counting sort by source: histogram, prefix sum, scatter.
     let mut offsets = Vec::new();
     offsets.try_reserve_exact(n + 1)?;
     offsets.resize(n + 1, 0usize);
-    for chunk in &chunks {
-        for &(u, _, _) in chunk {
-            offsets[u as usize + 1] += 1;
-        }
+    let mut degree_w = Vec::new();
+    degree_w.try_reserve_exact(n)?;
+    degree_w.resize(n, 0.0f64);
+    let parts = rayon::current_parallelism().min(n).max(1);
+
+    // 1. Histogram into `offsets[r + 1]`, per equal row range.
+    let mut ranges = Vec::with_capacity(parts);
+    let (mut counts, mut start) = (&mut offsets[1..], 0usize);
+    for k in 1..=parts {
+        let end = n * k / parts;
+        let (range, rest) = counts.split_at_mut(end - start);
+        ranges.push((start, range));
+        (counts, start) = (rest, end);
     }
+    rayon::par_map_tasks(ranges, |(start, counts)| {
+        for chunk in &chunks {
+            for record in chunk {
+                for_each_entry::<EDGES>(record, |r, _, _| {
+                    // Wraps for rows below the range, so one compare
+                    // rejects both sides.
+                    if let Some(c) = counts.get_mut((r as usize).wrapping_sub(start)) {
+                        *c += 1;
+                    }
+                });
+            }
+        }
+    });
     for i in 0..n {
         offsets[i + 1] += offsets[i];
     }
-    let mut targets: Vec<VertexId> = vec![0; offsets[n]];
-    let mut weights: Vec<f64> = vec![0.0; offsets[n]];
-    let partitions = rayon::current_parallelism().min(n);
-    let scattered = rayon::par_row_chunks(
-        &offsets,
-        &mut targets,
-        &mut weights,
-        partitions,
-        |rows, seg_t, seg_w| {
-            let base = offsets[rows.start];
-            let mut cursor = Vec::new();
-            cursor.try_reserve_exact(rows.len())?;
-            cursor.extend(offsets[rows.clone()].iter().map(|&o| o - base));
-            for chunk in &chunks {
-                for &(u, v, w) in chunk {
-                    // Wraps for sources below the range, so one compare
-                    // rejects both sides.
-                    let Some(slot) = cursor.get_mut((u as usize).wrapping_sub(rows.start)) else {
-                        continue;
-                    };
-                    seg_t[*slot] = v;
-                    seg_w[*slot] = w;
-                    *slot += 1;
-                }
-            }
-            Ok(())
-        },
-    );
-    scattered
-        .into_iter()
-        .collect::<Result<(), TryReserveError>>()?;
-    drop(chunks);
-    // Rewrite each row in place: `lo..hi` is its scattered range, `out`
-    // the compacted write position (never past `lo`).
-    let mut row: Vec<(VertexId, f64)> = Vec::new();
-    let mut out = 0usize;
-    let mut lo = 0usize;
-    for r in 0..n {
-        let hi = offsets[r + 1];
-        offsets[r] = out;
-        if targets[lo..hi].windows(2).all(|p| p[0] < p[1]) {
-            if out != lo {
-                targets.copy_within(lo..hi, out);
-                weights.copy_within(lo..hi, out);
-            }
-            out += hi - lo;
-        } else {
-            row.clear();
-            row.extend(
-                targets[lo..hi]
-                    .iter()
-                    .copied()
-                    .zip(weights[lo..hi].iter().copied()),
-            );
-            // Stable: equal targets keep insertion order, so the merge
-            // below sums duplicate weights left-to-right as inserted.
-            row.sort_by_key(|&(v, _)| v);
-            for &(v, w) in &row {
-                if out > offsets[r] && targets[out - 1] == v {
-                    weights[out - 1] += w;
-                } else {
-                    targets[out] = v;
-                    weights[out] = w;
-                    out += 1;
-                }
+
+    // 2. Scatter and finish, per near-equal entry range.
+    let total = offsets[n];
+    let mut targets: Vec<VertexId> = vec![0; total];
+    let mut weights: Vec<f64> = vec![0.0; total];
+    let cuts = rayon::row_cuts(&offsets, parts);
+    let bases: Vec<usize> = cuts.iter().map(|&c| offsets[c]).collect();
+    let mut ranges = Vec::with_capacity(parts);
+    let (mut rest_o, mut rest_d) = (&mut offsets[..n], &mut degree_w[..]);
+    let (mut rest_t, mut rest_w) = (&mut targets[..], &mut weights[..]);
+    for k in 0..parts {
+        let (rows, len) = (cuts[k + 1] - cuts[k], bases[k + 1] - bases[k]);
+        let (starts, tail_o) = rest_o.split_at_mut(rows);
+        let (degrees, tail_d) = rest_d.split_at_mut(rows);
+        let (seg_t, tail_t) = rest_t.split_at_mut(len);
+        let (seg_w, tail_w) = rest_w.split_at_mut(len);
+        ranges.push((cuts[k], bases[k], starts, degrees, seg_t, seg_w));
+        (rest_o, rest_d, rest_t, rest_w) = (tail_o, tail_d, tail_t, tail_w);
+    }
+    let kept = rayon::par_map_tasks(ranges, |(first, base, starts, degrees, seg_t, seg_w)| {
+        // Segment-local row starts, advanced as cursors by the scatter:
+        // afterwards `starts[i]` is where row `first + i` ends.
+        for s in starts.iter_mut() {
+            *s -= base;
+        }
+        for chunk in &chunks {
+            for record in chunk {
+                for_each_entry::<EDGES>(record, |r, v, w| {
+                    if let Some(c) = starts.get_mut((r as usize).wrapping_sub(first)) {
+                        seg_t[*c] = v;
+                        seg_w[*c] = w;
+                        *c += 1;
+                    }
+                });
             }
         }
-        lo = hi;
+        finish_rows(base, starts, degrees, seg_t, seg_w)
+    });
+    drop(chunks);
+
+    // 3. Join the segments when merged duplicates left gaps between them.
+    let mut out = 0usize;
+    for k in 0..parts {
+        let (base, len) = (bases[k], kept[k]);
+        if out != base {
+            targets.copy_within(base..base + len, out);
+            weights.copy_within(base..base + len, out);
+            for o in &mut offsets[cuts[k]..cuts[k + 1]] {
+                *o -= base - out;
+            }
+        }
+        out += len;
     }
     offsets[n] = out;
     targets.truncate(out);
     weights.truncate(out);
     shrink_if_material(&mut targets, &mut weights);
-    Ok(Graph::from_csr_trusted(offsets, targets, weights))
+    Ok(Graph::from_csr_built(offsets, targets, weights, degree_w))
+}
+
+/// Finishes one row range after the scatter, in place: `ends[i]` is where
+/// its `i`-th row ends within the segment `seg_t`/`seg_w`. Rows with
+/// duplicates or out-of-order targets are sorted stably and merged through
+/// a row-sized scratch buffer; every row is compacted leftwards (never past
+/// its own start) and gets its weighted degree in `degrees`. `ends[i]`
+/// becomes the row's global start, `base` plus its compacted position.
+/// Returns the compacted length of the segment.
+fn finish_rows(
+    base: usize,
+    ends: &mut [usize],
+    degrees: &mut [f64],
+    seg_t: &mut [VertexId],
+    seg_w: &mut [f64],
+) -> usize {
+    let mut row: Vec<(VertexId, f64)> = Vec::new();
+    let (mut lo, mut out) = (0usize, 0usize);
+    for (end, degree) in ends.iter_mut().zip(degrees.iter_mut()) {
+        let (hi, start) = (*end, out);
+        *end = base + start;
+        if seg_t[lo..hi].windows(2).all(|p| p[0] < p[1]) {
+            if out != lo {
+                seg_t.copy_within(lo..hi, out);
+                seg_w.copy_within(lo..hi, out);
+            }
+            out += hi - lo;
+        } else {
+            row.clear();
+            row.extend(
+                seg_t[lo..hi]
+                    .iter()
+                    .copied()
+                    .zip(seg_w[lo..hi].iter().copied()),
+            );
+            // Stable: equal targets keep stream order, so the merge below
+            // sums duplicate weights left to right as inserted.
+            row.sort_by_key(|&(v, _)| v);
+            for &(v, w) in &row {
+                if out > start && seg_t[out - 1] == v {
+                    seg_w[out - 1] += w;
+                } else {
+                    seg_t[out] = v;
+                    seg_w[out] = w;
+                    out += 1;
+                }
+            }
+        }
+        *degree = row_weight(&seg_w[start..out]);
+        lo = hi;
+    }
+    out
 }
 
 /// Returns the merged-duplicate slack of freshly built CSR arrays when it
@@ -388,7 +513,8 @@ mod tests {
         /// in random order (0), sorted so that every row arrives strictly
         /// sorted and stays in place (1), in reverse sorted order (2), or
         /// sorted with some edges repeated at the end (3), at pool widths
-        /// 1, 2 and 8 (one row range per thread in the scatter).
+        /// 1, 2 and 8 (one row range per thread in each pass), as one arc
+        /// list and as pieces of an edge-record list.
         #[test]
         fn build_matches_reference(
             n in 1u32..16,
@@ -411,11 +537,19 @@ mod tests {
                 edges.extend(again);
             }
             let mut b = GraphBuilder::new(n as usize);
-            b.extend_edges(edges);
+            b.extend_edges(edges.iter().copied());
             let expect = reference_build(n as usize, b.arcs.clone());
+            let mut records = EdgeRecords::default();
+            for &(u, v, w) in &edges {
+                records.add_edge(u, v, w);
+            }
             for width in [1, 2, 8] {
                 let got = rayon::with_parallelism(width, || b.clone().build());
                 assert_bit_identical(&got, &expect);
+                // The same stream as edge records, in pieces of up to 7.
+                let pieces = records.0.chunks(7).map(<[Record]>::to_vec).collect();
+                let got = rayon::with_parallelism(width, || build_from_edges(n as usize, pieces));
+                assert_bit_identical(&got.unwrap(), &expect);
             }
         }
     }

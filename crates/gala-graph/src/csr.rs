@@ -75,14 +75,41 @@ impl Graph {
         Self::from_audited(offsets, targets, weights)
     }
 
+    /// [`Self::from_csr_trusted`] for the builder's output, whose weighted
+    /// degrees it has already summed, each row in order as
+    /// [`Self::from_csr`] sums them (so they are bit-identical), across
+    /// the pool.
+    pub(crate) fn from_csr_built(
+        offsets: Vec<usize>,
+        targets: Vec<VertexId>,
+        weights: Vec<f64>,
+        degree_w: Vec<f64>,
+    ) -> Self {
+        debug_assert_eq!(audit_csr(&offsets, &targets, &weights), Ok(()));
+        debug_assert!(degree_w
+            .iter()
+            .zip(offsets.windows(2))
+            .all(|(d, o)| d.to_bits() == row_weight(&weights[o[0]..o[1]]).to_bits()));
+        Self::with_degrees(offsets, targets, weights, degree_w)
+    }
+
     /// Wraps CSR arrays that passed the audit (or are trusted to) and
     /// caches the weighted degrees.
     fn from_audited(offsets: Vec<usize>, targets: Vec<VertexId>, weights: Vec<f64>) -> Self {
         let n = offsets.len() - 1;
         let mut degree_w = vec![0.0f64; n];
         for v in 0..n {
-            degree_w[v] = weights[offsets[v]..offsets[v + 1]].iter().sum();
+            degree_w[v] = row_weight(&weights[offsets[v]..offsets[v + 1]]);
         }
+        Self::with_degrees(offsets, targets, weights, degree_w)
+    }
+
+    fn with_degrees(
+        offsets: Vec<usize>,
+        targets: Vec<VertexId>,
+        weights: Vec<f64>,
+        degree_w: Vec<f64>,
+    ) -> Self {
         Self {
             total_weight: degree_w.iter().sum(),
             offsets,
@@ -209,6 +236,13 @@ impl Graph {
     pub fn into_csr(self) -> (Vec<usize>, Vec<VertexId>, Vec<f64>) {
         (self.offsets, self.targets, self.weights)
     }
+}
+
+/// The weighted degree of one row: its weights summed in order. Every
+/// constructor sums through this, so cached degrees agree to the bit.
+#[inline]
+pub(crate) fn row_weight(weights: &[f64]) -> f64 {
+    weights.iter().sum()
 }
 
 /// The audit behind [`Graph::from_csr`], in `O(n + m)`.

@@ -11,14 +11,19 @@
 //!
 //! Text reaches a graph two ways, through one line loop:
 //!
-//! * **In memory** ([`load_edge_list`], [`read_edge_list`]): the whole
-//!   input is read into one buffer and cut into about four line-aligned
-//!   chunks per pool thread. The chunks are parsed in parallel, each into
-//!   its own exactly reserved arc list, and the text is dropped before
-//!   the build. The builder scatters the lists into the CSR by row ranges
-//!   across the pool and wraps its symmetric-by-construction output
-//!   without a release-mode audit (debug builds still run it). The graph
-//!   is bit-identical to a serial parse at any pool width, and a
+//! * **In memory** ([`load_edge_list`], [`read_edge_list`]): the input is
+//!   read through one reused 8 MiB block buffer, never whole. Each block
+//!   ends at its last newline (the partial line after it starts the next
+//!   block) and is cut into about four line-aligned pieces per pool
+//!   thread, parsed in parallel, each into its own exactly reserved list
+//!   of edge records: one 16-byte `(u, v, w)` per undirected edge, a
+//!   self-loop at doubled weight. The buffer is freed before the build.
+//!   The builder ([`crate::builder`]) writes each record into both
+//!   endpoints' rows; its histogram, scatter, row finish and degree sums
+//!   all run per row range across the pool. The build peaks at the
+//!   records plus the CSR, 16 + 24 = 40 bytes per edge (an arc list would
+//!   take 32 + 24 = 56). The graph is bit-identical to a serial parse into
+//!   a [`crate::GraphBuilder`] at any pool width and block size, and a
 //!   malformed input reports its first bad line, as the serial parser
 //!   does.
 //! * **Streaming** ([`parse_edge_list_into`]): bounded memory, in place
@@ -26,15 +31,16 @@
 //!   copied), generic over [`EdgeSink`] so it also feeds the out-of-core
 //!   [`crate::stream::StreamingBuilder`].
 //!
-//! **Vertex-count bound.** The in-memory loaders size the graph by its
-//! largest id. Without a `#vertices N` directive, that count may not
-//! exceed `2 × edges + 2^20`: a graph without isolated vertices has
-//! `n <= 2m`, and the slack (8 MiB of offsets) admits hand-written files
-//! with gaps in their ids. A larger id is an `InvalidData` error naming
-//! the id and the edge count, not a multi-gigabyte allocation; a
-//! `#vertices N` directive raises the limit to `N`. The streaming parser
-//! applies no bound of its own. Both parsers reject a directive whose `N`
-//! exceeds the `2^32` vertices a `u32` id can name.
+//! **Vertex-id rule.** Both parsers apply one rule, at the end of the
+//! input. A graph is sized by its largest id; without a `#vertices N`
+//! directive, that count may not exceed `2 × edges + 2^20`: a graph
+//! without isolated vertices has `n <= 2m`, and the slack (8 MiB of
+//! offsets) admits hand-written files with gaps in their ids. A larger id
+//! is an `InvalidData` error naming the id and the edge count, returned
+//! before any vertex array is reserved, not a multi-gigabyte allocation;
+//! a `#vertices N` directive raises the limit to `N`. Both parsers also
+//! reject a directive whose `N` exceeds the `2^32` vertices a `u32` id
+//! can name.
 //!
 //! ## Binary containers
 //!
@@ -65,7 +71,7 @@
 //! |     48 | FNV-1a checksum of all section bytes   |
 //! |     56 | reserved (0)                           |
 
-use crate::builder::{EdgeSink, GraphBuilder};
+use crate::builder::{EdgeRecords, EdgeSink, Record};
 use crate::csr::{Graph, MappedGraph, VertexId};
 use std::fs::File;
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
@@ -289,6 +295,12 @@ fn parse_lines<S: EdgeSink>(buf: &[u8], lineno: &mut usize, sink: &mut S) -> io:
 /// [`write_edge_list`] reserves isolated trailing vertices. Malformed
 /// lines are reported with their 1-based line number.
 ///
+/// The vertex-id rule is [`read_edge_list`]'s: at the end of the input, a
+/// largest id beyond `2 × edges + 2^20` without a `#vertices` directive
+/// that covers it is an `InvalidData` error. The sink has then seen every
+/// edge, but a builder has reserved no vertex array yet: it does that
+/// when it is built, and the caller does not build it after an error.
+///
 /// This is the bounded-memory streaming parser, for sinks such as the
 /// out-of-core [`crate::stream::StreamingBuilder`] that must never hold
 /// the whole input. Complete lines are parsed in place in the reader's
@@ -299,6 +311,7 @@ pub fn parse_edge_list_into<R: BufRead, S: EdgeSink>(
     mut reader: R,
     sink: &mut S,
 ) -> io::Result<()> {
+    let sink = &mut Tally::new(sink);
     let mut carry: Vec<u8> = Vec::new();
     let mut lineno = 0usize;
     loop {
@@ -313,7 +326,7 @@ pub fn parse_edge_list_into<R: BufRead, S: EdgeSink>(
             if !carry.is_empty() {
                 parse_line(&carry, lineno + 1, sink)?;
             }
-            return Ok(());
+            return sink.counts.vertex_count().map(drop);
         }
         let mut pos = 0usize;
         if !carry.is_empty() {
@@ -335,29 +348,80 @@ pub fn parse_edge_list_into<R: BufRead, S: EdgeSink>(
     }
 }
 
-/// Without a `#vertices N` directive, an in-memory text load may name at
-/// most `2 × edges + UNDECLARED_VERTEX_SLACK` vertices. A graph without
+/// Without a `#vertices N` directive, a text load may name at most
+/// `2 × edges + UNDECLARED_VERTEX_SLACK` vertices. A graph without
 /// isolated vertices has `n <= 2m`; the slack (8 MiB of offsets) admits
 /// hand-written files with gaps in their ids.
 pub const UNDECLARED_VERTEX_SLACK: usize = 1 << 20;
 
-/// One chunk's parse: its arcs (in a builder that sees only the edges)
-/// plus what the vertex-count bound needs.
-struct TextChunk {
-    builder: GraphBuilder,
+/// What the vertex-count bound needs to know of the edges read so far.
+#[derive(Clone, Copy, Debug, Default)]
+struct Counts {
     edges: usize,
-    /// Largest `#vertices` count in the chunk.
+    /// Largest id + 1.
+    ids: usize,
+    /// Largest `#vertices` count.
     declared: usize,
 }
 
-impl EdgeSink for TextChunk {
+impl Counts {
+    fn merge(&mut self, other: &Counts) {
+        self.edges += other.edges;
+        self.ids = self.ids.max(other.ids);
+        self.declared = self.declared.max(other.declared);
+    }
+
+    /// The vertex-id rule of both text parsers: the vertex count of the
+    /// edges read, or an `InvalidData` error when their largest id is out
+    /// of proportion to their number (see the module docs).
+    fn vertex_count(&self) -> io::Result<usize> {
+        let Counts {
+            edges,
+            ids,
+            declared,
+        } = *self;
+        let limit = edges
+            .saturating_mul(2)
+            .saturating_add(UNDECLARED_VERTEX_SLACK)
+            .max(declared);
+        if ids > limit {
+            return Err(bad_data(format!(
+                "largest vertex id {} is out of proportion to the {edges} edges read: \
+                 without a `#vertices N` directive, an edge list may name at most \
+                 2 × edges + {UNDECLARED_VERTEX_SLACK} = {limit} vertices; \
+                 declare the vertex count with a `#vertices N` line to load it",
+                ids - 1
+            )));
+        }
+        Ok(ids.max(declared))
+    }
+}
+
+/// An [`EdgeSink`] that forwards to `sink` and keeps the [`Counts`].
+struct Tally<S> {
+    sink: S,
+    counts: Counts,
+}
+
+impl<S> Tally<S> {
+    fn new(sink: S) -> Self {
+        Self {
+            sink,
+            counts: Counts::default(),
+        }
+    }
+}
+
+impl<S: EdgeSink> EdgeSink for Tally<S> {
     fn add_edge(&mut self, u: VertexId, v: VertexId, w: f64) {
-        self.edges += 1;
-        self.builder.add_edge(u, v, w);
+        self.counts.edges += 1;
+        self.counts.ids = self.counts.ids.max(u.max(v) as usize + 1);
+        self.sink.add_edge(u, v, w);
     }
 
     fn reserve_vertices(&mut self, n: usize) {
-        self.declared = self.declared.max(n);
+        self.counts.declared = self.counts.declared.max(n);
+        self.sink.reserve_vertices(n);
     }
 }
 
@@ -381,72 +445,70 @@ fn line_cuts(text: &[u8], chunks: usize) -> Vec<usize> {
     cuts
 }
 
-/// The in-memory text loader behind [`read_edge_list`] and
-/// [`load_edge_list`]: the whole input in one buffer, parsed in
-/// line-aligned chunks across the pool, then built by
-/// [`crate::builder::build_from_arcs`].
+/// Bytes of text the in-memory loader reads, and then parses across the
+/// pool, at a time. Below 8 MiB, the detect that follows a load took more
+/// page faults on the benchmark inputs: glibc's mmap threshold grows to
+/// the largest block freed, and smaller blocks leave it below the buffers
+/// detect allocates.
+const TEXT_BLOCK_BYTES: usize = 8 << 20;
+
+/// Chunks per pool thread of each block: more than one so uneven chunks
+/// balance.
+const TEXT_CHUNKS_PER_THREAD: usize = 4;
+
+/// The in-memory text loader behind [`read_edge_list`]: the input is read
+/// through one reused buffer of `block_bytes`, each block parsed in
+/// `chunks` line-aligned pieces across the pool into edge records, and the
+/// records built by [`crate::builder::build_from_edges`].
 ///
-/// A first pool pass counts each chunk's newlines, which gives every
-/// chunk its first line number and its exact arc reservation (two arcs
-/// per line, so no arc list reallocates). A second pass parses each chunk
-/// into its own arc list with [`parse_lines`]. The lists are handed to the
-/// build in chunk order and never concatenated, so the graph is
-/// bit-identical to the serial parse at any chunk count. A malformed line
-/// stops its chunk; the earliest chunk's error is returned, which is the
-/// error of the first bad line, with its global line number. The text is
-/// dropped before the build starts.
-pub(crate) fn parse_text_chunked(text: Vec<u8>, chunks: usize) -> io::Result<Graph> {
-    let cuts = line_cuts(&text, chunks.max(1));
-    let pieces: Vec<&[u8]> = cuts.windows(2).map(|c| &text[c[0]..c[1]]).collect();
-    let newlines = rayon::par_map_tasks(pieces.clone(), |piece| {
-        piece.iter().filter(|&&b| b == b'\n').count()
-    });
-    let mut tasks = Vec::with_capacity(pieces.len());
-    let mut first_line = 0usize;
-    for (piece, &nl) in pieces.into_iter().zip(&newlines) {
-        tasks.push((piece, first_line, nl));
-        first_line += nl;
-    }
-    let parsed = rayon::par_map_tasks(tasks, |(piece, mut lineno, newlines)| {
-        // Only the last piece can end in a line without a newline.
-        let lines = newlines + usize::from(piece.last().is_some_and(|&b| b != b'\n'));
-        let mut sink = TextChunk {
-            builder: GraphBuilder::with_capacity(0, lines),
-            edges: 0,
-            declared: 0,
+/// A block ends at its last newline; the partial line after it moves to
+/// the front of the buffer and the next read fills in behind it, and a
+/// line longer than the whole buffer doubles it. Within a block, a first
+/// pool pass counts each piece's newlines, which gives every piece its
+/// first line number and its exact record reservation (one per line, so no
+/// list reallocates). A second pass parses each piece into its own list
+/// with [`parse_lines`]. The lists go to the build in stream order and are
+/// never concatenated, so the graph is bit-identical to the serial parse
+/// at any block size and chunk count. A malformed line stops its piece;
+/// the earliest piece's error is returned, which is the error of the first
+/// bad line, with its global line number. The buffer is freed before the
+/// build starts.
+fn parse_text_blocks<R: Read>(
+    mut reader: R,
+    block_bytes: usize,
+    chunks: usize,
+) -> io::Result<Graph> {
+    let mut block = vec![0u8; block_bytes.max(1)];
+    let (mut filled, mut lineno) = (0usize, 0usize);
+    let mut counts = Counts::default();
+    let mut records = Vec::new();
+    loop {
+        let eof = fill_block(&mut reader, &mut block, &mut filled)?;
+        let cut = if eof {
+            filled
+        } else if let Some(nl) = block.iter().rposition(|&b| b == b'\n') {
+            nl + 1
+        } else {
+            block.resize(2 * block.len(), 0);
+            continue;
         };
-        let done = parse_lines(piece, &mut lineno, &mut sink)?;
-        if done < piece.len() {
-            parse_line(&piece[done..], lineno + 1, &mut sink)?;
+        parse_block(
+            &block[..cut],
+            chunks,
+            &mut lineno,
+            &mut counts,
+            &mut records,
+        )?;
+        block.copy_within(cut..filled, 0);
+        filled -= cut;
+        if eof {
+            break;
         }
-        Ok(sink)
-    });
-    drop(text);
-    let parts = parsed.into_iter().collect::<io::Result<Vec<TextChunk>>>()?;
-    let edges: usize = parts.iter().map(|p| p.edges).sum();
-    let ids = parts
-        .iter()
-        .map(|p| p.builder.num_vertices())
-        .max()
-        .unwrap_or(0);
-    let declared = parts.iter().map(|p| p.declared).max().unwrap_or(0);
-    let limit = edges
-        .saturating_mul(2)
-        .saturating_add(UNDECLARED_VERTEX_SLACK)
-        .max(declared);
-    if ids > limit {
-        return Err(bad_data(format!(
-            "largest vertex id {} is out of proportion to the {edges} edges read: \
-             without a `#vertices N` directive, an edge list may name at most \
-             2 × edges + {UNDECLARED_VERTEX_SLACK} = {limit} vertices; \
-             declare the vertex count with a `#vertices N` line to load it",
-            ids - 1
-        )));
     }
-    let arcs = parts.into_iter().map(|p| p.builder.into_arcs()).collect();
-    let n = ids.max(declared);
-    crate::builder::build_from_arcs(n, arcs).map_err(|e| {
-        bad_data(if declared == n {
+    drop(block);
+    let n = counts.vertex_count()?;
+    crate::builder::build_from_edges(n, records).map_err(|e| {
+        bad_data(if counts.declared == n {
             format!("`#vertices {n}`: cannot reserve the vertex arrays of a {n}-vertex graph ({e})")
         } else {
             format!("cannot reserve the vertex arrays of a {n}-vertex graph ({e})")
@@ -454,25 +516,84 @@ pub(crate) fn parse_text_chunked(text: Vec<u8>, chunks: usize) -> io::Result<Gra
     })
 }
 
-/// Chunks per pool thread of the in-memory text loader: more than one so
-/// uneven chunks balance.
-const TEXT_CHUNKS_PER_THREAD: usize = 4;
+/// Reads into `block[*filled..]` until it is full or the input ends;
+/// returns whether the input ended.
+fn fill_block<R: Read>(reader: &mut R, block: &mut [u8], filled: &mut usize) -> io::Result<bool> {
+    while *filled < block.len() {
+        match reader.read(&mut block[*filled..]) {
+            Ok(0) => return Ok(true),
+            Ok(read) => *filled += read,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(false)
+}
+
+/// Counts the `\n` bytes of `text`, in runs of 255 whose byte-wide sums
+/// cannot overflow, so the compare-and-add vectorises: about four times
+/// faster than counting one byte at a time.
+fn count_newlines(text: &[u8]) -> usize {
+    text.chunks(255)
+        .map(|run| run.iter().map(|&b| u8::from(b == b'\n')).sum::<u8>() as usize)
+        .sum()
+}
+
+/// Parses one block of whole lines (the last may lack its newline only at
+/// the end of the input) across the pool, numbering them on from
+/// `*lineno`: each piece's edge records are appended to `records` in
+/// order, and its counts merged into `counts`.
+fn parse_block(
+    text: &[u8],
+    chunks: usize,
+    lineno: &mut usize,
+    counts: &mut Counts,
+    records: &mut Vec<Vec<Record>>,
+) -> io::Result<()> {
+    let cuts = line_cuts(text, chunks.max(1));
+    let pieces: Vec<&[u8]> = cuts.windows(2).map(|c| &text[c[0]..c[1]]).collect();
+    let newlines = rayon::par_map_tasks(pieces.clone(), count_newlines);
+    let mut tasks = Vec::with_capacity(pieces.len());
+    for (piece, &nl) in pieces.into_iter().zip(&newlines) {
+        tasks.push((piece, *lineno, nl));
+        *lineno += nl;
+    }
+    let parsed = rayon::par_map_tasks(tasks, |(piece, mut lineno, newlines)| {
+        // Only the input's last piece can end in a line without a newline.
+        let lines = newlines + usize::from(piece.last().is_some_and(|&b| b != b'\n'));
+        let mut sink = Tally::new(EdgeRecords(Vec::with_capacity(lines)));
+        let done = parse_lines(piece, &mut lineno, &mut sink)?;
+        if done < piece.len() {
+            parse_line(&piece[done..], lineno + 1, &mut sink)?;
+        }
+        Ok::<_, io::Error>(sink)
+    });
+    for part in parsed {
+        let part = part?;
+        counts.merge(&part.counts);
+        if !part.sink.0.is_empty() {
+            records.push(part.sink.0);
+        }
+    }
+    Ok(())
+}
 
 /// Parses a whole edge-list from a reader into a [`Graph`], in memory and
 /// in parallel (see the module docs). The format is that of
-/// [`parse_edge_list_into`]. The graph is bit-identical to a serial parse
-/// at any pool width.
-///
-/// Without a `#vertices N` directive, the vertex count (largest id + 1)
-/// may not exceed `2 × edges + 2^20`; a larger id is an `InvalidData`
-/// error rather than a multi-gigabyte allocation. A directive raises the
-/// limit to its `N`. Use [`parse_edge_list_into`] with a
-/// [`crate::stream::StreamingBuilder`] for inputs that must not be held
-/// in memory.
-pub fn read_edge_list<R: Read>(mut reader: R) -> io::Result<Graph> {
-    let mut text = Vec::new();
-    reader.read_to_end(&mut text)?;
-    parse_text_chunked(text, TEXT_CHUNKS_PER_THREAD * rayon::current_parallelism())
+/// [`parse_edge_list_into`], and so is the vertex-id rule: without a
+/// `#vertices N` directive, the vertex count (largest id + 1) may not
+/// exceed `2 × edges + 2^20`; a larger id is an `InvalidData` error rather
+/// than a multi-gigabyte allocation. A directive raises the limit to its
+/// `N`. The graph is bit-identical to a serial parse into a
+/// [`crate::GraphBuilder`] at any pool width. Use [`parse_edge_list_into`]
+/// with a [`crate::stream::StreamingBuilder`] for inputs that must not be
+/// held in memory.
+pub fn read_edge_list<R: Read>(reader: R) -> io::Result<Graph> {
+    parse_text_blocks(
+        reader,
+        TEXT_BLOCK_BYTES,
+        TEXT_CHUNKS_PER_THREAD * rayon::current_parallelism(),
+    )
 }
 
 /// Loads an edge-list file. See [`read_edge_list`].
@@ -823,7 +944,14 @@ pub fn load_binary_mapped<P: AsRef<Path>>(path: P) -> io::Result<MappedGraph> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stream::StreamingBuilder;
+    use crate::GraphBuilder;
     use std::io::Cursor;
+
+    /// The whole text as one block, parsed in `chunks` pieces.
+    fn parse_text_chunked(text: Vec<u8>, chunks: usize) -> io::Result<Graph> {
+        parse_text_blocks(text.as_slice(), text.len(), chunks)
+    }
 
     fn sample() -> Graph {
         let mut b = GraphBuilder::new(4);
@@ -921,16 +1049,18 @@ mod tests {
     }
 
     /// The per-line parser the buffered one replaced: `read_until` each
-    /// line into a buffer, then the general tokenizer. The reference for
-    /// edges, weight bits, reservations, line numbers and errors.
+    /// line into a buffer, then the general tokenizer, and the vertex-id
+    /// rule at the end. The reference for edges, weight bits,
+    /// reservations, line numbers and errors.
     fn reference_parse(text: &[u8], sink: &mut Recorder) -> io::Result<()> {
         let mut reader = Cursor::new(text);
         let mut line = Vec::new();
         let mut lineno = 0usize;
+        let sink = &mut Tally::new(sink);
         loop {
             line.clear();
             if reader.read_until(b'\n', &mut line)? == 0 {
-                return Ok(());
+                return sink.counts.vertex_count().map(drop);
             }
             lineno += 1;
             parse_line(&line, lineno, sink)?;
@@ -1061,6 +1191,87 @@ mod tests {
         }
     }
 
+    /// One edge line over ids `0..120` (so duplicates in both directions
+    /// and self-loops are common and rows arrive unsorted) in one of four
+    /// shapes, with the weight [`GraphBuilder::add_edge`] must see.
+    fn edge_line(u: u32, v: u32, c: u32, shape: usize) -> (String, f64) {
+        let frac = format!("{}.{}", c / 10, c % 10);
+        let w: f64 = frac.parse().unwrap();
+        match shape {
+            0 => (format!("{u} {v}\n"), 1.0),
+            1 => (format!("{u} {v} {c}\n"), c as f64),
+            2 => (format!("{u} {v} {frac}\r\n"), w),
+            _ => (format!("{u}\t{v}\t{frac}\n"), w),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(12))]
+
+        /// The block loader builds `GraphBuilder::build`'s graph, bit for
+        /// bit, through `read_edge_list` at pool widths 1, 2 and 8, and at
+        /// block sizes down to a few bytes, where most lines straddle two
+        /// blocks. The input has a few thousand edges with duplicates,
+        /// self-loops, unsorted rows, fractional weights, CRLF line ends
+        /// and a `#vertices` line somewhere in the middle.
+        #[test]
+        fn block_load_matches_graph_builder(
+            edges in proptest::collection::vec((0u32..120, 0u32..120, 0u32..1000, 0usize..4), 1000..3000),
+            declared in 0usize..200,
+            at in 0usize..3000,
+        ) {
+            let mut text = String::new();
+            let mut builder = GraphBuilder::new(0);
+            for (i, &(u, v, c, shape)) in edges.iter().enumerate() {
+                if i == at % edges.len() {
+                    text.push_str(&format!("#vertices {declared}\n"));
+                    builder.reserve_vertices(declared);
+                }
+                let (line, w) = edge_line(u % 120, v % 120, c, shape);
+                text.push_str(&line);
+                builder.add_edge(u % 120, v % 120, w);
+            }
+            let expect = rayon::with_parallelism(1, || builder.build());
+            for width in [1usize, 2, 8] {
+                let got = rayon::with_parallelism(width, || {
+                    read_edge_list(Cursor::new(text.as_bytes())).unwrap()
+                });
+                assert_bit_identical(&got, &expect);
+            }
+            for block in [3usize, 29, 1000] {
+                let got = rayon::with_parallelism(2, || {
+                    parse_text_blocks(text.as_bytes(), block, 8).unwrap()
+                });
+                assert_bit_identical(&got, &expect);
+            }
+        }
+    }
+
+    #[test]
+    fn block_load_reports_a_bad_line_that_starts_a_block() {
+        let good: String = (0..40)
+            .map(|i| format!("{} {}\n", i % 9, (i * 7) % 11))
+            .collect();
+        for (bad, want) in [
+            ("3 x4\n5 6\n", "line 41: invalid target 'x4'"),
+            ("7\n8 9\n", "line 41: missing target"),
+            ("3 4 -1", "line 41: invalid weight '-1'"),
+        ] {
+            let text = format!("{good}{bad}");
+            let expect = serial_load(text.as_bytes()).unwrap_err().to_string();
+            assert!(expect.contains(want), "{expect}");
+            // The first block is exactly the good lines.
+            for width in [1usize, 2, 8] {
+                let err = rayon::with_parallelism(width, || {
+                    parse_text_blocks(text.as_bytes(), good.len(), 4 * width)
+                })
+                .unwrap_err();
+                assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+                assert_eq!(err.to_string(), expect, "width {width}");
+            }
+        }
+    }
+
     #[test]
     fn chunked_load_reports_the_first_bad_line_like_the_serial_parser() {
         let good: String = (0..40)
@@ -1107,10 +1318,39 @@ mod tests {
             read_edge_list(Cursor::new(text)).unwrap().num_vertices(),
             limit + 1
         );
-        // The streaming parser applies no bound of its own.
+        // The streaming parser applies the same rule.
         let mut b = GraphBuilder::new(0);
-        parse_edge_list_into(Cursor::new(format!("0 {limit}\n")), &mut b).unwrap();
-        assert_eq!(b.num_vertices(), limit + 1);
+        parse_edge_list_into(Cursor::new(format!("0 {}\n", limit - 1)), &mut b).unwrap();
+        assert_eq!(b.num_vertices(), limit);
+        let err = parse_edge_list_into(Cursor::new(format!("0 {limit}\n")), &mut b).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn streaming_parse_rejects_a_huge_id_before_any_vertex_array() {
+        // Into the out-of-core builder, which reserves its vertex arrays
+        // only when it is finished: the parse fails first.
+        let mut sink = StreamingBuilder::new(0);
+        let err = parse_edge_list_into(Cursor::new("0 4000000000\n"), &mut sink).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let msg = err.to_string();
+        for want in ["id 4000000000", "1 edges", "#vertices"] {
+            assert!(msg.contains(want), "{want}: {msg}");
+        }
+        assert_eq!(
+            err.to_string(),
+            read_edge_list(Cursor::new("0 4000000000\n"))
+                .unwrap_err()
+                .to_string()
+        );
+        // A directive that covers the id admits it.
+        let mut sink = StreamingBuilder::new(0);
+        parse_edge_list_into(
+            Cursor::new("#vertices 4000000001\n0 4000000000\n"),
+            &mut sink,
+        )
+        .unwrap();
+        assert_eq!(sink.num_vertices(), 4_000_000_001);
     }
 
     #[test]

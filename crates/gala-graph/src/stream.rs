@@ -326,7 +326,7 @@ impl StreamingBuilder {
             // throughput (the `--gate` floor in bench_ingest).
             let mut chunk = std::mem::take(&mut self.chunk);
             chunk.shrink_to_fit();
-            crate::builder::build_from_arcs(n, vec![chunk])
+            crate::builder::build_from_arcs(n, chunk)
                 .map_err(|e| io::Error::new(io::ErrorKind::OutOfMemory, e))?
         } else {
             self.spill_chunk()?;
