@@ -3,7 +3,7 @@
 //!
 //! For every [`KernelKind`] this binary runs full Louvain through the
 //! simulated *and* the native backend on the same seeded SBM graph,
-//! collects both runs' schema-4 `profile` events in-process, joins them
+//! derives both runs' span charges in-process, joins them
 //! through [`Attribution`], and reports the fitted clock plus the decide
 //! and contract residuals per kernel — the same join `gala profile`
 //! performs on trace files, exercised here without any file plumbing so
@@ -44,16 +44,13 @@ fn kernels() -> [(&'static str, KernelKind); 6] {
     ]
 }
 
-/// Runs one backend and returns its partition plus profile events as
-/// `(unit, spans)` pairs.
+/// Runs one backend and returns its partition plus the profile of every
+/// span event.
 fn traced_run(
     graph: &Graph,
     kernel: KernelKind,
     backend: BackendKind,
-) -> (
-    gala_graph::Partition,
-    Vec<(String, Vec<gala_telemetry::ProfileSpan>)>,
-) {
+) -> (gala_graph::Partition, Vec<PhaseProfile>) {
     let mut sink = VecSink::default();
     let result = Louvain::new(LouvainConfig {
         kernel,
@@ -65,7 +62,7 @@ fn traced_run(
         .events
         .into_iter()
         .filter_map(|e| match e {
-            TraceEvent::Profile(PhaseProfile { unit, spans, .. }) => Some((unit, spans)),
+            TraceEvent::Span(tree) => Some(tree.profile().expect("a span names its backend")),
             _ => None,
         })
         .collect();
@@ -81,8 +78,8 @@ fn attribute(graph: &Graph, name: &str, kernel: KernelKind) -> AttributionReport
         "{name}: backends diverged on assignments"
     );
     let mut attr = Attribution::new();
-    for (unit, spans) in &sim_profiles {
-        assert_eq!(unit, "cycles", "{name}: sim trace must charge cycles");
+    for PhaseProfile { unit, spans } in &sim_profiles {
+        assert_eq!(*unit, "cycles", "{name}: sim trace must charge cycles");
         for span in spans {
             assert_eq!(
                 span.components.total(),
@@ -93,8 +90,8 @@ fn attribute(graph: &Graph, name: &str, kernel: KernelKind) -> AttributionReport
         }
         attr.add_sim(spans);
     }
-    for (unit, spans) in &native_profiles {
-        assert_eq!(unit, "ns", "{name}: native trace must charge wall ns");
+    for PhaseProfile { unit, spans } in &native_profiles {
+        assert_eq!(*unit, "ns", "{name}: native trace must charge wall ns");
         attr.add_native(spans);
     }
     attr.resolve()

@@ -23,8 +23,8 @@ use gala_gpu::memory::{CostModel, MemTally};
 use gala_gpu::profile::{Profiler, SpanRecord};
 use gala_telemetry::recorder::{self, ProgressSnapshot};
 use gala_telemetry::{
-    direction, json, judge, read_trace, DeviceSync, MetricsRegistry, MetricsSnapshot, PhaseProfile,
-    RunEnd, RunStart, SpanTree, Superstep, TraceEvent, Verdict,
+    direction, json, judge, read_trace, DeviceSync, MetricsRegistry, MetricsSnapshot, RunEnd,
+    RunStart, SpanTree, Superstep, TraceEvent, Verdict,
 };
 
 /// Exchange accounting lifted from a partitioned `contract` span (the
@@ -48,6 +48,11 @@ struct ExchangeCheck {
 #[derive(Clone, Debug)]
 struct SpanCheck {
     phase: String,
+    /// The backend the span names; empty before schema 6.
+    backend: String,
+    /// The unit [`SpanTree::profile`] charges the tree in; `None` when
+    /// the backend is empty or unknown.
+    unit: Option<&'static str>,
     tally: MemTally,
     /// Present only on partitioned phase-2 contract spans.
     exchange: Option<ExchangeCheck>,
@@ -62,7 +67,6 @@ struct Trace {
     syncs: Vec<DeviceSync>,
     span_checks: Vec<SpanCheck>,
     metrics: Vec<MetricsSnapshot>,
-    profiles: Vec<PhaseProfile>,
     /// Individual span trees, retained only when loaded with
     /// `keep_spans` (the chrome-trace exporter); empty otherwise.
     span_trees: Vec<SpanTree>,
@@ -74,6 +78,13 @@ struct Trace {
     round_ends: u64,
     run_end: Option<RunEnd>,
     events: usize,
+}
+
+impl Trace {
+    /// The span trees whose charges [`SpanTree::profile`] derives.
+    fn profiled(&self) -> impl Iterator<Item = &SpanCheck> {
+        self.span_checks.iter().filter(|s| s.unit.is_some())
+    }
 }
 
 /// Loads a trace file through [`read_trace`], which rejects unknown
@@ -114,6 +125,8 @@ fn load_trace_with_spans(path: &str, keep_spans: bool) -> Result<Trace, Error> {
                     });
                 trace.span_checks.push(SpanCheck {
                     phase: tree.phase.clone(),
+                    unit: tree.profile().map(|p| p.unit),
+                    backend: tree.backend.clone(),
                     tally: tree.root.total_tally(),
                     exchange,
                 });
@@ -122,7 +135,6 @@ fn load_trace_with_spans(path: &str, keep_spans: bool) -> Result<Trace, Error> {
                 }
                 merger.absorb(tree.root);
             }
-            TraceEvent::Profile(e) => trace.profiles.push(e),
             TraceEvent::Metrics(e) => trace.metrics.push(e),
             TraceEvent::Progress(e) => trace.progress.push(e),
             TraceEvent::RoundEnd(_) => trace.round_ends += 1,
@@ -190,6 +202,11 @@ fn check(path: &str, trace: &Trace) -> Result<String, Error> {
     for (i, ev) in trace.span_checks.iter().enumerate() {
         if ev.phase != "phase1" && ev.phase != "contract" {
             return Err(format!("{path}: span tree {i} has unknown phase `{}`", ev.phase).into());
+        }
+        if ev.unit.is_none() && !ev.backend.is_empty() {
+            return Err(
+                format!("{path}: span tree {i} has unknown backend `{}`", ev.backend).into(),
+            );
         }
         let t = ev.tally;
         if t.simt_active_lanes > t.simt_steps * 32 || t.coalesce_ideal > t.coalesce_transactions {
@@ -274,31 +291,6 @@ fn check(path: &str, trace: &Trace) -> Result<String, Error> {
             .into());
         }
     }
-    for (i, ev) in trace.profiles.iter().enumerate() {
-        let at = format!("{path}: profile event {i}");
-        if ev.unit != "cycles" && ev.unit != "ns" {
-            return Err(format!("{at} has unknown unit `{}`", ev.unit).into());
-        }
-        if ev.phase != "phase1" && ev.phase != "contract" {
-            return Err(format!("{at} has unknown phase `{}`", ev.phase).into());
-        }
-        for span in &ev.spans {
-            if !span.total.is_finite() || span.total < 0.0 {
-                return Err(format!("{at}: span `{}` has a bad total", span.path).into());
-            }
-            // Sim charges are derived from integer-weighted tallies, so the
-            // partition is exact — any gap means a corrupted event.
-            if ev.unit == "cycles" && span.components.total() != span.total {
-                return Err(format!(
-                    "{at}: span `{}` components sum to {} but total is {}",
-                    span.path,
-                    span.components.total(),
-                    span.total
-                )
-                .into());
-            }
-        }
-    }
     for (i, p) in trace.progress.iter().enumerate() {
         p.check().map_err(|e| {
             format!(
@@ -339,7 +331,7 @@ fn check(path: &str, trace: &Trace) -> Result<String, Error> {
         trace.span_checks.len(),
         trace.syncs.len(),
         trace.metrics.len(),
-        trace.profiles.len(),
+        trace.profiled().count(),
         trace.progress.len(),
         end.modularity,
     ))
@@ -643,22 +635,24 @@ fn render_metrics(trace: &Trace) -> String {
     out
 }
 
-/// Profile-event section: a one-line inventory pointing at `gala
-/// profile` (the join itself needs a second trace). Empty for pre-schema-4
-/// traces so older golden outputs stay valid.
+/// Profile section: a one-line inventory of the span trees whose charges
+/// [`SpanTree::profile`] derives, pointing at `gala profile` (the join
+/// itself needs a second trace). Empty for traces before schema 6, whose
+/// spans name no backend, so older golden outputs stay valid.
 fn render_profiles(trace: &Trace) -> String {
-    if trace.profiles.is_empty() {
+    let profiled: Vec<&SpanCheck> = trace.profiled().collect();
+    if profiled.is_empty() {
         return String::new();
     }
-    let cycles = trace.profiles.iter().filter(|p| p.unit == "cycles").count();
-    let mut backends: Vec<&str> = trace.profiles.iter().map(|p| p.backend.as_str()).collect();
+    let cycles = profiled.iter().filter(|s| s.unit == Some("cycles")).count();
+    let mut backends: Vec<&str> = profiled.iter().map(|s| s.backend.as_str()).collect();
     backends.sort_unstable();
     backends.dedup();
     format!(
         "\nprofile events: {} ({cycles} cycle-charged, {} wall-ns; backends {}) — \
          pair with the other backend's trace via `gala profile`\n",
-        trace.profiles.len(),
-        trace.profiles.len() - cycles,
+        profiled.len(),
+        profiled.len() - cycles,
         backends.join(", "),
     )
 }
@@ -1321,16 +1315,22 @@ mod tests {
     #[test]
     fn profile_events_decode_check_and_render() {
         let path = write_fixture_trace("profiles");
-        let trace = load_trace(&path).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
         assert!(
-            !trace.profiles.is_empty(),
-            "instrumented run must emit profile events"
+            !text.contains("\"event\":\"profile\""),
+            "no stored profiles"
         );
-        for ev in &trace.profiles {
-            assert_eq!(ev.backend, "sim");
-            assert_eq!(ev.unit, "cycles");
+        let trace = load_trace_with_spans(&path, true).unwrap();
+        assert!(
+            !trace.span_checks.is_empty(),
+            "instrumented run must emit span events"
+        );
+        for ev in &trace.span_checks {
+            assert_eq!((ev.backend.as_str(), ev.unit), ("sim", Some("cycles")));
             assert!(ev.phase == "phase1" || ev.phase == "contract");
-            for span in &ev.spans {
+        }
+        for tree in &trace.span_trees {
+            for span in tree.profile().unwrap().spans {
                 assert_eq!(span.components.total(), span.total, "{}", span.path);
             }
         }
@@ -1345,25 +1345,26 @@ mod tests {
     #[test]
     fn check_rejects_bad_profile_events() {
         let path = write_fixture_trace("badprofiles");
+        let text = std::fs::read_to_string(&path).unwrap();
         let trace = load_trace(&path).unwrap();
-        let mut bad_unit = trace.clone();
-        bad_unit.profiles[0].unit = "seconds".into();
-        let err = check(&path, &bad_unit).unwrap_err().to_string();
-        assert!(err.contains("unknown unit"), "{err}");
         let mut bad_phase = trace.clone();
-        bad_phase.profiles[0].phase = "phase9".into();
+        bad_phase.span_checks[0].phase = "phase9".into();
         let err = check(&path, &bad_phase).unwrap_err().to_string();
         assert!(err.contains("unknown phase"), "{err}");
-        let mut bad_sum = trace;
-        let ev = bad_sum
-            .profiles
-            .iter_mut()
-            .find(|p| p.spans.iter().any(|s| s.total > 0.0))
-            .expect("a charged profile event");
-        let span = ev.spans.iter_mut().find(|s| s.total > 0.0).unwrap();
-        span.components.compute += 1.0;
-        let err = check(&path, &bad_sum).unwrap_err().to_string();
-        assert!(err.contains("components sum"), "{err}");
+        // A backend no unit belongs to fails the check.
+        let gpu = text.replacen("\"backend\":\"sim\"", "\"backend\":\"gpu\"", 1);
+        std::fs::write(&path, gpu).unwrap();
+        let trace = load_trace(&path).unwrap();
+        let err = check(&path, &trace).unwrap_err().to_string();
+        assert!(
+            err.contains("span tree 0 has unknown backend `gpu`"),
+            "{err}"
+        );
+        // So does a tally count that is not an integer, at load time.
+        let negative = text.replacen("\"global_loads\":", "\"global_loads\":-", 1);
+        std::fs::write(&path, negative).unwrap();
+        let err = load_trace(&path).unwrap_err().to_string();
+        assert!(err.contains("non-integer tally `global_loads`"), "{err}");
         let _ = std::fs::remove_file(path);
     }
 
@@ -1444,7 +1445,7 @@ mod tests {
             let summary = check(path, &load_trace(path).unwrap()).unwrap();
             assert!(summary.starts_with("ok:"), "{path}: {summary}");
         }
-        // The golden streams are schema 5, what this build writes: every
+        // The golden streams are schema 6, what this build writes: every
         // line decodes and renders back to the same bytes.
         for path in &paths[..stems.len()] {
             let text = std::fs::read_to_string(path).unwrap();

@@ -304,9 +304,9 @@ pub struct AnalyzeArgs {
 /// The `profile` subcommand's options.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ProfileArgs {
-    /// Trace with simulated-cycle `profile` events (unit `cycles`).
+    /// Trace of a `sim` backend run (spans charge cycles).
     pub sim_trace: String,
-    /// Trace with wall-clock `profile` events (unit `ns`).
+    /// Trace of a `native` backend run (spans charge wall ns).
     pub native_trace: String,
     /// Kernel rows to print in the roofline table.
     pub top: usize,

@@ -1,17 +1,17 @@
 //! `gala profile`: sim↔native cost attribution from paired traces.
 //!
-//! Loads the schema-4 `profile` events of two trace files — one produced
-//! by the simulated backend (component cycle charges) and one by the
-//! native backend (wall nanoseconds) — joins them span-by-span through
-//! [`Attribution`], and renders a roofline-style table: per kernel, the
-//! predicted-cycle component stack, arithmetic/memory intensity, and the
-//! calibration residual against the fitted clock. Kernels more than 2σ
-//! from the fleet mean are flagged.
+//! Derives the span charges ([`gala_telemetry::SpanTree::profile`]) of
+//! two trace files — one produced by the simulated backend (component
+//! cycle charges) and one by the native backend (wall nanoseconds) — joins
+//! them span-by-span through [`Attribution`], and renders a roofline-style
+//! table: per kernel, the predicted-cycle component stack,
+//! arithmetic/memory intensity, and the calibration residual against the
+//! fitted clock. Kernels more than 2σ from the fleet mean are flagged.
 //!
-//! Events are dispatched by their `unit` field, not by which file they
-//! came from: a Leiden sim trace legitimately mixes host-`ns` phase-1
-//! events with sim-`cycles` contract events, and only the cycle-charged
-//! side feeds the sim accumulator. `--write-calibration` persists the fit
+//! Profiles are dispatched by their unit, not by which file they came
+//! from: a Leiden sim trace legitimately mixes host-`ns` phase-1 spans
+//! with sim-`cycles` contract spans, and only the cycle-charged side
+//! feeds the sim accumulator. `--write-calibration` persists the fit
 //! as a [`Calibration`]; `--gate` compares a fresh profile against a
 //! stored one and exits non-zero on drift, closing the loop the ROADMAP's
 //! cost-model calibration item asks for.
@@ -28,22 +28,23 @@ use gala_telemetry::{
     TraceEvent,
 };
 
-/// Streams one trace file through [`read_trace`], keeping only its
-/// `profile` events.
+/// Streams one trace file through [`read_trace`], deriving the profile of
+/// each of its `span` events.
 fn load_profiles(path: &str) -> Result<Vec<PhaseProfile>, Error> {
     let mut profiles = Vec::new();
     read_trace(path, |event| {
-        if let TraceEvent::Profile(p) = event {
-            if p.unit != "cycles" && p.unit != "ns" {
-                return Err(format!("unknown profile unit `{}`", p.unit));
+        if let TraceEvent::Span(tree) = event {
+            match tree.profile() {
+                Some(p) => profiles.push(p),
+                None if tree.backend.is_empty() => {}
+                None => return Err(format!("span has unknown backend `{}`", tree.backend)),
             }
-            profiles.push(p);
         }
         Ok(())
     })?;
     if profiles.is_empty() {
         return Err(format!(
-            "{path}: no profile events (trace written by a pre-schema-4 build? \
+            "{path}: no span events naming their backend (traces need schema 6; \
              re-run `gala detect --trace` with this build)"
         )
         .into());
@@ -51,7 +52,7 @@ fn load_profiles(path: &str) -> Result<Vec<PhaseProfile>, Error> {
     Ok(profiles)
 }
 
-/// Feeds one file's profile events into the join, dispatching on `unit`.
+/// Feeds one file's profiles into the join, dispatching on `unit`.
 fn feed(attr: &mut Attribution, profiles: &[PhaseProfile]) {
     for p in profiles {
         if p.unit == "cycles" {
@@ -100,7 +101,7 @@ fn render_report(
 ) -> String {
     let flagged = report.kernels.iter().filter(|k| k.flagged).count();
     let mut out = format!(
-        "profile: {sim_path} ({} profile events) vs {native_path} ({} profile events)\n",
+        "profile: {sim_path} ({} span trees) vs {native_path} ({} span trees)\n",
         sim.len(),
         native.len()
     );
@@ -462,7 +463,23 @@ mod tests {
         )
         .unwrap();
         let err = load_profiles(&path).unwrap_err().to_string();
-        assert!(err.contains("no profile events"), "{err}");
+        assert!(err.contains("no span events naming their backend"), "{err}");
+        // A schema-5 span names no backend, so it has no profile to join.
+        let span = |schema: u64, backend: &str| {
+            format!(
+                "{{\"event\":\"span\",\"schema\":{schema},\"round\":0,\"superstep\":0,\
+                 \"phase\":\"phase1\",{backend}\"root\":{{\"name\":\"\",\"invocations\":0}}}}\n"
+            )
+        };
+        std::fs::write(&path, span(5, "")).unwrap();
+        let err = load_profiles(&path).unwrap_err().to_string();
+        assert!(err.contains("schema 6"), "{err}");
+        std::fs::write(&path, span(SCHEMA_VERSION, "\"backend\":\"gpu\",")).unwrap();
+        let err = load_profiles(&path).unwrap_err().to_string();
+        assert!(
+            err.ends_with("line 1: span has unknown backend `gpu`"),
+            "{err}"
+        );
         // Schema violations name the offending event index and schema.
         std::fs::write(
             &path,
@@ -485,11 +502,11 @@ mod tests {
         std::fs::write(
             &native,
             format!(
-                "{{\"event\":\"profile\",\"schema\":{SCHEMA_VERSION},\"round\":0,\
-                 \"superstep\":0,\"phase\":\"phase1\",\"backend\":\"native\",\"unit\":\"ns\",\
-                 \"spans\":[{{\"path\":\"elsewhere\",\"invocations\":1,\"total\":100.0,\
-                 \"components\":{{\"compute\":100.0,\"shared_mem\":0,\"global_coalesced\":0,\
-                 \"global_uncoalesced\":0,\"atomics\":0,\"scan_sort\":0,\"sync\":0}}}}]}}\n"
+                "{{\"event\":\"span\",\"schema\":{SCHEMA_VERSION},\"round\":0,\
+                 \"superstep\":0,\"phase\":\"phase1\",\"backend\":\"native\",\
+                 \"root\":{{\"name\":\"\",\"invocations\":0,\"children\":[{{\
+                 \"name\":\"elsewhere\",\"invocations\":1,\
+                 \"counters\":{{\"elapsed_ns\":100}}}}]}}}}\n"
             ),
         )
         .unwrap();

@@ -26,12 +26,11 @@
 use crate::kernels::hashtable::{HashConfig, TableStats};
 use crate::kernels::{self, DecideOutput, DecideScratch, KernelKind};
 use crate::state::BspState;
-use gala_gpu::memory::{CostModel, MemTally};
-use gala_gpu::profile::{Profiler, SpanRecord};
+use gala_gpu::memory::MemTally;
+use gala_gpu::profile::Profiler;
 use gala_graph::coarsen::{self, coarsen_into, CoarsenScratch, Coarsened};
 use gala_graph::partition::CommunityId;
 use gala_graph::{Graph, Partition, VertexId};
-use gala_telemetry::{profile_spans, profile_spans_wall, PhaseProfile, TraceEvent};
 use std::fmt;
 use std::str::FromStr;
 use std::time::Instant;
@@ -326,36 +325,6 @@ impl ExecutionBackend for NativeBackend {
             ..DeviceContractStats::default()
         }
     }
-}
-
-/// Builds the schema-4 `profile` companion of a `span` event: the tree's
-/// spans flattened to per-path component charges in the unit of the
-/// substrate that ran them. Sim trees charge simulated cycles from each
-/// span's `MemTally` through the default [`CostModel`] (summing exactly to
-/// `self_cycles`); native trees charge each span's measured `elapsed_ns`
-/// counter, and so do host-only passes (`backend == None`: sequential
-/// Louvain's and Leiden's local moving), attributed to the `"host"`
-/// backend.
-pub(crate) fn profile_event(
-    backend: Option<BackendKind>,
-    round: u32,
-    superstep: u32,
-    phase: &str,
-    root: &SpanRecord,
-) -> TraceEvent {
-    let (backend, unit, spans) = match backend {
-        Some(BackendKind::Sim) => ("sim", "cycles", profile_spans(root, &CostModel::default())),
-        Some(BackendKind::Native) => ("native", "ns", profile_spans_wall(root)),
-        None => ("host", "ns", profile_spans_wall(root)),
-    };
-    TraceEvent::Profile(PhaseProfile {
-        round,
-        superstep,
-        phase: phase.to_string(),
-        backend: backend.to_string(),
-        unit: unit.to_string(),
-        spans,
-    })
 }
 
 /// Hashtable placement for the contract kernel: reuse the phase-1 kernel's

@@ -69,7 +69,7 @@ pub fn leiden(graph: &Graph, config: LeidenConfig) -> LeidenResult {
 }
 
 /// [`leiden`] observed through `obs`: the same `run_start` / `span` /
-/// `profile` / `round_end` / `run_end` event sequence as the BSP drivers.
+/// `round_end` / `run_end` event sequence as the BSP drivers.
 /// The sequential local-moving pass is one wall-clock-timed `superstep`
 /// tree per round (`"host"` backend, unit `"ns"`); the per-round `refine` +
 /// `contract` tree goes through the configured [`BackendKind`] like
@@ -292,7 +292,7 @@ mod tests {
 
     #[test]
     fn instrumented_run_matches_plain_and_profiles_both_units() {
-        use gala_telemetry::{PhaseProfile, TraceEvent, VecSink};
+        use gala_telemetry::{TraceEvent, VecSink};
         let g = fixtures::ring_of_cliques(8, 5);
         let plain = leiden(&g, LeidenConfig::default());
         let mut sink = VecSink::default();
@@ -306,23 +306,18 @@ mod tests {
         let mut saw_host_phase1 = false;
         let mut saw_sim_contract = false;
         for event in &sink.events {
-            if let TraceEvent::Profile(PhaseProfile {
-                backend,
-                unit,
-                phase,
-                spans,
-                ..
-            }) = event
-            {
-                match phase.as_str() {
+            if let TraceEvent::Span(span) = event {
+                let profile = span.profile().expect("a span names its backend");
+                let (backend, unit, spans) = (span.backend.as_str(), profile.unit, &profile.spans);
+                match span.phase.as_str() {
                     "phase1" => {
-                        assert_eq!((backend.as_str(), unit.as_str()), ("host", "ns"));
+                        assert_eq!((backend, unit), ("host", "ns"));
                         let decide = spans.iter().find(|s| s.path == "superstep/decide").unwrap();
                         assert!(decide.total > 0.0);
                         saw_host_phase1 = true;
                     }
                     "contract" => {
-                        assert_eq!((backend.as_str(), unit.as_str()), ("sim", "cycles"));
+                        assert_eq!((backend, unit), ("sim", "cycles"));
                         let contract = spans.iter().find(|s| s.path == "contract").unwrap();
                         assert!(contract.total > 0.0, "device contract kernel cycles");
                         assert_eq!(contract.components.total(), contract.total);

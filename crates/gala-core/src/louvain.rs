@@ -151,9 +151,11 @@ pub struct IterationStats {
     pub num_moved: usize,
     /// Modularity after the superstep.
     pub modularity: f64,
-    /// Simulated memory tally of the DecideAndMove pass.
+    /// Simulated memory tally of the DecideAndMove pass (zero on the
+    /// native backend).
     pub tally: MemTally,
-    /// Simulated memory tally of the weight-maintenance pass.
+    /// Simulated memory tally of the weight-maintenance pass (zero on the
+    /// native backend).
     pub weight_tally: MemTally,
     /// Hashtable placement stats (hash kernels only).
     pub hash_stats: TableStats,
@@ -364,6 +366,12 @@ impl Louvain {
                     certs,
                     Some(dips.undo()),
                 );
+                // The tally models the simulated kernel's traffic: a native
+                // run simulates nothing and reports no cycles.
+                let tally = match cfg.backend {
+                    BackendKind::Sim => tally,
+                    BackendKind::Native => MemTally::new(),
+                };
                 p.record(&tally);
                 tally
             });
@@ -466,7 +474,7 @@ impl Louvain {
 
     /// [`Self::run`] observed through `obs`: `run_start`, per BSP
     /// superstep a `superstep` event (plus its `sync` on several devices)
-    /// and its `span`/`profile` pair, per hierarchy round the phase-1
+    /// and its `span` tree, per hierarchy round the phase-1
     /// `metrics`/`progress` events, a `contract` span (holding `refine`
     /// when enabled, and `aggregate`/`exchange` under
     /// [`ContractMode::Partitioned`]), an exchange `sync` event per

@@ -24,7 +24,7 @@
 //!
 //! The drivers hand all observation bookkeeping to the observer: the
 //! `run_start`/`run_end` bracket, per-superstep sub-profilers and their
-//! `span`/`profile` events, `superstep` events with watchdog heartbeats and
+//! `span` events, `superstep` events with watchdog heartbeats and
 //! live snapshots, and the per-round `metrics`, `round_end` and `progress`
 //! events.
 //!
@@ -41,7 +41,7 @@
 //! Observation is host-side only: assignments, modularity and simulated
 //! cycle totals are bit-for-bit identical with any part of it on or off.
 
-use crate::backend::{profile_event, BackendKind};
+use crate::backend::BackendKind;
 use gala_gpu::profile::{Profiler, SpanRecord};
 use gala_graph::Graph;
 use gala_telemetry::recorder::{self, ProgressLimiter, ProgressSnapshot};
@@ -179,11 +179,12 @@ impl<'a> Obs<'a> {
         }
     }
 
-    /// Finishes `sub`, emits its tree as a `span` event plus the `profile`
-    /// companion in `backend`'s unit (`None`: host wall time), and files it
-    /// in the run-level profile. Phase-1 trees merge under a `superstep`
-    /// span — a host pass that timed itself as one `superstep` already is
-    /// one — and phase-2 trees go straight into the open `round` span.
+    /// Finishes `sub`, emits its tree as a `span` event naming `backend`
+    /// (`None`: a host pass, `"host"`), from which readers derive the
+    /// tree's charges, and files it in the run-level profile. Phase-1 trees
+    /// merge under a `superstep` span — a host pass that timed itself as
+    /// one `superstep` already is one — and phase-2 trees go straight into
+    /// the open `round` span.
     pub(crate) fn span(
         &mut self,
         round: u32,
@@ -201,9 +202,9 @@ impl<'a> Obs<'a> {
                 round,
                 superstep,
                 phase: phase.to_string(),
+                backend: backend.map_or_else(|| "host".to_string(), |b| b.to_string()),
                 root: tree.clone(),
             }));
-            sink.emit(profile_event(backend, round, superstep, phase, &tree));
         }
         if phase == "phase1" && tree.child("superstep").is_none() {
             self.prof.scope("superstep", |p| p.absorb(tree));

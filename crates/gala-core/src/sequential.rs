@@ -51,12 +51,12 @@ pub fn sequential_louvain(graph: &Graph, config: SequentialConfig) -> Sequential
 }
 
 /// [`sequential_louvain`] observed through `obs`: the same `run_start` /
-/// `span` / `profile` / `round_end` / `run_end` event sequence as the BSP
+/// `span` / `round_end` / `run_end` event sequence as the BSP
 /// drivers, with one wall-clock-timed `superstep` span tree per round
 /// (sequential phase 1 is one indivisible host pass) plus the usual
 /// `contract` tree. All spans charge host nanoseconds — this baseline has
-/// no simulated device, so its `profile` events carry the `"host"`
-/// backend and unit `"ns"`.
+/// no simulated device, so its spans carry the `"host"` backend and
+/// profile in unit `"ns"`.
 pub fn sequential_louvain_with(
     graph: &Graph,
     config: SequentialConfig,
@@ -282,7 +282,7 @@ mod tests {
 
     #[test]
     fn instrumented_run_emits_host_profile_events() {
-        use gala_telemetry::{PhaseProfile, TraceEvent, VecSink};
+        use gala_telemetry::{TraceEvent, VecSink};
         let g = fixtures::ring_of_cliques(6, 5);
         let plain = sequential_louvain(&g, SequentialConfig::default());
         let mut sink = VecSink::default();
@@ -295,13 +295,15 @@ mod tests {
             .events
             .iter()
             .filter_map(|e| match e {
-                TraceEvent::Profile(PhaseProfile {
-                    backend,
-                    unit,
-                    phase,
-                    spans,
-                    ..
-                }) => Some((backend.as_str(), unit.as_str(), phase.as_str(), spans)),
+                TraceEvent::Span(span) => {
+                    let profile = span.profile().expect("a span names its backend");
+                    Some((
+                        span.backend.as_str(),
+                        profile.unit,
+                        span.phase.as_str(),
+                        profile.spans,
+                    ))
+                }
                 _ => None,
             })
             .collect();

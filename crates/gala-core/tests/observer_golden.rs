@@ -3,14 +3,12 @@
 //!
 //! The trace is a public artifact (`gala detect --trace`, `gala analyze`,
 //! `gala profile`), so any change to which events a driver emits, in what
-//! order, or with what values shows up here as a diff. Three kinds of field
+//! order, or with what values shows up here as a diff. Two kinds of field
 //! carry wall-clock readings and vary from run to run; they are zeroed
 //! before comparing:
 //!
 //! * `elapsed_ns` span counters;
-//! * `rss_bytes` in `progress` events;
-//! * `total` and the `components` of every span row in `profile` events
-//!   whose unit is `"ns"`.
+//! * `rss_bytes` in `progress` events.
 //!
 //! After a deliberate change to the trace, regenerate the files with
 //! `cargo test -p gala-core --test observer_golden -- --ignored bless`.
@@ -111,19 +109,8 @@ fn set(v: &mut Value, key: &str, f: impl FnOnce(&mut Value)) {
 fn normalized(event: &TraceEvent) -> String {
     let mut v = event.to_json();
     zero_elapsed(&mut v);
-    match event {
-        TraceEvent::Progress(_) => set(&mut v, "rss_bytes", zero_numbers),
-        TraceEvent::Profile(p) if p.unit == "ns" => {
-            set(&mut v, "spans", |spans| {
-                if let Value::Array(rows) = spans {
-                    for row in rows {
-                        set(row, "total", zero_numbers);
-                        set(row, "components", zero_numbers);
-                    }
-                }
-            });
-        }
-        _ => {}
+    if let TraceEvent::Progress(_) = event {
+        set(&mut v, "rss_bytes", zero_numbers);
     }
     v.render()
 }

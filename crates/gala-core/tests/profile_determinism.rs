@@ -1,5 +1,5 @@
-//! Component-breakdown determinism: the schema-4 `profile` events of a
-//! sim run are a pure function of the graph and config — two runs at any
+//! Component-breakdown determinism: the charges derived from a sim run's
+//! `span` events are a pure function of the graph and config — two runs at any
 //! pool width (1, 2, 8) must produce bit-identical component charges,
 //! and every sim row's components must sum exactly to its span's cycles.
 //!
@@ -14,7 +14,7 @@ use gala_core::louvain::{Louvain, LouvainConfig};
 use gala_core::observe::Obs;
 use gala_graph::generators::sbm::PlantedPartition;
 use gala_graph::Graph;
-use gala_telemetry::{PhaseProfile, ProfileSpan, TraceEvent, VecSink};
+use gala_telemetry::{ProfileSpan, TraceEvent, VecSink};
 use rayon::with_parallelism;
 
 const WIDTHS: [usize; 3] = [1, 2, 8];
@@ -30,7 +30,7 @@ fn sbm_graph(seed: u64) -> Graph {
     .graph
 }
 
-/// All profile events of one traced sim run, flattened to
+/// The derived profile of every span event of one traced sim run, as
 /// (round, superstep, phase, spans) rows.
 fn profile_rows(graph: &Graph, kernel: KernelKind) -> Vec<(u32, u32, String, Vec<ProfileSpan>)> {
     let mut sink = VecSink::default();
@@ -42,17 +42,11 @@ fn profile_rows(graph: &Graph, kernel: KernelKind) -> Vec<(u32, u32, String, Vec
     sink.events
         .into_iter()
         .filter_map(|e| match e {
-            TraceEvent::Profile(PhaseProfile {
-                round,
-                superstep,
-                phase,
-                backend,
-                unit,
-                spans,
-            }) => {
-                assert_eq!(backend, "sim");
-                assert_eq!(unit, "cycles");
-                Some((round, superstep, phase, spans))
+            TraceEvent::Span(tree) => {
+                assert_eq!(tree.backend, "sim");
+                let profile = tree.profile().expect("a sim profile");
+                assert_eq!(profile.unit, "cycles");
+                Some((tree.round, tree.superstep, tree.phase, profile.spans))
             }
             _ => None,
         })
@@ -69,10 +63,7 @@ fn sim_component_breakdowns_are_bit_identical_across_runs_and_widths() {
         KernelKind::WorkloadAware(HashConfig::default()),
     ] {
         let reference = with_parallelism(1, || profile_rows(&graph, kernel));
-        assert!(
-            !reference.is_empty(),
-            "{kernel:?} emitted no profile events"
-        );
+        assert!(!reference.is_empty(), "{kernel:?} emitted no span events");
         for width in WIDTHS {
             for run in 0..2 {
                 let got = with_parallelism(width, || profile_rows(&graph, kernel));

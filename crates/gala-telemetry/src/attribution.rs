@@ -2,8 +2,9 @@
 //!
 //! The simulator predicts *cycles* from a flat
 //! [`CostModel`](gala_gpu::memory::CostModel); the native backend measures
-//! *nanoseconds* on real hardware. An [`Attribution`] joins the `profile`
-//! events of one sim trace and one native trace span-by-span and asks, per
+//! *nanoseconds* on real hardware. An [`Attribution`] joins the span
+//! charges ([`crate::SpanTree::profile`]) of one sim trace and one native
+//! trace span-by-span and asks, per
 //! kernel: *how many predicted cycles does one measured nanosecond buy?* If
 //! the cost model were perfect, that ratio would be the same constant (the
 //! machine's effective clock) for every kernel. It is not — and the
@@ -53,7 +54,7 @@ struct PathAgg {
     components: ComponentCharges,
 }
 
-/// Joins sim and native `profile` events span-by-span; see the module
+/// Joins sim and native span charges span-by-span; see the module
 /// docs for the model.
 #[derive(Clone, Debug, Default)]
 pub struct Attribution {
@@ -154,12 +155,14 @@ impl Attribution {
         Self::default()
     }
 
-    /// Accumulates the rows of one sim `profile` event (unit `"cycles"`).
+    /// Accumulates the rows of one sim span tree's profile (unit
+    /// `"cycles"`).
     pub fn add_sim(&mut self, spans: &[ProfileSpan]) {
         accumulate(&mut self.sim, spans);
     }
 
-    /// Accumulates the rows of one native `profile` event (unit `"ns"`).
+    /// Accumulates the rows of one native span tree's profile (unit
+    /// `"ns"`).
     pub fn add_native(&mut self, spans: &[ProfileSpan]) {
         accumulate(&mut self.native, spans);
     }

@@ -23,9 +23,10 @@
 //!   CI baseline gate (±10% simulated-cycle tolerance), and [`judge`],
 //!   the one rule every regression comparator in the workspace applies.
 //! * [`attribution`] — the sim↔native calibration model behind
-//!   `gala profile`: joins the `profile` events of a simulated and a
-//!   native trace span-by-span, fits a clock, and computes per-kernel
-//!   residuals plus per-component calibration factors.
+//!   `gala profile`: joins the span charges of a simulated and a native
+//!   trace (derived with [`SpanTree::profile`]) path by path, fits a
+//!   clock, and computes per-kernel residuals plus per-component
+//!   calibration factors.
 //! * [`recorder`] — the in-process flight recorder: bounded-frequency
 //!   [`recorder::ProgressSnapshot`]s for the CLI's `--progress` status
 //!   line, a heartbeat watchdog for stalled supersteps, and a panic hook
@@ -54,9 +55,8 @@ pub use report::{
     direction, judge, Direction, Judged, MetricRow, Regression, Report, ReportError, Verdict,
 };
 pub use trace::{
-    profile_spans, profile_spans_wall, read_trace, DeviceSync, JsonlSink, MetricsSnapshot,
-    NullSink, PhaseProfile, ProfileSpan, RoundEnd, RunEnd, RunStart, SpanTree, Superstep,
-    TraceEvent, TraceSink, VecSink,
+    read_trace, DeviceSync, JsonlSink, MetricsSnapshot, NullSink, PhaseProfile, ProfileSpan,
+    RoundEnd, RunEnd, RunStart, SpanTree, Superstep, TraceEvent, TraceSink, VecSink,
 };
 
 /// Version of the trace-event and report JSON schemas. Bump on any
@@ -72,18 +72,23 @@ pub use trace::{
 /// written only by `gala detect --progress` with the log-level
 /// environment variable set); the ring is gone, no field of any remaining
 /// event changed, and a trace holding a `log` line now fails to read as
-/// an unknown event.
-pub const SCHEMA_VERSION: u64 = 5;
+/// an unknown event; 6 — `profile` events are gone (readers derive the
+/// same charges from the `span` tree, [`SpanTree::profile`]), `span`
+/// events name their `backend`, and tallies, span counters and span
+/// children leave out zero fields and empty members.
+pub const SCHEMA_VERSION: u64 = 6;
 
-/// Oldest schema this build still reads. Additions since
-/// [`MIN_SCHEMA_VERSION`] are purely additive (new event kinds), so traces
-/// and reports in `MIN_SCHEMA_VERSION..=SCHEMA_VERSION` all parse.
+/// Oldest schema this build still reads. Every trace and report in
+/// `MIN_SCHEMA_VERSION..=SCHEMA_VERSION` parses: schemas 3 to 5 only added
+/// event kinds, a missing tally field reads as zero, a pre-6 span has an
+/// empty backend, and [`read_trace`] skips the `profile` lines of schema-4
+/// and -5 traces.
 pub const MIN_SCHEMA_VERSION: u64 = 2;
 
 /// The schema gate every reader applies: `doc`'s `"schema"` member must be
 /// an integer in `MIN_SCHEMA_VERSION..=SCHEMA_VERSION`. Returns the
 /// version, or an error phrase that follows the document's name, e.g.
-/// "has schema 1 (this build reads 2..=5)".
+/// "has schema 1 (this build reads 2..=6)".
 pub fn check_schema(doc: &Value) -> Result<u64, String> {
     let schema = doc
         .get("schema")

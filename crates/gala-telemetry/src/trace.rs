@@ -5,7 +5,7 @@
 //! moment of a run — run start/end, each BSP superstep with its move/prune
 //! counts and per-phase memory tallies, each inter-device synchronisation
 //! with the dense-vs-sparse decision and modelled byte volume, span trees,
-//! cost profiles, metrics and progress snapshots. This module is the
+//! metrics and progress snapshots. This module is the
 //! only place that knows the trace format: [`TraceEvent::to_json`] writes
 //! it and [`TraceEvent::from_json`] is its exact inverse. Events flow into
 //! a [`TraceSink`]:
@@ -17,11 +17,14 @@
 //!   `gala detect --trace out.jsonl` produces.
 //!
 //! [`read_trace`] streams such a file back, one decoded event at a time;
-//! `gala analyze` and `gala profile` both read traces through it.
+//! `gala analyze` and `gala profile` both read traces through it. A span
+//! tree's per-path cost charges are not stored: every reader derives them
+//! on read with [`SpanTree::profile`].
 
+use std::collections::BTreeMap;
 use std::io::Write;
 
-use gala_gpu::memory::{ComponentCharges, CostModel, MemTally, COMPONENT_NAMES};
+use gala_gpu::memory::{ComponentCharges, CostModel, MemTally};
 use gala_gpu::profile::SpanRecord;
 
 use crate::json::{self, Value};
@@ -40,8 +43,6 @@ pub enum TraceEvent {
     Sync(DeviceSync),
     /// A profiling span tree for one superstep or phase-2 pass.
     Span(SpanTree),
-    /// Per-span cost attribution for one phase. Schema 4+.
-    Profile(PhaseProfile),
     /// An algorithm-level metrics snapshot. Schema 3+.
     Metrics(MetricsSnapshot),
     /// End of one coarsening round.
@@ -125,30 +126,45 @@ pub struct SpanTree {
     pub superstep: u32,
     /// Which driver phase produced the tree (`"phase1"`, `"contract"`).
     pub phase: String,
+    /// Backend that executed the phase (`"sim"`, `"native"`, `"host"`);
+    /// empty on spans written before schema 6, which did not record it.
+    pub backend: String,
     /// Root of the span tree; its children are the phase's top-level
     /// spans (`classify`, `decide`, `apply`, …).
     pub root: SpanRecord,
 }
 
-/// The `profile` payload: every span of the phase's tree flattened to a
-/// slash-joined path with its *self* charge decomposed into
-/// [`ComponentCharges`]. Sim backends charge components from the span's
-/// [`MemTally`] (unit `"cycles"`, summing exactly to the span's
-/// `self_cycles`); native backends charge wall time (unit `"ns"`, one
-/// bucket per span).
+impl SpanTree {
+    /// The tree's per-path charges in its backend's unit. Sim trees charge
+    /// each span's own [`MemTally`] in simulated cycles through the default
+    /// [`CostModel`] (summing exactly to the span's `self_cycles`); native
+    /// and host trees charge each span's measured `elapsed_ns` counter.
+    /// `None` for any other backend, the empty one of a pre-schema-6 span
+    /// among them.
+    pub fn profile(&self) -> Option<PhaseProfile> {
+        let cost = CostModel::default();
+        let sim = |span: &SpanRecord| span.components(&cost);
+        let (unit, charge): (_, &dyn Fn(&SpanRecord) -> ComponentCharges) =
+            match self.backend.as_str() {
+                "sim" => ("cycles", &sim),
+                "native" | "host" => ("ns", &SpanRecord::components_wall),
+                _ => return None,
+            };
+        let mut spans = Vec::new();
+        for child in &self.root.children {
+            collect_profile(child, "", &mut spans, charge);
+        }
+        Some(PhaseProfile { unit, spans })
+    }
+}
+
+/// A span tree's charges as [`SpanTree::profile`] derives them: every span
+/// flattened to a slash-joined path with its *self* charge decomposed into
+/// [`ComponentCharges`]. An in-memory view; traces do not store it.
 #[derive(Clone, Debug, PartialEq)]
 pub struct PhaseProfile {
-    /// Coarsening round the spans belong to.
-    pub round: u32,
-    /// Superstep index within the round (for `"contract"` trees, one past
-    /// the round's last superstep).
-    pub superstep: u32,
-    /// Which driver phase produced the tree (`"phase1"`, `"contract"`).
-    pub phase: String,
-    /// Backend that executed the phase (`"sim"`, `"native"`, `"host"`).
-    pub backend: String,
     /// Unit of `total` and every component: `"cycles"` or `"ns"`.
-    pub unit: String,
+    pub unit: &'static str,
     /// Flattened span rows, pre-order.
     pub spans: Vec<ProfileSpan>,
 }
@@ -208,29 +224,8 @@ pub struct ProfileSpan {
     pub components: ComponentCharges,
 }
 
-/// Flattens a sim span tree into [`ProfileSpan`] rows, charging each
-/// span's own [`MemTally`] through `cost`. With the default integer-weight
-/// [`CostModel`] every row's `total` equals the span's `self_cycles()`
-/// bit-for-bit.
-pub fn profile_spans(root: &SpanRecord, cost: &CostModel) -> Vec<ProfileSpan> {
-    let mut out = Vec::new();
-    for child in &root.children {
-        collect_profile(child, "", &mut out, &|span| span.components(cost));
-    }
-    out
-}
-
-/// Flattens a native span tree into [`ProfileSpan`] rows, charging each
-/// span's `elapsed_ns` counter as wall time (`sync` spans charge the sync
-/// component, everything else compute).
-pub fn profile_spans_wall(root: &SpanRecord) -> Vec<ProfileSpan> {
-    let mut out = Vec::new();
-    for child in &root.children {
-        collect_profile(child, "", &mut out, &|span| span.components_wall());
-    }
-    out
-}
-
+/// Appends `span` and its descendants to `out` as [`ProfileSpan`] rows,
+/// pre-order, each charging the span's *self* cost through `charge`.
 fn collect_profile(
     span: &SpanRecord,
     prefix: &str,
@@ -254,127 +249,111 @@ fn collect_profile(
     }
 }
 
-/// Serialises [`ComponentCharges`] as a flat JSON object, one key per
-/// component in [`COMPONENT_NAMES`] order.
-fn components_to_json(c: &ComponentCharges) -> Value {
-    COMPONENT_NAMES
-        .into_iter()
-        .fold(Value::object(), |v, name| {
-            v.set(name, c.get(name).unwrap_or(0.0))
-        })
+/// Every [`MemTally`] field under its JSON key, in the order the codec
+/// writes them.
+fn tally_fields(t: &mut MemTally) -> [(&'static str, &mut u64); 14] {
+    [
+        ("register_ops", &mut t.register_ops),
+        ("shared_loads", &mut t.shared_loads),
+        ("shared_stores", &mut t.shared_stores),
+        ("global_loads", &mut t.global_loads),
+        ("global_stores", &mut t.global_stores),
+        ("shared_atomics", &mut t.shared_atomics),
+        ("global_atomics", &mut t.global_atomics),
+        ("warp_primitives", &mut t.warp_primitives),
+        ("simt_steps", &mut t.simt_steps),
+        ("simt_active_lanes", &mut t.simt_active_lanes),
+        ("simt_serialized", &mut t.simt_serialized),
+        ("coalesce_requests", &mut t.coalesce_requests),
+        ("coalesce_transactions", &mut t.coalesce_transactions),
+        ("coalesce_ideal", &mut t.coalesce_ideal),
+    ]
 }
 
-/// Parses [`ComponentCharges`] back from the object [`components_to_json`]
-/// writes. Returns `None` when any component is missing or non-numeric.
-fn components_from_json(v: &Value) -> Option<ComponentCharges> {
-    let mut c = ComponentCharges::default();
-    for name in COMPONENT_NAMES {
-        c.set(name, v.get(name)?.as_f64()?);
-    }
-    Some(c)
-}
-
-/// Serialises one [`ProfileSpan`] row.
-fn profile_span_to_json(span: &ProfileSpan) -> Value {
-    Value::object()
-        .set("path", span.path.as_str())
-        .set("invocations", span.invocations)
-        .set("total", span.total)
-        .set("components", components_to_json(&span.components))
-}
-
-/// Parses a [`ProfileSpan`] back from the object [`profile_span_to_json`]
-/// writes. Returns `None` on any structural mismatch.
-fn profile_span_from_json(v: &Value) -> Option<ProfileSpan> {
-    Some(ProfileSpan {
-        path: v.get("path")?.as_str()?.to_string(),
-        invocations: v.get("invocations")?.as_u64()?,
-        total: v.get("total")?.as_f64()?,
-        components: components_from_json(v.get("components")?)?,
-    })
-}
-
-/// Serialises a [`MemTally`] as a flat JSON object.
+/// Serialises a [`MemTally`] as a flat JSON object of its non-zero fields
+/// (an all-zero tally is `{}`).
 fn tally_to_json(t: &MemTally) -> Value {
-    Value::object()
-        .set("register_ops", t.register_ops)
-        .set("shared_loads", t.shared_loads)
-        .set("shared_stores", t.shared_stores)
-        .set("global_loads", t.global_loads)
-        .set("global_stores", t.global_stores)
-        .set("shared_atomics", t.shared_atomics)
-        .set("global_atomics", t.global_atomics)
-        .set("warp_primitives", t.warp_primitives)
-        .set("simt_steps", t.simt_steps)
-        .set("simt_active_lanes", t.simt_active_lanes)
-        .set("simt_serialized", t.simt_serialized)
-        .set("coalesce_requests", t.coalesce_requests)
-        .set("coalesce_transactions", t.coalesce_transactions)
-        .set("coalesce_ideal", t.coalesce_ideal)
+    let mut t = *t;
+    tally_fields(&mut t)
+        .into_iter()
+        .filter(|(_, n)| **n != 0)
+        .fold(Value::object(), |v, (key, n)| v.set(key, *n))
 }
 
-/// Parses a [`MemTally`] back from the object [`tally_to_json`] writes.
-/// Returns `None` when any field is missing or non-numeric.
-fn tally_from_json(v: &Value) -> Option<MemTally> {
-    let f = |key: &str| v.get(key)?.as_u64();
-    Some(MemTally {
-        register_ops: f("register_ops")?,
-        shared_loads: f("shared_loads")?,
-        shared_stores: f("shared_stores")?,
-        global_loads: f("global_loads")?,
-        global_stores: f("global_stores")?,
-        shared_atomics: f("shared_atomics")?,
-        global_atomics: f("global_atomics")?,
-        warp_primitives: f("warp_primitives")?,
-        simt_steps: f("simt_steps")?,
-        simt_active_lanes: f("simt_active_lanes")?,
-        simt_serialized: f("simt_serialized")?,
-        coalesce_requests: f("coalesce_requests")?,
-        coalesce_transactions: f("coalesce_transactions")?,
-        coalesce_ideal: f("coalesce_ideal")?,
-    })
+/// Parses a [`MemTally`] back from the object [`tally_to_json`] writes; a
+/// missing field is zero. An unknown key or a non-integer value is an
+/// error naming the key.
+fn tally_from_json(v: &Value) -> Result<MemTally, String> {
+    let mut t = MemTally::new();
+    for (key, n) in v.as_object().ok_or("not an object")? {
+        let (_, field) = tally_fields(&mut t)
+            .into_iter()
+            .find(|(k, _)| k == key)
+            .ok_or_else(|| format!("unknown tally key `{key}`"))?;
+        *field = n
+            .as_u64()
+            .ok_or_else(|| format!("non-integer tally `{key}`"))?;
+    }
+    Ok(t)
+}
+
+/// Parses a span node's named counters.
+fn counters_from_json(v: &Value) -> Result<BTreeMap<String, u64>, String> {
+    v.as_object()
+        .ok_or("not an object")?
+        .iter()
+        .map(|(k, n)| {
+            let n = n
+                .as_u64()
+                .ok_or_else(|| format!("non-integer counter `{k}`"))?;
+            Ok((k.clone(), n))
+        })
+        .collect()
 }
 
 /// Parses a [`SpanRecord`] tree back from the object [`span_to_json`]
-/// writes. Returns `None` on any structural mismatch. The recursion is as
-/// deep as the document, which [`json::parse`] bounds.
-fn span_from_json(v: &Value) -> Option<SpanRecord> {
-    let counters = v
-        .get("counters")?
-        .as_object()?
-        .iter()
-        .map(|(k, n)| Some((k.clone(), n.as_u64()?)))
-        .collect::<Option<_>>()?;
-    let children = v
-        .get("children")?
-        .as_array()?
-        .iter()
-        .map(span_from_json)
-        .collect::<Option<_>>()?;
-    Some(SpanRecord {
-        name: v.get("name")?.as_str()?.to_string(),
-        invocations: v.get("invocations")?.as_u64()?,
-        tally: tally_from_json(v.get("tally")?)?,
-        counters,
-        children,
-    })
+/// writes; a missing `tally`, `counters` or `children` is zero or empty.
+/// Errors name the span and the key. The recursion is as deep as the
+/// document, which [`json::parse`] bounds.
+fn span_from_json(v: &Value) -> Result<SpanRecord, String> {
+    let f = Fields(v);
+    let name = f.string("name")?;
+    let node = || -> Result<SpanRecord, String> {
+        Ok(SpanRecord {
+            name: name.clone(),
+            invocations: f.u64("invocations")?,
+            tally: f.sparse("tally", tally_from_json)?,
+            counters: f.sparse("counters", counters_from_json)?,
+            children: f.sparse("children", |c| {
+                let children = c.as_array().ok_or("not an array")?;
+                children.iter().map(span_from_json).collect()
+            })?,
+        })
+    };
+    node().map_err(|e| format!("span `{name}`: {e}"))
 }
 
-/// Serialises a profiling span tree ([`SpanRecord`]) recursively.
+/// Serialises a profiling span tree ([`SpanRecord`]) recursively, leaving
+/// out a zero tally, empty counters and empty children.
 fn span_to_json(span: &SpanRecord) -> Value {
-    let counters = span
-        .counters
-        .iter()
-        .fold(Value::object(), |v, (k, n)| v.set(k, *n));
-    Value::object()
+    let mut v = Value::object()
         .set("name", span.name.as_str())
-        .set("invocations", span.invocations)
-        .set("tally", tally_to_json(&span.tally))
-        .set("counters", counters)
-        .set(
-            "children",
-            Value::Array(span.children.iter().map(span_to_json).collect()),
-        )
+        .set("invocations", span.invocations);
+    if span.tally != MemTally::new() {
+        v = v.set("tally", tally_to_json(&span.tally));
+    }
+    if !span.counters.is_empty() {
+        let counters = span
+            .counters
+            .iter()
+            .fold(Value::object(), |c, (k, n)| c.set(k, *n));
+        v = v.set("counters", counters);
+    }
+    if !span.children.is_empty() {
+        let children = span.children.iter().map(span_to_json).collect();
+        v = v.set("children", Value::Array(children));
+    }
+    v
 }
 
 /// Typed member access for [`TraceEvent::from_json`]: each getter's error
@@ -413,6 +392,29 @@ impl Fields<'_> {
     fn string(&self, key: &str) -> Result<String, String> {
         self.get(key, "non-string", |v| v.as_str().map(str::to_string))
     }
+
+    /// Member `key` decoded by `decode`, whose error gets the key as prefix.
+    fn decode<T>(
+        &self,
+        key: &str,
+        decode: impl FnOnce(&Value) -> Result<T, String>,
+    ) -> Result<T, String> {
+        let v = self.0.get(key).ok_or_else(|| format!("missing `{key}`"))?;
+        decode(v).map_err(|e| format!("`{key}`: {e}"))
+    }
+
+    /// [`Self::decode`] for a member the writer leaves out when it is zero
+    /// or empty: absent, it reads as `T::default()`.
+    fn sparse<T: Default>(
+        &self,
+        key: &str,
+        decode: impl FnOnce(&Value) -> Result<T, String>,
+    ) -> Result<T, String> {
+        match self.0.get(key) {
+            None => Ok(T::default()),
+            Some(_) => self.decode(key, decode),
+        }
+    }
 }
 
 impl TraceEvent {
@@ -423,7 +425,6 @@ impl TraceEvent {
             TraceEvent::Superstep(_) => "superstep",
             TraceEvent::Sync(_) => "sync",
             TraceEvent::Span(_) => "span",
-            TraceEvent::Profile(_) => "profile",
             TraceEvent::Metrics(_) => "metrics",
             TraceEvent::RoundEnd(_) => "round_end",
             TraceEvent::RunEnd(_) => "run_end",
@@ -467,17 +468,8 @@ impl TraceEvent {
                 .set("round", e.round)
                 .set("superstep", e.superstep)
                 .set("phase", e.phase.as_str())
-                .set("root", span_to_json(&e.root)),
-            TraceEvent::Profile(e) => base
-                .set("round", e.round)
-                .set("superstep", e.superstep)
-                .set("phase", e.phase.as_str())
                 .set("backend", e.backend.as_str())
-                .set("unit", e.unit.as_str())
-                .set(
-                    "spans",
-                    Value::Array(e.spans.iter().map(profile_span_to_json).collect()),
-                ),
+                .set("root", span_to_json(&e.root)),
             TraceEvent::Metrics(e) => base
                 .set("round", e.round)
                 .set("scope", e.scope.as_str())
@@ -507,8 +499,10 @@ impl TraceEvent {
     /// Decodes the object [`TraceEvent::to_json`] writes — its exact
     /// inverse. Every field of the event's kind must be present with its
     /// type, and `u32` fields must fit; the error names the first field
-    /// that is not. The `"schema"` member is not read here: [`read_trace`]
-    /// gates it.
+    /// that is not. Tally fields and a span node's tally, counters and
+    /// children are sparse: absent, they read as zero or empty. The
+    /// `"schema"` member is gated by [`read_trace`]; here it only excuses
+    /// a pre-schema-6 span from naming its backend.
     pub fn from_json(v: &Value) -> Result<TraceEvent, String> {
         let f = Fields(v);
         Ok(match f.get("event", "non-string", Value::as_str)? {
@@ -527,8 +521,8 @@ impl TraceEvent {
                 unmoved: f.u64("unmoved")?,
                 modularity: f.f64("modularity")?,
                 delta_q: f.f64("delta_q")?,
-                decide_tally: f.get("decide_tally", "malformed", tally_from_json)?,
-                weight_tally: f.get("weight_tally", "malformed", tally_from_json)?,
+                decide_tally: f.decode("decide_tally", tally_from_json)?,
+                weight_tally: f.decode("weight_tally", tally_from_json)?,
                 hash_occupancy: f.f64("hash_occupancy")?,
                 hash_evictions: f.u64("hash_evictions")?,
             }),
@@ -543,17 +537,12 @@ impl TraceEvent {
                 round: f.u32("round")?,
                 superstep: f.u32("superstep")?,
                 phase: f.string("phase")?,
-                root: f.get("root", "malformed", span_from_json)?,
-            }),
-            "profile" => TraceEvent::Profile(PhaseProfile {
-                round: f.u32("round")?,
-                superstep: f.u32("superstep")?,
-                phase: f.string("phase")?,
-                backend: f.string("backend")?,
-                unit: f.string("unit")?,
-                spans: f.get("spans", "malformed", |v| {
-                    v.as_array()?.iter().map(profile_span_from_json).collect()
-                })?,
+                // Spans before schema 6 did not record their backend.
+                backend: match v.get("schema").and_then(Value::as_u64) {
+                    Some(schema) if schema < 6 => String::new(),
+                    _ => f.string("backend")?,
+                },
+                root: f.decode("root", span_from_json)?,
             }),
             "metrics" => TraceEvent::Metrics(MetricsSnapshot {
                 round: f.u32("round")?,
@@ -591,7 +580,8 @@ impl TraceEvent {
 /// non-blank line in file order, and returns how many events it read.
 ///
 /// This is the one trace reader: it opens the file, skips blank lines,
-/// parses each line, applies the schema gate and decodes the event. Any
+/// parses each line, applies the schema gate and decodes the event. The
+/// `profile` lines of schema-4 and -5 traces are skipped and not counted. Any
 /// error — its own or one `each` returns — comes back prefixed with the
 /// file and line; a file without events is an error as well. Memory stays
 /// at one line plus whatever `each` keeps.
@@ -609,7 +599,12 @@ pub fn read_trace(
                 return Ok(());
             }
             let v = json::parse(&raw).map_err(|e| e.to_string())?;
-            check_schema(&v).map_err(|e| format!("event {events} {e}"))?;
+            let schema = check_schema(&v).map_err(|e| format!("event {events} {e}"))?;
+            // Schemas 4 and 5 stored each span tree's charges a second
+            // time, as a `profile` event; readers derive them instead.
+            if schema < 6 && v.get("event").and_then(Value::as_str) == Some("profile") {
+                return Ok(());
+            }
             events += 1;
             each(TraceEvent::from_json(&v)?)
         };
@@ -787,6 +782,7 @@ mod tests {
             round: 1,
             superstep: 7,
             phase: "phase1".into(),
+            backend: "sim".into(),
             root: p.finish(),
         });
         let mut sink = JsonlSink::new(Vec::new());
@@ -797,6 +793,7 @@ mod tests {
         assert_eq!(v.get("round").unwrap().as_u64(), Some(1));
         assert_eq!(v.get("superstep").unwrap().as_u64(), Some(7));
         assert_eq!(v.get("phase").unwrap().as_str(), Some("phase1"));
+        assert_eq!(v.get("backend").unwrap().as_str(), Some("sim"));
         let root = span_from_json(v.get("root").unwrap()).unwrap();
         let TraceEvent::Span(original) = event else {
             unreachable!()
@@ -820,9 +817,39 @@ mod tests {
     }
 
     #[test]
-    fn tally_from_json_rejects_missing_fields() {
+    fn tally_from_json_reads_missing_fields_as_zero_and_names_bad_keys() {
         let v = Value::object().set("register_ops", 1u64);
-        assert!(tally_from_json(&v).is_none());
+        let one = MemTally {
+            register_ops: 1,
+            ..MemTally::new()
+        };
+        assert_eq!(tally_from_json(&v), Ok(one));
+        assert_eq!(tally_from_json(&Value::object()), Ok(MemTally::new()));
+        assert_eq!(
+            tally_from_json(&v.clone().set("bogus_ops", 2u64)),
+            Err("unknown tally key `bogus_ops`".to_string())
+        );
+        assert_eq!(
+            tally_from_json(&v.set("global_loads", 2.5)),
+            Err("non-integer tally `global_loads`".to_string())
+        );
+    }
+
+    #[test]
+    fn sparse_tallies_leave_out_zero_fields() {
+        assert_eq!(tally_to_json(&MemTally::new()).render(), "{}");
+        let mut t = MemTally::new();
+        t.load(Space::Global, 3);
+        assert_eq!(tally_to_json(&t).render(), "{\"global_loads\":3}");
+        // A node with nothing to report is its name and invocations.
+        let bare = SpanRecord {
+            name: "apply".into(),
+            invocations: 2,
+            ..SpanRecord::default()
+        };
+        let v = span_to_json(&bare);
+        assert_eq!(v.render(), "{\"name\":\"apply\",\"invocations\":2}");
+        assert_eq!(span_from_json(&v), Ok(bare));
     }
 
     #[test]
@@ -926,11 +953,22 @@ mod tests {
         p.finish()
     }
 
+    /// A phase-1 `span` event payload holding [`sample_tree`].
+    fn sample_span(backend: &str) -> SpanTree {
+        SpanTree {
+            round: 2,
+            superstep: 5,
+            phase: "phase1".into(),
+            backend: backend.into(),
+            root: sample_tree(),
+        }
+    }
+
     #[test]
     fn profile_rows_flatten_paths_and_sum_to_self_cycles() {
         let tree = sample_tree();
         let cost = CostModel::default();
-        let rows = profile_spans(&tree, &cost);
+        let rows = sample_span("sim").profile().unwrap().spans;
         let paths: Vec<&str> = rows.iter().map(|r| r.path.as_str()).collect();
         assert_eq!(
             paths,
@@ -954,7 +992,7 @@ mod tests {
 
     #[test]
     fn wall_profile_rows_charge_single_buckets() {
-        let rows = profile_spans_wall(&sample_tree());
+        let rows = sample_span("native").profile().unwrap().spans;
         let sync = rows.iter().find(|r| r.path == "superstep/sync").unwrap();
         assert_eq!(sync.components.sync, 450.0);
         assert_eq!(sync.components.compute, 0.0);
@@ -965,51 +1003,26 @@ mod tests {
 
     #[test]
     fn profile_event_round_trips_through_jsonl() {
-        let event = TraceEvent::Profile(PhaseProfile {
-            round: 2,
-            superstep: 5,
-            phase: "phase1".into(),
-            backend: "sim".into(),
-            unit: "cycles".into(),
-            spans: profile_spans(&sample_tree(), &CostModel::default()),
-        });
-        let mut sink = JsonlSink::new(Vec::new());
-        sink.emit(event.clone());
-        let text = String::from_utf8(sink.into_inner()).unwrap();
-        let v = parse(text.trim()).unwrap();
-        assert_eq!(v.get("event").unwrap().as_str(), Some("profile"));
-        assert_eq!(
-            v.get("schema").unwrap().as_u64(),
-            Some(SCHEMA_VERSION),
-            "profile events are schema 4+"
-        );
-        assert_eq!(v.get("backend").unwrap().as_str(), Some("sim"));
-        assert_eq!(v.get("unit").unwrap().as_str(), Some("cycles"));
-        let spans: Vec<ProfileSpan> = v
-            .get("spans")
-            .unwrap()
-            .as_array()
-            .unwrap()
-            .iter()
-            .map(|s| profile_span_from_json(s).unwrap())
-            .collect();
-        let TraceEvent::Profile(original) = event else {
-            unreachable!()
-        };
-        assert_eq!(spans, original.spans);
-    }
-
-    #[test]
-    fn profile_span_from_json_rejects_missing_components() {
-        let mut row = profile_span_to_json(&ProfileSpan {
-            path: "decide".into(),
-            invocations: 1,
-            total: 0.0,
-            components: ComponentCharges::default(),
-        });
-        assert!(profile_span_from_json(&row).is_some());
-        row = row.set("components", Value::object().set("compute", 1.0));
-        assert!(profile_span_from_json(&row).is_none());
+        // The charges are derived from the span, so what survives the
+        // JSONL round trip is the span and its backend: the profile read
+        // back equals the one the writer could have derived.
+        for (backend, unit) in [("sim", "cycles"), ("native", "ns"), ("host", "ns")] {
+            let tree = sample_span(backend);
+            let mut sink = JsonlSink::new(Vec::new());
+            sink.emit(TraceEvent::Span(tree.clone()));
+            let text = String::from_utf8(sink.into_inner()).unwrap();
+            let TraceEvent::Span(back) =
+                TraceEvent::from_json(&parse(text.trim()).unwrap()).unwrap()
+            else {
+                panic!("{backend}: not a span event")
+            };
+            let profile = back.profile().unwrap();
+            assert_eq!(profile.unit, unit);
+            assert_eq!(Some(profile), tree.profile(), "{backend}");
+        }
+        for backend in ["", "gpu"] {
+            assert_eq!(sample_span(backend).profile(), None, "`{backend}`");
+        }
     }
 
     /// One event of every kind, each with its payload filled in.
@@ -1036,15 +1049,8 @@ mod tests {
                 round: 1,
                 superstep: 3,
                 phase: "contract".into(),
-                root: sample_tree(),
-            }),
-            TraceEvent::Profile(PhaseProfile {
-                round: 1,
-                superstep: 3,
-                phase: "phase1".into(),
                 backend: "native".into(),
-                unit: "ns".into(),
-                spans: profile_spans_wall(&sample_tree()),
+                root: sample_tree(),
             }),
             TraceEvent::Metrics(MetricsSnapshot {
                 round: 1,
@@ -1076,13 +1082,43 @@ mod tests {
         ]
     }
 
+    /// A tally with every field non-zero.
+    fn full_tally() -> MemTally {
+        let mut t = MemTally::new();
+        for (i, (_, field)) in tally_fields(&mut t).into_iter().enumerate() {
+            *field = i as u64 + 1;
+        }
+        t
+    }
+
     #[test]
     fn from_json_inverts_to_json_for_every_kind() {
-        let events = one_of_each();
+        let mut events = one_of_each();
         let mut kinds: Vec<&str> = events.iter().map(TraceEvent::kind).collect();
         kinds.sort_unstable();
         kinds.dedup();
-        assert_eq!(kinds.len(), 9, "one event per kind");
+        assert_eq!(kinds.len(), 8, "one event per kind");
+        // Sparse tallies: all-zero, a single field, and all fourteen.
+        let single = MemTally {
+            global_stores: 5,
+            ..MemTally::new()
+        };
+        events.push(TraceEvent::Superstep(Superstep {
+            decide_tally: MemTally::new(),
+            weight_tally: single,
+            ..Superstep::default()
+        }));
+        let mut full = sample_span("sim");
+        full.root.children[0].tally = full_tally();
+        events.push(TraceEvent::Span(full));
+        let lines: Vec<String> = events.iter().map(|e| e.to_json().render()).collect();
+        let sparse = &lines[lines.len() - 2];
+        assert!(sparse.contains("\"decide_tally\":{}"), "{sparse}");
+        assert!(
+            sparse.contains("\"weight_tally\":{\"global_stores\":5}"),
+            "{sparse}"
+        );
+        assert!(lines[lines.len() - 1].contains("\"coalesce_ideal\":14"));
         for event in events {
             let line = event.to_json().render();
             let decoded = TraceEvent::from_json(&parse(&line).unwrap());
@@ -1133,10 +1169,16 @@ mod tests {
             TraceEvent::from_json(&without("event")).unwrap_err(),
             "missing or non-string `event`"
         );
-        let bad_tally = v.clone().set("weight_tally", Value::object());
+        let bad_tally = v
+            .clone()
+            .set("weight_tally", Value::object().set("warp_shuffles", 1u64));
         assert_eq!(
             TraceEvent::from_json(&bad_tally).unwrap_err(),
-            "missing or malformed `weight_tally`"
+            "`weight_tally`: unknown tally key `warp_shuffles`"
+        );
+        assert_eq!(
+            TraceEvent::from_json(&without("weight_tally")).unwrap_err(),
+            "missing `weight_tally`"
         );
         let negative = v.clone().set("moved", -1.0);
         assert_eq!(
@@ -1167,14 +1209,14 @@ mod tests {
             .map(|n| (n, kinds))
         };
         // Blank lines are skipped but still count toward line numbers.
-        let text = format!("{}\n\n  \n{}\n", lines[0], lines[7]);
+        let text = format!("{}\n\n  \n{}\n", lines[0], lines[6]);
         assert_eq!(read(&text).unwrap(), (2, vec!["run_start", "run_end"]));
         let err = read(&format!("{}\n\nnot json\n", lines[0])).unwrap_err();
         assert!(
             err.starts_with(&format!("{path} line 3: JSON parse error")),
             "{err}"
         );
-        let old = lines[7].replace(&format!("\"schema\":{SCHEMA_VERSION}"), "\"schema\":1");
+        let old = lines[6].replace(&format!("\"schema\":{SCHEMA_VERSION}"), "\"schema\":1");
         let err = read(&format!("{}\n{old}\n", lines[0])).unwrap_err();
         assert_eq!(
             err,
@@ -1203,6 +1245,91 @@ mod tests {
         assert!(read_trace(&path, |_| Ok(()))
             .unwrap_err()
             .starts_with(&path));
+    }
+
+    #[test]
+    fn schema_5_traces_with_profile_lines_still_read() {
+        // Schema 5 wrote every tally field, empty counters and children, no
+        // span backend, and a `profile` line after each span.
+        let zeros = tally_fields(&mut MemTally::new()).map(|(k, _)| format!("\"{k}\":0"));
+        let t = zeros.join(",");
+        let span = format!(
+            "{{\"event\":\"span\",\"schema\":5,\"round\":0,\"superstep\":1,\"phase\":\"phase1\",\
+             \"root\":{{\"name\":\"\",\"invocations\":0,\"tally\":{{{t}}},\"counters\":{{}},\
+             \"children\":[{{\"name\":\"decide\",\"invocations\":1,\"tally\":{{{t}}},\
+             \"counters\":{{\"elapsed_ns\":42}},\"children\":[]}}]}}}}"
+        );
+        let profile = "{\"event\":\"profile\",\"schema\":5,\"round\":0,\"superstep\":1,\
+                       \"phase\":\"phase1\",\"backend\":\"native\",\"unit\":\"ns\",\"spans\":[]}";
+        let end = "{\"event\":\"run_end\",\"schema\":5,\"modularity\":0.5,\"rounds\":1,\
+                   \"total_cycles\":0}";
+        let path = std::env::temp_dir()
+            .join(format!("gala_schema5_{}.jsonl", std::process::id()))
+            .to_string_lossy()
+            .into_owned();
+        let read = |text: String| {
+            std::fs::write(&path, text).unwrap();
+            let mut events = Vec::new();
+            read_trace(&path, |e| {
+                events.push(e);
+                Ok(())
+            })
+            .map(|n| (n, events))
+        };
+        let (n, events) = read(format!("{span}\n{profile}\n{end}\n")).unwrap();
+        assert_eq!(n, 2, "the profile line is skipped");
+        let TraceEvent::Span(tree) = &events[0] else {
+            panic!("{events:?}")
+        };
+        assert_eq!(tree.backend, "");
+        assert_eq!(tree.profile(), None);
+        let decide = tree.root.child("decide").unwrap();
+        assert_eq!(
+            (decide.tally, decide.counter("elapsed_ns")),
+            (MemTally::new(), 42)
+        );
+        // From schema 6 on, a span names its backend and `profile` is gone.
+        let err = read(format!(
+            "{}\n",
+            span.replace("\"schema\":5", "\"schema\":6")
+        ))
+        .unwrap_err();
+        assert_eq!(
+            err,
+            format!("{path} line 1: missing or non-string `backend`")
+        );
+        let err = read(format!(
+            "{}\n",
+            profile.replace("\"schema\":5", "\"schema\":6")
+        ))
+        .unwrap_err();
+        assert_eq!(err, format!("{path} line 1: unknown event `profile`"));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn span_tallies_with_unknown_keys_or_non_integers_name_the_key() {
+        let line = TraceEvent::Span(sample_span("sim")).to_json().render();
+        assert!(line.contains("\"global_loads\":40"), "{line}");
+        let decode = |line: String| TraceEvent::from_json(&parse(&line).unwrap()).unwrap_err();
+        let err = decode(line.replace("\"global_loads\":40", "\"global_lodes\":40"));
+        assert_eq!(
+            err,
+            "`root`: span ``: `children`: span `superstep`: `children`: span `decide`: \
+             `children`: span `hash`: `tally`: unknown tally key `global_lodes`"
+        );
+        let err = decode(line.replace("\"global_loads\":40", "\"global_loads\":-40"));
+        assert!(
+            err.ends_with("`tally`: non-integer tally `global_loads`"),
+            "{err}"
+        );
+        let err = decode(line.replace("\"global_loads\":40", "\"global_loads\":\"40\""));
+        assert!(err.ends_with("non-integer tally `global_loads`"), "{err}");
+        let err = decode(line.replace("\"items\":12", "\"items\":1.5"));
+        assert!(
+            err.ends_with("`counters`: non-integer counter `items`"),
+            "{err}"
+        );
     }
 
     mod profile_props {
@@ -1271,24 +1398,45 @@ mod tests {
             #[test]
             fn profile_spans_round_trip_through_json(
                 t in tally_strategy(),
-                segs in proptest::collection::vec(0usize..4, 1..4),
+                zeroed in 0u32..(1 << 14),
                 invocations in 0u64..1_000_000,
             ) {
-                let names = ["decide", "hash", "contract", "sync"];
-                let path = segs
-                    .iter()
-                    .map(|&i| names[i])
-                    .collect::<Vec<_>>()
-                    .join("/");
-                let span = ProfileSpan {
-                    path,
-                    invocations,
-                    total: CostModel::default().components(&t).total(),
-                    components: CostModel::default().components(&t),
+                // Any subset of the fields zero: the sparse codec leaves
+                // those out, and the charges derived after the round trip
+                // are the writer's, bit for bit.
+                let mut t = t;
+                for (i, (_, field)) in tally_fields(&mut t).into_iter().enumerate() {
+                    if zeroed & (1 << i) != 0 {
+                        *field = 0;
+                    }
+                }
+                let mut p = gala_gpu::profile::Profiler::new();
+                p.scope("decide", |p| {
+                    p.record(&t);
+                    p.scope("hash", |p| p.record(&t));
+                });
+                let mut root = p.finish();
+                root.children[0].invocations = invocations;
+                let tree = SpanTree {
+                    round: 0,
+                    superstep: 0,
+                    phase: "phase1".into(),
+                    backend: "sim".into(),
+                    root,
                 };
-                let rendered = profile_span_to_json(&span).render();
-                let back = profile_span_from_json(&parse(&rendered).unwrap()).unwrap();
-                prop_assert_eq!(back, span);
+                let line = TraceEvent::Span(tree.clone()).to_json().render();
+                for (key, _) in tally_fields(&mut MemTally::new()) {
+                    let zero = format!("\"{key}\":0");
+                    prop_assert!(
+                        !line.contains(&format!("{zero},")) && !line.contains(&format!("{zero}}}")),
+                        "{}",
+                        line
+                    );
+                }
+                let back = TraceEvent::from_json(&parse(&line).unwrap()).unwrap();
+                prop_assert_eq!(&back, &TraceEvent::Span(tree.clone()));
+                let TraceEvent::Span(back) = back else { unreachable!() };
+                prop_assert_eq!(back.profile(), tree.profile());
             }
         }
     }
