@@ -5,7 +5,10 @@
 //! coalescing efficiency, sync traffic) as aligned sparkline rows, a
 //! per-round convergence table (supersteps run after the round's best Q,
 //! and the period of any Q limit cycle its tail ends in), plus a
-//! flamegraph-style top-N summary of the merged profiling span tree. With a
+//! flamegraph-style top-N summary of the merged profiling span tree. A
+//! native trace, whose spans are charged in wall ns, drops the simulator's
+//! hashtable, divergence and coalescing curves and ranks its spans by wall
+//! ns instead of simulated cycles. With a
 //! second (baseline) trace it diffs a watched-metric set and reports
 //! regressions beyond `--threshold`; `--check` validates the trace's
 //! structural invariants instead (the CI smoke job runs this on a freshly
@@ -401,7 +404,16 @@ fn ratio(num: u64, den: u64) -> f64 {
     }
 }
 
-/// The per-superstep metric curves of a trace, in render order.
+/// Whether the trace's span trees are all charged in wall nanoseconds (a
+/// native run): then its superstep events carry no simulated kernel
+/// traffic, and the span summary ranks wall time rather than cycles.
+fn wall_clocked(trace: &Trace) -> bool {
+    trace.profiled().next().is_some() && trace.profiled().all(|s| s.unit == Some("ns"))
+}
+
+/// The per-superstep metric curves of a trace, in render order. The
+/// simulator's hashtable, divergence and coalescing curves are left out
+/// of a [`wall_clocked`] trace, where they are flat zeros.
 fn curves(trace: &Trace) -> Vec<(&'static str, Vec<f64>)> {
     let ss = &trace.supersteps;
     let mut out = vec![
@@ -419,27 +431,31 @@ fn curves(trace: &Trace) -> Vec<(&'static str, Vec<f64>)> {
                 .map(|s| ratio(s.pruned, s.active + s.pruned))
                 .collect(),
         ),
-        (
-            "hash occupancy",
-            ss.iter().map(|s| s.hash_occupancy).collect(),
-        ),
-        (
-            "hash evictions",
-            ss.iter().map(|s| s.hash_evictions as f64).collect(),
-        ),
-        (
-            "divergence %",
-            ss.iter()
-                .map(|s| s.decide_tally.divergence() * 100.0)
-                .collect(),
-        ),
-        (
-            "coalescing eff",
-            ss.iter()
-                .map(|s| s.decide_tally.coalescing_efficiency())
-                .collect(),
-        ),
     ];
+    if !wall_clocked(trace) {
+        out.extend([
+            (
+                "hash occupancy",
+                ss.iter().map(|s| s.hash_occupancy).collect(),
+            ),
+            (
+                "hash evictions",
+                ss.iter().map(|s| s.hash_evictions as f64).collect(),
+            ),
+            (
+                "divergence %",
+                ss.iter()
+                    .map(|s| s.decide_tally.divergence() * 100.0)
+                    .collect(),
+            ),
+            (
+                "coalescing eff",
+                ss.iter()
+                    .map(|s| s.decide_tally.coalescing_efficiency())
+                    .collect(),
+            ),
+        ]);
+    }
     if !trace.syncs.is_empty() {
         let bytes = ss
             .iter()
@@ -536,67 +552,90 @@ fn scale(values: Vec<f64>, k: f64) -> Vec<f64> {
     values.into_iter().map(|v| v * k).collect()
 }
 
-/// One row of the span summary: slash-joined path plus cycle attribution.
+/// One row of the span summary: slash-joined path plus its charges, in
+/// simulated cycles or wall ns.
 struct SpanRow {
     path: String,
     invocations: u64,
-    self_cycles: f64,
-    total_cycles: f64,
+    self_charge: f64,
+    total_charge: f64,
 }
 
-fn flatten_spans(span: &SpanRecord, prefix: &str, cost: &CostModel, out: &mut Vec<SpanRow>) {
+/// A span's `(self, total)` charge in the summary's unit.
+type Charge<'a> = &'a dyn Fn(&SpanRecord) -> (f64, f64);
+
+fn flatten_spans(span: &SpanRecord, prefix: &str, charge: Charge, out: &mut Vec<SpanRow>) {
     for child in &span.children {
         let path = if prefix.is_empty() {
             child.name.clone()
         } else {
             format!("{prefix}/{}", child.name)
         };
+        let (self_charge, total_charge) = charge(child);
         out.push(SpanRow {
             path: path.clone(),
             invocations: child.invocations,
-            self_cycles: child.self_cycles(cost),
-            total_cycles: child.total_cycles(cost),
+            self_charge,
+            total_charge,
         });
-        flatten_spans(child, &path, cost, out);
+        flatten_spans(child, &path, charge, out);
     }
 }
 
+/// The wall ns [`SpanTree::profile`] charges a span and its descendants.
+fn subtree_wall_ns(span: &SpanRecord) -> f64 {
+    span.components_wall().total() + span.children.iter().map(subtree_wall_ns).sum::<f64>()
+}
+
 /// Flamegraph-style top-N table: spans ranked by self cycles under the
-/// default cost model, with a share bar against the busiest span.
+/// default cost model, or on a [`wall_clocked`] trace by the self wall ns
+/// [`SpanTree::profile`] charges, with a share bar against the busiest
+/// span.
 fn render_span_summary(trace: &Trace, top: usize) -> String {
     let cost = CostModel::default();
+    let cycles = |s: &SpanRecord| (s.self_cycles(&cost), s.total_cycles(&cost));
+    let wall = |s: &SpanRecord| (s.components_wall().total(), subtree_wall_ns(s));
+    let (charge, unit, col): (Charge, _, _) = if wall_clocked(trace) {
+        (&wall, "wall ns", "ns")
+    } else {
+        (&cycles, "cycles", "cyc")
+    };
     let mut rows = Vec::new();
-    flatten_spans(&trace.merged_root, "", &cost, &mut rows);
+    flatten_spans(&trace.merged_root, "", charge, &mut rows);
     if rows.is_empty() {
         return "no span events in trace (label propagation, or an older build)\n".to_string();
     }
-    let total_self: f64 = rows.iter().map(|r| r.self_cycles).sum();
+    let total_self: f64 = rows.iter().map(|r| r.self_charge).sum();
     rows.sort_by(|a, b| {
-        b.self_cycles
-            .partial_cmp(&a.self_cycles)
+        b.self_charge
+            .partial_cmp(&a.self_charge)
             .unwrap_or(std::cmp::Ordering::Equal)
             .then_with(|| a.path.cmp(&b.path))
     });
     let shown = rows.len().min(top.max(1));
-    let max_self = rows[0].self_cycles.max(1.0);
+    let max_self = rows[0].self_charge.max(1.0);
     let width = rows[..shown].iter().map(|r| r.path.len()).max().unwrap();
     let mut out = format!(
-        "top {shown} spans by self cycles (of {} total)\n",
+        "top {shown} spans by self {unit} (of {} total)\n",
         rows.len()
     );
     out.push_str(&format!(
         "  {:<width$} {:>12} {:>12} {:>7} {:>7}\n",
-        "span", "self cyc", "total cyc", "inv", "share"
+        "span",
+        format!("self {col}"),
+        format!("total {col}"),
+        "inv",
+        "share"
     ));
     for r in &rows[..shown] {
-        let bar_len = ((r.self_cycles / max_self) * 20.0).round() as usize;
+        let bar_len = ((r.self_charge / max_self) * 20.0).round() as usize;
         out.push_str(&format!(
             "  {:<width$} {:>12.0} {:>12.0} {:>7} {:>6.1}% {}\n",
             r.path,
-            r.self_cycles,
-            r.total_cycles,
+            r.self_charge,
+            r.total_charge,
             r.invocations,
-            100.0 * r.self_cycles / total_self.max(1e-12),
+            100.0 * r.self_charge / total_self.max(1e-12),
             "█".repeat(bar_len),
         ));
     }
@@ -1012,6 +1051,7 @@ pub fn run(args: &AnalyzeArgs) -> Result<(), Error> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gala_core::backend::BackendKind;
     use gala_core::louvain::{Louvain, LouvainConfig};
     use gala_core::multi_gpu::ContractMode;
     use gala_core::observe::Obs;
@@ -1176,6 +1216,53 @@ mod tests {
         // Sparklines use the block glyphs.
         assert!(SPARK.iter().any(|&c| text.contains(c)));
         let _ = std::fs::remove_file(path);
+    }
+
+    #[test]
+    fn native_traces_rank_spans_by_wall_ns_without_simulator_curves() {
+        let g = fixtures::ring_of_cliques(6, 5);
+        let mut sink = JsonlSink::new(Vec::new());
+        Louvain::new(LouvainConfig {
+            backend: BackendKind::Native,
+            ..LouvainConfig::default()
+        })
+        .run_with(&g, &mut Obs::traced(&mut sink));
+        let path = format!("{}.jsonl", tmp("native"));
+        std::fs::write(&path, sink.into_inner()).unwrap();
+        let trace = load_trace(&path).unwrap();
+        assert!(wall_clocked(&trace));
+        let text = render_single(&path, &trace, 10);
+        assert!(text.contains("spans by self wall ns"), "{text}");
+        assert!(text.contains("self ns"), "{text}");
+        for gone in [
+            "hash occupancy",
+            "hash evictions",
+            "divergence %",
+            "coalescing eff",
+            "self cyc",
+        ] {
+            assert!(!text.contains(gone), "{gone:?} in:\n{text}");
+        }
+        // The rows are ranked by the merged tree's self wall ns, busiest
+        // first, and the busiest span carries time.
+        let mut rows = Vec::new();
+        let wall = |s: &SpanRecord| (s.components_wall().total(), subtree_wall_ns(s));
+        flatten_spans(&trace.merged_root, "", &wall, &mut rows);
+        let busiest = rows.iter().map(|r| r.self_charge).fold(0.0, f64::max);
+        assert!(busiest > 0.0);
+        let first = text
+            .lines()
+            .skip_while(|l| !l.starts_with("top "))
+            .nth(2)
+            .unwrap();
+        let top = rows.iter().find(|r| r.self_charge == busiest).unwrap();
+        assert!(first.trim_start().starts_with(&top.path), "{first}");
+        // A sim trace keeps its cycle table and every curve.
+        let sim_path = write_fixture_trace("native_vs_sim");
+        assert!(!wall_clocked(&load_trace(&sim_path).unwrap()));
+        for p in [path, sim_path] {
+            let _ = std::fs::remove_file(p);
+        }
     }
 
     #[test]

@@ -253,6 +253,38 @@ fn checksum_corrupt_v2_container_is_rejected() {
     assert_rejected(&["detect"], "checksum.bin", &bytes, &["checksum mismatch"]);
 }
 
+/// `bytes`, a v2 container, with the target of arc `arc` set to `target`
+/// and the header's FNV-1a checksum recomputed over the edited sections,
+/// so only the loader's own checks can catch the edit.
+fn with_target(mut bytes: Vec<u8>, arc: usize, target: u32) -> Vec<u8> {
+    let field = |i: usize| u64::from_le_bytes(bytes[i..i + 8].try_into().unwrap()) as usize;
+    let at = field(32) + 4 * arc;
+    bytes[at..at + 4].copy_from_slice(&target.to_le_bytes());
+    let checksum = bytes[64..].iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    bytes[48..56].copy_from_slice(&checksum.to_le_bytes());
+    bytes
+}
+
+#[test]
+fn checksum_valid_v2_container_with_an_out_of_range_target_is_rejected() {
+    let mut b = GraphBuilder::new(4);
+    b.extend_edges([(0, 1, 1.0), (1, 2, 1.0), (2, 3, 0.5)]);
+    let bytes = with_target(io::to_bytes(&b.build()), 1, 1000);
+    let want = ["v2 container: corrupt graph: target 1000 out of range (n = 4)"];
+    for backend in ["sim", "native"] {
+        for store in ["owned", "mapped"] {
+            assert_rejected(
+                &["detect", "--backend", backend, "--store", store],
+                &format!("range_{backend}_{store}.bin"),
+                &bytes,
+                &want,
+            );
+        }
+    }
+}
+
 #[test]
 fn v1_container_without_a_reverse_arc_is_rejected() {
     // Arc 0 -> 1 with no 1 -> 0.

@@ -57,12 +57,23 @@ impl Graph {
         Ok(Self::from_audited(offsets, targets, weights))
     }
 
+    /// [`Self::try_from_csr`] for arrays whose weighted degrees a loader
+    /// has already summed with [`row_weight`], row by row.
+    pub(crate) fn try_from_csr_built(
+        offsets: Vec<usize>,
+        targets: Vec<VertexId>,
+        weights: Vec<f64>,
+        degree_w: Vec<f64>,
+    ) -> Result<Self, String> {
+        audit_csr(&offsets, &targets, &weights)?;
+        Ok(Self::from_csr_built(offsets, targets, weights, degree_w))
+    }
+
     /// Builds a graph from CSR arrays that are valid by construction or
     /// by checksum: the builders' output ([`crate::builder`] and
     /// [`crate::stream`] push both arcs of every edge and merge
-    /// duplicates in one order), an exact permutation
-    /// ([`crate::reorder::apply`]), or a checksummed container
-    /// ([`crate::io`] v2, mapped). Skips the `O(n + m)` structural and
+    /// duplicates in one order) or an exact permutation
+    /// ([`crate::reorder::apply`]). Skips the `O(n + m)` structural and
     /// symmetry audit of [`Self::from_csr`] in release builds; debug
     /// builds still run it and panic on a violation, so the debug test
     /// tier audits every trusted construction.
@@ -75,10 +86,11 @@ impl Graph {
         Self::from_audited(offsets, targets, weights)
     }
 
-    /// [`Self::from_csr_trusted`] for the builder's output, whose weighted
-    /// degrees it has already summed, each row in order as
-    /// [`Self::from_csr`] sums them (so they are bit-identical), across
-    /// the pool.
+    /// [`Self::from_csr_trusted`] for arrays whose weighted degrees are
+    /// already summed, each row in order as [`Self::from_csr`] sums them
+    /// (so they are bit-identical): the builder's output, summed across
+    /// the pool, and a checksummed v2 container ([`crate::io`], mapped),
+    /// summed while it loads.
     pub(crate) fn from_csr_built(
         offsets: Vec<usize>,
         targets: Vec<VertexId>,
@@ -339,9 +351,13 @@ impl fmt::Debug for Graph {
 /// ([`crate::io`]), retaining its backing-file provenance.
 ///
 /// The workspace forbids `unsafe`, so there is no true `mmap(2)` here:
-/// the sections are streamed from disk into exactly-sized buffers and the
-/// container checksum replaces the `O(n + m)` structural audit that the
-/// owned path pays in [`Graph::from_csr`]. The type keeps the same
+/// the sections are streamed from disk into exactly-sized buffers. The
+/// container checksum guards the bytes against damage, and the load's
+/// per-element checks (offsets sound, targets below `n`, finite weights)
+/// guard the kernels against a crafted container that indexes out of
+/// bounds. Together they replace the `O(n + m)` structural audit that the
+/// owned path pays in [`Graph::from_csr`]: sorted rows and symmetric arcs
+/// are not checked. The type keeps the same
 /// seam a real mapping would use — drivers see `&Graph`, the store knows
 /// where the bytes came from — so swapping in OS mapping later only
 /// touches [`crate::io`].

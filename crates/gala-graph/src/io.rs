@@ -51,12 +51,35 @@
 //! * **v2** (`GALAGRF2`): a 64-byte header carrying explicit 8-byte
 //!   aligned section positions and an FNV-1a checksum over the section
 //!   bytes. [`save_binary`] streams it without materialising the
-//!   container in memory; [`load_binary_mapped`] uses the checksum in
-//!   place of the `O(n + m)` structural audit and decodes through the
+//!   container in memory; [`load_binary_mapped`] decodes it through the
 //!   trusted CSR constructor into a [`MappedGraph`]. The workspace
 //!   forbids `unsafe`, so the "mapping" is emulated — sections are
 //!   streamed into exactly-sized buffers — but the header layout is
 //!   mmap-ready: every section is aligned and its position explicit.
+//!
+//! **What guards a v2 load.** The checksum guards against damage: a
+//! flipped, lost or truncated byte anywhere in the sections, padding
+//! included. It does not guard against a container written wrong with a
+//! matching checksum, so every load also checks each element as it is
+//! decoded: the offsets start at 0, never decrease and end at the arc
+//! count; every target is below `n`; every weight is finite. These keep a
+//! crafted container from indexing out of bounds or poisoning
+//! modularity, and fail with an `InvalidData` error naming the fault (a
+//! checksum mismatch is reported first). The owned loaders
+//! ([`load_binary`], [`from_bytes`]) then run the full `O(n + m)` audit
+//! (sorted rows, symmetric arcs); the mapped load trusts the checksum for
+//! those.
+//!
+//! **Pipelined checksum.** FNV-1a is one serial chain of a multiply per
+//! byte, the largest cost of a binary load. Reads and writes therefore
+//! move the sections in 1 MiB chunks through two buffers, and each step
+//! is a [`rayon::join`]: a pool worker folds chunk k into the hash while
+//! the caller reads and decodes chunk k + 1 (on a save: writes chunk k
+//! and serialises chunk k + 1). The element checks and the weighted
+//! degree of each row, summed as its last weight arrives, run on the
+//! caller's side and hide under the hash. The hash covers the same bytes
+//! in the same order at every pool width; at width 1 both sides run
+//! inline, in turn.
 //!
 //! v2 header layout (all fields `u64` LE unless noted):
 //!
@@ -72,9 +95,9 @@
 //! |     56 | reserved (0)                           |
 
 use crate::builder::{EdgeRecords, EdgeSink, Record};
-use crate::csr::{Graph, MappedGraph, VertexId};
+use crate::csr::{row_weight, Graph, MappedGraph, VertexId};
 use std::fs::File;
-use std::io::{self, BufRead, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
+use std::io::{self, BufRead, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
 /// Magic bytes of the legacy (packed, unchecksummed) container.
@@ -89,8 +112,10 @@ const HEADER_BYTES: u64 = 64;
 /// Header position of the checksum field (patched after streaming).
 const CHECKSUM_POS: u64 = 48;
 
-/// Section streaming granularity. A multiple of 8 so no element straddles
-/// a chunk boundary.
+/// Section streaming granularity: the chunk the pipelined checksum
+/// hashes while the next one is read or written. The pipeline takes any
+/// size (values straddling a chunk are carried over); a multiple of 8
+/// keeps every value whole.
 const IO_CHUNK_BYTES: usize = 1 << 20;
 
 fn bad_data(msg: String) -> io::Error {
@@ -658,6 +683,19 @@ fn v2_layout(n: u64, arcs: u64) -> (u64, u64, u64) {
     (targets_pos, weights_pos, weights_pos + arcs * 8)
 }
 
+/// Where the offsets, targets, padding and weights sections end, counted
+/// from the first section byte: the layout of the stream the checksum
+/// covers. Callers have bounded `n` and `arcs`, so nothing overflows.
+fn section_ends(n: usize, arcs: usize) -> [usize; 4] {
+    let (targets_pos, weights_pos, total) = v2_layout(n as u64, arcs as u64);
+    [
+        (targets_pos - HEADER_BYTES) as usize,
+        (targets_pos - HEADER_BYTES) as usize + arcs * 4,
+        (weights_pos - HEADER_BYTES) as usize,
+        (total - HEADER_BYTES) as usize,
+    ]
+}
+
 fn v2_header(graph: &Graph, checksum: u64) -> [u8; HEADER_BYTES as usize] {
     let n = graph.num_vertices() as u64;
     let arcs = graph.num_arcs() as u64;
@@ -673,39 +711,79 @@ fn v2_header(graph: &Graph, checksum: u64) -> [u8; HEADER_BYTES as usize] {
     h
 }
 
-/// Streams the three CSR sections (with alignment padding) to `w`,
-/// returning the FNV-1a checksum over everything written.
-fn write_v2_sections<W: Write>(graph: &Graph, w: &mut W) -> io::Result<u64> {
-    let mut fnv = Fnv1a::new();
-    let mut buf: Vec<u8> = Vec::with_capacity(IO_CHUNK_BYTES);
-    let flush = |buf: &mut Vec<u8>, w: &mut W, fnv: &mut Fnv1a, force: bool| -> io::Result<()> {
-        if force || buf.len() >= IO_CHUNK_BYTES {
-            fnv.update(buf);
-            w.write_all(buf)?;
-            buf.clear();
+/// Appends bytes `lo..hi` of the packed little-endian encoding of `items`
+/// to `out`. Whole elements are encoded in one run; an element cut by
+/// either end contributes only its bytes inside the range.
+fn encode_le<T, const N: usize>(
+    items: &[T],
+    (lo, hi): (usize, usize),
+    out: &mut Vec<u8>,
+    to_le: fn(&T) -> [u8; N],
+) {
+    let mut pos = lo;
+    while pos < hi {
+        let (i, skip) = (pos / N, pos % N);
+        if skip == 0 && hi - pos >= N {
+            let whole = (hi - pos) / N;
+            for item in &items[i..i + whole] {
+                out.extend_from_slice(&to_le(item));
+            }
+            pos += whole * N;
+        } else {
+            let take = (N - skip).min(hi - pos);
+            out.extend_from_slice(&to_le(&items[i])[skip..skip + take]);
+            pos += take;
         }
-        Ok(())
-    };
-    for &o in graph.offsets() {
-        buf.extend_from_slice(&(o as u64).to_le_bytes());
-        flush(&mut buf, w, &mut fnv, false)?;
     }
-    flush(&mut buf, w, &mut fnv, true)?;
-    for &t in graph.targets() {
-        buf.extend_from_slice(&t.to_le_bytes());
-        flush(&mut buf, w, &mut fnv, false)?;
+}
+
+/// Appends bytes `range` of `graph`'s v2 section stream (offsets, targets,
+/// zero padding, weights; laid out by [`section_ends`]) to `out`.
+fn encode_sections(graph: &Graph, ends: &[usize; 4], range: (usize, usize), out: &mut Vec<u8>) {
+    let mut start = 0;
+    for (section, &end) in ends.iter().enumerate() {
+        let (lo, hi) = (range.0.max(start), range.1.min(end));
+        if lo < hi {
+            let local = (lo - start, hi - start);
+            match section {
+                0 => encode_le(graph.offsets(), local, out, |&o| (o as u64).to_le_bytes()),
+                1 => encode_le(graph.targets(), local, out, |t| t.to_le_bytes()),
+                2 => out.resize(out.len() + hi - lo, 0),
+                _ => encode_le(graph.weights(), local, out, |w| w.to_le_bytes()),
+            }
+        }
+        start = end;
     }
-    flush(&mut buf, w, &mut fnv, true)?;
-    let (targets_pos, weights_pos, _) =
-        v2_layout(graph.num_vertices() as u64, graph.num_arcs() as u64);
-    let padding = (weights_pos - targets_pos - graph.num_arcs() as u64 * 4) as usize;
-    buf.resize(padding, 0);
-    flush(&mut buf, w, &mut fnv, true)?;
-    for &wt in graph.weights() {
-        buf.extend_from_slice(&wt.to_le_bytes());
-        flush(&mut buf, w, &mut fnv, false)?;
+}
+
+/// Writes the three CSR sections (with alignment padding) to `w` in
+/// `chunk`-byte pieces, returning the FNV-1a checksum over everything
+/// written. Each step is one [`rayon::join`]: the caller writes chunk k
+/// and serialises chunk k + 1 into the second buffer while a pool worker
+/// folds chunk k into the hash. At pool width 1 both run inline, in turn.
+fn write_v2_sections<W: Write + Send>(graph: &Graph, w: &mut W, chunk: usize) -> io::Result<u64> {
+    let ends = section_ends(graph.num_vertices(), graph.num_arcs());
+    let total = ends[3];
+    let chunk = chunk.clamp(1, total);
+    let mut fnv = Fnv1a::new();
+    let (mut cur, mut next) = (Vec::with_capacity(chunk), Vec::with_capacity(chunk));
+    encode_sections(graph, &ends, (0, chunk), &mut cur);
+    let mut pos = chunk;
+    while !cur.is_empty() {
+        let end = (pos + chunk).min(total);
+        let (written, ()) = rayon::join(
+            || {
+                w.write_all(&cur)?;
+                next.clear();
+                encode_sections(graph, &ends, (pos, end), &mut next);
+                Ok::<_, io::Error>(())
+            },
+            || fnv.update(&cur),
+        );
+        written?;
+        pos = end;
+        std::mem::swap(&mut cur, &mut next);
     }
-    flush(&mut buf, w, &mut fnv, true)?;
     Ok(fnv.finish())
 }
 
@@ -714,60 +792,226 @@ pub fn to_bytes(graph: &Graph) -> Vec<u8> {
     let (_, _, total) = v2_layout(graph.num_vertices() as u64, graph.num_arcs() as u64);
     let mut buf = Vec::with_capacity(total as usize);
     buf.extend_from_slice(&v2_header(graph, 0));
-    let checksum = write_v2_sections(graph, &mut buf).expect("Vec write is infallible");
+    let checksum =
+        write_v2_sections(graph, &mut buf, IO_CHUNK_BYTES).expect("Vec write is infallible");
     buf[CHECKSUM_POS as usize..][..8].copy_from_slice(&checksum.to_le_bytes());
     buf
 }
 
 /// Saves the binary container (v2) to a file, streaming the sections —
-/// peak memory is one IO chunk, not the whole container. The checksum is
+/// peak memory is two IO chunks, not the whole container. The checksum is
 /// patched into the header after the sections are written.
 pub fn save_binary<P: AsRef<Path>>(graph: &Graph, path: P) -> io::Result<()> {
-    let mut w = BufWriter::with_capacity(IO_CHUNK_BYTES, File::create(path)?);
-    w.write_all(&v2_header(graph, 0))?;
-    let checksum = write_v2_sections(graph, &mut w)?;
-    let mut f = w.into_inner().map_err(|e| e.into_error())?;
+    let mut f = File::create(path)?;
+    f.write_all(&v2_header(graph, 0))?;
+    let checksum = write_v2_sections(graph, &mut f, IO_CHUNK_BYTES)?;
     f.seek(SeekFrom::Start(CHECKSUM_POS))?;
     f.write_all(&checksum.to_le_bytes())?;
     f.flush()
 }
 
-/// Decoded v2 CSR arrays plus the number of checksummed bytes consumed.
+/// Decoded v2 CSR arrays, their weighted degrees, and the number of
+/// checksummed bytes consumed.
 struct V2Sections {
     offsets: Vec<usize>,
     targets: Vec<VertexId>,
     weights: Vec<f64>,
+    degree_w: Vec<f64>,
     section_bytes: u64,
 }
 
-/// Reads `total` bytes in aligned chunks, feeding each chunk to `consume`
-/// and folding it into `fnv`.
-fn read_chunked<R: Read>(
-    r: &mut R,
-    mut total: usize,
-    fnv: &mut Fnv1a,
-    mut consume: impl FnMut(&[u8]),
-) -> io::Result<()> {
-    let mut buf = vec![0u8; IO_CHUNK_BYTES.min(total.max(1))];
-    while total > 0 {
-        let take = buf.len().min(total);
-        r.read_exact(&mut buf[..take])?;
-        fnv.update(&buf[..take]);
-        consume(&buf[..take]);
-        total -= take;
+impl V2Sections {
+    /// The owned load: the full structural and symmetry audit.
+    fn audited(self) -> io::Result<Graph> {
+        Graph::try_from_csr_built(self.offsets, self.targets, self.weights, self.degree_w)
+            .map_err(|e| bad_data(format!("v2 container: corrupt graph: {e}")))
     }
-    Ok(())
+}
+
+/// Appends the packed little-endian `N`-byte values of `part` to `out`.
+/// A value cut by the end of one part waits in `carry` for the rest of its
+/// bytes, which start the next part of the same section.
+fn decode_le_into<T, const N: usize>(
+    carry: &mut Vec<u8>,
+    mut part: &[u8],
+    out: &mut Vec<T>,
+    from_le: fn([u8; N]) -> T,
+) {
+    if !carry.is_empty() {
+        let take = (N - carry.len()).min(part.len());
+        carry.extend_from_slice(&part[..take]);
+        part = &part[take..];
+        if carry.len() < N {
+            return;
+        }
+        out.push(from_le(carry[..].try_into().expect("a full carry")));
+        carry.clear();
+    }
+    let whole = part.chunks_exact(N);
+    carry.extend_from_slice(whole.remainder());
+    out.extend(whole.map(|c| from_le(c.try_into().expect("chunks_exact yields N bytes"))));
+}
+
+/// Decodes the v2 section stream into exactly sized CSR arrays as its
+/// bytes arrive, in pieces of any length, and checks every element on the
+/// way: offsets start at 0, never decrease and end at `arcs`; every target
+/// is below `n`; every weight is finite. Once the offsets are known to be
+/// sound, each row's weighted degree is summed with [`row_weight`] as soon
+/// as its last weight arrives. The first fault is kept for
+/// [`Self::finish`], which reports a checksum mismatch ahead of it.
+struct SectionDecoder {
+    n: usize,
+    arcs: usize,
+    ends: [usize; 4],
+    /// Stream bytes decoded so far.
+    pos: usize,
+    /// The leading bytes of a value cut by the end of the last piece.
+    carry: Vec<u8>,
+    offsets: Vec<usize>,
+    targets: Vec<VertexId>,
+    weights: Vec<f64>,
+    degree_w: Vec<f64>,
+    /// Whether the offsets passed their check (rows can be summed).
+    rows_sound: bool,
+    fault: Option<String>,
+}
+
+impl SectionDecoder {
+    fn new(n: usize, arcs: usize) -> Self {
+        Self {
+            n,
+            arcs,
+            ends: section_ends(n, arcs),
+            pos: 0,
+            carry: Vec::with_capacity(8),
+            offsets: Vec::with_capacity(n + 1),
+            targets: Vec::with_capacity(arcs),
+            weights: Vec::with_capacity(arcs),
+            degree_w: Vec::with_capacity(n),
+            rows_sound: false,
+            fault: None,
+        }
+    }
+
+    /// Decodes the next `bytes` of the stream (never past its end).
+    fn feed(&mut self, mut bytes: &[u8]) {
+        while !bytes.is_empty() {
+            let section = self
+                .ends
+                .iter()
+                .position(|&end| self.pos < end)
+                .expect("the stream is no longer than its layout");
+            let (part, rest) = bytes.split_at(bytes.len().min(self.ends[section] - self.pos));
+            match section {
+                0 => decode_le_into(&mut self.carry, part, &mut self.offsets, |b| {
+                    u64::from_le_bytes(b) as usize
+                }),
+                1 => {
+                    let from = self.targets.len();
+                    decode_le_into(&mut self.carry, part, &mut self.targets, u32::from_le_bytes);
+                    self.check_targets(from);
+                }
+                2 => {}
+                _ => {
+                    let from = self.weights.len();
+                    decode_le_into(&mut self.carry, part, &mut self.weights, f64::from_le_bytes);
+                    self.check_weights(from);
+                    self.sum_rows();
+                }
+            }
+            self.pos += part.len();
+            if section == 0 && self.pos == self.ends[0] {
+                self.check_offsets();
+                self.sum_rows();
+            }
+            bytes = rest;
+        }
+    }
+
+    fn note(&mut self, fault: impl FnOnce() -> String) {
+        if self.fault.is_none() {
+            self.fault = Some(fault());
+        }
+    }
+
+    fn check_offsets(&mut self) {
+        let o = &self.offsets;
+        self.rows_sound = o.first() == Some(&0)
+            && o.last() == Some(&self.arcs)
+            && o.windows(2).all(|p| p[0] <= p[1]);
+        if !self.rows_sound {
+            self.note(|| "v2 container: corrupt offsets".into());
+        }
+    }
+
+    fn check_targets(&mut self, from: usize) {
+        let n = self.n;
+        if let Some(&t) = self.targets[from..].iter().find(|&&t| t as usize >= n) {
+            self.note(|| format!("v2 container: corrupt graph: target {t} out of range (n = {n})"));
+        }
+    }
+
+    fn check_weights(&mut self, from: usize) {
+        if let Some(i) = self.weights[from..].iter().position(|w| !w.is_finite()) {
+            let (arc, w) = (from + i, self.weights[from + i]);
+            self.note(|| {
+                format!("v2 container: corrupt graph: weight {w} of arc {arc} is not finite")
+            });
+        }
+    }
+
+    /// Sums the weighted degree of every row whose weights have all arrived.
+    fn sum_rows(&mut self) {
+        if !self.rows_sound {
+            return;
+        }
+        let mut v = self.degree_w.len();
+        while v < self.n && self.offsets[v + 1] <= self.weights.len() {
+            let row = &self.weights[self.offsets[v]..self.offsets[v + 1]];
+            self.degree_w.push(row_weight(row));
+            v += 1;
+        }
+    }
+
+    /// The decoded sections, or the error: a checksum mismatch first, then
+    /// the first fault the checks found.
+    fn finish(self, checksum_matches: bool) -> io::Result<V2Sections> {
+        if !checksum_matches {
+            return Err(bad_data("v2 container: checksum mismatch".into()));
+        }
+        if let Some(fault) = self.fault {
+            return Err(bad_data(fault));
+        }
+        debug_assert_eq!(self.degree_w.len(), self.n);
+        Ok(V2Sections {
+            offsets: self.offsets,
+            targets: self.targets,
+            weights: self.weights,
+            degree_w: self.degree_w,
+            section_bytes: self.ends[3] as u64,
+        })
+    }
 }
 
 /// Reads and checksum-verifies the v2 sections that follow an
 /// already-consumed header, from a container of `container_len` bytes.
-/// Each section is streamed straight into its exactly-sized output vector
-/// (1x peak, no whole-file staging buffer); the header's sizes are checked
-/// against `container_len` before anything is allocated.
-fn read_v2_sections<R: Read>(
+/// The header's sizes are checked against `container_len` before anything
+/// is allocated; then each section is decoded straight into its exactly
+/// sized output vector (1x peak, no whole-file staging buffer).
+///
+/// The stream is read in `chunk`-byte pieces through two buffers, and
+/// each step is one [`rayon::join`]: the caller reads chunk k + 1 and
+/// decodes it ([`SectionDecoder`]: range and finiteness checks, row
+/// degrees) while a pool worker folds chunk k into the FNV-1a hash, in
+/// file order, padding included. The serial hash sets the pace; the rest
+/// of the load hides under it. At pool width 1 both run inline, in turn.
+/// A read error ends the load once the step's hash is done, so no task
+/// outlives the call.
+fn read_v2_sections<R: Read + Send>(
     header: &[u8; HEADER_BYTES as usize],
     r: &mut R,
     container_len: u64,
+    chunk: usize,
 ) -> io::Result<V2Sections> {
     let field = |i: usize| u64_at(header, i);
     let (n, arcs) = (field(8), field(16));
@@ -789,47 +1033,29 @@ fn read_v2_sections<R: Read>(
             "v2 container: truncated ({container_len} of {total} bytes)"
         )));
     }
-    let (n, arcs) = (n as usize, arcs as usize);
+    let mut dec = SectionDecoder::new(n as usize, arcs as usize);
+    let stream = dec.ends[3];
+    let chunk = chunk.clamp(1, stream);
     let mut fnv = Fnv1a::new();
-    let mut offsets: Vec<usize> = Vec::new();
-    offsets.reserve_exact(n + 1);
-    read_chunked(r, (n + 1) * 8, &mut fnv, |bytes| {
-        for c in bytes.chunks_exact(8) {
-            offsets.push(u64::from_le_bytes(c.try_into().unwrap()) as usize);
-        }
-    })?;
-    let mut targets: Vec<VertexId> = Vec::new();
-    targets.reserve_exact(arcs);
-    read_chunked(r, arcs * 4, &mut fnv, |bytes| {
-        for c in bytes.chunks_exact(4) {
-            targets.push(u32::from_le_bytes(c.try_into().unwrap()));
-        }
-    })?;
-    let padding = (weights_pos - targets_pos) as usize - arcs * 4;
-    read_chunked(r, padding, &mut fnv, |_| {})?;
-    let mut weights: Vec<f64> = Vec::new();
-    weights.reserve_exact(arcs);
-    read_chunked(r, arcs * 8, &mut fnv, |bytes| {
-        for c in bytes.chunks_exact(8) {
-            weights.push(f64::from_le_bytes(c.try_into().unwrap()));
-        }
-    })?;
-    if fnv.finish() != want_checksum {
-        return Err(bad_data("v2 container: checksum mismatch".into()));
+    let (mut cur, mut next) = (vec![0u8; chunk], vec![0u8; chunk]);
+    let read_and_decode = |r: &mut R, buf: &mut [u8], dec: &mut SectionDecoder| {
+        r.read_exact(buf)?;
+        dec.feed(buf);
+        Ok::<_, io::Error>(())
+    };
+    read_and_decode(r, &mut cur, &mut dec)?;
+    let (mut pos, mut len) = (chunk, chunk);
+    while len > 0 {
+        let take = chunk.min(stream - pos);
+        let (read, ()) = rayon::join(
+            || read_and_decode(r, &mut next[..take], &mut dec),
+            || fnv.update(&cur[..len]),
+        );
+        read?;
+        (pos, len) = (pos + take, take);
+        std::mem::swap(&mut cur, &mut next);
     }
-    // Cheap O(n) structural check; the checksum covers the rest.
-    if offsets.first() != Some(&0)
-        || offsets.last() != Some(&arcs)
-        || offsets.windows(2).any(|p| p[0] > p[1])
-    {
-        return Err(bad_data("v2 container: corrupt offsets".into()));
-    }
-    Ok(V2Sections {
-        offsets,
-        targets,
-        weights,
-        section_bytes: total - HEADER_BYTES,
-    })
+    dec.finish(fnv.finish() == want_checksum)
 }
 
 /// Reads the little-endian `u64` at `data[i..i + 8]`.
@@ -862,19 +1088,8 @@ fn read_v1_body(data: &[u8]) -> io::Result<Graph> {
     let offsets = decode_le(offset_bytes, |b| u64::from_le_bytes(b) as usize);
     let targets = decode_le(target_bytes, u32::from_le_bytes);
     let weights = decode_le(&rest[..arcs * 8], f64::from_le_bytes);
-    audited(offsets, targets, weights, "v1")
-}
-
-/// Audits decoded CSR arrays, turning a structural fault into
-/// `InvalidData` that names the container version and the fault.
-fn audited(
-    offsets: Vec<usize>,
-    targets: Vec<VertexId>,
-    weights: Vec<f64>,
-    version: &str,
-) -> io::Result<Graph> {
     Graph::try_from_csr(offsets, targets, weights)
-        .map_err(|e| bad_data(format!("{version} container: corrupt graph: {e}")))
+        .map_err(|e| bad_data(format!("v1 container: corrupt graph: {e}")))
 }
 
 /// Deserialises a graph from a binary container (v1 or v2), with full
@@ -887,8 +1102,7 @@ pub fn from_bytes(data: &[u8]) -> io::Result<Graph> {
     if data.len() >= HEADER_BYTES as usize && &data[..8] == MAGIC_V2 {
         let header: [u8; HEADER_BYTES as usize] = data[..HEADER_BYTES as usize].try_into().unwrap();
         let mut rest = &data[HEADER_BYTES as usize..];
-        let s = read_v2_sections(&header, &mut rest, data.len() as u64)?;
-        return audited(s.offsets, s.targets, s.weights, "v2");
+        return read_v2_sections(&header, &mut rest, data.len() as u64, IO_CHUNK_BYTES)?.audited();
     }
     Err(bad_data("bad magic".into()))
 }
@@ -896,38 +1110,38 @@ pub fn from_bytes(data: &[u8]) -> io::Result<Graph> {
 /// Loads a binary container (v1 or v2) into a fully-validated owned
 /// [`Graph`]. Corrupt or truncated containers fail with `InvalidData`.
 pub fn load_binary<P: AsRef<Path>>(path: P) -> io::Result<Graph> {
-    let file = File::open(path)?;
+    let mut file = File::open(path)?;
     let container_len = file.metadata()?.len();
-    let mut r = BufReader::with_capacity(IO_CHUNK_BYTES, file);
     let mut magic = [0u8; 8];
-    r.read_exact(&mut magic)?;
+    file.read_exact(&mut magic)?;
     if &magic == MAGIC_V1 {
         let mut buf = Vec::new();
-        r.read_to_end(&mut buf)?;
+        file.read_to_end(&mut buf)?;
         return read_v1_body(&buf);
     }
     if &magic == MAGIC_V2 {
         let mut header = [0u8; HEADER_BYTES as usize];
         header[..8].copy_from_slice(&magic);
-        r.read_exact(&mut header[8..])?;
-        let s = read_v2_sections(&header, &mut r, container_len)?;
-        return audited(s.offsets, s.targets, s.weights, "v2");
+        file.read_exact(&mut header[8..])?;
+        return read_v2_sections(&header, &mut file, container_len, IO_CHUNK_BYTES)?.audited();
     }
     Err(bad_data("bad magic".into()))
 }
 
 /// Loads a v2 container read-only through the emulated mapping path:
-/// sections stream into exactly-sized buffers, the header checksum
-/// replaces the structural audit, and decoding goes through the trusted
-/// CSR constructor. Errors on v1 containers (re-save with
-/// [`save_binary`] to upgrade).
+/// sections stream into exactly-sized buffers, and the header checksum
+/// plus the per-element checks of the load (offsets sound, targets below
+/// `n`, weights finite) replace the structural audit: the arrays are not
+/// checked for sorted rows or symmetry. The weighted degrees are summed
+/// while the file loads, and the graph is built through the trusted CSR
+/// constructor. Errors on v1 containers (re-save with [`save_binary`] to
+/// upgrade).
 pub fn load_binary_mapped<P: AsRef<Path>>(path: P) -> io::Result<MappedGraph> {
     let path = path.as_ref();
-    let file = File::open(path)?;
+    let mut file = File::open(path)?;
     let container_len = file.metadata()?.len();
-    let mut r = BufReader::with_capacity(IO_CHUNK_BYTES, file);
     let mut header = [0u8; HEADER_BYTES as usize];
-    r.read_exact(&mut header)?;
+    file.read_exact(&mut header)?;
     if &header[..8] == MAGIC_V1 {
         return Err(bad_data(
             "mapped load requires the v2 container; re-save with save_binary".into(),
@@ -936,8 +1150,8 @@ pub fn load_binary_mapped<P: AsRef<Path>>(path: P) -> io::Result<MappedGraph> {
     if &header[..8] != MAGIC_V2 {
         return Err(bad_data("bad magic".into()));
     }
-    let s = read_v2_sections(&header, &mut r, container_len)?;
-    let graph = Graph::from_csr_trusted(s.offsets, s.targets, s.weights);
+    let s = read_v2_sections(&header, &mut file, container_len, IO_CHUNK_BYTES)?;
+    let graph = Graph::from_csr_built(s.offsets, s.targets, s.weights, s.degree_w);
     Ok(MappedGraph::new(graph, path.to_path_buf(), s.section_bytes))
 }
 
@@ -946,7 +1160,7 @@ mod tests {
     use super::*;
     use crate::stream::StreamingBuilder;
     use crate::GraphBuilder;
-    use std::io::Cursor;
+    use std::io::{BufReader, Cursor};
 
     /// The whole text as one block, parsed in `chunks` pieces.
     fn parse_text_chunked(text: Vec<u8>, chunks: usize) -> io::Result<Graph> {
@@ -1618,6 +1832,191 @@ mod tests {
         let _ = std::fs::remove_file(p2);
     }
 
+    /// Every vertex's weighted degree, as bits.
+    fn degree_bits(g: &Graph) -> Vec<u64> {
+        g.vertices().map(|v| g.degree_w(v).to_bits()).collect()
+    }
+
+    /// Splits a v2 container into its header and section stream.
+    fn split_header(bytes: &[u8]) -> ([u8; HEADER_BYTES as usize], &[u8]) {
+        let (header, sections) = bytes.split_at(HEADER_BYTES as usize);
+        (header.try_into().unwrap(), sections)
+    }
+
+    /// Runs the pipelined reader over `bytes` in `chunk`-byte pieces.
+    fn read_chunked(bytes: &[u8], chunk: usize) -> io::Result<V2Sections> {
+        let (header, mut sections) = split_header(bytes);
+        read_v2_sections(&header, &mut sections, bytes.len() as u64, chunk)
+    }
+
+    /// Chunk sizes that cut elements, sections and the padding anywhere,
+    /// plus the production size.
+    const TEST_CHUNKS: [usize; 6] = [1, 3, 5, 8, 13, IO_CHUNK_BYTES];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// The pipelined writer produces the serial reference's bytes and
+        /// checksum, and the pipelined reader its arrays and degree bits,
+        /// at pool widths 1, 2 and 8 and at chunk sizes of a few bytes,
+        /// where every section boundary and the padding fall inside a
+        /// chunk or across two.
+        #[test]
+        fn pipelined_container_io_matches_serial_reference(
+            n in 1usize..40,
+            edges in proptest::collection::vec((0u32..40, 0u32..40, 0u32..1000), 0..120),
+        ) {
+            let mut b = GraphBuilder::new(n);
+            for &(u, v, c) in &edges {
+                b.add_edge(u % n as u32, v % n as u32, c as f64 / 7.0);
+            }
+            let g = rayon::with_parallelism(1, || b.build());
+            // Byte by byte through one serial Fnv1a.
+            let expect = v2_container(g.offsets(), g.targets(), g.weights());
+            let checksum = u64_at(&expect, CHECKSUM_POS as usize);
+            for width in [1usize, 2, 8] {
+                for chunk in TEST_CHUNKS {
+                    let (bytes, got) = rayon::with_parallelism(width, || {
+                        let mut bytes = v2_header(&g, 0).to_vec();
+                        let got = write_v2_sections(&g, &mut bytes, chunk).unwrap();
+                        (bytes, got)
+                    });
+                    proptest::prop_assert_eq!(got, checksum, "width {}, chunk {}", width, chunk);
+                    proptest::prop_assert_eq!(&bytes[HEADER_BYTES as usize..], &expect[HEADER_BYTES as usize..]);
+                    let s = rayon::with_parallelism(width, || read_chunked(&expect, chunk)).unwrap();
+                    proptest::prop_assert_eq!(s.section_bytes, expect.len() as u64 - HEADER_BYTES);
+                    let loaded = Graph::from_csr_built(s.offsets, s.targets, s.weights, s.degree_w);
+                    assert_bit_identical(&loaded, &g);
+                    proptest::prop_assert_eq!(degree_bits(&loaded), degree_bits(&g));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_flipped_byte_anywhere_is_a_checksum_mismatch() {
+        let bytes = to_bytes(&sample());
+        let (targets_pos, weights_pos) = (u64_at(&bytes, 32) as usize, u64_at(&bytes, 40) as usize);
+        assert!(
+            weights_pos > targets_pos + sample().num_arcs() * 4,
+            "no padding"
+        );
+        let positions = [
+            ("offsets", HEADER_BYTES as usize + 3),
+            ("last offset", targets_pos - 1),
+            ("targets", targets_pos + 1),
+            ("padding", weights_pos - 1),
+            ("weights", weights_pos + 6),
+            ("last weight", bytes.len() - 1),
+            // Either side of the boundary between the 5th and 6th 8-byte chunks.
+            ("chunk end", HEADER_BYTES as usize + 5 * 8 - 1),
+            ("chunk start", HEADER_BYTES as usize + 5 * 8),
+        ];
+        for (what, at) in positions {
+            let mut bad = bytes.clone();
+            bad[at] ^= 0x40;
+            for width in [1usize, 2, 8] {
+                for chunk in TEST_CHUNKS {
+                    let err = rayon::with_parallelism(width, || read_chunked(&bad, chunk))
+                        .err()
+                        .unwrap_or_else(|| panic!("{what}: width {width}, chunk {chunk}: loaded"));
+                    assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+                    assert_eq!(
+                        err.to_string(),
+                        "v2 container: checksum mismatch",
+                        "{what}: width {width}, chunk {chunk}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// A reader that yields `data` and then fails, as a disk might.
+    struct FailingReader<'a> {
+        data: &'a [u8],
+    }
+
+    impl Read for FailingReader<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            if self.data.is_empty() {
+                return Err(io::Error::other("device went away"));
+            }
+            self.data.read(buf)
+        }
+    }
+
+    #[test]
+    fn truncation_and_read_errors_end_the_load() {
+        let bytes = to_bytes(&sample());
+        let (header, sections) = split_header(&bytes);
+        for width in [1usize, 2, 8] {
+            for chunk in TEST_CHUNKS {
+                for keep in [0, 7, 9, sections.len() / 2, sections.len() - 1] {
+                    let len = bytes.len() as u64;
+                    let (eof, failed) = rayon::with_parallelism(width, || {
+                        // The header's sizes fit `len`, so only the reads
+                        // can find the end.
+                        let eof = read_v2_sections(&header, &mut &sections[..keep], len, chunk);
+                        let mut failing = FailingReader {
+                            data: &sections[..keep],
+                        };
+                        let failed = read_v2_sections(&header, &mut failing, len, chunk);
+                        (eof.err().unwrap(), failed.err().unwrap())
+                    });
+                    assert_eq!(
+                        eof.kind(),
+                        io::ErrorKind::UnexpectedEof,
+                        "width {width}, chunk {chunk}"
+                    );
+                    assert_eq!(failed.to_string(), "device went away");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn crafted_containers_fail_on_both_load_paths() {
+        let g = sample();
+        let mut out_of_range = g.targets().to_vec();
+        out_of_range[1] = 1000;
+        let mut nan = g.weights().to_vec();
+        nan[2] = f64::NAN;
+        let mut inf = g.weights().to_vec();
+        inf[0] = f64::INFINITY;
+        let cases = [
+            (
+                "range",
+                v2_container(g.offsets(), &out_of_range, g.weights()),
+                "v2 container: corrupt graph: target 1000 out of range (n = 4)",
+            ),
+            (
+                "nan",
+                v2_container(g.offsets(), g.targets(), &nan),
+                "v2 container: corrupt graph: weight NaN of arc 2 is not finite",
+            ),
+            (
+                "inf",
+                v2_container(g.offsets(), g.targets(), &inf),
+                "v2 container: corrupt graph: weight inf of arc 0 is not finite",
+            ),
+            (
+                "offsets",
+                v2_container(&[0, 2, 1, 3], &[1, 0, 2], &[1.0; 3]),
+                "v2 container: corrupt offsets",
+            ),
+        ];
+        for (name, bytes, want) in cases {
+            assert_eq!(owned_load_error(&bytes, name).to_string(), want, "{name}");
+            let p = std::env::temp_dir()
+                .join(format!("gala_io_crafted_{name}_{}.bin", std::process::id()));
+            std::fs::write(&p, &bytes).unwrap();
+            let err = load_binary_mapped(&p).unwrap_err();
+            let _ = std::fs::remove_file(p);
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{name}");
+            assert_eq!(err.to_string(), want, "{name}");
+        }
+    }
+
     #[test]
     fn mapped_load_matches_owned_bitwise() {
         let g = sample();
@@ -1626,11 +2025,9 @@ mod tests {
         let owned = load_binary(&p).unwrap();
         let mapped = load_binary_mapped(&p).unwrap();
         let m = mapped.graph();
-        assert_eq!(m.offsets(), owned.offsets());
-        assert_eq!(m.targets(), owned.targets());
-        let wa: Vec<u64> = m.weights().iter().map(|w| w.to_bits()).collect();
-        let wb: Vec<u64> = owned.weights().iter().map(|w| w.to_bits()).collect();
-        assert_eq!(wa, wb);
+        assert_bit_identical(m, &owned);
+        assert_eq!(degree_bits(m), degree_bits(&owned));
+        assert_eq!(m.total_weight().to_bits(), owned.total_weight().to_bits());
         assert_eq!(mapped.source(), p.as_path());
         assert!(mapped.mapped_bytes() > 0);
         let _ = std::fs::remove_file(p);

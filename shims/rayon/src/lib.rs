@@ -3,7 +3,7 @@
 //! The build container has no access to crates.io, so the workspace vendors
 //! the slice of `rayon` it uses: `par_iter` / `into_par_iter` over slices,
 //! `Vec`s and integer ranges, with `map`, `filter`, `fold` + `reduce`,
-//! `sum`, `collect`, and `for_each`.
+//! `sum`, `collect`, and `for_each`, plus `join`.
 //!
 //! Unlike the original shim — which spawned fresh `std::thread::scope`
 //! threads and deep-copied items into owned `Vec<Vec<T>>` chunks on every
@@ -484,6 +484,35 @@ where
         .collect()
 }
 
+/// Runs `a` and `b` as two pool tasks and returns both results, as
+/// `rayon::join` does: the calling thread takes `a`, a pool worker `b`
+/// (the caller runs it too if no worker has claimed it by then). Returns
+/// only once both have finished. Runs inline, `a` first, at parallelism 1.
+pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
+where
+    A: FnOnce() -> RA + Send,
+    B: FnOnce() -> RB + Send,
+    RA: Send,
+    RB: Send,
+{
+    let (a, b) = (Mutex::new(Some(a)), Mutex::new(Some(b)));
+    let (ra, rb) = (Mutex::new(None), Mutex::new(None));
+    pool::execute(2, &|c| {
+        if c == 0 {
+            let f = a.lock().expect("task slot poisoned").take();
+            *ra.lock().expect("result slot poisoned") = f.map(|f| f());
+        } else {
+            let f = b.lock().expect("task slot poisoned").take();
+            *rb.lock().expect("result slot poisoned") = f.map(|f| f());
+        }
+    });
+    let done = "task finished without storing its result";
+    (
+        ra.into_inner().expect("result slot poisoned").expect(done),
+        rb.into_inner().expect("result slot poisoned").expect(done),
+    )
+}
+
 /// Cuts the rows of a CSR offset array (`bounds`: `rows + 1` monotone
 /// entries, from 0 to the entry count) into `num_chunks` contiguous ranges
 /// of near-equal entry count, found by binary search, so a few heavy rows
@@ -715,6 +744,26 @@ mod tests {
             });
             assert_eq!(out, (0..13).map(|c| c * c).collect::<Vec<_>>());
             assert_eq!(slots, (1..14).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn join_runs_both_closures_with_disjoint_borrows() {
+        for level in [1usize, 2, 8] {
+            let (mut left, mut right) = (0u64, 0u64);
+            let (a, b) = with_parallelism(level, || {
+                super::join(
+                    || {
+                        left = (1..=100).sum();
+                        "a"
+                    },
+                    || {
+                        right = (1..=10).product();
+                        7
+                    },
+                )
+            });
+            assert_eq!((a, b, left, right), ("a", 7, 5050, 3_628_800));
         }
     }
 
