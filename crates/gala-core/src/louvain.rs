@@ -16,6 +16,7 @@ use crate::pruning::{self, PruningKind};
 use crate::state::{BspState, Undo};
 use crate::weight::{self, WeightUpdateMode};
 use gala_gpu::memory::{CostModel, MemTally};
+use gala_gpu::profile::Profiler;
 use gala_graph::coarsen::CoarsenScratch;
 use gala_graph::{Graph, Partition, VertexId};
 use gala_telemetry::{DeviceSync, MetricsRegistry, RoundEnd, Superstep, TraceEvent};
@@ -288,7 +289,9 @@ impl Louvain {
     /// with per-kernel children under decide, and a `sync` between decide
     /// and apply on several devices) and a `superstep` event (plus a `sync`
     /// event on several devices), then the round's `metrics` and `progress`
-    /// events.
+    /// events. On the native backend every scope counts its wall time as
+    /// `elapsed_ns`, and the last superstep's tree also holds the round-end
+    /// restore of the best state, as `best_state`.
     fn run_phase1_round(
         &self,
         graph: &Graph,
@@ -319,9 +322,11 @@ impl Louvain {
         let mut dips = DipPatience::new(&state, prev_q, cfg.theta, cfg.dip_patience);
         // One device decides on the full mask; several split it.
         let mut devices = (cfg.devices > 1).then(|| Devices::new(graph, cfg.devices, cfg.sync));
+        // Native spans are charged their wall time; sim spans their tallies.
+        let wall = cfg.backend == BackendKind::Native && obs.instrumented();
         for iteration in 0..cfg.max_iterations {
             let mut sub = obs.sub();
-            let num_active = sub.scope("classify", |p| {
+            let num_active = timed_scope(&mut sub, "classify", wall, |p| {
                 let certs = &dscratch.certs;
                 pruning::classify_work(cfg.pruning, graph, &state, &mut rng, certs, active, work);
                 let num_active = work.len();
@@ -345,7 +350,7 @@ impl Louvain {
             let sync = devices
                 .as_ref()
                 .map(|d| d.sync(graph.num_vertices(), device_moved, &mut sub, obs.metrics()));
-            let summary = sub.scope("apply", |p| {
+            let summary = timed_scope(&mut sub, "apply", wall, |p| {
                 let summary = state.apply_logged(graph, &out.moves, Some(dips.undo()));
                 p.count("moved", summary.num_moved() as u64);
                 summary
@@ -356,7 +361,7 @@ impl Louvain {
                 m.observe("phase1/moved_per_superstep", moved as u64);
                 m.inc("phase1/supersteps", 1);
             }
-            let weight_tally = sub.scope("weight_update", |p| {
+            let weight_tally = timed_scope(&mut sub, "weight_update", wall, |p| {
                 let certs = &mut dscratch.certs;
                 let tally = weight::update_certified(
                     cfg.weight_update,
@@ -375,10 +380,18 @@ impl Louvain {
                 p.record(&tally);
                 tally
             });
-            let q = sub.scope("modularity", |p| {
+            let q = timed_scope(&mut sub, "modularity", wall, |p| {
                 p.count("items", graph.num_vertices() as u64);
                 state.modularity(graph)
             });
+            let stop = dips.step(&state, q, moved) || iteration + 1 == cfg.max_iterations;
+            if stop && wall {
+                // The round-end restore, timed as part of the last
+                // superstep; otherwise it runs after the loop.
+                timed_scope(&mut sub, "best_state", wall, |_| {
+                    dips.finish(graph, &mut state)
+                });
+            }
             let compute_us = match &devices {
                 None => multi_gpu::compute_us(std::slice::from_ref(&out.tally), &weight_tally),
                 Some(d) => d.compute_us(&weight_tally),
@@ -429,7 +442,7 @@ impl Louvain {
                 },
             );
             prev_q = q;
-            if dips.step(&state, q, moved) {
+            if stop {
                 break;
             }
         }
@@ -597,9 +610,14 @@ impl Louvain {
             };
             // Track the best flattened partition on the *original* graph —
             // refinement may transiently lower Q before the next round
-            // recovers it, and the caller should never see that dip.
-            let q_flat =
-                crate::modularity::modularity_with_resolution(graph, &composed, cfg.resolution);
+            // recovers it, and the caller should never see that dip. The
+            // contraction is by the partition composed here, refined or
+            // not, so the coarse graph holds its Q.
+            let q_flat = crate::modularity::contracted_modularity(
+                &coarse.graph,
+                graph.total_weight(),
+                cfg.resolution,
+            );
             on_level(&composed, q_flat);
             if best.as_ref().is_none_or(|(_, bq)| q_flat > *bq) {
                 best = Some((composed.clone(), q_flat));
@@ -645,6 +663,24 @@ impl Louvain {
     }
 }
 
+/// [`Profiler::scope`] that also counts the scope's wall time as
+/// `elapsed_ns` when `wall` is set; no clock is read otherwise.
+fn timed_scope<R>(
+    p: &mut Profiler,
+    name: &str,
+    wall: bool,
+    f: impl FnOnce(&mut Profiler) -> R,
+) -> R {
+    p.scope(name, |p| {
+        let started = wall.then(Instant::now);
+        let out = f(p);
+        if let Some(started) = started {
+            p.count("elapsed_ns", started.elapsed().as_nanos() as u64);
+        }
+        out
+    })
+}
+
 /// The default [`LouvainConfig::dip_patience`].
 const DIP_PATIENCE: usize = 8;
 
@@ -661,6 +697,8 @@ const DIP_PATIENCE: usize = 8;
 /// than O(n) per improvement.
 struct DipPatience {
     best_q: f64,
+    /// The modularity of the state as the last superstep left it.
+    last_q: f64,
     undo: Undo,
     stagnant: usize,
     theta: f64,
@@ -675,6 +713,7 @@ impl DipPatience {
         undo.mark(state);
         Self {
             best_q: q,
+            last_q: q,
             undo,
             stagnant: 0,
             theta,
@@ -691,6 +730,7 @@ impl DipPatience {
     /// `moved` moves; returns whether the round should stop — nothing
     /// moved, or more than `patience` supersteps without a gain above θ.
     fn step(&mut self, state: &BspState, q: f64, moved: usize) -> bool {
+        self.last_q = q;
         // Progress is measured against the best state, never against the
         // previous (possibly oscillating) superstep: a θ-sized up-tick
         // inside an oscillation must not read as convergence.
@@ -709,10 +749,12 @@ impl DipPatience {
     }
 
     /// Ends the round: restores the best state if `state` fell below it,
-    /// and returns the round's peak modularity.
+    /// and returns the round's peak modularity. Calling it again is a
+    /// no-op.
     fn finish(&mut self, graph: &Graph, state: &mut BspState) -> f64 {
-        if state.modularity(graph) < self.best_q {
+        if self.last_q < self.best_q {
             self.undo.restore(graph, state);
+            self.last_q = self.best_q;
         }
         self.best_q
     }
@@ -847,6 +889,78 @@ mod tests {
         let q = modularity(&g, &result.partition);
         assert!((result.modularity - q).abs() < 1e-12);
         assert!(result.modularity > 0.5, "q = {}", result.modularity);
+    }
+
+    /// `g` with a non-integer self-loop on every fifth vertex.
+    fn with_self_loops(g: &Graph) -> Graph {
+        let mut b = gala_graph::GraphBuilder::new(g.num_vertices());
+        for v in g.vertices() {
+            for (u, w) in g.neighbors(v).filter(|&(u, _)| u > v) {
+                b.add_edge(v, u, w);
+            }
+            if v % 5 == 0 {
+                b.add_edge(v, v, 0.3 + f64::from(v % 7) * 0.15);
+            }
+        }
+        b.build()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(4))]
+
+        /// Each level's Q, read off the contracted graph, is the
+        /// from-scratch Q of the composed partition on the original graph,
+        /// and the run reports its partition's Q: on non-integer weights
+        /// with and without self-loops, at three resolutions, with and
+        /// without refinement, under host and partitioned contraction.
+        #[test]
+        fn level_q_is_the_from_scratch_q_of_the_composed_partition(
+            communities in 8usize..16,
+            size in 10usize..25,
+            mixing in 0.1f64..0.5,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            use crate::modularity::modularity_with_resolution;
+            let weighted = kernels::cpu::weighted_planted(communities, size, 6.0, mixing, seed);
+            let looped = with_self_loops(&weighted);
+            for g in [&weighted, &looped] {
+                for resolution in [0.5, 1.0, 2.0] {
+                    for refine in [false, true] {
+                        for (devices, contract) in
+                            [(1, ContractMode::Host), (2, ContractMode::Partitioned)]
+                        {
+                            let cfg = LouvainConfig {
+                                resolution,
+                                refine,
+                                devices,
+                                contract,
+                                backend: BackendKind::Native,
+                                ..LouvainConfig::default()
+                            };
+                            let mut levels = Vec::new();
+                            let result = Louvain::new(cfg).run_levels(
+                                g,
+                                &mut Obs::off(),
+                                &mut |level, q| levels.push((level.clone(), q)),
+                            );
+                            proptest::prop_assert!(!levels.is_empty());
+                            for (i, (level, q)) in levels.iter().enumerate() {
+                                let scratch = modularity_with_resolution(g, level, resolution);
+                                proptest::prop_assert!(
+                                    (q - scratch).abs() <= 1e-12,
+                                    "level {} of {:?}: {} vs {}", i, cfg, q, scratch
+                                );
+                            }
+                            let q = modularity_with_resolution(g, &result.partition, resolution);
+                            proptest::prop_assert!(
+                                (result.modularity - q).abs() <= 1e-12,
+                                "{:?}: reported {} vs {}", cfg, result.modularity, q
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -1077,6 +1191,46 @@ mod tests {
         let expected: MemTally = traced.rounds.iter().map(|r| r.decide_tally()).sum();
         assert_eq!(decide_total, expected);
         assert!(round.child("contract").is_some());
+    }
+
+    #[test]
+    fn native_scopes_record_wall_time() {
+        // Every native phase-1 scope carries `elapsed_ns`, and each round's
+        // last tree holds its best-state restore; sim trees carry none.
+        use gala_telemetry::{SpanTree, VecSink};
+        let g = fixtures::ring_of_cliques(6, 5);
+        for backend in [BackendKind::Native, BackendKind::Sim] {
+            let runner = Louvain::new(LouvainConfig {
+                backend,
+                ..LouvainConfig::default()
+            });
+            let mut sink = VecSink::default();
+            let result = runner.run_with(&g, &mut Obs::traced(&mut sink));
+            let trees: Vec<_> = sink
+                .events
+                .iter()
+                .filter_map(|e| match e {
+                    TraceEvent::Span(SpanTree { phase, root, .. }) if phase == "phase1" => {
+                        Some(root)
+                    }
+                    _ => None,
+                })
+                .collect();
+            let native = backend == BackendKind::Native;
+            for root in &trees {
+                for name in ["classify", "apply", "weight_update", "modularity"] {
+                    let span = root.child(name).expect("phase-1 scope");
+                    assert_eq!(
+                        span.counters.contains_key("elapsed_ns"),
+                        native,
+                        "{backend}: {name}"
+                    );
+                }
+            }
+            let restores = trees.iter().filter(|r| r.child("best_state").is_some());
+            let expected = if native { result.rounds.len() } else { 0 };
+            assert_eq!(restores.count(), expected, "{backend}");
+        }
     }
 
     #[test]
@@ -1466,6 +1620,77 @@ mod tests {
         dipped.then_some(dips.undo().restored)
     }
 
+    /// `hubs` vertices adjacent to every vertex, over cliques of four.
+    fn hubs_over_cliques(hubs: usize, cliques: usize) -> Graph {
+        let n = hubs + 4 * cliques;
+        let mut b = gala_graph::GraphBuilder::new(n);
+        for h in 0..hubs {
+            for v in h + 1..n {
+                b.add_edge(h as VertexId, v as VertexId, 1.0);
+            }
+        }
+        for c in (hubs..n).step_by(4) {
+            for u in c..c + 4 {
+                for v in u + 1..c + 4 {
+                    b.add_edge(u as VertexId, v as VertexId, 1.0);
+                }
+            }
+        }
+        b.build()
+    }
+
+    /// Marks a state past a round's start, then runs a superstep in which
+    /// a few hubs, holding between a quarter and half of the arcs, join
+    /// one more hub: too few moves to copy the arrays, heavy enough that
+    /// with certificates armed the weight update rescans. Q falls, and the
+    /// round's end must restore the marked state bit for bit. Returns
+    /// whether the restore copied arrays back and how many logged writes
+    /// it undid.
+    fn assert_undo_restores_across_a_rescan() -> (bool, usize) {
+        let (hubs, cliques) = (16, 96);
+        let g = hubs_over_cliques(hubs, cliques);
+        let (n, m) = (g.num_vertices(), g.num_arcs());
+        let mut state = BspState::new(&g);
+        // Each clique gathers in its first vertex's community.
+        let first = |v: u32| v - (v - hubs as u32) % 4;
+        let next: Vec<u32> = (0..n as u32)
+            .map(|v| if v < hubs as u32 { v } else { first(v) })
+            .collect();
+        let summary = state.apply_moves(&g, &next);
+        weight::update(WeightUpdateMode::Delta, &g, &mut state, &summary);
+        let marked = state.clone();
+        let q = state.modularity(&g);
+        let mut dips = DipPatience::new(&state, q, 1e-6, DIP_PATIENCE);
+
+        let mut moves = Vec::new();
+        let mut moved_arcs = 0;
+        for h in 0..hubs as VertexId {
+            if 4 * moved_arcs >= m {
+                break;
+            }
+            moves.push((h, hubs as u32 - 1));
+            moved_arcs += g.degree(h);
+        }
+        assert!(
+            2 * moved_arcs < m && 8 * moves.len() <= n,
+            "{moved_arcs} of {m}"
+        );
+        let summary = state.apply_logged(&g, &moves, Some(dips.undo()));
+        let mut certs = Certificates::default();
+        certs.arm(n);
+        let undo = Some(dips.undo());
+        let mode = WeightUpdateMode::Delta;
+        let tally = weight::update_certified(mode, &g, &mut state, &summary, &mut certs, undo);
+        assert_eq!(tally.global_loads, 3 * m as u64, "the rescan did not run");
+        let dipped = state.modularity(&g);
+        assert!(dipped < q, "Q rose from {q} to {dipped}");
+
+        dips.step(&state, dipped, summary.num_moved());
+        assert_eq!(dips.finish(&g, &mut state).to_bits(), q.to_bits());
+        assert_same_state(&state, &marked);
+        dips.undo().restored
+    }
+
     #[test]
     fn undo_log_restores_the_best_state_of_a_dipping_round() {
         // Plain MG falls into BSP limit cycles, so its rounds end below
@@ -1484,6 +1709,15 @@ mod tests {
         assert!(
             restores.iter().any(|&(_, writes)| writes > 0),
             "{restores:?}"
+        );
+        // Dipping rounds peak after their heavy supersteps, so a rescan
+        // the restore has to reach back across is staged directly: the
+        // moves come back from the log, `d_self` from the copy the rescan
+        // took.
+        let (copied, writes) = assert_undo_restores_across_a_rescan();
+        assert!(
+            copied && writes > 0,
+            "copied {copied}, {writes} writes undone"
         );
     }
 

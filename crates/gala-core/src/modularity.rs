@@ -82,6 +82,28 @@ pub fn modularity_with_resolution(graph: &Graph, partition: &Partition, gamma: f
         .sum()
 }
 
+/// [`modularity_with_resolution`] of the partition `coarse` was contracted
+/// by, read off the contracted graph in `O(k)`: super-vertex `c` carries
+/// community `c`'s internal weight `D_C(c)` as its self-loop and its total
+/// `D_V(c)` as its weighted degree. `m2` is the *original* graph's total
+/// weight, so a hierarchy level's Q needs no pass over the original graph.
+///
+/// The terms and their order are those of the from-scratch sum, so on
+/// integer weights the two agree bit for bit; otherwise each community's
+/// weights were summed in another order and they agree to rounding.
+pub fn contracted_modularity(coarse: &Graph, m2: f64, gamma: f64) -> f64 {
+    if m2 == 0.0 {
+        return 0.0;
+    }
+    coarse
+        .vertices()
+        .map(|c| {
+            let (din, dtot) = (coarse.self_loop(c), coarse.degree_w(c));
+            din / m2 - gamma * (dtot / m2) * (dtot / m2)
+        })
+        .sum()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -149,6 +171,8 @@ mod tests {
         let q_fine = modularity(&g, &p);
         let q_coarse = modularity(&c.graph, &Partition::singletons(c.num_communities));
         assert!((q_fine - q_coarse).abs() < 1e-12, "{q_fine} vs {q_coarse}");
+        let q_contracted = contracted_modularity(&c.graph, g.total_weight(), 1.0);
+        assert_eq!(q_contracted.to_bits(), q_fine.to_bits());
     }
 
     #[test]

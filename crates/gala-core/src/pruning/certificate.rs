@@ -84,6 +84,21 @@ pub(crate) struct Certificates {
 /// the two every superstep.
 const DENSE: usize = 16;
 
+/// What [`Certificates::settle`] leaves the weight update's walk over the
+/// movers' arcs to do.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Settled {
+    /// The table is disarmed: no certificate to clear.
+    Disarmed,
+    /// The superstep was heavy and every certificate was cleared: the walk
+    /// has nothing to clear, and a full rescan is the cheaper update.
+    Cleared,
+    /// The walk must clear the movers' neighbours, listing them for
+    /// [`Certificates::admit`] while the frontier is listed
+    /// ([`Certificates::lists`]).
+    Walk,
+}
+
 /// The vertices classify has to evaluate: every vertex, or a sorted list.
 pub(crate) enum Frontier<'a> {
     All(usize),
@@ -241,11 +256,8 @@ impl Certificates {
     }
 
     /// Takes the table past the superstep `summary` applied, whose movers
-    /// hold `moved_arcs` of the graph's arcs. Returns whether the weight
-    /// update's walk over those arcs must clear the movers' neighbours,
-    /// listing the cleared ones for [`Self::admit`] while the frontier is
-    /// listed ([`Self::lists`]): not when the table is disarmed or was
-    /// cleared instead.
+    /// hold `moved_arcs` of the graph's arcs, and says what that leaves
+    /// the weight update's walk over those arcs to do ([`Settled`]).
     ///
     /// It is cleared when the movers hold at least `1/HEAVY` of the arcs.
     /// Such a superstep advances the clock by at least about `2·m2/HEAVY`
@@ -270,14 +282,14 @@ impl Certificates {
         summary: &MoveSummary,
         moved_arcs: u64,
         m2: f64,
-    ) -> bool {
+    ) -> Settled {
         const HEAVY: u64 = 4;
         if self.expiry.is_empty() {
-            return false;
+            return Settled::Disarmed;
         }
         if HEAVY * moved_arcs >= graph.num_arcs() as u64 {
             self.clear();
-            return false;
+            return Settled::Cleared;
         }
         self.advance(graph, summary, m2);
         let n = self.expiry.len();
@@ -286,7 +298,7 @@ impl Certificates {
             if DENSE * seen >= n {
                 let frontier = seen - self.could.load(Relaxed);
                 self.bound = DENSE * frontier < 2 * n;
-                return true;
+                return Settled::Walk;
             }
             self.dense = false;
             self.bound = true;
@@ -299,7 +311,7 @@ impl Certificates {
                 }
             }
             self.requeue();
-            return true;
+            return Settled::Walk;
         }
         let list = std::mem::take(&mut self.list);
         for &v in &list {
@@ -330,7 +342,7 @@ impl Certificates {
         if self.queue.len() > 2 * n {
             self.requeue();
         }
-        true
+        Settled::Walk
     }
 
     /// Ends the superstep [`Self::settle`] began a walk for: the vertices
@@ -539,10 +551,10 @@ mod tests {
         let summary = MoveSummary {
             moves: vec![(0, 0, 1)],
         };
-        assert!(c.settle(&g, &summary, 2, s.m2));
+        assert_eq!(c.settle(&g, &summary, 2, s.m2), Settled::Walk);
         assert!(c.clock > 4.0 && c.clock < 4.0 + 1e-3);
         assert!(c.holds(2), "a drift of 4 expired a budget of 7");
-        assert!(c.settle(&g, &summary, 2, s.m2));
+        assert_eq!(c.settle(&g, &summary, 2, s.m2), Settled::Walk);
         assert!(!c.holds(2), "a drift of 8 left a budget of 7 standing");
         assert!(c.holds(1), "an infinite certificate expired");
         c.invalidate(1);
@@ -550,10 +562,10 @@ mod tests {
         // Movers holding a quarter of the arcs clear the table instead.
         c.record(1, f64::INFINITY, &g, &s);
         let clock = c.clock;
-        assert!(!c.settle(&g, &summary, 4, s.m2));
+        assert_eq!(c.settle(&g, &summary, 4, s.m2), Settled::Cleared);
         assert!(!c.holds(1));
         assert_eq!(c.clock, clock);
         c.disarm();
-        assert!(!c.settle(&g, &summary, 2, s.m2));
+        assert_eq!(c.settle(&g, &summary, 2, s.m2), Settled::Disarmed);
     }
 }

@@ -181,11 +181,13 @@ impl BspState {
             .into_par_iter()
             .map(|v| {
                 let cv = comm[v as usize];
+                // Folded from +0.0, as the delta walk sums: `sum` starts
+                // at −0.0, which would give a vertex with no neighbour in
+                // its community another zero bit from each path.
                 graph
                     .neighbors(v)
                     .filter(|&(u, _)| u != v && comm[u as usize] == cv)
-                    .map(|(_, w)| w)
-                    .sum()
+                    .fold(0.0, |d, (_, w)| d + w)
             })
             .collect_into_vec(&mut self.d_self);
     }

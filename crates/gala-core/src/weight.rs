@@ -17,8 +17,21 @@
 //! stay certificates and hands them to the frontier (see
 //! [`crate::pruning`]), so the `mgd` policy's bookkeeping adds no pass of
 //! its own.
+//!
+//! `Delta` falls back to the rescan on a heavy superstep. Natively the
+//! walk costs 10–13 ns per moved arc (its deltas are gathered per chunk
+//! and applied serially, in move order; clearing certificates adds to
+//! that) and the pooled rescan 2.0–3.3 ns per arc of the whole graph, so
+//! the two cross near a quarter of the arcs (round 0 of the `dense`
+//! benchmark workload at pool width 2 on a 2-vCPU guest: at 0.24 of the
+//! arcs the walk took 20.6 ms and the rescan 23.6 ms, at 0.37 they took
+//! 30.5 and 24.1 ms). Where stay certificates are armed, the heavy
+//! superstep is the one [`Certificates::settle`] clears them for, a
+//! quarter of the arcs; with none armed the rule stays at half the arcs,
+//! which keeps the modelled kernel traffic, and so Fig 8 and the cycle
+//! baselines, where they were.
 
-use crate::pruning::certificate::Certificates;
+use crate::pruning::certificate::{Certificates, Settled};
 use crate::state::{BspState, MoveSummary, Undo};
 use gala_gpu::memory::{MemTally, Space};
 use gala_graph::{Graph, VertexId};
@@ -60,12 +73,12 @@ pub fn update(
 /// [`update`] that also maintains armed stay certificates: the drift clock
 /// advances past the superstep's moves, and the delta walk clears the
 /// certificate of every unmoved neighbour of a mover that did not join
-/// the neighbour's community. A full rescan walks
-/// no adjacency, so it clears every certificate instead, and so does a
-/// superstep heavy enough that walking for them would not pay
-/// ([`Certificates::settle`]). No certificate survives such a superstep,
-/// and the clock has nothing to time. With `undo`, every `d_self` write is
-/// logged there. The tally is [`update`]'s either way.
+/// the neighbour's community. A full rescan walks no adjacency, so it
+/// clears every certificate instead. A superstep heavy enough that walking
+/// for them would not pay clears them too ([`Certificates::settle`]) and
+/// takes the rescan. No certificate survives such a superstep, and the
+/// clock has nothing to time. With `undo`, every `d_self` write is logged
+/// there. The tally is that of the update taken.
 pub(crate) fn update_certified(
     mode: WeightUpdateMode,
     graph: &Graph,
@@ -86,22 +99,29 @@ pub(crate) fn update_certified(
         }
         WeightUpdateMode::Delta => {
             // Delta traffic is proportional to the moved vertices' arcs
-            // (notify + own rescan), paid partly in atomics. When most of
+            // (notify + own rescan), paid partly in atomics. When much of
             // the graph moved — the first supersteps — a full rescan is
-            // cheaper, so fall back to it; the delta path wins exactly in
-            // the pruning-heavy late iterations Figure 8 is about.
+            // cheaper, so fall back to it (see the module docs); the delta
+            // path wins exactly in the pruning-heavy late iterations
+            // Figure 8 is about.
             let moved_arcs: u64 = summary
                 .moves
                 .iter()
                 .map(|&(v, _, _)| graph.degree(v) as u64)
                 .sum();
-            let walk = certs.settle(graph, summary, moved_arcs, state.m2);
-            if 2 * moved_arcs >= graph.num_arcs() as u64 {
+            let settled = certs.settle(graph, summary, moved_arcs, state.m2);
+            let rescan = match settled {
+                Settled::Disarmed => 2 * moved_arcs >= graph.num_arcs() as u64,
+                Settled::Cleared => true,
+                Settled::Walk => false,
+            };
+            if rescan {
                 state.recompute_d_self_logged(graph, undo);
                 tally.load(Space::Global, 3 * graph.num_arcs() as u64);
                 tally.store(Space::Global, graph.num_vertices() as u64);
             } else {
-                let deltas = update_delta(graph, state, summary, walk.then_some(certs), undo);
+                let walk = (settled == Settled::Walk).then_some(certs);
+                let deltas = update_delta(graph, state, summary, walk, undo);
                 // The modelled kernel makes two passes over the moved
                 // vertices' adjacency (notify + own rescan), 3 loads per
                 // arc; an atomicAdd only for the neighbors whose d_self
@@ -292,6 +312,69 @@ mod tests {
         assert!(runs[0].1.global_atomics > 0, "the delta path did not run");
         assert_eq!(runs[0], runs[1], "width 2 differs from width 1");
         assert_eq!(runs[0], runs[2], "width 8 differs from width 1");
+    }
+
+    /// A superstep whose movers hold between a quarter and half of the arcs
+    /// clears armed certificates, so it takes the rescan; with none armed
+    /// it takes the delta walk. Both leave the same `d_self`: bit for bit
+    /// on unit weights, within 1e-12 of each degree otherwise.
+    #[test]
+    fn heavy_superstep_rescans_to_the_walks_d_self() {
+        let unit = fixtures::ring_of_cliques(40, 6);
+        let weighted = cpu::weighted_planted(40, 30, 8.0, 0.3, 5);
+        for (g, exact) in [(&unit, true), (&weighted, false)] {
+            let mut s = BspState::new(g);
+            let out = cpu::decide(g, &s, &vec![true; g.num_vertices()]);
+            let summary = s.apply_moves(g, &out.next_comm);
+            update(WeightUpdateMode::Delta, g, &mut s, &summary);
+            // Every third vertex joins its first neighbour's community.
+            let mut next = s.comm.clone();
+            for v in (0..g.num_vertices()).step_by(3) {
+                next[v] = s.comm[g.neighbor_ids(v as VertexId)[0] as usize];
+            }
+            let summary = s.apply_moves(g, &next);
+            let moved_arcs: usize = summary.moves.iter().map(|&(v, _, _)| g.degree(v)).sum();
+            let m = g.num_arcs();
+            assert!(
+                4 * moved_arcs >= m && 2 * moved_arcs < m,
+                "{moved_arcs} of {m}"
+            );
+
+            let mut walked = s.clone();
+            let tally = update(WeightUpdateMode::Delta, g, &mut walked, &summary);
+            assert!(tally.global_atomics > 0, "the delta walk did not run");
+
+            let mut rescanned = s.clone();
+            let mut certs = Certificates::default();
+            certs.arm(g.num_vertices());
+            for v in g.vertices() {
+                certs.record(v, f64::INFINITY, g, &rescanned);
+            }
+            let tally = update_certified(
+                WeightUpdateMode::Delta,
+                g,
+                &mut rescanned,
+                &summary,
+                &mut certs,
+                None,
+            );
+            assert_eq!(tally.global_atomics, 0, "the rescan did not run");
+            assert_eq!(tally.global_loads, 3 * m as u64);
+            assert_eq!(certs.counts.0, 1, "the table was not cleared");
+            assert!(
+                g.vertices().all(|v| !certs.holds(v)),
+                "a certificate survived"
+            );
+
+            for (v, (&r, &w)) in rescanned.d_self.iter().zip(&walked.d_self).enumerate() {
+                if exact {
+                    assert_eq!(r.to_bits(), w.to_bits(), "vertex {v}: {r} vs {w}");
+                } else {
+                    let tolerance = 1e-12 * g.degree_w(v as VertexId);
+                    assert!((r - w).abs() <= tolerance, "vertex {v}: {r} vs {w}");
+                }
+            }
+        }
     }
 
     #[test]
