@@ -7,10 +7,12 @@
 //! and the period of any Q limit cycle its tail ends in), plus a
 //! flamegraph-style top-N summary of the merged profiling span tree. A
 //! native trace, whose spans are charged in wall ns, drops the simulator's
-//! hashtable, divergence and coalescing curves and ranks its spans by wall
-//! ns instead of simulated cycles. With a
-//! second (baseline) trace it diffs a watched-metric set and reports
-//! regressions beyond `--threshold`; `--check` validates the trace's
+//! hashtable, divergence and coalescing curves, totals its wall ns in the
+//! header and ranks its spans by wall ns instead of simulated cycles. With
+//! a second (baseline) trace it diffs a watched-metric set and reports
+//! regressions beyond `--threshold`; between two native traces the set
+//! leaves out the simulator's cycle, divergence, coalescing and eviction
+//! figures; `--check` validates the trace's
 //! structural invariants instead (the CI smoke job runs this on a freshly
 //! produced trace); `--chrome-trace FILE` exports the span trees and
 //! superstep counters as a Chrome Trace Event Format JSON file loadable in
@@ -718,12 +720,16 @@ fn render_single(path: &str, trace: &Trace, top: usize) -> String {
         start.algorithm, start.n, start.m, start.devices
     );
     if let Some(end) = trace.run_end {
+        let total = if wall_clocked(trace) {
+            format!("total wall ns {:.0}", subtree_wall_ns(&trace.merged_root))
+        } else {
+            format!("total cycles {:.0}", end.total_cycles)
+        };
         out.push_str(&format!(
-            "supersteps {} | rounds {} | final Q {:.5} | total cycles {:.0}\n",
+            "supersteps {} | rounds {} | final Q {:.5} | {total}\n",
             trace.supersteps.len(),
             end.rounds,
             end.modularity,
-            end.total_cycles
         ));
     }
     out.push('\n');
@@ -894,7 +900,10 @@ struct Watched {
 
 /// The watched-metric vector of a trace: scalars whose movement between two
 /// runs of the same workload indicates a quality or efficiency change.
-fn watched_metrics(trace: &Trace) -> Vec<Watched> {
+/// Without `simulated`, the simulator's figures (cycles, divergence,
+/// coalescing, hash evictions) are left out: on native traces they are
+/// zeros.
+fn watched_metrics(trace: &Trace, simulated: bool) -> Vec<Watched> {
     let decide_total: MemTally = trace
         .supersteps
         .iter()
@@ -912,38 +921,43 @@ fn watched_metrics(trace: &Trace) -> Vec<Watched> {
         .or_else(|| trace.supersteps.last().map(|s| s.modularity))
         .unwrap_or(0.0);
     let w = |name, value| Watched { name, value };
-    vec![
+    let mut watched = vec![
         w("final modularity", final_q),
         w("supersteps", trace.supersteps.len() as f64),
-        w(
-            "total cycles",
-            trace.run_end.map(|e| e.total_cycles).unwrap_or(0.0),
-        ),
-        // Phase-2 cost: the modelled cycles of every contract span. The
-        // run_end total covers phase 1 only, so without this a contraction
-        // slowdown would sail through a diff unnoticed.
-        w(
-            "contract cycles",
-            CostModel::default().cycles(&contract_total),
-        ),
-        w("divergence", decide_total.divergence()),
-        w(
-            "coalescing efficiency",
-            decide_total.coalescing_efficiency(),
-        ),
-        w(
-            "hash evictions",
-            trace
-                .supersteps
-                .iter()
-                .map(|s| s.hash_evictions)
-                .sum::<u64>() as f64,
-        ),
-        w(
-            "sync bytes",
-            trace.syncs.iter().map(|s| s.bytes).sum::<u64>() as f64,
-        ),
-    ]
+    ];
+    if simulated {
+        watched.extend([
+            w(
+                "total cycles",
+                trace.run_end.map(|e| e.total_cycles).unwrap_or(0.0),
+            ),
+            // Phase-2 cost: the modelled cycles of every contract span. The
+            // run_end total covers phase 1 only, so without this a
+            // contraction slowdown would sail through a diff unnoticed.
+            w(
+                "contract cycles",
+                CostModel::default().cycles(&contract_total),
+            ),
+            w("divergence", decide_total.divergence()),
+            w(
+                "coalescing efficiency",
+                decide_total.coalescing_efficiency(),
+            ),
+            w(
+                "hash evictions",
+                trace
+                    .supersteps
+                    .iter()
+                    .map(|s| s.hash_evictions)
+                    .sum::<u64>() as f64,
+            ),
+        ]);
+    }
+    watched.push(w(
+        "sync bytes",
+        trace.syncs.iter().map(|s| s.bytes).sum::<u64>() as f64,
+    ));
+    watched
 }
 
 /// Counts print whole, small ratios with four decimals. Shared with
@@ -965,8 +979,9 @@ fn render_diff(
     baseline: &Trace,
     threshold: f64,
 ) -> (String, Vec<String>) {
-    let cur = watched_metrics(trace);
-    let base = watched_metrics(baseline);
+    let simulated = !(wall_clocked(trace) && wall_clocked(baseline));
+    let cur = watched_metrics(trace, simulated);
+    let base = watched_metrics(baseline, simulated);
     let mut out = format!(
         "diff: {trace_path} vs baseline {baseline_path} (threshold {:.1}%)\n",
         threshold * 100.0
@@ -1218,8 +1233,8 @@ mod tests {
         let _ = std::fs::remove_file(path);
     }
 
-    #[test]
-    fn native_traces_rank_spans_by_wall_ns_without_simulator_curves() {
+    /// [`write_fixture_trace`] on the native backend.
+    fn write_native_fixture_trace(name: &str) -> String {
         let g = fixtures::ring_of_cliques(6, 5);
         let mut sink = JsonlSink::new(Vec::new());
         Louvain::new(LouvainConfig {
@@ -1227,8 +1242,14 @@ mod tests {
             ..LouvainConfig::default()
         })
         .run_with(&g, &mut Obs::traced(&mut sink));
-        let path = format!("{}.jsonl", tmp("native"));
+        let path = format!("{}.jsonl", tmp(name));
         std::fs::write(&path, sink.into_inner()).unwrap();
+        path
+    }
+
+    #[test]
+    fn native_traces_rank_spans_by_wall_ns_without_simulator_curves() {
+        let path = write_native_fixture_trace("native");
         let trace = load_trace(&path).unwrap();
         assert!(wall_clocked(&trace));
         let text = render_single(&path, &trace, 10);
@@ -1260,6 +1281,47 @@ mod tests {
         // A sim trace keeps its cycle table and every curve.
         let sim_path = write_fixture_trace("native_vs_sim");
         assert!(!wall_clocked(&load_trace(&sim_path).unwrap()));
+        for p in [path, sim_path] {
+            let _ = std::fs::remove_file(p);
+        }
+    }
+
+    #[test]
+    fn native_traces_total_wall_ns_and_diff_without_simulator_figures() {
+        const SIMULATED: [&str; 5] = [
+            "total cycles",
+            "contract cycles",
+            "divergence",
+            "coalescing efficiency",
+            "hash evictions",
+        ];
+        let path = write_native_fixture_trace("native_total");
+        let trace = load_trace(&path).unwrap();
+        let header = render_single(&path, &trace, 10);
+        let total = subtree_wall_ns(&trace.merged_root);
+        assert!(total > 0.0);
+        assert!(
+            header.contains(&format!("| total wall ns {total:.0}\n")),
+            "{header}"
+        );
+        assert!(!header.contains("total cycles"), "{header}");
+        // Two native traces compare no simulator figures.
+        let (text, regressions) = render_diff(&path, &trace, &path, &trace, 0.1);
+        assert!(regressions.is_empty(), "{text}");
+        for gone in SIMULATED {
+            assert!(!text.contains(gone), "{gone:?} in:\n{text}");
+        }
+        for kept in ["final modularity", "supersteps", "sync bytes"] {
+            assert!(text.contains(kept), "{kept:?} missing from:\n{text}");
+        }
+        // Against a sim trace they stay in the diff.
+        let sim_path = write_fixture_trace("native_total_sim");
+        let sim = load_trace(&sim_path).unwrap();
+        assert!(render_single(&sim_path, &sim, 10).contains("| total cycles "));
+        let (text, _) = render_diff(&path, &trace, &sim_path, &sim, 0.1);
+        for kept in SIMULATED {
+            assert!(text.contains(kept), "{kept:?} missing from:\n{text}");
+        }
         for p in [path, sim_path] {
             let _ = std::fs::remove_file(p);
         }
@@ -1634,7 +1696,7 @@ mod tests {
             ("hash evictions", LowerIsBetter),
             ("sync bytes", LowerIsBetter),
         ];
-        let names: Vec<&str> = watched_metrics(&Trace::default())
+        let names: Vec<&str> = watched_metrics(&Trace::default(), true)
             .iter()
             .map(|w| w.name)
             .collect();

@@ -1,21 +1,34 @@
-//! Host reference DecideAndMove: rayon over vertices, each chunk of
-//! vertices aggregating through one reusable [`Fold`] — the Grappolo CPU
-//! strategy without a per-vertex allocation, split by degree the way the
-//! paper's workload-aware dispatcher splits its kernels.
+//! Host reference DecideAndMove: rayon over vertices, each pool
+//! participant aggregating through its own reusable [`Fold`] — the
+//! Grappolo CPU strategy without a per-vertex allocation.
 //!
-//! A vertex with fewer than [`SHUFFLE_DEGREE_THRESHOLD`] neighbors has at
-//! most 31 candidate communities, and the fold finds each neighbor's entry
-//! by a linear search of the candidate list — the host counterpart of the
-//! register-resident warp kernel. At or above the threshold it indexes the
-//! candidates through an open-addressed table whose slots carry a
-//! per-vertex generation stamp, so moving on to the next vertex advances
-//! the stamp instead of emptying the slots the last one filled.
+//! The fold finds a neighbor community's candidate entry through one
+//! dense `u32` index over the level's community ids, empty ([`EMPTY`])
+//! between vertices: a neighbor's weight goes into `cands[index[c]]`, or
+//! pushes a new entry, and the vertex's own candidates empty the index
+//! again afterwards. A GPU splits this by degree because a warp holds at
+//! most 32 candidates and a block's shared memory bounds a hashtable; a
+//! host thread has neither limit, so every degree takes the one index.
+//! It is one gather per arc where the linear search (below degree 32) and
+//! the stamped open-addressed table (at or above it) it replaced probed.
+//! Measured as the `decide` span's wall ns per decided arc (median of
+//! three native traces of each benchmark workload, 2-vCPU guest), at
+//! pool width 1 it fell from 16.9 to 14.7 ns on `dense` (degree ~50) and
+//! from 23.2 to 18.9 ns on `social`, and rose from 32.8 to 34.3 ns on
+//! `lfr` and 28.5 to 29.9 ns on `web`, whose vertices mostly see a
+//! handful of communities that the linear search found in L1. At width 2,
+//! with short work lists also reaching the pool, it fell on all four:
+//! 12.6 → 10.8, 15.9 → 13.3, 20.6 → 15.6 and 16.5 → 14.7 ns.
+//!
+//! The index is the thread's, not the chunk's: a pool chunk's accumulator
+//! outlives the chunk, so an index per chunk would hold four per thread
+//! per superstep. One per participant costs `4·n` bytes per thread
+//! (600 KB at 150 k vertices).
 //!
 //! This kernel also defines the *canonical accumulation order*: `d_vc` for
 //! each community is summed in neighbor-list order and candidates are listed
-//! in first-occurrence order, on both sides of the threshold. The simulated
-//! GPU kernels reproduce that order, so all kernels agree bit-for-bit on
-//! unit-weight graphs.
+//! in first-occurrence order. The simulated GPU kernels reproduce that
+//! order, so all kernels agree bit-for-bit on unit-weight graphs.
 
 use super::{choose_with_margin, DecideOutput, SHUFFLE_DEGREE_THRESHOLD};
 use crate::pruning::certificate::Certificates;
@@ -23,6 +36,7 @@ use crate::state::BspState;
 use gala_gpu::memory::MemTally;
 use gala_graph::partition::CommunityId;
 use gala_graph::{Graph, VertexId};
+use std::cell::RefCell;
 
 /// Runs the reference kernel over the active vertices.
 pub fn decide(graph: &Graph, state: &BspState, active: &[bool]) -> DecideOutput {
@@ -56,12 +70,11 @@ pub(crate) fn decide_into(
 }
 
 /// Decides every vertex of `work`, writing its next community to the same
-/// position of `next`. Each pool chunk threads one [`Fold`] through its
-/// vertices; the chunks' tallies sum to how many vertices took each fold.
-/// With `certs`, every decided vertex's stay certificate is recorded (or
-/// cleared) as it is decided. The pass goes to the pool by the arcs it
-/// folds, not by the vertices: a short list of high-degree vertices, as
-/// on a coarse level, is worth splitting.
+/// position of `next`, each on its thread's [`Fold`]. The pool chunks'
+/// tallies sum to the routing split. With `certs`, every decided vertex's
+/// stay certificate is recorded (or cleared) as it is decided. The pass
+/// goes to the pool by the arcs it folds, not by the vertices: a short
+/// list of high-degree vertices, as on a coarse level, is worth splitting.
 pub(crate) fn decide_list(
     graph: &Graph,
     state: &BspState,
@@ -70,81 +83,88 @@ pub(crate) fn decide_list(
     next: &mut Vec<CommunityId>,
 ) -> FoldCounts {
     let arcs = work.iter().map(|&v| graph.degree(v)).sum();
-    let folds = rayon::par_map_costed_accum_into(work, arcs, next, Fold::default, |&v, fold| {
-        fold.decide(v, graph, state, certs)
-    });
-    folds
-        .iter()
-        .fold(FoldCounts::default(), |sum, f| FoldCounts {
-            linear: sum.linear + f.counts.linear,
-            hashed: sum.hashed + f.counts.hashed,
+    let counts = rayon::par_map_costed_accum_into(
+        work,
+        arcs,
+        next,
+        FoldCounts::default,
+        |&v, counts: &mut FoldCounts| {
+            counts.count(graph.degree(v));
+            with_fold(|fold| fold.decide(v, graph, state, certs))
+        },
+    );
+    counts
+        .into_iter()
+        .fold(FoldCounts::default(), |sum, c| FoldCounts {
+            shuffle: sum.shuffle + c.shuffle,
+            hash: sum.hash + c.hash,
         })
 }
 
 /// Decision for a single vertex: aggregate `(community, weight)` over the
 /// neighbor list (skipping the self-loop), then apply the shared rule.
-/// Builds a fresh degree-sized [`Fold`], so one call costs `O(deg(v))`.
+/// Runs on the calling thread's [`Fold`], so one call costs `O(deg(v))`
+/// once the thread's index covers the graph.
 pub fn decide_one(v: VertexId, graph: &Graph, state: &BspState) -> CommunityId {
-    Fold::default().decide(v, graph, state, None)
+    with_fold(|fold| fold.decide(v, graph, state, None))
 }
 
-/// How many vertices a decide pass aggregated by each fold: `linear`
-/// below [`SHUFFLE_DEGREE_THRESHOLD`] neighbors, `hashed` at or above it.
-/// This is the workload-aware dispatcher's routing split.
+/// How many vertices a decide pass decided on each side of
+/// [`SHUFFLE_DEGREE_THRESHOLD`]: the workload-aware dispatcher's routing
+/// split, `shuffle` below the threshold and `hash` at or above it. The
+/// fold itself takes every degree the same way; this is only a count.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub(crate) struct FoldCounts {
-    pub(crate) linear: u64,
-    pub(crate) hashed: u64,
+    pub(crate) shuffle: u64,
+    pub(crate) hash: u64,
 }
 
 impl FoldCounts {
-    /// Every vertex the pass decided.
-    pub(crate) fn total(self) -> u64 {
-        self.linear + self.hashed
-    }
-}
-
-/// Order-preserving community aggregation, reused across vertices.
-///
-/// `cands` holds `(community, d_vc)` in first-occurrence order. For a
-/// vertex at or above the degree threshold, `slots` is an open-addressed
-/// index from community id to `cands` position whose first
-/// `2^k ≥ 2·deg(v)` entries serve the vertex. A slot is occupied only
-/// while it carries the current `stamp`; [`Fold::clear`] advances the
-/// stamp, which empties every slot at once. `stamp` never reads 0, the
-/// stamp of a slot no vertex has used.
-#[derive(Debug)]
-pub(crate) struct Fold {
-    cands: Vec<(CommunityId, f64)>,
-    slots: Vec<Slot>,
-    stamp: u32,
-    counts: FoldCounts,
-}
-
-/// One entry of [`Fold`]'s table: `comm` sits at `cands[pos]` if `stamp`
-/// is the fold's current stamp.
-#[derive(Clone, Copy, Debug, Default)]
-struct Slot {
-    comm: CommunityId,
-    pos: u32,
-    stamp: u32,
-}
-
-impl Default for Fold {
-    fn default() -> Self {
-        Self {
-            cands: Vec::new(),
-            slots: Vec::new(),
-            stamp: 1,
-            counts: FoldCounts::default(),
+    /// Counts one vertex of `degree` neighbors.
+    fn count(&mut self, degree: usize) {
+        if degree < SHUFFLE_DEGREE_THRESHOLD {
+            self.shuffle += 1;
+        } else {
+            self.hash += 1;
         }
     }
+
+    /// Every vertex the pass decided.
+    pub(crate) fn total(self) -> u64 {
+        self.shuffle + self.hash
+    }
+}
+
+/// An [`Fold::index`] entry whose community has no candidate.
+const EMPTY: u32 = u32::MAX;
+
+thread_local! {
+    /// The calling thread's fold: one per pool participant, reused by
+    /// every decide pass the thread takes part in.
+    static FOLD: RefCell<Fold> = RefCell::new(Fold::default());
+}
+
+/// Runs `f` on the calling thread's [`Fold`].
+fn with_fold<R>(f: impl FnOnce(&mut Fold) -> R) -> R {
+    FOLD.with(|fold| f(&mut fold.borrow_mut()))
+}
+
+/// Order-preserving community aggregation, reused across vertices and
+/// levels.
+///
+/// `cands` holds `(community, d_vc)` in first-occurrence order. `index[c]`
+/// is community `c`'s position in `cands` while a vertex is being folded,
+/// and [`EMPTY`] for every community between vertices. It grows to the
+/// largest level it has served and keeps that size for the coarser ones.
+#[derive(Debug, Default)]
+pub(crate) struct Fold {
+    cands: Vec<(CommunityId, f64)>,
+    index: Vec<u32>,
 }
 
 impl Fold {
     /// Aggregates `v`'s neighborhood, picks its next community with
-    /// [`super::choose`], records `v`'s stay certificate into `certs`, and
-    /// resets the fold for the next vertex.
+    /// [`super::choose`] and records `v`'s stay certificate into `certs`.
     fn decide(
         &mut self,
         v: VertexId,
@@ -157,75 +177,34 @@ impl Fold {
         if let Some(certs) = certs {
             certs.record(v, margin, graph, state);
         }
-        self.clear();
         next
     }
 
-    /// Folds every non-loop neighbor's weight into its community's entry,
-    /// in neighbor-list order: by linear search below the degree
-    /// threshold, through the stamped table at or above it.
+    /// Refills `cands` with `v`'s candidates, folding every non-loop
+    /// neighbor's weight into its community's entry in neighbor-list
+    /// order, then empties the index through them.
     fn aggregate(&mut self, v: VertexId, graph: &Graph, state: &BspState) {
-        let degree = graph.degree(v);
-        let neighbors = graph
-            .neighbors(v)
-            .filter(|&(u, _)| u != v)
-            .map(|(u, w)| (state.comm[u as usize], w));
-        if degree < SHUFFLE_DEGREE_THRESHOLD {
-            self.counts.linear += 1;
-            for (c, w) in neighbors {
-                match self.cands.iter_mut().find(|(key, _)| *key == c) {
-                    Some((_, d_vc)) => *d_vc += w,
-                    None => self.cands.push((c, w)),
-                }
-            }
-            return;
+        if self.index.len() < graph.num_vertices() {
+            self.index.resize(graph.num_vertices(), EMPTY);
         }
-        self.counts.hashed += 1;
-        let bits = (2 * degree).next_power_of_two().trailing_zeros();
-        let cap = 1usize << bits;
-        if self.slots.len() < cap {
-            self.slots.resize(cap, Slot::default());
-        }
-        let mask = cap - 1;
-        for (c, w) in neighbors {
-            let mut s = slot(c, bits);
-            loop {
-                let entry = &mut self.slots[s];
-                if entry.stamp != self.stamp {
-                    *entry = Slot {
-                        comm: c,
-                        pos: self.cands.len() as u32,
-                        stamp: self.stamp,
-                    };
-                    self.cands.push((c, w));
-                    break;
-                }
-                if entry.comm == c {
-                    self.cands[entry.pos as usize].1 += w;
-                    break;
-                }
-                s = (s + 1) & mask;
-            }
-        }
-    }
-
-    /// Empties `cands` and advances the stamp, so no slot is occupied. When
-    /// the stamp wraps, every slot is reset to the never-used stamp 0 first:
-    /// otherwise a slot stamped `2^32 - 1` vertices ago would read as live.
-    fn clear(&mut self) {
         self.cands.clear();
-        self.stamp = self.stamp.wrapping_add(1);
-        if self.stamp == 0 {
-            self.slots.fill(Slot::default());
-            self.stamp = 1;
+        for (&u, &w) in graph.neighbor_ids(v).iter().zip(graph.neighbor_weights(v)) {
+            if u == v {
+                continue;
+            }
+            let c = state.comm[u as usize];
+            let pos = &mut self.index[c as usize];
+            if *pos == EMPTY {
+                *pos = self.cands.len() as u32;
+                self.cands.push((c, w));
+            } else {
+                self.cands[*pos as usize].1 += w;
+            }
+        }
+        for &(c, _) in &self.cands {
+            self.index[c as usize] = EMPTY;
         }
     }
-}
-
-/// Home slot of community `c` in a `2^bits`-slot table (Fibonacci hashing).
-#[inline]
-fn slot(c: CommunityId, bits: u32) -> usize {
-    ((c as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - bits)) as usize
 }
 
 /// The reference aggregation the [`Fold`] replaced: a per-vertex
@@ -285,6 +264,20 @@ pub(crate) fn weighted_planted(
         }
     }
     b.build()
+}
+
+/// `g`'s state after two all-active supersteps, so candidates span
+/// communities of several members.
+#[cfg(test)]
+pub(crate) fn settled_state(g: &Graph) -> BspState {
+    use crate::weight::{self, WeightUpdateMode};
+    let mut s = BspState::new(g);
+    for _ in 0..2 {
+        let out = decide(g, &s, &vec![true; g.num_vertices()]);
+        let summary = s.apply_moves(g, &out.next_comm);
+        weight::update(WeightUpdateMode::Delta, g, &mut s, &summary);
+    }
+    s
 }
 
 #[cfg(test)]
@@ -354,57 +347,39 @@ mod tests {
         assert_eq!(decide_one(2, &g, &s), 2);
     }
 
-    #[test]
-    fn fold_resets_between_vertices_of_different_degree() {
-        // The hub fills a large table; the leaves then reuse its prefix.
-        let g = fixtures::star(40);
-        let s = BspState::new(&g);
-        let mut fold = Fold::default();
-        for v in [0, 1, 0, 2] {
-            fold.aggregate(v, &g, &s);
-            assert_eq!(fold.cands, hashmap_candidates(v, &g, &s), "vertex {v}");
-            fold.clear();
-            assert!(fold.slots.iter().all(|slot| slot.stamp != fold.stamp));
-        }
-    }
-
-    #[test]
-    fn fold_resets_slots_when_the_stamp_wraps() {
-        // Two hubs over disjoint leaves, both on the hashed side.
-        let mut b = GraphBuilder::new(82);
-        for leaf in 2..42 {
-            b.add_edge(0, leaf, 1.0);
-            b.add_edge(1, leaf + 40, 1.0);
-        }
-        let g = b.build();
-        let s = BspState::new(&g);
-        let mut fold = Fold::default();
-        // Hub 0 stamps its slots 1; hub 1 then runs on the last stamp, so
-        // the next clear wraps back to stamp 1. Without the reset, hub 0's
-        // old slots would read as occupied again.
-        fold.aggregate(0, &g, &s);
-        fold.clear();
-        fold.stamp = u32::MAX;
-        fold.aggregate(1, &g, &s);
-        assert_eq!(fold.cands, hashmap_candidates(1, &g, &s));
-        fold.clear();
-        assert_eq!(fold.stamp, 1);
-        assert!(fold.slots.iter().all(|slot| slot.stamp != fold.stamp));
-        fold.aggregate(0, &g, &s);
-        assert_eq!(fold.cands, hashmap_candidates(0, &g, &s));
-        assert_eq!(
-            fold.counts,
-            FoldCounts {
-                linear: 0,
-                hashed: 3
-            }
-        );
-    }
-
     /// `cands` as bit patterns: the candidates, their first-occurrence
     /// order, and every `d_vc` bit.
     fn bits(cands: &[(CommunityId, f64)]) -> Vec<(CommunityId, u64)> {
         cands.iter().map(|&(c, w)| (c, w.to_bits())).collect()
+    }
+
+    #[test]
+    fn fold_index_is_empty_between_vertices_and_levels() {
+        // One index serves a large level, a smaller coarse (self-looped)
+        // level that uses only a prefix of it, and the large level again.
+        let large = weighted_planted(20, 40, 12.0, 0.3, 7);
+        let large_state = settled_state(&large);
+        let coarse = coarsen(&large, &large_state.partition()).graph;
+        assert!(coarse.num_vertices() < large.num_vertices());
+        let coarse_state = BspState::new(&coarse);
+        let mut fold = Fold::default();
+        for (g, s) in [
+            (&large, &large_state),
+            (&coarse, &coarse_state),
+            (&large, &large_state),
+        ] {
+            for v in g.vertices() {
+                fold.aggregate(v, g, s);
+                assert_eq!(
+                    bits(&fold.cands),
+                    bits(&hashmap_candidates(v, g, s)),
+                    "candidates of vertex {v} of {}",
+                    g.num_vertices()
+                );
+                assert!(fold.index.iter().all(|&pos| pos == EMPTY), "vertex {v}");
+            }
+            assert_eq!(fold.index.len(), large.num_vertices());
+        }
     }
 
     /// Checks the fold, `cpu::decide` and native `WorkloadAware` against
@@ -425,7 +400,6 @@ mod tests {
                     bits(&hashmap_candidates(v, g, &s)),
                     "candidates of vertex {v} at step {step}"
                 );
-                fold.clear();
             }
             for width in [1, 2, 8] {
                 let cpu = rayon::with_parallelism(width, || decide(g, &s, &active));
@@ -460,13 +434,7 @@ mod tests {
             "graph runs sequentially"
         );
         assert_fold_matches_reference(g);
-        let mut s = BspState::new(g);
-        for _ in 0..2 {
-            let out = decide(g, &s, &vec![true; g.num_vertices()]);
-            let summary = s.apply_moves(g, &out.next_comm);
-            weight::update(WeightUpdateMode::Delta, g, &mut s, &summary);
-        }
-        let coarse = coarsen(g, &s.partition()).graph;
+        let coarse = coarsen(g, &settled_state(g).partition()).graph;
         assert!(coarse.vertices().any(|v| coarse.self_loop(v) > 0.0));
         assert_fold_matches_reference(&coarse);
     }
@@ -488,7 +456,7 @@ mod tests {
             assert_fold_matches_reference_with_coarse(&g);
         }
 
-        /// The same check where round 0 already takes both folds: vertex
+        /// The same check where round 0 already routes both ways: vertex
         /// degrees fall on both sides of the 32-neighbor threshold.
         #[test]
         fn fold_matches_hashmap_reference_across_threshold(

@@ -388,12 +388,20 @@ where
     ID: Fn() -> A + Sync,
     F: Fn(&T, &mut A) -> R + Sync,
 {
-    par_map_costed_accum_into(items, items.len(), out, identity, f)
+    if pool::run_sequential(items.len()) {
+        return map_accum_sequential(items, out, identity, f);
+    }
+    let chunk_len = pool::chunk_len_for(items.len());
+    pool::produce_chunks(items.len(), chunk_len, out, &identity, &|i, acc| {
+        f(&items[i], acc)
+    })
 }
 
 /// [`par_map_accum_into`] over items of uneven weight: `cost` is their
-/// total weight, in the units [`min_par_len`] counts, and the pipeline runs
-/// on the pool whenever that reaches the threshold, however few the items.
+/// total weight, in the units [`min_par_len`] counts. Only the cost
+/// decides: whenever it reaches the threshold the items split into about
+/// four chunks per pool participant, however few they are, so a short
+/// list of heavy items still spreads over the pool.
 pub fn par_map_costed_accum_into<T, R, A, ID, F>(
     items: &[T],
     cost: usize,
@@ -408,19 +416,32 @@ where
     ID: Fn() -> A + Sync,
     F: Fn(&T, &mut A) -> R + Sync,
 {
-    // The sequential path stays statically dispatched: for the small-input
-    // and single-thread cases the per-item indirect call through the
-    // pool's `dyn Fn` interface would be the dominant cost.
     if pool::run_sequential(cost) {
-        out.clear();
-        out.reserve(items.len());
-        let mut acc = identity();
-        for item in items {
-            out.push(f(item, &mut acc));
-        }
-        return vec![acc];
+        return map_accum_sequential(items, out, identity, f);
     }
-    pool::par_produce_accum(items.len(), out, &identity, &|i, acc| f(&items[i], acc))
+    let chunk_len = pool::even_chunk_len(items.len());
+    pool::produce_chunks(items.len(), chunk_len, out, &identity, &|i, acc| {
+        f(&items[i], acc)
+    })
+}
+
+/// The sequential path of the accumulating maps. It stays statically
+/// dispatched: for the small-input and single-thread cases the per-item
+/// indirect call through the pool's `dyn Fn` interface would be the
+/// dominant cost.
+fn map_accum_sequential<T, R, A>(
+    items: &[T],
+    out: &mut Vec<R>,
+    identity: impl Fn() -> A,
+    f: impl Fn(&T, &mut A) -> R,
+) -> Vec<A> {
+    out.clear();
+    out.reserve(items.len());
+    let mut acc = identity();
+    for item in items {
+        out.push(f(item, &mut acc));
+    }
+    vec![acc]
 }
 
 /// Index-driven variant of [`par_map_accum_into`]: fills `out` with
@@ -449,7 +470,7 @@ where
         }
         return vec![acc];
     }
-    pool::par_produce_accum(len, out, &identity, &f)
+    pool::produce_chunks(len, pool::chunk_len_for(len), out, &identity, &f)
 }
 
 /// Maps every owned task through `f` across the pool, one task per pool
@@ -616,7 +637,7 @@ pub mod prelude {
 #[cfg(test)]
 mod tests {
     use super::prelude::*;
-    use super::with_parallelism;
+    use super::{min_par_len, with_parallelism};
 
     #[test]
     fn map_preserves_order_across_chunks() {
@@ -698,6 +719,38 @@ mod tests {
         assert!(out.iter().enumerate().all(|(i, &v)| v == 2 * i as u64));
         assert_eq!(accs.iter().sum::<u64>(), items.len() as u64);
         assert!(accs.len() > 1, "expected multiple chunks at parallelism 4");
+    }
+
+    #[test]
+    fn costed_map_splits_a_short_heavy_list() {
+        // 100 items, far below the length threshold, whose cost reaches it.
+        let items: Vec<u64> = (0..100).collect();
+        let run = |width| {
+            let mut out = Vec::new();
+            let accs = with_parallelism(width, || {
+                super::par_map_costed_accum_into(
+                    &items,
+                    min_par_len(),
+                    &mut out,
+                    || 0u64,
+                    |&x, acc: &mut u64| {
+                        *acc += 1;
+                        x * x
+                    },
+                )
+            });
+            assert_eq!(accs.iter().sum::<u64>(), items.len() as u64);
+            (out, accs.len())
+        };
+        let (sequential, _) = run(1);
+        assert!(sequential
+            .iter()
+            .enumerate()
+            .all(|(i, &v)| v == (i * i) as u64));
+        let (pooled, chunks) = run(2);
+        assert!(chunks > 1, "{chunks} accumulator(s) at width 2");
+        assert_eq!(pooled, sequential);
+        assert_eq!(run(8).0, sequential);
     }
 
     #[test]

@@ -322,8 +322,16 @@ pub fn execute(num_chunks: usize, task: &(dyn Fn(usize) + Sync)) {
 /// [`CHUNKS_PER_THREAD`] chunks per participant, never smaller than 32
 /// items so scheduling stays a rounding error.
 pub(crate) fn chunk_len_for(len: usize) -> usize {
+    even_chunk_len(len).max(32)
+}
+
+/// Chunk length cutting `len` items into [`CHUNKS_PER_THREAD`] chunks per
+/// participant at the current parallelism level, however short they
+/// come out: for items whose weight, not their count, sent them to the
+/// pool.
+pub(crate) fn even_chunk_len(len: usize) -> usize {
     let width = current_parallelism().max(1);
-    len.div_ceil(width * CHUNKS_PER_THREAD).max(32)
+    len.div_ceil(width * CHUNKS_PER_THREAD).max(1)
 }
 
 /// Whether a pipeline over `len` items should run sequentially.
@@ -332,11 +340,33 @@ pub(crate) fn run_sequential(len: usize) -> bool {
 }
 
 /// Clears `out` and refills it with `produce(i, acc)` for `i` in `0..len`,
-/// each result written **directly into its final slot** — no per-chunk
-/// buffers, no reallocation, no output copying. Each chunk threads a
-/// private accumulator (from `make_acc`) through its `produce` calls; the
-/// accumulators come back in chunk order (a single accumulator when the
-/// pipeline ran sequentially).
+/// each result written **directly into its final slot**: sequentially
+/// below the parallel threshold, otherwise through [`produce_chunks`] in
+/// chunks of [`chunk_len_for`]. The accumulators come back in chunk order
+/// (a single accumulator when the pipeline ran sequentially).
+pub(crate) fn par_produce_accum<R: Send, A: Send>(
+    len: usize,
+    out: &mut Vec<R>,
+    make_acc: &(dyn Fn() -> A + Sync),
+    produce: &(dyn Fn(usize, &mut A) -> R + Sync),
+) -> Vec<A> {
+    if run_sequential(len) {
+        out.clear();
+        out.reserve(len);
+        let mut acc = make_acc();
+        for i in 0..len {
+            out.push(produce(i, &mut acc));
+        }
+        return vec![acc];
+    }
+    produce_chunks(len, chunk_len_for(len), out, make_acc, produce)
+}
+
+/// Clears `out` and refills it with `produce(i, acc)` for `i` in `0..len`
+/// on the pool, in chunks of `chunk_len` items — no per-chunk buffers, no
+/// reallocation, no output copying. Each chunk threads a private
+/// accumulator (from `make_acc`) through its `produce` calls; the
+/// accumulators come back in chunk order.
 ///
 /// Safety: each worker takes exclusive ownership of its chunk's `&mut`
 /// sub-slice through a take-once slot, and `MaybeUninit::write` needs no
@@ -344,8 +374,9 @@ pub(crate) fn run_sequential(len: usize) -> bool {
 /// `execute` returns without panicking, i.e. after every slot in `0..len`
 /// was written. On a panic `out` stays empty (written slots leak, which is
 /// safe).
-pub(crate) fn par_produce_accum<R: Send, A: Send>(
+pub(crate) fn produce_chunks<R: Send, A: Send>(
     len: usize,
+    chunk_len: usize,
     out: &mut Vec<R>,
     make_acc: &(dyn Fn() -> A + Sync),
     produce: &(dyn Fn(usize, &mut A) -> R + Sync),
@@ -355,14 +386,6 @@ pub(crate) fn par_produce_accum<R: Send, A: Send>(
     type FillSlot<'a, R> = Mutex<Option<(usize, &'a mut [MaybeUninit<R>])>>;
     out.clear();
     out.reserve(len);
-    if run_sequential(len) {
-        let mut acc = make_acc();
-        for i in 0..len {
-            out.push(produce(i, &mut acc));
-        }
-        return vec![acc];
-    }
-    let chunk_len = chunk_len_for(len);
     let spare = &mut out.spare_capacity_mut()[..len];
     let slots: Vec<FillSlot<'_, R>> = spare
         .chunks_mut(chunk_len)
