@@ -347,6 +347,19 @@ mod tests {
         assert_eq!(decide_one(2, &g, &s), 2);
     }
 
+    #[test]
+    fn fold_resets_between_vertices_of_different_degree() {
+        // The hub fills many index entries; the leaves then reuse the index.
+        let g = fixtures::star(40);
+        let s = BspState::new(&g);
+        let mut fold = Fold::default();
+        for v in [0, 1, 0, 2] {
+            fold.aggregate(v, &g, &s);
+            assert_eq!(fold.cands, hashmap_candidates(v, &g, &s), "vertex {v}");
+            assert!(fold.index.iter().all(|&pos| pos == EMPTY), "vertex {v}");
+        }
+    }
+
     /// `cands` as bit patterns: the candidates, their first-occurrence
     /// order, and every `d_vc` bit.
     fn bits(cands: &[(CommunityId, f64)]) -> Vec<(CommunityId, u64)> {
