@@ -90,7 +90,7 @@ fn main() {
                 reference.graph.targets(),
                 "coarse targets diverged at width {k}"
             );
-            for (a, b) in got.graph.weights().iter().zip(reference.graph.weights()) {
+            for (a, b) in got.graph.arc_weights().zip(reference.graph.arc_weights()) {
                 assert!(
                     (a - b).abs() <= 1e-9 * a.abs().max(1.0),
                     "coarse weight diverged at width {k}: {a} vs {b}"

@@ -93,10 +93,9 @@ fn assert_bit_identical(streamed: &Graph, inmem: &Graph, label: &str) {
     assert_eq!(streamed.targets(), inmem.targets(), "{label}: targets");
     assert!(
         streamed
-            .weights()
-            .iter()
-            .zip(inmem.weights())
-            .all(|(a, b)| a.to_bits() == b.to_bits()),
+            .arc_weights()
+            .map(f64::to_bits)
+            .eq(inmem.arc_weights().map(f64::to_bits)),
         "{label}: weight bit patterns diverged"
     );
 }

@@ -585,7 +585,7 @@ fn flatten_spans(span: &SpanRecord, prefix: &str, charge: Charge, out: &mut Vec<
 }
 
 /// The wall ns [`SpanTree::profile`] charges a span and its descendants.
-fn subtree_wall_ns(span: &SpanRecord) -> f64 {
+pub(crate) fn subtree_wall_ns(span: &SpanRecord) -> f64 {
     span.components_wall().total() + span.children.iter().map(subtree_wall_ns).sum::<f64>()
 }
 

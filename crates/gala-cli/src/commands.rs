@@ -1,6 +1,8 @@
 //! Command execution: graph IO, algorithm dispatch, and reporting.
 
+use crate::analyze::subtree_wall_ns;
 use crate::args::{Algorithm, Command, DetectArgs, Format, GenerateArgs, Reorder, Store, USAGE};
+use gala_core::backend::BackendKind;
 use gala_core::label_prop::{label_propagation_with, LabelPropConfig};
 use gala_core::leiden::{leiden_with, LeidenConfig};
 use gala_core::louvain::{Louvain, LouvainConfig};
@@ -244,21 +246,26 @@ fn generate(args: GenerateArgs) -> Result<(), Error> {
 
 /// Flattens a profiling span tree into report rows, one per span, labelled
 /// by slash-joined path (`span/round/superstep/decide/hash`). Empty trees
-/// (profiling off, or a non-GALA algorithm) add nothing.
-fn push_span_rows(report: &mut Report, span: &SpanRecord, prefix: &str) {
+/// (profiling off, or a non-GALA algorithm) add nothing. A `wall` tree
+/// (a native run) carries no simulated traffic, so its rows give the wall
+/// ns the spans' `elapsed_ns` counters charge, as `gala analyze` ranks
+/// them; other rows give simulated cycles and the simulator's ratios.
+fn push_span_rows(report: &mut Report, span: &SpanRecord, prefix: &str, wall: bool) {
     let cost = CostModel::default();
     for child in &span.children {
         let path = format!("{prefix}/{}", child.name);
-        let total = child.total_tally();
-        report.push(
-            MetricRow::new(path.as_str())
-                .metric("invocations", child.invocations as f64)
-                .metric("self_cycles", child.self_cycles(&cost))
+        let row = MetricRow::new(path.as_str()).metric("invocations", child.invocations as f64);
+        report.push(if wall {
+            row.metric("self_ns", child.components_wall().total())
+                .metric("total_ns", subtree_wall_ns(child))
+        } else {
+            let total = child.total_tally();
+            row.metric("self_cycles", child.self_cycles(&cost))
                 .metric("total_cycles", child.total_cycles(&cost))
                 .metric("divergence", total.divergence())
-                .metric("coalescing_efficiency", total.coalescing_efficiency()),
-        );
-        push_span_rows(report, child, &path);
+                .metric("coalescing_efficiency", total.coalescing_efficiency())
+        });
+        push_span_rows(report, child, &path, wall);
     }
 }
 
@@ -432,7 +439,8 @@ fn detect(args: DetectArgs) -> Result<(), Error> {
                     .metric("mean_edge_span_after", after),
             );
         }
-        push_span_rows(&mut report, &span_tree, "span");
+        let wall = args.backend == BackendKind::Native;
+        push_span_rows(&mut report, &span_tree, "span", wall);
         report.write_to(path)?;
     }
     if !args.quiet {
@@ -594,6 +602,50 @@ mod tests {
         // And the trace now carries span events alongside supersteps.
         assert!(events.iter().any(|e| e.kind() == "span"));
         for p in [graph_path, trace_path, report_path] {
+            let _ = std::fs::remove_file(p);
+        }
+    }
+
+    #[test]
+    fn native_report_rows_carry_wall_ns_not_cycles() {
+        let g = fixtures::ring_of_cliques(5, 4);
+        let graph_path = format!("{}.txt", tmp("nrep"));
+        let report_path = format!("{}.json", tmp("nrep"));
+        save(&g, &graph_path).unwrap();
+        let cmd = Command::parse(
+            &[
+                "detect",
+                graph_path.as_str(),
+                "--backend",
+                "native",
+                "--report",
+                report_path.as_str(),
+                "--quiet",
+            ]
+            .map(String::from),
+        )
+        .unwrap();
+        execute(cmd).unwrap();
+        let report = Report::read_from(&report_path).unwrap();
+        let decide = report
+            .rows
+            .iter()
+            .find(|r| r.label.ends_with("/decide"))
+            .expect("report must carry span rows");
+        assert!(decide.get("total_ns").unwrap() > 0.0);
+        assert!(decide.get("self_ns").unwrap() > 0.0);
+        assert!(decide.get("invocations").unwrap() >= 1.0);
+        for row in report.rows.iter().filter(|r| r.label.starts_with("span/")) {
+            for sim in [
+                "self_cycles",
+                "total_cycles",
+                "divergence",
+                "coalescing_efficiency",
+            ] {
+                assert_eq!(row.get(sim), None, "{}: {sim}", row.label);
+            }
+        }
+        for p in [graph_path, report_path] {
             let _ = std::fs::remove_file(p);
         }
     }

@@ -224,14 +224,8 @@ mod tests {
         assert_eq!(dev.coarse.graph.offsets(), host.graph.offsets());
         assert_eq!(dev.coarse.graph.targets(), host.graph.targets());
         // Bit-for-bit weight equality: same per-key accumulation order.
-        let dw: Vec<u64> = dev
-            .coarse
-            .graph
-            .weights()
-            .iter()
-            .map(|w| w.to_bits())
-            .collect();
-        let hw: Vec<u64> = host.graph.weights().iter().map(|w| w.to_bits()).collect();
+        let dw: Vec<u64> = dev.coarse.graph.arc_weights().map(f64::to_bits).collect();
+        let hw: Vec<u64> = host.graph.arc_weights().map(f64::to_bits).collect();
         assert_eq!(dw, hw);
     }
 

@@ -399,8 +399,8 @@ mod tests {
         assert_eq!(a.renumbered, b.renumbered);
         assert_eq!(a.graph.offsets(), b.graph.offsets());
         assert_eq!(a.graph.targets(), b.graph.targets());
-        let aw: Vec<u64> = a.graph.weights().iter().map(|w| w.to_bits()).collect();
-        let bw: Vec<u64> = b.graph.weights().iter().map(|w| w.to_bits()).collect();
+        let aw: Vec<u64> = a.graph.arc_weights().map(f64::to_bits).collect();
+        let bw: Vec<u64> = b.graph.arc_weights().map(f64::to_bits).collect();
         assert_eq!(aw, bw);
     }
 

@@ -19,13 +19,17 @@
 //! its own.
 //!
 //! `Delta` falls back to the rescan on a heavy superstep. Natively the
-//! walk costs 10–13 ns per moved arc (its deltas are gathered per chunk
+//! walk costs 15–32 ns per moved arc (its deltas are gathered per chunk
 //! and applied serially, in move order; clearing certificates adds to
-//! that) and the pooled rescan 2.0–3.3 ns per arc of the whole graph, so
-//! the two cross near a quarter of the arcs (round 0 of the `dense`
-//! benchmark workload at pool width 2 on a 2-vCPU guest: at 0.24 of the
-//! arcs the walk took 20.6 ms and the rescan 23.6 ms, at 0.37 they took
-//! 30.5 and 24.1 ms). Where stay certificates are armed, the heavy
+//! that) and the pooled rescan 2.9–4.7 ns per arc of the whole graph.
+//! Those are whole-run means over every level of the four benchmark
+//! workloads at pool width 2 on a 2-vCPU guest (walk: `dense` 15, `social`
+//! and `web` 20, `lfr` 32; unit-weight level-0 rows read their weights
+//! from one cached row of ones, which moved neither figure). The walk's
+//! cost per arc is lowest on the heavy supersteps the rule decides, so
+//! the two cross near a quarter of the arcs there (round 0 of `dense`:
+//! at 0.24 of the arcs the walk took 20.6 ms and the rescan 23.6 ms, at
+//! 0.37 they took 30.5 and 24.1 ms). Where stay certificates are armed, the heavy
 //! superstep is the one [`Certificates::settle`] clears them for, a
 //! quarter of the arcs; with none armed the rule stays at half the arcs,
 //! which keeps the modelled kernel traffic, and so Fig 8 and the cycle

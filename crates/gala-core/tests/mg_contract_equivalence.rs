@@ -30,7 +30,7 @@ fn fingerprint(c: &Coarsened) -> (usize, Vec<u32>, Vec<usize>, Vec<u32>, Vec<u64
         c.renumbered.assignment().to_vec(),
         c.graph.offsets().to_vec(),
         c.graph.targets().to_vec(),
-        c.graph.weights().iter().map(|w| w.to_bits()).collect(),
+        c.graph.arc_weights().map(f64::to_bits).collect(),
     )
 }
 

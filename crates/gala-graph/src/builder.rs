@@ -11,7 +11,8 @@
 //! edge lists (one 16-byte record per edge, written to both endpoints'
 //! rows). It is a counting sort in which the histogram, the scatter, the
 //! row finish (sortedness check, duplicate merge, compaction) and the
-//! weighted degree sums all run per row range across the pool; only
+//! weighted degree sums all run per row range across the pool (without a
+//! weight array when every record weighs 1.0); only
 //! `O(n)` steps, and a `memmove` per range when duplicates merged, are
 //! serial. The result does not depend on the pool width
 //! or on the record kind. Its output is symmetric by construction, so it
@@ -242,34 +243,19 @@ fn for_each_entry<const EDGES: bool>(
 /// bit-identical graphs, and an edge stream builds the graph of the arc
 /// stream that lists each edge's two arcs in its place.
 ///
-/// Every `O(m)` pass but the join's `memmove`, which runs only when
-/// duplicates merged, runs per row range on the pool. Each reads the whole
-/// stream once per range, so no pass does more than `P` reads of it at
-/// pool width `P`:
+/// A parallel check over the records first asks whether every stored
+/// weight is 1.0. If so, the rows are built without a weight array
+/// ([`build_rows`] without `WEIGHTED`), which is what [`Graph`] stores
+/// for such a graph; a duplicate entry found while the rows are finished
+/// would merge to weight 2, so it abandons that build, and the rows are
+/// built again with weights from the records, which are still live.
 ///
-/// 1. **Histogram.** The rows are cut into `P` ranges of equal row count;
-///    each worker counts the entries of its own rows into its slice of
-///    `offsets`. A serial `O(n)` prefix sum follows.
-/// 2. **Scatter and finish.** The rows are cut again, into `P` ranges of
-///    near-equal entry count ([`rayon::row_cuts`]). Each worker writes
-///    the entries of its rows into its own disjoint `targets`/`weights`
-///    segment, using its slice of `offsets` as the row cursors, so each
-///    row receives its entries in stream order at any pool width. It then
-///    finishes its rows in place: a row that arrived strictly sorted stays
-///    as it is; any other is sorted stably by target and its duplicates
-///    are summed left to right, in stream order. Rows are compacted
-///    leftwards within the segment over the slots merged duplicates freed,
-///    and each row's weighted degree is summed.
-/// 3. **Join.** When some range merged duplicates, each later segment is
-///    moved left over the gap with one `memmove`, in order. Without
-///    duplicates nothing moves.
-///
-/// The records are freed once the rows are finished, so the peak is the
+/// The records are freed once the rows are built, so the peak is the
 /// record lists plus the output: 16 B per edge plus 24 B per edge of CSR
-/// for the text loader, 32 B per edge (two arcs) plus the CSR for the
-/// arc builders. The output is symmetric by construction, so it is wrapped
-/// through [`Graph::from_csr_built`]: no release-mode audit, a full one in
-/// debug builds.
+/// (8 B for unit weights) for the text loader, 32 B per edge (two arcs)
+/// plus the CSR for the arc builders. The output is symmetric by
+/// construction, so it is wrapped through [`Graph::from_csr_built`]: no
+/// release-mode audit, a full one in debug builds.
 ///
 /// `n` may come from a `#vertices` directive that no record backs, so the
 /// vertex arrays (`offsets` and the degrees) are reserved fallibly: a count
@@ -278,6 +264,48 @@ fn build_csr<const EDGES: bool>(
     n: usize,
     chunks: Vec<Vec<Record>>,
 ) -> Result<Graph, TryReserveError> {
+    let parts = rayon::current_parallelism();
+    let mut pieces = Vec::new();
+    for chunk in &chunks {
+        pieces.extend(chunk.chunks(chunk.len().div_ceil(parts).max(1)));
+    }
+    let unit = rayon::par_map_tasks(pieces, |piece| piece.iter().all(|r| r.2 == 1.0))
+        .into_iter()
+        .all(|unit| unit);
+    if unit {
+        if let Some(graph) = build_rows::<EDGES, false>(n, &chunks)? {
+            return Ok(graph);
+        }
+    }
+    Ok(build_rows::<EDGES, true>(n, &chunks)?.expect("weighted rows merge duplicates"))
+}
+
+/// The rows of [`build_csr`], with a weight array when `WEIGHTED` and
+/// without one otherwise. Every `O(m)` pass but the join's `memmove`,
+/// which runs only when duplicates merged, runs per row range on the pool.
+/// Each reads the whole stream once per range, so no pass does more than
+/// `P` reads of it at pool width `P`:
+///
+/// 1. **Histogram.** The rows are cut into `P` ranges of equal row count;
+///    each worker counts the entries of its own rows into its slice of
+///    `offsets`. A serial `O(n)` prefix sum follows.
+/// 2. **Scatter and finish.** The rows are cut again, into `P` ranges of
+///    near-equal entry count ([`rayon::row_cuts`]). Each worker writes
+///    the entries of its rows into its own disjoint `targets` segment (and
+///    `weights` segment, when `WEIGHTED`), using its slice of `offsets` as
+///    the row cursors, so each row receives its entries in stream order at
+///    any pool width. It then finishes its rows in place
+///    ([`finish_rows`], or [`finish_unit_rows`] without weights) and sums
+///    each row's weighted degree.
+/// 3. **Join.** When some range merged duplicates, each later segment is
+///    moved left over the gap with one `memmove`, in order. Without
+///    duplicates nothing moves.
+///
+/// Returns `None`, without weights, when a row holds a duplicate entry.
+fn build_rows<const EDGES: bool, const WEIGHTED: bool>(
+    n: usize,
+    chunks: &[Vec<Record>],
+) -> Result<Option<Graph>, TryReserveError> {
     let mut offsets = Vec::new();
     offsets.try_reserve_exact(n + 1)?;
     offsets.resize(n + 1, 0usize);
@@ -296,7 +324,7 @@ fn build_csr<const EDGES: bool>(
         (counts, start) = (rest, end);
     }
     rayon::par_map_tasks(ranges, |(start, counts)| {
-        for chunk in &chunks {
+        for chunk in chunks {
             for record in chunk {
                 for_each_entry::<EDGES>(record, |r, _, _| {
                     // Wraps for rows below the range, so one compare
@@ -308,14 +336,22 @@ fn build_csr<const EDGES: bool>(
             }
         }
     });
+    let mut longest = 0;
     for i in 0..n {
+        longest = longest.max(offsets[i + 1]);
         offsets[i + 1] += offsets[i];
     }
+    // The rows' weights without a weight array, for their degree sums.
+    let ones = if WEIGHTED {
+        Vec::new()
+    } else {
+        vec![1.0; longest]
+    };
 
     // 2. Scatter and finish, per near-equal entry range.
     let total = offsets[n];
     let mut targets: Vec<VertexId> = vec![0; total];
-    let mut weights: Vec<f64> = vec![0.0; total];
+    let mut weights: Vec<f64> = vec![0.0; if WEIGHTED { total } else { 0 }];
     let cuts = rayon::row_cuts(&offsets, parts);
     let bases: Vec<usize> = cuts.iter().map(|&c| offsets[c]).collect();
     let mut ranges = Vec::with_capacity(parts);
@@ -326,7 +362,7 @@ fn build_csr<const EDGES: bool>(
         let (starts, tail_o) = rest_o.split_at_mut(rows);
         let (degrees, tail_d) = rest_d.split_at_mut(rows);
         let (seg_t, tail_t) = rest_t.split_at_mut(len);
-        let (seg_w, tail_w) = rest_w.split_at_mut(len);
+        let (seg_w, tail_w) = rest_w.split_at_mut(if WEIGHTED { len } else { 0 });
         ranges.push((cuts[k], bases[k], starts, degrees, seg_t, seg_w));
         (rest_o, rest_d, rest_t, rest_w) = (tail_o, tail_d, tail_t, tail_w);
     }
@@ -336,20 +372,28 @@ fn build_csr<const EDGES: bool>(
         for s in starts.iter_mut() {
             *s -= base;
         }
-        for chunk in &chunks {
+        for chunk in chunks {
             for record in chunk {
                 for_each_entry::<EDGES>(record, |r, v, w| {
                     if let Some(c) = starts.get_mut((r as usize).wrapping_sub(first)) {
                         seg_t[*c] = v;
-                        seg_w[*c] = w;
+                        if WEIGHTED {
+                            seg_w[*c] = w;
+                        }
                         *c += 1;
                     }
                 });
             }
         }
-        finish_rows(base, starts, degrees, seg_t, seg_w)
+        if WEIGHTED {
+            Some(finish_rows(base, starts, degrees, seg_t, seg_w))
+        } else {
+            finish_unit_rows(base, starts, degrees, seg_t, &ones)
+        }
     });
-    drop(chunks);
+    let Some(kept) = kept.into_iter().collect::<Option<Vec<usize>>>() else {
+        return Ok(None);
+    };
 
     // 3. Join the segments when merged duplicates left gaps between them.
     let mut out = 0usize;
@@ -368,7 +412,9 @@ fn build_csr<const EDGES: bool>(
     targets.truncate(out);
     weights.truncate(out);
     shrink_if_material(&mut targets, &mut weights);
-    Ok(Graph::from_csr_built(offsets, targets, weights, degree_w))
+    Ok(Some(Graph::from_csr_built(
+        offsets, targets, weights, degree_w,
+    )))
 }
 
 /// Finishes one row range after the scatter, in place: `ends[i]` is where
@@ -421,6 +467,35 @@ fn finish_rows(
         lo = hi;
     }
     out
+}
+
+/// [`finish_rows`] for rows without weights: each row that did not arrive
+/// strictly sorted is sorted in place, and its degree is summed over its
+/// prefix of `ones`. Nothing merges, so nothing moves and `ends[i]`
+/// becomes the row's global start. Returns the segment's length, or
+/// `None` at the first duplicate entry, which would merge to weight 2.
+fn finish_unit_rows(
+    base: usize,
+    ends: &mut [usize],
+    degrees: &mut [f64],
+    seg_t: &mut [VertexId],
+    ones: &[f64],
+) -> Option<usize> {
+    let mut lo = 0usize;
+    for (end, degree) in ends.iter_mut().zip(degrees.iter_mut()) {
+        let hi = *end;
+        *end = base + lo;
+        let row = &mut seg_t[lo..hi];
+        if !row.windows(2).all(|p| p[0] < p[1]) {
+            row.sort_unstable();
+            if row.windows(2).any(|p| p[0] == p[1]) {
+                return None;
+            }
+        }
+        *degree = row_weight(&ones[..hi - lo]);
+        lo = hi;
+    }
+    Some(lo)
 }
 
 /// Returns the merged-duplicate slack of freshly built CSR arrays when it
@@ -500,8 +575,8 @@ mod tests {
     fn assert_bit_identical(a: &Graph, b: &Graph) {
         assert_eq!(a.offsets(), b.offsets());
         assert_eq!(a.targets(), b.targets());
-        let wa: Vec<u64> = a.weights().iter().map(|w| w.to_bits()).collect();
-        let wb: Vec<u64> = b.weights().iter().map(|w| w.to_bits()).collect();
+        let wa: Vec<u64> = a.arc_weights().map(f64::to_bits).collect();
+        let wb: Vec<u64> = b.arc_weights().map(f64::to_bits).collect();
         assert_eq!(wa, wb);
     }
 
@@ -630,7 +705,7 @@ mod tests {
         let b = rev.build();
         assert_eq!(a.offsets(), b.offsets());
         assert_eq!(a.targets(), b.targets());
-        assert_eq!(a.weights(), b.weights());
+        assert!(a.arc_weights().eq(b.arc_weights()));
         assert_eq!(a.edge_weight(3, 1), Some(2.5));
         assert_eq!(a.edge_weight(0, 4), Some(4.0));
         assert_eq!(a.self_loop(2), 1.0);

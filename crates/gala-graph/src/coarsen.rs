@@ -539,7 +539,7 @@ mod tests {
         assert_eq!(new.renumbered, seed.renumbered);
         assert_eq!(new.graph.offsets(), seed.graph.offsets());
         assert_eq!(new.graph.targets(), seed.graph.targets());
-        assert_eq!(new.graph.weights(), seed.graph.weights());
+        assert!(new.graph.arc_weights().eq(seed.graph.arc_weights()));
     }
 
     #[test]
@@ -674,7 +674,7 @@ mod tests {
                 .graph
                 .targets()
                 .iter()
-                .zip(whole.graph.weights())
+                .zip(whole.graph.arc_weights())
                 .map(|(&c, w)| (c, w.to_bits()))
                 .collect();
             assert_eq!(flat, expect, "splits {splits:?}");

@@ -4,6 +4,19 @@
 //! through [`crate::builder::GraphBuilder`]. All Louvain layers operate on
 //! `&Graph`, which is `Sync` and can be shared freely across threads and
 //! simulated GPU devices.
+//!
+//! **Unit weights.** A [`Graph`] stores no per-arc weight array exactly
+//! when every stored arc weight is 1.0, as it is for the unweighted SNAP
+//! and KONECT inputs. Its rows then read their weights from one shared
+//! row of ones, as long as the longest row, so
+//! [`Graph::neighbor_weights`] (and [`Graph::neighbors`],
+//! [`Graph::edge_weight`], [`Graph::self_loop`]) look the same either
+//! way, and the CSR takes 4 bytes per arc instead of 12. The rule is
+//! about *stored* weights: a self-loop stores twice its input weight, so
+//! an input self-loop of weight 1 keeps the array, as does a merged
+//! duplicate edge (weight 2) or any weight other than 1.0. Every
+//! constructor applies the rule, so two equal graphs compare equal
+//! whichever way they were built.
 
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -16,7 +29,8 @@ pub type VertexId = u32;
 ///
 /// See the crate-level docs for the self-loop convention: a self-loop is
 /// stored once and its stored weight is its doubled contribution, so that
-/// `2|E| == Σ_v d(v)` holds exactly.
+/// `2|E| == Σ_v d(v)` holds exactly. See the module docs for the
+/// unit-weight representation.
 #[derive(Clone, PartialEq)]
 pub struct Graph {
     /// `offsets[v]..offsets[v + 1]` indexes `v`'s adjacency in `targets` /
@@ -24,8 +38,12 @@ pub struct Graph {
     offsets: Vec<usize>,
     /// Neighbor ids, sorted ascending within each adjacency list.
     targets: Vec<VertexId>,
-    /// Edge weights parallel to `targets`.
+    /// Edge weights parallel to `targets`, or empty when every arc weighs
+    /// 1.0.
     weights: Vec<f64>,
+    /// When `weights` is empty, ones as long as the longest row: each
+    /// row's weights are a prefix of it. Empty otherwise.
+    ones: Vec<f64>,
     /// Cached weighted degree `d(v)` per vertex (includes self-loop weight
     /// once at its stored, doubled value).
     degree_w: Vec<f64>,
@@ -35,6 +53,8 @@ pub struct Graph {
 
 impl Graph {
     /// Builds a graph from raw CSR arrays, auditing them in `O(n + m)`.
+    /// `weights` holds one weight per arc; if every one is 1.0 the graph
+    /// drops the array (see the module docs).
     ///
     /// # Panics
     ///
@@ -53,20 +73,22 @@ impl Graph {
         targets: Vec<VertexId>,
         weights: Vec<f64>,
     ) -> Result<Self, String> {
-        audit_csr(&offsets, &targets, &weights)?;
-        Ok(Self::from_audited(offsets, targets, weights))
+        audit_csr(&offsets, &targets, Some(&weights))?;
+        Ok(Self::assemble(offsets, targets, weights, None))
     }
 
     /// [`Self::try_from_csr`] for arrays whose weighted degrees a loader
-    /// has already summed with [`row_weight`], row by row.
+    /// has already summed with [`row_weight`], row by row. Like every
+    /// crate-internal constructor below, it takes an empty `weights` for
+    /// a graph whose arcs all weigh 1.0.
     pub(crate) fn try_from_csr_built(
         offsets: Vec<usize>,
         targets: Vec<VertexId>,
         weights: Vec<f64>,
         degree_w: Vec<f64>,
     ) -> Result<Self, String> {
-        audit_csr(&offsets, &targets, &weights)?;
-        Ok(Self::from_csr_built(offsets, targets, weights, degree_w))
+        audit_csr(&offsets, &targets, stored(&weights))?;
+        Ok(Self::assemble(offsets, targets, weights, Some(degree_w)))
     }
 
     /// Builds a graph from CSR arrays that are valid by construction or
@@ -82,8 +104,8 @@ impl Graph {
         targets: Vec<VertexId>,
         weights: Vec<f64>,
     ) -> Self {
-        debug_assert_eq!(audit_csr(&offsets, &targets, &weights), Ok(()));
-        Self::from_audited(offsets, targets, weights)
+        debug_assert_eq!(audit_csr(&offsets, &targets, stored(&weights)), Ok(()));
+        Self::assemble(offsets, targets, weights, None)
     }
 
     /// [`Self::from_csr_trusted`] for arrays whose weighted degrees are
@@ -97,38 +119,55 @@ impl Graph {
         weights: Vec<f64>,
         degree_w: Vec<f64>,
     ) -> Self {
-        debug_assert_eq!(audit_csr(&offsets, &targets, &weights), Ok(()));
-        debug_assert!(degree_w
-            .iter()
-            .zip(offsets.windows(2))
-            .all(|(d, o)| d.to_bits() == row_weight(&weights[o[0]..o[1]]).to_bits()));
-        Self::with_degrees(offsets, targets, weights, degree_w)
+        debug_assert_eq!(audit_csr(&offsets, &targets, stored(&weights)), Ok(()));
+        Self::assemble(offsets, targets, weights, Some(degree_w))
     }
 
-    /// Wraps CSR arrays that passed the audit (or are trusted to) and
-    /// caches the weighted degrees.
-    fn from_audited(offsets: Vec<usize>, targets: Vec<VertexId>, weights: Vec<f64>) -> Self {
-        let n = offsets.len() - 1;
-        let mut degree_w = vec![0.0f64; n];
-        for v in 0..n {
-            degree_w[v] = row_weight(&weights[offsets[v]..offsets[v + 1]]);
-        }
-        Self::with_degrees(offsets, targets, weights, degree_w)
-    }
-
-    fn with_degrees(
+    /// Wraps CSR arrays that passed the audit (or are trusted to), applies
+    /// the unit-weight rule, and caches the weighted degrees: `degree_w`
+    /// when the caller summed them, otherwise summed here.
+    fn assemble(
         offsets: Vec<usize>,
         targets: Vec<VertexId>,
-        weights: Vec<f64>,
-        degree_w: Vec<f64>,
+        mut weights: Vec<f64>,
+        degree_w: Option<Vec<f64>>,
     ) -> Self {
-        Self {
-            total_weight: degree_w.iter().sum(),
+        if weights.iter().all(|&w| w == 1.0) {
+            weights = Vec::new();
+        }
+        let ones = match weights.is_empty() {
+            true => vec![1.0; offsets.windows(2).map(|o| o[1] - o[0]).max().unwrap_or(0)],
+            false => Vec::new(),
+        };
+        let mut graph = Self {
             offsets,
             targets,
             weights,
-            degree_w,
-        }
+            ones,
+            degree_w: Vec::new(),
+            total_weight: 0.0,
+        };
+        graph.degree_w = match degree_w {
+            Some(degree_w) => {
+                debug_assert!(
+                    degree_w.len() == graph.num_vertices()
+                        && degree_w
+                            .iter()
+                            .zip(graph.row_weights())
+                            .all(|(d, s)| d.to_bits() == s.to_bits())
+                );
+                degree_w
+            }
+            None => graph.row_weights().collect(),
+        };
+        graph.total_weight = graph.degree_w.iter().sum();
+        graph
+    }
+
+    /// Each row's weights summed with [`row_weight`], in vertex order.
+    fn row_weights(&self) -> impl Iterator<Item = f64> + '_ {
+        self.vertices()
+            .map(|v| row_weight(self.neighbor_weights(v)))
     }
 
     /// Number of vertices `n`.
@@ -174,11 +213,10 @@ impl Graph {
     /// Iterator over `(neighbor, weight)` pairs of `v`.
     #[inline]
     pub fn neighbors(&self, v: VertexId) -> impl Iterator<Item = (VertexId, f64)> + '_ {
-        let range = self.offsets[v as usize]..self.offsets[v as usize + 1];
-        self.targets[range.clone()]
+        self.neighbor_ids(v)
             .iter()
             .copied()
-            .zip(self.weights[range].iter().copied())
+            .zip(self.neighbor_weights(v).iter().copied())
     }
 
     /// Neighbor id slice of `v` (sorted ascending).
@@ -187,10 +225,30 @@ impl Graph {
         &self.targets[self.offsets[v as usize]..self.offsets[v as usize + 1]]
     }
 
-    /// Edge weight slice of `v`, parallel to [`Self::neighbor_ids`].
+    /// Edge weight slice of `v`, parallel to [`Self::neighbor_ids`]: a
+    /// prefix of the shared row of ones when the graph has unit weights.
     #[inline]
     pub fn neighbor_weights(&self, v: VertexId) -> &[f64] {
-        &self.weights[self.offsets[v as usize]..self.offsets[v as usize + 1]]
+        let (lo, hi) = (self.offsets[v as usize], self.offsets[v as usize + 1]);
+        if self.weights.is_empty() {
+            &self.ones[..hi - lo]
+        } else {
+            &self.weights[lo..hi]
+        }
+    }
+
+    /// Every arc's weight, in CSR order (row by row, parallel to
+    /// [`Self::targets`]).
+    pub fn arc_weights(&self) -> impl Iterator<Item = f64> + '_ {
+        self.vertices()
+            .flat_map(|v| self.neighbor_weights(v).iter().copied())
+    }
+
+    /// Whether every arc weighs 1.0, so that the graph stores no per-arc
+    /// weight array (see the module docs).
+    #[inline]
+    pub fn has_unit_weights(&self) -> bool {
+        self.weights.is_empty()
     }
 
     /// Weight of edge `{v, u}` if present. `O(log deg(v))`.
@@ -233,14 +291,9 @@ impl Graph {
         &self.targets
     }
 
-    /// Raw weights array. Exposed for kernel code.
-    #[inline]
-    pub fn weights(&self) -> &[f64] {
-        &self.weights
-    }
-
-    /// Decomposes the graph back into its raw CSR arrays
-    /// `(offsets, targets, weights)`. Hierarchy drivers use this to hand a
+    /// Decomposes the graph back into its stored CSR arrays
+    /// `(offsets, targets, weights)`; `weights` is empty when the graph
+    /// has unit weights. Hierarchy drivers use this to hand a
     /// coarse graph's allocations back to
     /// [`crate::coarsen::CoarsenScratch`] just before dropping it, so the
     /// next contraction round can build its (never larger) output without
@@ -251,10 +304,17 @@ impl Graph {
 }
 
 /// The weighted degree of one row: its weights summed in order. Every
-/// constructor sums through this, so cached degrees agree to the bit.
+/// constructor sums through this, a unit-weight row over its prefix of
+/// ones, so cached degrees agree to the bit.
 #[inline]
 pub(crate) fn row_weight(weights: &[f64]) -> f64 {
     weights.iter().sum()
+}
+
+/// The weights a crate-internal constructor was handed: `None` for the
+/// empty array of a unit-weight graph.
+fn stored(weights: &[f64]) -> Option<&[f64]> {
+    (!weights.is_empty()).then_some(weights)
 }
 
 /// The audit behind [`Graph::from_csr`], in `O(n + m)`.
@@ -268,7 +328,12 @@ pub(crate) fn row_weight(weights: &[f64]) -> f64 {
 /// entry below `v`. Each pair's weights are compared once, against the
 /// stricter of the two directions' tolerances `1e-9·max(|w|, 1)`, so the
 /// audit accepts exactly the arrays a per-arc reverse lookup accepts.
-fn audit_csr(offsets: &[usize], targets: &[VertexId], weights: &[f64]) -> Result<(), String> {
+/// `weights` is `None` for a unit-weight graph, whose pairs always match.
+fn audit_csr(
+    offsets: &[usize],
+    targets: &[VertexId],
+    weights: Option<&[f64]>,
+) -> Result<(), String> {
     let Some(n) = offsets.len().checked_sub(1) else {
         return Err("offsets must have length n + 1".into());
     };
@@ -282,7 +347,7 @@ fn audit_csr(offsets: &[usize], targets: &[VertexId], weights: &[f64]) -> Result
             targets.len()
         ));
     }
-    if targets.len() != weights.len() {
+    if let Some(weights) = weights.filter(|w| w.len() != targets.len()) {
         return Err(format!(
             "targets/weights length mismatch ({} != {})",
             targets.len(),
@@ -322,14 +387,16 @@ fn audit_csr(offsets: &[usize], targets: &[VertexId], weights: &[f64]) -> Result
             if (targets[c] as usize) < v {
                 return Err(format!("edge ({u},{}) has no reverse edge", targets[c]));
             }
-            let (w, back) = (weights[j], weights[c]);
-            let tol = 1e-9 * w.abs().max(1.0).min(back.abs().max(1.0));
-            // Phrased so that a NaN difference is rejected.
-            let within = (back - w).abs() <= tol;
-            if !within {
-                return Err(format!(
-                    "edge ({v},{u}) weight {w} != reverse weight {back}"
-                ));
+            if let Some(weights) = weights {
+                let (w, back) = (weights[j], weights[c]);
+                let tol = 1e-9 * w.abs().max(1.0).min(back.abs().max(1.0));
+                // Phrased so that a NaN difference is rejected.
+                let within = (back - w).abs() <= tol;
+                if !within {
+                    return Err(format!(
+                        "edge ({v},{u}) weight {w} != reverse weight {back}"
+                    ));
+                }
             }
             cursor[u] = c + 1;
         }
@@ -504,7 +571,10 @@ mod tests {
         for &(u, v, w) in edges {
             b.add_edge(u, v, WEIGHTS[w % WEIGHTS.len()]);
         }
-        b.build().into_csr()
+        let g = b.build();
+        let weights = g.arc_weights().collect();
+        let (offsets, targets, _) = g.into_csr();
+        (offsets, targets, weights)
     }
 
     /// Inserts arc `(v, u, w)` at position `at` of row `v`.
@@ -606,11 +676,11 @@ mod tests {
         ) {
             let edges: Vec<_> = edges.into_iter().map(|(u, v, w)| (u % n, v % n, w)).collect();
             let mut csr = random_csr(n, &edges);
-            prop_assert!(audit_csr(&csr.0, &csr.1, &csr.2).is_ok());
+            prop_assert!(audit_csr(&csr.0, &csr.1, Some(&csr.2)).is_ok());
             perturb(&mut csr, kind, pick, nudge);
             let (offsets, targets, weights) = &csr;
             prop_assert_eq!(
-                audit_csr(offsets, targets, weights).is_ok(),
+                audit_csr(offsets, targets, Some(weights)).is_ok(),
                 reference_accepts(offsets, targets, weights),
                 "kind {} on {:?}", kind, csr
             );
@@ -640,7 +710,7 @@ mod tests {
             let mut csr = base();
             perturb(&mut csr, kind, pick, nudge);
             let (o, t, w) = &csr;
-            assert!(audit_csr(o, t, w).is_err(), "kind {kind}: {csr:?}");
+            assert!(audit_csr(o, t, Some(w)).is_err(), "kind {kind}: {csr:?}");
             assert!(!reference_accepts(o, t, w), "kind {kind}: {csr:?}");
         }
     }
@@ -648,13 +718,13 @@ mod tests {
     #[test]
     fn missing_reverse_names_the_arc() {
         // Arc (2,0) has no reverse; (0,1)/(1,0) is a proper pair.
-        let err = audit_csr(&[0, 1, 2, 3], &[1, 0, 0], &[1.0; 3]).unwrap_err();
+        let err = audit_csr(&[0, 1, 2, 3], &[1, 0, 0], Some(&[1.0; 3])).unwrap_err();
         assert_eq!(err, "edge (2,0) has no reverse edge");
         // Arc (1,0) has no reverse, and row 2's visit finds it first.
-        let err = audit_csr(&[0, 1, 3, 4], &[2, 0, 2, 0], &[1.0; 4]).unwrap_err();
+        let err = audit_csr(&[0, 1, 3, 4], &[2, 0, 2, 0], Some(&[1.0; 4])).unwrap_err();
         assert_eq!(err, "edge (1,0) has no reverse edge");
         // Arc (0,2) has no reverse.
-        let err = audit_csr(&[0, 1, 1, 1], &[2], &[1.0]).unwrap_err();
+        let err = audit_csr(&[0, 1, 1, 1], &[2], Some(&[1.0])).unwrap_err();
         assert_eq!(err, "edge (0,2) has no reverse edge");
     }
 
@@ -667,10 +737,10 @@ mod tests {
         let csr = (vec![0, 1, 2], vec![1, 0], vec![a, b]);
         assert!((b - a).abs() > 1e-9 * a.abs().max(1.0));
         assert!((b - a).abs() <= 1e-9 * b.abs().max(1.0));
-        assert!(audit_csr(&csr.0, &csr.1, &csr.2).is_err());
+        assert!(audit_csr(&csr.0, &csr.1, Some(&csr.2)).is_err());
         assert!(!reference_accepts(&csr.0, &csr.1, &csr.2));
         let swapped = (vec![0, 1, 2], vec![1, 0], vec![b, a]);
-        assert!(audit_csr(&swapped.0, &swapped.1, &swapped.2).is_err());
+        assert!(audit_csr(&swapped.0, &swapped.1, Some(&swapped.2)).is_err());
     }
 
     fn triangle() -> Graph {

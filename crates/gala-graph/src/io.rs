@@ -22,7 +22,8 @@
 //!   endpoints' rows; its histogram, scatter, row finish and degree sums
 //!   all run per row range across the pool. The build peaks at the
 //!   records plus the CSR, 16 + 24 = 40 bytes per edge (an arc list would
-//!   take 32 + 24 = 56). The graph is bit-identical to a serial parse into
+//!   take 32 + 24 = 56), or 16 + 8 = 24 when every weight is 1.0 and the
+//!   graph stores no weight array. The graph is bit-identical to a serial parse into
 //!   a [`crate::GraphBuilder`] at any pool width and block size, and a
 //!   malformed input reports its first bad line, as the serial parser
 //!   does.
@@ -68,7 +69,10 @@
 //! checksum mismatch is reported first). The owned loaders
 //! ([`load_binary`], [`from_bytes`]) then run the full `O(n + m)` audit
 //! (sorted rows, symmetric arcs); the mapped load trusts the checksum for
-//! those.
+//! those. Weights of 1.0 are counted, not stored, until the first other
+//! weight, so a unit-weight container loads into a graph without a
+//! weight array; a save streams the ones back, so the container's bytes
+//! do not depend on the representation.
 //!
 //! **Pipelined checksum.** FNV-1a is one serial chain of a multiply per
 //! byte, the largest cost of a binary load. Reads and writes therefore
@@ -749,10 +753,27 @@ fn encode_sections(graph: &Graph, ends: &[usize; 4], range: (usize, usize), out:
                 0 => encode_le(graph.offsets(), local, out, |&o| (o as u64).to_le_bytes()),
                 1 => encode_le(graph.targets(), local, out, |t| t.to_le_bytes()),
                 2 => out.resize(out.len() + hi - lo, 0),
-                _ => encode_le(graph.weights(), local, out, |w| w.to_le_bytes()),
+                _ => encode_weights(graph, local, out),
             }
         }
         start = end;
+    }
+}
+
+/// Appends bytes `lo..hi` of the weights section to `out`, row by row
+/// from the row that holds byte `lo`: a unit-weight graph streams its
+/// rows' ones, so the container is the same either way.
+fn encode_weights(graph: &Graph, (lo, hi): (usize, usize), out: &mut Vec<u8>) {
+    let offsets = graph.offsets();
+    let mut v = offsets.partition_point(|&o| o * 8 <= lo) - 1;
+    while offsets[v] * 8 < hi {
+        let start = offsets[v] * 8;
+        let (a, b) = (lo.max(start), hi.min(offsets[v + 1] * 8));
+        if a < b {
+            let row = graph.neighbor_weights(v as VertexId);
+            encode_le(row, (a - start, b - start), out, |w| w.to_le_bytes());
+        }
+        v += 1;
     }
 }
 
@@ -810,8 +831,8 @@ pub fn save_binary<P: AsRef<Path>>(graph: &Graph, path: P) -> io::Result<()> {
     f.flush()
 }
 
-/// Decoded v2 CSR arrays, their weighted degrees, and the number of
-/// checksummed bytes consumed.
+/// Decoded v2 CSR arrays (`weights` empty when every weight is 1.0),
+/// their weighted degrees, and the number of checksummed bytes consumed.
 struct V2Sections {
     offsets: Vec<usize>,
     targets: Vec<VertexId>,
@@ -859,6 +880,11 @@ fn decode_le_into<T, const N: usize>(
 /// sound, each row's weighted degree is summed with [`row_weight`] as soon
 /// as its last weight arrives. The first fault is kept for
 /// [`Self::finish`], which reports a checksum mismatch ahead of it.
+///
+/// Weights of 1.0 are counted, not stored: the `arcs`-long weight array
+/// is allocated at the first other weight and back-filled with the ones
+/// before it, so a unit-weight container loads into a [`Graph`] without
+/// one.
 struct SectionDecoder {
     n: usize,
     arcs: usize,
@@ -869,7 +895,15 @@ struct SectionDecoder {
     carry: Vec<u8>,
     offsets: Vec<usize>,
     targets: Vec<VertexId>,
+    /// Empty while every weight decoded so far is 1.0.
     weights: Vec<f64>,
+    /// Weights decoded so far.
+    weights_seen: usize,
+    /// The last piece's weights, while `weights` is empty.
+    fresh: Vec<f64>,
+    /// Ones as long as the longest row: the rows' weights while
+    /// `weights` is empty, for their degree sums.
+    ones: Vec<f64>,
     degree_w: Vec<f64>,
     /// Whether the offsets passed their check (rows can be summed).
     rows_sound: bool,
@@ -886,7 +920,10 @@ impl SectionDecoder {
             carry: Vec::with_capacity(8),
             offsets: Vec::with_capacity(n + 1),
             targets: Vec::with_capacity(arcs),
-            weights: Vec::with_capacity(arcs),
+            weights: Vec::new(),
+            weights_seen: 0,
+            fresh: Vec::new(),
+            ones: Vec::new(),
             degree_w: Vec::with_capacity(n),
             rows_sound: false,
             fault: None,
@@ -913,9 +950,7 @@ impl SectionDecoder {
                 }
                 2 => {}
                 _ => {
-                    let from = self.weights.len();
-                    decode_le_into(&mut self.carry, part, &mut self.weights, f64::from_le_bytes);
-                    self.check_weights(from);
+                    self.decode_weights(part);
                     self.sum_rows();
                 }
             }
@@ -939,7 +974,10 @@ impl SectionDecoder {
         self.rows_sound = o.first() == Some(&0)
             && o.last() == Some(&self.arcs)
             && o.windows(2).all(|p| p[0] <= p[1]);
-        if !self.rows_sound {
+        if self.rows_sound {
+            let longest = o.windows(2).map(|p| p[1] - p[0]).max().unwrap_or(0);
+            self.ones = vec![1.0; longest];
+        } else {
             self.note(|| "v2 container: corrupt offsets".into());
         }
     }
@@ -951,12 +989,41 @@ impl SectionDecoder {
         }
     }
 
-    fn check_weights(&mut self, from: usize) {
-        if let Some(i) = self.weights[from..].iter().position(|w| !w.is_finite()) {
-            let (arc, w) = (from + i, self.weights[from + i]);
+    /// Decodes and checks the weights in `part`: into `weights` once it
+    /// is allocated, otherwise into `fresh`, where the first weight other
+    /// than 1.0 allocates it.
+    fn decode_weights(&mut self, part: &[u8]) {
+        let from = self.weights_seen;
+        let unit = self.weights.is_empty();
+        let out = if unit {
+            &mut self.fresh
+        } else {
+            &mut self.weights
+        };
+        if unit {
+            out.clear();
+        }
+        decode_le_into(&mut self.carry, part, out, f64::from_le_bytes);
+        let fresh = if unit {
+            &self.fresh[..]
+        } else {
+            &self.weights[from..]
+        };
+        let (len, bad) = (fresh.len(), fresh.iter().position(|w| !w.is_finite()));
+        if let Some(i) = bad {
+            let (arc, w) = (from + i, fresh[i]);
             self.note(|| {
                 format!("v2 container: corrupt graph: weight {w} of arc {arc} is not finite")
             });
+        }
+        self.weights_seen += len;
+        if let Some(i) = unit
+            .then(|| self.fresh.iter().position(|&w| w != 1.0))
+            .flatten()
+        {
+            self.weights.reserve_exact(self.arcs);
+            self.weights.resize(from + i, 1.0);
+            self.weights.extend_from_slice(&self.fresh[i..]);
         }
     }
 
@@ -966,8 +1033,12 @@ impl SectionDecoder {
             return;
         }
         let mut v = self.degree_w.len();
-        while v < self.n && self.offsets[v + 1] <= self.weights.len() {
-            let row = &self.weights[self.offsets[v]..self.offsets[v + 1]];
+        while v < self.n && self.offsets[v + 1] <= self.weights_seen {
+            let (lo, hi) = (self.offsets[v], self.offsets[v + 1]);
+            let row = match self.weights.is_empty() {
+                true => &self.ones[..hi - lo],
+                false => &self.weights[lo..hi],
+            };
             self.degree_w.push(row_weight(row));
             v += 1;
         }
@@ -1175,6 +1246,11 @@ mod tests {
         b.build()
     }
 
+    /// Every arc's weight, in CSR order.
+    fn arc_weights(g: &Graph) -> Vec<f64> {
+        g.arc_weights().collect()
+    }
+
     /// A legacy v1 container around raw, possibly corrupt, CSR arrays
     /// (the old writer's layout, kept for back-compat coverage).
     fn v1_container(n: u64, offsets: &[usize], targets: &[u32], weights: &[f64]) -> Vec<u8> {
@@ -1231,14 +1307,14 @@ mod tests {
     #[test]
     fn v2_container_helper_matches_the_writer() {
         let g = sample();
-        let bytes = v2_container(g.offsets(), g.targets(), g.weights());
+        let bytes = v2_container(g.offsets(), g.targets(), &arc_weights(&g));
         assert_eq!(bytes, to_bytes(&g));
     }
 
     /// Serialises a graph in the legacy v1 layout.
     fn to_bytes_v1(graph: &Graph) -> Vec<u8> {
         let n = graph.num_vertices() as u64;
-        v1_container(n, graph.offsets(), graph.targets(), graph.weights())
+        v1_container(n, graph.offsets(), graph.targets(), &arc_weights(graph))
     }
 
     /// One sink call, weights as bits so comparisons are exact.
@@ -1365,8 +1441,8 @@ mod tests {
     fn assert_bit_identical(a: &Graph, b: &Graph) {
         assert_eq!(a.offsets(), b.offsets());
         assert_eq!(a.targets(), b.targets());
-        let wa: Vec<u64> = a.weights().iter().map(|w| w.to_bits()).collect();
-        let wb: Vec<u64> = b.weights().iter().map(|w| w.to_bits()).collect();
+        let wa: Vec<u64> = a.arc_weights().map(f64::to_bits).collect();
+        let wb: Vec<u64> = b.arc_weights().map(f64::to_bits).collect();
         assert_eq!(wa, wb);
     }
 
@@ -1872,7 +1948,7 @@ mod tests {
             }
             let g = rayon::with_parallelism(1, || b.build());
             // Byte by byte through one serial Fnv1a.
-            let expect = v2_container(g.offsets(), g.targets(), g.weights());
+            let expect = v2_container(g.offsets(), g.targets(), &arc_weights(&g));
             let checksum = u64_at(&expect, CHECKSUM_POS as usize);
             for width in [1usize, 2, 8] {
                 for chunk in TEST_CHUNKS {
@@ -1979,14 +2055,14 @@ mod tests {
         let g = sample();
         let mut out_of_range = g.targets().to_vec();
         out_of_range[1] = 1000;
-        let mut nan = g.weights().to_vec();
+        let mut nan = arc_weights(&g);
         nan[2] = f64::NAN;
-        let mut inf = g.weights().to_vec();
+        let mut inf = arc_weights(&g);
         inf[0] = f64::INFINITY;
         let cases = [
             (
                 "range",
-                v2_container(g.offsets(), &out_of_range, g.weights()),
+                v2_container(g.offsets(), &out_of_range, &arc_weights(&g)),
                 "v2 container: corrupt graph: target 1000 out of range (n = 4)",
             ),
             (
@@ -2004,6 +2080,26 @@ mod tests {
                 v2_container(&[0, 2, 1, 3], &[1, 0, 2], &[1.0; 3]),
                 "v2 container: corrupt offsets",
             ),
+            // Non-finite weights after a run of ones, which the load
+            // counts without storing.
+            (
+                "nan after ones",
+                v2_container(
+                    &PATH_OFFSETS,
+                    &PATH_TARGETS,
+                    &[1.0, 1.0, 1.0, f64::NAN, 1.0, 1.0],
+                ),
+                "v2 container: corrupt graph: weight NaN of arc 3 is not finite",
+            ),
+            (
+                "inf last",
+                v2_container(
+                    &PATH_OFFSETS,
+                    &PATH_TARGETS,
+                    &[1.0, 1.0, 1.0, 1.0, 1.0, f64::INFINITY],
+                ),
+                "v2 container: corrupt graph: weight inf of arc 5 is not finite",
+            ),
         ];
         for (name, bytes, want) in cases {
             assert_eq!(owned_load_error(&bytes, name).to_string(), want, "{name}");
@@ -2014,6 +2110,48 @@ mod tests {
             let _ = std::fs::remove_file(p);
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{name}");
             assert_eq!(err.to_string(), want, "{name}");
+        }
+    }
+
+    /// The path 0-1-2-3 as CSR arrays.
+    const PATH_OFFSETS: [usize; 5] = [0, 1, 3, 5, 6];
+    const PATH_TARGETS: [u32; 6] = [1, 0, 2, 1, 3, 2];
+
+    /// A unit-weight container loads without a weight array, and one
+    /// other weight anywhere (the first edge, a middle one, the last edge,
+    /// or a self-loop as the last arc) makes the load allocate it and
+    /// back-fill the ones before it, at every pool width and at chunk
+    /// sizes that cut the weights anywhere: the graph and its degree bits
+    /// are those of the explicit arrays through `from_csr`.
+    #[test]
+    fn unit_weights_are_counted_until_the_first_other_weight() {
+        // The path 0-1-2-3 with a self-loop on 3, as CSR arrays.
+        let offsets = vec![0, 1, 3, 5, 7];
+        let targets = vec![1, 0, 2, 1, 3, 2, 3];
+        for (arcs, w) in [
+            (&[][..], 1.0),
+            (&[0, 1], 2.0),
+            (&[2, 3], 2.0),
+            (&[4, 5], 0.0),
+            (&[6], 2.0),
+        ] {
+            let mut weights = vec![1.0; 7];
+            arcs.iter().for_each(|&a| weights[a] = w);
+            let expect = Graph::from_csr(offsets.clone(), targets.clone(), weights.clone());
+            assert_eq!(expect.has_unit_weights(), arcs.is_empty());
+            let bytes = v2_container(&offsets, &targets, &weights);
+            for width in [1usize, 2, 8] {
+                for chunk in TEST_CHUNKS {
+                    let s = rayon::with_parallelism(width, || read_chunked(&bytes, chunk)).unwrap();
+                    assert_eq!(s.weights.is_empty(), arcs.is_empty());
+                    let loaded = Graph::from_csr_built(s.offsets, s.targets, s.weights, s.degree_w);
+                    assert_eq!(
+                        loaded, expect,
+                        "arcs {arcs:?}: width {width}, chunk {chunk}"
+                    );
+                    assert_eq!(degree_bits(&loaded), degree_bits(&expect));
+                }
+            }
         }
     }
 

@@ -31,6 +31,12 @@
 //!   stored weights, and
 //! * `2|E| = Σ_v d(v)` holds exactly, which is the normaliser the modularity
 //!   formula needs.
+//!
+//! A graph whose stored weights are all 1.0 (an unweighted input without
+//! self-loops or duplicate edges) keeps no per-arc weight array: its rows
+//! read their weights from one shared row of ones, so every accessor
+//! looks the same and the CSR is a third of the size. Every constructor
+//! and loader applies this rule (see [`csr`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -539,8 +539,8 @@ mod tests {
     fn assert_bit_identical(a: &Graph, b: &Graph) {
         assert_eq!(a.offsets(), b.offsets());
         assert_eq!(a.targets(), b.targets());
-        let wa: Vec<u64> = a.weights().iter().map(|w| w.to_bits()).collect();
-        let wb: Vec<u64> = b.weights().iter().map(|w| w.to_bits()).collect();
+        let wa: Vec<u64> = a.arc_weights().map(f64::to_bits).collect();
+        let wb: Vec<u64> = b.arc_weights().map(f64::to_bits).collect();
         assert_eq!(wa, wb);
     }
 
