@@ -996,13 +996,11 @@ impl SectionDecoder {
         let from = self.weights_seen;
         let unit = self.weights.is_empty();
         let out = if unit {
+            self.fresh.clear();
             &mut self.fresh
         } else {
             &mut self.weights
         };
-        if unit {
-            out.clear();
-        }
         decode_le_into(&mut self.carry, part, out, f64::from_le_bytes);
         let fresh = if unit {
             &self.fresh[..]
