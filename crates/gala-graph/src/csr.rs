@@ -135,9 +135,10 @@ impl Graph {
         if weights.iter().all(|&w| w == 1.0) {
             weights = Vec::new();
         }
-        let ones = match weights.is_empty() {
-            true => vec![1.0; offsets.windows(2).map(|o| o[1] - o[0]).max().unwrap_or(0)],
-            false => Vec::new(),
+        let ones = if weights.is_empty() {
+            vec![1.0; offsets.windows(2).map(|o| o[1] - o[0]).max().unwrap_or(0)]
+        } else {
+            Vec::new()
         };
         let mut graph = Self {
             offsets,

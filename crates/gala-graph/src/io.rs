@@ -1033,9 +1033,10 @@ impl SectionDecoder {
         let mut v = self.degree_w.len();
         while v < self.n && self.offsets[v + 1] <= self.weights_seen {
             let (lo, hi) = (self.offsets[v], self.offsets[v + 1]);
-            let row = match self.weights.is_empty() {
-                true => &self.ones[..hi - lo],
-                false => &self.weights[lo..hi],
+            let row = if self.weights.is_empty() {
+                &self.ones[..hi - lo]
+            } else {
+                &self.weights[lo..hi]
             };
             self.degree_w.push(row_weight(row));
             v += 1;
