@@ -153,6 +153,29 @@ fn degenerate_graphs_get_their_documented_partition() {
 }
 
 #[test]
+fn stats_of_an_empty_or_edgeless_graph_print_a_zero_total_weight() {
+    for (name, text) in [
+        ("stats_empty.txt", &b""[..]),
+        ("stats_edgeless.txt", b"#vertices 5\n"),
+    ] {
+        let path = temp_file(name, text);
+        let out = Command::new(env!("CARGO_BIN_EXE_gala"))
+            .arg("stats")
+            .arg(&path)
+            .output()
+            .unwrap();
+        let _ = std::fs::remove_file(&path);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            out.status.success(),
+            "{name}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert!(stdout.contains("total weight:    0\n"), "{name}: {stdout}");
+    }
+}
+
+#[test]
 fn text_with_hostile_weights_is_rejected() {
     for (name, w) in [("nan.txt", "nan"), ("inf.txt", "inf"), ("neg.txt", "-1")] {
         let text = format!("0 1 1\n1 2 2\n2 0 {w}\n");
@@ -240,6 +263,20 @@ fn truncated_v2_container_is_rejected() {
         &bytes[..bytes.len() - 5],
         &["truncated"],
     );
+    // Cuts inside the header, on both stores: the 8-byte magic, then the
+    // rest of the 64-byte v2 header.
+    for cut in [0, 4, 8, 20, 63] {
+        let header = if cut < 8 { 8 } else { 64 };
+        let want = format!("truncated container header ({cut} of {header} bytes)");
+        for store in ["owned", "mapped"] {
+            assert_rejected(
+                &["detect", "--store", store],
+                &format!("header_cut_{cut}_{store}.bin"),
+                &bytes[..cut],
+                &[&want],
+            );
+        }
+    }
 }
 
 #[test]

@@ -133,9 +133,9 @@ pub trait ExecutionBackend: Sync {
         out: &mut DecideOutput,
     );
 
-    /// [`Self::decide_list`] over all `active` vertices, with the same
-    /// contract as [`kernels::decide_profiled_into`]: `out` is fully
-    /// rewritten, `next_comm` and `moves` included.
+    /// [`Self::decide_list`] over all `active` vertices: the one
+    /// mask-taking form of a decide pass. `out` is fully rewritten,
+    /// `next_comm` (rebuilt from `state` and the movers) included.
     #[allow(clippy::too_many_arguments)]
     fn decide(
         &self,
@@ -207,9 +207,7 @@ impl ExecutionBackend for SimBackend {
         scratch: &mut DecideScratch,
         out: &mut DecideOutput,
     ) {
-        scratch.decide_listed(state, work, out, |active, scratch, out| {
-            kernels::decide_profiled_into(kind, graph, state, active, prof, scratch, out)
-        });
+        kernels::decide_list(kind, graph, state, work, prof, scratch, out);
     }
 
     fn contract(

@@ -30,44 +30,12 @@
 //! in first-occurrence order. The simulated GPU kernels reproduce that
 //! order, so all kernels agree bit-for-bit on unit-weight graphs.
 
-use super::{choose_with_margin, DecideOutput, SHUFFLE_DEGREE_THRESHOLD};
+use super::{choose_with_margin, SHUFFLE_DEGREE_THRESHOLD};
 use crate::pruning::certificate::Certificates;
 use crate::state::BspState;
-use gala_gpu::memory::MemTally;
 use gala_graph::partition::CommunityId;
 use gala_graph::{Graph, VertexId};
 use std::cell::RefCell;
-
-/// Runs the reference kernel over the active vertices.
-pub fn decide(graph: &Graph, state: &BspState, active: &[bool]) -> DecideOutput {
-    let mut out = DecideOutput::default();
-    decide_into(graph, state, active, None, &mut Vec::new(), &mut out);
-    out
-}
-
-/// [`decide`] writing into `out`, recycling its `next_comm` allocation and
-/// the work-list buffer `work`: [`decide_list`] over the active vertices.
-pub(crate) fn decide_into(
-    graph: &Graph,
-    state: &BspState,
-    active: &[bool],
-    certs: Option<&Certificates>,
-    work: &mut Vec<VertexId>,
-    out: &mut DecideOutput,
-) -> FoldCounts {
-    work.clear();
-    work.extend((0..active.len() as VertexId).filter(|&v| active[v as usize]));
-    let mut next = Vec::new();
-    let counts = decide_list(graph, state, work, certs, &mut next);
-    out.next_comm.clear();
-    out.next_comm.extend_from_slice(&state.comm);
-    for (&v, &c) in work.iter().zip(&next) {
-        out.next_comm[v as usize] = c;
-    }
-    out.tally = MemTally::new();
-    out.hash_stats = Default::default();
-    counts
-}
 
 /// Decides every vertex of `work`, writing its next community to the same
 /// position of `next`, each on its thread's [`Fold`]. The pool chunks'
@@ -270,10 +238,11 @@ pub(crate) fn weighted_planted(
 /// communities of several members.
 #[cfg(test)]
 pub(crate) fn settled_state(g: &Graph) -> BspState {
+    use super::{decide, KernelKind};
     use crate::weight::{self, WeightUpdateMode};
     let mut s = BspState::new(g);
     for _ in 0..2 {
-        let out = decide(g, &s, &vec![true; g.num_vertices()]);
+        let out = decide(KernelKind::Cpu, g, &s, &vec![true; g.num_vertices()]);
         let summary = s.apply_moves(g, &out.next_comm);
         weight::update(WeightUpdateMode::Delta, g, &mut s, &summary);
     }
@@ -285,7 +254,7 @@ mod tests {
     use super::*;
     use crate::backend::{ExecutionBackend, NativeBackend};
     use crate::kernels::hashtable::HashConfig;
-    use crate::kernels::{choose, DecideScratch, KernelKind};
+    use crate::kernels::{choose, decide, DecideOutput, DecideScratch, KernelKind};
     use crate::weight::{self, WeightUpdateMode};
     use gala_gpu::profile::Profiler;
     use gala_graph::coarsen::coarsen;
@@ -299,7 +268,7 @@ mod tests {
         let s = BspState::new(&g);
         let mut active = vec![true; 6];
         active[1] = false;
-        let out = decide(&g, &s, &active);
+        let out = decide(KernelKind::Cpu, &g, &s, &active);
         assert_eq!(out.next_comm[1], 1);
     }
 
@@ -307,7 +276,7 @@ mod tests {
     fn first_iteration_merges_toward_smaller_ids() {
         let g = fixtures::two_cliques(3);
         let s = BspState::new(&g);
-        let out = decide(&g, &s, &[true; 6]);
+        let out = decide(KernelKind::Cpu, &g, &s, &[true; 6]);
         // All singletons: guard allows only moves to smaller singleton ids.
         assert_eq!(out.next_comm[0], 0);
         assert!(out.next_comm[1] <= 1);
@@ -395,8 +364,9 @@ mod tests {
         }
     }
 
-    /// Checks the fold, `cpu::decide` and native `WorkloadAware` against
-    /// the `HashMap` reference over a few real supersteps of `g`.
+    /// Checks the fold, the simulated `Cpu` kernel and native
+    /// `WorkloadAware` against the `HashMap` reference over a few real
+    /// supersteps of `g`.
     fn assert_fold_matches_reference(g: &Graph) {
         let mut s = BspState::new(g);
         let active = vec![true; g.num_vertices()];
@@ -415,7 +385,8 @@ mod tests {
                 );
             }
             for width in [1, 2, 8] {
-                let cpu = rayon::with_parallelism(width, || decide(g, &s, &active));
+                let cpu =
+                    rayon::with_parallelism(width, || decide(KernelKind::Cpu, g, &s, &active));
                 assert_eq!(cpu.next_comm, reference, "cpu, width {width}");
                 let mut out = DecideOutput::default();
                 rayon::with_parallelism(width, || {

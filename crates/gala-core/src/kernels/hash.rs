@@ -8,8 +8,8 @@
 //! (Algorithm 3 line 9). The final candidate scan feeds the shared
 //! [`choose`] rule.
 
+use super::choose;
 use super::hashtable::{HashConfig, TableStats, VertexTable};
-use super::{choose, DecideOutput};
 use crate::state::BspState;
 use gala_gpu::block::SharedMem;
 use gala_gpu::grid;
@@ -18,42 +18,29 @@ use gala_gpu::warp::WARP_SIZE;
 use gala_graph::partition::CommunityId;
 use gala_graph::{Graph, VertexId};
 
-/// Runs the hash-based kernel over the active vertices.
-pub fn decide(graph: &Graph, state: &BspState, active: &[bool], cfg: HashConfig) -> DecideOutput {
-    let mut out = DecideOutput::default();
-    decide_into(
-        graph,
-        state,
-        active,
-        cfg,
-        &mut Vec::new(),
-        &mut Vec::new(),
-        &mut out,
-    );
-    out
-}
-
-/// [`decide`] into recycled buffers: `work` and `launch_out` are scratch
-/// reused across supersteps, `out` is fully rewritten.
-pub(crate) fn decide_into(
+/// Launches one block per vertex of `work`, writing `next[i]` for
+/// `work[i]`; `launch_out` is the recycled launch buffer. Returns the
+/// summed tally and table statistics.
+pub(crate) fn decide_list(
     graph: &Graph,
     state: &BspState,
-    active: &[bool],
+    work: &[VertexId],
     cfg: HashConfig,
-    work: &mut Vec<VertexId>,
     launch_out: &mut Vec<(CommunityId, TableStats)>,
-    out: &mut DecideOutput,
-) {
-    super::reset_pass(state, active, work, out);
-    out.tally = grid::launch_into(
+    next: &mut Vec<CommunityId>,
+) -> (MemTally, TableStats) {
+    let tally = grid::launch_into(
         work,
         |&v, tally| decide_one(v, graph, state, cfg, tally),
         launch_out,
     );
-    for (&v, &(c, stats)) in work.iter().zip(launch_out.iter()) {
-        out.next_comm[v as usize] = c;
-        out.hash_stats += stats;
-    }
+    let mut stats = TableStats::default();
+    next.clear();
+    next.extend(launch_out.iter().map(|&(c, s)| {
+        stats += s;
+        c
+    }));
+    (tally, stats)
 }
 
 /// One block's work: Algorithm 3 for vertex `v`.
@@ -123,9 +110,9 @@ pub fn decide_one(
 
 #[cfg(test)]
 mod tests {
-    use super::super::cpu;
     use super::super::hashtable::HashTableKind;
     use super::*;
+    use crate::kernels::{decide, KernelKind};
     use gala_graph::generators::fixtures;
 
     fn all_kinds() -> [HashConfig; 3] {
@@ -150,9 +137,9 @@ mod tests {
         let g = fixtures::ring_of_cliques(5, 6);
         let s = BspState::new(&g);
         let active = vec![true; g.num_vertices()];
-        let reference = cpu::decide(&g, &s, &active);
+        let reference = decide(KernelKind::Cpu, &g, &s, &active);
         for cfg in all_kinds() {
-            let out = decide(&g, &s, &active, cfg);
+            let out = decide(KernelKind::Hash(cfg), &g, &s, &active);
             assert_eq!(out.next_comm, reference.next_comm, "{:?}", cfg.kind);
         }
     }
@@ -162,30 +149,17 @@ mod tests {
         let g = fixtures::ring_of_cliques(8, 8);
         let s = BspState::new(&g);
         let active = vec![true; g.num_vertices()];
-        let hier = decide(
-            &g,
-            &s,
-            &active,
-            HashConfig {
-                kind: HashTableKind::Hierarchical,
+        let rate = |kind| {
+            let cfg = HashConfig {
+                kind,
                 shared_buckets: 32,
-            },
-        );
-        let uni = decide(
-            &g,
-            &s,
-            &active,
-            HashConfig {
-                kind: HashTableKind::Unified,
-                shared_buckets: 32,
-            },
-        );
-        assert!(
-            hier.hash_stats.access_rate() > uni.hash_stats.access_rate(),
-            "hier {} vs uni {}",
-            hier.hash_stats.access_rate(),
-            uni.hash_stats.access_rate()
-        );
+            };
+            let out = decide(KernelKind::Hash(cfg), &g, &s, &active);
+            out.hash_stats.access_rate()
+        };
+        let hier = rate(HashTableKind::Hierarchical);
+        let uni = rate(HashTableKind::Unified);
+        assert!(hier > uni, "hier {hier} vs uni {uni}");
     }
 
     #[test]
@@ -193,15 +167,11 @@ mod tests {
         let g = fixtures::two_cliques(5);
         let s = BspState::new(&g);
         let active = vec![true; g.num_vertices()];
-        let out = decide(
-            &g,
-            &s,
-            &active,
-            HashConfig {
-                kind: HashTableKind::GlobalOnly,
-                shared_buckets: 0,
-            },
-        );
+        let cfg = HashConfig {
+            kind: HashTableKind::GlobalOnly,
+            shared_buckets: 0,
+        };
+        let out = decide(KernelKind::Hash(cfg), &g, &s, &active);
         assert_eq!(out.tally.shared_atomics, 0);
         assert!(out.tally.global_atomics > 0);
     }
@@ -211,7 +181,7 @@ mod tests {
         let g = fixtures::two_cliques(4);
         let s = BspState::new(&g);
         let active = vec![false; g.num_vertices()];
-        let out = decide(&g, &s, &active, HashConfig::default());
+        let out = decide(KernelKind::Hash(HashConfig::default()), &g, &s, &active);
         assert_eq!(out.next_comm, s.comm);
         assert_eq!(out.tally, MemTally::new());
     }

@@ -5,8 +5,9 @@
 //! there, and the best target under Grappolo's deterministic tie-breaking.
 //! They differ in *where the intermediate state lives*:
 //!
-//! * [`cpu`] — host reference: rayon over vertices, each pool chunk
-//!   aggregating through one reusable open-addressed fold.
+//! * [`cpu`] — host reference: rayon over vertices, each pool
+//!   participant aggregating through its own reusable fold, one dense
+//!   index over community ids.
 //! * [`shuffle`] — paper Algorithm 2: a warp per vertex, state in lane
 //!   registers, aggregation via `__match_any_sync` + grouped reduce.
 //! * [`hash`] — paper Algorithm 3: a block per vertex, state in a
@@ -17,6 +18,11 @@
 //! * [`replicated`] — per-thread private tables merged by reduction (the
 //!   conflict-free design of the paper's reference [32], kept as a
 //!   measurable ablation).
+//!
+//! Every kernel launches over an ascending work list of vertices and
+//! writes one decision per listed vertex; `decide_list` is the
+//! simulator's one pass over such a list, and [`decide`] the mask-taking
+//! form tests and the figure bins call.
 //!
 //! All kernels funnel their per-community aggregates through [`choose`], so
 //! on unit-weight graphs (exact f64 sums) they make bit-identical decisions
@@ -42,7 +48,7 @@ use hashtable::{HashConfig, TableStats};
 /// Which DecideAndMove kernel to run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum KernelKind {
-    /// Host reference implementation (per-chunk reusable fold on rayon).
+    /// Host reference implementation (per-thread reusable fold on rayon).
     Cpu,
     /// Warp-level shuffle-based kernel (Algorithm 2).
     Shuffle,
@@ -86,14 +92,12 @@ pub struct RoutingStats {
 #[derive(Clone, Debug, Default)]
 pub struct DecideOutput {
     /// Chosen community per vertex (unchanged for inactive vertices).
-    /// Written by every mask-taking pass; the native work-list pass
-    /// ([`crate::backend::ExecutionBackend::decide_list`]) leaves it as
-    /// it was.
+    /// Written only by the mask-taking
+    /// [`crate::backend::ExecutionBackend::decide`]; the work-list passes
+    /// leave it as it was.
     pub next_comm: Vec<CommunityId>,
     /// `(vertex, new community)` of every decided vertex that changes
-    /// community, in ascending vertex order. Written by the work-list
-    /// passes and by [`crate::backend::ExecutionBackend::decide`]; the
-    /// simulated kernels' own mask-taking entry points leave it as it was.
+    /// community, in ascending vertex order. Written by every pass.
     pub moves: Vec<(VertexId, CommunityId)>,
     /// Summed simulated memory tally.
     pub tally: MemTally,
@@ -104,10 +108,10 @@ pub struct DecideOutput {
 }
 
 /// Reusable scratch buffers for decide passes. Drivers keep one of these
-/// across supersteps (and rounds) so the work lists, masks and kernel
-/// launch outputs are recycled instead of reallocated every superstep.
-/// Every buffer but `certs` carries no state between calls — every pass
-/// fully rewrites what it uses.
+/// across supersteps (and rounds) so the work lists and kernel launch
+/// outputs are recycled instead of reallocated every superstep. Every
+/// buffer but `certs` carries no state between calls — every pass fully
+/// rewrites what it uses.
 ///
 /// `certs` holds the `mgd` stay certificates ([`crate::pruning`]). They
 /// ride here because this is what reaches the decide fold on one device
@@ -118,28 +122,25 @@ pub struct DecideOutput {
 pub struct DecideScratch {
     /// Stay certificates the fold records into while armed.
     pub(crate) certs: Certificates,
-    /// Active-vertex work list handed to the grid launcher.
-    work: Vec<VertexId>,
-    /// The work list a mask-taking pass hands to its work-list form.
+    /// The work list the mask adapter builds from its mask.
     listed: Vec<VertexId>,
-    /// The mask a simulated work-list pass hands to its kernels.
-    mask: Vec<bool>,
-    /// Launch outputs of kernels returning a plain community id.
+    /// Decisions of a launched kernel, in its work list's order (the
+    /// shuffle half of a workload-aware pass).
     comm_out: Vec<CommunityId>,
+    /// Decisions of the hash half of a workload-aware pass.
+    hash_next: Vec<CommunityId>,
     /// Launch outputs of the hash kernel (community + table stats).
     hash_out: Vec<(CommunityId, TableStats)>,
-    /// Workload-aware small-degree mask.
-    small: Vec<bool>,
-    /// Workload-aware large-degree mask.
-    large: Vec<bool>,
-    /// Workload-aware secondary output (the hash half).
-    sub: DecideOutput,
+    /// Workload-aware work list below the degree threshold.
+    shuffle_work: Vec<VertexId>,
+    /// Workload-aware work list at or above the degree threshold.
+    hash_work: Vec<VertexId>,
 }
 
 impl DecideScratch {
     /// Runs the work-list pass `pass` over the vertices `active` marks:
-    /// the mask-taking form of a decide pass. `out.next_comm` is rebuilt
-    /// from `state` and the pass's moves.
+    /// the one mask-taking form of a decide pass. `out.next_comm` is
+    /// rebuilt from `state` and the pass's moves.
     pub(crate) fn decide_masked(
         &mut self,
         state: &BspState,
@@ -158,32 +159,6 @@ impl DecideScratch {
             out.next_comm[v as usize] = c;
         }
     }
-
-    /// Runs the mask-taking pass `pass` over the vertices of `work`: the
-    /// work-list form of a simulated decide pass, whose kernels launch
-    /// over a mask. `out.moves` is read off `out.next_comm`.
-    pub(crate) fn decide_listed(
-        &mut self,
-        state: &BspState,
-        work: &[VertexId],
-        out: &mut DecideOutput,
-        pass: impl FnOnce(&[bool], &mut Self, &mut DecideOutput),
-    ) {
-        let mut mask = std::mem::take(&mut self.mask);
-        mask.clear();
-        mask.resize(state.num_vertices(), false);
-        for &v in work {
-            mask[v as usize] = true;
-        }
-        pass(&mask, self, out);
-        self.mask = mask;
-        out.moves.clear();
-        out.moves.extend(
-            work.iter()
-                .map(|&v| (v, out.next_comm[v as usize]))
-                .filter(|&(v, c)| c != state.comm[v as usize]),
-        );
-    }
 }
 
 impl DecideOutput {
@@ -200,157 +175,151 @@ impl DecideOutput {
     }
 }
 
-/// Runs the selected kernel over all `active` vertices.
+/// Runs the selected kernel on the simulator over all `active` vertices:
+/// [`SimBackend`]'s mask-taking decide with a fresh scratch and no
+/// profiler.
+///
+/// [`SimBackend`]: crate::backend::SimBackend
 pub fn decide(kind: KernelKind, graph: &Graph, state: &BspState, active: &[bool]) -> DecideOutput {
-    decide_profiled(kind, graph, state, active, &mut Profiler::disabled())
-}
-
-/// [`decide`], recorded as a `"decide"` span on `prof` with one child span
-/// per kernel actually launched (the workload-aware dispatcher produces
-/// both a `"shuffle"` and a `"hash"` child). Each kernel span carries its
-/// memory tally — including divergence and coalescing counters — plus an
-/// `"items"` counter, and hash-based kernels add their table statistics.
-pub fn decide_profiled(
-    kind: KernelKind,
-    graph: &Graph,
-    state: &BspState,
-    active: &[bool],
-    prof: &mut Profiler,
-) -> DecideOutput {
-    let mut scratch = DecideScratch::default();
+    use crate::backend::{ExecutionBackend, SimBackend};
     let mut out = DecideOutput::default();
-    decide_profiled_into(kind, graph, state, active, prof, &mut scratch, &mut out);
+    SimBackend.decide(
+        kind,
+        graph,
+        state,
+        active,
+        &mut Profiler::disabled(),
+        &mut DecideScratch::default(),
+        &mut out,
+    );
     out
 }
 
-/// [`decide_profiled`] writing into caller-owned buffers: `out` is fully
-/// rewritten and `scratch` provides the recycled intermediates. This is the
-/// hot entry point the Louvain driver calls every superstep, on one device
-/// or split over several.
-pub fn decide_profiled_into(
+/// The simulator's DecideAndMove pass: runs `kind` over the vertices of
+/// `work` (ascending), one simulated warp or block per vertex. `out` is
+/// rewritten but for `next_comm`: `moves` lists the movers, and the tally,
+/// table statistics and routing are the pass's. Recorded as a `"decide"`
+/// span on `prof` with one child span per kernel launched (the
+/// workload-aware dispatcher produces both a `"shuffle"` and a `"hash"`
+/// child). Each kernel span carries its memory tally — including
+/// divergence and coalescing counters — plus an `"items"` counter, and
+/// hash-based kernels add their table statistics.
+pub(crate) fn decide_list(
     kind: KernelKind,
     graph: &Graph,
     state: &BspState,
-    active: &[bool],
+    work: &[VertexId],
     prof: &mut Profiler,
     scratch: &mut DecideScratch,
     out: &mut DecideOutput,
 ) {
     let DecideScratch {
         certs,
-        work,
         comm_out,
+        hash_next,
         hash_out,
-        small,
-        large,
-        sub,
+        shuffle_work,
+        hash_work,
         ..
     } = scratch;
-    match kind {
-        KernelKind::Cpu => {
-            out.routing = RoutingStats {
-                other_vertices: cpu::decide_into(graph, state, active, certs.armed(), work, out)
-                    .total(),
-                ..RoutingStats::default()
-            };
-            record_kernel(prof, "cpu", out);
-        }
-        KernelKind::Shuffle => {
-            shuffle::decide_into(graph, state, active, work, comm_out, out);
-            out.routing.shuffle_vertices = work.len() as u64;
-            record_kernel(prof, "shuffle", out);
-        }
-        KernelKind::Hash(cfg) => {
-            hash::decide_into(graph, state, active, cfg, work, hash_out, out);
-            out.routing.hash_vertices = work.len() as u64;
-            record_kernel(prof, "hash", out);
-        }
-        KernelKind::Sort => {
-            sort::decide_into(graph, state, active, work, comm_out, out);
-            out.routing.other_vertices = work.len() as u64;
-            record_kernel(prof, "sort", out);
-        }
-        KernelKind::Replicated => {
-            replicated::decide_into(graph, state, active, work, comm_out, out);
-            out.routing.other_vertices = work.len() as u64;
-            record_kernel(prof, "replicated", out);
-        }
-        KernelKind::WorkloadAware(cfg) => {
-            small.clear();
-            small.resize(active.len(), false);
-            large.clear();
-            large.resize(active.len(), false);
-            let (mut n_small, mut n_large) = (0u64, 0u64);
-            for v in 0..active.len() {
-                if !active[v] {
-                    continue;
-                }
-                if graph.degree(v as VertexId) < SHUFFLE_DEGREE_THRESHOLD {
-                    small[v] = true;
-                    n_small += 1;
-                } else {
-                    large[v] = true;
-                    n_large += 1;
-                }
-            }
-            shuffle::decide_into(graph, state, small, work, comm_out, out);
-            hash::decide_into(graph, state, large, cfg, work, hash_out, sub);
-            if prof.is_enabled() {
-                prof.scope("decide", |p| {
-                    record_kernel_span(p, "shuffle", n_small, out);
-                    record_kernel_span(p, "hash", n_large, sub);
-                });
-            }
-            for (v, is_large) in large.iter().enumerate() {
-                if *is_large {
-                    out.next_comm[v] = sub.next_comm[v];
-                }
-            }
-            out.tally += sub.tally;
-            out.hash_stats = sub.hash_stats;
-            out.routing = RoutingStats {
-                shuffle_vertices: n_small,
-                hash_vertices: n_large,
-                other_vertices: 0,
-            };
-        }
-    }
-}
-
-/// Refills `work` with the active vertex ids (allocation recycled) and
-/// resets `out` to "every vertex keeps its community".
-pub(crate) fn reset_pass(
-    state: &BspState,
-    active: &[bool],
-    work: &mut Vec<VertexId>,
-    out: &mut DecideOutput,
-) {
-    work.clear();
-    work.extend((0..active.len() as VertexId).filter(|&v| active[v as usize]));
-    out.next_comm.clear();
-    out.next_comm.extend_from_slice(&state.comm);
-    out.tally = MemTally::new();
+    let items = work.len() as u64;
     out.hash_stats = TableStats::default();
     out.routing = RoutingStats::default();
-}
-
-/// Records a single-kernel output as a `"decide"` span with one child,
-/// whose `"items"` are the vertices `out.routing` counts.
-fn record_kernel(prof: &mut Profiler, name: &str, out: &DecideOutput) {
+    let name = match kind {
+        KernelKind::Cpu => {
+            cpu::decide_list(graph, state, work, certs.armed(), comm_out);
+            out.tally = MemTally::new();
+            out.routing.other_vertices = items;
+            "cpu"
+        }
+        KernelKind::Shuffle => {
+            out.tally = shuffle::decide_list(graph, state, work, comm_out);
+            out.routing.shuffle_vertices = items;
+            "shuffle"
+        }
+        KernelKind::Hash(cfg) => {
+            (out.tally, out.hash_stats) =
+                hash::decide_list(graph, state, work, cfg, hash_out, comm_out);
+            out.routing.hash_vertices = items;
+            "hash"
+        }
+        KernelKind::Sort => {
+            out.tally = sort::decide_list(graph, state, work, comm_out);
+            out.routing.other_vertices = items;
+            "sort"
+        }
+        KernelKind::Replicated => {
+            out.tally = replicated::decide_list(graph, state, work, comm_out);
+            out.routing.other_vertices = items;
+            "replicated"
+        }
+        KernelKind::WorkloadAware(cfg) => {
+            let below = |v: VertexId| graph.degree(v) < SHUFFLE_DEGREE_THRESHOLD;
+            shuffle_work.clear();
+            hash_work.clear();
+            for &v in work {
+                if below(v) {
+                    shuffle_work.push(v);
+                } else {
+                    hash_work.push(v);
+                }
+            }
+            let small = shuffle::decide_list(graph, state, shuffle_work, comm_out);
+            let (large, stats) =
+                hash::decide_list(graph, state, hash_work, cfg, hash_out, hash_next);
+            out.routing.shuffle_vertices = shuffle_work.len() as u64;
+            out.routing.hash_vertices = hash_work.len() as u64;
+            if prof.is_enabled() {
+                let r = out.routing;
+                prof.scope("decide", |p| {
+                    record_kernel_span(
+                        p,
+                        "shuffle",
+                        r.shuffle_vertices,
+                        &small,
+                        &TableStats::default(),
+                    );
+                    record_kernel_span(p, "hash", r.hash_vertices, &large, &stats);
+                });
+            }
+            out.tally = small;
+            out.tally += large;
+            out.hash_stats = stats;
+            // Both halves are ascending: walking `work` and taking the next
+            // decision of the half each vertex went to merges them.
+            let (mut small, mut large) = (comm_out.iter(), hash_next.iter());
+            out.moves.clear();
+            out.moves.extend(
+                work.iter()
+                    .map(|&v| {
+                        let half = if below(v) { &mut small } else { &mut large };
+                        (v, *half.next().expect("one decision per listed vertex"))
+                    })
+                    .filter(|&(v, c)| c != state.comm[v as usize]),
+            );
+            return;
+        }
+    };
+    out.set_moves(state, work, comm_out);
     if prof.is_enabled() {
-        let r = out.routing;
-        let items = r.shuffle_vertices + r.hash_vertices + r.other_vertices;
-        prof.scope("decide", |p| record_kernel_span(p, name, items, out));
+        prof.scope("decide", |p| {
+            record_kernel_span(p, name, items, &out.tally, &out.hash_stats)
+        });
     }
 }
 
 /// Records one kernel child span: tally, item count, and (for hash-based
 /// kernels) the table statistics as named counters.
-fn record_kernel_span(prof: &mut Profiler, name: &str, items: u64, out: &DecideOutput) {
+fn record_kernel_span(
+    prof: &mut Profiler,
+    name: &str,
+    items: u64,
+    tally: &MemTally,
+    stats: &TableStats,
+) {
     prof.scope(name, |p| {
-        p.record(&out.tally);
+        p.record(tally);
         p.count("items", items);
-        let stats = &out.hash_stats;
         if *stats != TableStats::default() {
             p.count("hash_shared_keys", stats.shared_keys);
             p.count("hash_global_keys", stats.global_keys);
@@ -437,7 +406,11 @@ pub(crate) fn choose_with_margin(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::{ExecutionBackend, SimBackend};
+    use gala_graph::coarsen::coarsen;
     use gala_graph::generators::fixtures;
+    use proptest::prelude::*;
+    use rand::{Rng, SeedableRng};
 
     /// Fresh singleton state over the two-cliques fixture.
     fn setup() -> (Graph, BspState) {
@@ -528,5 +501,143 @@ mod tests {
         let a = decide(KernelKind::Cpu, &g, &s, &active);
         let b = decide(KernelKind::default(), &g, &s, &active);
         assert_eq!(a.next_comm, b.next_comm);
+    }
+
+    fn all_kinds() -> [KernelKind; 6] {
+        [
+            KernelKind::Cpu,
+            KernelKind::Shuffle,
+            KernelKind::Hash(HashConfig::default()),
+            KernelKind::Sort,
+            KernelKind::Replicated,
+            KernelKind::WorkloadAware(HashConfig::default()),
+        ]
+    }
+
+    /// `kind` over `work` one vertex at a time on the calling thread,
+    /// through the per-vertex kernel each vertex is routed to: the movers,
+    /// the summed tally and the summed table statistics.
+    fn one_by_one(
+        kind: KernelKind,
+        g: &Graph,
+        s: &BspState,
+        work: &[VertexId],
+    ) -> (Vec<(VertexId, CommunityId)>, MemTally, TableStats) {
+        let (mut moves, mut tally, mut stats) =
+            (Vec::new(), MemTally::new(), TableStats::default());
+        for &v in work {
+            let kernel = match kind {
+                KernelKind::WorkloadAware(_) if g.degree(v) < SHUFFLE_DEGREE_THRESHOLD => {
+                    KernelKind::Shuffle
+                }
+                KernelKind::WorkloadAware(cfg) => KernelKind::Hash(cfg),
+                kind => kind,
+            };
+            let mut t = MemTally::new();
+            let c = match kernel {
+                KernelKind::Cpu => cpu::decide_one(v, g, s),
+                KernelKind::Shuffle => shuffle::decide_one(v, g, s, &mut t),
+                KernelKind::Hash(cfg) => {
+                    let (c, st) = hash::decide_one(v, g, s, cfg, &mut t);
+                    stats += st;
+                    c
+                }
+                KernelKind::Sort => sort::decide_one(v, g, s, &mut t),
+                KernelKind::Replicated => replicated::decide_one(v, g, s, &mut t),
+                KernelKind::WorkloadAware(_) => unreachable!("routed above"),
+            };
+            tally += t;
+            if c != s.comm[v as usize] {
+                moves.push((v, c));
+            }
+        }
+        (moves, tally, stats)
+    }
+
+    /// Checks the simulator's list pass over the empty list, one vertex,
+    /// every vertex and a random ascending sub-list of `g` against the
+    /// mask pass over the matching mask and against [`one_by_one`], for
+    /// every kind at pool widths 1, 2 and 8: movers, tally, table
+    /// statistics, routing and the `decide` span tree.
+    fn assert_list_pass_is_mask_pass(g: &Graph, s: &BspState, seed: u64) {
+        let n = g.num_vertices() as VertexId;
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+        let lists = [
+            vec![],
+            vec![rng.gen_range(0..n)],
+            (0..n).collect(),
+            (0..n).filter(|_| rng.gen_bool(0.3)).collect::<Vec<_>>(),
+        ];
+        for work in &lists {
+            let mut active = vec![false; n as usize];
+            for &v in work {
+                active[v as usize] = true;
+            }
+            for kind in all_kinds() {
+                let (moves, tally, stats) = one_by_one(kind, g, s, work);
+                let masked = decide(kind, g, s, &active);
+                assert_eq!(masked.moves, moves, "{kind:?}, {} listed", work.len());
+                assert_eq!(masked.tally, tally, "{kind:?}");
+                assert_eq!(masked.hash_stats, stats, "{kind:?}");
+                let mut mask_prof = Profiler::new();
+                SimBackend.decide(
+                    kind,
+                    g,
+                    s,
+                    &active,
+                    &mut mask_prof,
+                    &mut DecideScratch::default(),
+                    &mut DecideOutput::default(),
+                );
+                let mask_tree = mask_prof.finish();
+                for width in [1, 2, 8] {
+                    let mut prof = Profiler::new();
+                    let mut out = DecideOutput::default();
+                    rayon::with_parallelism(width, || {
+                        SimBackend.decide_list(
+                            kind,
+                            g,
+                            s,
+                            work,
+                            &mut prof,
+                            &mut DecideScratch::default(),
+                            &mut out,
+                        )
+                    });
+                    let at = format!("{kind:?}, width {width}, {} listed", work.len());
+                    assert_eq!(out.moves, masked.moves, "{at}");
+                    assert_eq!(out.tally, masked.tally, "{at}");
+                    assert_eq!(out.hash_stats, masked.hash_stats, "{at}");
+                    assert_eq!(out.routing, masked.routing, "{at}");
+                    assert!(
+                        out.next_comm.is_empty(),
+                        "{at}: the list pass wrote next_comm"
+                    );
+                    assert_eq!(prof.finish(), mask_tree, "{at}");
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4))]
+
+        /// The simulator's work-list pass is the mask pass: on `star(40)`
+        /// (both sides of the degree threshold), a weighted planted graph
+        /// and its coarse, self-looped level.
+        #[test]
+        fn list_pass_matches_mask_pass(
+            communities in 12usize..20,
+            size in 20usize..30,
+            seed in any::<u64>(),
+        ) {
+            let star = fixtures::star(40);
+            assert_list_pass_is_mask_pass(&star, &BspState::new(&star), seed);
+            let g = cpu::weighted_planted(communities, size, 8.0, 0.3, seed);
+            let settled = cpu::settled_state(&g);
+            assert_list_pass_is_mask_pass(&g, &settled, seed);
+            let coarse = coarsen(&g, &settled.partition()).graph;
+            assert_list_pass_is_mask_pass(&coarse, &BspState::new(&coarse), seed);
+        }
     }
 }

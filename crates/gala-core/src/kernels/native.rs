@@ -30,30 +30,28 @@
 //! * Explicit `Shuffle` on multi-chunk vertices merges per-chunk partial
 //!   sums, `Sort` accumulates in sorted order (after an unstable bitonic
 //!   sort), and `Replicated` merges by tree reduction — different
-//!   summation orders. For those kinds the native path reuses the
-//!   simulator's own per-vertex functions with a discarded tally, trading
-//!   some speed for guaranteed bit-identity.
+//!   summation orders. For those ablation kinds the native path runs the
+//!   simulator's own list pass ([`super::decide_list`]) with a disabled
+//!   profiler and discards its tally and table statistics, trading some
+//!   speed for guaranteed bit-identity.
 //!
 //! All candidates funnel through the same [`super::choose`] rule either
 //! way, so the two backends agree on every assignment — the property the
 //! backend-equivalence proptests and CI job pin down.
 
-use super::{
-    cpu, replicated, shuffle, sort, DecideOutput, DecideScratch, KernelKind, RoutingStats,
-};
+use super::{cpu, DecideOutput, DecideScratch, KernelKind, RoutingStats};
 use crate::state::BspState;
 use gala_gpu::memory::MemTally;
 use gala_gpu::profile::Profiler;
-use gala_graph::partition::CommunityId;
 use gala_graph::{Graph, VertexId};
 use std::time::Instant;
 
-/// Runs the native equivalent of [`super::decide_profiled_into`] over the
-/// vertices of `work` (ascending), setting `out.moves`; `out.next_comm` is
-/// not written. Same routing semantics, zero simulated cost. When `prof`
-/// is enabled the pass records a `"decide"` span whose kernel children
-/// carry `"items"` counters and whose scope carries a real `"elapsed_ns"`
-/// counter instead of a memory tally.
+/// Runs the native equivalent of the simulator's [`super::decide_list`]
+/// over the vertices of `work` (ascending), setting `out.moves`;
+/// `out.next_comm` is not written. Same routing semantics, zero simulated
+/// cost. When `prof` is enabled the pass records a `"decide"` span whose
+/// kernel children carry `"items"` counters and whose scope carries a real
+/// `"elapsed_ns"` counter instead of a memory tally.
 pub(crate) fn decide_list(
     kind: KernelKind,
     graph: &Graph,
@@ -64,31 +62,30 @@ pub(crate) fn decide_list(
     out: &mut DecideOutput,
 ) {
     let started = Instant::now();
-    let DecideScratch {
-        certs, comm_out, ..
-    } = scratch;
-    let routing = match kind {
+    match kind {
         KernelKind::Cpu | KernelKind::Hash(_) | KernelKind::WorkloadAware(_) => {
+            let DecideScratch {
+                certs, comm_out, ..
+            } = scratch;
             let counts = cpu::decide_list(graph, state, work, certs.armed(), comm_out);
-            route_lean(kind, counts)
+            out.set_moves(state, work, comm_out);
+            out.routing = route_lean(kind, counts);
         }
-        KernelKind::Shuffle => RoutingStats {
-            shuffle_vertices: run_sim_kernel(graph, state, work, comm_out, shuffle::decide_one),
-            ..RoutingStats::default()
-        },
-        KernelKind::Sort => RoutingStats {
-            other_vertices: run_sim_kernel(graph, state, work, comm_out, sort::decide_one),
-            ..RoutingStats::default()
-        },
-        KernelKind::Replicated => RoutingStats {
-            other_vertices: run_sim_kernel(graph, state, work, comm_out, replicated::decide_one),
-            ..RoutingStats::default()
-        },
-    };
-    out.set_moves(state, work, comm_out);
+        KernelKind::Shuffle | KernelKind::Sort | KernelKind::Replicated => {
+            super::decide_list(
+                kind,
+                graph,
+                state,
+                work,
+                &mut Profiler::disabled(),
+                scratch,
+                out,
+            );
+        }
+    }
     out.tally = MemTally::new();
     out.hash_stats = Default::default();
-    out.routing = routing;
+    let routing = out.routing;
     if prof.is_enabled() {
         let elapsed = started.elapsed().as_nanos() as u64;
         prof.scope("decide", |p| {
@@ -126,25 +123,6 @@ fn route_lean(kind: KernelKind, counts: cpu::FoldCounts) -> RoutingStats {
         },
         _ => unreachable!("lean routing is only for cpu/hash/workload-aware"),
     }
-}
-
-/// A simulator's per-vertex decision function.
-type SimKernel = fn(VertexId, &Graph, &BspState, &mut MemTally) -> CommunityId;
-
-/// Runs a simulated per-vertex decision function over `work` on the pool,
-/// discarding its tallies, into `next`. Returns the number of vertices
-/// decided.
-fn run_sim_kernel(
-    graph: &Graph,
-    state: &BspState,
-    work: &[VertexId],
-    next: &mut Vec<CommunityId>,
-    kernel: SimKernel,
-) -> u64 {
-    let _ = rayon::par_map_accum_into(work, next, MemTally::new, |&v, tally| {
-        kernel(v, graph, state, tally)
-    });
-    work.len() as u64
 }
 
 /// Span name for a single-kernel pass, matching the simulator's child

@@ -10,7 +10,7 @@
 //! Implemented as an ablation so the claim is measurable (see the
 //! `replicated_table_pays_for_replication` test).
 
-use super::{choose, DecideOutput};
+use super::choose;
 use crate::state::BspState;
 use gala_gpu::grid;
 use gala_gpu::memory::{MemTally, Space};
@@ -20,39 +20,15 @@ use gala_graph::{Graph, VertexId};
 /// Logical threads per block whose tables are replicated.
 pub const REPLICAS: usize = 32;
 
-/// Runs the replicated-table kernel over the active vertices.
-pub fn decide(graph: &Graph, state: &BspState, active: &[bool]) -> DecideOutput {
-    let mut out = DecideOutput::default();
-    decide_into(
-        graph,
-        state,
-        active,
-        &mut Vec::new(),
-        &mut Vec::new(),
-        &mut out,
-    );
-    out
-}
-
-/// [`decide`] into recycled buffers: `work` and `launch_out` are scratch
-/// reused across supersteps, `out` is fully rewritten.
-pub(crate) fn decide_into(
+/// Launches the kernel over the vertices of `work`, writing `next[i]` for
+/// `work[i]` (allocation recycled). Returns the summed tally.
+pub(crate) fn decide_list(
     graph: &Graph,
     state: &BspState,
-    active: &[bool],
-    work: &mut Vec<VertexId>,
-    launch_out: &mut Vec<CommunityId>,
-    out: &mut DecideOutput,
-) {
-    super::reset_pass(state, active, work, out);
-    out.tally = grid::launch_into(
-        work,
-        |&v, tally| decide_one(v, graph, state, tally),
-        launch_out,
-    );
-    for (&v, &c) in work.iter().zip(launch_out.iter()) {
-        out.next_comm[v as usize] = c;
-    }
+    work: &[VertexId],
+    next: &mut Vec<CommunityId>,
+) -> MemTally {
+    grid::launch_into(work, |&v, tally| decide_one(v, graph, state, tally), next)
 }
 
 /// One vertex: each replica aggregates its stride privately (charged to
@@ -109,10 +85,9 @@ pub fn decide_one(
 
 #[cfg(test)]
 mod tests {
-    use super::super::cpu;
-    use super::super::hash;
-    use super::super::hashtable::HashConfig;
     use super::*;
+    use crate::kernels::hashtable::HashConfig;
+    use crate::kernels::{decide, KernelKind};
     use gala_graph::generators::fixtures;
 
     #[test]
@@ -120,8 +95,8 @@ mod tests {
         let g = fixtures::ring_of_cliques(6, 8);
         let s = BspState::new(&g);
         let active = vec![true; g.num_vertices()];
-        let a = cpu::decide(&g, &s, &active);
-        let b = decide(&g, &s, &active);
+        let a = decide(KernelKind::Cpu, &g, &s, &active);
+        let b = decide(KernelKind::Replicated, &g, &s, &active);
         assert_eq!(a.next_comm, b.next_comm);
     }
 
@@ -133,8 +108,8 @@ mod tests {
         let g = fixtures::two_cliques(60); // degree ~59
         let s = BspState::new(&g);
         let active = vec![true; g.num_vertices()];
-        let repl = decide(&g, &s, &active);
-        let shared = hash::decide(&g, &s, &active, HashConfig::default());
+        let repl = decide(KernelKind::Replicated, &g, &s, &active);
+        let shared = decide(KernelKind::Hash(HashConfig::default()), &g, &s, &active);
         assert_eq!(repl.next_comm, shared.next_comm);
         use gala_gpu::memory::CostModel;
         let cost = CostModel::default();
@@ -151,7 +126,7 @@ mod tests {
         let g = fixtures::two_cliques(10);
         let s = BspState::new(&g);
         let active = vec![true; g.num_vertices()];
-        let out = decide(&g, &s, &active);
+        let out = decide(KernelKind::Replicated, &g, &s, &active);
         assert_eq!(out.tally.global_atomics, 0);
         assert_eq!(out.tally.shared_atomics, 0);
     }

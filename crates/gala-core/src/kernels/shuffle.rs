@@ -14,7 +14,6 @@
 //! tally charges it accordingly. (GALA's dispatcher avoids this by routing
 //! degree ≥ 32 vertices to the hash kernel.)
 
-use super::DecideOutput;
 use crate::state::BspState;
 use gala_gpu::grid;
 use gala_gpu::memory::{MemTally, Space};
@@ -22,39 +21,15 @@ use gala_gpu::warp::{Warp, FULL_MASK, WARP_SIZE};
 use gala_graph::partition::CommunityId;
 use gala_graph::{Graph, VertexId};
 
-/// Runs the shuffle-based kernel over the active vertices.
-pub fn decide(graph: &Graph, state: &BspState, active: &[bool]) -> DecideOutput {
-    let mut out = DecideOutput::default();
-    decide_into(
-        graph,
-        state,
-        active,
-        &mut Vec::new(),
-        &mut Vec::new(),
-        &mut out,
-    );
-    out
-}
-
-/// [`decide`] into recycled buffers: `work` and `launch_out` are scratch
-/// reused across supersteps, `out` is fully rewritten.
-pub(crate) fn decide_into(
+/// Launches one warp per vertex of `work`, writing `next[i]` for `work[i]`
+/// (allocation recycled). Returns the summed tally.
+pub(crate) fn decide_list(
     graph: &Graph,
     state: &BspState,
-    active: &[bool],
-    work: &mut Vec<VertexId>,
-    launch_out: &mut Vec<CommunityId>,
-    out: &mut DecideOutput,
-) {
-    super::reset_pass(state, active, work, out);
-    out.tally = grid::launch_into(
-        work,
-        |&v, tally| decide_one(v, graph, state, tally),
-        launch_out,
-    );
-    for (&v, &c) in work.iter().zip(launch_out.iter()) {
-        out.next_comm[v as usize] = c;
-    }
+    work: &[VertexId],
+    next: &mut Vec<CommunityId>,
+) -> MemTally {
+    grid::launch_into(work, |&v, tally| decide_one(v, graph, state, tally), next)
 }
 
 /// Maximum `(community, sum)` pairs the warp keeps in registers.
@@ -244,8 +219,8 @@ fn charge_entry(tally: &mut MemTally, i: usize) {
 
 #[cfg(test)]
 mod tests {
-    use super::super::cpu;
     use super::*;
+    use crate::kernels::{decide, KernelKind};
     use gala_graph::generators::fixtures;
 
     #[test]
@@ -253,8 +228,8 @@ mod tests {
         let g = fixtures::ring_of_cliques(6, 5); // max degree 6
         let s = BspState::new(&g);
         let active = vec![true; g.num_vertices()];
-        let a = cpu::decide(&g, &s, &active);
-        let b = decide(&g, &s, &active);
+        let a = decide(KernelKind::Cpu, &g, &s, &active);
+        let b = decide(KernelKind::Shuffle, &g, &s, &active);
         assert_eq!(a.next_comm, b.next_comm);
     }
 
@@ -264,8 +239,8 @@ mod tests {
         let g = fixtures::two_cliques(40);
         let s = BspState::new(&g);
         let active = vec![true; g.num_vertices()];
-        let a = cpu::decide(&g, &s, &active);
-        let b = decide(&g, &s, &active);
+        let a = decide(KernelKind::Cpu, &g, &s, &active);
+        let b = decide(KernelKind::Shuffle, &g, &s, &active);
         assert_eq!(a.next_comm, b.next_comm);
     }
 
@@ -274,7 +249,7 @@ mod tests {
         let g = fixtures::two_cliques(8);
         let s = BspState::new(&g);
         let active = vec![true; g.num_vertices()];
-        let out = decide(&g, &s, &active);
+        let out = decide(KernelKind::Shuffle, &g, &s, &active);
         // Only per-neighbor input loads and per-community D_V loads hit
         // global memory; no atomics anywhere.
         assert_eq!(out.tally.global_atomics, 0);
@@ -288,7 +263,7 @@ mod tests {
         let g = fixtures::star(5);
         let s = BspState::new(&g);
         let active = vec![true; g.num_vertices()];
-        let out = decide(&g, &s, &active);
+        let out = decide(KernelKind::Shuffle, &g, &s, &active);
         // Center 0 sees only larger singleton ids: guard keeps it put;
         // leaves all want community 0.
         assert_eq!(out.next_comm[0], 0);

@@ -9,46 +9,22 @@
 //! reduce loads — all against global memory, which is why this kernel loses
 //! to both GALA kernels under the cost model.
 
-use super::{choose, DecideOutput};
+use super::choose;
 use crate::state::BspState;
 use gala_gpu::grid;
 use gala_gpu::memory::{MemTally, Space};
 use gala_graph::partition::CommunityId;
 use gala_graph::{Graph, VertexId};
 
-/// Runs the sort-based kernel over the active vertices.
-pub fn decide(graph: &Graph, state: &BspState, active: &[bool]) -> DecideOutput {
-    let mut out = DecideOutput::default();
-    decide_into(
-        graph,
-        state,
-        active,
-        &mut Vec::new(),
-        &mut Vec::new(),
-        &mut out,
-    );
-    out
-}
-
-/// [`decide`] into recycled buffers: `work` and `launch_out` are scratch
-/// reused across supersteps, `out` is fully rewritten.
-pub(crate) fn decide_into(
+/// Launches the kernel over the vertices of `work`, writing `next[i]` for
+/// `work[i]` (allocation recycled). Returns the summed tally.
+pub(crate) fn decide_list(
     graph: &Graph,
     state: &BspState,
-    active: &[bool],
-    work: &mut Vec<VertexId>,
-    launch_out: &mut Vec<CommunityId>,
-    out: &mut DecideOutput,
-) {
-    super::reset_pass(state, active, work, out);
-    out.tally = grid::launch_into(
-        work,
-        |&v, tally| decide_one(v, graph, state, tally),
-        launch_out,
-    );
-    for (&v, &c) in work.iter().zip(launch_out.iter()) {
-        out.next_comm[v as usize] = c;
-    }
+    work: &[VertexId],
+    next: &mut Vec<CommunityId>,
+) -> MemTally {
+    grid::launch_into(work, |&v, tally| decide_one(v, graph, state, tally), next)
 }
 
 /// One vertex's gather → sort → segmented-reduce pipeline.
@@ -92,8 +68,9 @@ pub fn decide_one(
 
 #[cfg(test)]
 mod tests {
-    use super::super::cpu;
     use super::*;
+    use crate::kernels::hashtable::HashConfig;
+    use crate::kernels::{decide, KernelKind};
     use gala_graph::generators::fixtures;
 
     #[test]
@@ -101,8 +78,8 @@ mod tests {
         let g = fixtures::ring_of_cliques(5, 7);
         let s = BspState::new(&g);
         let active = vec![true; g.num_vertices()];
-        let a = cpu::decide(&g, &s, &active);
-        let b = decide(&g, &s, &active);
+        let a = decide(KernelKind::Cpu, &g, &s, &active);
+        let b = decide(KernelKind::Sort, &g, &s, &active);
         assert_eq!(a.next_comm, b.next_comm);
     }
 
@@ -111,13 +88,8 @@ mod tests {
         let g = fixtures::ring_of_cliques(6, 10);
         let s = BspState::new(&g);
         let active = vec![true; g.num_vertices()];
-        let sort_out = decide(&g, &s, &active);
-        let hash_out = super::super::hash::decide(
-            &g,
-            &s,
-            &active,
-            super::super::hashtable::HashConfig::default(),
-        );
+        let sort_out = decide(KernelKind::Sort, &g, &s, &active);
+        let hash_out = decide(KernelKind::Hash(HashConfig::default()), &g, &s, &active);
         assert!(
             sort_out.tally.global_total() > hash_out.tally.global_total(),
             "sort {} vs hash {}",

@@ -306,6 +306,7 @@ impl Devices {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernels::hashtable::TableStats;
     use crate::louvain::{Louvain, LouvainConfig, LouvainResult};
     use crate::observe::Obs;
     use gala_graph::generators::fixtures;
@@ -360,17 +361,34 @@ mod tests {
 
     #[test]
     fn multi_device_matches_single_device() {
-        let g = fixtures::ring_of_cliques(8, 6);
-        let (base, base_stats) = on(1).run_phase1(&g);
-        for p in [2, 4, 8] {
-            let (multi, stats) = on(p).run_phase1(&g);
-            assert_eq!(
-                multi.partition(),
-                base.partition(),
-                "device count {p} changed the result"
-            );
-            assert_eq!(stats.modularity.to_bits(), base_stats.modularity.to_bits());
+        // Cliques of 34 put every vertex at or above the shuffle kernel's
+        // degree threshold, so the hash kernel's statistics are summed too.
+        for g in [
+            fixtures::ring_of_cliques(8, 6),
+            fixtures::ring_of_cliques(4, 34),
+        ] {
+            let (base, base_stats) = on(1).run_phase1(&g);
+            for p in [2, 4, 8] {
+                let (multi, stats) = on(p).run_phase1(&g);
+                assert_eq!(
+                    multi.partition(),
+                    base.partition(),
+                    "device count {p} changed the result"
+                );
+                assert_eq!(stats.modularity.to_bits(), base_stats.modularity.to_bits());
+                assert_eq!(stats.iterations.len(), base_stats.iterations.len());
+                // Each device decides its own slice of the work list: their
+                // summed charges are the single device's, superstep by
+                // superstep.
+                for (it, base_it) in stats.iterations.iter().zip(&base_stats.iterations) {
+                    let at = format!("{p} devices, superstep {}", it.iteration);
+                    assert_eq!(it.tally, base_it.tally, "{at}");
+                    assert_eq!(it.hash_stats, base_it.hash_stats, "{at}");
+                }
+            }
         }
+        let (_, hubs) = on(1).run_phase1(&fixtures::ring_of_cliques(4, 34));
+        assert_ne!(hubs.iterations[0].hash_stats, TableStats::default());
     }
 
     #[test]

@@ -79,7 +79,7 @@ pub(crate) fn margin(v: VertexId, graph: &Graph, state: &BspState) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernels::cpu;
+    use crate::kernels::{decide, KernelKind};
     use gala_graph::generators::fixtures;
 
     /// After merging each clique, interior vertices satisfy the bound.
@@ -114,13 +114,13 @@ mod tests {
         // Drive a couple of real iterations with full processing.
         for _ in 0..3 {
             let active = vec![true; g.num_vertices()];
-            let out = cpu::decide(&g, &s, &active);
+            let out = decide(KernelKind::Cpu, &g, &s, &active);
             let next = out.next_comm.clone();
             s.apply_moves(&g, &next);
             s.recompute_d_self(&g);
             // Check MG's claims against the *next* full pass.
             let mg_active = classify(&g, &s);
-            let truth = cpu::decide(&g, &s, &vec![true; g.num_vertices()]);
+            let truth = decide(KernelKind::Cpu, &g, &s, &vec![true; g.num_vertices()]);
             for (v, &kept_active) in mg_active.iter().enumerate() {
                 if !kept_active && truth.next_comm[v] != s.comm[v] {
                     // A pruned vertex wanted to move: only legal if it is a

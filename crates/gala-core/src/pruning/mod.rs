@@ -649,7 +649,7 @@ pub fn evaluate_on_baseline(
     max_iterations: usize,
     seed: u64,
 ) -> Vec<(PruningKind, PredictionStats, Vec<PredictionStats>)> {
-    use crate::kernels::cpu;
+    use crate::kernels::{self, KernelKind};
     use crate::weight::{self, WeightUpdateMode};
     use rand::SeedableRng;
 
@@ -667,7 +667,7 @@ pub fn evaluate_on_baseline(
             .map(|(&k, rng)| classify(k, graph, &state, rng))
             .collect();
         let all_active = vec![true; graph.num_vertices()];
-        let out = cpu::decide(graph, &state, &all_active);
+        let out = kernels::decide(KernelKind::Cpu, graph, &state, &all_active);
         let moved: Vec<bool> = out
             .next_comm
             .iter()
@@ -736,7 +736,12 @@ mod tests {
         .generate(5)
         .graph;
         let mut s = BspState::new(&g);
-        let out = crate::kernels::cpu::decide(&g, &s, &vec![true; g.num_vertices()]);
+        let out = crate::kernels::decide(
+            crate::kernels::KernelKind::Cpu,
+            &g,
+            &s,
+            &vec![true; g.num_vertices()],
+        );
         let summary = s.apply_moves(&g, &out.next_comm);
         crate::weight::update(crate::weight::WeightUpdateMode::Delta, &g, &mut s, &summary);
         (g, s)
@@ -851,7 +856,7 @@ mod tests {
             let active = classify(PruningKind::Gain, &g, &state, &mut rng);
             let audit = audit_pruned(&g, &state, &active, usize::MAX);
             assert_eq!(audit.false_negatives, 0, "MG pruned a winning move");
-            let out = crate::kernels::cpu::decide(&g, &state, &active);
+            let out = crate::kernels::decide(crate::kernels::KernelKind::Cpu, &g, &state, &active);
             let summary = state.apply_moves(&g, &out.next_comm);
             crate::weight::update(
                 crate::weight::WeightUpdateMode::Delta,

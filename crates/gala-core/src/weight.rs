@@ -239,7 +239,7 @@ fn update_delta(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernels::cpu;
+    use crate::kernels::{cpu, decide, KernelKind};
     use gala_graph::generators::fixtures;
 
     /// Delta maintenance must agree with a full rescan after any sequence
@@ -255,7 +255,7 @@ mod tests {
             let mut delta_steps = 0;
             for _ in 0..30 {
                 let active = vec![true; g.num_vertices()];
-                let out = cpu::decide(g, &s, &active);
+                let out = decide(KernelKind::Cpu, g, &s, &active);
                 let summary = s.apply_moves(g, &out.next_comm);
                 let tally = update(WeightUpdateMode::Delta, g, &mut s, &summary);
                 delta_steps += usize::from(tally.global_atomics > 0);
@@ -289,7 +289,7 @@ mod tests {
         let g = cpu::weighted_planted(100, 50, 8.0, 0.3, 11);
         let mut s = BspState::new(&g);
         for _ in 0..2 {
-            let out = cpu::decide(&g, &s, &vec![true; g.num_vertices()]);
+            let out = decide(KernelKind::Cpu, &g, &s, &vec![true; g.num_vertices()]);
             let summary = s.apply_moves(&g, &out.next_comm);
             update(WeightUpdateMode::Delta, &g, &mut s, &summary);
         }
@@ -328,7 +328,7 @@ mod tests {
         let weighted = cpu::weighted_planted(40, 30, 8.0, 0.3, 5);
         for (g, exact) in [(&unit, true), (&weighted, false)] {
             let mut s = BspState::new(g);
-            let out = cpu::decide(g, &s, &vec![true; g.num_vertices()]);
+            let out = decide(KernelKind::Cpu, g, &s, &vec![true; g.num_vertices()]);
             let summary = s.apply_moves(g, &out.next_comm);
             update(WeightUpdateMode::Delta, g, &mut s, &summary);
             // Every third vertex joins its first neighbour's community.

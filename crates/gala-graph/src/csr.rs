@@ -161,7 +161,8 @@ impl Graph {
             }
             None => graph.row_weights().collect(),
         };
-        graph.total_weight = graph.degree_w.iter().sum();
+        // From +0.0: `Sum` starts at −0.0, the total of an empty graph.
+        graph.total_weight = graph.degree_w.iter().fold(0.0, |sum, &d| sum + d);
         graph
     }
 
@@ -309,7 +310,9 @@ impl Graph {
 /// ones, so cached degrees agree to the bit.
 #[inline]
 pub(crate) fn row_weight(weights: &[f64]) -> f64 {
-    weights.iter().sum()
+    // From +0.0, so an empty row weighs +0.0 (`Sum` starts at −0.0); a
+    // non-empty row's bits are the same either way.
+    weights.iter().fold(0.0, |sum, &w| sum + w)
 }
 
 /// The weights a crate-internal constructor was handed: `None` for the

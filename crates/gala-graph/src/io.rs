@@ -1166,13 +1166,16 @@ fn read_v1_body(data: &[u8]) -> io::Result<Graph> {
 /// structural validation. Corrupt or truncated containers fail with
 /// `InvalidData`.
 pub fn from_bytes(data: &[u8]) -> io::Result<Graph> {
-    if data.len() >= 8 && &data[..8] == MAGIC_V1 {
+    let len = data.len() as u64;
+    check_header_len(len, 8)?;
+    if &data[..8] == MAGIC_V1 {
         return read_v1_body(&data[8..]);
     }
-    if data.len() >= HEADER_BYTES as usize && &data[..8] == MAGIC_V2 {
+    if &data[..8] == MAGIC_V2 {
+        check_header_len(len, HEADER_BYTES)?;
         let header: [u8; HEADER_BYTES as usize] = data[..HEADER_BYTES as usize].try_into().unwrap();
         let mut rest = &data[HEADER_BYTES as usize..];
-        return read_v2_sections(&header, &mut rest, data.len() as u64, IO_CHUNK_BYTES)?.audited();
+        return read_v2_sections(&header, &mut rest, len, IO_CHUNK_BYTES)?.audited();
     }
     Err(bad_data("bad magic".into()))
 }
@@ -1182,20 +1185,31 @@ pub fn from_bytes(data: &[u8]) -> io::Result<Graph> {
 pub fn load_binary<P: AsRef<Path>>(path: P) -> io::Result<Graph> {
     let mut file = File::open(path)?;
     let container_len = file.metadata()?.len();
-    let mut magic = [0u8; 8];
-    file.read_exact(&mut magic)?;
-    if &magic == MAGIC_V1 {
+    check_header_len(container_len, 8)?;
+    let mut header = [0u8; HEADER_BYTES as usize];
+    file.read_exact(&mut header[..8])?;
+    if &header[..8] == MAGIC_V1 {
         let mut buf = Vec::new();
         file.read_to_end(&mut buf)?;
         return read_v1_body(&buf);
     }
-    if &magic == MAGIC_V2 {
-        let mut header = [0u8; HEADER_BYTES as usize];
-        header[..8].copy_from_slice(&magic);
+    if &header[..8] == MAGIC_V2 {
+        check_header_len(container_len, HEADER_BYTES)?;
         file.read_exact(&mut header[8..])?;
         return read_v2_sections(&header, &mut file, container_len, IO_CHUNK_BYTES)?.audited();
     }
     Err(bad_data("bad magic".into()))
+}
+
+/// Fails with `InvalidData` naming the truncated header when a container
+/// of `len` bytes is shorter than its `want`-byte header.
+fn check_header_len(len: u64, want: u64) -> io::Result<()> {
+    if len < want {
+        return Err(bad_data(format!(
+            "truncated container header ({len} of {want} bytes)"
+        )));
+    }
+    Ok(())
 }
 
 /// Loads a v2 container read-only through the emulated mapping path:
@@ -1210,8 +1224,9 @@ pub fn load_binary_mapped<P: AsRef<Path>>(path: P) -> io::Result<MappedGraph> {
     let path = path.as_ref();
     let mut file = File::open(path)?;
     let container_len = file.metadata()?.len();
+    check_header_len(container_len, 8)?;
     let mut header = [0u8; HEADER_BYTES as usize];
-    file.read_exact(&mut header)?;
+    file.read_exact(&mut header[..8])?;
     if &header[..8] == MAGIC_V1 {
         return Err(bad_data(
             "mapped load requires the v2 container; re-save with save_binary".into(),
@@ -1220,6 +1235,8 @@ pub fn load_binary_mapped<P: AsRef<Path>>(path: P) -> io::Result<MappedGraph> {
     if &header[..8] != MAGIC_V2 {
         return Err(bad_data("bad magic".into()));
     }
+    check_header_len(container_len, HEADER_BYTES)?;
+    file.read_exact(&mut header[8..])?;
     let s = read_v2_sections(&header, &mut file, container_len, IO_CHUNK_BYTES)?;
     let graph = Graph::from_csr_built(s.offsets, s.targets, s.weights, s.degree_w);
     Ok(MappedGraph::new(graph, path.to_path_buf(), s.section_bytes))
@@ -2050,6 +2067,43 @@ mod tests {
     }
 
     #[test]
+    fn empty_rows_and_edgeless_graphs_weigh_positive_zero() {
+        // Vertex 2 of the first graph is isolated; the others have no edge.
+        for (n, text) in [(3, "#vertices 3\n0 1 1\n"), (5, "#vertices 5\n"), (0, "")] {
+            let mut b = GraphBuilder::new(n);
+            if n == 3 {
+                b.add_edge(0, 1, 1.0);
+            }
+            let built = b.build();
+            let bytes = to_bytes(&built);
+            let p =
+                std::env::temp_dir().join(format!("gala_io_zero_{n}_{}.bin", std::process::id()));
+            std::fs::write(&p, &bytes).unwrap();
+            let owned = load_binary(&p).unwrap();
+            let mapped = load_binary_mapped(&p).unwrap();
+            let _ = std::fs::remove_file(p);
+            let graphs = [
+                ("builder", built.clone()),
+                (
+                    "text",
+                    parse_text_chunked(text.as_bytes().to_vec(), 1).unwrap(),
+                ),
+                ("bytes", from_bytes(&bytes).unwrap()),
+                ("owned", owned),
+                ("mapped", mapped.graph().clone()),
+            ];
+            for (path, g) in graphs {
+                assert_eq!(g.num_vertices(), n, "{path}");
+                for v in g.vertices().filter(|&v| g.degree(v) == 0) {
+                    assert_eq!(g.degree_w(v).to_bits(), 0, "{path}: vertex {v} of {n}");
+                }
+                let want = if n == 3 { 2.0f64 } else { 0.0 };
+                assert_eq!(g.total_weight().to_bits(), want.to_bits(), "{path}: {n}");
+            }
+        }
+    }
+
+    #[test]
     fn crafted_containers_fail_on_both_load_paths() {
         let g = sample();
         let mut out_of_range = g.targets().to_vec();
@@ -2100,7 +2154,22 @@ mod tests {
                 "v2 container: corrupt graph: weight inf of arc 5 is not finite",
             ),
         ];
+        // Cuts inside the header: the magic, then the rest of the v2 header.
+        let whole = v2_container(g.offsets(), g.targets(), &arc_weights(&g));
+        let cuts = [0, 4, 8, 20, 63].map(|cut| {
+            let header = if cut < 8 { 8 } else { HEADER_BYTES };
+            (
+                format!("header cut {cut}"),
+                whole[..cut].to_vec(),
+                format!("truncated container header ({cut} of {header} bytes)"),
+            )
+        });
+        let cases = cases
+            .map(|(name, bytes, want)| (name.to_string(), bytes, want.to_string()))
+            .into_iter()
+            .chain(cuts);
         for (name, bytes, want) in cases {
+            let name = name.as_str();
             assert_eq!(owned_load_error(&bytes, name).to_string(), want, "{name}");
             let p = std::env::temp_dir()
                 .join(format!("gala_io_crafted_{name}_{}.bin", std::process::id()));

@@ -147,11 +147,12 @@ fn assert_matches(g: &Graph, r: &Explicit, what: &str) {
             looped.to_bits(),
             "{what}: loop {v}"
         );
-        let degree: f64 = row.iter().map(|&(_, w)| w).sum();
+        // Sums start at +0.0, so an isolated vertex weighs +0.0.
+        let degree = row.iter().fold(0.0, |sum, &(_, w)| sum + w);
         assert_eq!(g.degree_w(v).to_bits(), degree.to_bits(), "{what}: d({v})");
         degrees.push(degree);
     }
-    let total: f64 = degrees.iter().sum();
+    let total = degrees.iter().fold(0.0, |sum, &d| sum + d);
     assert_eq!(g.total_weight().to_bits(), total.to_bits(), "{what}: total");
 }
 

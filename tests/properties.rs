@@ -2,7 +2,7 @@
 //! rests on must hold for *any* input, not just the fixtures.
 
 use gala::core::kernels::hashtable::{HashConfig, HashTableKind};
-use gala::core::kernels::{self, cpu, KernelKind};
+use gala::core::kernels::{self, KernelKind};
 use gala::core::louvain::{Louvain, LouvainConfig};
 use gala::core::metrics::nmi;
 use gala::core::modularity::modularity;
@@ -66,7 +66,7 @@ proptest! {
             prop_assert!(active.iter().all(|&a| a));
             return Ok(());
         }
-        let truth = cpu::decide(&graph, &state, &vec![true; graph.num_vertices()]);
+        let truth = kernels::decide(KernelKind::Cpu, &graph, &state, &vec![true; graph.num_vertices()]);
         for (v, &kept_active) in active.iter().enumerate() {
             if kept_active || truth.next_comm[v] == state.comm[v] {
                 continue;
@@ -91,7 +91,7 @@ proptest! {
         let state = advance(&graph, steps);
         let mut rng = ChaCha8Rng::seed_from_u64(2);
         let active = classify(PruningKind::Strict, &graph, &state, &mut rng);
-        let truth = cpu::decide(&graph, &state, &vec![true; graph.num_vertices()]);
+        let truth = kernels::decide(KernelKind::Cpu, &graph, &state, &vec![true; graph.num_vertices()]);
         for (v, &kept_active) in active.iter().enumerate() {
             if !kept_active {
                 prop_assert_eq!(
@@ -134,7 +134,7 @@ proptest! {
     fn kernels_agree(graph in arb_graph(36, 150), steps in 0usize..3) {
         let state = advance(&graph, steps);
         let active = vec![true; graph.num_vertices()];
-        let reference = cpu::decide(&graph, &state, &active);
+        let reference = kernels::decide(KernelKind::Cpu, &graph, &state, &active);
         for kind in [
             KernelKind::Shuffle,
             KernelKind::Sort,
