@@ -13,6 +13,7 @@
 //! After a deliberate change to the trace, regenerate the files with
 //! `cargo test -p gala-core --test observer_golden -- --ignored bless`.
 
+use gala_core::label_prop::{label_propagation_with, LabelPropConfig};
 use gala_core::leiden::{leiden_with, LeidenConfig};
 use gala_core::louvain::{Louvain, LouvainConfig};
 use gala_core::multi_gpu::ContractMode;
@@ -26,7 +27,7 @@ use std::path::PathBuf;
 type Run = fn(&mut VecSink);
 
 /// The golden runs: file stem and the driver invocation producing it.
-fn runs() -> [(&'static str, Run); 6] {
+fn runs() -> [(&'static str, Run); 7] {
     [
         ("louvain", |sink| {
             let g = fixtures::ring_of_cliques(6, 5);
@@ -60,6 +61,10 @@ fn runs() -> [(&'static str, Run); 6] {
         ("grappolo", |sink| {
             let g = fixtures::ring_of_cliques(6, 5);
             Louvain::new(LouvainConfig::grappolo()).run_with(&g, &mut Obs::traced(sink));
+        }),
+        ("lpa", |sink| {
+            let g = fixtures::ring_of_cliques(6, 5);
+            label_propagation_with(&g, LabelPropConfig::default(), &mut Obs::traced(sink));
         }),
     ]
 }

@@ -90,3 +90,67 @@ fn gala_resolution_sweep_is_monotone_in_community_count() {
     assert!(low <= mid, "gamma 0.5 -> {low}, 1.0 -> {mid}");
     assert!(mid <= high, "gamma 1.0 -> {mid}, 3.0 -> {high}");
 }
+
+/// A planted-partition graph re-weighted with seeded non-integer weights
+/// in `[0.1, 2.0)`, so any change of summation order shows in the low bits
+/// of a sum.
+fn weighted_planted(seed: u64) -> gala::graph::Graph {
+    use rand::{Rng, SeedableRng};
+    let g = PlantedPartition {
+        num_communities: 30,
+        community_size: 40,
+        internal_degree: 10.0,
+        mixing: 0.4,
+    }
+    .generate(seed)
+    .graph;
+    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+    let mut b = gala::graph::GraphBuilder::new(g.num_vertices());
+    for v in g.vertices() {
+        for u in g.neighbor_ids(v).iter().copied().filter(|&u| u > v) {
+            b.add_edge(v, u, rng.gen_range(0.1..2.0));
+        }
+    }
+    b.build()
+}
+
+/// FNV-1a over an assignment's community ids.
+fn checksum(p: &gala::graph::Partition) -> u64 {
+    p.assignment().iter().fold(0xcbf2_9ce4_8422_2325, |h, &c| {
+        (h ^ u64::from(c)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+#[test]
+fn host_baselines_are_pinned_on_non_integer_weights() {
+    // The host drivers' partitions and Q bits on one seeded weighted
+    // graph: a change to how any of them sums a neighbourhood shows here.
+    use gala::core::sequential::{sequential_louvain, SequentialConfig};
+    let g = weighted_planted(11);
+    let seq = sequential_louvain(&g, SequentialConfig::default());
+    let leid = leiden(&g, LeidenConfig::default());
+    let lpa = label_propagation(&g, LabelPropConfig::default());
+    let got = [
+        (
+            "sequential",
+            seq.modularity.to_bits(),
+            checksum(&seq.partition),
+        ),
+        (
+            "leiden",
+            leid.modularity.to_bits(),
+            checksum(&leid.partition),
+        ),
+        (
+            "lpa",
+            gala::core::modularity::modularity(&g, &lpa.partition).to_bits(),
+            checksum(&lpa.partition),
+        ),
+    ];
+    let want = [
+        ("sequential", 0x3fe2_1a2b_b4a8_fc84, 0xc823_a497_1a20_e856),
+        ("leiden", 0x3fe2_1a2b_b4a8_fc84, 0x277f_840f_b0ff_6e90),
+        ("lpa", 0x3fe1_0447_48d8_b95f, 0x81c7_1097_b490_b1d6),
+    ];
+    assert_eq!(got, want);
+}
