@@ -1,41 +1,26 @@
-//! Host reference DecideAndMove: rayon over vertices, each pool
-//! participant aggregating through its own reusable [`Fold`] — the
-//! Grappolo CPU strategy without a per-vertex allocation.
+//! Host reference DecideAndMove: rayon over vertices, each vertex's
+//! non-loop neighbors folded on the thread's
+//! [`Fold`](gala_graph::fold::Fold) — the Grappolo CPU strategy without a
+//! per-vertex allocation.
 //!
-//! The fold finds a neighbor community's candidate entry through one
-//! dense `u32` index over the level's community ids, empty ([`EMPTY`])
-//! between vertices: a neighbor's weight goes into `cands[index[c]]`, or
-//! pushes a new entry, and the vertex's own candidates empty the index
-//! again afterwards. A GPU splits this by degree because a warp holds at
-//! most 32 candidates and a block's shared memory bounds a hashtable; a
-//! host thread has neither limit, so every degree takes the one index.
-//! It is one gather per arc where the linear search (below degree 32) and
-//! the stamped open-addressed table (at or above it) it replaced probed.
-//! Measured as the `decide` span's wall ns per decided arc (median of
-//! three native traces of each benchmark workload, 2-vCPU guest), at
-//! pool width 1 it fell from 16.9 to 14.7 ns on `dense` (degree ~50) and
-//! from 23.2 to 18.9 ns on `social`, and rose from 32.8 to 34.3 ns on
-//! `lfr` and 28.5 to 29.9 ns on `web`, whose vertices mostly see a
-//! handful of communities that the linear search found in L1. At width 2,
-//! with short work lists also reaching the pool, it fell on all four:
-//! 12.6 → 10.8, 15.9 → 13.3, 20.6 → 15.6 and 16.5 → 14.7 ns.
+//! The fold's dense index replaced a linear search (below degree 32) and a
+//! stamped open-addressed table (at or above it). In `decide` span wall ns
+//! per decided arc (median of three native traces per benchmark workload,
+//! 2-vCPU guest), width 1 went 16.9 → 14.7 on `dense`, 23.2 → 18.9 on
+//! `social`, 32.8 → 34.3 on `lfr` and 28.5 → 29.9 on `web`; width 2 fell
+//! on all four: 12.6 → 10.8, 15.9 → 13.3, 20.6 → 15.6 and 16.5 → 14.7.
 //!
-//! The index is the thread's, not the chunk's: a pool chunk's accumulator
-//! outlives the chunk, so an index per chunk would hold four per thread
-//! per superstep. One per participant costs `4·n` bytes per thread
-//! (600 KB at 150 k vertices).
-//!
-//! This kernel also defines the *canonical accumulation order*: `d_vc` for
-//! each community is summed in neighbor-list order and candidates are listed
-//! in first-occurrence order. The simulated GPU kernels reproduce that
-//! order, so all kernels agree bit-for-bit on unit-weight graphs.
+//! This kernel defines decide's *canonical accumulation order*: `d_vc` is
+//! summed in neighbor-list order and candidates are listed in
+//! first-occurrence order. The simulated GPU kernels reproduce it, so all
+//! kernels agree bit-for-bit on unit-weight graphs.
 
 use super::{choose_with_margin, SHUFFLE_DEGREE_THRESHOLD};
 use crate::pruning::certificate::Certificates;
 use crate::state::BspState;
+use gala_graph::fold::{with_fold, Fold};
 use gala_graph::partition::CommunityId;
 use gala_graph::{Graph, VertexId};
-use std::cell::RefCell;
 
 /// Decides every vertex of `work`, writing its next community to the same
 /// position of `next`, each on its thread's [`Fold`]. The pool chunks'
@@ -58,7 +43,7 @@ pub(crate) fn decide_list(
         FoldCounts::default,
         |&v, counts: &mut FoldCounts| {
             counts.count(graph.degree(v));
-            with_fold(|fold| fold.decide(v, graph, state, certs))
+            with_fold(|fold| decide_vertex(fold, v, graph, state, certs))
         },
     );
     counts
@@ -74,7 +59,7 @@ pub(crate) fn decide_list(
 /// Runs on the calling thread's [`Fold`], so one call costs `O(deg(v))`
 /// once the thread's index covers the graph.
 pub fn decide_one(v: VertexId, graph: &Graph, state: &BspState) -> CommunityId {
-    with_fold(|fold| fold.decide(v, graph, state, None))
+    with_fold(|fold| decide_vertex(fold, v, graph, state, None))
 }
 
 /// How many vertices a decide pass decided on each side of
@@ -103,76 +88,38 @@ impl FoldCounts {
     }
 }
 
-/// An [`Fold::index`] entry whose community has no candidate.
-const EMPTY: u32 = u32::MAX;
-
-thread_local! {
-    /// The calling thread's fold: one per pool participant, reused by
-    /// every decide pass the thread takes part in.
-    static FOLD: RefCell<Fold> = RefCell::new(Fold::default());
-}
-
-/// Runs `f` on the calling thread's [`Fold`].
-fn with_fold<R>(f: impl FnOnce(&mut Fold) -> R) -> R {
-    FOLD.with(|fold| f(&mut fold.borrow_mut()))
-}
-
-/// Order-preserving community aggregation, reused across vertices and
-/// levels.
-///
-/// `cands` holds `(community, d_vc)` in first-occurrence order. `index[c]`
-/// is community `c`'s position in `cands` while a vertex is being folded,
-/// and [`EMPTY`] for every community between vertices. It grows to the
-/// largest level it has served and keeps that size for the coarser ones.
-#[derive(Debug, Default)]
-pub(crate) struct Fold {
-    cands: Vec<(CommunityId, f64)>,
-    index: Vec<u32>,
-}
-
-impl Fold {
-    /// Aggregates `v`'s neighborhood, picks its next community with
-    /// [`super::choose`] and records `v`'s stay certificate into `certs`.
-    fn decide(
-        &mut self,
-        v: VertexId,
-        graph: &Graph,
-        state: &BspState,
-        certs: Option<&Certificates>,
-    ) -> CommunityId {
-        self.aggregate(v, graph, state);
-        let (next, margin) = choose_with_margin(v, graph, state, &self.cands);
-        if let Some(certs) = certs {
-            certs.record(v, margin, graph, state);
-        }
-        next
+/// Aggregates `v`'s neighborhood on `fold`, picks its next community
+/// with [`super::choose`] and records `v`'s stay certificate into `certs`.
+fn decide_vertex(
+    fold: &mut Fold,
+    v: VertexId,
+    graph: &Graph,
+    state: &BspState,
+    certs: Option<&Certificates>,
+) -> CommunityId {
+    let cands = aggregate(fold, v, graph, state);
+    let (next, margin) = choose_with_margin(v, graph, state, cands);
+    if let Some(certs) = certs {
+        certs.record(v, margin, graph, state);
     }
+    next
+}
 
-    /// Refills `cands` with `v`'s candidates, folding every non-loop
-    /// neighbor's weight into its community's entry in neighbor-list
-    /// order, then empties the index through them.
-    fn aggregate(&mut self, v: VertexId, graph: &Graph, state: &BspState) {
-        if self.index.len() < graph.num_vertices() {
-            self.index.resize(graph.num_vertices(), EMPTY);
-        }
-        self.cands.clear();
-        for (&u, &w) in graph.neighbor_ids(v).iter().zip(graph.neighbor_weights(v)) {
-            if u == v {
-                continue;
-            }
-            let c = state.comm[u as usize];
-            let pos = &mut self.index[c as usize];
-            if *pos == EMPTY {
-                *pos = self.cands.len() as u32;
-                self.cands.push((c, w));
-            } else {
-                self.cands[*pos as usize].1 += w;
-            }
-        }
-        for &(c, _) in &self.cands {
-            self.index[c as usize] = EMPTY;
+/// Folds every non-loop neighbor's weight into its community, in
+/// neighbor-list order, and returns `v`'s candidates.
+fn aggregate<'f>(
+    fold: &'f mut Fold,
+    v: VertexId,
+    graph: &Graph,
+    state: &BspState,
+) -> &'f [(CommunityId, f64)] {
+    fold.begin(graph.num_vertices());
+    for (&u, &w) in graph.neighbor_ids(v).iter().zip(graph.neighbor_weights(v)) {
+        if u != v {
+            fold.add(state.comm[u as usize], w);
         }
     }
+    fold.finish()
 }
 
 /// The reference aggregation the [`Fold`] replaced: a per-vertex
@@ -257,7 +204,7 @@ mod tests {
     use crate::kernels::{choose, decide, DecideOutput, DecideScratch, KernelKind};
     use crate::weight::{self, WeightUpdateMode};
     use gala_gpu::profile::Profiler;
-    use gala_graph::coarsen::coarsen;
+    use gala_graph::coarsen::{coarsen, coarsen_into, CoarsenScratch};
     use gala_graph::generators::fixtures;
     use gala_graph::GraphBuilder;
     use proptest::prelude::*;
@@ -323,9 +270,9 @@ mod tests {
         let s = BspState::new(&g);
         let mut fold = Fold::default();
         for v in [0, 1, 0, 2] {
-            fold.aggregate(v, &g, &s);
-            assert_eq!(fold.cands, hashmap_candidates(v, &g, &s), "vertex {v}");
-            assert!(fold.index.iter().all(|&pos| pos == EMPTY), "vertex {v}");
+            let cands = aggregate(&mut fold, v, &g, &s);
+            assert_eq!(cands, hashmap_candidates(v, &g, &s), "vertex {v}");
+            assert!(fold.is_closed(), "vertex {v}");
         }
     }
 
@@ -337,30 +284,46 @@ mod tests {
 
     #[test]
     fn fold_index_is_empty_between_vertices_and_levels() {
-        // One index serves a large level, a smaller coarse (self-looped)
-        // level that uses only a prefix of it, and the large level again.
+        // The thread's one index serves decide on a large level, on a
+        // smaller coarse (self-looped) level that uses only a prefix of it,
+        // and on the large level again, with contraction rows (id space
+        // k < n) folded on the same thread in between.
         let large = weighted_planted(20, 40, 12.0, 0.3, 7);
         let large_state = settled_state(&large);
-        let coarse = coarsen(&large, &large_state.partition()).graph;
+        let partition = large_state.partition();
+        let contracted = coarsen_into(&large, &partition, &mut CoarsenScratch::default());
+        let coarse = contracted.graph;
         assert!(coarse.num_vertices() < large.num_vertices());
         let coarse_state = BspState::new(&coarse);
-        let mut fold = Fold::default();
+        let mut cscratch = CoarsenScratch::default();
         for (g, s) in [
             (&large, &large_state),
             (&coarse, &coarse_state),
             (&large, &large_state),
         ] {
             for v in g.vertices() {
-                fold.aggregate(v, g, s);
+                let cands = with_fold(|fold| aggregate(fold, v, g, s).to_vec());
                 assert_eq!(
-                    bits(&fold.cands),
+                    bits(&cands),
                     bits(&hashmap_candidates(v, g, s)),
                     "candidates of vertex {v} of {}",
                     g.num_vertices()
                 );
-                assert!(fold.index.iter().all(|&pos| pos == EMPTY), "vertex {v}");
+                assert!(with_fold(|fold| fold.is_closed()), "vertex {v}");
+                if v % 97 == 0 {
+                    let rows = rayon::with_parallelism(1, || {
+                        coarsen_into(&large, &partition, &mut cscratch).graph
+                    });
+                    assert!(with_fold(|fold| fold.is_closed()), "rows after {v}");
+                    assert_eq!(rows.targets(), coarse.targets(), "rows after {v}");
+                    assert!(
+                        rows.arc_weights()
+                            .map(f64::to_bits)
+                            .eq(coarse.arc_weights().map(f64::to_bits)),
+                        "row weights after {v}"
+                    );
+                }
             }
-            assert_eq!(fold.index.len(), large.num_vertices());
         }
     }
 
@@ -377,9 +340,8 @@ mod tests {
                 .map(|v| choose(v, g, &s, &hashmap_candidates(v, g, &s)))
                 .collect();
             for v in g.vertices() {
-                fold.aggregate(v, g, &s);
                 assert_eq!(
-                    bits(&fold.cands),
+                    bits(aggregate(&mut fold, v, g, &s)),
                     bits(&hashmap_candidates(v, g, &s)),
                     "candidates of vertex {v} at step {step}"
                 );

@@ -16,11 +16,11 @@
 
 use crate::modularity::modularity;
 use crate::observe::Obs;
+use gala_graph::fold::with_fold;
 use gala_graph::partition::CommunityId;
 use gala_graph::{Graph, Partition, VertexId};
 use gala_telemetry::{Superstep, TraceEvent};
 use rayon::prelude::*;
-use std::collections::HashMap;
 
 /// Configuration for label propagation.
 #[derive(Clone, Copy, Debug)]
@@ -145,28 +145,28 @@ pub fn label_propagation_with(
     }
 }
 
-/// The label with maximal incident weight around `v` (self-loops vote for
-/// `v`'s own label); smallest id wins ties; isolated vertices keep theirs.
+/// The label with maximal incident weight around `v` (a self-loop votes
+/// for `v`'s own label); smallest id wins ties, so the candidates' order
+/// does not matter; isolated vertices keep theirs. The votes are summed on
+/// the thread's [`Fold`](gala_graph::fold::Fold).
 fn best_label(graph: &Graph, labels: &[CommunityId], v: VertexId) -> CommunityId {
-    let mut votes: HashMap<CommunityId, f64> = HashMap::with_capacity(graph.degree(v));
-    for (u, w) in graph.neighbors(v) {
-        let label = if u == v {
-            labels[v as usize]
-        } else {
-            labels[u as usize]
-        };
-        *votes.entry(label).or_insert(0.0) += w;
-    }
-    if votes.is_empty() {
-        return labels[v as usize];
-    }
-    let mut best = (f64::NEG_INFINITY, CommunityId::MAX);
-    for (&label, &weight) in &votes {
-        if weight > best.0 || (weight == best.0 && label < best.1) {
-            best = (weight, label);
+    with_fold(|fold| {
+        fold.begin(labels.len());
+        for (&u, &w) in graph.neighbor_ids(v).iter().zip(graph.neighbor_weights(v)) {
+            fold.add(labels[u as usize], w);
         }
-    }
-    best.1
+        let votes = fold.finish();
+        if votes.is_empty() {
+            return labels[v as usize];
+        }
+        let mut best = (f64::NEG_INFINITY, CommunityId::MAX);
+        for &(label, weight) in votes.iter() {
+            if weight > best.0 || (weight == best.0 && label < best.1) {
+                best = (weight, label);
+            }
+        }
+        best.1
+    })
 }
 
 #[cfg(test)]

@@ -8,9 +8,9 @@
 use crate::modularity::modularity;
 use crate::observe::Obs;
 use gala_graph::coarsen::{coarsen_into, CoarsenScratch};
+use gala_graph::fold::with_fold;
 use gala_graph::partition::CommunityId;
 use gala_graph::{Graph, Partition, VertexId};
-use std::collections::HashMap;
 use std::time::Instant;
 
 /// Configuration for the sequential baseline.
@@ -147,8 +147,6 @@ pub fn sequential_louvain_with(
 pub(crate) struct Sweep {
     /// `D_V(C)` per community id slot.
     d_tot: Vec<f64>,
-    /// Per-vertex `(community, d_vc)` aggregation map.
-    agg: HashMap<CommunityId, f64>,
 }
 
 /// Sequential local moving, the one sweep behind sequential Louvain's
@@ -164,7 +162,8 @@ pub(crate) struct Sweep {
 /// so no community grows past one `within` community (Leiden's
 /// refinement). Sweeps stop once one moves nothing or gains less than
 /// `theta` in modularity, or after `max_sweeps`. Returns whether anything
-/// moved.
+/// moved. Neighbourhoods are summed on the thread's
+/// [`Fold`](gala_graph::fold::Fold), taken once per call.
 pub(crate) fn local_moving(
     graph: &Graph,
     comm: &mut [CommunityId],
@@ -179,58 +178,61 @@ pub(crate) fn local_moving(
     if m2 == 0.0 {
         return false;
     }
-    let Sweep { d_tot, agg } = sweep;
+    let Sweep { d_tot } = sweep;
     let slots = comm.iter().copied().max().map_or(0, |c| c as usize + 1);
     d_tot.clear();
     d_tot.resize(slots.max(n), 0.0);
     for v in 0..n {
         d_tot[comm[v] as usize] += graph.degree_w(v as VertexId);
     }
+    let ids = d_tot.len();
     let mut any_moved = false;
-    for _ in 0..max_sweeps {
-        let mut moved = false;
-        let mut sweep_gain = 0.0;
-        for v in 0..n as VertexId {
-            let cv = comm[v as usize];
-            let d_v = graph.degree_w(v);
-            let parent = within.map(|p| (p, p.community_of(v)));
-            agg.clear();
-            for (u, w) in graph.neighbors(v) {
-                if u != v && parent.is_none_or(|(p, c)| p.community_of(u) == c) {
-                    *agg.entry(comm[u as usize]).or_insert(0.0) += w;
+    with_fold(|fold| {
+        for _ in 0..max_sweeps {
+            let mut moved = false;
+            let mut sweep_gain = 0.0;
+            for v in 0..n as VertexId {
+                let cv = comm[v as usize];
+                let d_v = graph.degree_w(v);
+                let parent = within.map(|p| (p, p.community_of(v)));
+                fold.begin(ids);
+                for (u, w) in graph.neighbors(v) {
+                    if u != v && parent.is_none_or(|(p, c)| p.community_of(u) == c) {
+                        fold.add(comm[u as usize], w);
+                    }
                 }
-            }
-            if agg.is_empty() {
-                continue;
-            }
-            // Extract v from its community.
-            d_tot[cv as usize] -= d_v;
-            let score = |d_vc: f64, dt: f64| d_vc - gamma * d_v * dt / m2;
-            let stay = score(agg.get(&cv).copied().unwrap_or(0.0), d_tot[cv as usize]);
-            let mut best_c = cv;
-            let mut best = stay;
-            for (&c, &d_vc) in agg.iter() {
-                if c == cv {
+                if fold.candidates().is_empty() {
                     continue;
                 }
-                let s = score(d_vc, d_tot[c as usize]);
-                if s > best || (s == best && c < best_c) {
-                    best = s;
-                    best_c = c;
+                // Extract v from its community.
+                d_tot[cv as usize] -= d_v;
+                let score = |d_vc: f64, dt: f64| d_vc - gamma * d_v * dt / m2;
+                let stay = score(fold.get(cv).unwrap_or(0.0), d_tot[cv as usize]);
+                let mut best_c = cv;
+                let mut best = stay;
+                for &(c, d_vc) in fold.finish().iter() {
+                    if c == cv {
+                        continue;
+                    }
+                    let s = score(d_vc, d_tot[c as usize]);
+                    if s > best || (s == best && c < best_c) {
+                        best = s;
+                        best_c = c;
+                    }
+                }
+                d_tot[best_c as usize] += d_v;
+                if best_c != cv {
+                    comm[v as usize] = best_c;
+                    moved = true;
+                    sweep_gain += 2.0 / m2 * (best - stay);
                 }
             }
-            d_tot[best_c as usize] += d_v;
-            if best_c != cv {
-                comm[v as usize] = best_c;
-                moved = true;
-                sweep_gain += 2.0 / m2 * (best - stay);
+            any_moved |= moved;
+            if !moved || sweep_gain < theta {
+                break;
             }
         }
-        any_moved |= moved;
-        if !moved || sweep_gain < theta {
-            break;
-        }
-    }
+    });
     any_moved
 }
 

@@ -10,6 +10,7 @@
 
 use crate::builder::GraphBuilder;
 use crate::csr::{Graph, VertexId};
+use crate::fold::with_fold;
 use crate::partition::{CommunityId, Partition};
 use rayon::prelude::*;
 use std::collections::HashMap;
@@ -72,54 +73,9 @@ pub fn coarsen(graph: &Graph, partition: &Partition) -> Coarsened {
     }
 }
 
-/// Per-worker flat scratch map deduplicating one super-vertex's neighbor
-/// list. `stamp[c] == mark` means coarse community `c` has already been
-/// touched for the current row, so rows reset in `O(1)` (bump `mark`)
-/// instead of clearing the whole map.
-#[derive(Default)]
-struct RowAccum {
-    stamp: Vec<u32>,
-    val: Vec<f64>,
-    touched: Vec<CommunityId>,
-    mark: u32,
-    /// The chunk's finished rows: sorted `(community, weight)` pairs,
-    /// concatenated in row order. Chunks cover contiguous ascending row
-    /// ranges, so concatenating the workers' buffers in chunk order yields
-    /// the coarse CSR body directly.
-    pairs: Vec<(CommunityId, f64)>,
-}
-
-impl RowAccum {
-    /// Starts a new row over a coarse id space of size `k`.
-    fn begin_row(&mut self, k: usize) {
-        if self.stamp.len() < k {
-            self.stamp.resize(k, 0);
-            self.val.resize(k, 0.0);
-        }
-        self.touched.clear();
-        if self.mark == u32::MAX {
-            self.stamp.fill(0);
-            self.mark = 0;
-        }
-        self.mark += 1;
-    }
-
-    #[inline]
-    fn add(&mut self, c: CommunityId, w: f64) {
-        let i = c as usize;
-        if self.stamp[i] == self.mark {
-            self.val[i] += w;
-        } else {
-            self.stamp[i] = self.mark;
-            self.val[i] = w;
-            self.touched.push(c);
-        }
-    }
-}
-
 /// Recycled working state for [`coarsen_into`], the contraction analogue of
 /// the phase-1 `Phase1Scratch`: hold one across hierarchy rounds and every
-/// histogram, member list, flat dedup map and (via
+/// histogram, member list, chunk pair buffer and (via
 /// [`CoarsenScratch::reclaim_graph`] /
 /// [`CoarsenScratch::reclaim_assignment`]) even the output CSR buffers are
 /// reused, so steady-state rounds run without contraction-path allocations.
@@ -141,9 +97,9 @@ pub struct CoarsenScratch {
     members: Vec<VertexId>,
     /// Per coarse row: number of distinct neighbor communities (pass 1).
     row_deg: Vec<usize>,
-    /// Pool of per-worker dedup maps, popped by chunk workers and returned
+    /// Pool of chunk pair buffers, popped by chunk workers and returned
     /// after each pass.
-    accums: Mutex<Vec<RowAccum>>,
+    pair_bufs: Mutex<Vec<Vec<(CommunityId, f64)>>>,
     /// Output CSR buffers, normally reclaimed from the previous round's
     /// dropped coarse graph.
     out_offsets: Vec<usize>,
@@ -287,35 +243,56 @@ pub fn renumber_and_group(
     k as usize
 }
 
-/// One coarse row's canonical accumulation — members ascending × CSR
-/// neighbor order — shared by [`coarsen_into`] and [`aggregate_rows`] so
-/// every aggregation path (host, per device) is bit-for-bit identical.
-/// Appends the row's sorted `(community, weight)` pairs to `acc.pairs` and
-/// returns the row's degree (distinct neighbor communities).
-fn accumulate_row(
-    acc: &mut RowAccum,
-    graph: &Graph,
-    r: usize,
-    k: usize,
-    renum: &[CommunityId],
-    vo: &[usize],
-    members: &[VertexId],
-) -> usize {
-    acc.begin_row(k);
-    for &v in &members[vo[r]..vo[r + 1]] {
-        for (u, w) in graph.neighbors(v) {
-            acc.add(renum[u as usize], w);
-        }
+impl CoarsenScratch {
+    /// Folds the coarse rows `rows` of the prepared grouping on the pool,
+    /// writes each row's degree (distinct neighbor communities) into
+    /// `row_deg`, and hands `emit` the rows' sorted `(community, weight)`
+    /// pairs in row order, one pool chunk's contiguous rows at a time.
+    fn fold_rows(
+        &self,
+        graph: &Graph,
+        rows: std::ops::Range<usize>,
+        row_deg: &mut Vec<usize>,
+        emit: impl FnMut(&Vec<(CommunityId, f64)>),
+    ) {
+        let pool = &self.pair_bufs;
+        let take = || {
+            let popped = pool.lock().expect("pair pool poisoned").pop();
+            let mut pairs = popped.unwrap_or_default();
+            pairs.clear();
+            pairs
+        };
+        let bufs = rayon::par_map_indexed_accum_into(rows.len(), row_deg, take, |i, pairs| {
+            self.fold_row(graph, rows.start + i, pairs)
+        });
+        bufs.iter().for_each(emit);
+        pool.lock().expect("pair pool poisoned").extend(bufs);
     }
-    acc.touched.sort_unstable();
-    for &c in &acc.touched {
-        acc.pairs.push((c, acc.val[c as usize]));
+
+    /// One coarse row's canonical accumulation — members ascending × CSR
+    /// neighbor order, on the thread's fold — shared by every aggregation
+    /// path (host, per device), so they agree bit for bit. Appends the
+    /// row's sorted `(community, weight)` pairs to `pairs` and returns
+    /// their count.
+    fn fold_row(&self, graph: &Graph, r: usize, pairs: &mut Vec<(CommunityId, f64)>) -> usize {
+        let vo = &self.vert_offsets;
+        with_fold(|fold| {
+            fold.begin(vo.len() - 1);
+            for &v in &self.members[vo[r]..vo[r + 1]] {
+                for (&u, &w) in graph.neighbor_ids(v).iter().zip(graph.neighbor_weights(v)) {
+                    fold.add(self.renumbered[u as usize], w);
+                }
+            }
+            let row = fold.finish();
+            row.sort_unstable_by_key(|&(c, _)| c);
+            pairs.extend_from_slice(row);
+            row.len()
+        })
     }
-    acc.touched.len()
 }
 
 /// Aggregates the contiguous coarse-row range `rows` of a grouping prepared
-/// by [`renumber_and_group`], through the same pooled dedup pass as
+/// by [`renumber_and_group`], through the same pooled fold pass as
 /// [`coarsen_into`]: each row's degree is appended to `row_deg` and its
 /// sorted `(community, weight)` pairs to `pairs`, both in ascending row
 /// order. This is one device's slice of the partitioned multi-device
@@ -323,7 +300,7 @@ fn accumulate_row(
 /// order reproduces the [`coarsen_into`] CSR body bit for bit, at every
 /// pool width.
 ///
-/// Takes the scratch by shared reference (the dedup-map pool is internally
+/// Takes the scratch by shared reference (the pair-buffer pool is internally
 /// synchronised), so a driver can hold the grouping fixed while devices
 /// aggregate their ranges.
 pub fn aggregate_rows(
@@ -334,32 +311,10 @@ pub fn aggregate_rows(
     row_deg: &mut Vec<u64>,
     pairs: &mut Vec<(CommunityId, f64)>,
 ) {
-    let renum: &[CommunityId] = &scratch.renumbered;
-    let vo: &[usize] = &scratch.vert_offsets;
-    let members: &[VertexId] = &scratch.members;
-    let accums = &scratch.accums;
-    let pop_accum = || {
-        let mut acc: RowAccum = accums
-            .lock()
-            .expect("accumulator pool poisoned")
-            .pop()
-            .unwrap_or_default();
-        acc.pairs.clear();
-        acc
-    };
-    let base = rows.start;
+    debug_assert_eq!(k + 1, scratch.vert_offsets.len(), "k of another grouping");
     let mut degs = Vec::new();
-    let accs = rayon::par_map_indexed_accum_into(rows.len(), &mut degs, pop_accum, |i, acc| {
-        accumulate_row(acc, graph, base + i, k, renum, vo, members)
-    });
+    scratch.fold_rows(graph, rows, &mut degs, |buf| pairs.extend_from_slice(buf));
     row_deg.extend(degs.iter().map(|&d| d as u64));
-    for acc in &accs {
-        pairs.extend_from_slice(&acc.pairs);
-    }
-    accums
-        .lock()
-        .expect("accumulator pool poisoned")
-        .extend(accs);
 }
 
 /// [`coarsen`] through a parallel, allocation-reusing counting-sort
@@ -368,13 +323,13 @@ pub fn aggregate_rows(
 /// 1. communities are renumbered with a parallel histogram + presence
 ///    prefix sum and vertices grouped per community by a stable counting
 ///    sort ([`renumber_and_group`]);
-/// 2. one pooled pass over each super-vertex's member arcs deduplicates its
-///    neighbor communities through a per-worker flat stamp map, appending
+/// 2. one pooled pass over each super-vertex's member arcs folds its
+///    neighbor communities on the thread's [`crate::fold::Fold`], appending
 ///    each finished row's sorted `(community, weight)` pairs to the
-///    worker's recycled chunk buffer and recording the row's degree;
-/// 3. a prefix sum over the degrees sizes the coarse CSR exactly, and the
-///    chunk buffers — contiguous ascending row ranges, in chunk order —
-///    stream straight into the pre-sized targets/weights arrays.
+///    chunk's recycled pair buffer and recording the row's degree;
+/// 3. the chunk buffers — contiguous ascending row ranges, in chunk order —
+///    stream straight into the targets/weights arrays, and a prefix sum
+///    over the degrees gives the offsets.
 ///
 /// Every row is accumulated sequentially in a fixed order (members
 /// ascending × CSR neighbor order), so the result is bit-for-bit identical
@@ -392,67 +347,35 @@ pub fn coarsen_into(
     }
     let k = renumber_and_group(graph, partition, scratch);
 
-    // The one aggregation pass: dedup each row, stash its sorted pairs in
-    // the worker's chunk buffer, return its degree.
-    let renum: &[CommunityId] = &scratch.renumbered;
-    let vo: &[usize] = &scratch.vert_offsets;
-    let members: &[VertexId] = &scratch.members;
-    let accums = &scratch.accums;
-    let pop_accum = || {
-        let mut acc: RowAccum = accums
-            .lock()
-            .expect("accumulator pool poisoned")
-            .pop()
-            .unwrap_or_default();
-        acc.pairs.clear();
-        acc
-    };
-    let accs = rayon::par_map_indexed_accum_into(
-        k,
-        &mut scratch.row_deg,
-        pop_accum,
-        |r, acc: &mut RowAccum| accumulate_row(acc, graph, r, k, renum, vo, members),
-    );
+    // The one aggregation pass: fold each row and stream the chunks' sorted
+    // pairs straight into the CSR body, whose buffers are reclaimed from the
+    // previous round.
+    let mut row_deg = std::mem::take(&mut scratch.row_deg);
+    let mut targets = std::mem::take(&mut scratch.out_targets);
+    let mut weights = std::mem::take(&mut scratch.out_weights);
+    targets.clear();
+    weights.clear();
+    scratch.fold_rows(graph, 0..k, &mut row_deg, |buf| {
+        targets.extend(buf.iter().map(|&(c, _)| c));
+        weights.extend(buf.iter().map(|&(_, w)| w));
+    });
 
     // Exact coarse CSR offsets from the distinct counts.
-    scratch.out_offsets.clear();
-    scratch.out_offsets.reserve(k + 1);
-    scratch.out_offsets.push(0);
-    let mut run = 0usize;
-    for &d in &scratch.row_deg {
-        run += d;
-        scratch.out_offsets.push(run);
-    }
-
-    // Concatenate the chunk buffers into the pre-sized CSR body. This is a
-    // straight sequential stream (the dedup above did all the O(m) work);
-    // buffer capacities survive in the pool for the next round.
-    scratch.out_targets.clear();
-    scratch.out_targets.reserve(run);
-    scratch.out_weights.clear();
-    scratch.out_weights.reserve(run);
-    for acc in &accs {
-        for &(c, w) in &acc.pairs {
-            scratch.out_targets.push(c);
-            scratch.out_weights.push(w);
-        }
-    }
-    debug_assert_eq!(scratch.out_targets.len(), run);
-    scratch
-        .accums
-        .get_mut()
-        .expect("accumulator pool poisoned")
-        .extend(accs);
+    let mut offsets = std::mem::take(&mut scratch.out_offsets);
+    offsets.clear();
+    offsets.push(0);
+    offsets.extend(row_deg.iter().scan(0, |run, &d| {
+        *run += d;
+        Some(*run)
+    }));
+    debug_assert_eq!(offsets[k], targets.len());
+    scratch.row_deg = row_deg;
 
     // The row-internal arc sum (each internal edge seen from both sides,
     // self-loops stored doubled) is already the super self-loop's stored
     // value, and cross rows each accumulate their full (symmetric) arc
     // weight — so the buffers are the final CSR, no halving or re-doubling.
-    let graph = Graph::from_csr(
-        std::mem::take(&mut scratch.out_offsets),
-        std::mem::take(&mut scratch.out_targets),
-        std::mem::take(&mut scratch.out_weights),
-    );
+    let graph = Graph::from_csr(offsets, targets, weights);
     Coarsened {
         graph,
         renumbered: Partition::from_assignment(scratch.take_renumbered()),

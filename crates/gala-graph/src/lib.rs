@@ -15,6 +15,8 @@
 //!   fixtures,
 //! * scaled-down stand-ins for the seven graphs of the paper's Table 2
 //!   ([`datasets`]),
+//! * the host's one neighbour-community accumulator ([`fold`]), shared by
+//!   every Louvain-family pass,
 //! * Louvain phase-2 aggregation ([`coarsen`]), and
 //! * community-assignment containers ([`partition`]).
 //!
@@ -45,6 +47,7 @@ pub mod builder;
 pub mod coarsen;
 pub mod csr;
 pub mod datasets;
+pub mod fold;
 pub mod generators;
 pub mod io;
 pub mod metis;
