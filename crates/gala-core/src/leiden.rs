@@ -74,7 +74,8 @@ pub fn leiden(graph: &Graph, config: LeidenConfig) -> LeidenResult {
 /// tree per round (`"host"` backend, unit `"ns"`); the per-round `refine` +
 /// `contract` tree goes through the configured [`BackendKind`] like
 /// louvain's phase 2, so a sim-backed run charges real simulated cycles
-/// for the aggregation while a native run charges wall time.
+/// for the aggregation while a native run charges wall time. Each
+/// `round_end` counts the round's local-moving sweeps as its supersteps.
 pub fn leiden_with(graph: &Graph, config: LeidenConfig, obs: &mut Obs) -> LeidenResult {
     let backend = config.backend.resolve();
     obs.run_start("leiden", graph, 1);
@@ -93,11 +94,11 @@ pub fn leiden_with(graph: &Graph, config: LeidenConfig, obs: &mut Obs) -> Leiden
             .unwrap_or_else(|| (0..g.num_vertices() as CommunityId).collect());
         obs.enter_round();
         let mut sub = obs.sub();
-        let moved = sub.scope("superstep", |p| {
+        let (sweeps, moved) = sub.scope("superstep", |p| {
             p.scope("decide", |p| {
                 let started = Instant::now();
-                let moved = p.scope("cpu", |p| {
-                    let moved = local_moving(
+                let moving = p.scope("cpu", |p| {
+                    let moving = local_moving(
                         g,
                         &mut comm,
                         config.resolution,
@@ -107,10 +108,10 @@ pub fn leiden_with(graph: &Graph, config: LeidenConfig, obs: &mut Obs) -> Leiden
                         &mut sweep,
                     );
                     p.count("items", g.num_vertices() as u64);
-                    moved
+                    moving
                 });
                 p.count("elapsed_ns", started.elapsed().as_nanos() as u64);
-                moved
+                moving
             })
         });
         obs.span(round as u32, 0, "phase1", None, sub);
@@ -166,7 +167,7 @@ pub fn leiden_with(graph: &Graph, config: LeidenConfig, obs: &mut Obs) -> Leiden
             Some(prev) => prev.compose(refined_dense),
         };
         let (communities, arcs) = (coarse.num_communities, coarse.graph.num_arcs());
-        obs.round_end(round as u32, "phase1", 1, communities, arcs, || {
+        obs.round_end(round as u32, "phase1", sweeps, communities, arcs, || {
             modularity_with_resolution(graph, &level, config.resolution)
         });
         flat = Some(level);

@@ -54,7 +54,8 @@ pub fn sequential_louvain(graph: &Graph, config: SequentialConfig) -> Sequential
 /// `span` / `round_end` / `run_end` event sequence as the BSP
 /// drivers, with one wall-clock-timed `superstep` span tree per round
 /// (sequential phase 1 is one indivisible host pass) plus the usual
-/// `contract` tree. All spans charge host nanoseconds — this baseline has
+/// `contract` tree; each `round_end` counts the round's sweeps as its
+/// supersteps. All spans charge host nanoseconds — this baseline has
 /// no simulated device, so its spans carry the `"host"` backend and
 /// profile in unit `"ns"`.
 pub fn sequential_louvain_with(
@@ -72,13 +73,13 @@ pub fn sequential_louvain_with(
         let g = current.as_ref().unwrap_or(graph);
         obs.enter_round();
         let mut sub = obs.sub();
-        let assignment = sub.scope("superstep", |p| {
+        let (assignment, sweeps) = sub.scope("superstep", |p| {
             p.scope("decide", |p| {
                 let started = Instant::now();
-                let assignment = p.scope("cpu", |p| {
+                let moved = p.scope("cpu", |p| {
                     let mut assignment: Vec<CommunityId> =
                         (0..g.num_vertices() as CommunityId).collect();
-                    local_moving(
+                    let (sweeps, _) = local_moving(
                         g,
                         &mut assignment,
                         1.0,
@@ -88,10 +89,10 @@ pub fn sequential_louvain_with(
                         &mut sweep,
                     );
                     p.count("items", g.num_vertices() as u64);
-                    assignment
+                    (assignment, sweeps)
                 });
                 p.count("elapsed_ns", started.elapsed().as_nanos() as u64);
-                assignment
+                moved
             })
         });
         obs.span(round as u32, 0, "phase1", None, sub);
@@ -113,11 +114,10 @@ pub fn sequential_louvain_with(
             None => coarse.renumbered.clone(),
             Some(prev) => prev.compose(&coarse.renumbered),
         };
-        // One deterministic `progress` event per round (sequential phase 1
-        // is one indivisible host pass, so there is no superstep
-        // granularity).
+        // The round's sweeps stand in for supersteps: one deterministic
+        // `progress` event per round reports them too.
         let (communities, arcs) = (coarse.num_communities, g.num_arcs());
-        obs.round_end(round as u32, "phase1", 1, communities, arcs, || {
+        obs.round_end(round as u32, "phase1", sweeps, communities, arcs, || {
             modularity(graph, &level)
         });
         flat = Some(level);
@@ -161,8 +161,9 @@ pub(crate) struct Sweep {
 /// With `within`, only neighbours in `v`'s own `within` community count,
 /// so no community grows past one `within` community (Leiden's
 /// refinement). Sweeps stop once one moves nothing or gains less than
-/// `theta` in modularity, or after `max_sweeps`. Returns whether anything
-/// moved. Neighbourhoods are summed on the thread's
+/// `theta` in modularity, or after `max_sweeps`. Returns the number of
+/// sweeps run and whether anything moved. Neighbourhoods are summed on the
+/// thread's
 /// [`Fold`](gala_graph::fold::Fold), taken once per call.
 pub(crate) fn local_moving(
     graph: &Graph,
@@ -172,11 +173,11 @@ pub(crate) fn local_moving(
     max_sweeps: usize,
     within: Option<&Partition>,
     sweep: &mut Sweep,
-) -> bool {
+) -> (usize, bool) {
     let n = graph.num_vertices();
     let m2 = graph.total_weight();
     if m2 == 0.0 {
-        return false;
+        return (0, false);
     }
     let Sweep { d_tot } = sweep;
     let slots = comm.iter().copied().max().map_or(0, |c| c as usize + 1);
@@ -187,8 +188,10 @@ pub(crate) fn local_moving(
     }
     let ids = d_tot.len();
     let mut any_moved = false;
+    let mut sweeps = 0;
     with_fold(|fold| {
-        for _ in 0..max_sweeps {
+        while sweeps < max_sweeps {
+            sweeps += 1;
             let mut moved = false;
             let mut sweep_gain = 0.0;
             for v in 0..n as VertexId {
@@ -233,7 +236,7 @@ pub(crate) fn local_moving(
             }
         }
     });
-    any_moved
+    (sweeps, any_moved)
 }
 
 #[cfg(test)]
