@@ -13,7 +13,7 @@
 //! * [`NativeBackend`] — the speed instrument: the same shuffle/hash/sort
 //!   decision algorithms run directly on the persistent work-stealing pool
 //!   with real wall-clock timing (`elapsed_ns` span counters) and no
-//!   simulated cost model. See [`crate::kernels::native`] for why its
+//!   simulated cost model. See `kernels/native.rs` for why its
 //!   assignments are bit-identical to the simulator's.
 //!
 //! Both backends produce identical assignments and modularity on every

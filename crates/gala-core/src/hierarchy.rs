@@ -3,7 +3,7 @@
 //!
 //! [`crate::louvain::LouvainResult`] exposes only the final flattened
 //! partition; [`Dendrogram`] keeps every level, which is what the "multi-
-//! phase approach [that] iteratively merges communities" (paper Section 1)
+//! phase approach \[that\] iteratively merges communities" (paper Section 1)
 //! is actually for: zooming between granularities without re-running.
 
 use crate::louvain::{Louvain, LouvainConfig};

@@ -1,6 +1,6 @@
 //! Host reference DecideAndMove: rayon over vertices, each vertex's
 //! non-loop neighbors folded on the thread's
-//! [`Fold`](gala_graph::fold::Fold) — the Grappolo CPU strategy without a
+//! [`Fold`] — the Grappolo CPU strategy without a
 //! per-vertex allocation.
 //!
 //! The fold's dense index replaced a linear search (below degree 32) and a

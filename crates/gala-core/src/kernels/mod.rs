@@ -16,7 +16,7 @@
 //! * [`sort`] — the cuGraph-style baseline: materialise `(community,
 //!   weight)` pairs in global scratch, bitonic-sort, segmented-reduce.
 //! * [`replicated`] — per-thread private tables merged by reduction (the
-//!   conflict-free design of the paper's reference [32], kept as a
+//!   conflict-free design of the paper's reference \[32\], kept as a
 //!   measurable ablation).
 //!
 //! Every kernel launches over an ascending work list of vertices and
@@ -57,7 +57,7 @@ pub enum KernelKind {
     /// cuGraph-style sort + segmented-reduce baseline.
     Sort,
     /// Per-thread replicated tables merged by reduction — the design of
-    /// the paper's reference [32], kept as a measurable ablation.
+    /// the paper's reference \[32\], kept as a measurable ablation.
     Replicated,
     /// GALA's workload-aware dispatch: shuffle for degree < threshold,
     /// hash-based (hierarchical table by default) otherwise. This is the

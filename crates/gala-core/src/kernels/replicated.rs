@@ -1,6 +1,6 @@
 //! Replicated-table DecideAndMove — the conflict-free reduction design the
 //! paper's Section 4.2 cites and rejects: "there also exists conflict-free
-//! reduction-based solutions [32] that replicate the hash table to each
+//! reduction-based solutions \[32\] that replicate the hash table to each
 //! thread, which is not suitable for GPUs with massive cores."
 //!
 //! Each logical thread of the block owns a *private* table covering its

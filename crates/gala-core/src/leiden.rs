@@ -1,5 +1,5 @@
 //! The Leiden algorithm (Traag, Waltman & van Eck 2019) — the paper's
-//! reference [54], whose relaxed movement rule GALA's RM strategy comes
+//! reference \[54\], whose relaxed movement rule GALA's RM strategy comes
 //! from. Implemented as a sequential quality baseline.
 //!
 //! Leiden repairs Louvain's badly-connected-communities defect with a

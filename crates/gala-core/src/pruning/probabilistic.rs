@@ -1,4 +1,4 @@
-//! Probabilistic movement-based pruning (PM, Vite [24]).
+//! Probabilistic movement-based pruning (PM, Vite \[24\]).
 //!
 //! If a vertex kept its community id across the last superstep, it is
 //! pruned with probability `alpha` (paper default 0.25). Vertices that just

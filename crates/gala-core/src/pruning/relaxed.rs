@@ -1,5 +1,5 @@
-//! Relaxed movement-based pruning (RM, paper Section 3.2; Leiden [54] and
-//! its parallel adaptation [50]).
+//! Relaxed movement-based pruning (RM, paper Section 3.2; Leiden \[54\] and
+//! its parallel adaptation \[50\]).
 //!
 //! A vertex is inactive if neither it nor any neighbor changed community
 //! *id* in the previous superstep. Cheaper and far more aggressive than SM,

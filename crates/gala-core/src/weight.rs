@@ -30,7 +30,7 @@
 //! the two cross near a quarter of the arcs there (round 0 of `dense`:
 //! at 0.24 of the arcs the walk took 20.6 ms and the rescan 23.6 ms, at
 //! 0.37 they took 30.5 and 24.1 ms). Where stay certificates are armed, the heavy
-//! superstep is the one [`Certificates::settle`] clears them for, a
+//! superstep is the one `Certificates::settle` clears them for, a
 //! quarter of the arcs; with none armed the rule stays at half the arcs,
 //! which keeps the modelled kernel traffic, and so Fig 8 and the cycle
 //! baselines, where they were.

@@ -8,7 +8,7 @@
 //! the same name. The result is a deterministic tree of [`SpanRecord`]s:
 //! per-span tallies, invocation counts, free-form named counters (hashtable
 //! occupancy, evictions, pruned vertices, …) and, via a
-//! [`CostModel`](crate::memory::CostModel), simulated-cycle attribution.
+//! [`CostModel`], simulated-cycle attribution.
 //!
 //! Profiling is opt-in. A profiler built with [`Profiler::disabled`] turns
 //! every method into an early-returning no-op so instrumented hot paths pay

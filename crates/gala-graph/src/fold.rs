@@ -26,7 +26,7 @@ const EMPTY: u32 = u32::MAX;
 
 /// Order-preserving community accumulation, reused across folds, passes
 /// and levels. `index[c]` is community `c`'s position in `cands` while a
-/// fold is open and [`EMPTY`] between folds; it keeps the size of the
+/// fold is open and `EMPTY` between folds; it keeps the size of the
 /// largest id space it has served.
 #[derive(Debug, Default)]
 pub struct Fold {

@@ -271,7 +271,7 @@ pub fn any<T: Arbitrary>() -> AnyStrategy<T> {
 pub mod collection {
     use super::{Strategy, TestRng};
 
-    /// Number of elements a [`vec`] strategy generates: exact or ranged.
+    /// Number of elements a [`vec()`] strategy generates: exact or ranged.
     #[derive(Clone, Copy, Debug)]
     pub enum SizeRange {
         /// Always exactly this many.

@@ -10,7 +10,7 @@
 //! call — pipelines over slices and ranges are **lazy and zero-copy**:
 //! adaptors stack up a [`Source`] (a pure `index → item` view over borrowed
 //! data, no `T: Clone` required), and the terminal operation runs it over
-//! the persistent work-stealing pool in [`pool`], writing each result
+//! the persistent work-stealing pool in `pool`, writing each result
 //! directly into its final output slot. Outputs are always in input order,
 //! `fold`/`reduce` see the same chunked shape rayon's splitter would
 //! produce, and floating-point `sum` is accumulated sequentially in input

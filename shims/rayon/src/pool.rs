@@ -62,7 +62,7 @@ pub fn configured_threads() -> usize {
 }
 
 /// Sequential-fallback threshold: `GALA_MIN_PAR_LEN` when set, else
-/// [`DEFAULT_MIN_PAR_LEN`]. Read once and cached.
+/// `DEFAULT_MIN_PAR_LEN`. Read once and cached.
 pub fn min_par_len() -> usize {
     static MIN: OnceLock<usize> = OnceLock::new();
     *MIN.get_or_init(|| {
