@@ -5,8 +5,9 @@
 //! finalises through the general `GraphBuilder` — allocating everything
 //! afresh each round. The pooled path (`coarsen_into`) replaces all of that
 //! with a counting-sort pipeline over a recycled [`CoarsenScratch`]:
-//! histogram renumbering, per-community binning, flat stamp-map dedup
-//! written straight into pre-sized CSR buffers.
+//! histogram renumbering, per-community binning, and each coarse row
+//! folded on the thread's `gala_graph::fold::Fold`, its sorted pairs
+//! streamed into recycled CSR buffers.
 //!
 //! This binary times both on real phase-1 partitions of the stand-in
 //! graphs, checks they agree before any number is printed, and reports
@@ -58,7 +59,7 @@ fn main() {
     let mut gate_rows: Vec<(String, usize, u128, u128)> = Vec::new();
     for (d, g) in datasets.iter().take(num_graphs) {
         // A real first-round partition, not a synthetic one: the community
-        // size distribution is what the dedup maps and binning actually see.
+        // size distribution is what the row folds and binning actually see.
         let (state, _) = Louvain::new(LouvainConfig::default()).run_phase1(g);
         let partition = state.partition();
         let arcs = g.num_arcs().max(1);

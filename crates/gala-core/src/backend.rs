@@ -173,14 +173,12 @@ pub trait ExecutionBackend: Sync {
     /// partitioned multi-device contraction. Both backends append
     /// bit-identical rows; they differ only in what the returned
     /// [`DeviceContractStats`] carries (simulated tally vs real wall time).
-    #[allow(clippy::too_many_arguments)]
     fn contract_rows(
         &self,
         graph: &Graph,
         kernel: KernelKind,
         scratch: &CoarsenScratch,
         rows: std::ops::Range<usize>,
-        k: usize,
         row_deg: &mut Vec<u64>,
         pairs: &mut Vec<(CommunityId, f64)>,
     ) -> DeviceContractStats;
@@ -247,7 +245,6 @@ impl ExecutionBackend for SimBackend {
         kernel: KernelKind,
         scratch: &CoarsenScratch,
         rows: std::ops::Range<usize>,
-        _k: usize,
         row_deg: &mut Vec<u64>,
         pairs: &mut Vec<(CommunityId, f64)>,
     ) -> DeviceContractStats {
@@ -312,12 +309,11 @@ impl ExecutionBackend for NativeBackend {
         _kernel: KernelKind,
         scratch: &CoarsenScratch,
         rows: std::ops::Range<usize>,
-        k: usize,
         row_deg: &mut Vec<u64>,
         pairs: &mut Vec<(CommunityId, f64)>,
     ) -> DeviceContractStats {
         let started = Instant::now();
-        coarsen::aggregate_rows(graph, scratch, rows, k, row_deg, pairs);
+        coarsen::aggregate_rows(graph, scratch, rows, row_deg, pairs);
         DeviceContractStats {
             elapsed_ns: started.elapsed().as_nanos() as u64,
             ..DeviceContractStats::default()

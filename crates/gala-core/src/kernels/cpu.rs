@@ -1,7 +1,6 @@
 //! Host reference DecideAndMove: rayon over vertices, each vertex's
-//! non-loop neighbors folded on the thread's
-//! [`Fold`] — the Grappolo CPU strategy without a
-//! per-vertex allocation.
+//! non-loop neighbors folded on the thread's [`Fold`] — the Grappolo CPU
+//! strategy without a per-vertex allocation.
 //!
 //! The fold's dense index replaced a linear search (below degree 32) and a
 //! stamped open-addressed table (at or above it). In `decide` span wall ns

@@ -16,15 +16,16 @@
 //!   workload-aware dispatcher routes exactly those to the shuffle kernel.
 //!   Hence `Cpu`, `Hash`, and `WorkloadAware` all reduce to
 //!   [`cpu::decide_one`] bit-for-bit, and the native path runs that fold
-//!   on rayon with nothing else in the loop. Each pool participant
-//!   threads its own reusable [`cpu::Fold`] through its vertices, so a
-//!   superstep allocates nothing per vertex. The fold does not split by
-//!   degree: every vertex gathers its candidates through one dense index
-//!   over community ids, which lists them in first-occurrence order with
-//!   each `d_vc` summed in neighbor order — the canonical order itself,
-//!   at any degree. That cut the decide pass's wall ns per decided arc
-//!   at pool width 2 by 11–24% on the four benchmark workloads (see
-//!   [`cpu`]). The dispatcher's split survives as a per-chunk count by
+//!   on rayon with nothing else in the loop. Each pool participant folds
+//!   on its thread's [`gala_graph::fold::Fold`], the host's one
+//!   neighbour-community accumulator, so a superstep allocates nothing
+//!   per vertex. The fold does not split by degree: every vertex gathers
+//!   its candidates through one dense index over community ids, which
+//!   lists them in first-occurrence order with each `d_vc` summed in
+//!   neighbor order — the canonical order itself, at any degree. That
+//!   cut the decide pass's wall ns per decided arc at pool width 2 by
+//!   11–24% on the four benchmark workloads (see [`cpu`]). The
+//!   dispatcher's split survives as a per-chunk count by
 //!   degree, which is the routing split, so reporting it costs no pass
 //!   over the active mask.
 //! * Explicit `Shuffle` on multi-chunk vertices merges per-chunk partial

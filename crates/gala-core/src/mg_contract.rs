@@ -282,7 +282,6 @@ pub(crate) fn contract_partitioned_with(
                 cfg.kernel,
                 scratch,
                 rows.clone(),
-                k,
                 &mut deg,
                 &mut pairs,
             );

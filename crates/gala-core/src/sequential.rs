@@ -76,7 +76,7 @@ pub fn sequential_louvain_with(
         let (assignment, sweeps) = sub.scope("superstep", |p| {
             p.scope("decide", |p| {
                 let started = Instant::now();
-                let moved = p.scope("cpu", |p| {
+                let moving = p.scope("cpu", |p| {
                     let mut assignment: Vec<CommunityId> =
                         (0..g.num_vertices() as CommunityId).collect();
                     let (sweeps, _) = local_moving(
@@ -92,7 +92,7 @@ pub fn sequential_louvain_with(
                     (assignment, sweeps)
                 });
                 p.count("elapsed_ns", started.elapsed().as_nanos() as u64);
-                moved
+                moving
             })
         });
         obs.span(round as u32, 0, "phase1", None, sub);
@@ -162,9 +162,8 @@ pub(crate) struct Sweep {
 /// so no community grows past one `within` community (Leiden's
 /// refinement). Sweeps stop once one moves nothing or gains less than
 /// `theta` in modularity, or after `max_sweeps`. Returns the number of
-/// sweeps run and whether anything moved. Neighbourhoods are summed on the
-/// thread's
-/// [`Fold`](gala_graph::fold::Fold), taken once per call.
+/// sweeps run and whether anything moved. Neighbourhoods are summed on
+/// the thread's [`Fold`](gala_graph::fold::Fold), taken once per call.
 pub(crate) fn local_moving(
     graph: &Graph,
     comm: &mut [CommunityId],

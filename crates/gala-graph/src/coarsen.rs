@@ -275,18 +275,15 @@ impl CoarsenScratch {
     /// row's sorted `(community, weight)` pairs to `pairs` and returns
     /// their count.
     fn fold_row(&self, graph: &Graph, r: usize, pairs: &mut Vec<(CommunityId, f64)>) -> usize {
-        let vo = &self.vert_offsets;
+        let (vo, renum): (&[usize], &[CommunityId]) = (&self.vert_offsets, &self.renumbered);
         with_fold(|fold| {
             fold.begin(vo.len() - 1);
             for &v in &self.members[vo[r]..vo[r + 1]] {
                 for (&u, &w) in graph.neighbor_ids(v).iter().zip(graph.neighbor_weights(v)) {
-                    fold.add(self.renumbered[u as usize], w);
+                    fold.add(renum[u as usize], w);
                 }
             }
-            let row = fold.finish();
-            row.sort_unstable_by_key(|&(c, _)| c);
-            pairs.extend_from_slice(row);
-            row.len()
+            fold.finish_sorted(pairs)
         })
     }
 }
@@ -307,11 +304,9 @@ pub fn aggregate_rows(
     graph: &Graph,
     scratch: &CoarsenScratch,
     rows: std::ops::Range<usize>,
-    k: usize,
     row_deg: &mut Vec<u64>,
     pairs: &mut Vec<(CommunityId, f64)>,
 ) {
-    debug_assert_eq!(k + 1, scratch.vert_offsets.len(), "k of another grouping");
     let mut degs = Vec::new();
     scratch.fold_rows(graph, rows, &mut degs, |buf| pairs.extend_from_slice(buf));
     row_deg.extend(degs.iter().map(|&d| d as u64));
@@ -583,7 +578,7 @@ mod tests {
             let mut row_deg = Vec::new();
             let mut pairs = Vec::new();
             for w in splits.windows(2) {
-                aggregate_rows(&g, &scratch, w[0]..w[1], k, &mut row_deg, &mut pairs);
+                aggregate_rows(&g, &scratch, w[0]..w[1], &mut row_deg, &mut pairs);
             }
             assert_eq!(row_deg.len(), k);
             let mut run = 0usize;

@@ -32,6 +32,8 @@ const EMPTY: u32 = u32::MAX;
 pub struct Fold {
     cands: Vec<(CommunityId, f64)>,
     index: Vec<u32>,
+    /// The candidates' ids, sorted by [`Fold::finish_sorted`].
+    ids: Vec<CommunityId>,
 }
 
 impl Fold {
@@ -74,13 +76,27 @@ impl Fold {
     }
 
     /// Closes the fold: empties the index through the candidates, which
-    /// stay readable (and reorderable) until the next [`Fold::begin`].
+    /// stay readable until the next [`Fold::begin`].
     #[inline]
-    pub fn finish(&mut self) -> &mut [(CommunityId, f64)] {
+    pub fn finish(&mut self) -> &[(CommunityId, f64)] {
         for &(c, _) in &self.cands {
             self.index[c as usize] = EMPTY;
         }
-        &mut self.cands
+        &self.cands
+    }
+
+    /// Closes the fold like [`Fold::finish`], appending the candidates to
+    /// `out` in ascending community order; returns their count. Sorting
+    /// the 4-byte ids and gathering their weights beats sorting the
+    /// 16-byte pairs by about a fifth of a contraction row's cost.
+    pub fn finish_sorted(&mut self, out: &mut Vec<(CommunityId, f64)>) -> usize {
+        self.ids.clear();
+        self.ids.extend(self.cands.iter().map(|&(c, _)| c));
+        self.ids.sort_unstable();
+        for &c in &self.ids {
+            out.push((c, self.cands[self.index[c as usize] as usize].1));
+        }
+        self.finish().len()
     }
 
     /// Whether every index entry is empty, as between folds. Costs the id
@@ -120,9 +136,10 @@ mod tests {
             fold.candidates(),
             &[(5, 0.1 + 0.2), (2, 1.0 + 0.5), (7, 3.0)]
         );
-        fold.finish().sort_unstable_by_key(|&(c, _)| c);
+        let mut sorted = vec![(9, 9.0)];
+        assert_eq!(fold.finish_sorted(&mut sorted), 3);
         assert!(fold.is_closed());
-        assert_eq!(fold.candidates(), &[(2, 1.5), (5, 0.1 + 0.2), (7, 3.0)]);
+        assert_eq!(sorted, &[(9, 9.0), (2, 1.5), (5, 0.1 + 0.2), (7, 3.0)]);
     }
 
     #[test]
