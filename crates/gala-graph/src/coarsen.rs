@@ -246,14 +246,14 @@ pub fn renumber_and_group(
 impl CoarsenScratch {
     /// Folds the coarse rows `rows` of the prepared grouping on the pool,
     /// writes each row's degree (distinct neighbor communities) into
-    /// `row_deg`, and hands `emit` the rows' sorted `(community, weight)`
-    /// pairs in row order, one pool chunk's contiguous rows at a time.
+    /// `row_deg`, and hands `emit` the pool chunks' buffers of sorted
+    /// `(community, weight)` pairs, contiguous rows each, in row order.
     fn fold_rows(
         &self,
         graph: &Graph,
         rows: std::ops::Range<usize>,
         row_deg: &mut Vec<usize>,
-        emit: impl FnMut(&Vec<(CommunityId, f64)>),
+        emit: impl FnOnce(&[Vec<(CommunityId, f64)>]),
     ) {
         let pool = &self.pair_bufs;
         let take = || {
@@ -265,7 +265,7 @@ impl CoarsenScratch {
         let bufs = rayon::par_map_indexed_accum_into(rows.len(), row_deg, take, |i, pairs| {
             self.fold_row(graph, rows.start + i, pairs)
         });
-        bufs.iter().for_each(emit);
+        emit(&bufs);
         pool.lock().expect("pair pool poisoned").extend(bufs);
     }
 
@@ -308,7 +308,9 @@ pub fn aggregate_rows(
     pairs: &mut Vec<(CommunityId, f64)>,
 ) {
     let mut degs = Vec::new();
-    scratch.fold_rows(graph, rows, &mut degs, |buf| pairs.extend_from_slice(buf));
+    scratch.fold_rows(graph, rows, &mut degs, |bufs| {
+        bufs.iter().for_each(|buf| pairs.extend_from_slice(buf))
+    });
     row_deg.extend(degs.iter().map(|&d| d as u64));
 }
 
@@ -323,8 +325,9 @@ pub fn aggregate_rows(
 ///    each finished row's sorted `(community, weight)` pairs to the
 ///    chunk's recycled pair buffer and recording the row's degree;
 /// 3. the chunk buffers — contiguous ascending row ranges, in chunk order —
-///    stream straight into the targets/weights arrays, and a prefix sum
-///    over the degrees gives the offsets.
+///    stream straight into the targets/weights arrays, reserved once for
+///    the buffers' total arc count, and a prefix sum over the degrees
+///    gives the offsets.
 ///
 /// Every row is accumulated sequentially in a fixed order (members
 /// ascending × CSR neighbor order), so the result is bit-for-bit identical
@@ -343,16 +346,21 @@ pub fn coarsen_into(
     let k = renumber_and_group(graph, partition, scratch);
 
     // The one aggregation pass: fold each row and stream the chunks' sorted
-    // pairs straight into the CSR body, whose buffers are reclaimed from the
-    // previous round.
+    // pairs straight into the CSR body, sized once to the arc count; its
+    // buffers are reclaimed from the previous round.
     let mut row_deg = std::mem::take(&mut scratch.row_deg);
     let mut targets = std::mem::take(&mut scratch.out_targets);
     let mut weights = std::mem::take(&mut scratch.out_weights);
     targets.clear();
     weights.clear();
-    scratch.fold_rows(graph, 0..k, &mut row_deg, |buf| {
-        targets.extend(buf.iter().map(|&(c, _)| c));
-        weights.extend(buf.iter().map(|&(_, w)| w));
+    scratch.fold_rows(graph, 0..k, &mut row_deg, |bufs| {
+        let arcs = bufs.iter().map(Vec::len).sum();
+        targets.reserve(arcs);
+        weights.reserve(arcs);
+        for buf in bufs {
+            targets.extend(buf.iter().map(|&(c, _)| c));
+            weights.extend(buf.iter().map(|&(_, w)| w));
+        }
     });
 
     // Exact coarse CSR offsets from the distinct counts.
